@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/relation"
 	"repro/internal/session"
 )
@@ -34,25 +33,19 @@ func shopStep(i, j int) relation.Instance {
 }
 
 // BenchmarkSessionStep measures one session's step latency through the
-// engine under each durability policy. The mem-tree case runs the same
-// in-memory workload on the tree-walking evaluator instead of the compiled
-// RA engine, so mem vs mem-tree is the step-engine speedup.
+// engine under each durability policy.
 func BenchmarkSessionStep(b *testing.B) {
 	cases := []struct {
 		name    string
 		durable bool
 		policy  session.FsyncPolicy
-		engine  core.StepEngine
 	}{
-		{"mem", false, session.FsyncNever, core.EngineRA},
-		{"mem-tree", false, session.FsyncNever, core.EngineTree},
-		{"wal-never", true, session.FsyncNever, core.EngineRA},
-		{"wal-always", true, session.FsyncAlways, core.EngineRA},
+		{"mem", false, session.FsyncNever},
+		{"wal-never", true, session.FsyncNever},
+		{"wal-always", true, session.FsyncAlways},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			prev := core.SetStepEngine(c.engine)
-			defer core.SetStepEngine(prev)
 			cfg := session.Config{Shards: 1, Fsync: c.policy}
 			if c.durable {
 				cfg.Dir = b.TempDir()

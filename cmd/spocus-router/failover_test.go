@@ -2,10 +2,10 @@ package main
 
 // The acceptance test of the cluster layer: three real spocus-server
 // processes behind a real spocus-router process, concurrent scripted load,
-// SIGKILL of one backend mid-load, recovery, and handoffs over both
-// transports (WAL shipping and deterministic replay) — after all of which
-// every session's log served through the router must be byte-identical to
-// a single-node oracle run of the same input sequence.
+// SIGKILL of one backend mid-load, recovery, and handoffs of a recovered
+// and of a live session — after all of which every session's log served
+// through the router must be byte-identical to a single-node oracle run of
+// the same input sequence.
 //
 // Sessions owned by the victim are quiescent at the instant of the kill
 // (their acked prefix is exact); sessions on the survivors keep stepping
@@ -346,28 +346,22 @@ func TestClusterFailover(t *testing.T) {
 		assertOracleLog(t, router, id, i, nSteps)
 	}
 
-	// Handoffs, one per transport: WAL shipping (move the state image,
-	// digest-verified on the target) and deterministic replay (re-step the
-	// exported input history). Both must leave the log through the router
-	// byte-identical to the oracle — the transports are interchangeable by
-	// construction, and this is where that's proved across real processes.
-	handoff := func(idx int, target, mode string) {
+	// Handoffs: the state image moves, digest-verified on the target, and
+	// must leave the log through the router byte-identical to the oracle —
+	// state image + log is the session, and this is where that's proved
+	// across real processes.
+	handoff := func(idx int, target string) {
 		t.Helper()
 		id := ids[idx]
 		src := urls[owner[id]]
 		var hres struct {
-			From     string `json:"from"`
-			To       string `json:"to"`
-			Steps    int    `json:"steps"`
-			Mode     string `json:"mode"`
-			Fallback bool   `json:"fallback"`
+			From  string `json:"from"`
+			To    string `json:"to"`
+			Steps int    `json:"steps"`
 		}
-		st := postJSON(t, fmt.Sprintf("%s/admin/handoff?session=%s&to=%s&mode=%s", router, id, target, mode), nil, &hres)
-		if st != http.StatusOK || hres.To != target || hres.Steps != nSteps {
-			t.Fatalf("handoff %s (%s): status %d, %+v", id, mode, st, hres)
-		}
-		if hres.Mode != mode || hres.Fallback {
-			t.Fatalf("handoff %s: asked for mode %s, got %q (fallback=%v)", id, mode, hres.Mode, hres.Fallback)
+		st := postJSON(t, fmt.Sprintf("%s/admin/handoff?session=%s&to=%s", router, id, target), nil, &hres)
+		if st != http.StatusOK || hres.From != src || hres.To != target || hres.Steps != nSteps {
+			t.Fatalf("handoff %s: status %d, %+v", id, st, hres)
 		}
 		var shards struct {
 			Pins map[string]string `json:"pins"`
@@ -385,13 +379,13 @@ func TestClusterFailover(t *testing.T) {
 	// its old home dies for good below.
 	moved := ids[victimSessions[0]]
 	movedIdx := victimSessions[0]
-	handoff(movedIdx, urls[(victim+1)%nBackends], "ship")
+	handoff(movedIdx, urls[(victim+1)%nBackends])
 
-	// Replay-move a survivor session to the backend that is neither its
-	// owner nor the victim, so the upcoming kill cannot touch it.
-	replayIdx := survivorSessions[0]
-	replayTarget := urls[3-owner[ids[replayIdx]]-victim]
-	handoff(replayIdx, replayTarget, "replay")
+	// Move a survivor session (never recovered: its state was built live)
+	// to the backend that is neither its owner nor the victim, so the
+	// upcoming kill cannot touch it.
+	liveIdx := survivorSessions[0]
+	handoff(liveIdx, urls[3-owner[ids[liveIdx]]-victim])
 
 	if err := procs[victim].Process.Kill(); err != nil {
 		t.Fatal(err)

@@ -1,17 +1,15 @@
 // Command spocus-router fronts N spocus-server backends with a
 // consistent-hash ring: every session lives on exactly one backend, the
 // router proxies the session API there, health-checks eject dead backends
-// from the ring, and POST /admin/handoff rebalances individual sessions —
-// by WAL shipping (move the state image, verify a log digest on the
-// target) or by deterministic replay (export the input history, re-step it
-// on the target), then flip the ring entry.
+// from the ring, and POST /admin/handoff rebalances individual sessions:
+// ship the state image, verify a log digest on the target, then flip the
+// ring entry.
 //
 // Usage:
 //
 //	spocus-router [-addr :8090] -backends http://h1:8080,http://h2:8080,...
 //	              [-vnodes 128] [-health-interval 1s] [-health-timeout 500ms]
 //	              [-health-fail-after 2] [-health-max-backoff 5s]
-//	              [-handoff-mode ship|replay]
 //	              [-follower-reads] [-follower-max-lag 0] [-auto-promote]
 //
 // Exposes the spocus-server session API (routed per session) plus:
@@ -58,7 +56,6 @@ func main() {
 		healthTimeout = flag.Duration("health-timeout", 500*time.Millisecond, "single probe timeout")
 		healthFails   = flag.Int("health-fail-after", 2, "consecutive probe failures before marking a backend down")
 		healthBackoff = flag.Duration("health-max-backoff", 5*time.Second, "probe backoff cap while a backend is down")
-		handoffMode   = flag.String("handoff-mode", "ship", "default session handoff transport: ship (state image + log digest) | replay (re-step input history)")
 		followerReads = flag.Bool("follower-reads", false, "serve GET log/verify/progress from the owner's follower when within -follower-max-lag")
 		followerLag   = flag.Int64("follower-max-lag", 0, "max WAL records a follower may trail the primary and still serve reads")
 		autoPromote   = flag.Bool("auto-promote", false, "promote a backend's follower automatically when health marks it down")
@@ -79,7 +76,6 @@ func main() {
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
 		Backends:       urls,
 		Vnodes:         *vnodes,
-		HandoffMode:    *handoffMode,
 		FollowerReads:  *followerReads,
 		FollowerMaxLag: *followerLag,
 		AutoPromote:    *autoPromote,

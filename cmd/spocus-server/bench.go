@@ -325,12 +325,11 @@ func bench(args []string) {
 
 		fsyncMatrix   = fs.Bool("fsync-matrix", false, "run the in-process bench across the durability matrix (wal-never, wal-interval, wal-always-batch1, wal-always-group), each on a fresh temp dir; emits a JSON array")
 		codecMatrix   = fs.Bool("codec-matrix", false, "measure the binary WAL codec against JSON on every surface (WAL density, crash recovery, ship, replication stream) over one -steps-long session; emits a JSON array")
-		engineMatrix  = fs.Bool("engine-matrix", false, "compare the tree-walking evaluator against the compiled RA engine on E3/E4/E12 verification workloads and the in-memory session step path; emits a JSON array")
 		replication   = fs.Bool("replication", false, "measure the replication plane: the -fsync always workload with and without a live follower streaming every shard, plus promotion-vs-replay timings at -promote-steps")
 		promoteSteps  = fs.Int("promote-steps", 1000, "session size for the -replication promotion-vs-replay comparison")
 		promoteRounds = fs.Int("promote-rounds", 3, "rounds per mode in the -replication promotion comparison")
-		handoffSteps  = fs.Int("handoff-steps", 0, "with -url pointing at a spocus-router: open one session, drive this many steps, then time replay- vs ship-mode handoffs")
-		handoffRounds = fs.Int("handoff-rounds", 5, "handoffs timed per mode under -handoff-steps")
+		handoffSteps  = fs.Int("handoff-steps", 0, "with -url pointing at a spocus-router: open one session, drive this many steps, then time handoffs of it between backends")
+		handoffRounds = fs.Int("handoff-rounds", 5, "handoffs timed under -handoff-steps")
 	)
 	build := engineFlags(fs, "never")
 	fs.Parse(args)
@@ -354,10 +353,6 @@ func bench(args []string) {
 			fatal(fmt.Errorf("-handoff-steps needs -url pointing at a spocus-router"))
 		}
 		benchHandoff(strings.TrimRight(*url, "/"), *model, db, script, *handoffSteps, *handoffRounds)
-		return
-	}
-	if *engineMatrix {
-		benchEngineMatrix(*model)
 		return
 	}
 	if *codecMatrix {
@@ -755,7 +750,8 @@ func benchFsyncMatrix(cfg session.Config, model string, db relation.Instance, sc
 	emit(results)
 }
 
-// handoffTiming is one transport's timings in the handoff bench report.
+// handoffTiming is one operation's timings in the handoff and replication
+// bench reports.
 type handoffTiming struct {
 	Mode      string    `json:"mode"`
 	Rounds    int       `json:"rounds"`
@@ -765,10 +761,9 @@ type handoffTiming struct {
 	SamplesMs []float64 `json:"samples_ms"`
 }
 
-// benchHandoff times session handoff through a router under both
-// transports at a fixed session size: replay re-steps the whole input
-// history (cost grows with steps), shipping moves the state image and
-// verifies a log digest (cost tracks state size, not step count).
+// benchHandoff times session handoff through a router at a fixed session
+// size: shipping moves the state image and verifies a log digest, so cost
+// tracks state and log size, not step count.
 func benchHandoff(router, model string, db relation.Instance, script func(int, int) relation.Instance, steps, rounds int) {
 	target := &httpTarget{base: router, client: wire.New(wire.Config{Name: "bench-handoff", Timeout: 5 * time.Minute})}
 	defer target.client.Close()
@@ -819,33 +814,28 @@ func benchHandoff(router, model string, db relation.Instance, script func(int, i
 		Handoffs []handoffTiming `json:"handoffs"`
 	}{URL: router, Session: id, Steps: steps, Backends: len(backends)}
 
-	for _, mode := range []string{"replay", "ship"} {
-		ht := handoffTiming{Mode: mode, Rounds: rounds, MinMs: math.Inf(1)}
-		for r := 0; r < rounds; r++ {
-			to := backends[(owner+1)%len(backends)]
-			var hres struct {
-				Steps    int    `json:"steps"`
-				Mode     string `json:"mode"`
-				Fallback bool   `json:"fallback"`
-			}
-			t0 := time.Now()
-			hurl := fmt.Sprintf("%s/admin/handoff?session=%s&to=%s&mode=%s", router, id, neturl.QueryEscape(to), mode)
-			if err := target.post(hurl, nil, &hres); err != nil {
-				fatal(err)
-			}
-			ms := float64(time.Since(t0)) / 1e6
-			if hres.Steps != steps || hres.Mode != mode || hres.Fallback {
-				fatal(fmt.Errorf("handoff came back steps=%d mode=%s fallback=%v, want steps=%d mode=%s",
-					hres.Steps, hres.Mode, hres.Fallback, steps, mode))
-			}
-			ht.SamplesMs = append(ht.SamplesMs, ms)
-			ht.MeanMs += ms / float64(rounds)
-			ht.MinMs = math.Min(ht.MinMs, ms)
-			ht.MaxMs = math.Max(ht.MaxMs, ms)
-			owner = (owner + 1) % len(backends)
+	ht := handoffTiming{Mode: "ship", Rounds: rounds, MinMs: math.Inf(1)}
+	for r := 0; r < rounds; r++ {
+		to := backends[(owner+1)%len(backends)]
+		var hres struct {
+			Steps int `json:"steps"`
 		}
-		report.Handoffs = append(report.Handoffs, ht)
+		t0 := time.Now()
+		hurl := fmt.Sprintf("%s/admin/handoff?session=%s&to=%s", router, id, neturl.QueryEscape(to))
+		if err := target.post(hurl, nil, &hres); err != nil {
+			fatal(err)
+		}
+		ms := float64(time.Since(t0)) / 1e6
+		if hres.Steps != steps {
+			fatal(fmt.Errorf("handoff came back steps=%d, want %d", hres.Steps, steps))
+		}
+		ht.SamplesMs = append(ht.SamplesMs, ms)
+		ht.MeanMs += ms / float64(rounds)
+		ht.MinMs = math.Min(ht.MinMs, ms)
+		ht.MaxMs = math.Max(ht.MaxMs, ms)
+		owner = (owner + 1) % len(backends)
 	}
+	report.Handoffs = append(report.Handoffs, ht)
 	emit(report)
 }
 

@@ -11,9 +11,11 @@ import (
 	"repro/internal/session"
 )
 
-// codecMatrixRow is one codec's cell of `bench -codec-matrix`: the four
-// durability surfaces measured under one encoding. Binary rows carry the
-// json/binary ratios.
+// codecMatrixRow is one write codec's cell of `bench -codec-matrix`: the
+// four durability surfaces measured over a WAL in that encoding. Ship images
+// and the replication stream are binary whatever the WAL holds; their columns
+// show what transcoding from each stored form costs. The binary row carries
+// the json/binary WAL density ratio.
 type codecMatrixRow struct {
 	Codec           string  `json:"codec"`
 	Steps           int     `json:"steps"`
@@ -23,7 +25,6 @@ type codecMatrixRow struct {
 	ShipBytes       int     `json:"ship_bytes"`
 	StreamBytes     int     `json:"stream_bytes"` // full replication fetch, JSON envelope included
 	WALRatioVsJSON  float64 `json:"wal_ratio_vs_json,omitempty"`
-	StreamRatio     float64 `json:"stream_ratio_vs_json,omitempty"`
 }
 
 // benchCodecMatrix measures the WAL codec on every surface it touches: WAL
@@ -64,30 +65,25 @@ func benchCodecMatrix(model string, db relation.Instance, script func(int, int) 
 
 		// Ship: export on the source, install on a fresh in-memory target,
 		// encode/decode and digest verification included. Best of 3.
-		row.ShipMs, row.ShipBytes = shipOnce(eng, id, cdc)
+		row.ShipMs, row.ShipBytes = shipOnce(eng, id)
 		for i := 0; i < 2; i++ {
-			if ms, _ := shipOnce(eng, id, cdc); ms < row.ShipMs {
+			if ms, _ := shipOnce(eng, id); ms < row.ShipMs {
 				row.ShipMs = ms
 			}
 		}
 
 		// Replication stream: fetch the whole WAL and apply it to a
 		// follower-like in-memory engine, counting the JSON envelope bytes
-		// the wire actually carries. The binary wire polls with the
-		// follower decoder's table length, exactly like internal/replica.
+		// the wire actually carries, polling with the follower decoder's
+		// table length exactly like internal/replica.
 		follower, err := session.NewEngine(session.Config{Shards: 1})
 		if err != nil {
 			fatal(err)
 		}
 		dec := session.NewReplDecoder()
-		binaryWire := cdc == session.CodecBinary
 		var from int64
 		for {
-			itab := -1
-			if binaryWire {
-				itab = dec.TableLen()
-			}
-			b, err := eng.StreamWAL(context.Background(), 0, from, 0, itab)
+			b, err := eng.StreamWAL(context.Background(), 0, from, 0, dec.TableLen())
 			if err != nil {
 				fatal(err)
 			}
@@ -100,11 +96,7 @@ func benchCodecMatrix(model string, db relation.Instance, script func(int, int) 
 				break
 			}
 			for _, rec := range b.Records {
-				payload := rec.Payload
-				if len(rec.Bin) > 0 {
-					payload = rec.Bin
-				}
-				if err := follower.ApplyReplicatedRecord(dec, payload); err != nil {
+				if err := follower.ApplyReplicatedRecord(dec, rec.Bin); err != nil {
 					fatal(err)
 				}
 			}
@@ -132,7 +124,6 @@ func benchCodecMatrix(model string, db relation.Instance, script func(int, int) 
 			base = row
 		} else if base.WALBytesPerStep > 0 {
 			row.WALRatioVsJSON = base.WALBytesPerStep / row.WALBytesPerStep
-			row.StreamRatio = float64(base.StreamBytes) / float64(row.StreamBytes)
 		}
 		rows = append(rows, row)
 	}
@@ -142,7 +133,7 @@ func benchCodecMatrix(model string, db relation.Instance, script func(int, int) 
 // shipOnce times one export-state → install round trip onto a fresh
 // in-memory engine, returning (milliseconds, shipped bytes). The source
 // session is unfrozen again afterwards.
-func shipOnce(eng *session.Engine, id string, cdc session.Codec) (float64, int) {
+func shipOnce(eng *session.Engine, id string) (float64, int) {
 	target, err := session.NewEngine(session.Config{Shards: 1})
 	if err != nil {
 		fatal(err)
@@ -150,33 +141,12 @@ func shipOnce(eng *session.Engine, id string, cdc session.Codec) (float64, int) 
 	defer target.Shutdown()
 	defer eng.Unfreeze(id)
 	start := time.Now()
-	var shipped int
-	if cdc == session.CodecBinary {
-		data, err := eng.ExportStateBinary(id)
-		if err != nil {
-			fatal(err)
-		}
-		shipped = len(data)
-		if _, err := target.InstallBinary(data); err != nil {
-			fatal(err)
-		}
-	} else {
-		se, err := eng.ExportState(id)
-		if err != nil {
-			fatal(err)
-		}
-		data, err := json.Marshal(se)
-		if err != nil {
-			fatal(err)
-		}
-		shipped = len(data)
-		var se2 session.StateExport
-		if err := json.Unmarshal(data, &se2); err != nil {
-			fatal(err)
-		}
-		if _, err := target.Install(&se2); err != nil {
-			fatal(err)
-		}
+	image, err := eng.ExportState(id)
+	if err != nil {
+		fatal(err)
 	}
-	return float64(time.Since(start).Microseconds()) / 1000, shipped
+	if _, err := target.Install(image); err != nil {
+		fatal(err)
+	}
+	return float64(time.Since(start).Microseconds()) / 1000, len(image)
 }

@@ -40,17 +40,12 @@ func main() {
 		showLog     = flag.Bool("log", true, "print the log at each step")
 		asJSON      = flag.Bool("json", false, "emit the run as JSON instead of a trace")
 		acceptance  = flag.String("accept", "", "check acceptance: error-free | ok | accept")
-		stepEngine  = flag.String("step-engine", "ra", "rule evaluation engine: ra (compiled plans) | tree (walker)")
 	)
 	flag.Parse()
 	if *programPath == "" || *sessionPath == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	engine, err := core.ParseStepEngine(*stepEngine)
-	fatal(err)
-	core.SetStepEngine(engine)
-
 	src, err := os.ReadFile(*programPath)
 	fatal(err)
 	m, err := core.ParseProgram(string(src))

@@ -5,9 +5,18 @@ package spocus_test
 // replay of the Figure 1 run of SHORT.
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os/exec"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/models"
+	"repro/internal/scenario"
 )
 
 var examplePrograms = []string{
@@ -59,5 +68,68 @@ func TestExamples(t *testing.T) {
 				t.Errorf("quickstart trace does not match Figure 1:\n%s", out)
 			}
 		})
+	}
+}
+
+// TestEveryShippedProgramCompiles: a machine exists only if the planner
+// lowered its rule programs (core has no second evaluator to fall back to),
+// so every program this repo ships must build — every registry model, every
+// member of the generated networks, every session of the builtin scenario
+// fleet, and every transducer program written out under examples/.
+func TestEveryShippedProgramCompiles(t *testing.T) {
+	for _, name := range models.Names() {
+		if models.Get(name) == nil { // a compile error panics in the registry's MustParseProgram
+			t.Errorf("registry model %s does not build", name)
+		}
+	}
+	for _, name := range models.NetworkNames() {
+		if _, err := models.Network(name).Build(models.Resolve); err != nil {
+			t.Errorf("network %s: %v", name, err)
+		}
+	}
+	for _, spec := range scenario.Fleet() {
+		plans, err := spec.Plan("compile")
+		if err != nil {
+			t.Errorf("scenario %s: %v", spec.Name, err)
+			continue
+		}
+		for _, p := range plans {
+			if p.IsNetwork() {
+				if _, err := p.Network.Build(models.Resolve); err != nil {
+					t.Errorf("scenario %s session %s: %v", spec.Name, p.ID, err)
+				}
+			} else if models.Get(p.Model) == nil {
+				t.Errorf("scenario %s session %s: model %s does not build", spec.Name, p.ID, p.Model)
+			}
+		}
+	}
+	files, err := filepath.Glob("examples/*/*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example sources found: %v", err)
+	}
+	programs := 0
+	for _, file := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				return true
+			}
+			src, err := strconv.Unquote(lit.Value)
+			if err != nil || !strings.HasPrefix(strings.TrimSpace(src), "transducer ") {
+				return true
+			}
+			programs++
+			if _, err := core.ParseProgram(src); err != nil {
+				t.Errorf("%s: program literal does not build: %v", file, err)
+			}
+			return true
+		})
+	}
+	if programs == 0 {
+		t.Error("found no transducer program literal under examples/")
 	}
 }

@@ -4,49 +4,30 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"time"
 
-	"repro/internal/compose"
 	"repro/internal/session"
 	"repro/internal/wire"
 )
 
-// Handoff moves one session between backends. Two transports share one
-// protocol skeleton (freeze → move → retire → pin):
+// Handoff moves one session between backends by shipping it:
 //
-// Replay mode:
-//
-//  1. export: the source freezes the session (draining it — further inputs
-//     get 503 there) and returns its input history,
-//  2. replay: the router opens the same session on the target and feeds it
-//     the history through the ordinary input path, so the target's own WAL
-//     records every step,
-//  3. verify: the replayed step count must equal the exported one,
-//  4. retire: the source forgets its copy (logged, so replay does not
+//  1. export-state: the source freezes the session (draining it — further
+//     inputs get 503 there) and returns its ship image, one opaque binary
+//     record holding the state image and a sha-256 digest of the log,
+//  2. install: the target decodes those bytes, restores the session,
+//     recomputes the digest from the restored log and refuses on mismatch,
+//     and logs an install record to its own WAL before the session goes live,
+//  3. retire: the source forgets its copy (logged, so WAL replay does not
 //     resurrect it), and the ring pins the session to the target.
 //
-// Ship mode (the default) replaces steps 1–3 with a single round trip per
-// side: the source freezes and returns its full state image plus a sha-256
-// digest of its log (export-state), and the target installs the image,
-// recomputing the digest from the restored log and refusing on mismatch.
-// Cost is O(state) instead of O(steps) — a 1k-step session moves in two
-// requests, not a thousand — while the digest check pins exactly the
-// byte-identity that replay guarantees by construction. Any ship failure
-// (digest mismatch, target without the endpoint, transport error) falls
-// back to replay on the same frozen source; export and export-state are
-// idempotent on a frozen session, so mixing them is safe.
-//
-// Determinism (state and log are a function of database + inputs alone)
-// makes replay reconstruct the log bit-for-bit, and the freeze makes the
-// move exactly-once at the log level: no input can land on both copies.
-// On any failure before retire the target copy is deleted and the source
-// is unfrozen — the session never stops being served by exactly one owner.
-
-// Handoff transports.
-const (
-	HandoffShip   = "ship"   // move the state image + log digest
-	HandoffReplay = "replay" // re-step the exported input history
-)
+// A Spocus run's state is its cumulated inputs and its log is the
+// semantically significant object, so state image + log is the session: the
+// move costs O(state + log) in one round trip per side, whatever number of
+// steps produced it, and the digest check pins the byte-identity of the log
+// end to end. The freeze makes the move exactly-once at the log level: no
+// input can land on both copies. On any failure before retire the target
+// copy is deleted and the source is unfrozen — the session never stops
+// being served by exactly one owner.
 
 // HandoffResult reports a completed handoff.
 type HandoffResult struct {
@@ -54,13 +35,9 @@ type HandoffResult struct {
 	From    string `json:"from"`
 	To      string `json:"to"`
 	Steps   int    `json:"steps"`
-	// Mode is the transport that actually moved the session; Fallback is
-	// set when ship was attempted first and replay finished the job.
-	Mode     string `json:"mode,omitempty"`
-	Fallback bool   `json:"fallback,omitempty"`
 }
 
-// handleHandoff serves POST /admin/handoff?session=ID&to=BACKEND[&mode=ship|replay].
+// handleHandoff serves POST /admin/handoff?session=ID&to=BACKEND.
 func (rt *Router) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("session")
 	to := r.URL.Query().Get("to")
@@ -68,15 +45,7 @@ func (rt *Router) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "handoff needs ?session= and ?to="})
 		return
 	}
-	mode := r.URL.Query().Get("mode")
-	if mode == "" {
-		mode = rt.handoffMode
-	}
-	if mode != HandoffShip && mode != HandoffReplay {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("unknown handoff mode %q", mode)})
-		return
-	}
-	res, err := rt.HandoffWith(id, to, mode)
+	res, err := rt.Handoff(id, to)
 	if err != nil {
 		writeJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
 		return
@@ -86,8 +55,8 @@ func (rt *Router) handleHandoff(w http.ResponseWriter, r *http.Request) {
 
 // lockSession serializes handoffs per session ID. Without it, two
 // concurrent handoffs of the same session to different targets both
-// export (freeze is idempotent) and both replay; the loser's Forget finds
-// the source already retired, but its replayed copy would survive as a
+// export (freeze is idempotent) and both install; the loser's Forget finds
+// the source already retired, but its installed copy would survive as a
 // live, unfrozen orphan replica on its target. Serialized, the second
 // handoff's Lookup sees the first one's pin and either no-ops or performs
 // a clean second move from the new owner.
@@ -111,18 +80,12 @@ func (rt *Router) lockSession(id string) (unlock func()) {
 	}
 }
 
-// Handoff drains session id on its current owner, moves it to backend to
-// using the router's default transport, and flips the ring entry.
-func (rt *Router) Handoff(id, to string) (*HandoffResult, error) {
-	return rt.HandoffWith(id, to, rt.handoffMode)
-}
-
-// HandoffWith is Handoff with an explicit transport (HandoffShip or
-// HandoffReplay). Handing a session to the backend that already owns it
-// is a no-op. Handoffs of the same session are serialized; a concurrent
-// caller blocks until the first move completes, then acts on the
+// Handoff drains session id on its current owner, ships it to backend to,
+// and flips the ring entry. Handing a session to the backend that already
+// owns it is a no-op. Handoffs of the same session are serialized; a
+// concurrent caller blocks until the first move completes, then acts on the
 // post-move owner.
-func (rt *Router) HandoffWith(id, to, mode string) (*HandoffResult, error) {
+func (rt *Router) Handoff(id, to string) (*HandoffResult, error) {
 	defer rt.lockSession(id)()
 	known := false
 	for _, m := range rt.ring.Members() {
@@ -141,38 +104,16 @@ func (rt *Router) HandoffWith(id, to, mode string) (*HandoffResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("handoff: %w", err)
 	}
+	res := &HandoffResult{Session: id, From: from, To: to}
 	if from == to {
-		return &HandoffResult{Session: id, From: from, To: to}, nil
+		return res, nil
 	}
 
-	res := &HandoffResult{Session: id, From: from, To: to, Mode: mode}
-
-	// Move the session (freezing the source as a side effect of the first
-	// export). A failed ship falls back to replay against the same frozen
-	// source before anything is rolled back.
-	if mode == HandoffShip {
-		steps, shipErr := rt.ship(from, to, id)
-		if shipErr == nil {
-			res.Steps = steps
-		} else {
-			rt.deleteSession(to, id)
-			rt.m.handoffFallbacks.Add(1)
-			res.Mode, res.Fallback = HandoffReplay, true
-		}
-	}
-	if res.Mode == HandoffReplay {
-		var exp session.Export
-		if err := rt.postJSON(from+"/admin/sessions/"+id+"/export", nil, &exp); err != nil {
-			return nil, fmt.Errorf("handoff: export from %s: %w", from, err)
-		}
-		if err := rt.replay(to, &exp); err != nil {
-			rt.deleteSession(to, id)
-			if uerr := rt.postJSON(from+"/admin/sessions/"+id+"/unfreeze", nil, nil); uerr != nil {
-				return nil, fmt.Errorf("handoff: replay on %s failed (%v) AND unfreeze on %s failed (%v): session %s needs manual thaw", to, err, from, uerr, id)
-			}
-			return nil, fmt.Errorf("handoff: replay on %s: %w (source unfrozen)", to, err)
-		}
-		res.Steps = exp.Steps
+	// Ship the session (freezing the source as a side effect of the export).
+	// Whatever stops the ship — source unreachable, digest refused, an ID the
+	// target already holds — rolls back to the source as sole owner.
+	if res.Steps, err = rt.ship(from, to, id); err != nil {
+		return nil, rt.rollback(from, to, id, fmt.Errorf("ship: %w", err))
 	}
 
 	// The health checker may have marked the target down while the move was
@@ -181,144 +122,60 @@ func (rt *Router) HandoffWith(id, to, mode string) (*HandoffResult, error) {
 	// it — and if the target really died, lose it — so re-check before the
 	// point of no return and roll the move back instead.
 	if !rt.ring.Up(to) {
-		rt.deleteSession(to, id)
-		if uerr := rt.postJSON(from+"/admin/sessions/"+id+"/unfreeze", nil, nil); uerr != nil {
-			return nil, fmt.Errorf("handoff: target %s went down mid-handoff AND unfreeze on %s failed (%v): session %s needs manual thaw", to, from, uerr, id)
-		}
-		return nil, fmt.Errorf("handoff: target %s went down mid-handoff: %w (source unfrozen)", to, &BackendDownError{Addr: to})
+		return nil, rt.rollback(from, to, id, fmt.Errorf("target went down mid-handoff: %w", &BackendDownError{Addr: to}))
 	}
 
 	// Retire the source copy and flip the ring.
-	if err := rt.postJSON(from+"/admin/sessions/"+id+"/forget", nil, nil); err != nil {
-		if wire.IsStatus(err, http.StatusNotFound) {
-			// The session vanished from the source under our freeze —
-			// someone else retired it. Our moved copy would be a second
-			// live replica, so delete it and leave the ring alone.
-			rt.deleteSession(to, id)
-			return nil, fmt.Errorf("handoff: session %s disappeared from %s mid-handoff (replica on %s deleted): %w", id, from, to, err)
-		}
+	ferr := rt.postJSON(from+"/admin/sessions/"+id+"/forget", nil, nil)
+	if wire.IsStatus(ferr, http.StatusNotFound) {
+		// The session vanished from the source under our freeze — someone
+		// else retired it. Our moved copy would be a second live replica, so
+		// delete it and leave the ring alone.
+		rt.deleteSession(to, id)
+		return nil, fmt.Errorf("handoff: session %s disappeared from %s mid-handoff (replica on %s deleted): %w", id, from, to, ferr)
+	}
+	rt.ring.Pin(id, to)
+	rt.m.handoffs.Add(1)
+	if ferr != nil {
 		// The target already serves the session; routing there anyway is
 		// correct, the frozen source copy is inert. Report but proceed.
-		rt.finishHandoff(id, to, res)
-		return res, fmt.Errorf("handoff: forget on %s: %w (ring flipped; frozen source copy remains)", from, err)
+		return res, fmt.Errorf("handoff: forget on %s: %w (ring flipped; frozen source copy remains)", from, ferr)
 	}
-	rt.finishHandoff(id, to, res)
 	return res, nil
 }
 
-func (rt *Router) finishHandoff(id, to string, res *HandoffResult) {
-	rt.ring.Pin(id, to)
-	rt.m.handoffs.Add(1)
-	if res.Mode == HandoffShip {
-		rt.m.handoffsShipped.Add(1)
+// rollback undoes a handoff that failed before the source was retired: the
+// target's copy is deleted, the source thawed, the ring left alone. It
+// returns the error to report, which names the cause and what was restored.
+func (rt *Router) rollback(from, to, id string, cause error) error {
+	rt.deleteSession(to, id)
+	if uerr := rt.postJSON(from+"/admin/sessions/"+id+"/unfreeze", nil, nil); uerr != nil && !wire.IsStatus(uerr, http.StatusNotFound) {
+		return fmt.Errorf("handoff to %s: %w AND unfreeze on %s failed (%v): session %s needs manual thaw", to, cause, from, uerr, id)
 	}
+	return fmt.Errorf("handoff to %s: %w (source unfrozen)", to, cause)
 }
 
 // ship moves the session in one round trip per side: export-state on the
-// source (freeze + state image + log digest), install on the target
-// (restore + digest verification + an install WAL record). Returns the
-// shipped session's step count. The image travels as one canonical binary
-// codec record when both ends speak it; any binary-transport failure falls
-// back to the JSON StateExport round trip (ExportState is idempotent on the
-// frozen session, so re-exporting is safe).
+// source (freeze + ship image), install on the target (restore + digest
+// verification + an install WAL record). The router never decodes the image,
+// it just moves bytes: the target decodes what the source encoded and
+// verifies the log digest before the session goes live. Returns the shipped
+// session's step count.
 func (rt *Router) ship(from, to, id string) (int, error) {
-	if steps, err := rt.shipBinary(from, to, id); err == nil {
-		return steps, nil
-	}
-	var se session.StateExport
-	if err := rt.postJSON(from+"/admin/sessions/"+id+"/export-state", nil, &se); err != nil {
-		return 0, fmt.Errorf("export-state from %s: %w", from, err)
-	}
-	if se.Image == nil {
-		return 0, fmt.Errorf("export-state from %s: empty image", from)
-	}
-	// Install can hit the same bounded mailbox as any open, so retry 429s.
-	var info session.Info
-	if err := rt.postJSONRetry(to+"/admin/install", &se, &info); err != nil {
-		return 0, fmt.Errorf("install on %s: %w", to, err)
-	}
-	if info.Steps != se.Image.Steps {
-		return 0, fmt.Errorf("install on %s: reports %d steps, image has %d", to, info.Steps, se.Image.Steps)
-	}
-	return se.Image.Steps, nil
-}
-
-// shipBinary ships the session as one opaque binary image: the router never
-// decodes it, it just moves bytes. A source that answers JSON (no binary
-// support yet) or any other failure aborts the attempt; the caller retries
-// over JSON. Integrity holds end to end regardless: the target decodes the
-// same bytes the source encoded and verifies the log digest before the
-// session goes live.
-func (rt *Router) shipBinary(from, to, id string) (int, error) {
-	data, binary, err := rt.client.PostBinaryNegotiate(context.Background(),
-		from+"/admin/sessions/"+id+"/export-state", nil)
+	image, err := rt.client.PostRaw(context.Background(), from+"/admin/sessions/"+id+"/export-state", nil)
 	if err != nil {
 		return 0, fmt.Errorf("export-state from %s: %w", from, err)
 	}
-	if !binary {
-		return 0, fmt.Errorf("export-state from %s: no binary transport", from)
-	}
 	// Install can hit the same bounded mailbox as any open, so retry 429s.
 	var info session.Info
-	if err := rt.postRetry(to+"/admin/install", "application/octet-stream", data, &info); err != nil {
+	if err := rt.client.PostBytesRetry(context.Background(), to+"/admin/install", "application/octet-stream", image, &info, nil); err != nil {
 		return 0, fmt.Errorf("install on %s: %w", to, err)
 	}
 	return info.Steps, nil
 }
 
-// replay reconstructs the exported session on backend addr through the
-// ordinary open/input path, retrying individual steps on 429 backpressure.
-// A network session replays the same way — open with the network spec,
-// then re-feed the external inputs as joint steps; determinism recomputes
-// the wire traffic and per-node logs bit-for-bit.
-func (rt *Router) replay(addr string, exp *session.Export) error {
-	open := map[string]any{"id": exp.ID, "mode": exp.Mode}
-	switch {
-	case exp.Network != nil:
-		open["network"] = exp.Network
-	case exp.Src != "":
-		open["src"] = exp.Src
-		open["db"] = exp.DB
-	default:
-		open["model"] = exp.Model
-		open["db"] = exp.DB
-	}
-	// Open goes through the same bounded shard mailbox as inputs, so a
-	// busy target can 429 it too — and a busy target is not a failed
-	// handoff.
-	if err := rt.postJSONRetry(addr+"/sessions", open, nil); err != nil {
-		return fmt.Errorf("open: %w", err)
-	}
-	steps := len(exp.Inputs)
-	if exp.Network != nil {
-		steps = len(exp.NetInputs)
-	}
-	for i := 0; i < steps; i++ {
-		body := map[string]any{}
-		if exp.Network != nil {
-			netin := exp.NetInputs[i]
-			if netin == nil {
-				netin = compose.StepInputs{}
-			}
-			body["inputs"] = netin
-		} else {
-			body["input"] = exp.Inputs[i]
-		}
-		var res session.StepResult
-		if err := rt.postJSONRetry(addr+"/sessions/"+exp.ID+"/input", body, &res); err != nil {
-			return fmt.Errorf("replay step %d: %w", i+1, err)
-		}
-		if res.Seq != i+1 {
-			return fmt.Errorf("replay step %d: target reports seq %d", i+1, res.Seq)
-		}
-	}
-	if steps != exp.Steps {
-		return fmt.Errorf("export is inconsistent: %d inputs for %d steps", steps, exp.Steps)
-	}
-	return nil
-}
-
-// deleteSession best-effort removes a partially replayed session.
+// deleteSession best-effort removes the target's copy of a session whose
+// handoff is being rolled back.
 func (rt *Router) deleteSession(addr, id string) {
 	req, err := http.NewRequest(http.MethodDelete, addr+"/sessions/"+id, nil)
 	if err != nil {
@@ -334,26 +191,4 @@ func (rt *Router) deleteSession(addr, id string) {
 // backend's error message.
 func (rt *Router) postJSON(url string, body any, out any) error {
 	return rt.client.PostJSON(context.Background(), url, body, out, nil)
-}
-
-// postJSONRetry is postJSON under the wire client's retry policy: 429/503
-// refusals back off and retry, honoring any Retry-After hint.
-func (rt *Router) postJSONRetry(url string, body any, out any) error {
-	return rt.client.PostJSONRetry(context.Background(), url, body, out, nil)
-}
-
-// postRetry posts pre-encoded bytes with the same backoff for 429/503
-// refusals — the binary install leg of ship.
-func (rt *Router) postRetry(url, contentType string, body []byte, out any) error {
-	var err error
-	for attempt := 0; attempt < 5; attempt++ {
-		if attempt > 0 {
-			time.Sleep(time.Duration(50<<(attempt-1)) * time.Millisecond)
-		}
-		err = rt.client.PostBytes(context.Background(), url, contentType, body, out, nil)
-		if err == nil || !wire.Retryable(err) {
-			return err
-		}
-	}
-	return err
 }

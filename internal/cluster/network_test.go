@@ -68,71 +68,67 @@ func TestRouterNetworkSession(t *testing.T) {
 	}
 }
 
-// TestRouterNetworkHandoff moves a live network session between backends
-// under both transports, asserting the joint log survives bit-for-bit and
-// the network keeps stepping on its new owner.
+// TestRouterNetworkHandoff moves a live network session between backends,
+// asserting the joint log survives bit-for-bit and the network keeps
+// stepping on its new owner.
 func TestRouterNetworkHandoff(t *testing.T) {
-	for _, mode := range []string{HandoffReplay, HandoffShip} {
-		t.Run(mode, func(t *testing.T) {
-			tc := newTestCluster(t, 3)
-			id := "net-handoff-" + mode
-			script := models.NetworkScript("fraud", "gadget")
-			postJSON(t, tc.front.URL+"/sessions", map[string]any{"id": id, "network": models.Network("fraud")}, nil)
-			for _, ext := range script[:4] {
-				if st := postJSON(t, tc.front.URL+"/sessions/"+id+"/input", map[string]any{"inputs": ext}, nil); st != http.StatusOK {
-					t.Fatalf("pre-handoff step: status %d", st)
-				}
-			}
-			var before session.LogResult
-			getJSON(t, tc.front.URL+"/sessions/"+id+"/log", &before)
+	tc := newTestCluster(t, 3)
+	id := "net-handoff"
+	script := models.NetworkScript("fraud", "gadget")
+	postJSON(t, tc.front.URL+"/sessions", map[string]any{"id": id, "network": models.Network("fraud")}, nil)
+	for _, ext := range script[:4] {
+		if st := postJSON(t, tc.front.URL+"/sessions/"+id+"/input", map[string]any{"inputs": ext}, nil); st != http.StatusOK {
+			t.Fatalf("pre-handoff step: status %d", st)
+		}
+	}
+	var before session.LogResult
+	getJSON(t, tc.front.URL+"/sessions/"+id+"/log", &before)
 
-			from, err := tc.router.Ring().Lookup(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var to string
-			for _, b := range tc.backends {
-				if b.URL != from {
-					to = b.URL
-					break
-				}
-			}
-			var res HandoffResult
-			url := fmt.Sprintf("%s/admin/handoff?session=%s&to=%s&mode=%s", tc.front.URL, id, to, mode)
-			if st := postJSON(t, url, nil, &res); st != http.StatusOK {
-				t.Fatalf("network handoff (%s): status %d", mode, st)
-			}
-			if res.Mode != mode || res.Fallback || res.Steps != 4 {
-				t.Fatalf("network handoff result %+v, want mode %s, 4 steps, no fallback", res, mode)
-			}
-			if st := getJSON(t, from+"/sessions/"+id, nil); st != http.StatusNotFound {
-				t.Fatalf("source still serves the network: status %d", st)
-			}
+	from, err := tc.router.Ring().Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var to string
+	for _, b := range tc.backends {
+		if b.URL != from {
+			to = b.URL
+			break
+		}
+	}
+	var res HandoffResult
+	url := fmt.Sprintf("%s/admin/handoff?session=%s&to=%s", tc.front.URL, id, to)
+	if st := postJSON(t, url, nil, &res); st != http.StatusOK {
+		t.Fatalf("network handoff: status %d", st)
+	}
+	if res.From != from || res.To != to || res.Steps != 4 {
+		t.Fatalf("network handoff result %+v, want %s → %s, 4 steps", res, from, to)
+	}
+	if st := getJSON(t, from+"/sessions/"+id, nil); st != http.StatusNotFound {
+		t.Fatalf("source still serves the network: status %d", st)
+	}
 
-			var after session.LogResult
-			if st := getJSON(t, tc.front.URL+"/sessions/"+id+"/log", &after); st != http.StatusOK {
-				t.Fatalf("joint log after handoff: status %d", st)
-			}
-			if jointJSONBytes(t, after.Joint) != jointJSONBytes(t, before.Joint) {
-				t.Fatalf("handoff changed the joint log:\n got %s\nwant %s",
-					jointJSONBytes(t, after.Joint), jointJSONBytes(t, before.Joint))
-			}
+	var after session.LogResult
+	if st := getJSON(t, tc.front.URL+"/sessions/"+id+"/log", &after); st != http.StatusOK {
+		t.Fatalf("joint log after handoff: status %d", st)
+	}
+	if jointJSONBytes(t, after.Joint) != jointJSONBytes(t, before.Joint) {
+		t.Fatalf("handoff changed the joint log:\n got %s\nwant %s",
+			jointJSONBytes(t, after.Joint), jointJSONBytes(t, before.Joint))
+	}
 
-			// The moved network keeps stepping: finish the conversation.
-			for i, ext := range script[4:] {
-				var step session.StepResult
-				if st := postJSON(t, tc.front.URL+"/sessions/"+id+"/input", map[string]any{"inputs": ext}, &step); st != http.StatusOK {
-					t.Fatalf("post-handoff step: status %d", st)
-				}
-				if step.Seq != 5+i {
-					t.Fatalf("post-handoff seq %d, want %d", step.Seq, 5+i)
-				}
-			}
-			var final session.LogResult
-			getJSON(t, tc.front.URL+"/sessions/"+id+"/log", &final)
-			if len(final.Joint) != len(script) {
-				t.Fatalf("final joint log has %d entries, want %d", len(final.Joint), len(script))
-			}
-		})
+	// The moved network keeps stepping: finish the conversation.
+	for i, ext := range script[4:] {
+		var step session.StepResult
+		if st := postJSON(t, tc.front.URL+"/sessions/"+id+"/input", map[string]any{"inputs": ext}, &step); st != http.StatusOK {
+			t.Fatalf("post-handoff step: status %d", st)
+		}
+		if step.Seq != 5+i {
+			t.Fatalf("post-handoff seq %d, want %d", step.Seq, 5+i)
+		}
+	}
+	var final session.LogResult
+	getJSON(t, tc.front.URL+"/sessions/"+id+"/log", &final)
+	if len(final.Joint) != len(script) {
+		t.Fatalf("final joint log has %d entries, want %d", len(final.Joint), len(script))
 	}
 }

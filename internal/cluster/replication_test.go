@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -497,5 +498,114 @@ func TestHandoffTargetMarkedDownMidFlight(t *testing.T) {
 	// No orphan on the target.
 	if _, err := engines[1].Info(id); err == nil {
 		t.Fatal("orphan session copy survived on the rolled-back target")
+	}
+}
+
+// TestHandoffShipFailureRollsBack forces the ship itself to fail — the
+// target already holds the ID (install answers 409), and the image arrives
+// with a digest that does not match its log (install answers 400) — and
+// checks the one rollback path: an error is returned, the target holds no
+// copy, the source is thawed and stepping, and the ring has not moved.
+func TestHandoffShipFailureRollsBack(t *testing.T) {
+	// corruptDigest rewrites an export-state response to carry the digest of
+	// some other log; everything else passes through.
+	corruptDigest := func(inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodPost || !strings.HasSuffix(r.URL.Path, "/export-state") {
+				inner.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			inner.ServeHTTP(rec, r)
+			se, err := session.DecodeStateExport(rec.Body.Bytes())
+			if err != nil {
+				t.Errorf("export-state body: %v", err)
+				return
+			}
+			se.Digest = session.LogDigest(nil)
+			data, err := session.EncodeStateExport(se)
+			if err != nil {
+				t.Errorf("re-encode: %v", err)
+				return
+			}
+			w.Header().Set("Content-Type", "application/octet-stream")
+			w.Write(data)
+		})
+	}
+	for _, tc := range []struct {
+		name       string
+		wrapSource func(http.Handler) http.Handler
+		squat      bool // open the same ID on the target beforehand
+	}{
+		{name: "target holds the id", squat: true},
+		{name: "corrupted digest", wrapSource: corruptDigest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			engines := make([]*session.Engine, 2)
+			urls := make([]string, 2)
+			for i := range engines {
+				e, err := session.NewEngine(session.Config{Shards: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Shutdown()
+				h := session.Handler(e)
+				if i == 0 && tc.wrapSource != nil {
+					h = tc.wrapSource(h)
+				}
+				srv := httptest.NewServer(h)
+				defer srv.Close()
+				engines[i], urls[i] = e, srv.URL
+			}
+			rt, err := NewRouter(RouterConfig{
+				Backends: urls,
+				Vnodes:   128,
+				Health:   HealthConfig{Interval: time.Hour, Timeout: time.Second, FailAfter: 2},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+
+			var id string
+			for i := 0; ; i++ {
+				id = fmt.Sprintf("shipfail-%04d", i)
+				if owner, err := rt.Ring().Lookup(id); err == nil && owner == urls[0] {
+					break
+				}
+			}
+			if _, err := engines[0].Open(&session.OpenRequest{ID: id, Model: "short"}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := engines[0].Input(id, orderInstance("time")); err != nil {
+				t.Fatal(err)
+			}
+			if tc.squat {
+				if _, err := engines[1].Open(&session.OpenRequest{ID: id, Model: "short"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			res, err := rt.Handoff(id, urls[1])
+			if err == nil {
+				t.Fatalf("handoff succeeded: %+v", res)
+			}
+			if _, err := engines[1].Info(id); err == nil {
+				t.Fatal("a copy survives on the target after the rolled-back ship")
+			}
+			step, err := engines[0].Input(id, orderInstance("newsweek"))
+			if err != nil || step.Seq != 2 {
+				t.Fatalf("source session after rollback: %+v, %v", step, err)
+			}
+			if owner, err := rt.Ring().Lookup(id); err != nil || owner != urls[0] {
+				t.Fatalf("ring moved: owner %s, %v; want %s", owner, err, urls[0])
+			}
+			if pins := rt.Ring().Snapshot().Pins; len(pins) != 0 {
+				t.Fatalf("ring pinned after a failed handoff: %v", pins)
+			}
+			if n := rt.m.snapshot()["handoffs_total"]; n != 0 {
+				t.Fatalf("handoffs_total = %d after a failed handoff", n)
+			}
+		})
 	}
 }

@@ -2,14 +2,15 @@
 // hash(sessionID) within one process — across processes: a consistent-hash
 // ring maps session IDs onto N spocus-server backends, a health checker
 // ejects dead backends from the ring, a router proxies the HTTP/JSON API,
-// and deterministic-replay handoff moves individual sessions between
-// backends without losing a step of their log.
+// and handoff ships individual sessions between backends without losing a
+// step of their log.
 //
 // The paper's determinism results carry the whole design: a session's
 // state and log are a pure function of its database and input sequence, so
 // routing only has to keep one invariant — all of a session's inputs reach
-// the same backend, in order — and rebalancing is "ship the input log,
-// replay it" (see PAPERS.md on relational transducers for declarative
+// the same backend, in order — and since a Spocus state is its cumulated
+// inputs, rebalancing is "ship the state image and the log, under a
+// digest" (see PAPERS.md on relational transducers for declarative
 // networking).
 package cluster
 

@@ -31,12 +31,6 @@ type RouterConfig struct {
 	// (default: a pooled internal/wire client named "router" with a 30s
 	// per-attempt timeout).
 	Client *wire.Client
-	// HandoffMode selects the default session transport for /admin/handoff:
-	// "ship" (default) moves the source's state image + log digest in one
-	// round trip, falling back to replay on any ship failure; "replay"
-	// re-steps the exported input history on the target. A ?mode= query
-	// parameter overrides per call.
-	HandoffMode string
 	// FollowerReads routes read-only session traffic (GET .../log, /verify,
 	// /progress) to the owner's follower when one exists and its reported
 	// replication lag is within FollowerMaxLag. Any follower trouble —
@@ -60,7 +54,6 @@ type Router struct {
 	client         *wire.Client
 	ownsClient     bool // close the client with the router iff we built it
 	checker        *checker
-	handoffMode    string
 	followerReads  bool
 	followerMaxLag int64
 	m              routerMetrics
@@ -88,8 +81,6 @@ type routerMetrics struct {
 	rejected         atomic.Int64 // 429s passed through from backends
 	unroutable       atomic.Int64 // requests refused: backend down / ring empty
 	handoffs         atomic.Int64 // completed session handoffs
-	handoffsShipped  atomic.Int64 // handoffs completed by WAL shipping (no replay)
-	handoffFallbacks atomic.Int64 // ship attempts that fell back to replay
 	pinsRecovered    atomic.Int64 // pins rebuilt by startup recovery
 	promotions       atomic.Int64 // follower promotions completed
 	followerReads    atomic.Int64 // reads served by a follower
@@ -107,8 +98,6 @@ func (m *routerMetrics) snapshot() map[string]int64 {
 		"rejected_total":          m.rejected.Load(),
 		"unroutable_total":        m.unroutable.Load(),
 		"handoffs_total":          m.handoffs.Load(),
-		"handoffs_shipped_total":  m.handoffsShipped.Load(),
-		"handoff_fallbacks_total": m.handoffFallbacks.Load(),
 		"pins_recovered_total":    m.pinsRecovered.Load(),
 		"promotions_total":        m.promotions.Load(),
 		"follower_reads_total":    m.followerReads.Load(),
@@ -162,18 +151,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		client = wire.New(wire.Config{Name: "router"})
 		ownsClient = true
 	}
-	mode := cfg.HandoffMode
-	if mode == "" {
-		mode = HandoffShip
-	}
-	if mode != HandoffShip && mode != HandoffReplay {
-		return nil, fmt.Errorf("cluster: unknown handoff mode %q", mode)
-	}
 	rt := &Router{
 		ring:           NewRing(cfg.Vnodes),
 		client:         client,
 		ownsClient:     ownsClient,
-		handoffMode:    mode,
 		followerReads:  cfg.FollowerReads,
 		followerMaxLag: cfg.FollowerMaxLag,
 		handoffBusy:    make(map[string]chan struct{}),

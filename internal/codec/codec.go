@@ -229,7 +229,7 @@ func (e *Encoder) InstanceMap(m map[string]relation.Instance) {
 // Because interning assigns IDs in first-use order and all composite
 // encodings iterate in sorted order, the result is a deterministic,
 // stream-independent function of the value — the digest form used by
-// WAL-shipping handoff.
+// handoff.
 func Canonical(fn func(*Encoder)) []byte {
 	e := NewEncoder()
 	fn(e)

@@ -216,9 +216,9 @@ type Machine struct {
 	schema      *Schema
 	stateRules  dlog.Program
 	outputRules dlog.Program
-	// plans is the machine's lazily compiled relational-algebra form (see
-	// engine.go); resolved through the fingerprint-keyed plan cache.
-	plans atomic.Pointer[machinePlans]
+	// plans is the machine's compiled relational-algebra form, resolved
+	// through the plan cache at construction (see engine.go).
+	plans *machinePlans
 	// cumulative caches the state-rule heads with cumulative semantics,
 	// computed once at construction so the per-step merge never rebuilds it.
 	cumulative map[string]bool
@@ -327,14 +327,12 @@ func NewSpocus(schema *Schema, outputRules dlog.Program) (*Machine, error) {
 	if err := checkOutputRules(s, outputRules); err != nil {
 		return nil, err
 	}
-	stateRules := pastStateRules(s.In)
-	return &Machine{
+	return (&Machine{
 		kind:        KindSpocus,
 		schema:      s,
-		stateRules:  stateRules,
+		stateRules:  pastStateRules(s.In),
 		outputRules: outputRules,
-		cumulative:  cumulativeHeads(stateRules),
-	}, nil
+	}).compiled()
 }
 
 // NewExtended constructs a Spocus transducer extended with additional
@@ -379,14 +377,12 @@ func NewExtended(schema *Schema, extraStateRules, outputRules dlog.Program) (*Ma
 	if err := checkOutputRules(s, outputRules); err != nil {
 		return nil, err
 	}
-	stateRules := append(pastStateRules(s.In), extraStateRules...)
-	return &Machine{
+	return (&Machine{
 		kind:        KindExtended,
 		schema:      s,
-		stateRules:  stateRules,
+		stateRules:  append(pastStateRules(s.In), extraStateRules...),
 		outputRules: outputRules,
-		cumulative:  cumulativeHeads(stateRules),
-	}, nil
+	}).compiled()
 }
 
 // NewGeneral constructs an unrestricted rule-based transducer: state rules
@@ -421,13 +417,12 @@ func NewGeneral(schema *Schema, stateRules, outputRules dlog.Program) (*Machine,
 	if _, err := dlog.Stratify(outputRules); err != nil {
 		return nil, err
 	}
-	return &Machine{
+	return (&Machine{
 		kind:        KindGeneral,
 		schema:      s,
 		stateRules:  stateRules,
 		outputRules: outputRules,
-		cumulative:  cumulativeHeads(stateRules),
-	}, nil
+	}).compiled()
 }
 
 // checkOutputRules enforces the Spocus output conditions (Definition 3.1):
@@ -470,80 +465,28 @@ func checkOutputRules(s *Schema, p dlog.Program) error {
 // *previous* state, per the paper's run semantics. The input instance is not
 // mutated; the returned state is freshly allocated.
 //
-// Under the default step engine the rule programs run as compiled
-// relational-algebra plans (package ra), resolved once per machine through
-// the fingerprint-keyed plan cache; -step-engine=tree (or a program the
-// planner cannot lower) falls back to the tree-walking dlog evaluator.
-// The two engines are observationally identical — the differential suite
-// in internal/ra pins Plan.Eval ≡ dlog.EvalStratified tuple for tuple.
+// The rule programs run as the relational-algebra plans compiled when the
+// machine was built (package ra). The tree-walking dlog evaluator is the
+// oracle of the differential suites (internal/ra, and stepTree in this
+// package's tests), which pin Plan.Eval ≡ dlog.EvalStratified tuple for
+// tuple; nothing outside test code calls it.
 func (m *Machine) Step(input, state, db relation.Instance) (relation.Instance, relation.Instance, error) {
 	edb := dlog.MultiDB{input, state, db}
-	if CurrentStepEngine() == EngineRA {
-		if p, err := m.Compile(); err == nil {
-			output, err := m.evalOutputRA(p, edb)
-			if err != nil {
-				return nil, nil, err
-			}
-			next, err := m.evalStateRA(p, edb, state)
-			if err != nil {
-				return nil, nil, err
-			}
-			return next, output, nil
-		}
-		ra.NoteTreeFallback()
-	}
-	output, err := m.evalOutput(edb)
+	cache := m.stepCache()
+	output, err := m.plans.output.EvalCached(edb, cache)
 	if err != nil {
 		return nil, nil, err
-	}
-	next, err := m.evalState(edb, state)
-	if err != nil {
-		return nil, nil, err
-	}
-	return next, output, nil
-}
-
-func (m *Machine) evalOutput(edb dlog.DB) (relation.Instance, error) {
-	var out relation.Instance
-	var err error
-	if m.kind == KindGeneral {
-		out, err = dlog.EvalStratified(m.outputRules, edb)
-	} else {
-		out, err = dlog.Eval(m.outputRules, edb)
-	}
-	if err != nil {
-		return nil, err
 	}
 	// Materialize every declared output relation so empty ones print/compare
 	// uniformly.
 	for _, d := range m.schema.Out {
-		out.Ensure(d.Name, d.Arity)
+		output.Ensure(d.Name, d.Arity)
 	}
-	return out, nil
-}
-
-// nextPrefix tags state-rule heads during evaluation so that body references
-// to state relations read the previous state instead of the facts being
-// derived: Sᵢ = σ(Iᵢ, Sᵢ₋₁, D) is a function of the previous state only.
-// The NUL byte keeps the tag out of any parseable relation name.
-const nextPrefix = "\x00next-"
-
-func (m *Machine) evalState(edb dlog.DB, prev relation.Instance) (relation.Instance, error) {
-	prog := make(dlog.Program, len(m.stateRules))
-	for i, r := range m.stateRules {
-		nr := r
-		nr.Head = dlog.Atom{Pred: nextPrefix + r.Head.Pred, Args: r.Head.Args}
-		prog[i] = nr
-	}
-	tagged, err := dlog.Eval(prog, edb)
+	derived, err := m.plans.state.EvalCached(edb, cache)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	derived := relation.NewInstance()
-	for name, rel := range tagged {
-		derived[strings.TrimPrefix(name, nextPrefix)] = rel
-	}
-	return m.mergeState(derived, prev), nil
+	return m.mergeState(derived, state), output, nil
 }
 
 // mergeState combines freshly derived state facts with the previous state

@@ -4,132 +4,77 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
-	"repro/internal/dlog"
 	"repro/internal/ra"
-	"repro/internal/relation"
 )
-
-// StepEngine selects how Machine.Step evaluates the rule programs: the
-// compiled streaming relational-algebra engine (package ra, the default)
-// or the original tree-walking evaluator (package dlog). The setting is
-// process-wide — every call site that steps machines (sessions, network
-// joint steps, the verifier's ground-outs, live cold queries) flows
-// through Machine.Step and so through this switch.
-type StepEngine int32
-
-const (
-	// EngineRA is the compiled plan engine (default).
-	EngineRA StepEngine = iota
-	// EngineTree is the tree-walking dlog evaluator, kept as a fallback
-	// (-step-engine=tree) and as the oracle of the differential suite.
-	EngineTree
-)
-
-func (e StepEngine) String() string {
-	if e == EngineTree {
-		return "tree"
-	}
-	return "ra"
-}
-
-// ParseStepEngine parses "ra" or "tree"; the empty string is the default.
-func ParseStepEngine(s string) (StepEngine, error) {
-	switch s {
-	case "", "ra":
-		return EngineRA, nil
-	case "tree":
-		return EngineTree, nil
-	}
-	return EngineRA, fmt.Errorf("unknown step engine %q (want ra or tree)", s)
-}
-
-var stepEngine atomic.Int32 // holds a StepEngine; zero value = EngineRA
-
-// SetStepEngine switches the process-wide step engine and returns the
-// previous setting (tests restore it).
-func SetStepEngine(e StepEngine) StepEngine {
-	return StepEngine(stepEngine.Swap(int32(e)))
-}
-
-// CurrentStepEngine returns the process-wide step engine.
-func CurrentStepEngine() StepEngine { return StepEngine(stepEngine.Load()) }
 
 // machinePlans is one machine's compiled form: the output program and the
-// next-tagged state program lowered over a shared intern table (the
-// per-store constant table of the plan). err records a compile failure,
-// in which case the machine permanently steps on the tree engine.
+// state program (no-shadow: bodies read the previous state) lowered over a
+// shared intern table, the per-store constant table of the plan.
 type machinePlans struct {
 	output *ra.Plan
 	state  *ra.Plan
-	err    error
 }
 
-// planCache shares compiled plans across machines with the same
-// fingerprint: every session of a registry model parses its own Machine,
-// but they all step on one compiled plan (and one intern table).
-var planCache sync.Map // fingerprint -> *machinePlans
+// planCache shares compiled plans across machines with the same rule
+// programs: every session of a registry model parses its own Machine, but
+// they all step on one compiled plan (and one intern table). The key is the
+// rule text alone — name, schema and log declaration do not reach the plan.
+var planCache sync.Map // rule text -> *machinePlans
 
-// PlanCacheLen reports the number of distinct machines with cached plans.
+// PlanCacheLen reports the number of distinct rule programs with cached plans.
 func PlanCacheLen() int {
 	n := 0
 	planCache.Range(func(_, _ any) bool { n++; return true })
 	return n
 }
 
-// Compile returns the machine's compiled plans, building and caching them
-// on first use. The cache is keyed on the machine fingerprint, so two
-// machines parsed from the same source share plans and intern table. A
-// compile error is cached too: such machines step on the tree engine.
-//
-// The state program compiles in no-shadow mode instead of the tree
-// engine's head-tagging: both pin state-rule body reads to the previous
-// state, but no-shadow needs no rename pass over the derived instance.
-func (m *Machine) Compile() (*machinePlans, error) {
-	if p := m.plans.Load(); p != nil {
-		return p, p.err
-	}
-	fp := m.Fingerprint()
-	if v, ok := planCache.Load(fp); ok {
+// compiled finishes construction: it lowers the machine's rule programs to
+// relational-algebra plans, through the plan cache. Every constructor ends
+// here, so a Machine that exists can step — a program the planner cannot
+// lower is a construction error (and a 400 from POST /sessions), never a
+// run-time surprise.
+func (m *Machine) compiled() (*Machine, error) {
+	m.cumulative = cumulativeHeads(m.stateRules)
+	key := m.stateRules.String() + "\x00" + m.outputRules.String()
+	if v, ok := planCache.Load(key); ok {
 		ra.NoteCacheHit()
-		p := v.(*machinePlans)
-		m.plans.Store(p)
-		return p, p.err
+		m.plans = v.(*machinePlans)
+		return m, nil
 	}
-	p := &machinePlans{}
 	in := ra.NewInterner()
-	p.output, p.err = ra.Compile(m.outputRules, in)
-	if p.err == nil {
-		p.state, p.err = ra.CompileNoShadow(m.stateRules, in)
+	output, err := ra.Compile(m.outputRules, in)
+	if err != nil {
+		return nil, fmt.Errorf("output program: %w", err)
 	}
-	if actual, loaded := planCache.LoadOrStore(fp, p); loaded {
+	state, err := ra.CompileNoShadow(m.stateRules, in)
+	if err != nil {
+		return nil, fmt.Errorf("state program: %w", err)
+	}
+	p := &machinePlans{output: output, state: state}
+	if actual, loaded := planCache.LoadOrStore(key, p); loaded {
 		ra.NoteCacheHit()
 		p = actual.(*machinePlans)
 	}
-	m.plans.Store(p)
-	return p, p.err
+	m.plans = p
+	return m, nil
 }
 
 // ExplainPlan renders the machine's compiled output and state plans for
 // inspection — the payload of GET /debug/plan.
-func (m *Machine) ExplainPlan() (string, error) {
-	p, err := m.Compile()
-	if err != nil {
-		return "", err
-	}
+func (m *Machine) ExplainPlan() string {
 	var b strings.Builder
 	name := m.name
 	if name == "" {
 		name = "anonymous"
 	}
 	fmt.Fprintf(&b, "machine %s (%s) fingerprint %s\n", name, m.kind, m.Fingerprint())
-	fmt.Fprintf(&b, "interned constants: %d\n", p.output.Interner().Len())
+	fmt.Fprintf(&b, "interned constants: %d\n", m.plans.output.Interner().Len())
 	b.WriteString("output plan:\n")
-	b.WriteString(indent(p.output.Explain(), "  "))
+	b.WriteString(indent(m.plans.output.Explain(), "  "))
 	b.WriteString("state plan (no-shadow: bodies read the previous state):\n")
-	b.WriteString(indent(p.state.Explain(), "  "))
-	return b.String(), nil
+	b.WriteString(indent(m.plans.state.Explain(), "  "))
+	return b.String()
 }
 
 func indent(s, by string) string {
@@ -138,27 +83,4 @@ func indent(s, by string) string {
 		lines[i] = by + l
 	}
 	return strings.Join(lines, "\n") + "\n"
-}
-
-// evalOutputRA evaluates the output program through the compiled plan.
-func (m *Machine) evalOutputRA(p *machinePlans, edb dlog.DB) (relation.Instance, error) {
-	out, err := p.output.EvalCached(edb, m.stepCache())
-	if err != nil {
-		return nil, err
-	}
-	for _, d := range m.schema.Out {
-		out.Ensure(d.Name, d.Arity)
-	}
-	return out, nil
-}
-
-// evalStateRA evaluates the state program through the compiled plan and
-// applies cumulative semantics, mirroring evalState. The plan is compiled
-// no-shadow, so the derived instance already uses untagged state names.
-func (m *Machine) evalStateRA(p *machinePlans, edb dlog.DB, prev relation.Instance) (relation.Instance, error) {
-	derived, err := p.state.EvalCached(edb, m.stepCache())
-	if err != nil {
-		return nil, err
-	}
-	return m.mergeState(derived, prev), nil
 }

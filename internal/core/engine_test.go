@@ -1,69 +1,126 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/dlog"
+	"repro/internal/ra"
 	"repro/internal/relation"
 )
 
-func TestParseStepEngine(t *testing.T) {
+// stepTree is Machine.Step on the tree-walking dlog evaluator: the oracle
+// the compiled plans are checked against. State-rule heads are tagged so
+// that bodies read the previous state (the plans get the same effect from
+// no-shadow compilation); the NUL byte keeps the tag out of any parseable
+// relation name.
+func (m *Machine) stepTree(input, state, db relation.Instance) (relation.Instance, relation.Instance, error) {
+	const nextPrefix = "\x00next-"
+	edb := dlog.MultiDB{input, state, db}
+	eval := dlog.Eval
+	if m.kind == KindGeneral {
+		eval = dlog.EvalStratified
+	}
+	output, err := eval(m.outputRules, edb)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, d := range m.schema.Out {
+		output.Ensure(d.Name, d.Arity)
+	}
+	prog := make(dlog.Program, len(m.stateRules))
+	for i, r := range m.stateRules {
+		r.Head = dlog.Atom{Pred: nextPrefix + r.Head.Pred, Args: r.Head.Args}
+		prog[i] = r
+	}
+	tagged, err := dlog.Eval(prog, edb)
+	if err != nil {
+		return nil, nil, err
+	}
+	derived := relation.NewInstance()
+	for name, rel := range tagged {
+		derived[strings.TrimPrefix(name, nextPrefix)] = rel
+	}
+	return m.mergeState(derived, state), output, nil
+}
+
+// TestPlansAgreeWithTreeOracle steps the compiled plans and the tree oracle side by
+// side: SHORT on the paper's session, and the flip-flop whose state rule
+// negates its own head (temporal, not cyclic — the planner must lower it).
+func TestPlansAgreeWithTreeOracle(t *testing.T) {
+	const flipflopSrc = `
+transducer flipflop
+schema
+  input: tick/0;
+  state: on/0;
+  output: lit/0;
+  log: lit;
+state rules
+  on :- tick, NOT on;
+output rules
+  lit :- on;
+`
 	for _, tc := range []struct {
-		in   string
-		want StepEngine
-		err  bool
+		name   string
+		src    string
+		db     relation.Instance
+		inputs relation.Sequence
 	}{
-		{"", EngineRA, false},
-		{"ra", EngineRA, false},
-		{"tree", EngineTree, false},
-		{"turbo", EngineRA, true},
+		{"short", shortSrc, magazineDB(), relation.Sequence{step("order(time)"), step("pay(time, 855)")}},
+		{"flipflop", flipflopSrc, relation.NewInstance(), relation.Sequence{step("tick"), step("tick"), step(), step("tick")}},
 	} {
-		got, err := ParseStepEngine(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Errorf("ParseStepEngine(%q) = %v, %v; want %v, err=%v", tc.in, got, err, tc.want, tc.err)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			m := MustParseProgram(tc.src)
+			raState, treeState := relation.NewInstance(), relation.NewInstance()
+			for i, in := range tc.inputs {
+				raNext, raOut, err := m.Step(in, raState, tc.db)
+				if err != nil {
+					t.Fatalf("step %d ra: %v", i+1, err)
+				}
+				treeNext, treeOut, err := m.stepTree(in, treeState, tc.db)
+				if err != nil {
+					t.Fatalf("step %d tree: %v", i+1, err)
+				}
+				if !raOut.Equal(treeOut) {
+					t.Fatalf("step %d outputs differ\ntree: %v\nra:   %v", i+1, treeOut, raOut)
+				}
+				if !raNext.Equal(treeNext) {
+					t.Fatalf("step %d states differ\ntree: %v\nra:   %v", i+1, treeNext, raNext)
+				}
+				raState, treeState = raNext, treeNext
+			}
+		})
 	}
 }
 
-func TestStepEnginesAgreeOnShort(t *testing.T) {
-	db := magazineDB()
-	inputs := relation.Sequence{step("order(time)"), step("pay(time, 855)")}
-
-	prev := SetStepEngine(EngineTree)
-	defer SetStepEngine(prev)
-	treeRun, err := MustParseProgram(shortSrc).Execute(db, inputs)
-	if err != nil {
-		t.Fatalf("tree: %v", err)
+// TestUnloweredProgramIsAConstructionError: what the planner cannot lower
+// never becomes a Machine, so Step has no second evaluator to fall back to.
+func TestUnloweredProgramIsAConstructionError(t *testing.T) {
+	schema := &Schema{
+		In:    relation.Schema{{Name: "a", Arity: 1}},
+		State: relation.Schema{{Name: "s", Arity: 1}},
+		Out:   relation.Schema{{Name: "o", Arity: 1}},
 	}
-	SetStepEngine(EngineRA)
-	raRun, err := MustParseProgram(shortSrc).Execute(db, inputs)
-	if err != nil {
-		t.Fatalf("ra: %v", err)
+	x, y := dlog.V("X"), dlog.V("Y")
+	// One head derived at two arities: safe and stratifiable, so only the
+	// planner objects (the tree evaluator would panic mid-step).
+	state := dlog.Program{
+		{Head: dlog.NewAtom("s", x), Body: []dlog.Literal{dlog.Pos(dlog.NewAtom("a", x))}},
+		{Head: dlog.NewAtom("s", x, y), Body: []dlog.Literal{dlog.Pos(dlog.NewAtom("a", x)), dlog.Pos(dlog.NewAtom("a", y))}},
 	}
-	if !treeRun.Outputs.Equal(raRun.Outputs) {
-		t.Fatalf("outputs differ\ntree: %v\nra:   %v", treeRun.Outputs, raRun.Outputs)
-	}
-	if !treeRun.States.Equal(raRun.States) {
-		t.Fatalf("states differ\ntree: %v\nra:   %v", treeRun.States, raRun.States)
-	}
-	if !treeRun.Logs.Equal(raRun.Logs) {
-		t.Fatal("logs differ")
+	m, err := NewGeneral(schema, state, nil)
+	var cerr *ra.CompileError
+	if m != nil || !errors.As(err, &cerr) {
+		t.Fatalf("NewGeneral = %v, %v; want nil and a *ra.CompileError", m, err)
 	}
 }
 
-func TestPlanCacheSharedByFingerprint(t *testing.T) {
-	m1 := MustParseProgram(shortSrc)
-	m2 := MustParseProgram(shortSrc)
-	p1, err := m1.Compile()
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	p2, err := m2.Compile()
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
+func TestPlanCacheSharedAcrossMachines(t *testing.T) {
+	p1 := MustParseProgram(shortSrc).plans
+	p2 := MustParseProgram(shortSrc).SetName("renamed").plans
 	if p1 != p2 {
-		t.Fatal("two machines with the same fingerprint got distinct plans")
+		t.Fatal("two machines with the same rule programs got distinct plans")
 	}
 	if p1.output.Interner() != p1.state.Interner() {
 		t.Fatal("output and state plans do not share the machine's intern table")
@@ -72,10 +129,7 @@ func TestPlanCacheSharedByFingerprint(t *testing.T) {
 
 func TestExplainPlanRendersBothPrograms(t *testing.T) {
 	m := MustParseProgram(shortSrc)
-	got, err := m.ExplainPlan()
-	if err != nil {
-		t.Fatalf("ExplainPlan: %v", err)
-	}
+	got := m.ExplainPlan()
 	for _, want := range []string{"output plan:", "state plan", "sendbill", "past-order", "scan"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("ExplainPlan missing %q:\n%s", want, got)

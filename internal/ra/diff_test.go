@@ -23,17 +23,59 @@ import (
 	"repro/internal/relation"
 )
 
-// runUnder executes the machine's full run under the given engine,
-// restoring the process-wide setting afterwards.
-func runUnder(t *testing.T, engine core.StepEngine, name string, db relation.Instance, inputs relation.Sequence) (*core.Run, error) {
-	t.Helper()
-	prev := core.SetStepEngine(engine)
-	defer core.SetStepEngine(prev)
-	m := models.Get(name)
-	if m == nil {
-		t.Fatalf("unknown model %q", name)
+// treeExecute is core.Machine.Execute on the tree-walking dlog evaluator —
+// the oracle side of the machine-level differential tests, written against
+// the machine's exported rule programs only. Outputs come from dlog.Eval
+// (EvalStratified for general machines); state rules run with tagged heads
+// so their bodies read the previous state, and a cumulative head keeps what
+// it held before. The NUL byte keeps the tag out of any parseable name.
+func treeExecute(m *core.Machine, db relation.Instance, inputs relation.Sequence) (*core.Run, error) {
+	const nextPrefix = "\x00next-"
+	stateProg := make(dlog.Program, len(m.StateRules()))
+	cumulative := map[string]bool{}
+	for i, r := range m.StateRules() {
+		if r.Cumulative {
+			cumulative[r.Head.Pred] = true
+		}
+		r.Head = dlog.Atom{Pred: nextPrefix + r.Head.Pred, Args: r.Head.Args}
+		stateProg[i] = r
 	}
-	return m.Execute(db, inputs)
+	evalOut := dlog.Eval
+	if m.Kind() == core.KindGeneral {
+		evalOut = dlog.EvalStratified
+	}
+	run := &core.Run{DB: db, Inputs: inputs.Clone()}
+	state := relation.NewInstance()
+	for _, in := range run.Inputs {
+		edb := dlog.MultiDB{in, state, db}
+		out, err := evalOut(m.OutputRules(), edb)
+		if err != nil {
+			return nil, err
+		}
+		for _, d := range m.Schema().Out {
+			out.Ensure(d.Name, d.Arity)
+		}
+		tagged, err := dlog.Eval(stateProg, edb)
+		if err != nil {
+			return nil, err
+		}
+		next := relation.NewInstance()
+		for _, d := range m.Schema().State {
+			next.Ensure(d.Name, d.Arity)
+			if cumulative[d.Name] {
+				next[d.Name].UnionWith(state.Rel(d.Name))
+			}
+		}
+		for name, rel := range tagged {
+			name = strings.TrimPrefix(name, nextPrefix)
+			next.Ensure(name, rel.Arity()).UnionWith(rel)
+		}
+		run.Outputs = append(run.Outputs, out)
+		run.States = append(run.States, next)
+		run.Logs = append(run.Logs, m.Schema().LogDelta(in, out))
+		state = next
+	}
+	return run, nil
 }
 
 // constPool gathers the constants a model's runs can mention: rule
@@ -85,8 +127,8 @@ func randInputs(rng *rand.Rand, m *core.Machine, pool []relation.Const, steps in
 	return seq
 }
 
-// TestDifferentialRegistryModels runs every registry model under both
-// engines on randomized sessions and requires identical outputs, states,
+// TestDifferentialRegistryModels runs every registry model on the compiled
+// plans and on the tree oracle over randomized sessions and requires identical outputs, states,
 // and logs at every step.
 func TestDifferentialRegistryModels(t *testing.T) {
 	for _, name := range models.Names() {
@@ -100,8 +142,8 @@ func TestDifferentialRegistryModels(t *testing.T) {
 			pool := constPool(m, db)
 			for trial := 0; trial < 5; trial++ {
 				inputs := randInputs(rng, m, pool, 6)
-				treeRun, treeErr := runUnder(t, core.EngineTree, name, db, inputs)
-				raRun, raErr := runUnder(t, core.EngineRA, name, db, inputs)
+				treeRun, treeErr := treeExecute(m, db, inputs)
+				raRun, raErr := m.Execute(db, inputs)
 				if (treeErr == nil) != (raErr == nil) {
 					t.Fatalf("trial %d: engines disagree on error: tree=%v ra=%v", trial, treeErr, raErr)
 				}
@@ -124,7 +166,7 @@ func TestDifferentialRegistryModels(t *testing.T) {
 
 // TestDifferentialShortPaperSession pins the paper's Figure 1/2 session on
 // the SHORT model: order Time, pay the right price, expect delivery — the
-// same trace under both engines.
+// same trace from the compiled plans and the tree oracle.
 func TestDifferentialShortPaperSession(t *testing.T) {
 	db := models.DefaultDB("short")
 	if db == nil {
@@ -136,11 +178,12 @@ func TestDifferentialShortPaperSession(t *testing.T) {
 	step2.Add("pay", relation.Tuple{"time", "855"})
 	inputs := relation.Sequence{step1, step2}
 
-	treeRun, err := runUnder(t, core.EngineTree, "short", db, inputs)
+	m := models.Get("short")
+	treeRun, err := treeExecute(m, db, inputs)
 	if err != nil {
 		t.Fatalf("tree: %v", err)
 	}
-	raRun, err := runUnder(t, core.EngineRA, "short", db, inputs)
+	raRun, err := m.Execute(db, inputs)
 	if err != nil {
 		t.Fatalf("ra: %v", err)
 	}
@@ -412,8 +455,8 @@ func differentialCheck(t *testing.T, src string) {
 	plan, cerr := ra.Compile(prog, nil)
 	if cerr != nil {
 		// The planner rejects unsafe/unstratifiable/arity-conflicting
-		// programs; the machine layer falls back to the tree engine for
-		// these, so there is nothing to compare.
+		// programs; the machine layer refuses to build them, so there is
+		// nothing to compare.
 		return
 	}
 	edb := dlog.MultiDB{fuzzEDB(prog)}

@@ -11,7 +11,8 @@ import (
 // CompileError reports a program the planner cannot lower: unsafe rules
 // (a head or negation variable never bound by a positive literal), head
 // arity conflicts (which the tree evaluator would panic on), or programs
-// with no stratification. Callers fall back to the tree engine on it.
+// with no stratification. Package core turns it into a construction error,
+// so a machine that exists can always step.
 type CompileError struct{ Msg string }
 
 func (e *CompileError) Error() string { return "ra: " + e.Msg }
@@ -120,9 +121,8 @@ type Plan struct {
 	headArity map[string]int
 	// noShadow disables the derived-shadows-EDB read rule: body references
 	// always read the EDB. State programs compile this way — a state rule
-	// body reads the previous state by construction (the tree engine gets
-	// the same effect by tagging heads with a reserved prefix), so the
-	// rename round-trip is unnecessary here.
+	// body reads the previous state by construction (the tree-walking
+	// oracle gets the same effect by tagging heads with a reserved prefix).
 	noShadow bool
 	// needs records, per predicate, which iRel access structures this
 	// plan's operators use (membership set for probes, first-column index
@@ -155,8 +155,10 @@ func Compile(prog dlog.Program, in *Interner) (*Plan, error) {
 // CompileNoShadow compiles a program whose body references must always read
 // the EDB, never this evaluation's derived tuples — the semantics of a
 // machine's state program, whose rules read the previous state while
-// deriving the next. Every stratum is single-pass: with reads pinned to the
-// EDB, a second fixpoint pass can derive nothing new.
+// deriving the next. The whole program is one single-pass stratum: with
+// reads pinned to the EDB no rule sees another's output, so there is no
+// dependency order to respect, a second pass can derive nothing new, and a
+// body may negate its own head (on :- tick, NOT on is temporal, not cyclic).
 func CompileNoShadow(prog dlog.Program, in *Interner) (*Plan, error) {
 	return compile(prog, in, true)
 }
@@ -165,9 +167,14 @@ func compile(prog dlog.Program, in *Interner, noShadow bool) (*Plan, error) {
 	if in == nil {
 		in = NewInterner()
 	}
-	strataPreds, err := dlog.Stratify(prog)
-	if err != nil {
-		return nil, &CompileError{Msg: err.Error()}
+	var strataPreds [][]string
+	if noShadow {
+		strataPreds = [][]string{prog.HeadPreds()}
+	} else {
+		var err error
+		if strataPreds, err = dlog.Stratify(prog); err != nil {
+			return nil, &CompileError{Msg: err.Error()}
+		}
 	}
 	headArity := make(map[string]int)
 	for _, r := range prog {

@@ -13,15 +13,11 @@ var (
 	planCacheHits atomic.Int64 // plan-cache hits (incremented by core's cache)
 	evals         atomic.Int64 // Plan.Eval calls
 	rowsPulled    atomic.Int64 // iterator rows pulled across all Evals
-	treeFallbacks atomic.Int64 // steps served by the tree engine because Compile failed
 )
 
 // NoteCacheHit records a plan-cache hit; the cache itself lives with the
 // machines (package core), the counter with the engine it describes.
 func NoteCacheHit() { planCacheHits.Add(1) }
-
-// NoteTreeFallback records a step that fell back to the tree evaluator.
-func NoteTreeFallback() { treeFallbacks.Add(1) }
 
 // Stats is a point-in-time snapshot of the engine counters.
 type Stats struct {
@@ -29,6 +25,7 @@ type Stats struct {
 	PlanCacheHits int64 `json:"plan_cache_hits"`
 	Evals         int64 `json:"evals_total"`
 	RowsPulled    int64 `json:"rows_pulled_total"`
+	// Always 0; benchmark/metrics.go reads it, so removing it and the ra.tree_fallbacks metric is a benchmark-archetype follow-up.
 	TreeFallbacks int64 `json:"tree_fallbacks_total"`
 }
 
@@ -39,7 +36,6 @@ func Snapshot() Stats {
 		PlanCacheHits: planCacheHits.Load(),
 		Evals:         evals.Load(),
 		RowsPulled:    rowsPulled.Load(),
-		TreeFallbacks: treeFallbacks.Load(),
 	}
 }
 

@@ -321,7 +321,7 @@ func (f *Follower) applyBatch(shard int, b *session.WALBatch, dec *session.ReplD
 		f.logf("replica: shard %d reset to base %d (%d sessions)", shard, b.Base, len(b.Snapshot))
 		return nil
 	}
-	if b.Codec == "binary" && b.ITab != dec.TableLen() {
+	if b.ITab != dec.TableLen() {
 		// The primary's stream encoder and this decoder disagree (competing
 		// follower, primary restart). Skip the batch unapplied and re-poll:
 		// our reset table length tells the primary to restart its stream,
@@ -331,11 +331,7 @@ func (f *Follower) applyBatch(shard int, b *session.WALBatch, dec *session.ReplD
 		return nil
 	}
 	for _, rec := range b.Records {
-		payload := rec.Payload
-		if len(rec.Bin) > 0 {
-			payload = rec.Bin
-		}
-		if err := f.eng.ApplyReplicatedRecord(dec, payload); err != nil {
+		if err := f.eng.ApplyReplicatedRecord(dec, rec.Bin); err != nil {
 			return err
 		}
 		f.mu.Lock()

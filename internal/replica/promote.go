@@ -37,11 +37,11 @@ func (f *Follower) Promote(dst *session.Engine) (*PromoteResult, error) {
 	}
 	res := &PromoteResult{Primary: f.cfg.Primary, Sessions: []string{}}
 	for _, info := range infos {
-		se, err := f.eng.ExportState(info.ID)
+		image, err := f.eng.ExportState(info.ID)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := dst.Install(se); err != nil {
+		if _, err := dst.Install(image); err != nil {
 			var conflict *session.ConflictError
 			if errors.As(err, &conflict) {
 				// Already serving here (e.g. a re-promotion after a partial

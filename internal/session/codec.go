@@ -202,14 +202,18 @@ func decodeWALPayload(dec *codec.Decoder, payload []byte) (*walRecord, error) {
 	return decodeWALBody(r)
 }
 
-// Image presence bits.
+// Image presence bits. The legacy bits mark the input history that images
+// carried before it was retired: never written, still decoded — a machine
+// image's inputs cumulate into Past, a network image's (which always had its
+// pasts alongside) are skipped.
 const (
 	imgHasDB = 1 << iota
 	imgHasState
 	imgHasLogs
-	imgHasInputs
+	imgLegacyInputs
 	imgHasKeys
 	imgHasNet
+	imgHasPast
 )
 
 // NetImage presence bits.
@@ -217,7 +221,7 @@ const (
 	netHasSpec = 1 << iota
 	netHasState
 	netHasJoint
-	netHasInputs
+	netLegacyInputs
 	netHasPast
 )
 
@@ -240,8 +244,8 @@ func encodeImageBody(e *codec.Encoder, img *Image) error {
 	if img.Logs != nil {
 		flags |= imgHasLogs
 	}
-	if img.Inputs != nil {
-		flags |= imgHasInputs
+	if img.Past != nil {
+		flags |= imgHasPast
 	}
 	if img.Keys != nil {
 		flags |= imgHasKeys
@@ -259,8 +263,8 @@ func encodeImageBody(e *codec.Encoder, img *Image) error {
 	if img.Logs != nil {
 		e.Sequence(img.Logs)
 	}
-	if img.Inputs != nil {
-		e.Sequence(img.Inputs)
+	if img.Past != nil {
+		e.Instance(img.Past)
 	}
 	if img.Keys != nil {
 		encodeKeyTable(e, img.Keys)
@@ -291,8 +295,11 @@ func decodeImageBody(r *codec.Reader) (*Image, error) {
 	if flags&imgHasLogs != 0 {
 		img.Logs = r.Sequence()
 	}
-	if flags&imgHasInputs != 0 {
-		img.Inputs = r.Sequence()
+	if flags&imgLegacyInputs != 0 {
+		img.Past = cumulate(r.Sequence())
+	}
+	if flags&imgHasPast != 0 {
+		img.Past = r.Instance()
 	}
 	if flags&imgHasKeys != 0 {
 		img.Keys = decodeKeyTable(r)
@@ -344,9 +351,6 @@ func encodeNetImage(e *codec.Encoder, net *NetImage) error {
 	if net.Joint != nil {
 		flags |= netHasJoint
 	}
-	if net.Inputs != nil {
-		flags |= netHasInputs
-	}
 	if net.Past != nil {
 		flags |= netHasPast
 	}
@@ -381,12 +385,6 @@ func encodeNetImage(e *codec.Encoder, net *NetImage) error {
 	if net.Joint != nil {
 		encodeJoint(e, net.Joint)
 	}
-	if net.Inputs != nil {
-		e.Uvarint(uint64(len(net.Inputs)))
-		for _, in := range net.Inputs {
-			e.StepInputs(in)
-		}
-	}
 	if net.Past != nil {
 		e.InstanceMap(net.Past)
 	}
@@ -419,11 +417,9 @@ func decodeNetImage(r *codec.Reader) (*NetImage, error) {
 	if flags&netHasJoint != 0 {
 		net.Joint = decodeJoint(r)
 	}
-	if flags&netHasInputs != 0 {
-		n := r.Int()
-		net.Inputs = make([]compose.StepInputs, 0, n)
-		for i := 0; i < n && r.Err() == nil; i++ {
-			net.Inputs = append(net.Inputs, r.StepInputs())
+	if flags&netLegacyInputs != 0 {
+		for i, n := 0, r.Int(); i < n && r.Err() == nil; i++ {
+			r.StepInputs()
 		}
 	}
 	if flags&netHasPast != 0 {

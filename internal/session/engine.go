@@ -703,7 +703,7 @@ func (e *Engine) shardFor(id string) *shard {
 
 // send runs do inside the shard goroutine owning id and waits for the
 // result, blocking while the shard's mailbox is full. Control-plane
-// operations (Log, Close, List, Snapshot, Export) use it: they are rare
+// operations (Log, Close, List, Snapshot, ExportState) use it: they are rare
 // enough that queueing is preferable to spurious rejection.
 func (e *Engine) send(sh *shard, do func(*shard) (any, error)) (any, error) {
 	e.mu.RLock()

@@ -3,180 +3,85 @@ package session
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/codec"
-	"repro/internal/compose"
 	"repro/internal/relation"
 )
 
 // Session handoff, the cluster layer's rebalancing primitive.
 //
-// Because stepping is deterministic (§2 Spocus semantics: state and log are
-// a function of the database and the input sequence alone), a session's
-// portable identity is exactly its open parameters plus the sequence of
-// input instances it has absorbed — the same records the WAL stores. Export
-// freezes a session and returns that history; replaying it through the
-// ordinary Open/Input path on another engine reconstructs state and log
-// bit-for-bit. Forget then retires the source copy, and Unfreeze aborts a
-// handoff that could not complete.
+// A Spocus run's state is its cumulated inputs and its log is the
+// semantically significant object (§2), so state image + log is the session:
+// ExportState freezes a session and renders exactly that, under a sha-256
+// digest of the log, as one self-contained binary record; Install restores
+// it on another engine, recomputes the digest from the restored log and
+// refuses on mismatch, and writes an install record to the target's WAL
+// before the session goes live. Cost is O(state + log) on both sides,
+// whatever number of steps produced it. Forget then retires the source
+// copy, and Unfreeze aborts a handoff that could not complete.
 //
 // The freeze mark is deliberately not persisted: a crash mid-handoff
 // restarts the source with the session live and unfrozen, which is safe
 // because the router only retires the source copy (Forget) after the
-// target has acknowledged the full replay.
+// target has acknowledged the install.
 
-// Export is a session's replayable history: everything needed to
-// reconstruct it on another engine by deterministic replay. Network
-// sessions carry their spec and per-step external inputs instead of the
-// machine-shaped fields.
-type Export struct {
-	ID    string `json:"id"`
-	Model string `json:"model,omitempty"`
-	Src   string `json:"src,omitempty"`
-	Mode  string `json:"mode"`
-	// DB is always present (never omitted), so an explicitly empty database
-	// survives the trip and is not mistaken for "use the model default".
-	DB     relation.Instance `json:"db"`
-	Steps  int               `json:"steps"`
-	Inputs relation.Sequence `json:"inputs"`
-	// Network session fields: the spec (identity) and the external inputs
-	// of every joint step (wired inputs are recomputed on replay).
-	Network   *compose.Spec        `json:"network,omitempty"`
-	NetInputs []compose.StepInputs `json:"netInputs,omitempty"`
-}
-
-// Export freezes the session against further mutation and returns its
-// replayable history. Export is idempotent: re-exporting a frozen session
-// returns the same history again. Reads (Info, Log) keep working on a
-// frozen session; Input and Close fail with FrozenError until Unfreeze or
-// Forget.
-func (e *Engine) Export(id string) (*Export, error) {
-	v, err := e.send(e.shardFor(id), func(sh *shard) (any, error) {
-		s, ok := sh.sessions[id]
-		if !ok {
-			return nil, &NotFoundError{ID: id}
-		}
-		s.frozen = true
-		sh.m.exports.Add(1)
-		if s.net != nil {
-			return &Export{
-				ID:        s.id,
-				Mode:      s.mode.String(),
-				DB:        relation.NewInstance(),
-				Steps:     s.steps,
-				Network:   s.net.spec.Clone(),
-				NetInputs: cloneStepInputsSeq(s.net.inputs),
-			}, nil
-		}
-		return &Export{
-			ID:     s.id,
-			Model:  s.model,
-			Src:    s.src,
-			Mode:   s.mode.String(),
-			DB:     s.db.Clone(),
-			Steps:  s.steps,
-			Inputs: s.inputs.Clone(),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Export), nil
-}
-
-// StateExport is a session's full materialized state plus a digest of its
-// log — the WAL-shipping alternative to Export. Shipping the image costs
-// O(state), not O(steps): the target installs it directly instead of
-// re-stepping the whole input history. The digest lets the target prove
-// the installed log is the log the source acknowledged.
+// StateExport is the decoded form of a ship image: a session's full
+// materialized state plus the digest of its log, which lets the target
+// prove the installed log is the log the source acknowledged.
 type StateExport struct {
-	Image  *Image `json:"image"`
-	Digest string `json:"digest"` // LogDigest of the session's log sequence
+	Image  *Image
+	Digest string // LogDigest (JointLogDigest for a network session)
 }
 
 // LogDigest is the canonical digest of a session log: sha-256 over the
 // log sequence's canonical binary encoding, which is deterministic (fresh
 // intern table, sorted names and tuples). Two engines hold identical logs
-// iff their digests match; both ship ends compute it over the same
-// canonical bytes regardless of which wire carried the image.
+// iff their digests match.
 func LogDigest(logs relation.Sequence) string {
 	sum := sha256.Sum256(codec.Canonical(func(enc *codec.Encoder) { enc.Sequence(logs) }))
 	return hex.EncodeToString(sum[:])
 }
 
-// ExportState freezes the session (exactly like Export) and returns a
-// deep-copied state image plus its log digest. Idempotent, like Export —
-// the two may be mixed: a router can try ExportState and fall back to
-// Export-and-replay on the same frozen session.
-func (e *Engine) ExportState(id string) (*StateExport, error) {
-	v, err := e.send(e.shardFor(id), func(sh *shard) (any, error) {
+// ExportState freezes the session against further mutation and returns its
+// ship image: one canonical binary codec record holding the log digest and
+// the state image (see EncodeStateExport), ready to POST as an octet-stream
+// body. The image is encoded once, inside the shard, and those bytes are the
+// copy — they share nothing with the live session, so the caller may hold
+// them across an Unfreeze. Idempotent: re-exporting a frozen session returns
+// the same bytes again. Reads (Info, Log, Peek) keep working on a frozen
+// session; Input and Close fail with FrozenError until Unfreeze or Forget.
+func (e *Engine) ExportState(id string) ([]byte, error) {
+	sh := e.shardFor(id)
+	v, err := e.send(sh, func(sh *shard) (any, error) {
 		s, ok := sh.sessions[id]
 		if !ok {
 			return nil, &NotFoundError{ID: id}
 		}
 		s.frozen = true
 		sh.m.exports.Add(1)
-		// Deep-copy through JSON inside the shard: the caller may hold the
-		// image across an Unfreeze, after which the live session mutates.
 		img := snapOf(s)
-		data, err := json.Marshal(&img)
-		if err != nil {
-			return nil, err
-		}
-		var copyImg Image
-		if err := json.Unmarshal(data, &copyImg); err != nil {
-			return nil, err
-		}
-		return &StateExport{Image: &copyImg, Digest: s.logDigest()}, nil
+		return EncodeStateExport(&StateExport{Image: &img, Digest: s.logDigest()})
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*StateExport), nil
-}
-
-// ExportStateBinary is ExportState rendered as one canonical binary codec
-// record: digest plus image, self-contained (fresh intern table), ready to
-// POST as an octet-stream body. The interning pays off hardest here —
-// a ship image is one record full of repeated constants.
-func (e *Engine) ExportStateBinary(id string) ([]byte, error) {
-	se, err := e.ExportState(id)
-	if err != nil {
-		return nil, err
-	}
-	data, err := EncodeStateExport(se)
-	if err != nil {
-		return nil, err
-	}
-	e.shardFor(id).shipBytesTotal.Add(int64(len(data)))
+	data := v.([]byte)
+	sh.shipBytesTotal.Add(int64(len(data)))
 	return data, nil
 }
 
-// InstallBinary is Install for a canonical binary ship image (the bytes
-// ExportStateBinary produced on the source).
-func (e *Engine) InstallBinary(data []byte) (*Info, error) {
+// Install materializes a shipped session on this engine from the bytes
+// ExportState produced on the source: the image is restored, its log digest
+// is verified against the source's, and an install record (carrying the
+// full image — its inputs were logged elsewhere) is written to the WAL
+// before the session goes live. Undecodable bytes and a digest mismatch
+// reject the install with BadInputError; an ID this engine already serves
+// with ConflictError.
+func (e *Engine) Install(data []byte) (*Info, error) {
 	se, err := DecodeStateExport(data)
 	if err != nil {
 		return nil, &BadInputError{Err: fmt.Errorf("install: %w", err)}
-	}
-	info, err := e.Install(se)
-	if err == nil {
-		e.shardFor(se.Image.ID).shipBytesTotal.Add(int64(len(data)))
-	}
-	return info, err
-}
-
-// Install materializes a shipped session on this engine: the image is
-// restored, its log digest is verified against the source's, and an
-// install record (carrying the full image — its inputs were logged
-// elsewhere) is written to the WAL before the session goes live. A digest
-// mismatch rejects the install with BadInputError, signalling the caller
-// to fall back to deterministic replay.
-func (e *Engine) Install(se *StateExport) (*Info, error) {
-	if se == nil || se.Image == nil {
-		return nil, &BadInputError{Err: fmt.Errorf("install: missing state image")}
 	}
 	id := se.Image.ID
 	if id == "" {
@@ -189,7 +94,8 @@ func (e *Engine) Install(se *StateExport) (*Info, error) {
 	if got := s.logDigest(); got != se.Digest {
 		return nil, &BadInputError{Err: fmt.Errorf("install: log digest mismatch for %s: source %s, restored %s", id, se.Digest, got)}
 	}
-	v, err := e.trySend(e.shardFor(id), func(sh *shard) (any, error) {
+	sh := e.shardFor(id)
+	v, err := e.trySend(sh, func(sh *shard) (any, error) {
 		if _, ok := sh.sessions[id]; ok {
 			return nil, &ConflictError{ID: id}
 		}
@@ -205,10 +111,11 @@ func (e *Engine) Install(se *StateExport) (*Info, error) {
 	if err != nil {
 		return nil, err
 	}
+	sh.shipBytesTotal.Add(int64(len(data)))
 	return v.(*Info), nil
 }
 
-// Unfreeze lifts a freeze set by Export, aborting a handoff. It is a no-op
+// Unfreeze lifts a freeze set by ExportState, aborting a handoff. It is a no-op
 // on a session that is not frozen.
 func (e *Engine) Unfreeze(id string) error {
 	_, err := e.send(e.shardFor(id), func(sh *shard) (any, error) {
@@ -224,7 +131,7 @@ func (e *Engine) Unfreeze(id string) error {
 
 // Forget retires a handed-off session: it is removed from the engine and a
 // close record is logged so replay does not resurrect it, but no final-log
-// semantics apply — the session lives on wherever its export was replayed.
+// semantics apply — the session lives on wherever its image was installed.
 // Forget refuses sessions that were never frozen, so a stray call cannot
 // drop live state.
 func (e *Engine) Forget(id string) error {

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/compose"
@@ -42,11 +41,10 @@ import (
 //
 // Cluster-internal admin surface (used by spocus-router for handoff):
 //
-//	POST   /admin/sessions/{id}/export        freeze the session, return its replayable input history
-//	POST   /admin/sessions/{id}/export-state  freeze the session, return its state image + log digest
+//	POST   /admin/sessions/{id}/export-state  freeze the session, return its ship image (octet-stream: log digest + state image)
 //	POST   /admin/sessions/{id}/unfreeze      abort a handoff, thaw the session
 //	POST   /admin/sessions/{id}/forget        retire a handed-off (frozen) session
-//	POST   /admin/install                     install a shipped state image (body: StateExport)
+//	POST   /admin/install                     install a ship image (body: the export-state bytes)
 //
 // Instances use the repo-wide JSON wire form: relation name → list of
 // tuples of constant strings.
@@ -186,60 +184,25 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, res)
 	})
-	mux.HandleFunc("POST /admin/sessions/{id}/export", func(w http.ResponseWriter, r *http.Request) {
-		exp, err := e.Export(r.PathValue("id"))
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, exp)
-	})
 	mux.HandleFunc("POST /admin/sessions/{id}/export-state", func(w http.ResponseWriter, r *http.Request) {
-		// A client that accepts application/octet-stream gets the canonical
-		// binary ship image; everyone else gets the JSON StateExport.
-		if strings.Contains(r.Header.Get("Accept"), "application/octet-stream") {
-			data, err := e.ExportStateBinary(r.PathValue("id"))
-			if err != nil {
-				writeErr(w, err)
-				return
-			}
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.WriteHeader(http.StatusOK)
-			w.Write(data)
-			return
-		}
-		se, err := e.ExportState(r.PathValue("id"))
+		data, err := e.ExportState(r.PathValue("id"))
 		if err != nil {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, se)
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.WriteHeader(http.StatusOK)
+		w.Write(data)
 	})
 	mux.HandleFunc("POST /admin/install", func(w http.ResponseWriter, r *http.Request) {
-		// State images scale with session history; allow far more than the
-		// 1 MiB data-plane cap (this is a cluster-internal endpoint).
-		body := http.MaxBytesReader(w, r.Body, 256<<20)
-		if strings.Contains(r.Header.Get("Content-Type"), "application/octet-stream") {
-			data, err := io.ReadAll(body)
-			if err != nil {
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
-				return
-			}
-			info, err := e.InstallBinary(data)
-			if err != nil {
-				writeErr(w, err)
-				return
-			}
-			writeJSON(w, http.StatusCreated, info)
-			return
-		}
-		var se StateExport
-		dec := json.NewDecoder(body)
-		if err := dec.Decode(&se); err != nil {
+		// State images scale with session state and log; allow far more than
+		// the 1 MiB data-plane cap (this is a cluster-internal endpoint).
+		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 256<<20))
+		if err != nil {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
 			return
 		}
-		info, err := e.Install(&se)
+		info, err := e.Install(data)
 		if err != nil {
 			writeErr(w, err)
 			return
@@ -298,9 +261,9 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 			}
 			wait = d
 		}
-		// itab opts into the binary wire (the follower's stream-decoder
-		// table length). Absent: legacy standalone-JSON records.
-		itab := -1
+		// itab is the follower's stream-decoder table length (see
+		// WALBatch.ITab); a fresh follower, or a curl, holds an empty table.
+		itab := 0
 		if v := q.Get("itab"); v != "" {
 			if itab, err = strconv.Atoi(v); err != nil || itab < 0 {
 				writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad itab"})
@@ -324,13 +287,8 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 			writeJSON(w, http.StatusNotFound, map[string]any{"error": fmt.Sprintf("unknown model %q (have %v)", name, models.Names())})
 			return
 		}
-		plan, err := m.ExplainPlan()
-		if err != nil {
-			writeJSON(w, http.StatusUnprocessableEntity, map[string]any{"error": err.Error()})
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, plan)
+		fmt.Fprint(w, m.ExplainPlan())
 	})
 	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)

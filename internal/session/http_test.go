@@ -143,3 +143,35 @@ func TestHTTPDebugSurfaces(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPOpenRejectsUnbuildableProgram: an inline program whose rules
+// cannot become a machine (here an unsafe rule: Y is bound by no positive
+// literal) is a 400 at POST /sessions, and nothing is opened or logged —
+// there is no second evaluator for a session to limp along on.
+func TestHTTPOpenRejectsUnbuildableProgram(t *testing.T) {
+	e, srv := httpServer(t)
+	const unsafeSrc = `
+transducer leaky
+schema
+  input: order/1;
+  output: ship/2;
+  log: ship;
+output rules
+  ship(X,Y) :- order(X);
+`
+	var out struct {
+		Error string `json:"error"`
+	}
+	if st := call(t, "POST", srv.URL+"/sessions", map[string]string{"id": "leaky-1", "src": unsafeSrc}, &out); st != http.StatusBadRequest {
+		t.Fatalf("open with an unsafe rule: status %d, want 400", st)
+	}
+	if out.Error == "" {
+		t.Error("400 carries no error message")
+	}
+	if st := call(t, "GET", srv.URL+"/sessions/leaky-1", nil, nil); st != http.StatusNotFound {
+		t.Errorf("rejected open left a session behind: status %d", st)
+	}
+	if infos, err := e.List(); err != nil || len(infos) != 0 {
+		t.Errorf("rejected open left %d sessions (%v)", len(infos), err)
+	}
+}

@@ -159,7 +159,7 @@ func TestIdempotencyKeyBeatsFrozen(t *testing.T) {
 	if _, err := e.InputKey(info.ID, "k", ins[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Export(info.ID); err != nil { // freezes
+	if _, err := e.ExportState(info.ID); err != nil { // freezes
 		t.Fatal(err)
 	}
 	res, err := e.InputKey(info.ID, "k", ins[0])

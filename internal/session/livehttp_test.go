@@ -74,7 +74,7 @@ func TestPeekSnapshot(t *testing.T) {
 	}
 
 	// Peek still serves a frozen (mid-handoff) session.
-	if _, err := e.Export("s1"); err != nil {
+	if _, err := e.ExportState("s1"); err != nil {
 		t.Fatal(err)
 	}
 	view2, err := e.Peek("s1")

@@ -47,7 +47,7 @@ type Stats struct {
 	WALAppends       int64   `json:"wal_appends_total"` // records appended
 	WALSyncs         int64   `json:"wal_syncs_total"`   // batch fsyncs issued (group commit shares them)
 	WALSegments      int64   `json:"wal_segments"`      // live segment files across shards
-	InstallsTotal    int64   `json:"installs_total"`    // sessions installed by WAL-shipping handoff
+	InstallsTotal    int64   `json:"installs_total"`    // sessions installed from a shipped image (handoff, promotion)
 	Snapshots        int64   `json:"snapshots_total"`
 	ReplayMillis     float64 `json:"replay_ms"`
 	ReplayRecords    int64   `json:"replay_records"`
@@ -62,9 +62,9 @@ type Stats struct {
 	// Replication lag, summed across shards that have an acking follower:
 	// committed LSNs, acked LSNs, and their difference. Zero when no
 	// follower has ever acked.
-	ReplCommitted int64   `json:"repl_committed_lsn"`
-	ReplAcked     int64   `json:"repl_acked_lsn"`
-	ReplLag       int64   `json:"repl_lag_records"`
+	ReplCommitted int64 `json:"repl_committed_lsn"`
+	ReplAcked     int64 `json:"repl_acked_lsn"`
+	ReplLag       int64 `json:"repl_lag_records"`
 	// Durability-surface byte meters, summed across shards and monotonic
 	// over the engine's life (wal_bytes resets at each snapshot; these
 	// never do). Per-shard breakdowns live under the spocus_storage expvar.
@@ -72,10 +72,10 @@ type Stats struct {
 	SnapshotBytesTotal int64   `json:"snapshot_bytes_total"`
 	ShipBytesTotal     int64   `json:"ship_bytes_total"`
 	CodecInternEntries int64   `json:"codec_intern_entries"`
-	StepP50Micros float64 `json:"step_latency_p50_us"`
-	StepP90Micros float64 `json:"step_latency_p90_us"`
-	StepP99Micros float64 `json:"step_latency_p99_us"`
-	StepMaxMicros float64 `json:"step_latency_max_us"`
+	StepP50Micros      float64 `json:"step_latency_p50_us"`
+	StepP90Micros      float64 `json:"step_latency_p90_us"`
+	StepP99Micros      float64 `json:"step_latency_p99_us"`
+	StepMaxMicros      float64 `json:"step_latency_max_us"`
 }
 
 func (m *metricsSet) stats() Stats {

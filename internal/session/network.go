@@ -18,7 +18,7 @@ import (
 // wiring and appends ONE WAL record carrying the step's external inputs —
 // the joint step is atomic by construction: either the whole network
 // advances (all nodes, all wires) and the record is durable before the ack,
-// or nothing happened. Replay re-steps the network deterministically, so a
+// or nothing happened. WAL replay re-steps the network deterministically, so a
 // network session gets exactly the durability, crash-recovery, and handoff
 // guarantees of a single-machine session, with the joint log (per-node log
 // deltas plus wire traffic) as the semantically significant object.
@@ -36,9 +36,6 @@ type netRun struct {
 	// joint is the per-step joint log: each entry holds every node's log
 	// delta plus the wire traffic the step consumed. The durable object.
 	joint []JointLogEntry
-	// inputs is the sequence of external (client-supplied) inputs, the
-	// session's replayable identity — wired inputs are recomputed.
-	inputs []compose.StepInputs
 	// past cumulates each node's consumed inputs (external ∪ wired), the
 	// per-node verification-relevant state (see Peek).
 	past map[string]relation.Instance
@@ -116,7 +113,6 @@ func (s *Session) applyNet(ext compose.StepInputs) (*StepResult, error) {
 		return nil, err
 	}
 	s.net.joint = append(s.net.joint, JointLogEntry{Logs: js.Logs, Wire: js.Wire})
-	s.net.inputs = append(s.net.inputs, cloneStepInputs(ext))
 	for name, in := range js.Consumed {
 		p := s.net.past[name]
 		if p == nil {
@@ -225,7 +221,7 @@ func (e *Engine) NetInputKey(id, key string, ext compose.StepInputs) (*StepResul
 // JointLogDigest is the canonical digest of a network session's joint log:
 // sha-256 over its canonical binary encoding, which is deterministic
 // (fresh intern table, sorted keys, sorted names and tuples). The network
-// counterpart of LogDigest, used by WAL-shipping handoff.
+// counterpart of LogDigest, verified when a shipped network image installs.
 func JointLogDigest(joint []JointLogEntry) string {
 	sum := sha256.Sum256(codec.Canonical(func(enc *codec.Encoder) { encodeJoint(enc, joint) }))
 	return hex.EncodeToString(sum[:])
@@ -247,14 +243,6 @@ func cloneStepInputs(ext compose.StepInputs) compose.StepInputs {
 	return c
 }
 
-func cloneStepInputsSeq(seq []compose.StepInputs) []compose.StepInputs {
-	c := make([]compose.StepInputs, len(seq))
-	for i, ext := range seq {
-		c[i] = cloneStepInputs(ext)
-	}
-	return c
-}
-
 func cloneJoint(joint []JointLogEntry) []JointLogEntry {
 	c := make([]JointLogEntry, len(joint))
 	for i, je := range joint {
@@ -265,12 +253,11 @@ func cloneJoint(joint []JointLogEntry) []JointLogEntry {
 }
 
 // NetImage is the network part of a snapshot Image: the spec (identity),
-// the run state (per-node states + unit-delay buffer), the joint log, the
-// external input history, and the per-node cumulated pasts.
+// the run state (per-node states + unit-delay buffer), the joint log, and
+// the per-node cumulated pasts.
 type NetImage struct {
-	Spec   *compose.Spec                `json:"spec"`
-	State  *compose.NetState            `json:"state"`
-	Joint  []JointLogEntry              `json:"joint,omitempty"`
-	Inputs []compose.StepInputs         `json:"inputs,omitempty"`
-	Past   map[string]relation.Instance `json:"past,omitempty"`
+	Spec  *compose.Spec                `json:"spec"`
+	State *compose.NetState            `json:"state"`
+	Joint []JointLogEntry              `json:"joint,omitempty"`
+	Past  map[string]relation.Instance `json:"past,omitempty"`
 }

@@ -416,66 +416,10 @@ func TestNetworkRecoverySnapshot(t *testing.T) {
 	}
 }
 
-// TestNetworkExportReplay: replay-mode handoff — the export carries the
-// spec and external inputs, and replaying them on a second engine
-// reconstructs the joint log bit-for-bit.
-func TestNetworkExportReplay(t *testing.T) {
-	e1, err := NewEngine(Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e1.Shutdown()
-	e2, err := NewEngine(Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Shutdown()
-
-	info, err := e1.Open(&OpenRequest{Network: models.Network("fraud")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ext := range models.NetworkScript("fraud", "gadget") {
-		if _, err := e1.NetInput(info.ID, ext); err != nil {
-			t.Fatal(err)
-		}
-	}
-	exp, err := e1.Export(info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exp.Network == nil || len(exp.NetInputs) != exp.Steps {
-		t.Fatalf("export = %+v, want network spec and %d inputs", exp, exp.Steps)
-	}
-	// Frozen: further joint steps must fail.
-	if _, err := e1.NetInput(info.ID, compose.StepInputs{}); err == nil {
-		t.Fatal("frozen network session accepted a step")
-	}
-
-	if _, err := e2.Open(&OpenRequest{ID: exp.ID, Mode: exp.Mode, Network: exp.Network}); err != nil {
-		t.Fatal(err)
-	}
-	for _, ext := range exp.NetInputs {
-		if _, err := e2.NetInput(exp.ID, ext); err != nil {
-			t.Fatal(err)
-		}
-	}
-	src, err := e1.Log(info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, err := e2.Log(exp.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jointJSON(t, src.Joint) != jointJSON(t, dst.Joint) {
-		t.Fatal("replayed joint log differs from source")
-	}
-}
-
-// TestNetworkShipInstall: ship-mode handoff — the state image moves whole,
-// the joint-log digest is verified on install, and the installed session
-// keeps stepping identically.
+// TestNetworkShipInstall: handoff of a network session — the source
+// freezes, the state image moves whole, the joint-log digest is verified on
+// install, the installed joint log is the source's bit for bit, and the
+// installed session keeps stepping identically.
 func TestNetworkShipInstall(t *testing.T) {
 	e1, err := NewEngine(Config{Shards: 2})
 	if err != nil {
@@ -498,21 +442,44 @@ func TestNetworkShipInstall(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	se, err := e1.ExportState(info.ID)
+	image, err := e1.ExportState(info.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if se.Image.Net == nil {
-		t.Fatal("state export of a network session has no net image")
+	// Frozen: further joint steps must fail.
+	if _, err := e1.NetInput(info.ID, compose.StepInputs{}); err == nil {
+		t.Fatal("frozen network session accepted a step")
 	}
-	if _, err := e2.Install(se); err != nil {
+	se, err := DecodeStateExport(image)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if se.Image.Net == nil || se.Image.Steps != 4 {
+		t.Fatalf("state export of a network session: net image %v, steps %d", se.Image.Net != nil, se.Image.Steps)
 	}
 	// A corrupted digest must be rejected.
 	bad := *se
 	bad.Digest = "0000"
-	if _, err := e2.Install(&bad); err == nil {
+	badImage, err := EncodeStateExport(&bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e2.Install(badImage); err == nil {
 		t.Fatal("install accepted a corrupted digest")
+	}
+	if _, err := e2.Install(image); err != nil {
+		t.Fatal(err)
+	}
+	src, err := e1.Log(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := e2.Log(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jointJSON(t, src.Joint) != jointJSON(t, dst.Joint) {
+		t.Fatal("installed joint log differs from source")
 	}
 
 	// Both copies step the remaining script identically. (The source is

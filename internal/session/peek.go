@@ -37,7 +37,7 @@ type NodeView struct {
 	Past  relation.Instance
 }
 
-// Peek returns a View of the session. Unlike Export it does not freeze the
+// Peek returns a View of the session. Unlike ExportState it does not freeze the
 // session: it is the read primitive of the verification plane and has no
 // effect on the data plane beyond occupying one mailbox slot. Peek works on
 // frozen (mid-handoff) sessions too — verifying a session that is being

@@ -19,7 +19,7 @@ import (
 // safe from any goroutine: they touch only the store's mutex-guarded
 // replication view and an atomic, never the shard's owned state.
 //
-// Follower side: ApplyReplicated feeds a streamed record through the shard
+// Follower side: ApplyReplicatedRecord feeds a streamed record through the shard
 // goroutine into a standby engine — the same idempotent logic WAL replay
 // uses, plus an append to the standby's OWN WAL, so a record acknowledged
 // to the stream is durable on the follower under its fsync policy. A
@@ -41,10 +41,6 @@ var ErrNotDurable = errors.New("session: engine has no durable store to stream")
 type WALBatch struct {
 	Shard  int `json:"shard"`
 	Shards int `json:"shards"` // the primary's shard count (stream topology)
-	// Codec names the encoding of Records ("binary": each record's Bin
-	// holds an interned codec record; empty: each record's Payload holds
-	// standalone JSON). Snapshot images are always JSON.
-	Codec string `json:"codec,omitempty"`
 	// ITab is the intern-table length the follower's stream decoder must
 	// hold BEFORE applying this batch's records. The follower sends its
 	// table length with each poll; a mismatch on either side resets that
@@ -62,7 +58,8 @@ type WALBatch struct {
 	// Snapshot carries the primary shard's snapshot images on Reset.
 	Snapshot []json.RawMessage `json:"snapshot,omitempty"`
 	// Records are consecutive committed WAL records starting at the
-	// requested LSN.
+	// requested LSN, each one's Bin an interned codec record of this
+	// shard's stream (see encodeStream).
 	Records []storage.ReplRecord `json:"records,omitempty"`
 }
 
@@ -140,12 +137,9 @@ func (e *Engine) AckWAL(shard int, lsn int64) {
 // into a snapshot comes back as a Reset batch carrying the snapshot
 // images.
 //
-// itab selects the wire encoding: -1 requests standalone JSON records (the
-// legacy wire, always available regardless of the engine's own codec);
-// >= 0 requests binary records and states the length of the follower's
-// stream decoder table, which the shard's stream encoder must match — on
-// mismatch the encoder resets and the batch redefines its constants (see
-// WALBatch.ITab).
+// itab states the length of the follower's stream decoder table, which the
+// shard's stream encoder must match — on mismatch the encoder resets and
+// the batch redefines its constants (see WALBatch.ITab).
 func (e *Engine) StreamWAL(ctx context.Context, shard int, from int64, wait time.Duration, itab int) (*WALBatch, error) {
 	if shard < 0 || shard >= len(e.shards) {
 		return nil, &BadInputError{Err: fmt.Errorf("no shard %d (engine has %d)", shard, len(e.shards))}
@@ -167,9 +161,9 @@ func (e *Engine) StreamWAL(ctx context.Context, shard int, from int64, wait time
 	recs, st, err := sh.store.ReadCommitted(from, streamMaxRecords, streamMaxBytes)
 	b := &WALBatch{Shard: shard, Shards: len(e.shards), Base: st.Base, Committed: st.Committed}
 	if err == storage.ErrCompacted {
-		// Bootstrap batches re-encode snapshot images as standalone JSON on
-		// every wire: the follower installs them without stream context, and
-		// they mark a stream discontinuity anyway.
+		// Bootstrap batches carry snapshot images as standalone JSON: the
+		// follower installs them without stream context, and they mark a
+		// stream discontinuity anyway.
 		first := true
 		sdec := codec.NewDecoder()
 		base, serr := sh.store.SnapshotRecords(func(p []byte) error {
@@ -210,30 +204,11 @@ func (e *Engine) StreamWAL(ctx context.Context, shard int, from int64, wait time
 }
 
 // encodeStream renders one batch's records for the wire. Segment payloads
-// cannot ship raw when binary: their intern references are segment-scoped,
-// so the shard transcodes each record into the follower's stream — a
-// per-shard encoder whose table the itab handshake keeps aligned with the
-// follower's decoder. JSON-wire followers (itab < 0) get standalone JSON
-// regardless of how the record was stored.
+// cannot ship raw: a binary record's intern references are segment-scoped,
+// so the shard transcodes each record (however it was stored) into the
+// follower's stream — a per-shard encoder whose table the itab handshake
+// keeps aligned with the follower's decoder.
 func (sh *shard) encodeStream(b *WALBatch, recs []storage.ReplRecord, itab int) error {
-	if itab < 0 {
-		for i := range recs {
-			if codec.IsBinary(recs[i].Payload) {
-				rec, ok := recs[i].Rec.(*walRecord)
-				if !ok {
-					return fmt.Errorf("shard %d: record at lsn %d was not decoded for the stream", sh.idx, recs[i].LSN)
-				}
-				raw, err := json.Marshal(rec)
-				if err != nil {
-					return err
-				}
-				recs[i].Payload = raw
-			}
-			recs[i].Rec = nil
-		}
-		b.Records = recs
-		return nil
-	}
 	sh.streamMu.Lock()
 	defer sh.streamMu.Unlock()
 	if sh.streamEnc == nil {
@@ -245,7 +220,6 @@ func (sh *shard) encodeStream(b *WALBatch, recs []storage.ReplRecord, itab int) 
 		sh.streamEnc.Reset()
 	}
 	b.ITab = sh.streamEnc.TableLen()
-	b.Codec = "binary"
 	for i := range recs {
 		rec, ok := recs[i].Rec.(*walRecord)
 		if !ok {
@@ -280,32 +254,17 @@ func (d *ReplDecoder) TableLen() int { return d.dec.TableLen() }
 // Reset clears the table (after an itab mismatch).
 func (d *ReplDecoder) Reset() { d.dec.Reset() }
 
-// ApplyReplicated applies one streamed WAL record (the raw payload from a
-// WALBatch) to this engine as a standby: idempotent like WAL replay, and
-// appended to this engine's own WAL before the session mutates, so a nil
-// return means the record is as durable here as a locally-acked step.
-func (e *Engine) ApplyReplicated(payload []byte) error {
-	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return &BadInputError{Err: fmt.Errorf("replicated record: %w", err)}
-	}
-	return e.applyReplicatedRecord(&rec)
-}
-
-// ApplyReplicatedRecord is ApplyReplicated for a binary-wire stream: the
-// payload is decoded against d (auto-detecting per record, so JSON records
-// in a binary stream still apply). The caller must feed records in stream
-// order — the decoder learns each record's intern definitions as a side
-// effect.
+// ApplyReplicatedRecord applies one streamed WAL record (a WALBatch
+// record's Bin, decoded against d) to this engine as a standby: idempotent
+// like WAL replay, and appended to this engine's own WAL before the session
+// mutates, so a nil return means the record is as durable here as a
+// locally-acked step. The caller must feed records in stream order — the
+// decoder learns each record's intern definitions as a side effect.
 func (e *Engine) ApplyReplicatedRecord(d *ReplDecoder, payload []byte) error {
 	rec, err := decodeWALPayload(d.dec, payload)
 	if err != nil {
 		return &BadInputError{Err: fmt.Errorf("replicated record: %w", err)}
 	}
-	return e.applyReplicatedRecord(rec)
-}
-
-func (e *Engine) applyReplicatedRecord(rec *walRecord) error {
 	if rec.SID == "" {
 		return &BadInputError{Err: fmt.Errorf("replicated record has no session id")}
 	}

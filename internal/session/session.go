@@ -7,9 +7,10 @@
 // Sessions are sharded across goroutine-owned shards by session ID, so
 // steps on different sessions never contend while steps on one session are
 // applied in FIFO order. Every applied event is appended to a per-shard
-// write-ahead log of length-prefixed JSON records and periodically compacted
-// into snapshots; on startup the engine replays snapshot + WAL, so the log —
-// the paper's semantically significant object — survives crashes. Package
+// write-ahead log of CRC-framed records (the interned binary codec by
+// default, see codec.go) and periodically compacted into snapshots; on
+// startup the engine replays snapshot + WAL, so the log — the paper's
+// semantically significant object — survives crashes. Package
 // core does the actual stepping; this package adds lifecycle, durability,
 // concurrency, metrics, and the HTTP surface (see Handler).
 package session
@@ -36,15 +37,12 @@ type Session struct {
 	db    relation.Instance
 	state relation.Instance
 	logs  relation.Sequence // per-step log deltas, the durable object
-	// inputs is the session's absorbed input sequence — its replayable
-	// identity under determinism. The WAL holds the same records, but WAL
-	// compaction folds them into snapshots, so the session keeps its own
-	// copy to stay exportable (see Export) at any moment.
-	inputs relation.Sequence
 	// past is the cumulated union of all absorbed inputs — for a Spocus
 	// machine, the whole of the session's verification-relevant state. The
-	// live verification plane reads a clone of it (see Peek); keeping the
-	// union incrementally makes that read O(state), not O(history).
+	// live verification plane reads a clone of it (see Peek). It is all the
+	// session keeps of its inputs: state image + log is the session, so the
+	// input sequence itself lives only in the WAL until compaction folds it
+	// into a snapshot, and memory and images stay O(state + log).
 	past  relation.Instance
 	steps int
 	// frozen marks a session mid-handoff: reads proceed, mutations fail
@@ -69,7 +67,7 @@ type Session struct {
 	lastAccept bool // the most recent output contained accept
 
 	// net is set iff this is a network session (see network.go); then mach,
-	// db, state, logs, inputs, and past above are unused (nil).
+	// db, state, logs, and past above are unused (nil).
 	net *netRun
 }
 
@@ -227,7 +225,6 @@ func (s *Session) apply(in relation.Instance) (*StepResult, error) {
 	s.state = next
 	delta := s.mach.Schema().LogDelta(in, out)
 	s.logs = append(s.logs, delta)
-	s.inputs = append(s.inputs, in.Clone())
 	s.past.UnionWith(in)
 	s.steps++
 	if out.Rel(core.ErrorRel).Len() > 0 {

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/core"
@@ -10,14 +11,13 @@ import (
 // Snapshots exist to bound WAL replay time. Because Spocus state is
 // cumulative (a set of past-R relations) and the log is an append-only
 // sequence of deltas, a session's entire identity is a handful of relation
-// instances — an Image is a plain JSON document, with no tree walking or
-// copy-on-write machinery.
+// instances — an Image is a flat record of them, with no tree walking or
+// copy-on-write machinery, and O(state + log) however many steps produced it.
 //
 // On disk a snapshot is a stream of framed records written through
 // storage.SnapshotWriter: first a snapHeader, then one Image per session.
 // Streaming keeps snapshot memory proportional to the largest session, not
-// the shard — the previous format marshaled every session into one JSON
-// document.
+// the shard.
 
 // snapVersion guards the on-disk snapshot format. Version 2 is the framed
 // stream; version 1 (single JSON document) is no longer read.
@@ -30,17 +30,24 @@ type snapHeader struct {
 }
 
 // Image is one session's full durable state: what snapshots persist and
-// what WAL-shipping handoff moves between nodes. Network sessions fill Net
-// instead of the machine-shaped fields (DB, State, Logs, Inputs).
+// what handoff ships between nodes. Network sessions fill Net instead of
+// the machine-shaped fields (DB, State, Logs, Past).
+//
+// Images written before the input history was retired carry the session's
+// input sequence and no past; both decoders (binary in codec.go, JSON
+// below) cumulate those inputs into Past and drop them, so such an image
+// restores to exactly the session it described.
 type Image struct {
-	ID         string            `json:"id"`
-	Model      string            `json:"model,omitempty"`
-	Src        string            `json:"src,omitempty"`
-	Mode       string            `json:"mode"`
-	DB         relation.Instance `json:"db,omitempty"`
-	State      relation.Instance `json:"state,omitempty"`
-	Logs       relation.Sequence `json:"logs,omitempty"`
-	Inputs     relation.Sequence `json:"inputs,omitempty"`
+	ID    string            `json:"id"`
+	Model string            `json:"model,omitempty"`
+	Src   string            `json:"src,omitempty"`
+	Mode  string            `json:"mode"`
+	DB    relation.Instance `json:"db,omitempty"`
+	State relation.Instance `json:"state,omitempty"`
+	Logs  relation.Sequence `json:"logs,omitempty"`
+	// Past is the union of every input the session absorbed (see
+	// Session.past).
+	Past       relation.Instance `json:"past,omitempty"`
 	Steps      int               `json:"steps"`
 	ErrorFree  bool              `json:"errorFree"`
 	OkEvery    bool              `json:"okEvery"`
@@ -49,6 +56,32 @@ type Image struct {
 	// it is what makes dedupe survive compaction, handoff, and promotion.
 	Keys map[string]int `json:"keys,omitempty"`
 	Net  *NetImage      `json:"net,omitempty"`
+}
+
+// UnmarshalJSON reads an image in the JSON codec, accepting the legacy
+// "inputs" history in place of "past" (see Image).
+func (ss *Image) UnmarshalJSON(data []byte) error {
+	type plain Image // sheds this method
+	legacy := struct {
+		*plain
+		Inputs relation.Sequence `json:"inputs"`
+	}{plain: (*plain)(ss)}
+	if err := json.Unmarshal(data, &legacy); err != nil {
+		return err
+	}
+	if ss.Past == nil && legacy.Inputs != nil {
+		ss.Past = cumulate(legacy.Inputs)
+	}
+	return nil
+}
+
+// cumulate unions an input sequence into the past it amounts to.
+func cumulate(inputs relation.Sequence) relation.Instance {
+	past := relation.NewInstance()
+	for _, in := range inputs {
+		past.UnionWith(in)
+	}
+	return past
 }
 
 func snapOf(s *Session) Image {
@@ -62,11 +95,10 @@ func snapOf(s *Session) Image {
 			LastAccept: s.lastAccept,
 			Keys:       s.keys,
 			Net: &NetImage{
-				Spec:   s.net.spec,
-				State:  s.net.nw.ExportState(),
-				Joint:  s.net.joint,
-				Inputs: s.net.inputs,
-				Past:   s.net.past,
+				Spec:  s.net.spec,
+				State: s.net.nw.ExportState(),
+				Joint: s.net.joint,
+				Past:  s.net.past,
 			},
 		}
 	}
@@ -78,7 +110,7 @@ func snapOf(s *Session) Image {
 		DB:         s.db,
 		State:      s.state,
 		Logs:       s.logs,
-		Inputs:     s.inputs,
+		Past:       s.past,
 		Steps:      s.steps,
 		ErrorFree:  s.errorFree,
 		OkEvery:    s.okEvery,
@@ -114,11 +146,9 @@ func (ss *Image) restore() (*Session, error) {
 	if state == nil {
 		state = relation.NewInstance()
 	}
-	// past is derived state: recumulate it from the persisted inputs rather
-	// than widening the snapshot format.
-	past := relation.NewInstance()
-	for _, in := range ss.Inputs {
-		past.UnionWith(in)
+	past := ss.Past
+	if past == nil {
+		past = relation.NewInstance()
 	}
 	return &Session{
 		id:         ss.ID,
@@ -129,7 +159,6 @@ func (ss *Image) restore() (*Session, error) {
 		db:         db,
 		state:      state,
 		logs:       ss.Logs,
-		inputs:     ss.Inputs,
 		past:       past,
 		steps:      ss.Steps,
 		errorFree:  ss.ErrorFree,
@@ -169,11 +198,10 @@ func (ss *Image) restoreNet(mode core.AcceptMode) (*Session, error) {
 		lastAccept: ss.LastAccept,
 		keys:       ss.Keys,
 		net: &netRun{
-			spec:   ss.Net.Spec,
-			nw:     nw,
-			joint:  ss.Net.Joint,
-			inputs: ss.Net.Inputs,
-			past:   past,
+			spec:  ss.Net.Spec,
+			nw:    nw,
+			joint: ss.Net.Joint,
+			past:  past,
 		},
 	}, nil
 }

@@ -31,7 +31,7 @@ const (
 	recStep    = "step"
 	recBatch   = "batch" // several consecutive steps of one session, one record
 	recClose   = "close"
-	recInstall = "install" // a session installed whole by WAL-shipping handoff
+	recInstall = "install" // a session installed whole from a shipped image
 )
 
 // walRecord is one durable event. Steps store only the input instance:

@@ -59,18 +59,18 @@ func TestWALRecordRoundTrip(t *testing.T) {
 }
 
 // Install records carry a full image; the image must survive the WAL trip
-// with its log and inputs intact, because replay restores from it alone.
+// with its log and past intact, because replay restores from it alone.
 func TestWALInstallRecordRoundTrip(t *testing.T) {
 	in := step(t, fact("order", "time"))
 	img := &Image{
-		ID:     "shipped",
-		Model:  "short",
-		Mode:   "all",
-		DB:     relation.NewInstance(),
-		State:  relation.NewInstance(),
-		Logs:   relation.Sequence{in},
-		Inputs: relation.Sequence{in},
-		Steps:  1,
+		ID:    "shipped",
+		Model: "short",
+		Mode:  "all",
+		DB:    relation.NewInstance(),
+		State: relation.NewInstance(),
+		Logs:  relation.Sequence{in},
+		Past:  in,
+		Steps: 1,
 	}
 	data, err := json.Marshal(&walRecord{T: recInstall, SID: "shipped", Image: img})
 	if err != nil {
@@ -90,8 +90,8 @@ func TestWALInstallRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.id != "shipped" || s.steps != 1 {
-		t.Errorf("restored session mangled: id=%s steps=%d", s.id, s.steps)
+	if s.id != "shipped" || s.steps != 1 || !s.past.Has("order", relation.Tuple{"time"}) {
+		t.Errorf("restored session mangled: id=%s steps=%d past=%s", s.id, s.steps, s.past)
 	}
 }
 

@@ -28,10 +28,7 @@ import (
 	"net/http"
 	"net/http/httptrace"
 	"strconv"
-	"strings"
 	"time"
-
-	"repro/internal/codec"
 )
 
 // Config tunes a Client. The zero value is a sane data-plane default.
@@ -216,7 +213,7 @@ func (c *Client) GetJSON(ctx context.Context, url string, out any) error {
 
 // PostJSON posts in (nil for an empty body) to url and decodes the 2xx
 // JSON response into out (when non-nil). Non-2xx → *StatusError. One
-// attempt — see PostJSONRetry for the backoff policy.
+// attempt — see PostBytesRetry for the backoff policy.
 func (c *Client) PostJSON(ctx context.Context, url string, in, out any, hdr http.Header) error {
 	body, err := marshalBody(in)
 	if err != nil {
@@ -246,12 +243,12 @@ func (c *Client) PostBytes(ctx context.Context, url, contentType string, body []
 	return drainJSON(url, resp, out)
 }
 
-// PostJSONRetry is PostJSON under the client's retry policy: retryable
+// PostBytesRetry is PostBytes under the client's retry policy: retryable
 // statuses (429/503) back off and retry up to RetryAttempts total tries,
 // honoring a Retry-After hint when the peer sent one. Transport errors
 // are retried only when the request carries an Idempotency-Key header —
 // the replay rule that makes an ambiguous resend safe.
-func (c *Client) PostJSONRetry(ctx context.Context, url string, in, out any, hdr http.Header) error {
+func (c *Client) PostBytesRetry(ctx context.Context, url, contentType string, body []byte, out any, hdr http.Header) error {
 	keyed := hdr.Get("Idempotency-Key") != ""
 	var err error
 	for attempt := 0; attempt < c.cfg.RetryAttempts; attempt++ {
@@ -260,7 +257,7 @@ func (c *Client) PostJSONRetry(ctx context.Context, url string, in, out any, hdr
 				return err
 			}
 		}
-		err = c.PostJSON(ctx, url, in, out, hdr)
+		err = c.PostBytes(ctx, url, contentType, body, out, hdr)
 		if err == nil {
 			return nil
 		}
@@ -313,32 +310,23 @@ func (c *Client) ObserveBatch(n int) {
 	c.m.batchSize.observe(int64(n))
 }
 
-// PostBinaryNegotiate posts body to url offering binary transfer
-// (Accept: application/octet-stream). It returns the raw response bytes
-// plus whether the peer actually answered in the compact codec framing —
-// detected from both the Content-Type and the codec magic, so a JSON peer
-// behind a sloppy proxy never masquerades as binary. Non-2xx → *StatusError.
-func (c *Client) PostBinaryNegotiate(ctx context.Context, url string, body []byte) (raw []byte, binary bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+// PostRaw posts body to url and returns the 2xx response bytes undecoded —
+// the transport for opaque payloads the caller only relays (ship images).
+// Non-2xx → *StatusError.
+func (c *Client) PostRaw(ctx context.Context, url string, body []byte) ([]byte, error) {
+	resp, err := c.Post(ctx, url, "", body)
 	if err != nil {
-		return nil, false, err
-	}
-	req.Header.Set("Accept", "application/octet-stream")
-	resp, err := c.Do(req)
-	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	raw, err = io.ReadAll(resp.Body)
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if resp.StatusCode/100 != 2 {
-		return nil, false, statusError(url, resp, raw)
+		return nil, statusError(url, resp, raw)
 	}
-	binary = strings.Contains(resp.Header.Get("Content-Type"), "application/octet-stream") &&
-		codec.IsBinary(raw)
-	return raw, binary, nil
+	return raw, nil
 }
 
 func marshalBody(in any) ([]byte, error) {

@@ -63,7 +63,7 @@ func TestRetryOn429(t *testing.T) {
 	defer srv.Close()
 	c := testClient(t, Config{Name: "retry-test"})
 	var out map[string]string
-	if err := c.PostJSONRetry(context.Background(), srv.URL, map[string]int{"x": 1}, &out, nil); err != nil {
+	if err := c.PostBytesRetry(context.Background(), srv.URL, "application/json", []byte(`{"x":1}`), &out, nil); err != nil {
 		t.Fatalf("post: %v", err)
 	}
 	if out["ok"] != "yes" {
@@ -97,7 +97,7 @@ func TestTransportRetryNeedsKey(t *testing.T) {
 	defer srv.Close()
 
 	unkeyed := testClient(t, Config{Name: "transport-unkeyed"})
-	err := unkeyed.PostJSONRetry(context.Background(), srv.URL, nil, nil, nil)
+	err := unkeyed.PostBytesRetry(context.Background(), srv.URL, "application/json", nil, nil, nil)
 	if err == nil {
 		t.Fatal("unkeyed transport failure should not be retried")
 	}
@@ -110,7 +110,7 @@ func TestTransportRetryNeedsKey(t *testing.T) {
 	hdr := http.Header{}
 	hdr.Set("Idempotency-Key", "k1")
 	var out map[string]string
-	if err := keyed.PostJSONRetry(context.Background(), srv.URL, nil, &out, hdr); err != nil {
+	if err := keyed.PostBytesRetry(context.Background(), srv.URL, "application/json", nil, &out, hdr); err != nil {
 		t.Fatalf("keyed retry: %v", err)
 	}
 	if got := calls.Load(); got != 2 {

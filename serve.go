@@ -6,7 +6,7 @@ package spocus
 // The cluster layer (internal/cluster, cmd/spocus-router) lifts the
 // session shard boundary across processes: a consistent-hash router
 // fronting N servers, with health-based failover and session handoff by
-// WAL shipping (digest-verified state transfer) or deterministic replay.
+// shipping the state image under a log digest.
 // Durability itself — segmented group-commit WALs and streaming snapshots —
 // lives in internal/storage, owned end-to-end by the session engine. The live verification plane (internal/live) answers
 // reachability, temporal, and progress queries against running sessions'
@@ -68,7 +68,7 @@ const (
 // Re-exported cluster-layer types.
 type (
 	// Router fronts N engine servers with a consistent-hash ring, health
-	// checking, and deterministic-replay session handoff.
+	// checking, and session handoff (state image + log digest).
 	Router = cluster.Router
 	// RouterConfig tunes a Router (backends, vnodes, health probing).
 	RouterConfig = cluster.RouterConfig
@@ -79,16 +79,13 @@ type (
 	Ring = cluster.Ring
 	// RingInfo is the ring snapshot served at GET /debug/shards.
 	RingInfo = cluster.Info
-	// SessionExport is a session's replayable input history, the unit of
-	// replay-mode handoff between backends.
-	SessionExport = session.Export
 	// SessionImage is a session's full materialized state (database, state
 	// relations, logs, cumulated inputs) as written to snapshots and shipped
 	// between backends.
 	SessionImage = session.Image
 	// SessionStateExport is a frozen session's image plus a log digest, the
-	// unit of WAL-shipping handoff; the installing backend refuses the image
-	// if the digest does not match its restored logs.
+	// decoded form of what handoff ships; the installing backend refuses
+	// the image if the digest does not match its restored logs.
 	SessionStateExport = session.StateExport
 )
 
