@@ -95,10 +95,8 @@ func benchCodecMatrix(model string, db relation.Instance, script func(int, int) 
 			if len(b.Records) == 0 {
 				break
 			}
-			for _, rec := range b.Records {
-				if err := follower.ApplyReplicatedRecord(dec, rec.Bin); err != nil {
-					fatal(err)
-				}
+			if _, err := follower.ApplyReplicated(dec, b); err != nil {
+				fatal(err)
 			}
 			from = b.Records[len(b.Records)-1].LSN + 1
 		}

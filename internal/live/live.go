@@ -612,7 +612,7 @@ func done[T any](s *Service, v any, cached bool, start time.Time, err error, wra
 	if cached {
 		s.m.hits.Add(1)
 	}
-	s.m.latency.observe(time.Since(start))
+	s.m.latency.Observe(int64(time.Since(start)))
 	return wrap(v), nil
 }
 

@@ -2,10 +2,10 @@ package live
 
 import (
 	"expvar"
-	"math/bits"
 	"sync"
 	"sync/atomic"
-	"time"
+
+	"repro/internal/obs"
 )
 
 // liveMetrics is one service's counters, atomics only — query goroutines
@@ -18,7 +18,7 @@ type liveMetrics struct {
 	timeouts  atomic.Int64
 	errors    atomic.Int64
 	evicted   atomic.Int64
-	latency   latencyHist
+	latency   obs.Hist // nanoseconds
 }
 
 // Stats is a point-in-time snapshot of a live service's metrics, also
@@ -71,10 +71,10 @@ func (s *Service) Stats() Stats {
 		Errors:       s.m.errors.Load(),
 		Evicted:      s.m.evicted.Load(),
 		InFlight:     s.inflight.Load(),
-		P50Micros:    float64(s.m.latency.quantile(0.50)) / 1e3,
-		P90Micros:    float64(s.m.latency.quantile(0.90)) / 1e3,
-		P99Micros:    float64(s.m.latency.quantile(0.99)) / 1e3,
-		MaxMicros:    float64(s.m.latency.max.Load()) / 1e3,
+		P50Micros:    float64(s.m.latency.Quantile(0.50)) / 1e3,
+		P90Micros:    float64(s.m.latency.Quantile(0.90)) / 1e3,
+		P99Micros:    float64(s.m.latency.Quantile(0.99)) / 1e3,
+		MaxMicros:    float64(s.m.latency.Max()) / 1e3,
 	}
 	s.mu.Lock()
 	st.AnswerEntries = len(s.answers)
@@ -85,49 +85,6 @@ func (s *Service) Stats() Stats {
 	}
 	s.mu.Unlock()
 	return st
-}
-
-// latencyHist mirrors the session engine's lock-free power-of-two
-// nanosecond histogram; quantiles read off bucket upper bounds.
-type latencyHist struct {
-	buckets [48]atomic.Int64
-	count   atomic.Int64
-	max     atomic.Int64
-}
-
-func (h *latencyHist) observe(d time.Duration) {
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
-	}
-	i := bits.Len64(uint64(ns))
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.max.Load()
-		if ns <= old || h.max.CompareAndSwap(old, ns) {
-			break
-		}
-	}
-}
-
-func (h *latencyHist) quantile(q float64) int64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q * float64(total))
-	var seen int64
-	for i := range h.buckets {
-		seen += h.buckets[i].Load()
-		if seen > rank {
-			return 1 << uint(i)
-		}
-	}
-	return h.max.Load()
 }
 
 // services tracks live services so the process-wide expvar export can

@@ -279,49 +279,10 @@ func (f *Follower) fetch(shard int, from, acked int64, itab int) (*session.WALBa
 	return &b, nil
 }
 
-// applyBatch feeds one stream batch through the standby engine. A Reset
-// batch first retires standby sessions that hash to this primary shard but
-// are absent from the snapshot (they were closed while the follower was
-// behind), then installs the snapshot images.
+// applyBatch feeds one stream batch through the standby engine and books
+// how far it got.
 func (f *Follower) applyBatch(shard int, b *session.WALBatch, dec *session.ReplDecoder) error {
-	if b.Reset {
-		keep := make(map[string]bool, len(b.Snapshot))
-		for _, raw := range b.Snapshot {
-			var img struct {
-				ID string `json:"id"`
-			}
-			if err := json.Unmarshal(raw, &img); err != nil {
-				return fmt.Errorf("snapshot image: %w", err)
-			}
-			keep[img.ID] = true
-		}
-		infos, err := f.eng.List()
-		if err != nil {
-			return err
-		}
-		for _, info := range infos {
-			if session.ShardOf(info.ID, b.Shards) == shard && !keep[info.ID] {
-				if err := f.eng.CloseReplicated(info.ID); err != nil {
-					return err
-				}
-			}
-		}
-		for _, raw := range b.Snapshot {
-			if err := f.eng.InstallReplicated(raw); err != nil {
-				return err
-			}
-		}
-		f.mu.Lock()
-		f.st.Pos[shard].Applied = b.Base
-		f.st.Pos[shard].Committed = b.Committed
-		f.mu.Unlock()
-		// A bootstrap is a stream discontinuity; start the next WAL batch
-		// from a clean intern table on both ends.
-		dec.Reset()
-		f.logf("replica: shard %d reset to base %d (%d sessions)", shard, b.Base, len(b.Snapshot))
-		return nil
-	}
-	if b.ITab != dec.TableLen() {
+	if !b.Reset && b.ITab != dec.TableLen() {
 		// The primary's stream encoder and this decoder disagree (competing
 		// follower, primary restart). Skip the batch unapplied and re-poll:
 		// our reset table length tells the primary to restart its stream,
@@ -330,18 +291,19 @@ func (f *Follower) applyBatch(shard int, b *session.WALBatch, dec *session.ReplD
 		dec.Reset()
 		return nil
 	}
-	for _, rec := range b.Records {
-		if err := f.eng.ApplyReplicatedRecord(dec, rec.Bin); err != nil {
-			return err
-		}
-		f.mu.Lock()
-		f.st.Pos[shard].Applied = rec.LSN
-		f.mu.Unlock()
-	}
+	applied, err := f.eng.ApplyReplicated(dec, b)
 	f.mu.Lock()
-	f.st.Pos[shard].Committed = b.Committed
+	if applied > 0 {
+		f.st.Pos[shard].Applied = applied
+	}
+	if err == nil {
+		f.st.Pos[shard].Committed = b.Committed
+	}
 	f.mu.Unlock()
-	return nil
+	if err == nil && b.Reset {
+		f.logf("replica: shard %d reset to base %d (%d sessions)", shard, b.Base, len(b.Snapshot))
+	}
+	return err
 }
 
 func isGap(err error, gap **session.ReplGapError) bool {

@@ -1,7 +1,6 @@
 package session
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -12,11 +11,10 @@ import (
 // (session, input, key) steps spanning any number of sessions; the engine
 // splits the group by owning shard and injects each shard's share in ONE
 // mailbox send, so the whole share executes inside one group-commit batch —
-// one shared fsync acknowledges every step in it. Per item the semantics
-// are exactly InputKey's: the same admission checks in the same order, the
-// same idempotency-key dedupe (including keys repeated WITHIN the group),
-// per-item errors that never fail their neighbors, and a WAL that is never
-// torn mid-group (a session's applied steps land in one CRC-framed record).
+// one shared fsync acknowledges every step in it. Each item passes the same
+// admit as a single step (plus dedupe against keys earlier in its own
+// group), fails without failing its neighbors, and a session's admitted
+// steps travel in one record, so the WAL is never torn mid-group.
 
 // BatchItem is one step of a batched input request.
 type BatchItem struct {
@@ -60,7 +58,8 @@ func (e *Engine) InputBatch(items []BatchItem) []BatchResult {
 		// One send per shard: the whole share executes under one exec() and
 		// its appends commit under one shared fsync before this reply.
 		_, err := e.trySend(sh, func(sh *shard) (any, error) {
-			return nil, sh.inputBatch(idxs, items, out)
+			sh.inputBatch(idxs, items, out)
+			return nil, nil
 		})
 		if err != nil {
 			for _, i := range idxs {
@@ -81,16 +80,14 @@ func (e *Engine) InputBatch(items []BatchItem) []BatchResult {
 		}
 		wg.Wait()
 	}
-	e.m.stepLatency.observe(time.Since(start))
+	e.m.stepLatency.Observe(int64(time.Since(start)))
 	return out
 }
 
 // inputBatch runs inside the shard goroutine: it partitions the shard's
-// share of the batch by session (preserving item order) and applies each
-// session group under one WAL record. The returned error is shard-fatal
-// (snapshot failure under the fail-stop discipline); per-item outcomes
-// land in out.
-func (sh *shard) inputBatch(idxs []int, items []BatchItem, out []BatchResult) error {
+// share of the batch by session (preserving item order) and proposes each
+// session's group as one record. Per-item outcomes land in out.
+func (sh *shard) inputBatch(idxs []int, items []BatchItem, out []BatchResult) {
 	groups := make(map[string][]int)
 	var order []string
 	for _, i := range idxs {
@@ -100,135 +97,74 @@ func (sh *shard) inputBatch(idxs []int, items []BatchItem, out []BatchResult) er
 		}
 		groups[id] = append(groups[id], i)
 	}
-	applied := 0
 	for _, id := range order {
-		applied += sh.applyGroup(id, groups[id], items, out)
+		sh.stepGroup(id, groups[id], items, out)
 	}
-	if applied > 0 {
-		sh.sinceSnap += applied
-		if err := sh.maybeSnapshot(false); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
-// applyGroup admits, logs, and applies one session's items. Admission
-// mirrors InputKey check for check: dedupe (against the persisted table
-// AND keys earlier in this group), frozen, rate limit, input validation.
-// The admitted steps form one record — recStep for a single step (so a
-// batch of one is byte-identical to the unbatched path), recBatch
-// otherwise — appended before application, exactly like the single-step
-// path. Returns the number of steps applied.
-func (sh *shard) applyGroup(id string, idxs []int, items []BatchItem, out []BatchResult) int {
-	s, ok := sh.sessions[id]
-	if !ok {
-		err := &NotFoundError{ID: id}
-		for _, i := range idxs {
-			out[i] = BatchResult{Err: err}
-		}
-		return 0
-	}
-	if s.net != nil {
-		err := &BadInputError{Err: fmt.Errorf("session %s is a network session; address inputs per node", id)}
-		for _, i := range idxs {
-			out[i] = BatchResult{Err: err}
-		}
-		return 0
-	}
+// stepGroup admits one session's items and proposes the admitted steps as
+// one record — recStep for a single step (so a batch of one is
+// byte-identical to the unbatched path), recBatch otherwise. The record
+// commits whole or its group is refused whole.
+func (sh *shard) stepGroup(id string, idxs []int, items []BatchItem, out []BatchResult) {
 	// pendingDup marks an item whose key repeats an EARLIER item of this
 	// group: its duplicate answer can only be built after that step applies.
 	type pendingDup struct{ idx, seq int }
-	var admitted []int
-	var dups []pendingDup
-	var groupKeys map[string]int // key → seq assigned earlier in this group
-	nextSeq := s.steps + 1
+	var (
+		s         *Session
+		admitted  []int
+		dups      []pendingDup
+		groupKeys map[string]int // key → seq assigned earlier in this group
+	)
 	for _, i := range idxs {
 		it := &items[i]
-		if it.Key != "" {
-			if seq, ok := s.keys[it.Key]; ok {
-				sh.m.dedupedSteps.Add(1)
-				out[i] = BatchResult{Result: s.dupResult(seq)}
-				continue
-			}
-			if seq, ok := groupKeys[it.Key]; ok {
-				sh.m.dedupedSteps.Add(1)
-				dups = append(dups, pendingDup{idx: i, seq: seq})
-				continue
-			}
-		}
-		if s.frozen {
-			out[i] = BatchResult{Err: &FrozenError{ID: id}}
+		if seq, ok := groupKeys[it.Key]; ok {
+			sh.m.dedupedSteps.Add(1)
+			dups = append(dups, pendingDup{idx: i, seq: seq})
 			continue
 		}
-		if sh.cfg.SessionRate > 0 {
-			if ok, wait := s.rate.take(sh.cfg.SessionRate, float64(sh.cfg.SessionBurst), time.Now()); !ok {
-				sh.m.rateLimited.Add(1)
-				out[i] = BatchResult{Err: &RateLimitedError{ID: id, RetryAfter: wait}}
-				continue
-			}
-		}
-		if err := s.validateInput(it.Input); err != nil {
-			out[i] = BatchResult{Err: &BadInputError{Err: err}}
+		adm, dup, err := sh.admit(id, it.Key, false, it.Input, nil)
+		if err != nil || dup != nil {
+			out[i] = BatchResult{Result: dup, Err: err}
 			continue
 		}
+		s = adm
 		if it.Key != "" {
 			if groupKeys == nil {
 				groupKeys = make(map[string]int)
 			}
-			groupKeys[it.Key] = nextSeq
+			groupKeys[it.Key] = s.steps + 1 + len(admitted)
 		}
 		admitted = append(admitted, i)
-		nextSeq++
 	}
 	if len(admitted) == 0 {
-		return 0
+		return
 	}
-	var rec *walRecord
-	if len(admitted) == 1 {
-		i := admitted[0]
-		rec = &walRecord{T: recStep, SID: id, Seq: s.steps + 1, Input: items[i].Input, Key: items[i].Key}
-	} else {
-		inputs := make(relation.Sequence, 0, len(admitted))
-		keys := make([]string, 0, len(admitted))
-		for _, i := range admitted {
-			inputs = append(inputs, items[i].Input)
-			keys = append(keys, items[i].Key)
+	var one [1]*StepResult // a group of one allocates no result slice
+	results := one[:]
+	first := &items[admitted[0]]
+	rec := &walRecord{T: recStep, SID: id, Seq: s.steps + 1, Input: first.Input, Key: first.Key}
+	if len(admitted) > 1 {
+		results = make([]*StepResult, len(admitted))
+		rec = &walRecord{T: recBatch, SID: id, Seq: s.steps + 1,
+			Inputs: make(relation.Sequence, len(admitted)), Keys: make([]string, len(admitted))}
+		for n, i := range admitted {
+			rec.Inputs[n], rec.Keys[n] = items[i].Input, items[i].Key
 		}
-		rec = &walRecord{T: recBatch, SID: id, Seq: s.steps + 1, Inputs: inputs, Keys: keys}
 	}
-	if err := sh.appendWAL(rec); err != nil {
+	if err := sh.commit(rec, fromAPI, nil, results); err != nil {
 		for _, i := range admitted {
 			out[i] = BatchResult{Err: err}
 		}
 		for _, d := range dups {
 			out[d.idx] = BatchResult{Err: err}
 		}
-		return 0
+		return
 	}
-	applied := 0
 	for n, i := range admitted {
-		res, err := s.apply(items[i].Input)
-		if err != nil {
-			// Deterministic evaluation failure (unreachable past validation,
-			// same as the single-step path): the rest of the group cannot
-			// apply without diverging from the record, so fail it wholesale.
-			werr := &BadInputError{Err: err}
-			for _, j := range admitted[n:] {
-				out[j] = BatchResult{Err: werr}
-			}
-			for _, d := range dups {
-				out[d.idx] = BatchResult{Err: werr}
-			}
-			return applied
-		}
-		s.noteKey(items[i].Key, res.Seq)
-		sh.m.stepsTotal.Add(1)
-		out[i] = BatchResult{Result: res}
-		applied++
+		out[i] = BatchResult{Result: results[n]}
 	}
 	for _, d := range dups {
 		out[d.idx] = BatchResult{Result: s.dupResult(d.seq)}
 	}
-	return applied
 }

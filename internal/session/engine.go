@@ -3,7 +3,6 @@ package session
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/compose"
 	"repro/internal/relation"
 	"repro/internal/storage"
 )
@@ -292,7 +292,7 @@ func (sh *shard) recover(dir string) error {
 			if err != nil {
 				return err
 			}
-			return sh.applyRecord(rec)
+			return sh.commit(rec, fromWAL, nil, nil)
 		})
 	if err != nil {
 		return err
@@ -302,88 +302,6 @@ func (sh *shard) recover(dir string) error {
 	sh.segGauge = st.Segments()
 	sh.m.walSegments.Add(int64(sh.segGauge))
 	return nil
-}
-
-// applyRecord replays one WAL record into the shard's session map.
-func (sh *shard) applyRecord(rec *walRecord) error {
-	switch rec.T {
-	case recOpen:
-		if _, ok := sh.sessions[rec.SID]; ok {
-			return nil // covered by snapshot
-		}
-		s, err := newSession(rec.SID, &OpenRequest{Model: rec.Model, Src: rec.Src, Mode: rec.Mode, DB: rec.DB, Network: rec.Network})
-		if err != nil {
-			return err
-		}
-		sh.sessions[rec.SID] = s
-		return nil
-	case recStep:
-		s, ok := sh.sessions[rec.SID]
-		if !ok {
-			return fmt.Errorf("step for unknown session %s", rec.SID)
-		}
-		if rec.Seq <= s.steps {
-			return nil // covered by snapshot
-		}
-		if rec.Seq != s.steps+1 {
-			return fmt.Errorf("session %s: step %d after %d", rec.SID, rec.Seq, s.steps)
-		}
-		// The session's own kind decides how to replay the record: an empty
-		// joint step carries no netin field, so the shape alone cannot.
-		if s.net != nil {
-			if _, err := s.applyNet(rec.NetIn); err != nil {
-				return err
-			}
-		} else if _, err := s.apply(rec.Input); err != nil {
-			return err
-		}
-		s.noteKey(rec.Key, rec.Seq)
-		return nil
-	case recBatch:
-		s, ok := sh.sessions[rec.SID]
-		if !ok {
-			return fmt.Errorf("batch for unknown session %s", rec.SID)
-		}
-		last := rec.Seq + len(rec.Inputs) - 1
-		if last <= s.steps {
-			return nil // covered by snapshot
-		}
-		if rec.Seq > s.steps+1 {
-			return fmt.Errorf("session %s: batch %d..%d after %d", rec.SID, rec.Seq, last, s.steps)
-		}
-		// A snapshot can cover a prefix of the batch; replay only the rest.
-		for i := s.steps + 1 - rec.Seq; i < len(rec.Inputs); i++ {
-			if _, err := s.apply(rec.Inputs[i]); err != nil {
-				return err
-			}
-			if i < len(rec.Keys) {
-				s.noteKey(rec.Keys[i], rec.Seq+i)
-			}
-		}
-		return nil
-	case recInstall:
-		if rec.Image == nil {
-			return fmt.Errorf("install record for %s has no image", rec.SID)
-		}
-		// A session can be installed more than once over its life (handoff
-		// there and back, follower promotion), so the WAL may hold several
-		// install records for one ID. The furthest-along image wins: an
-		// existing session at >= the image's step count is either the
-		// snapshot covering this record or a later install.
-		if prev, ok := sh.sessions[rec.SID]; ok && prev.steps >= rec.Image.Steps {
-			return nil
-		}
-		s, err := rec.Image.restore()
-		if err != nil {
-			return err
-		}
-		sh.sessions[rec.SID] = s
-		return nil
-	case recClose:
-		delete(sh.sessions, rec.SID)
-		return nil
-	}
-	return fmt.Errorf("unknown record type %q", rec.T)
 }
 
 // loop is the shard's actor loop: it owns the sessions map and store until
@@ -399,11 +317,7 @@ func (sh *shard) loop() {
 	for {
 		select {
 		case req, ok := <-sh.ch:
-			if !ok {
-				sh.closeStore()
-				return
-			}
-			if !sh.batch(req) {
+			if !ok || !sh.batch(req) {
 				sh.closeStore()
 				return
 			}
@@ -563,129 +477,6 @@ func (sh *shard) refreshSegGauge() {
 	}
 }
 
-// appendWAL writes one record under the fail-stop discipline: after a write
-// error the shard refuses further mutations rather than diverging from its
-// log. The record is NOT synced here — the enclosing batch commits it; the
-// requester's ack is held until then.
-func (sh *shard) appendWAL(rec *walRecord) error {
-	if sh.store == nil {
-		return nil
-	}
-	if sh.broken != nil {
-		return fmt.Errorf("shard %d wal failed: %w", sh.idx, sh.broken)
-	}
-	payload, err := sh.encodeWAL(rec)
-	if err != nil {
-		return err
-	}
-	n, err := sh.store.Append(payload)
-	if err != nil {
-		sh.broken = err
-		return fmt.Errorf("shard %d wal failed: %w", sh.idx, err)
-	}
-	sh.m.walBytes.Add(int64(n))
-	sh.walBytesTotal.Add(int64(n))
-	sh.m.walAppends.Add(1)
-	return nil
-}
-
-// encodeWAL renders one record in the shard's configured codec, keeping the
-// binary encoder's intern table aligned with the segment the record will
-// land in (see the enc field).
-func (sh *shard) encodeWAL(rec *walRecord) ([]byte, error) {
-	if sh.cfg.Codec == CodecJSON {
-		return json.Marshal(rec)
-	}
-	seg, err := sh.store.AlignAppend()
-	if err != nil {
-		sh.broken = err
-		return nil, fmt.Errorf("shard %d wal failed: %w", sh.idx, err)
-	}
-	if seg != sh.encSeg {
-		sh.enc.Reset()
-		sh.encSeg = seg
-	}
-	payload, err := encodeWALRecord(sh.enc, rec)
-	if err != nil {
-		// The encoder holds the failed record's pending definitions; reset
-		// so the table stays honest, at the cost of re-defining constants
-		// in the next record.
-		sh.enc.Reset()
-		sh.encSeg = -1
-		return nil, err
-	}
-	sh.internEntries.Store(int64(sh.enc.TableLen()))
-	return payload, nil
-}
-
-// maybeSnapshot compacts the WAL into a snapshot once enough steps
-// accumulated, streaming one session image at a time through the store's
-// snapshot writer. Committing the snapshot also seals the active segment,
-// so any unsynced appends become durable as a side effect.
-func (sh *shard) maybeSnapshot(force bool) error {
-	if sh.store == nil || sh.broken != nil {
-		return nil
-	}
-	if !force && (sh.cfg.SnapshotEvery == 0 || sh.sinceSnap < sh.cfg.SnapshotEvery) {
-		return nil
-	}
-	sw, err := sh.store.BeginSnapshot()
-	if err != nil {
-		return err
-	}
-	var wrote int64
-	put := func(payload []byte, err error) error {
-		if err == nil {
-			err = sw.Append(payload)
-		}
-		if err != nil {
-			sw.Abort()
-			return err
-		}
-		wrote += int64(len(payload))
-		return nil
-	}
-	// A snapshot is its own stream: the fresh encoder's first record carries
-	// the reset flag, so a decoder pointed at the file needs no context.
-	senc := codec.NewEncoder()
-	if sh.cfg.Codec == CodecJSON {
-		hdr, err := json.Marshal(snapHeader{Version: snapVersion, Shard: sh.idx})
-		if err = put(hdr, err); err != nil {
-			return err
-		}
-	} else if err := put(encodeSnapHeaderRecord(senc, snapHeader{Version: snapVersion, Shard: sh.idx}), nil); err != nil {
-		return err
-	}
-	ids := make([]string, 0, len(sh.sessions))
-	for id := range sh.sessions {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		img := snapOf(sh.sessions[id])
-		var payload []byte
-		var err error
-		if sh.cfg.Codec == CodecJSON {
-			payload, err = json.Marshal(&img)
-		} else {
-			payload, err = encodeImageRecord(senc, &img)
-		}
-		if err = put(payload, err); err != nil {
-			return err
-		}
-	}
-	if err := sw.Commit(); err != nil {
-		sh.broken = err
-		return err
-	}
-	sh.snapBytesTotal.Add(wrote)
-	sh.m.walBytes.Store(0)
-	sh.m.snapshots.Add(1)
-	sh.sinceSnap = 0
-	sh.refreshSegGauge()
-	return nil
-}
-
 // ShardOf computes the shard index a session ID hashes to in an engine
 // with the given shard count. Exported because a replication follower
 // needs to reproduce the PRIMARY's placement: the primary shard of a
@@ -701,44 +492,56 @@ func (e *Engine) shardFor(id string) *shard {
 	return e.shards[ShardOf(id, len(e.shards))]
 }
 
-// send runs do inside the shard goroutine owning id and waits for the
-// result, blocking while the shard's mailbox is full. Control-plane
-// operations (Log, Close, List, Snapshot, ExportState) use it: they are rare
-// enough that queueing is preferable to spurious rejection.
-func (e *Engine) send(sh *shard, do func(*shard) (any, error)) (any, error) {
+// post runs do inside sh's goroutine and waits for the result. A full
+// mailbox blocks the caller when wait is set and rejects the request with
+// OverloadedError otherwise.
+func (e *Engine) post(sh *shard, wait bool, do func(*shard) (any, error)) (any, error) {
 	e.mu.RLock()
 	if e.closed {
 		e.mu.RUnlock()
 		return nil, fmt.Errorf("engine is shut down")
 	}
 	req := request{do: do, reply: make(chan reply, 1)}
-	sh.ch <- req
+	if wait {
+		sh.ch <- req
+	} else {
+		select {
+		case sh.ch <- req:
+		default:
+			e.mu.RUnlock()
+			e.m.rejected.Add(1)
+			return nil, &OverloadedError{Shard: sh.idx}
+		}
+	}
 	e.mu.RUnlock()
 	r := <-req.reply
 	return r.v, r.err
 }
 
-// trySend is send for the high-rate data plane (Open, Input): when the
-// shard's mailbox is full the request is rejected immediately with
-// OverloadedError rather than queued, bounding both memory and latency
-// under overload.
+// send is post for control-plane operations (Log, Close, List, Snapshot,
+// ExportState, a standby's apply): they are rare enough that queueing is
+// preferable to spurious rejection.
+func (e *Engine) send(sh *shard, do func(*shard) (any, error)) (any, error) {
+	return e.post(sh, true, do)
+}
+
+// trySend is post for the high-rate data plane (Open, Input, InputBatch,
+// Install): shedding at a full mailbox bounds both memory and latency under
+// overload.
 func (e *Engine) trySend(sh *shard, do func(*shard) (any, error)) (any, error) {
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		return nil, fmt.Errorf("engine is shut down")
-	}
-	req := request{do: do, reply: make(chan reply, 1)}
-	select {
-	case sh.ch <- req:
-		e.mu.RUnlock()
-	default:
-		e.mu.RUnlock()
-		e.m.rejected.Add(1)
-		return nil, &OverloadedError{Shard: sh.idx}
-	}
-	r := <-req.reply
-	return r.v, r.err
+	return e.post(sh, false, do)
+}
+
+// onSession runs do on session id inside its shard's goroutine, or fails
+// with NotFoundError.
+func (e *Engine) onSession(id string, do func(*shard, *Session) (any, error)) (any, error) {
+	return e.send(e.shardFor(id), func(sh *shard) (any, error) {
+		s, ok := sh.sessions[id]
+		if !ok {
+			return nil, &NotFoundError{ID: id}
+		}
+		return do(sh, s)
+	})
 }
 
 // NewID returns a fresh 128-bit random session ID.
@@ -761,16 +564,19 @@ func (e *Engine) Open(req *OpenRequest) (*Info, error) {
 	if err != nil {
 		return nil, &BadInputError{Err: err}
 	}
-	v, err := e.trySend(e.shardFor(id), func(sh *shard) (any, error) {
-		if _, ok := sh.sessions[id]; ok {
-			return nil, &ConflictError{ID: id}
+	return e.create(s, s.openRecord())
+}
+
+// create brings the already-built session s into being under rec, its open
+// or install record, unless the engine already serves the ID.
+func (e *Engine) create(s *Session, rec *walRecord) (*Info, error) {
+	v, err := e.trySend(e.shardFor(s.id), func(sh *shard) (any, error) {
+		if _, ok := sh.sessions[s.id]; ok {
+			return nil, &ConflictError{ID: s.id}
 		}
-		if err := sh.appendWAL(s.openRecord()); err != nil {
+		if err := sh.commit(rec, fromAPI, s, nil); err != nil {
 			return nil, err
 		}
-		sh.sessions[id] = s
-		sh.m.sessionsOpen.Add(1)
-		sh.m.sessionsOpened.Add(1)
 		return s.info(), nil
 	})
 	if err != nil {
@@ -794,66 +600,35 @@ func (e *Engine) Input(id string, in relation.Instance) (*StepResult, error) {
 // promotion; that is what lets the router retry an ambiguous 502 without
 // risking a double step.
 func (e *Engine) InputKey(id, key string, in relation.Instance) (*StepResult, error) {
+	return e.step(id, key, false, in, nil)
+}
+
+// step is the single-step entry behind InputKey and NetInputKey: admit the
+// step, propose its record, answer with what applying it returned.
+func (e *Engine) step(id, key string, net bool, in relation.Instance, ext compose.StepInputs) (*StepResult, error) {
 	start := time.Now()
 	v, err := e.trySend(e.shardFor(id), func(sh *shard) (any, error) {
-		s, ok := sh.sessions[id]
-		if !ok {
-			return nil, &NotFoundError{ID: id}
+		s, dup, err := sh.admit(id, key, net, in, ext)
+		if err != nil || dup != nil {
+			return dup, err
 		}
-		if s.net != nil {
-			return nil, &BadInputError{Err: fmt.Errorf("session %s is a network session; address inputs per node", id)}
-		}
-		if key != "" {
-			if seq, ok := s.keys[key]; ok {
-				sh.m.dedupedSteps.Add(1)
-				return s.dupResult(seq), nil
-			}
-		}
-		if s.frozen {
-			return nil, &FrozenError{ID: id}
-		}
-		if sh.cfg.SessionRate > 0 {
-			if ok, wait := s.rate.take(sh.cfg.SessionRate, float64(sh.cfg.SessionBurst), time.Now()); !ok {
-				sh.m.rateLimited.Add(1)
-				return nil, &RateLimitedError{ID: id, RetryAfter: wait}
-			}
-		}
-		if err := s.validateInput(in); err != nil {
-			return nil, &BadInputError{Err: err}
-		}
-		if err := sh.appendWAL(&walRecord{T: recStep, SID: id, Seq: s.steps + 1, Input: in, Key: key}); err != nil {
+		var res [1]*StepResult
+		rec := &walRecord{T: recStep, SID: id, Seq: s.steps + 1, Input: in, NetIn: ext, Key: key}
+		if err := sh.commit(rec, fromAPI, nil, res[:]); err != nil {
 			return nil, err
 		}
-		res, err := s.apply(in)
-		if err != nil {
-			// Deterministic evaluation failure: replay fails identically, so
-			// memory and log stay consistent. Surface it as a client error.
-			return nil, &BadInputError{Err: err}
-		}
-		s.noteKey(key, res.Seq)
-		sh.m.stepsTotal.Add(1)
-		sh.sinceSnap++
-		if err := sh.maybeSnapshot(false); err != nil {
-			return nil, err
-		}
-		return res, nil
+		return res[0], nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	e.m.stepLatency.observe(time.Since(start))
+	e.m.stepLatency.Observe(int64(time.Since(start)))
 	return v.(*StepResult), nil
 }
 
 // Log returns the session's full durable log.
 func (e *Engine) Log(id string) (*LogResult, error) {
-	v, err := e.send(e.shardFor(id), func(sh *shard) (any, error) {
-		s, ok := sh.sessions[id]
-		if !ok {
-			return nil, &NotFoundError{ID: id}
-		}
-		return s.logResult(), nil
-	})
+	v, err := e.onSession(id, func(_ *shard, s *Session) (any, error) { return s.logResult(), nil })
 	if err != nil {
 		return nil, err
 	}
@@ -862,13 +637,7 @@ func (e *Engine) Log(id string) (*LogResult, error) {
 
 // Info returns the session's description.
 func (e *Engine) Info(id string) (*Info, error) {
-	v, err := e.send(e.shardFor(id), func(sh *shard) (any, error) {
-		s, ok := sh.sessions[id]
-		if !ok {
-			return nil, &NotFoundError{ID: id}
-		}
-		return s.info(), nil
-	})
+	v, err := e.onSession(id, func(_ *shard, s *Session) (any, error) { return s.info(), nil })
 	if err != nil {
 		return nil, err
 	}
@@ -889,20 +658,13 @@ type CloseResult struct {
 // Close ends the session, durably records the close, and returns the final
 // log (the complete business exchange, per Figure 1).
 func (e *Engine) Close(id string) (*CloseResult, error) {
-	v, err := e.send(e.shardFor(id), func(sh *shard) (any, error) {
-		s, ok := sh.sessions[id]
-		if !ok {
-			return nil, &NotFoundError{ID: id}
-		}
+	v, err := e.onSession(id, func(sh *shard, s *Session) (any, error) {
 		if s.frozen {
 			return nil, &FrozenError{ID: id}
 		}
-		if err := sh.appendWAL(&walRecord{T: recClose, SID: id}); err != nil {
+		if err := sh.commit(&walRecord{T: recClose, SID: id}, fromAPI, nil, nil); err != nil {
 			return nil, err
 		}
-		delete(sh.sessions, id)
-		sh.m.sessionsOpen.Add(-1)
-		sh.m.sessionsClosed.Add(1)
 		res := &CloseResult{ID: id, Steps: s.steps, Valid: s.valid(), Log: s.logs}
 		if s.net != nil {
 			res.Joint = s.net.joint

@@ -52,23 +52,18 @@ func LogDigest(logs relation.Sequence) string {
 // the same bytes again. Reads (Info, Log, Peek) keep working on a frozen
 // session; Input and Close fail with FrozenError until Unfreeze or Forget.
 func (e *Engine) ExportState(id string) ([]byte, error) {
-	sh := e.shardFor(id)
-	v, err := e.send(sh, func(sh *shard) (any, error) {
-		s, ok := sh.sessions[id]
-		if !ok {
-			return nil, &NotFoundError{ID: id}
-		}
+	v, err := e.onSession(id, func(sh *shard, s *Session) (any, error) {
 		s.frozen = true
 		sh.m.exports.Add(1)
 		img := snapOf(s)
-		return EncodeStateExport(&StateExport{Image: &img, Digest: s.logDigest()})
+		data, err := EncodeStateExport(&StateExport{Image: &img, Digest: s.logDigest()})
+		sh.shipBytesTotal.Add(int64(len(data)))
+		return data, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	data := v.([]byte)
-	sh.shipBytesTotal.Add(int64(len(data)))
-	return data, nil
+	return v.([]byte), nil
 }
 
 // Install materializes a shipped session on this engine from the bytes
@@ -94,35 +89,17 @@ func (e *Engine) Install(data []byte) (*Info, error) {
 	if got := s.logDigest(); got != se.Digest {
 		return nil, &BadInputError{Err: fmt.Errorf("install: log digest mismatch for %s: source %s, restored %s", id, se.Digest, got)}
 	}
-	sh := e.shardFor(id)
-	v, err := e.trySend(sh, func(sh *shard) (any, error) {
-		if _, ok := sh.sessions[id]; ok {
-			return nil, &ConflictError{ID: id}
-		}
-		if err := sh.appendWAL(&walRecord{T: recInstall, SID: id, Image: se.Image}); err != nil {
-			return nil, err
-		}
-		sh.sessions[id] = s
-		sh.m.sessionsOpen.Add(1)
-		sh.m.sessionsOpened.Add(1)
-		sh.m.installs.Add(1)
-		return s.info(), nil
-	})
-	if err != nil {
-		return nil, err
+	info, err := e.create(s, &walRecord{T: recInstall, SID: id, Image: se.Image})
+	if err == nil {
+		e.shardFor(id).shipBytesTotal.Add(int64(len(data)))
 	}
-	sh.shipBytesTotal.Add(int64(len(data)))
-	return v.(*Info), nil
+	return info, err
 }
 
 // Unfreeze lifts a freeze set by ExportState, aborting a handoff. It is a no-op
 // on a session that is not frozen.
 func (e *Engine) Unfreeze(id string) error {
-	_, err := e.send(e.shardFor(id), func(sh *shard) (any, error) {
-		s, ok := sh.sessions[id]
-		if !ok {
-			return nil, &NotFoundError{ID: id}
-		}
+	_, err := e.onSession(id, func(_ *shard, s *Session) (any, error) {
 		s.frozen = false
 		return nil, nil
 	})
@@ -135,21 +112,11 @@ func (e *Engine) Unfreeze(id string) error {
 // Forget refuses sessions that were never frozen, so a stray call cannot
 // drop live state.
 func (e *Engine) Forget(id string) error {
-	_, err := e.send(e.shardFor(id), func(sh *shard) (any, error) {
-		s, ok := sh.sessions[id]
-		if !ok {
-			return nil, &NotFoundError{ID: id}
-		}
+	_, err := e.onSession(id, func(sh *shard, s *Session) (any, error) {
 		if !s.frozen {
 			return nil, &BadInputError{Err: fmt.Errorf("session %s: forget requires a prior export", id)}
 		}
-		if err := sh.appendWAL(&walRecord{T: recClose, SID: id}); err != nil {
-			return nil, err
-		}
-		delete(sh.sessions, id)
-		sh.m.sessionsOpen.Add(-1)
-		sh.m.handoffs.Add(1)
-		return nil, nil
+		return nil, sh.commit(&walRecord{T: recClose, SID: id}, fromAPI, nil, nil)
 	})
 	return err
 }

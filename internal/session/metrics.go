@@ -2,10 +2,11 @@ package session
 
 import (
 	"expvar"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // metricsSet is one engine's counters. All fields are updated with atomics
@@ -32,7 +33,7 @@ type metricsSet struct {
 	replBatches      atomic.Int64
 	replApplied      atomic.Int64
 	replSyncTimeouts atomic.Int64
-	stepLatency      latencyHist
+	stepLatency      obs.Hist // nanoseconds
 }
 
 // Stats is a point-in-time snapshot of an engine's metrics, also served at
@@ -107,57 +108,11 @@ func (m *metricsSet) stats() Stats {
 		ReplBatches:      m.replBatches.Load(),
 		ReplApplied:      m.replApplied.Load(),
 		ReplSyncTimeouts: m.replSyncTimeouts.Load(),
-		StepP50Micros:    float64(m.stepLatency.quantile(0.50)) / 1e3,
-		StepP90Micros:    float64(m.stepLatency.quantile(0.90)) / 1e3,
-		StepP99Micros:    float64(m.stepLatency.quantile(0.99)) / 1e3,
-		StepMaxMicros:    float64(m.stepLatency.max.Load()) / 1e3,
+		StepP50Micros:    float64(m.stepLatency.Quantile(0.50)) / 1e3,
+		StepP90Micros:    float64(m.stepLatency.Quantile(0.90)) / 1e3,
+		StepP99Micros:    float64(m.stepLatency.Quantile(0.99)) / 1e3,
+		StepMaxMicros:    float64(m.stepLatency.Max()) / 1e3,
 	}
-}
-
-// latencyHist is a lock-free histogram with power-of-two nanosecond
-// buckets: bucket i counts durations d with 2^(i-1) ≤ d < 2^i ns. Quantiles
-// are read off the bucket boundaries, which is plenty for serving metrics.
-type latencyHist struct {
-	buckets [48]atomic.Int64
-	count   atomic.Int64
-	max     atomic.Int64
-}
-
-func (h *latencyHist) observe(d time.Duration) {
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
-	}
-	i := bits.Len64(uint64(ns))
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.max.Load()
-		if ns <= old || h.max.CompareAndSwap(old, ns) {
-			break
-		}
-	}
-}
-
-// quantile returns an upper bound on the q-quantile observation in
-// nanoseconds (0 when nothing has been observed).
-func (h *latencyHist) quantile(q float64) int64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q * float64(total))
-	var seen int64
-	for i := range h.buckets {
-		seen += h.buckets[i].Load()
-		if seen > rank {
-			return 1 << uint(i) // upper bound of bucket i
-		}
-	}
-	return h.max.Load()
 }
 
 // engines tracks live engines so the process-wide expvar export can

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"time"
 
 	"repro/internal/codec"
 	"repro/internal/compose"
@@ -167,55 +166,7 @@ func (e *Engine) NetInput(id string, ext compose.StepInputs) (*StepResult, error
 // joint step under answers that step back (Duplicate set) instead of
 // advancing the network again.
 func (e *Engine) NetInputKey(id, key string, ext compose.StepInputs) (*StepResult, error) {
-	start := time.Now()
-	v, err := e.trySend(e.shardFor(id), func(sh *shard) (any, error) {
-		s, ok := sh.sessions[id]
-		if !ok {
-			return nil, &NotFoundError{ID: id}
-		}
-		if s.net == nil {
-			return nil, &BadInputError{Err: fmt.Errorf("session %s is not a network session", id)}
-		}
-		if key != "" {
-			if seq, ok := s.keys[key]; ok {
-				sh.m.dedupedSteps.Add(1)
-				return s.dupResult(seq), nil
-			}
-		}
-		if s.frozen {
-			return nil, &FrozenError{ID: id}
-		}
-		if sh.cfg.SessionRate > 0 {
-			if ok, wait := s.rate.take(sh.cfg.SessionRate, float64(sh.cfg.SessionBurst), time.Now()); !ok {
-				sh.m.rateLimited.Add(1)
-				return nil, &RateLimitedError{ID: id, RetryAfter: wait}
-			}
-		}
-		if err := s.validateNetInput(ext); err != nil {
-			return nil, &BadInputError{Err: err}
-		}
-		if err := sh.appendWAL(&walRecord{T: recStep, SID: id, Seq: s.steps + 1, NetIn: ext, Key: key}); err != nil {
-			return nil, err
-		}
-		res, err := s.applyNet(ext)
-		if err != nil {
-			// Deterministic evaluation failure: replay fails identically, so
-			// memory and log stay consistent. Surface it as a client error.
-			return nil, &BadInputError{Err: err}
-		}
-		s.noteKey(key, res.Seq)
-		sh.m.stepsTotal.Add(1)
-		sh.sinceSnap++
-		if err := sh.maybeSnapshot(false); err != nil {
-			return nil, err
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.m.stepLatency.observe(time.Since(start))
-	return v.(*StepResult), nil
+	return e.step(id, key, true, nil, ext)
 }
 
 // JointLogDigest is the canonical digest of a network session's joint log:

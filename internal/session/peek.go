@@ -43,11 +43,7 @@ type NodeView struct {
 // frozen (mid-handoff) sessions too — verifying a session that is being
 // moved is legitimate.
 func (e *Engine) Peek(id string) (*View, error) {
-	v, err := e.send(e.shardFor(id), func(sh *shard) (any, error) {
-		s, ok := sh.sessions[id]
-		if !ok {
-			return nil, &NotFoundError{ID: id}
-		}
+	v, err := e.onSession(id, func(_ *shard, s *Session) (any, error) {
 		if s.net != nil {
 			nodes := make(map[string]*NodeView, len(s.net.spec.Nodes))
 			for _, ns := range s.net.spec.Nodes {

@@ -19,12 +19,13 @@ import (
 // safe from any goroutine: they touch only the store's mutex-guarded
 // replication view and an atomic, never the shard's owned state.
 //
-// Follower side: ApplyReplicatedRecord feeds a streamed record through the shard
-// goroutine into a standby engine — the same idempotent logic WAL replay
-// uses, plus an append to the standby's OWN WAL, so a record acknowledged
-// to the stream is durable on the follower under its fsync policy. A
-// record that cannot apply (unknown session, step gap) returns
-// ReplGapError: the follower's cue to restart from the primary's snapshot.
+// Follower side: ApplyReplicated feeds one such batch through the shard
+// goroutines into a standby engine — every record goes through the same
+// commit as a local write, so it is idempotent like WAL replay and appended
+// to the standby's OWN WAL, which makes a record acknowledged to the stream
+// durable on the follower under its fsync policy. A record that cannot
+// apply (unknown session, step gap) returns ReplGapError: the follower's cue
+// to restart from the primary's snapshot.
 
 // Batch size bounds for one stream response; both soft in the sense that a
 // single over-sized record still goes through alone.
@@ -71,19 +72,20 @@ type ReplShardState struct {
 	Acked     int64 `json:"acked"`
 }
 
-// ReplGapError reports a replicated record the standby cannot apply in
-// order — the follower must bootstrap from the primary's snapshot.
+// ReplGapError reports a record that does not continue the session table it
+// is applied to. On a standby the follower must bootstrap from the
+// primary's snapshot; during recovery it means the WAL is corrupt.
 type ReplGapError struct {
 	SID  string
 	Seq  int // the record's step number (0 for a missing session)
-	Have int // the standby's step count
+	Have int // the table's step count
 }
 
 func (err *ReplGapError) Error() string {
 	if err.Seq == 0 {
-		return fmt.Sprintf("replica gap: no session %s on standby", err.SID)
+		return fmt.Sprintf("record gap: no session %s", err.SID)
 	}
-	return fmt.Sprintf("replica gap: session %s step %d after %d", err.SID, err.Seq, err.Have)
+	return fmt.Sprintf("record gap: session %s step %d after %d", err.SID, err.Seq, err.Have)
 }
 
 // WALState reports every shard's stream position. ErrNotDurable for
@@ -254,167 +256,71 @@ func (d *ReplDecoder) TableLen() int { return d.dec.TableLen() }
 // Reset clears the table (after an itab mismatch).
 func (d *ReplDecoder) Reset() { d.dec.Reset() }
 
-// ApplyReplicatedRecord applies one streamed WAL record (a WALBatch
-// record's Bin, decoded against d) to this engine as a standby: idempotent
-// like WAL replay, and appended to this engine's own WAL before the session
-// mutates, so a nil return means the record is as durable here as a
-// locally-acked step. The caller must feed records in stream order — the
-// decoder learns each record's intern definitions as a side effect.
-func (e *Engine) ApplyReplicatedRecord(d *ReplDecoder, payload []byte) error {
-	rec, err := decodeWALPayload(d.dec, payload)
+// ApplyReplicated applies one batch of a primary's stream (what its
+// StreamWAL returned for one shard) to this engine as a standby, and returns
+// the highest LSN the standby now holds from it (0 when none). Records are
+// decoded against d — the caller feeds batches in stream order, the decoder
+// learns each record's intern definitions as a side effect. A Reset batch
+// first retires standby sessions that hash to the batch's primary shard but
+// are absent from its snapshot (closed while the follower was behind), then
+// installs the snapshot images; it is a stream discontinuity, so d restarts
+// from an empty table.
+func (e *Engine) ApplyReplicated(d *ReplDecoder, b *WALBatch) (int64, error) {
+	if !b.Reset {
+		var applied int64
+		for _, r := range b.Records {
+			rec, err := decodeWALPayload(d.dec, r.Bin)
+			if err != nil {
+				return applied, &BadInputError{Err: fmt.Errorf("replicated record: %w", err)}
+			}
+			if err := e.replicate(rec); err != nil {
+				return applied, err
+			}
+			applied = r.LSN
+		}
+		return applied, nil
+	}
+	installs := make([]*walRecord, 0, len(b.Snapshot))
+	keep := make(map[string]bool, len(b.Snapshot))
+	for _, raw := range b.Snapshot {
+		img := new(Image)
+		if err := json.Unmarshal(raw, img); err != nil {
+			return 0, &BadInputError{Err: fmt.Errorf("replicated image: %w", err)}
+		}
+		keep[img.ID] = true
+		installs = append(installs, &walRecord{T: recInstall, SID: img.ID, Image: img})
+	}
+	infos, err := e.List()
 	if err != nil {
-		return &BadInputError{Err: fmt.Errorf("replicated record: %w", err)}
+		return 0, err
 	}
+	for _, info := range infos {
+		if ShardOf(info.ID, b.Shards) == b.Shard && !keep[info.ID] {
+			if err := e.replicate(&walRecord{T: recClose, SID: info.ID}); err != nil {
+				return 0, err
+			}
+		}
+	}
+	for _, rec := range installs {
+		if err := e.replicate(rec); err != nil {
+			return 0, err
+		}
+	}
+	d.Reset()
+	return b.Base, nil
+}
+
+// replicate commits one record of a primary's stream on the shard owning
+// its session.
+func (e *Engine) replicate(rec *walRecord) error {
 	if rec.SID == "" {
-		return &BadInputError{Err: fmt.Errorf("replicated record has no session id")}
+		return &BadInputError{Err: fmt.Errorf("replicated %s record has no session id", rec.T)}
 	}
-	if _, err := e.send(e.shardFor(rec.SID), func(sh *shard) (any, error) {
-		return nil, sh.applyReplicated(rec)
-	}); err != nil {
-		return err
-	}
-	e.m.replApplied.Add(1)
-	return nil
-}
-
-// InstallReplicated applies one bootstrap snapshot image (from a Reset
-// batch) to the standby, replacing any older copy of the session.
-func (e *Engine) InstallReplicated(payload []byte) error {
-	var img Image
-	if err := json.Unmarshal(payload, &img); err != nil {
-		return &BadInputError{Err: fmt.Errorf("replicated image: %w", err)}
-	}
-	if img.ID == "" {
-		return &BadInputError{Err: fmt.Errorf("replicated image has no session id")}
-	}
-	rec := walRecord{T: recInstall, SID: img.ID, Image: &img}
-	if _, err := e.send(e.shardFor(img.ID), func(sh *shard) (any, error) {
-		return nil, sh.applyReplicated(&rec)
-	}); err != nil {
-		return err
-	}
-	e.m.replApplied.Add(1)
-	return nil
-}
-
-// CloseReplicated retires a standby session that a bootstrap reset proved
-// no longer exists on the primary (closed while the follower was behind).
-// A close record lands in the standby WAL so replay does not resurrect it.
-func (e *Engine) CloseReplicated(id string) error {
-	rec := walRecord{T: recClose, SID: id}
-	_, err := e.send(e.shardFor(id), func(sh *shard) (any, error) {
-		return nil, sh.applyReplicated(&rec)
+	_, err := e.send(e.shardFor(rec.SID), func(sh *shard) (any, error) {
+		return nil, sh.commit(rec, fromPrimary, nil, nil)
 	})
-	return err
-}
-
-// applyReplicated is applyRecord's standby twin: the same idempotence
-// rules, but mutating records are first appended to this shard's own WAL
-// (the group commit acks them durably), install records replace older
-// copies, and out-of-order steps surface as ReplGapError instead of
-// corrupting recovery.
-func (sh *shard) applyReplicated(rec *walRecord) error {
-	switch rec.T {
-	case recOpen:
-		if _, ok := sh.sessions[rec.SID]; ok {
-			return nil
-		}
-		s, err := newSession(rec.SID, &OpenRequest{Model: rec.Model, Src: rec.Src, Mode: rec.Mode, DB: rec.DB, Network: rec.Network})
-		if err != nil {
-			return err
-		}
-		if err := sh.appendWAL(rec); err != nil {
-			return err
-		}
-		sh.sessions[rec.SID] = s
-		sh.m.sessionsOpen.Add(1)
-		sh.m.sessionsOpened.Add(1)
-	case recStep:
-		s, ok := sh.sessions[rec.SID]
-		if !ok {
-			return &ReplGapError{SID: rec.SID}
-		}
-		if rec.Seq <= s.steps {
-			return nil // already applied (stream overlap after reconnect)
-		}
-		if rec.Seq != s.steps+1 {
-			return &ReplGapError{SID: rec.SID, Seq: rec.Seq, Have: s.steps}
-		}
-		if err := sh.appendWAL(rec); err != nil {
-			return err
-		}
-		if s.net != nil {
-			if _, err := s.applyNet(rec.NetIn); err != nil {
-				return err
-			}
-		} else if _, err := s.apply(rec.Input); err != nil {
-			return err
-		}
-		s.noteKey(rec.Key, rec.Seq)
-		sh.m.stepsTotal.Add(1)
-		sh.sinceSnap++
-		return sh.maybeSnapshot(false)
-	case recBatch:
-		s, ok := sh.sessions[rec.SID]
-		if !ok {
-			return &ReplGapError{SID: rec.SID}
-		}
-		last := rec.Seq + len(rec.Inputs) - 1
-		if last <= s.steps {
-			return nil // already applied (stream overlap after reconnect)
-		}
-		if rec.Seq > s.steps+1 {
-			return &ReplGapError{SID: rec.SID, Seq: rec.Seq, Have: s.steps}
-		}
-		if err := sh.appendWAL(rec); err != nil {
-			return err
-		}
-		// Primaries write batch records atomically, but a reconnect overlap
-		// can cover a prefix; apply only the standby's missing suffix.
-		for i := s.steps + 1 - rec.Seq; i < len(rec.Inputs); i++ {
-			if _, err := s.apply(rec.Inputs[i]); err != nil {
-				return err
-			}
-			if i < len(rec.Keys) {
-				s.noteKey(rec.Keys[i], rec.Seq+i)
-			}
-			sh.m.stepsTotal.Add(1)
-			sh.sinceSnap++
-		}
-		return sh.maybeSnapshot(false)
-	case recClose:
-		if _, ok := sh.sessions[rec.SID]; !ok {
-			return nil
-		}
-		if err := sh.appendWAL(rec); err != nil {
-			return err
-		}
-		delete(sh.sessions, rec.SID)
-		sh.m.sessionsOpen.Add(-1)
-		sh.m.sessionsClosed.Add(1)
-	case recInstall:
-		if rec.Image == nil {
-			return fmt.Errorf("replicated install for %s has no image", rec.SID)
-		}
-		prev, existed := sh.sessions[rec.SID]
-		if existed && prev.steps >= rec.Image.Steps {
-			return nil // standby already at or past the image
-		}
-		s, err := rec.Image.restore()
-		if err != nil {
-			return err
-		}
-		if err := sh.appendWAL(rec); err != nil {
-			return err
-		}
-		sh.sessions[rec.SID] = s
-		if !existed {
-			sh.m.sessionsOpen.Add(1)
-			sh.m.sessionsOpened.Add(1)
-		}
-		sh.m.installs.Add(1)
-	default:
-		return fmt.Errorf("unknown replicated record type %q", rec.T)
+	if err == nil {
+		e.m.replApplied.Add(1)
 	}
-	return nil
+	return err
 }

@@ -85,38 +85,31 @@ func cumulate(inputs relation.Sequence) relation.Instance {
 }
 
 func snapOf(s *Session) Image {
-	if s.net != nil {
-		return Image{
-			ID:         s.id,
-			Mode:       s.mode.String(),
-			Steps:      s.steps,
-			ErrorFree:  s.errorFree,
-			OkEvery:    s.okEvery,
-			LastAccept: s.lastAccept,
-			Keys:       s.keys,
-			Net: &NetImage{
-				Spec:  s.net.spec,
-				State: s.net.nw.ExportState(),
-				Joint: s.net.joint,
-				Past:  s.net.past,
-			},
-		}
-	}
-	return Image{
+	img := Image{
 		ID:         s.id,
-		Model:      s.model,
-		Src:        s.src,
 		Mode:       s.mode.String(),
-		DB:         s.db,
-		State:      s.state,
-		Logs:       s.logs,
-		Past:       s.past,
 		Steps:      s.steps,
 		ErrorFree:  s.errorFree,
 		OkEvery:    s.okEvery,
 		LastAccept: s.lastAccept,
 		Keys:       s.keys,
 	}
+	if s.net != nil {
+		img.Net = &NetImage{
+			Spec:  s.net.spec,
+			State: s.net.nw.ExportState(),
+			Joint: s.net.joint,
+			Past:  s.net.past,
+		}
+		return img
+	}
+	img.Model = s.model
+	img.Src = s.src
+	img.DB = s.db
+	img.State = s.state
+	img.Logs = s.logs
+	img.Past = s.past
+	return img
 }
 
 // restore rebuilds a live session from its image.

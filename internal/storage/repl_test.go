@@ -3,6 +3,7 @@ package storage
 import (
 	"context"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 )
@@ -181,6 +182,45 @@ func TestReplWaitCommitted(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFailedCommitPublishesNothing pins the ack contract on the unhappy
+// path: a group commit whose fsync fails acknowledges nothing, so it must
+// not advance the committed LSN or wake a stream waiter — a follower would
+// otherwise apply records the primary never acked and may not hold. A
+// pipe's write end stands in for the active segment: writes succeed, Sync
+// does not.
+func TestFailedCommitPublishesNothing(t *testing.T) {
+	s := openStore(t, t.TempDir(), Options{Fsync: FsyncAlways})
+	if _, _, err := mustRecoverEmpty(s); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, s, "acked")
+
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	seg := s.active
+	s.active = pw
+	if _, err := s.Append([]byte("lost")); err != nil {
+		t.Fatalf("Append into the pipe: %v", err)
+	}
+	if synced, err := s.Commit(); err == nil {
+		t.Fatalf("Commit on an unsyncable segment succeeded (synced=%v)", synced)
+	}
+	if st := s.ReplState(); st.Committed != 1 {
+		t.Errorf("Committed = %d after a failed commit, want 1", st.Committed)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if c := s.WaitCommitted(ctx, 1); c != 1 {
+		t.Errorf("WaitCommitted(1) = %d after a failed commit, want 1", c)
+	}
+	pw.Close()
+	s.active = seg
+	s.Close()
 }
 
 // TestReplCursorSequentialReads pins the resume-cursor fast path: a

@@ -325,16 +325,16 @@ func (s *Store) rotate() error {
 // Commit makes the records appended since the last sync durable according
 // to the store's fsync policy, reporting whether an fsync actually ran.
 // Under FsyncAlways this is the group-commit point: however many appends
-// preceded it share the one sync. Commit is also the ack point, so it
-// publishes the appended records to the replication view regardless of
-// whether this particular call synced: a record is streamable exactly when
-// it is ackable, which makes a follower never more durable-looking than
-// the primary's own ack contract.
+// preceded it share the one sync. Commit is also the ack point, so a
+// successful Commit publishes the appended records to the replication view
+// whether or not this particular call synced: a record is streamable
+// exactly when it is ackable, which makes a follower never more
+// durable-looking than the primary's own ack contract. A Commit whose sync
+// fails acks nothing and therefore publishes nothing.
 func (s *Store) Commit() (bool, error) {
 	if !s.dirty {
 		return false, nil
 	}
-	defer s.publish()
 	switch s.opts.Fsync {
 	case FsyncAlways:
 		return true, s.Sync()
@@ -343,6 +343,7 @@ func (s *Store) Commit() (bool, error) {
 			return true, s.Sync()
 		}
 	}
+	s.publish()
 	return false, nil
 }
 

@@ -2,10 +2,11 @@ package wire
 
 import (
 	"expvar"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
 // clientMetrics is one client's share of the wire counters. Everything is
@@ -16,7 +17,7 @@ type clientMetrics struct {
 	reused     atomic.Int64 // requests served off a pooled connection
 	batches    atomic.Int64
 	batchItems atomic.Int64
-	batchSize  sizeHist
+	batchSize  obs.Hist
 
 	retryMu sync.Mutex
 	retries map[string]int64 // cause → count ("429", "503", "transport")
@@ -66,54 +67,10 @@ func (c *Client) Stats() Stats {
 		Retries:    c.m.retrySnapshot(),
 		Batches:    c.m.batches.Load(),
 		BatchItems: c.m.batchItems.Load(),
-		BatchP50:   c.m.batchSize.quantile(0.50),
-		BatchP90:   c.m.batchSize.quantile(0.90),
-		BatchMax:   c.m.batchSize.max.Load(),
+		BatchP50:   c.m.batchSize.Quantile(0.50),
+		BatchP90:   c.m.batchSize.Quantile(0.90),
+		BatchMax:   c.m.batchSize.Max(),
 	}
-}
-
-// sizeHist is a lock-free histogram with power-of-two buckets over
-// positive integers (batch sizes): bucket i counts values v with
-// 2^(i-1) ≤ v < 2^i. Quantiles read off bucket upper bounds, same
-// discipline as the engine's latency histogram.
-type sizeHist struct {
-	buckets [32]atomic.Int64
-	count   atomic.Int64
-	max     atomic.Int64
-}
-
-func (h *sizeHist) observe(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	i := bits.Len64(uint64(v))
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.max.Load()
-		if v <= old || h.max.CompareAndSwap(old, v) {
-			break
-		}
-	}
-}
-
-func (h *sizeHist) quantile(q float64) int64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q * float64(total))
-	var seen int64
-	for i := range h.buckets {
-		seen += h.buckets[i].Load()
-		if seen > rank {
-			return 1 << uint(i)
-		}
-	}
-	return h.max.Load()
 }
 
 // clients tracks live wire clients so the process-wide expvar aggregates

@@ -307,7 +307,7 @@ func (c *Client) NoteRetry(cause string) { c.m.noteRetry(cause) }
 func (c *Client) ObserveBatch(n int) {
 	c.m.batches.Add(1)
 	c.m.batchItems.Add(int64(n))
-	c.m.batchSize.observe(int64(n))
+	c.m.batchSize.Observe(int64(n))
 }
 
 // PostRaw posts body to url and returns the 2xx response bytes undecoded —
