@@ -68,6 +68,45 @@ func BenchmarkSessionStep(b *testing.B) {
 	}
 }
 
+// BenchmarkStepAtDepth measures one step through the engine on a session
+// whose past-order already holds depth items of a depth-item catalogue. The
+// timed steps re-order those items — each fires sendbill and is deduped by
+// the cumulative append — so the depth stays put however long the timer
+// runs: a step costs its input, and the three depths should time alike.
+func BenchmarkStepAtDepth(b *testing.B) {
+	for _, depth := range []int{16, 1024, 4096} {
+		b.Run(fmt.Sprint(depth), func(b *testing.B) {
+			db, all := relation.NewInstance(), relation.NewInstance()
+			orders := make([]relation.Instance, depth)
+			for i := range orders {
+				item := relation.Const(fmt.Sprintf("item-%04d", i))
+				db.Add("price", relation.Tuple{item, relation.Const(fmt.Sprint(100 + i))})
+				all.Add("order", relation.Tuple{item})
+				orders[i] = relation.NewInstance()
+				orders[i].Add("order", relation.Tuple{item})
+			}
+			e, err := session.NewEngine(session.Config{Shards: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Shutdown()
+			if _, err := e.Open(&session.OpenRequest{ID: "bench", Model: "short", DB: db}); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := e.Input("bench", all); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Input("bench", orders[i%depth]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSessionThroughput measures aggregate steps/sec across many
 // concurrent sessions (in-memory engine, default shards).
 func BenchmarkSessionThroughput(b *testing.B) {

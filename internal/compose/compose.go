@@ -29,7 +29,9 @@ type Node struct {
 	M    *core.Machine
 	DB   relation.Instance
 
-	state relation.Instance
+	// run holds the node's state between steps, resident in the step
+	// executor's form (see core.Stepper).
+	run *core.Stepper
 }
 
 // Wire routes one node's output relation into another node's input
@@ -165,11 +167,7 @@ func (n *Network) Steps() int { return n.steps }
 // Execute calls it so consecutive executions are independent.
 func (n *Network) Start() {
 	for _, node := range n.nodes {
-		st := relation.NewInstance()
-		for _, d := range node.M.Schema().State {
-			st.Ensure(d.Name, d.Arity)
-		}
-		node.state = st
+		node.run, _ = node.M.NewStepper(node.DB, nil) // only a seeded state can be refused
 	}
 	n.started = true
 	n.steps = 0
@@ -204,8 +202,9 @@ type JointStep struct {
 // external stimulus ext[v] unioned with the wired outputs its peers
 // produced on the previous step. Nodes step in insertion order, but the
 // unit delay makes the result order-independent: every node reads only
-// last-step outputs. An evaluation error aborts with the network state
-// unchanged (states are replaced only after every node stepped).
+// last-step outputs, and its own state. A machine that exists can always
+// step, so the error is always nil; it stays in the signature for the
+// callers that thread it.
 func (n *Network) StepOnce(ext StepInputs) (*JointStep, error) {
 	if !n.started {
 		n.Start()
@@ -220,7 +219,6 @@ func (n *Network) StepOnce(ext StepInputs) (*JointStep, error) {
 			js.Wire = append(js.Wire, WireDelta{From: w.From, Output: w.Output, To: w.To, Input: w.Input, Facts: rel.Tuples()})
 		}
 	}
-	nextStates := make(map[string]relation.Instance, len(n.order))
 	for _, name := range n.order {
 		node := n.nodes[name]
 		in := relation.NewInstance()
@@ -239,17 +237,10 @@ func (n *Network) StepOnce(ext StepInputs) (*JointStep, error) {
 				in.Ensure(w.Input, rel.Arity()).UnionWith(rel)
 			}
 		}
-		next, out, err := node.M.Step(in, node.state, node.DB)
-		if err != nil {
-			return nil, fmt.Errorf("compose: node %s step %d: %w", name, n.steps+1, err)
-		}
-		nextStates[name] = next
+		out := node.run.Step(in)
 		js.Consumed[name] = in
 		js.Outputs[name] = out
 		js.Logs[name] = node.M.Schema().LogDelta(in, out)
-	}
-	for name, st := range nextStates {
-		n.nodes[name].state = st
 	}
 	n.prevOut = js.Outputs
 	n.steps++
@@ -284,15 +275,16 @@ type NetState struct {
 	PrevOut map[string]relation.Instance `json:"prevOut,omitempty"`
 }
 
-// ExportState captures the run state after the last StepOnce. Instances
-// are deep-copied: the export stays stable while the network keeps running.
+// ExportState captures the run state after the last StepOnce. Node states
+// are materialized and the delay buffer deep-copied: the export stays
+// stable while the network keeps running.
 func (n *Network) ExportState() *NetState {
 	if !n.started {
 		n.Start()
 	}
 	st := &NetState{Steps: n.steps, States: make(map[string]relation.Instance, len(n.order))}
 	for _, name := range n.order {
-		st.States[name] = n.nodes[name].state.Clone()
+		st.States[name] = n.nodes[name].run.State()
 	}
 	if len(n.prevOut) > 0 {
 		st.PrevOut = make(map[string]relation.Instance, len(n.prevOut))
@@ -319,7 +311,12 @@ func (n *Network) RestoreState(st *NetState) error {
 		}
 	}
 	for name, s := range st.States {
-		n.nodes[name].state = s.Clone()
+		node := n.nodes[name]
+		run, err := node.M.NewStepper(node.DB, s)
+		if err != nil {
+			return fmt.Errorf("compose: restore: node %s: %w", name, err)
+		}
+		node.run = run
 	}
 	n.prevOut = StepInputs{}
 	for name, out := range st.PrevOut {

@@ -95,7 +95,9 @@ func TestSpecSelfWireIsLegal(t *testing.T) {
 }
 
 // TestStepOnceMatchesExecute: stepping one at a time is the same run as
-// Execute, and the JointStep records consumed/wire traffic consistently.
+// Execute, the JointStep records consumed/wire traffic consistently, and
+// every node's resident stepper computes what core.Machine.Step — the
+// value-semantic reference — computes from the inputs the node consumed.
 func TestStepOnceMatchesExecute(t *testing.T) {
 	spec := marketSpec()
 	n1, err := spec.Build(nil)
@@ -112,6 +114,7 @@ func TestStepOnceMatchesExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 	n2.Start()
+	refState := map[string]relation.Instance{}
 	for i := range ext {
 		js, err := n2.StepOnce(ext[i])
 		if err != nil {
@@ -120,7 +123,21 @@ func TestStepOnceMatchesExecute(t *testing.T) {
 		if js.Seq != i+1 {
 			t.Fatalf("step %d: seq %d", i+1, js.Seq)
 		}
+		exported := n2.ExportState().States
 		for _, node := range n2.Nodes() {
+			prev := refState[node]
+			if prev == nil {
+				prev = relation.NewInstance()
+			}
+			next, out, err := n2.Node(node).M.Step(js.Consumed[node], prev, n2.Node(node).DB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refState[node] = next
+			if !js.Outputs[node].Equal(out) || !exported[node].Equal(next) {
+				t.Errorf("step %d node %s: joint step differs from Machine.Step\noutput %s, want %s\nstate  %s, want %s",
+					i+1, node, js.Outputs[node], out, exported[node], next)
+			}
 			if !js.Outputs[node].Equal(run.Outputs[i][node]) {
 				t.Errorf("step %d node %s: StepOnce output %s, Execute %s", i+1, node, js.Outputs[node], run.Outputs[i][node])
 			}

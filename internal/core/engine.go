@@ -19,8 +19,9 @@ type machinePlans struct {
 // planCache shares compiled plans across machines with the same rule
 // programs: every session of a registry model parses its own Machine, but
 // they all step on one compiled plan (and one intern table). The key is the
-// rule text alone — name, schema and log declaration do not reach the plan.
-var planCache sync.Map // rule text -> *machinePlans
+// rule text plus the input relation names, which steer the join order —
+// name, log declaration and the rest of the schema do not reach the plan.
+var planCache sync.Map // rule text + input names -> *machinePlans
 
 // PlanCacheLen reports the number of distinct rule programs with cached plans.
 func PlanCacheLen() int {
@@ -36,18 +37,19 @@ func PlanCacheLen() int {
 // run-time surprise.
 func (m *Machine) compiled() (*Machine, error) {
 	m.cumulative = cumulativeHeads(m.stateRules)
-	key := m.stateRules.String() + "\x00" + m.outputRules.String()
+	inputs := m.schema.In.Names()
+	key := m.stateRules.String() + "\x00" + m.outputRules.String() + "\x00" + strings.Join(inputs, "\x00")
 	if v, ok := planCache.Load(key); ok {
 		ra.NoteCacheHit()
 		m.plans = v.(*machinePlans)
 		return m, nil
 	}
 	in := ra.NewInterner()
-	output, err := ra.Compile(m.outputRules, in)
+	output, err := ra.Compile(m.outputRules, in, inputs...)
 	if err != nil {
 		return nil, fmt.Errorf("output program: %w", err)
 	}
-	state, err := ra.CompileNoShadow(m.stateRules, in)
+	state, err := ra.CompileNoShadow(m.stateRules, in, inputs...)
 	if err != nil {
 		return nil, fmt.Errorf("state program: %w", err)
 	}
@@ -70,6 +72,7 @@ func (m *Machine) ExplainPlan() string {
 	}
 	fmt.Fprintf(&b, "machine %s (%s) fingerprint %s\n", name, m.kind, m.Fingerprint())
 	fmt.Fprintf(&b, "interned constants: %d\n", m.plans.output.Interner().Len())
+	fmt.Fprintf(&b, "input relations (a join opens from one when it can): %s\n", strings.Join(m.schema.In.Names(), ", "))
 	b.WriteString("output plan:\n")
 	b.WriteString(indent(m.plans.output.Explain(), "  "))
 	b.WriteString("state plan (no-shadow: bodies read the previous state):\n")

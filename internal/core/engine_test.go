@@ -127,6 +127,34 @@ func TestPlanCacheSharedAcrossMachines(t *testing.T) {
 	}
 }
 
+// TestPlanCacheKeyedByInputNames: the input names steer the join order, so
+// two machines with the same rule text and different input relations must
+// not share a plan — each opens its join from its own input.
+func TestPlanCacheKeyedByInputNames(t *testing.T) {
+	x := dlog.V("X")
+	rules := dlog.Program{{Head: dlog.NewAtom("o", x), Body: []dlog.Literal{dlog.Pos(dlog.NewAtom("a", x)), dlog.Pos(dlog.NewAtom("b", x))}}}
+	build := func(in, db string) *Machine {
+		m, err := NewGeneral(&Schema{
+			In:  relation.Schema{{Name: in, Arity: 1}},
+			DB:  relation.Schema{{Name: db, Arity: 1}},
+			Out: relation.Schema{{Name: "o", Arity: 1}},
+		}, nil, rules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	fromA, fromB := build("a", "b"), build("b", "a")
+	if fromA.plans == fromB.plans {
+		t.Fatal("machines with different input relations share a plan")
+	}
+	for in, m := range map[string]*Machine{"a": fromA, "b": fromB} {
+		if got := m.ExplainPlan(); !strings.Contains(got, "scan "+in+"(→$0)") {
+			t.Fatalf("the machine whose input is %s does not open from it:\n%s", in, got)
+		}
+	}
+}
+
 func TestExplainPlanRendersBothPrograms(t *testing.T) {
 	m := MustParseProgram(shortSrc)
 	got := m.ExplainPlan()

@@ -121,12 +121,14 @@ func internRel(rel *relation.Rel, in *Interner) *iRel {
 }
 
 // evalCtx is the per-Eval execution state: the register frame, the derived
-// store, and the EDB intern cache. Plans are shared across sessions; the
-// ctx is what makes a concurrent Eval reentrant.
+// store, and the EDB — a dlog.DB interned on reference (through the cache,
+// if any), or resident stores read in place. Plans are shared across
+// sessions; the ctx is what makes a concurrent Eval reentrant.
 type evalCtx struct {
 	plan    *Plan
 	edb     dlog.DB
 	cache   *Cache
+	stores  []*Store // when set, the EDB: the first store holding a name wins
 	regs    []uint32
 	derived map[string]*iRel
 	edbRels map[string]*iRel // nil entry = relation absent in the EDB
@@ -160,7 +162,14 @@ func (c *evalCtx) rel(pred string) *iRel {
 		return ir
 	}
 	var ir *iRel
-	if c.edb != nil {
+	if c.stores != nil {
+		for _, s := range c.stores {
+			if r, ok := s.lookup(pred); ok {
+				ir = r
+				break
+			}
+		}
+	} else if c.edb != nil {
 		if rel := c.edb.Rel(pred); rel != nil {
 			if c.cache != nil {
 				ir = c.cache.intern(rel, c.plan.interner, c.plan.needs[pred])
@@ -186,28 +195,75 @@ func (p *Plan) Eval(edb dlog.DB) (relation.Instance, error) {
 // re-interned. Pass the same cache across a session's steps (the machine
 // layer does) so the fixed database interns once, not once per step.
 func (p *Plan) EvalCached(edb dlog.DB, cache *Cache) (relation.Instance, error) {
+	ctx := p.begin()
+	ctx.edb, ctx.cache = edb, cache
+	ctx.run()
+	out := instanceOf(ctx.derived, p.interner)
+	clear(ctx.derived)
+	ctx.end()
+	return out, nil
+}
+
+// EvalStores is Eval over resident stores: a body predicate reads the first
+// store that holds its name (dlog.MultiDB's rule) in place — nothing is
+// interned, copied or scanned to get at it. The derived relations replace
+// dst's contents and stay interned, so the caller can fold them into a
+// store (Store.Merge) or materialize them (Store.Instance); dst must not be
+// one of the stores.
+func (p *Plan) EvalStores(dst *Store, stores []*Store) {
+	ctx := p.begin()
+	ctx.stores = stores
+	clear(dst.rels)
+	pooled := ctx.derived
+	ctx.derived = dst.rels
+	ctx.run()
+	ctx.derived = pooled
+	ctx.end()
+}
+
+// begin takes an execution context for one evaluation of p.
+func (p *Plan) begin() *evalCtx {
 	ctx := ctxPool.Get().(*evalCtx)
-	ctx.plan, ctx.edb, ctx.cache = p, edb, cache
+	ctx.plan = p
 	if cap(ctx.regs) < p.maxRegs {
 		ctx.regs = make([]uint32, p.maxRegs)
 	}
 	ctx.regs = ctx.regs[:cap(ctx.regs)]
-	for si := range p.strata {
-		st := &p.strata[si]
+	return ctx
+}
+
+// run executes the strata in order, each to its fixpoint, into ctx.derived.
+func (c *evalCtx) run() {
+	for si := range c.plan.strata {
+		st := &c.plan.strata[si]
 		for {
-			ctx.changed = false
+			c.changed = false
 			for _, cr := range st.rules {
-				ctx.runRule(cr)
+				c.runRule(cr)
 			}
-			if !ctx.changed || !st.recursive {
+			if !c.changed || !st.recursive {
 				break
 			}
 		}
 	}
-	// Convert the derived store back to constants.
-	syms := p.interner.snapshot()
+}
+
+// end flushes the evaluation's counters and returns the context to the
+// pool. The derived store must be empty again by now.
+func (c *evalCtx) end() {
+	rowsPulled.Add(c.rows)
+	evals.Add(1)
+	c.plan, c.edb, c.cache, c.stores = nil, nil, nil, nil
+	clear(c.edbRels)
+	c.rows = 0
+	ctxPool.Put(c)
+}
+
+// instanceOf converts interned relations back to constants.
+func instanceOf(rels map[string]*iRel, in *Interner) relation.Instance {
+	syms := in.snapshot()
 	out := relation.NewInstance()
-	for pred, ir := range ctx.derived {
+	for pred, ir := range rels {
 		rel := out.Ensure(pred, ir.arity)
 		for _, row := range ir.rows {
 			t := make(relation.Tuple, len(row))
@@ -217,14 +273,7 @@ func (p *Plan) EvalCached(edb dlog.DB, cache *Cache) (relation.Instance, error) 
 			rel.Add(t)
 		}
 	}
-	rowsPulled.Add(ctx.rows)
-	evals.Add(1)
-	ctx.plan, ctx.edb, ctx.cache = nil, nil, nil
-	clear(ctx.derived)
-	clear(ctx.edbRels)
-	ctx.rows = 0
-	ctxPool.Put(ctx)
-	return out, nil
+	return out
 }
 
 // runRule streams the rule's pipeline from operator 0.

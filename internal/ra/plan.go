@@ -2,6 +2,7 @@ package ra
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/dlog"
@@ -148,8 +149,13 @@ func (p *Plan) Interner() *Interner { return p.interner }
 // across plans (pass nil for a private one). Compilation stratifies the
 // program, orders each rule body with the join-order planner, allocates
 // registers for variables, and pre-interns every rule constant.
-func Compile(prog dlog.Program, in *Interner) (*Plan, error) {
-	return compile(prog, in, false)
+//
+// inputs names the predicates that hold one step's input — a handful of
+// tuples, where every other relation may have grown all run. The planner
+// opens a join from one of them when it can (see compileRule); the answer
+// is the same either way.
+func Compile(prog dlog.Program, in *Interner, inputs ...string) (*Plan, error) {
+	return compile(prog, in, false, inputs)
 }
 
 // CompileNoShadow compiles a program whose body references must always read
@@ -159,13 +165,17 @@ func Compile(prog dlog.Program, in *Interner) (*Plan, error) {
 // reads pinned to the EDB no rule sees another's output, so there is no
 // dependency order to respect, a second pass can derive nothing new, and a
 // body may negate its own head (on :- tick, NOT on is temporal, not cyclic).
-func CompileNoShadow(prog dlog.Program, in *Interner) (*Plan, error) {
-	return compile(prog, in, true)
+func CompileNoShadow(prog dlog.Program, in *Interner, inputs ...string) (*Plan, error) {
+	return compile(prog, in, true, inputs)
 }
 
-func compile(prog dlog.Program, in *Interner, noShadow bool) (*Plan, error) {
+func compile(prog dlog.Program, in *Interner, noShadow bool, inputs []string) (*Plan, error) {
 	if in == nil {
 		in = NewInterner()
+	}
+	isInput := make(map[string]bool, len(inputs))
+	for _, name := range inputs {
+		isInput[name] = true
 	}
 	var strataPreds [][]string
 	if noShadow {
@@ -200,7 +210,7 @@ func compile(prog dlog.Program, in *Interner, noShadow bool) (*Plan, error) {
 				if r.Head.Pred != pr {
 					continue
 				}
-				cr, err := compileRule(r, in)
+				cr, err := compileRule(r, in, isInput)
 				if err != nil {
 					return nil, err
 				}
@@ -272,8 +282,8 @@ func (rc *ruleCtx) resolved(t dlog.Term) bool {
 
 // compileRule plans one rule: orders the body with the join-order planner
 // and lowers each literal to an operator against the running register
-// frame.
-func compileRule(r dlog.Rule, in *Interner) (*compiledRule, error) {
+// frame. isInput marks the step's input predicates (see Compile).
+func compileRule(r dlog.Rule, in *Interner, isInput map[string]bool) (*compiledRule, error) {
 	rc := &ruleCtx{regs: map[string]int{}, bound: map[string]bool{}, in: in}
 	pending := make([]dlog.Literal, len(r.Body))
 	copy(pending, r.Body)
@@ -365,9 +375,12 @@ func compileRule(r dlog.Rule, in *Interner) (*compiledRule, error) {
 		}
 		// 2. Pick the next join by the bound-variable/cardinality heuristic:
 		// most resolved argument positions first (selections cut hardest),
+		// then an input predicate before any other (it is the one relation
+		// known to be small: without this a rule's first pick, which has
+		// nothing bound, opens with a scan of state that grows all run),
 		// then availability of the first-column index, then fewer free
 		// variables (a proxy for output cardinality), then author order.
-		best, bestKey := -1, [3]int{-1, -1, -1}
+		best, bestKey := -1, [4]int{-1, -1, -1, -1}
 		for i, l := range pending {
 			if l.Kind != dlog.LitPos {
 				continue
@@ -386,10 +399,12 @@ func compileRule(r dlog.Rule, in *Interner) (*compiledRule, error) {
 			if len(l.Atom.Args) > 0 && rc.resolved(l.Atom.Args[0]) {
 				idx = 1
 			}
-			key := [3]int{boundArgs, idx, -free}
-			if best == -1 || key[0] > bestKey[0] ||
-				(key[0] == bestKey[0] && (key[1] > bestKey[1] ||
-					(key[1] == bestKey[1] && key[2] > bestKey[2]))) {
+			input := 0
+			if isInput[l.Atom.Pred] {
+				input = 1
+			}
+			key := [4]int{boundArgs, input, idx, -free}
+			if best == -1 || slices.Compare(key[:], bestKey[:]) > 0 {
 				best, bestKey = i, key
 			}
 		}

@@ -123,6 +123,53 @@ func TestPlanUsesIndexForBoundFirstArg(t *testing.T) {
 	}
 }
 
+// TestPlanOpensFromInput pins the join order the step path depends on: a
+// rule's first pick has nothing bound, and must be the step's input — a
+// handful of tuples — not the state relation the old free-variable
+// tie-break chose, which grows all run and was scanned whole on every step.
+func TestPlanOpensFromInput(t *testing.T) {
+	prog := dlog.MustParseProgram(`deliver(X) :- past-order(X), price(X,Y), pay(X,Y), NOT past-pay(X,Y);`)
+	opening := func(inputs ...string) string {
+		plan, err := Compile(prog, nil, inputs...)
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		return plan.strata[0].rules[0].ops[0].pred
+	}
+	if got := opening(); got != "past-order" {
+		t.Fatalf("with no input named the rule opens from %s, want past-order (fewest free variables)", got)
+	}
+	plan, err := Compile(prog, nil, "order", "pay")
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	want := []string{
+		"scan pay(→$0, →$1)",
+		"anti past-pay($0, $1)",
+		"probe price($0, $1)",
+		"probe past-order($0)",
+	}
+	ops := plan.strata[0].rules[0].ops
+	if len(ops) != len(want) {
+		t.Fatalf("plan:\n%s", plan.Explain())
+	}
+	for i, o := range ops {
+		if got := plan.fmtOp(o); got != want[i] {
+			t.Fatalf("op %d is %q, want %q; plan:\n%s", i, got, want[i], plan.Explain())
+		}
+	}
+	// More bound arguments still beat an input.
+	prog = dlog.MustParseProgram(`r(X, Z) :- big(X, Y), in1(X), in2(Y, Z);`)
+	plan, err = Compile(prog, nil, "in1", "in2")
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	ops = plan.strata[0].rules[0].ops
+	if ops[0].pred != "in1" || ops[1].pred != "big" || !ops[1].useIndex || ops[2].pred != "in2" || !ops[2].useIndex {
+		t.Fatalf("want in1, then big by index (one bound argument beats the unbound input in2), then in2 by index; plan:\n%s", plan.Explain())
+	}
+}
+
 func TestInternerSharedAcrossPlans(t *testing.T) {
 	in := NewInterner()
 	p1, err := Compile(dlog.MustParseProgram(`p(X) :- q(X, time);`), in)

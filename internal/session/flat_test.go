@@ -1,0 +1,153 @@
+package session
+
+import (
+	"fmt"
+	"strconv"
+	"testing"
+
+	"repro/internal/ra"
+	"repro/internal/relation"
+)
+
+// A step costs its input and output, not the state it lands on. These
+// tests count — allocations and the executor's rows pulled — instead of
+// timing, so they hold on any machine: were a state relation cloned,
+// re-interned, re-indexed or scanned on the step path, the count at depth
+// 4,096 would exceed the count at depth 16 by thousands, not by two.
+
+// stepCost applies the inputs to s, one step each, and returns the
+// allocations and the executor rows one step costs. The allocation count is
+// the least over the steps: what a step costs when no map happens to grow
+// under it and no pooled context was dropped (under -race sync.Pool drops a
+// quarter of its Puts at random), and so the same number on every run.
+func stepCost(t *testing.T, s *Session, inputs []relation.Instance) (allocs float64, rows int64) {
+	t.Helper()
+	next := 0
+	one := func() {
+		s.apply(inputs[next])
+		next++
+	}
+	before := ra.Snapshot().RowsPulled
+	one()
+	rows = ra.Snapshot().RowsPulled - before
+	allocs = testing.AllocsPerRun(1, one)
+	for next+2 <= len(inputs) {
+		allocs = min(allocs, testing.AllocsPerRun(1, one))
+	}
+	return allocs, rows
+}
+
+// shopAt returns a SHORT session at the given depth — that many items
+// ordered and paid for — and steps that each pay for one more ordered item:
+// the deliver rule, joining the input against past-order, price and
+// past-pay.
+func shopAt(t *testing.T, depth, steps int) (*Session, []relation.Instance) {
+	t.Helper()
+	db, order, pay := relation.NewInstance(), relation.NewInstance(), relation.NewInstance()
+	var inputs []relation.Instance
+	for i := 0; i < depth+steps; i++ {
+		item, price := fmt.Sprintf("item-%04d", i), strconv.Itoa(100+i)
+		db.Add("price", relation.Tuple{relation.Const(item), relation.Const(price)})
+		db.Add("available", relation.Tuple{relation.Const(item)})
+		order.Add("order", relation.Tuple{relation.Const(item)})
+		if i < depth {
+			pay.Add("pay", relation.Tuple{relation.Const(item), relation.Const(price)})
+		} else {
+			inputs = append(inputs, step(t, fact("pay", item, price)))
+		}
+	}
+	s, err := newSession("shop", &OpenRequest{Model: "short", DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.apply(order)
+	s.apply(pay)
+	return s, inputs
+}
+
+// auctionAt returns an auction session with depth lots listed, bid on and
+// accepted, and steps that each accept the bid on one more lot: the award
+// rule, joining the input against past-bid and past-accept.
+func auctionAt(t *testing.T, depth, steps int) (*Session, []relation.Instance) {
+	t.Helper()
+	list, bid, accept := relation.NewInstance(), relation.NewInstance(), relation.NewInstance()
+	var inputs []relation.Instance
+	for i := 0; i < depth+steps; i++ {
+		lot := fmt.Sprintf("lot-%04d", i)
+		list.Add("list", relation.Tuple{relation.Const(lot)})
+		bid.Add("bid", relation.Tuple{relation.Const(lot), "alice"})
+		if i < depth {
+			accept.Add("accept", relation.Tuple{relation.Const(lot), "alice"})
+		} else {
+			inputs = append(inputs, step(t, fact("accept", lot, "alice")))
+		}
+	}
+	s, err := newSession("auction", &OpenRequest{Model: "auction"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.apply(list)
+	s.apply(bid)
+	s.apply(accept)
+	return s, inputs
+}
+
+func TestStepCostIsFlatInDepth(t *testing.T) {
+	for _, tc := range []struct {
+		model, fires string
+		at           func(*testing.T, int, int) (*Session, []relation.Instance)
+	}{{"short", "deliver", shopAt}, {"auction", "award", auctionAt}} {
+		t.Run(tc.model, func(t *testing.T) {
+			const steps = 33
+			s, inputs := tc.at(t, 16, steps)
+			shallowAllocs, shallowRows := stepCost(t, s, inputs)
+			s, inputs = tc.at(t, 4096, steps)
+			deepAllocs, deepRows := stepCost(t, s, inputs)
+			t.Logf("depth 16: %.0f allocs, %d rows pulled; depth 4096: %.0f allocs, %d rows pulled", shallowAllocs, shallowRows, deepAllocs, deepRows)
+			if deepAllocs > shallowAllocs+2 || deepRows > shallowRows+2 {
+				t.Fatalf("a step at depth 4096 costs %.0f allocs and %d rows pulled, at depth 16 %.0f and %d: the step path depends on the state's size",
+					deepAllocs, deepRows, shallowAllocs, shallowRows)
+			}
+			if last := s.logs[len(s.logs)-1]; last.Rel(tc.fires).Len() != 1 {
+				t.Fatalf("the measured step logged %v: it did not fire the %s rule it is meant to cost", last, tc.fires)
+			}
+		})
+	}
+}
+
+// parentSmallStepAllocs is what one step of TestSmallStateStepAllocates
+// allocated through Session.apply at the parent commit, where apply ran
+// Machine.Step on a relation.Instance state (measured there with this
+// test's steps).
+const parentSmallStepAllocs = 28
+
+// TestSmallStateStepAllocates is the control: the benchmark's wide_mem
+// shape — a 12-item catalogue shopped round and round, so the state never
+// passes 12 tuples a relation — must not pay for the resident form.
+func TestSmallStateStepAllocates(t *testing.T) {
+	db := relation.NewInstance()
+	var cycle []relation.Instance
+	for i := 0; i < 12; i++ {
+		item, price := fmt.Sprintf("item-%04d", i), strconv.Itoa(100+i)
+		db.Add("price", relation.Tuple{relation.Const(item), relation.Const(price)})
+		db.Add("available", relation.Tuple{relation.Const(item)})
+		cycle = append(cycle, step(t, fact("order", item)), step(t, fact("pay", item, price)))
+	}
+	s, err := newSession("small", &OpenRequest{Model: "short", DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	shop := func() {
+		s.apply(cycle[next%len(cycle)])
+		next++
+	}
+	for range cycle {
+		shop()
+	}
+	got := testing.AllocsPerRun(20*len(cycle), shop)
+	t.Logf("%.0f allocs per step (parent: %d)", got, parentSmallStepAllocs)
+	if got > parentSmallStepAllocs {
+		t.Fatalf("a small-state step allocates %.0f times, the parent's %d", got, parentSmallStepAllocs)
+	}
+}

@@ -325,6 +325,34 @@ func (r *scriptRunner) stepOn(e *Engine, id string, run *ackedRun) {
 	run.in = append(run.in, in)
 }
 
+// deepen opens one more SHORT session and steps it on fresh constants for
+// several snapshot intervals, so its state — resident in the step
+// executor's form — is well past relation.Rel's linear storage when it is
+// materialized into the primary's and the standby's snapshots, restored from
+// them by recovery and by a stream reset, and stepped on again afterwards.
+func (r *scriptRunner) deepen(steps int) {
+	r.nextID++
+	id := fmt.Sprintf("s%03d", r.nextID)
+	if _, err := r.primary.Open(&OpenRequest{ID: id, Model: "short"}); err != nil {
+		r.t.Fatalf("open %s: %v", id, err)
+	}
+	run := &ackedRun{mach: models.Short(), db: models.MagazineDB()}
+	r.ledger[id] = run
+	for j := 0; j < steps; j++ {
+		item := relation.Const(fmt.Sprintf("%s-item-%d", id, j))
+		in := relation.NewInstance()
+		in.Add("order", relation.Tuple{item})
+		in.Add("pay", relation.Tuple{item, "855"})
+		if j%5 == 0 {
+			in.Add("order", relation.Tuple{"time"})
+		}
+		if _, err := r.primary.Input(id, in); err != nil {
+			r.t.Fatalf("step %s: %v", id, err)
+		}
+		run.in = append(run.in, in)
+	}
+}
+
 // resend repeats a key the session has used: it must answer as a duplicate
 // and apply nothing.
 func (r *scriptRunner) resend(id string, run *ackedRun) {
@@ -478,10 +506,14 @@ func TestOneWriterProperty(t *testing.T) {
 			tail := newStandbyTail(standby, 2)
 			for i := 1; i <= 240; i++ {
 				r.op()
+				deepened := i == 40
+				if deepened {
+					r.deepen(40)
+				}
 				if r.rng.Intn(12) == 0 {
 					resets += tail.pull(t, primary)
 				}
-				if i%80 == 0 {
+				if i%80 == 0 || deepened {
 					resets += tail.pull(t, primary)
 					checkInvariant(t, r.ledger, map[string]*Engine{
 						"primary":           primary,

@@ -35,8 +35,12 @@ type Session struct {
 	mode  core.AcceptMode
 	mach  *core.Machine
 	db    relation.Instance
-	state relation.Instance
-	logs  relation.Sequence // per-step log deltas, the durable object
+	// run holds the cumulated state resident in the step executor's form and
+	// steps on it in place (see core.Stepper); only the shard goroutine that
+	// owns the session touches it. A relation.Instance of the state exists
+	// only while something reads one: snapOf materializes it.
+	run  *core.Stepper
+	logs relation.Sequence // per-step log deltas, the durable object
 	// past is the cumulated union of all absorbed inputs — for a Spocus
 	// machine, the whole of the session's verification-relevant state. The
 	// live verification plane reads a clone of it (see Peek). It is all the
@@ -126,22 +130,22 @@ func newSession(id string, req *OpenRequest) (*Session, error) {
 	} else {
 		db = db.Clone() // decouple from the caller (and from other sessions)
 	}
-	s := &Session{
+	run, err := mach.NewStepper(db, nil)
+	if err != nil {
+		return nil, fmt.Errorf("open: %w", err)
+	}
+	return &Session{
 		id:        id,
 		model:     req.Model,
 		src:       req.Src,
 		mode:      mode,
 		mach:      mach,
 		db:        db,
-		state:     relation.NewInstance(),
+		run:       run,
 		past:      relation.NewInstance(),
 		errorFree: true,
 		okEvery:   true,
-	}
-	for _, d := range mach.Schema().State {
-		s.state.Ensure(d.Name, d.Arity)
-	}
-	return s, nil
+	}, nil
 }
 
 // StepResult is what one transition returns to the client: the step's
@@ -193,7 +197,7 @@ func (s *Session) dupResult(seq int) *StepResult {
 			res.Wire = append([]compose.WireDelta(nil), je.Wire...)
 		}
 	} else if seq >= 1 && seq <= len(s.logs) {
-		res.Log = s.logs[seq-1].Clone()
+		res.Log = s.logs[seq-1] // immutable once appended, as in StepResult.Log
 	}
 	return res
 }
@@ -216,13 +220,9 @@ func (s *Session) validateInput(in relation.Instance) error {
 // apply performs one validated transition: Sᵢ = σ(Iᵢ, Sᵢ₋₁, D),
 // Oᵢ = ω(Iᵢ, Sᵢ₋₁, D), appends the log delta, and updates acceptance
 // flags. Stepping is deterministic, which is what lets the WAL store only
-// inputs.
-func (s *Session) apply(in relation.Instance) (*StepResult, error) {
-	next, out, err := s.mach.Step(in, s.state, s.db)
-	if err != nil {
-		return nil, err
-	}
-	s.state = next
+// inputs, and cannot fail: a machine that exists can step.
+func (s *Session) apply(in relation.Instance) *StepResult {
+	out := s.run.Step(in)
 	delta := s.mach.Schema().LogDelta(in, out)
 	s.logs = append(s.logs, delta)
 	s.past.UnionWith(in)
@@ -240,7 +240,7 @@ func (s *Session) apply(in relation.Instance) (*StepResult, error) {
 		Output: out,
 		Log:    delta,
 		Valid:  s.valid(),
-	}, nil
+	}
 }
 
 // valid reports validity of the run so far under the session's mode.
@@ -295,6 +295,11 @@ func (s *Session) info() *Info {
 // LogResult is the full durable log of a session: the sequence of per-step
 // log deltas of Definition 2.2 for a single machine, or the joint log
 // (per-node deltas + wire traffic per step) for a network session.
+//
+// Log is read-only. A delta is immutable once its step is applied, so the
+// sequence shares the session's own deltas — the instances already handed
+// out as StepResult.Log — and a read costs the slice, not the history's
+// tuples. A caller that wants to edit one clones it first.
 type LogResult struct {
 	ID    string            `json:"id"`
 	Model string            `json:"model,omitempty"`
@@ -307,7 +312,7 @@ func (s *Session) logResult() *LogResult {
 	if s.net != nil {
 		return &LogResult{ID: s.id, Steps: s.steps, Joint: cloneJoint(s.net.joint)}
 	}
-	return &LogResult{ID: s.id, Model: s.model, Steps: s.steps, Log: s.logs.Clone()}
+	return &LogResult{ID: s.id, Model: s.model, Steps: s.steps, Log: append(relation.Sequence(nil), s.logs...)}
 }
 
 // openRecord renders the session's creation as a WAL record.

@@ -106,7 +106,7 @@ func snapOf(s *Session) Image {
 	img.Model = s.model
 	img.Src = s.src
 	img.DB = s.db
-	img.State = s.state
+	img.State = s.run.State()
 	img.Logs = s.logs
 	img.Past = s.past
 	return img
@@ -135,9 +135,9 @@ func (ss *Image) restore() (*Session, error) {
 	if db == nil {
 		db = relation.NewInstance()
 	}
-	state := ss.State
-	if state == nil {
-		state = relation.NewInstance()
+	run, err := mach.NewStepper(db, ss.State)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	past := ss.Past
 	if past == nil {
@@ -150,7 +150,7 @@ func (ss *Image) restore() (*Session, error) {
 		mode:       mode,
 		mach:       mach,
 		db:         db,
-		state:      state,
+		run:        run,
 		logs:       ss.Logs,
 		past:       past,
 		steps:      ss.Steps,

@@ -188,7 +188,7 @@ func (sh *shard) commit(rec *walRecord, from origin, built *Session, results []*
 			if s.net != nil {
 				res, err = s.applyNet(rec.NetIn)
 			} else {
-				res, err = s.apply(in)
+				res = s.apply(in)
 			}
 			if err != nil {
 				return &BadInputError{Err: err}
