@@ -272,41 +272,39 @@ func BenchmarkSessionGroupCommit(b *testing.B) {
 	}
 }
 
-// TestGroupCommitCodecDensity drives the group-commit workload under both
-// WAL codecs and asserts the binary encoding's headline win: at least 2x
-// fewer WAL bytes per step than JSON. The shard encoder's intern table is
-// segment-scoped, so batched steps share constants — exactly the group
-// commit path this guards.
+// TestGroupCommitCodecDensity drives the group-commit workload and holds
+// the WAL to an absolute ceiling per step. The shard encoder's intern table
+// is segment-scoped, so batched steps share constants — exactly the group
+// commit path this guards. The ceiling is the binary codec's total when
+// JSON was still writable (9,251 B = 28.91 B/step, against 85.52 B/step for
+// JSON, 2.96x); the encoding is deterministic, so any growth is a format
+// change.
 func TestGroupCommitCodecDensity(t *testing.T) {
 	const nSessions, nSteps = 16, 20
-	bytesPerStep := func(codec session.Codec) float64 {
-		e, err := session.NewEngine(session.Config{
-			Dir:    t.TempDir(),
-			Shards: 1,
-			Fsync:  session.FsyncNever, // density, not sync cost
-			Codec:  codec,
-		})
-		if err != nil {
+	const ceiling = 9251
+	e, err := session.NewEngine(session.Config{
+		Dir:    t.TempDir(),
+		Shards: 1,
+		Fsync:  session.FsyncNever, // density, not sync cost
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Shutdown()
+	for i := 0; i < nSessions; i++ {
+		id := fmt.Sprintf("d-%03d", i)
+		if _, err := e.Open(&session.OpenRequest{ID: id, Model: "short"}); err != nil {
 			t.Fatal(err)
 		}
-		defer e.Shutdown()
-		for i := 0; i < nSessions; i++ {
-			id := fmt.Sprintf("d-%03d", i)
-			if _, err := e.Open(&session.OpenRequest{ID: id, Model: "short"}); err != nil {
+		for j := 0; j < nSteps; j++ {
+			if _, err := e.Input(id, shopStep(i, j)); err != nil {
 				t.Fatal(err)
 			}
-			for j := 0; j < nSteps; j++ {
-				if _, err := e.Input(id, shopStep(i, j)); err != nil {
-					t.Fatal(err)
-				}
-			}
 		}
-		return float64(e.Stats().WALBytesTotal) / float64(nSessions*nSteps)
 	}
-	jsonB := bytesPerStep(session.CodecJSON)
-	binB := bytesPerStep(session.CodecBinary)
-	t.Logf("wal bytes/step: json=%.1f binary=%.1f (%.2fx)", jsonB, binB, jsonB/binB)
-	if binB*2 > jsonB {
-		t.Errorf("binary codec too fat: %.1f B/step vs %.1f B/step JSON (want >= 2x denser)", binB, jsonB)
+	total := e.Stats().WALBytesTotal
+	t.Logf("wal bytes: %d, %.2f/step (ceiling %d)", total, float64(total)/(nSessions*nSteps), ceiling)
+	if total > ceiling {
+		t.Errorf("WAL too fat: %d B for %d steps, ceiling %d", total, nSessions*nSteps, ceiling)
 	}
 }

@@ -324,7 +324,6 @@ func bench(args []string) {
 		scenarioRepl     = fs.Bool("scenario-replication", false, "with -scenarios: attach a warm follower to every router-path backend and report replication-lag percentiles; implies durable engines (a temp dir is used when -dir is unset)")
 
 		fsyncMatrix   = fs.Bool("fsync-matrix", false, "run the in-process bench across the durability matrix (wal-never, wal-interval, wal-always-batch1, wal-always-group), each on a fresh temp dir; emits a JSON array")
-		codecMatrix   = fs.Bool("codec-matrix", false, "measure the binary WAL codec against JSON on every surface (WAL density, crash recovery, ship, replication stream) over one -steps-long session; emits a JSON array")
 		replication   = fs.Bool("replication", false, "measure the replication plane: the -fsync always workload with and without a live follower streaming every shard, plus promotion-vs-replay timings at -promote-steps")
 		promoteSteps  = fs.Int("promote-steps", 1000, "session size for the -replication promotion-vs-replay comparison")
 		promoteRounds = fs.Int("promote-rounds", 3, "rounds per mode in the -replication promotion comparison")
@@ -353,10 +352,6 @@ func bench(args []string) {
 			fatal(fmt.Errorf("-handoff-steps needs -url pointing at a spocus-router"))
 		}
 		benchHandoff(strings.TrimRight(*url, "/"), *model, db, script, *handoffSteps, *handoffRounds)
-		return
-	}
-	if *codecMatrix {
-		benchCodecMatrix(*model, db, script, *nSteps)
 		return
 	}
 	if *fsyncMatrix {

@@ -14,12 +14,12 @@
 //	                    [-verify-workers N] [-verify-queue N]
 //	                    [-verify-timeout 2s] [-verify-conflicts 0]
 //	                    [-follow http://primary:8080 -follow-dir standby]
-//	                    [-repl-sync-wait 250ms] [-wal-codec binary|json]
+//	                    [-repl-sync-wait 250ms]
 //	spocus-server waldump <shard-dir | engine-dir>
 //	spocus-server bench [-sessions 1000] [-steps 30] [-model short]
 //	                    [-shards N] [-dir DIR] [-fsync never]
 //	                    [-url http://router:8090] [-verify-mix 0.1]
-//	                    [-fsync-matrix] [-codec-matrix]
+//	                    [-fsync-matrix]
 //	                    [-handoff-steps 1000 -handoff-rounds 5]
 //
 // serve exposes:
@@ -133,14 +133,9 @@ func engineFlags(fs *flag.FlagSet, defaultFsync string) func() (session.Config, 
 		sessionRate   = fs.Float64("session-rate", 0, "per-session step rate limit in steps/sec (0: unlimited); excess steps get 429 + Retry-After")
 		sessionBurst  = fs.Int("session-burst", 0, "per-session burst allowance under -session-rate (0: max(1, ceil(rate)))")
 		replSyncWait  = fs.Duration("repl-sync-wait", 0, "semi-sync replication: hold each group commit's acks until the follower acked it, up to this long (0: async)")
-		walCodec      = fs.String("wal-codec", "binary", "encoding for new WAL + snapshot records: binary | json (reads auto-detect either)")
 	)
 	return func() (session.Config, error) {
 		policy, err := session.ParseFsyncPolicy(*fsync)
-		if err != nil {
-			return session.Config{}, err
-		}
-		cdc, err := session.ParseCodec(*walCodec)
 		if err != nil {
 			return session.Config{}, err
 		}
@@ -157,7 +152,6 @@ func engineFlags(fs *flag.FlagSet, defaultFsync string) func() (session.Config, 
 			SessionRate:       *sessionRate,
 			SessionBurst:      *sessionBurst,
 			ReplSyncWait:      *replSyncWait,
-			Codec:             cdc,
 		}, nil
 	}
 }

@@ -96,8 +96,7 @@ func main() {
 	must(err)
 	fmt.Printf("compatible: %v (explored %d candidate runs)\n", res.Compatible, res.Explored)
 	if res.Compatible {
-		run, err := n.Execute(res.Witness)
-		must(err)
+		run := n.Execute(res.Witness)
 		for i := 0; i < run.Len(); i++ {
 			fmt.Printf("  step %d: customer out %s | supplier out %s\n",
 				i+1, run.Outputs[i]["customer"], run.Outputs[i]["supplier"])

@@ -202,10 +202,8 @@ type JointStep struct {
 // external stimulus ext[v] unioned with the wired outputs its peers
 // produced on the previous step. Nodes step in insertion order, but the
 // unit delay makes the result order-independent: every node reads only
-// last-step outputs, and its own state. A machine that exists can always
-// step, so the error is always nil; it stays in the signature for the
-// callers that thread it.
-func (n *Network) StepOnce(ext StepInputs) (*JointStep, error) {
+// last-step outputs, and its own state.
+func (n *Network) StepOnce(ext StepInputs) *JointStep {
 	if !n.started {
 		n.Start()
 	}
@@ -244,23 +242,20 @@ func (n *Network) StepOnce(ext StepInputs) (*JointStep, error) {
 	}
 	n.prevOut = js.Outputs
 	n.steps++
-	return js, nil
+	return js
 }
 
 // Execute runs the network for len(external) steps from a fresh start.
 // Each node's state starts empty; wired values are delayed one step.
-func (n *Network) Execute(external []StepInputs) (*Run, error) {
+func (n *Network) Execute(external []StepInputs) *Run {
 	n.Start()
 	run := &Run{}
 	for i := range external {
-		js, err := n.StepOnce(external[i])
-		if err != nil {
-			return nil, err
-		}
+		js := n.StepOnce(external[i])
 		run.Inputs = append(run.Inputs, js.Consumed)
 		run.Outputs = append(run.Outputs, js.Outputs)
 	}
-	return run, nil
+	return run
 }
 
 // NetState is the serializable inter-step state of a network run: per-node
@@ -383,16 +378,13 @@ func (n *Network) Compatible(goals []Goal, pool []relation.Const, maxLen int) (*
 		}
 	}
 	res := &CompatibleResult{}
-	var rec func(prefix []StepInputs) (bool, error)
-	rec = func(prefix []StepInputs) (bool, error) {
+	var rec func(prefix []StepInputs) bool
+	rec = func(prefix []StepInputs) bool {
 		if len(prefix) > 0 {
 			res.Explored++
-			run, err := n.Execute(prefix)
-			if err != nil {
-				return false, err
-			}
+			run := n.Execute(prefix)
 			if !run.ErrorFree() {
-				return false, nil // prune: errors never disappear
+				return false // prune: errors never disappear
 			}
 			achieved := true
 			for _, g := range goals {
@@ -405,25 +397,20 @@ func (n *Network) Compatible(goals []Goal, pool []relation.Const, maxLen int) (*
 			if achieved {
 				res.Compatible = true
 				res.Witness = prefix
-				return true, nil
+				return true
 			}
 		}
 		if len(prefix) == maxLen {
-			return false, nil
+			return false
 		}
 		for _, c := range candidates {
-			next := append(append([]StepInputs{}, prefix...), c)
-			done, err := rec(next)
-			if err != nil || done {
-				return done, err
+			if rec(append(append([]StepInputs{}, prefix...), c)) {
+				return true
 			}
 		}
-		return false, nil
+		return false
 	}
-	_, err := rec(nil)
-	if err != nil {
-		return nil, err
-	}
+	rec(nil)
 	return res, nil
 }
 

@@ -109,10 +109,7 @@ func TestHappyFlow(t *testing.T) {
 		{"customer": want},
 		{}, {}, {}, {},
 	}
-	run, err := n.Execute(ext)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := n.Execute(ext)
 	if !run.ErrorFree() {
 		t.Fatal("happy flow raised error")
 	}
@@ -148,10 +145,7 @@ func TestCompatibilityPromptCustomer(t *testing.T) {
 		t.Fatalf("prompt market incompatible after exploring %d runs", res.Explored)
 	}
 	// The witness replays.
-	run, err := n.Execute(res.Witness)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := n.Execute(res.Witness)
 	if !run.ErrorFree() || !g.Holds(run.Outputs[run.Len()-1]["supplier"]) {
 		t.Error("witness does not achieve the goal")
 	}
@@ -186,14 +180,8 @@ func TestExecuteResetsState(t *testing.T) {
 	want := relation.NewInstance()
 	want.Add("want", relation.Tuple{"widget"})
 	ext := []StepInputs{{"customer": want}, {}, {}, {}, {}}
-	r1, err := n.Execute(ext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := n.Execute(ext)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := n.Execute(ext)
+	r2 := n.Execute(ext)
 	for i := range r1.Outputs {
 		for _, node := range n.Nodes() {
 			if !r1.Outputs[i][node].Equal(r2.Outputs[i][node]) {
@@ -209,10 +197,7 @@ func TestRunRecordsConsumedInputs(t *testing.T) {
 	n := buildMarket(t, promptCustomerFixed)
 	want := relation.NewInstance()
 	want.Add("want", relation.Tuple{"widget"})
-	run, err := n.Execute([]StepInputs{{"customer": want}, {}, {}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := n.Execute([]StepInputs{{"customer": want}, {}, {}})
 	// Step 2: the supplier consumed the customer's wired order.
 	if !run.Inputs[1]["supplier"].Has("order", relation.Tuple{"widget"}) {
 		t.Errorf("wired order not recorded: %s", run.Inputs[1]["supplier"])

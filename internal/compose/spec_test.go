@@ -45,10 +45,7 @@ func TestSpecBuildAndRoundTrip(t *testing.T) {
 	if len(spec2.Nodes) != 2 || len(spec2.Wires) != 4 {
 		t.Fatalf("round-tripped spec: %+v", spec2)
 	}
-	run, err := n.Execute([]StepInputs{wantWidget(), {}, {}, {}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := n.Execute([]StepInputs{wantWidget(), {}, {}, {}})
 	if !run.Outputs[3]["supplier"].Has("deliver", relation.Tuple{"widget"}) {
 		t.Errorf("spec-built network does not deliver: %s", run.Outputs[3]["supplier"])
 	}
@@ -89,9 +86,7 @@ func TestSpecSelfWireIsLegal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("self-wire rejected: %v", err)
 	}
-	if _, err := n.Execute([]StepInputs{wantWidget(), {}, {}}); err != nil {
-		t.Fatal(err)
-	}
+	n.Execute([]StepInputs{wantWidget(), {}, {}})
 }
 
 // TestStepOnceMatchesExecute: stepping one at a time is the same run as
@@ -109,17 +104,11 @@ func TestStepOnceMatchesExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 	ext := []StepInputs{wantWidget(), {}, {}, {}}
-	run, err := n1.Execute(ext)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := n1.Execute(ext)
 	n2.Start()
 	refState := map[string]relation.Instance{}
 	for i := range ext {
-		js, err := n2.StepOnce(ext[i])
-		if err != nil {
-			t.Fatal(err)
-		}
+		js := n2.StepOnce(ext[i])
 		if js.Seq != i+1 {
 			t.Fatalf("step %d: seq %d", i+1, js.Seq)
 		}
@@ -170,16 +159,11 @@ func TestExportRestoreState(t *testing.T) {
 		t.Fatal(err)
 	}
 	ext := []StepInputs{wantWidget(), {}, {}, {}}
-	ref, err := whole.Execute(ext)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := whole.Execute(ext)
 
 	split.Start()
 	for _, e := range ext[:2] {
-		if _, err := split.StepOnce(e); err != nil {
-			t.Fatal(err)
-		}
+		split.StepOnce(e)
 	}
 	st := split.ExportState()
 	if st.Steps != 2 {
@@ -202,10 +186,7 @@ func TestExportRestoreState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 2; i < len(ext); i++ {
-		js, err := resumed.StepOnce(ext[i])
-		if err != nil {
-			t.Fatal(err)
-		}
+		js := resumed.StepOnce(ext[i])
 		if js.Seq != i+1 {
 			t.Fatalf("resumed seq %d, want %d", js.Seq, i+1)
 		}

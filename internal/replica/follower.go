@@ -12,8 +12,8 @@
 // from local disk), and the stream position is persisted after each batch
 // (REPLSTATE.json), so tailing resumes where it stopped. A position the
 // primary has compacted away comes back as a Reset batch carrying the
-// snapshot images — the follower bootstraps from those and resumes at the
-// snapshot's base LSN.
+// primary's snapshot records — the follower bootstraps from those and
+// resumes at the snapshot's base LSN.
 package replica
 
 import (
@@ -301,7 +301,7 @@ func (f *Follower) applyBatch(shard int, b *session.WALBatch, dec *session.ReplD
 	}
 	f.mu.Unlock()
 	if err == nil && b.Reset {
-		f.logf("replica: shard %d reset to base %d (%d sessions)", shard, b.Base, len(b.Snapshot))
+		f.logf("replica: shard %d reset to base %d (%d snapshot records)", shard, b.Base, len(b.Snapshot))
 	}
 	return err
 }

@@ -17,42 +17,18 @@ import (
 // a kind byte, so a record is identifiable wherever it is met (recovery,
 // the replication stream, waldump, a fuzzer).
 //
-// JSON remains a first-class read format forever: every decode path
-// auto-detects per record (codec.IsBinary), so WAL segments and snapshots
-// written by older JSON-only servers — and segments holding a mix of both —
-// replay unchanged under the binary-default engine.
+// Binary is the only encoding the engine writes. JSON is a decode-only
+// legacy format: every decode path auto-detects per record
+// (codec.IsBinary), so WAL segments and snapshots written by older
+// JSON-codec servers — and segments holding a mix of both — replay
+// unchanged.
 
-// Codec selects the encoding for records this engine writes.
+// Codec is the type of Config.Codec, which nothing reads: CodecBinary is
+// its one value.
 type Codec int
 
-const (
-	// CodecBinary is the compact interned encoding (the default).
-	CodecBinary Codec = iota
-	// CodecJSON is the legacy textual encoding.
-	CodecJSON
-)
-
-func (c Codec) String() string {
-	switch c {
-	case CodecBinary:
-		return "binary"
-	case CodecJSON:
-		return "json"
-	}
-	return "unknown"
-}
-
-// ParseCodec parses a codec name as produced by String. The empty string
-// parses as CodecBinary, the default.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "", "binary":
-		return CodecBinary, nil
-	case "json":
-		return CodecJSON, nil
-	}
-	return CodecBinary, fmt.Errorf("unknown wal codec %q", s)
-}
+// CodecBinary is the compact interned encoding, the only one written.
+const CodecBinary Codec = 0
 
 // Record kinds (the first body byte of every binary record).
 const (

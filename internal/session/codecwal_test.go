@@ -12,12 +12,14 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/models"
+	"repro/internal/relation"
 	"repro/internal/storage"
 )
 
-// Durability tests for the binary WAL codec: recovery across JSON and
-// binary segments, mixed-format segments, torn binary tails, and a fuzz
-// seeded from payloads a real engine wrote.
+// Durability tests for the binary WAL codec: recovery across JSON-era and
+// binary records, mixed-format segments, torn binary tails, and a fuzz
+// seeded from payloads a real engine wrote. The engine writes binary only;
+// JSON records are produced here the way a JSON-codec server wrote them.
 
 func lastSegment(t *testing.T, shardDir string) string {
 	t.Helper()
@@ -39,26 +41,56 @@ func frameFor(payload []byte) []byte {
 	return buf
 }
 
-// TestMixedCodecRecovery runs the same session through a JSON-codec engine,
-// a crash, a binary-codec engine, and another crash. Recovery replays
-// segments of both formats into one history — the per-record auto-detection
-// that makes codec switching safe in either direction.
+// legacyShard starts an engine on dir and abandons it, as a crash would,
+// then appends the given records to its shard's segment in the JSON
+// encoding of the parent format: one json.Marshal per record, framed.
+func legacyShard(t *testing.T, dir string, recs ...*walRecord) {
+	t.Helper()
+	if _, err := NewEngine(Config{Dir: dir, Shards: 1, Fsync: FsyncAlways, SnapshotEvery: -1}); err != nil {
+		t.Fatal(err)
+	}
+	fh, err := os.OpenFile(lastSegment(t, filepath.Join(dir, "shard-000")), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	for _, rec := range recs {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fh.Write(frameFor(payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// shortRecords returns the WAL records of SHORT session id opened and then
+// stepped on inputs.
+func shortRecords(t *testing.T, id string, inputs relation.Sequence) []*walRecord {
+	t.Helper()
+	s, err := newSession(id, &OpenRequest{Model: "short"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []*walRecord{s.openRecord()}
+	for i, in := range inputs {
+		recs = append(recs, &walRecord{T: recStep, SID: id, Seq: i + 1, Input: in})
+	}
+	return recs
+}
+
+// TestMixedCodecRecovery runs one session through JSON-era records, a crash,
+// a binary engine, and another crash. Recovery replays both formats into
+// one history — the per-record auto-detection that lets an engine upgrade
+// in place over a JSON-codec server's directory.
 func TestMixedCodecRecovery(t *testing.T) {
 	dir := t.TempDir()
 	_, wantLogs := fig1Reference(t)
 	inputs := models.Fig1Inputs()
 
-	e1, err := NewEngine(Config{Dir: dir, Shards: 1, Fsync: FsyncAlways, Codec: CodecJSON})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e1.Open(&OpenRequest{ID: "crashy", Model: "short"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e1.Input("crashy", inputs[0]); err != nil {
-		t.Fatal(err)
-	}
-	// Crash; reopen under the binary default and keep stepping.
+	legacyShard(t, dir, shortRecords(t, "crashy", inputs[:1])...)
+	// Reopen on the binary engine and keep stepping.
 	e2, err := NewEngine(Config{Dir: dir, Shards: 1, Fsync: FsyncAlways})
 	if err != nil {
 		t.Fatal(err)
@@ -105,20 +137,9 @@ func TestMixedSegmentTornTailRecovery(t *testing.T) {
 	_, wantLogs := fig1Reference(t)
 	inputs := models.Fig1Inputs()
 
-	e1, err := NewEngine(Config{Dir: dir, Shards: 1, Fsync: FsyncAlways, Codec: CodecJSON})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e1.Open(&OpenRequest{ID: "crashy", Model: "short"}); err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range inputs[:2] {
-		if _, err := e1.Input("crashy", in); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Crash. Hand-append a binary step record to the same segment the JSON
-	// engine was writing, then a torn half-frame after it.
+	legacyShard(t, dir, shortRecords(t, "crashy", inputs[:2])...)
+	// Append a binary step record to the same segment, then a torn
+	// half-frame after it.
 	enc := codec.NewEncoder()
 	payload, err := encodeWALRecord(enc, &walRecord{T: recStep, SID: "crashy", Seq: 3, Input: inputs[2]})
 	if err != nil {

@@ -1,10 +1,13 @@
 package session
 
 import (
+	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/compose"
 	"repro/internal/models"
 	"repro/internal/relation"
@@ -163,5 +166,75 @@ func TestParentEngineDirRecovers(t *testing.T) {
 				t.Fatalf("m1 past after re-snapshot: %+v, %v", v, err)
 			}
 		})
+	}
+}
+
+// TestStandbyBootstrapsFromParentSnapshot: a standby boots through a reset
+// batch served by an engine recovered from the parent's directory. The
+// batch carries the primary's snapshot file as stored — JSON-era records
+// for the json fixture — and the standby reads it with the snapshot reader
+// recovery uses, then tails the WAL on top.
+func TestStandbyBootstrapsFromParentSnapshot(t *testing.T) {
+	for _, format := range []string{"binary", "json"} {
+		t.Run(format, func(t *testing.T) {
+			pdir, sdir := t.TempDir(), t.TempDir()
+			copyTree(t, filepath.Join("testdata", "parent_engine_"+format), pdir)
+			primary, err := NewEngine(Config{Dir: pdir, Shards: 1, Fsync: FsyncNever, SnapshotEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer primary.Shutdown()
+			standby, err := NewEngine(Config{Dir: sdir, Shards: 2, Fsync: FsyncNever, SnapshotEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer standby.Shutdown()
+
+			b, err := primary.StreamWAL(context.Background(), 0, 1, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !b.Reset || len(b.Snapshot) != 3 || codec.IsBinary(b.Snapshot[0]) != (format == "binary") {
+				t.Fatalf("stream from lsn 1: reset=%v with %d snapshot records, want the stored %s snapshot (header + 2 images)",
+					b.Reset, len(b.Snapshot), format)
+			}
+			ledger := map[string]*ackedRun{
+				"m1": {mach: models.Short(), db: models.MagazineDB(), in: models.Fig1Inputs()},
+				"n1": {spec: models.Network("marketplace"), netIn: models.NetworkScript("marketplace", "widget")},
+			}
+			tail := newStandbyTail(standby, 1)
+			if resets := tail.pull(t, primary); resets != 1 {
+				t.Fatalf("standby met %d resets, want 1", resets)
+			}
+			nodes := map[string]*Engine{"primary": primary, "standby": standby}
+			checkInvariant(t, ledger, nodes)
+
+			// The primary keeps stepping; the standby follows on the WAL.
+			in := relation.NewInstance()
+			in.Add("order", relation.Tuple{"newsweek"})
+			if _, err := primary.Input("m1", in); err != nil {
+				t.Fatal(err)
+			}
+			ledger["m1"].in = append(ledger["m1"].in, in)
+			if _, err := primary.NetInput("n1", compose.StepInputs{}); err != nil {
+				t.Fatal(err)
+			}
+			ledger["n1"].netIn = append(ledger["n1"].netIn, compose.StepInputs{})
+			if resets := tail.pull(t, primary); resets != 0 {
+				t.Fatalf("standby met %d resets on the WAL tail, want 0", resets)
+			}
+			nodes["recovered standby"] = recovered(t, sdir, 2)
+			checkInvariant(t, ledger, nodes)
+		})
+	}
+}
+
+// TestStandbyRefusesForeignSnapshotVersion: a reset batch goes through the
+// same version check as recovery.
+func TestStandbyRefusesForeignSnapshotVersion(t *testing.T) {
+	standby := memEngine(t, 1)
+	b := &WALBatch{Reset: true, Shards: 1, Snapshot: [][]byte{encodeSnapHeaderRecord(codec.NewEncoder(), snapHeader{Version: snapVersion + 1})}}
+	if _, err := standby.ApplyReplicated(NewReplDecoder(), b); err == nil || !strings.Contains(err.Error(), "snapshot version") {
+		t.Fatalf("reset batch of a foreign snapshot version: %v, want a version error", err)
 	}
 }

@@ -9,35 +9,25 @@ import (
 	"repro/internal/models"
 )
 
-// TestDumpWAL runs engines under both codecs over one directory and dumps
-// the shard: the dump must show the snapshot, records of both encodings,
-// and the intern-table summary — and must decode every record.
+// TestDumpWAL dumps a JSON-era engine directory (the parent-format
+// fixture: a JSON snapshot and JSON WAL records) after a binary engine has
+// recovered it and appended to it: the dump must show the snapshot, records
+// of both encodings, and the intern-table summary — and must decode every
+// record.
 func TestDumpWAL(t *testing.T) {
 	dir := t.TempDir()
-	inputs := models.Fig1Inputs()
-	for _, cdc := range []Codec{CodecJSON, CodecBinary} {
-		// The JSON run snapshots mid-way (a JSON snapshot lands on disk);
-		// the binary run must not, or it would fold the JSON records away.
-		snapEvery := 2
-		if cdc == CodecBinary {
-			snapEvery = -1
-		}
-		e, err := NewEngine(Config{Dir: dir, Shards: 1, Fsync: FsyncAlways, Codec: cdc, SnapshotEvery: snapEvery})
-		if err != nil {
-			t.Fatal(err)
-		}
-		id := "dump-" + cdc.String()
-		if _, err := e.Open(&OpenRequest{ID: id, Model: "short"}); err != nil {
-			t.Fatal(err)
-		}
-		for _, in := range inputs {
-			if _, err := e.Input(id, in); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Abandon without Shutdown so WAL records survive alongside the
-		// mid-run snapshot.
+	copyTree(t, filepath.Join("testdata", "parent_engine_json"), dir)
+	e, err := NewEngine(Config{Dir: dir, Shards: 1, Fsync: FsyncAlways, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, in := range models.Fig1Inputs() {
+		if _, err := e.Input("m1", in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Abandon without Shutdown so the JSON snapshot stays current and the
+	// binary records stay in the WAL.
 
 	var buf bytes.Buffer
 	if err := DumpWAL(&buf, filepath.Join(dir, "shard-000")); err != nil {

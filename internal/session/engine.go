@@ -65,11 +65,9 @@ type Config struct {
 	// SessionBurst is the bucket capacity: how many steps a fresh or idle
 	// session may issue back-to-back (default max(1, ⌈SessionRate⌉)).
 	SessionBurst int
-	// Codec selects the encoding of the WAL and snapshot records this
-	// engine writes (default CodecBinary, the compact interned format).
-	// Reads always auto-detect the format per record, so switching codecs
-	// over an existing Dir is safe in both directions: old records replay
-	// unchanged, new records land in the configured encoding.
+	// Codec is inert: the engine writes binary records whatever it holds
+	// and reads JSON-era records by per-record auto-detection. CodecBinary,
+	// its one value, is kept only for callers that still name it.
 	Codec Codec
 	// ReplSyncWait, when positive, upgrades replication to semi-synchronous:
 	// each group commit's acknowledgements are additionally held until the
@@ -157,7 +155,7 @@ type shard struct {
 	pending  []pendingReply
 	segGauge int // last value pushed to the walSegments metric
 
-	// enc is the WAL record encoder under CodecBinary. Its intern table is
+	// enc is the WAL record encoder. Its intern table is
 	// scoped to one segment (encSeg): AlignAppend surfaces rotations before
 	// each encode, and a segment change resets the table, so every segment
 	// is self-describing from its first record — which is what lets
@@ -256,36 +254,15 @@ func (sh *shard) recover(dir string) error {
 		return err
 	}
 	// Both decode paths auto-detect the format per record, so recovery reads
-	// JSON-era files, binary files, and segments holding a mix (a server
-	// restarted under a different -wal-codec keeps appending to fresh
-	// segments, but replication can interleave formats) identically.
-	snapDec, walDec := codec.NewDecoder(), codec.NewDecoder()
-	first := true
+	// JSON-era files, binary files, and segments holding a mix identically.
+	snap, walDec := newSnapReader(), codec.NewDecoder()
 	n, err := st.Recover(
 		func(payload []byte) error {
-			h, img, err := decodeSnapPayload(snapDec, payload, first)
-			if err != nil {
-				return err
+			_, s, err := snap.next(payload)
+			if s != nil {
+				sh.sessions[s.id] = s
 			}
-			if first {
-				first = false
-				if h == nil {
-					return fmt.Errorf("snapshot stream does not start with a header")
-				}
-				if h.Version != snapVersion {
-					return fmt.Errorf("snapshot version %d, want %d", h.Version, snapVersion)
-				}
-				return nil
-			}
-			if img == nil {
-				return fmt.Errorf("snapshot stream holds a second header")
-			}
-			s, err := img.restore()
-			if err != nil {
-				return err
-			}
-			sh.sessions[s.id] = s
-			return nil
+			return err
 		},
 		func(payload []byte) error {
 			rec, err := decodeWALPayload(walDec, payload)

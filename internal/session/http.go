@@ -100,9 +100,14 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 			return
 		}
 		// An array body is the batched form: many steps of this session,
-		// answered with per-item statuses (see http_batch.go).
+		// answered with per-item statuses (see http_batch.go). Any other
+		// body is one step, under the single-step cap.
 		if isJSONArray(body) {
 			handleInputArray(e, w, r, id, body)
+			return
+		}
+		if len(body) > bodyCap {
+			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": "a single-step body is limited to 1 MiB; send many steps as an array or POST /batch"})
 			return
 		}
 		var req struct {
@@ -300,7 +305,7 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 }
 
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, bodyCap))
 	if err := dec.Decode(v); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
 		return false

@@ -7,12 +7,14 @@ import (
 	"repro/internal/relation"
 )
 
-// The batched HTTP surface. Two request shapes feed Engine.InputBatch:
+// The batched HTTP surface. One entry, serveBatch, feeds Engine.InputBatch;
+// two request shapes reach it:
 //
-//	POST /sessions/{id}/input  with a JSON ARRAY body — one session, many
-//	                           steps: [{"input":{...},"key":"..."}, ...]
 //	POST /batch                many sessions at once:
 //	                           {"steps":[{"session":"s1","input":{...},"key":"..."}]}
+//	POST /sessions/{id}/input  with a JSON ARRAY body — sugar for a batch
+//	                           whose items all name {id}:
+//	                           [{"input":{...},"key":"..."}, ...]
 //
 // Both answer 200 with positional per-item statuses; an item's failure
 // never fails its neighbors (the response status is 200 even when every
@@ -21,9 +23,13 @@ import (
 // before the response was sent, and one session's items occupy one
 // all-or-nothing WAL record.
 
-// batchBodyCap bounds batched request bodies. Far above the single-step
-// 1 MiB cap — a batch is many steps — but still bounded.
-const batchBodyCap = 16 << 20
+// Request body caps: bodyCap for every data-plane request that is not a
+// batch (one step, one open); batchBodyCap far above it — a batch is many
+// steps — but still bounded.
+const (
+	bodyCap      = 1 << 20
+	batchBodyCap = 16 << 20
+)
 
 // BatchRequest is the wire envelope of POST /batch. Results selects how
 // much of each item's outcome travels back: "full" (default) carries the
@@ -87,7 +93,24 @@ func batchStatusOf(res BatchResult) BatchItemStatus {
 	return BatchItemStatus{Status: http.StatusOK, Result: res.Result}
 }
 
-func runBatch(e *Engine, w http.ResponseWriter, items []BatchItem, mode string) {
+// serveBatch validates a decoded batch — at least one item, a known results
+// mode, absent inputs read as empty — runs it, and writes the response.
+func serveBatch(e *Engine, w http.ResponseWriter, items []BatchItem, mode string) {
+	if len(items) == 0 {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "batch needs at least one step"})
+		return
+	}
+	switch mode {
+	case "", "full", "status", "errors":
+	default:
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "results must be \"full\", \"status\" or \"errors\""})
+		return
+	}
+	for i := range items {
+		if items[i].Input == nil {
+			items[i].Input = relation.NewInstance()
+		}
+	}
 	results := e.InputBatch(items)
 	// Compact encoding: batch responses are the data plane's hot path, and
 	// indentation costs real encode/decode CPU at thousands of items/s.
@@ -125,28 +148,14 @@ func handleBatch(e *Engine) http.HandlerFunc {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
 			return
 		}
-		if len(req.Steps) == 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "batch needs at least one step"})
-			return
-		}
-		switch req.Results {
-		case "", "full", "status", "errors":
-		default:
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "results must be \"full\", \"status\" or \"errors\""})
-			return
-		}
-		for i := range req.Steps {
-			if req.Steps[i].Input == nil {
-				req.Steps[i].Input = relation.NewInstance()
-			}
-		}
-		runBatch(e, w, req.Steps, req.Results)
+		serveBatch(e, w, req.Steps, req.Results)
 	}
 }
 
 // handleInputArray serves the array form of POST /sessions/{id}/input:
-// many steps of ONE session. The Idempotency-Key header is rejected here —
-// it names one step, and an array is many; keys travel per item.
+// many steps of ONE session, as a batch. The Idempotency-Key header is
+// rejected here — it names one step, and an array is many; keys travel per
+// item.
 func handleInputArray(e *Engine, w http.ResponseWriter, r *http.Request, id string, body []byte) {
 	if r.Header.Get("Idempotency-Key") != "" {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "Idempotency-Key header names one step; batched arrays carry per-item keys"})
@@ -160,19 +169,11 @@ func handleInputArray(e *Engine, w http.ResponseWriter, r *http.Request, id stri
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
 		return
 	}
-	if len(steps) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "batch needs at least one step"})
-		return
-	}
 	items := make([]BatchItem, len(steps))
 	for i, st := range steps {
-		in := st.Input
-		if in == nil {
-			in = relation.NewInstance()
-		}
-		items[i] = BatchItem{Session: id, Key: st.Key, Input: in}
+		items[i] = BatchItem{Session: id, Key: st.Key, Input: st.Input}
 	}
-	runBatch(e, w, items, "")
+	serveBatch(e, w, items, "")
 }
 
 // isJSONArray reports whether the body's first significant byte opens an

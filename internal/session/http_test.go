@@ -109,6 +109,36 @@ func TestHTTPStatusCodes(t *testing.T) {
 	}
 }
 
+// TestHTTPStepBodyCap: a single step is held to the 1 MiB data-plane cap,
+// while the array form, being a batch, may exceed it.
+func TestHTTPStepBodyCap(t *testing.T) {
+	e, srv := httpServer(t)
+	if _, err := e.Open(&OpenRequest{ID: "cap", Model: "short"}); err != nil {
+		t.Fatal(err)
+	}
+	pad := bytes.Repeat([]byte{' '}, 2<<20) // whitespace: still valid JSON
+	post := func(body []byte) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/sessions/cap/input", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	single := append(append([]byte(`{"input":{"order":[["time"]]}`), pad...), '}')
+	if st := post(single); st != http.StatusRequestEntityTooLarge {
+		t.Errorf("2 MiB single-step body: status %d, want 413", st)
+	}
+	array := append(append([]byte(`[{"input":{"order":[["time"]]}}`), pad...), ']')
+	if st := post(array); st != http.StatusOK {
+		t.Errorf("2 MiB array body: status %d, want 200", st)
+	}
+	if lr, err := e.Log("cap"); err != nil || lr.Steps != 1 {
+		t.Fatalf("after both posts: %+v, %v — want the array's one step only", lr, err)
+	}
+}
+
 func TestHTTPModelsAndSessions(t *testing.T) {
 	_, srv := httpServer(t)
 	var ms struct {

@@ -141,19 +141,17 @@ func registerEngine(e *Engine) {
 			enginesMu.Lock()
 			defer enginesMu.Unlock()
 			type shardStorage struct {
-				Shard              int    `json:"shard"`
-				Codec              string `json:"codec"`
-				WALBytesTotal      int64  `json:"wal_bytes_total"`
-				SnapshotBytesTotal int64  `json:"snapshot_bytes_total"`
-				ShipBytesTotal     int64  `json:"ship_bytes_total"`
-				CodecInternEntries int64  `json:"codec_intern_entries"`
+				Shard              int   `json:"shard"`
+				WALBytesTotal      int64 `json:"wal_bytes_total"`
+				SnapshotBytesTotal int64 `json:"snapshot_bytes_total"`
+				ShipBytesTotal     int64 `json:"ship_bytes_total"`
+				CodecInternEntries int64 `json:"codec_intern_entries"`
 			}
 			var agg []shardStorage
 			for e := range engines {
 				for _, sh := range e.shards {
 					agg = append(agg, shardStorage{
 						Shard:              sh.idx,
-						Codec:              e.cfg.Codec.String(),
 						WALBytesTotal:      sh.walBytesTotal.Load(),
 						SnapshotBytesTotal: sh.snapBytesTotal.Load(),
 						ShipBytesTotal:     sh.shipBytesTotal.Load(),

@@ -107,10 +107,7 @@ func (s *Session) applyNet(ext compose.StepInputs) (*StepResult, error) {
 	if ext == nil {
 		ext = compose.StepInputs{}
 	}
-	js, err := s.net.nw.StepOnce(ext)
-	if err != nil {
-		return nil, err
-	}
+	js := s.net.nw.StepOnce(ext)
 	s.net.joint = append(s.net.joint, JointLogEntry{Logs: js.Logs, Wire: js.Wire})
 	for name, in := range js.Consumed {
 		p := s.net.past[name]

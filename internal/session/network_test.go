@@ -152,10 +152,7 @@ func TestNetworkGoldenCompose(t *testing.T) {
 		}
 		nw.Start()
 		for i := 0; i < k; i++ {
-			js, err := nw.StepOnce(trace[i].ext)
-			if err != nil {
-				t.Fatal(err)
-			}
+			js := nw.StepOnce(trace[i].ext)
 			checkGoldStep(t, fmt.Sprintf("compose[k=%d]", k), i+1, trace[i], js.Wire, js.Logs)
 		}
 	}
@@ -301,10 +298,7 @@ func TestNetworkDeterminismQuick(t *testing.T) {
 		nw.Start()
 		var oracle []JointLogEntry
 		for _, ext := range c.script {
-			js, err := nw.StepOnce(ext)
-			if err != nil {
-				t.Fatalf("oracle step: %v", err)
-			}
+			js := nw.StepOnce(ext)
 			oracle = append(oracle, JointLogEntry{Logs: js.Logs, Wire: js.Wire})
 		}
 

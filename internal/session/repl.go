@@ -2,7 +2,6 @@ package session
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -14,10 +13,11 @@ import (
 // The engine's two replication faces.
 //
 // Primary side: StreamWAL serves committed WAL records (and, after
-// compaction, snapshot images) for one shard as long-pollable batches, and
-// AckWAL books the follower's applied LSN so Stats can report lag. Both are
-// safe from any goroutine: they touch only the store's mutex-guarded
-// replication view and an atomic, never the shard's owned state.
+// compaction, the snapshot's records) for one shard as long-pollable
+// batches, and AckWAL books the follower's applied LSN so Stats can report
+// lag. Both are safe from any goroutine: they touch only the store's
+// mutex-guarded replication view and an atomic, never the shard's owned
+// state.
 //
 // Follower side: ApplyReplicated feeds one such batch through the shard
 // goroutines into a standby engine — every record goes through the same
@@ -49,15 +49,19 @@ type WALBatch struct {
 	// round trip after any divergence (lost response, follower restart).
 	ITab int `json:"itab,omitempty"`
 	// Reset tells the follower its requested LSN was compacted: discard its
-	// notion of this shard, install the Snapshot images, resume at Base+1.
+	// notion of this shard, install the Snapshot's sessions, resume at
+	// Base+1.
 	Reset bool `json:"reset,omitempty"`
 	// Base is the LSN covered by the primary's snapshot; Committed is the
 	// highest LSN this batch could have served (records beyond the batch's
 	// size bounds arrive on the next poll).
 	Base      int64 `json:"base"`
 	Committed int64 `json:"committed"`
-	// Snapshot carries the primary shard's snapshot images on Reset.
-	Snapshot []json.RawMessage `json:"snapshot,omitempty"`
+	// Snapshot carries, on Reset, the primary shard's snapshot file as its
+	// framed payloads, header first, byte for byte: a snapshot is a
+	// self-describing stream, so the follower reads it with the reader
+	// recovery uses.
+	Snapshot [][]byte `json:"snapshot,omitempty"`
 	// Records are consecutive committed WAL records starting at the
 	// requested LSN, each one's Bin an interned codec record of this
 	// shard's stream (see encodeStream).
@@ -136,8 +140,8 @@ func (e *Engine) AckWAL(shard int, lsn int64) {
 // it long-polls until a commit arrives, the wait elapses, or ctx is done —
 // gating on group-commit completion by construction, because the store
 // publishes an LSN only at its ack points. A from that has been compacted
-// into a snapshot comes back as a Reset batch carrying the snapshot
-// images.
+// into a snapshot comes back as a Reset batch carrying the snapshot's
+// records.
 //
 // itab states the length of the follower's stream decoder table, which the
 // shard's stream encoder must match — on mismatch the encoder resets and
@@ -163,26 +167,11 @@ func (e *Engine) StreamWAL(ctx context.Context, shard int, from int64, wait time
 	recs, st, err := sh.store.ReadCommitted(from, streamMaxRecords, streamMaxBytes)
 	b := &WALBatch{Shard: shard, Shards: len(e.shards), Base: st.Base, Committed: st.Committed}
 	if err == storage.ErrCompacted {
-		// Bootstrap batches carry snapshot images as standalone JSON: the
-		// follower installs them without stream context, and they mark a
-		// stream discontinuity anyway.
-		first := true
-		sdec := codec.NewDecoder()
+		// The snapshot ships as stored: its records need no stream context
+		// (the first one resets the decoder), and a reset is a stream
+		// discontinuity anyway.
 		base, serr := sh.store.SnapshotRecords(func(p []byte) error {
-			wasFirst := first
-			first = false
-			h, img, derr := decodeSnapPayload(sdec, p, wasFirst)
-			if derr != nil {
-				return derr
-			}
-			if h != nil {
-				return nil // the snapHeader record is shard-local, not streamed
-			}
-			raw, derr := json.Marshal(img)
-			if derr != nil {
-				return derr
-			}
-			b.Snapshot = append(b.Snapshot, raw)
+			b.Snapshot = append(b.Snapshot, p)
 			return nil
 		})
 		if serr != nil {
@@ -261,10 +250,12 @@ func (d *ReplDecoder) Reset() { d.dec.Reset() }
 // the highest LSN the standby now holds from it (0 when none). Records are
 // decoded against d — the caller feeds batches in stream order, the decoder
 // learns each record's intern definitions as a side effect. A Reset batch
-// first retires standby sessions that hash to the batch's primary shard but
-// are absent from its snapshot (closed while the follower was behind), then
-// installs the snapshot images; it is a stream discontinuity, so d restarts
-// from an empty table.
+// is read by the snapshot reader recovery uses (header and version check,
+// then one restored session per image); the batch first retires standby
+// sessions that hash to the batch's primary shard but are absent from the
+// snapshot (closed while the follower was behind), then installs the
+// snapshot's sessions. It is a stream discontinuity, so d restarts from an
+// empty table.
 func (e *Engine) ApplyReplicated(d *ReplDecoder, b *WALBatch) (int64, error) {
 	if !b.Reset {
 		var applied int64
@@ -273,22 +264,29 @@ func (e *Engine) ApplyReplicated(d *ReplDecoder, b *WALBatch) (int64, error) {
 			if err != nil {
 				return applied, &BadInputError{Err: fmt.Errorf("replicated record: %w", err)}
 			}
-			if err := e.replicate(rec); err != nil {
+			if err := e.replicate(rec, nil); err != nil {
 				return applied, err
 			}
 			applied = r.LSN
 		}
 		return applied, nil
 	}
-	installs := make([]*walRecord, 0, len(b.Snapshot))
+	type install struct {
+		rec   *walRecord
+		built *Session
+	}
+	installs := make([]install, 0, len(b.Snapshot))
 	keep := make(map[string]bool, len(b.Snapshot))
-	for _, raw := range b.Snapshot {
-		img := new(Image)
-		if err := json.Unmarshal(raw, img); err != nil {
-			return 0, &BadInputError{Err: fmt.Errorf("replicated image: %w", err)}
+	snap := newSnapReader()
+	for _, p := range b.Snapshot {
+		img, s, err := snap.next(p)
+		if err != nil {
+			return 0, &BadInputError{Err: fmt.Errorf("replicated snapshot: %w", err)}
 		}
-		keep[img.ID] = true
-		installs = append(installs, &walRecord{T: recInstall, SID: img.ID, Image: img})
+		if img != nil {
+			keep[img.ID] = true
+			installs = append(installs, install{&walRecord{T: recInstall, SID: img.ID, Image: img}, s})
+		}
 	}
 	infos, err := e.List()
 	if err != nil {
@@ -296,13 +294,13 @@ func (e *Engine) ApplyReplicated(d *ReplDecoder, b *WALBatch) (int64, error) {
 	}
 	for _, info := range infos {
 		if ShardOf(info.ID, b.Shards) == b.Shard && !keep[info.ID] {
-			if err := e.replicate(&walRecord{T: recClose, SID: info.ID}); err != nil {
+			if err := e.replicate(&walRecord{T: recClose, SID: info.ID}, nil); err != nil {
 				return 0, err
 			}
 		}
 	}
-	for _, rec := range installs {
-		if err := e.replicate(rec); err != nil {
+	for _, in := range installs {
+		if err := e.replicate(in.rec, in.built); err != nil {
 			return 0, err
 		}
 	}
@@ -311,13 +309,14 @@ func (e *Engine) ApplyReplicated(d *ReplDecoder, b *WALBatch) (int64, error) {
 }
 
 // replicate commits one record of a primary's stream on the shard owning
-// its session.
-func (e *Engine) replicate(rec *walRecord) error {
+// its session; built is the session an install record restores to, when
+// the caller has it already.
+func (e *Engine) replicate(rec *walRecord, built *Session) error {
 	if rec.SID == "" {
 		return &BadInputError{Err: fmt.Errorf("replicated %s record has no session id", rec.T)}
 	}
 	_, err := e.send(e.shardFor(rec.SID), func(sh *shard) (any, error) {
-		return nil, sh.commit(rec, fromPrimary, nil, nil)
+		return nil, sh.commit(rec, fromPrimary, built, nil)
 	})
 	if err == nil {
 		e.m.replApplied.Add(1)

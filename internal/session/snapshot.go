@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/relation"
 )
@@ -27,6 +28,43 @@ const snapVersion = 2
 type snapHeader struct {
 	Version int `json:"version"`
 	Shard   int `json:"shard"`
+}
+
+// snapReader reads one snapshot stream, record by record, in either format:
+// the one reader for recovery (the shard's own snapshot file) and for a
+// standby's reset batch (the primary's snapshot file, shipped as its
+// records). Each stream gets a fresh reader.
+type snapReader struct {
+	dec  *codec.Decoder
+	seen bool // the header has been read
+}
+
+func newSnapReader() *snapReader { return &snapReader{dec: codec.NewDecoder()} }
+
+// next reads the stream's next record. The first must be a header of the
+// current version (nothing is returned for it); every later one is a
+// session image, returned with the session it restores to.
+func (r *snapReader) next(payload []byte) (*Image, *Session, error) {
+	first := !r.seen
+	r.seen = true
+	h, img, err := decodeSnapPayload(r.dec, payload, first)
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case first && h == nil:
+		return nil, nil, fmt.Errorf("snapshot stream does not start with a header")
+	case first && h.Version != snapVersion:
+		return nil, nil, fmt.Errorf("snapshot version %d, want %d", h.Version, snapVersion)
+	case first:
+		return nil, nil, nil
+	case img == nil:
+		return nil, nil, fmt.Errorf("snapshot stream holds a second header")
+	}
+	s, err := img.restore()
+	if err != nil {
+		return nil, nil, err
+	}
+	return img, s, nil
 }
 
 // Image is one session's full durable state: what snapshots persist and

@@ -1,7 +1,6 @@
 package session
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -235,13 +234,9 @@ func (sh *shard) appendWAL(rec *walRecord) error {
 	return nil
 }
 
-// encodeWAL renders one record in the shard's configured codec, keeping the
-// binary encoder's intern table aligned with the segment the record will
-// land in (see the enc field).
+// encodeWAL renders one record, keeping the encoder's intern table aligned
+// with the segment the record will land in (see the enc field).
 func (sh *shard) encodeWAL(rec *walRecord) ([]byte, error) {
-	if sh.cfg.Codec == CodecJSON {
-		return json.Marshal(rec)
-	}
 	seg, err := sh.store.AlignAppend()
 	if err != nil {
 		sh.broken = err
@@ -294,12 +289,7 @@ func (sh *shard) maybeSnapshot(force bool) error {
 	// A snapshot is its own stream: the fresh encoder's first record carries
 	// the reset flag, so a decoder pointed at the file needs no context.
 	senc := codec.NewEncoder()
-	if sh.cfg.Codec == CodecJSON {
-		hdr, err := json.Marshal(snapHeader{Version: snapVersion, Shard: sh.idx})
-		if err = put(hdr, err); err != nil {
-			return err
-		}
-	} else if err := put(encodeSnapHeaderRecord(senc, snapHeader{Version: snapVersion, Shard: sh.idx}), nil); err != nil {
+	if err := put(encodeSnapHeaderRecord(senc, snapHeader{Version: snapVersion, Shard: sh.idx}), nil); err != nil {
 		return err
 	}
 	ids := make([]string, 0, len(sh.sessions))
@@ -309,14 +299,7 @@ func (sh *shard) maybeSnapshot(force bool) error {
 	sort.Strings(ids)
 	for _, id := range ids {
 		img := snapOf(sh.sessions[id])
-		var payload []byte
-		var err error
-		if sh.cfg.Codec == CodecJSON {
-			payload, err = json.Marshal(&img)
-		} else {
-			payload, err = encodeImageRecord(senc, &img)
-		}
-		if err = put(payload, err); err != nil {
+		if err := put(encodeImageRecord(senc, &img)); err != nil {
 			return err
 		}
 	}

@@ -252,6 +252,7 @@ func (s *Store) ReadCommitted(from int64, maxRecords, maxBytes int) ([]ReplRecor
 // returns the base LSN the snapshot covers: a follower that applies these
 // records holds the store's state as of LSN base and resumes the WAL feed
 // at base+1. When no snapshot exists it returns base 0 without calling fn.
+// Payloads are slices of a buffer read for this call, so fn may keep them.
 // Thread-safe; retries once if a newer snapshot replaces the file mid-read.
 func (s *Store) SnapshotRecords(fn func(payload []byte) error) (int64, error) {
 	v := &s.repl
