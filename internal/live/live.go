@@ -446,6 +446,9 @@ func (s *Service) Goal(ctx context.Context, src Source, goal string) (*GoalAnswe
 		if err != nil {
 			return nil, err
 		}
+		s.m.coldGround.Observe(int64(res.Stats.GroundTime))
+		s.m.coldSAT.Observe(int64(res.Stats.SolveTime))
+		s.m.coldReplay.Observe(int64(res.Stats.ReplayTime))
 		return &GoalAnswer{Goal: g.String(), Reachable: res.Reachable, Witness: res.Witness}, nil
 	})
 	return done(s, v, cached, start, err, func(v any) *GoalAnswer {

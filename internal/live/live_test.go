@@ -423,3 +423,26 @@ func TestSrcSource(t *testing.T) {
 		t.Fatal("identical inline source must share the answer cache")
 	}
 }
+
+// TestColdGoalSplit checks that a goal the solver answers records its cost
+// split — grounding, SAT search, witness replay — in the service's
+// histograms, and that a cache hit adds nothing to them.
+func TestColdGoalSplit(t *testing.T) {
+	s := New(Config{Timeout: time.Minute})
+	src := Source{Model: "short", DB: models.MagazineDB(), Past: cumulate(models.Fig1Inputs()[:1])}
+	if a, err := s.Goal(context.Background(), src, "deliver(X)"); err != nil || !a.Reachable || a.Cached {
+		t.Fatalf("cold goal: %+v, %v", a, err)
+	}
+	st := s.Stats()
+	for name, q := range map[string]Quantiles{"ground": st.ColdGround, "sat": st.ColdSAT, "replay": st.ColdReplay} {
+		if q.P50 <= 0 || q.Max <= 0 {
+			t.Errorf("cold_%s_us not populated by a cold goal: %+v", name, q)
+		}
+	}
+	if a, err := s.Goal(context.Background(), src, "deliver(X)"); err != nil || !a.Cached {
+		t.Fatalf("repeat goal: %+v, %v", a, err)
+	}
+	if again := s.Stats(); again.ColdGround != st.ColdGround || again.ColdSAT != st.ColdSAT || again.ColdReplay != st.ColdReplay {
+		t.Errorf("a cache hit moved the cold split: %+v → %+v", st, again)
+	}
+}

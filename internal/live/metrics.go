@@ -19,6 +19,24 @@ type liveMetrics struct {
 	errors    atomic.Int64
 	evicted   atomic.Int64
 	latency   obs.Hist // nanoseconds
+	// A cold goal's split (nanoseconds): grounding, SAT search, and witness
+	// replay + shrinking, one observation each per answer-cache miss.
+	coldGround, coldSAT, coldReplay obs.Hist
+}
+
+// Quantiles summarizes one histogram in microseconds.
+type Quantiles struct {
+	P50 float64 `json:"p50"`
+	P99 float64 `json:"p99"`
+	Max float64 `json:"max"`
+}
+
+func quantiles(h *obs.Hist) Quantiles {
+	return Quantiles{
+		P50: float64(h.Quantile(0.50)) / 1e3,
+		P99: float64(h.Quantile(0.99)) / 1e3,
+		Max: float64(h.Max()) / 1e3,
+	}
 }
 
 // Stats is a point-in-time snapshot of a live service's metrics, also
@@ -51,6 +69,13 @@ type Stats struct {
 	P90Micros    float64 `json:"latency_p90_us"`
 	P99Micros    float64 `json:"latency_p99_us"`
 	MaxMicros    float64 `json:"latency_max_us"`
+	// ColdGround, ColdSAT and ColdReplay split the goal queries the solver
+	// answered: grounding to CNF, the CDCL search, and the operational
+	// replay and shrinking of the witness (0 for a subproblem the solver
+	// cache answered, and replay 0 for an unreachable goal).
+	ColdGround Quantiles `json:"cold_ground_us"`
+	ColdSAT    Quantiles `json:"cold_sat_us"`
+	ColdReplay Quantiles `json:"cold_replay_us"`
 }
 
 // Stats snapshots the service's metrics.
@@ -75,6 +100,9 @@ func (s *Service) Stats() Stats {
 		P90Micros:    float64(s.m.latency.Quantile(0.90)) / 1e3,
 		P99Micros:    float64(s.m.latency.Quantile(0.99)) / 1e3,
 		MaxMicros:    float64(s.m.latency.Max()) / 1e3,
+		ColdGround:   quantiles(&s.m.coldGround),
+		ColdSAT:      quantiles(&s.m.coldSAT),
+		ColdReplay:   quantiles(&s.m.coldReplay),
 	}
 	s.mu.Lock()
 	st.AnswerEntries = len(s.answers)

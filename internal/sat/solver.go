@@ -42,21 +42,27 @@ func (s Status) String() string {
 var ErrBadLiteral = errors.New("sat: literal must be a non-zero declared variable")
 
 type clause struct {
-	lits    []int
-	learnt  bool
-	act     float64
-	deleted bool
+	lits []int
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
 	nVars   int
-	clauses []*clause
-	learnts []*clause
+	clauses []*clause // problem clauses; learnt ones live on the watch lists
+	// attached is how many of clauses are on their watch lists; AddClause
+	// only records a clause, and the next Solve attaches the new ones in
+	// order — the lists come out exactly as if each had been attached at
+	// once, since nothing else touches them between two Solve calls.
+	attached int
 
 	// watches[idx(l)] lists clauses watching literal l (their lits[0] or
 	// lits[1] equals l).
 	watches [][]*clause
+
+	// litSlab and clauseSlab are the chunks clause literals and clause
+	// records are carved from, so intake allocates per chunk, not per clause.
+	litSlab    []int
+	clauseSlab []clause
 
 	assign   []int8 // 1 true, -1 false, 0 unassigned; indexed by var
 	level    []int  // decision level per var
@@ -68,9 +74,19 @@ type Solver struct {
 
 	activity []float64
 	varInc   float64
-	claInc   float64
 
-	order []int // lazily sorted variable ordering scratch
+	// heap orders variables by (activity descending, index ascending) — the
+	// branching order; heapPos[v] is v's slot or -1. Assigned variables
+	// leave it lazily, when they surface at the top, and re-enter in
+	// cancelUntil, so every unassigned variable is always in it.
+	heap    []int
+	heapPos []int
+
+	// mark and markGen dedupe without maps: an entry equal to markGen is
+	// "seen in the current AddClause (indexed by literal) or analyze
+	// (indexed by variable)"; bumping markGen clears every mark at once.
+	mark    []uint32
+	markGen uint32
 
 	propagations uint64
 	conflicts    uint64
@@ -85,13 +101,15 @@ type Solver struct {
 
 // New creates an empty solver.
 func New() *Solver {
-	s := &Solver{varInc: 1, claInc: 1}
+	s := &Solver{varInc: 1}
 	s.watches = make([][]*clause, 2)
 	s.assign = make([]int8, 1)
 	s.level = make([]int, 1)
 	s.reason = make([]*clause, 1)
 	s.phase = make([]int8, 1)
 	s.activity = make([]float64, 1)
+	s.heapPos = []int{-1}
+	s.mark = make([]uint32, 2)
 	return s
 }
 
@@ -104,6 +122,9 @@ func (s *Solver) NewVar() int {
 	s.phase = append(s.phase, -1)
 	s.activity = append(s.activity, 0)
 	s.watches = append(s.watches, nil, nil)
+	s.mark = append(s.mark, 0, 0)
+	s.heapPos = append(s.heapPos, -1)
+	s.heapInsert(s.nVars)
 	return s.nVars
 }
 
@@ -152,10 +173,11 @@ func (s *Solver) valueLit(l int) int8 {
 // AddClause adds a problem clause. Duplicate literals are removed and
 // tautological clauses are dropped. Adding an empty clause (or a clause
 // whose literals are all already false at level 0) makes the instance
-// trivially unsatisfiable. It must be called before Solve.
+// trivially unsatisfiable. It must be called before Solve. The literals are
+// copied; the caller may reuse lits.
 func (s *Solver) AddClause(lits ...int) error {
-	seen := make(map[int]bool, len(lits))
-	var cl []int
+	gen := s.nextMark()
+	buf := s.carveLits(len(lits))
 	for _, l := range lits {
 		v := l
 		if v < 0 {
@@ -164,21 +186,93 @@ func (s *Solver) AddClause(lits ...int) error {
 		if l == 0 || v > s.nVars {
 			return fmt.Errorf("%w: %d (have %d vars)", ErrBadLiteral, l, s.nVars)
 		}
-		if seen[-l] {
+		if s.mark[idx(-l)] == gen {
 			return nil // tautology
 		}
-		if seen[l] {
+		if s.mark[idx(l)] == gen {
 			continue
 		}
-		seen[l] = true
-		cl = append(cl, l)
+		s.mark[idx(l)] = gen
+		buf = append(buf, l)
 	}
-	c := &clause{lits: cl}
-	s.clauses = append(s.clauses, c)
-	if len(cl) >= 2 {
-		s.watch(c)
-	}
+	s.clauses = append(s.clauses, s.newClause(s.keepLits(buf)))
 	return nil
+}
+
+// nextMark starts a fresh dedupe generation, clearing the marks when the
+// counter wraps.
+func (s *Solver) nextMark() uint32 {
+	s.markGen++
+	if s.markGen == 0 {
+		clear(s.mark)
+		s.markGen = 1
+	}
+	return s.markGen
+}
+
+// slabChunk bounds the size of a fresh literal or clause chunk; chunks
+// start small and double, so a tiny problem does not pay for a large one.
+const slabChunk = 1 << 14
+
+// carveLits returns an empty slice with room for n literals at the free
+// end of the literal slab; keepLits then claims what was appended to it.
+func (s *Solver) carveLits(n int) []int {
+	if cap(s.litSlab)-len(s.litSlab) < n {
+		size := min(max(2*cap(s.litSlab), 256), slabChunk)
+		s.litSlab = make([]int, 0, max(size, n))
+	}
+	return s.litSlab[len(s.litSlab):len(s.litSlab)]
+}
+
+// keepLits claims buf, carved by carveLits and filled since, as clause
+// literals.
+func (s *Solver) keepLits(buf []int) []int {
+	n := len(s.litSlab)
+	s.litSlab = s.litSlab[:n+len(buf)]
+	return s.litSlab[n : n+len(buf) : n+len(buf)]
+}
+
+// newClause carves a clause record from the clause slab.
+func (s *Solver) newClause(lits []int) *clause {
+	if len(s.clauseSlab) == cap(s.clauseSlab) {
+		s.clauseSlab = make([]clause, 0, min(max(2*cap(s.clauseSlab), 64), slabChunk))
+	}
+	s.clauseSlab = append(s.clauseSlab, clause{lits: lits})
+	return &s.clauseSlab[len(s.clauseSlab)-1]
+}
+
+// attachNew puts the clauses added since the last Solve on their watch
+// lists. A list that is still empty is carved, at the size its new
+// watchers need, from one backing array for all of them.
+func (s *Solver) attachNew() {
+	fresh := s.clauses[s.attached:]
+	s.attached = len(s.clauses)
+	need := make([]int, len(s.watches))
+	for _, c := range fresh {
+		if len(c.lits) >= 2 {
+			need[idx(c.lits[0])]++
+			need[idx(c.lits[1])]++
+		}
+	}
+	total := 0
+	for i, n := range need {
+		if cap(s.watches[i]) == 0 {
+			total += n
+		} else {
+			need[i] = 0
+		}
+	}
+	backing := make([]*clause, total)
+	for i, n := range need {
+		if n > 0 {
+			s.watches[i], backing = backing[:0:n], backing[n:]
+		}
+	}
+	for _, c := range fresh {
+		if len(c.lits) >= 2 {
+			s.watch(c)
+		}
+	}
 }
 
 func (s *Solver) watch(c *clause) {
@@ -220,9 +314,6 @@ func (s *Solver) propagate() *clause {
 		kept := ws[:0]
 		for i := 0; i < len(ws); i++ {
 			c := ws[i]
-			if c.deleted {
-				continue
-			}
 			// Ensure the false literal is lits[1].
 			if c.lits[0] == notP {
 				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
@@ -266,14 +357,91 @@ func (s *Solver) bumpVar(v int) {
 			s.activity[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
+		// Scaling keeps the order up to rounding, which may create ties the
+		// index then breaks the other way: re-establish the heap outright.
+		for i := len(s.heap)/2 - 1; i >= 0; i-- {
+			s.siftDown(i)
+		}
+		return
+	}
+	if i := s.heapPos[v]; i >= 0 {
+		s.siftUp(i)
 	}
 }
 
+// before is the branching order: higher activity first, lower index on a
+// tie — exactly the variable a linear scan keeping the first maximum picks.
+func (s *Solver) before(a, b int) bool {
+	if s.activity[a] != s.activity[b] {
+		return s.activity[a] > s.activity[b]
+	}
+	return a < b
+}
+
+func (s *Solver) heapInsert(v int) {
+	s.heapPos[v] = len(s.heap)
+	s.heap = append(s.heap, v)
+	s.siftUp(len(s.heap) - 1)
+}
+
+func (s *Solver) siftUp(i int) {
+	v := s.heap[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.before(v, s.heap[p]) {
+			break
+		}
+		s.heap[i] = s.heap[p]
+		s.heapPos[s.heap[i]] = i
+		i = p
+	}
+	s.heap[i] = v
+	s.heapPos[v] = i
+}
+
+func (s *Solver) siftDown(i int) {
+	v := s.heap[i]
+	n := len(s.heap)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s.before(s.heap[c+1], s.heap[c]) {
+			c++
+		}
+		if !s.before(s.heap[c], v) {
+			break
+		}
+		s.heap[i] = s.heap[c]
+		s.heapPos[s.heap[i]] = i
+		i = c
+	}
+	s.heap[i] = v
+	s.heapPos[v] = i
+}
+
+// heapPop removes and returns the first variable in branching order.
+func (s *Solver) heapPop() int {
+	v := s.heap[0]
+	last := len(s.heap) - 1
+	s.heap[0] = s.heap[last]
+	s.heap = s.heap[:last]
+	s.heapPos[v] = -1
+	if last > 0 {
+		s.heapPos[s.heap[0]] = 0
+		s.siftDown(0)
+	}
+	return v
+}
+
 // analyze performs first-UIP conflict analysis, returning the learnt clause
-// (with the asserting literal first) and the backjump level.
+// (with the asserting literal first) and the backjump level. The clause is
+// carved from the literal slab.
 func (s *Solver) analyze(confl *clause) ([]int, int) {
-	learnt := []int{0} // slot for asserting literal
-	seen := make(map[int]bool)
+	learnt := append(s.carveLits(len(s.trail)+1), 0) // slot for asserting literal
+	gen := s.nextMark()
+	seen := s.mark // indexed by variable here
 	counter := 0
 	p := 0
 	trailIdx := len(s.trail) - 1
@@ -289,10 +457,10 @@ func (s *Solver) analyze(confl *clause) ([]int, int) {
 			if v < 0 {
 				v = -v
 			}
-			if seen[v] || s.level[v] == 0 {
+			if seen[v] == gen || s.level[v] == 0 {
 				continue
 			}
-			seen[v] = true
+			seen[v] = gen
 			s.bumpVar(v)
 			if s.level[v] == s.decisionLevel() {
 				counter++
@@ -308,9 +476,9 @@ func (s *Solver) analyze(confl *clause) ([]int, int) {
 			if v < 0 {
 				v = -v
 			}
-			if seen[v] {
+			if seen[v] == gen {
 				c = s.reason[v]
-				seen[v] = false
+				seen[v] = 0
 				counter--
 				break
 			}
@@ -348,7 +516,7 @@ func (s *Solver) analyze(confl *clause) ([]int, int) {
 			break
 		}
 	}
-	return learnt, bl
+	return s.keepLits(learnt), bl
 }
 
 func (s *Solver) cancelUntil(lvl int) {
@@ -367,21 +535,25 @@ func (s *Solver) cancelUntil(lvl int) {
 		s.phase[v] = ph
 		s.assign[v] = 0
 		s.reason[v] = nil
+		if s.heapPos[v] < 0 {
+			s.heapInsert(v)
+		}
 	}
 	s.trail = s.trail[:limit]
 	s.trailLim = s.trailLim[:lvl]
 	s.qhead = limit
 }
 
-// pickBranchVar selects the unassigned variable with the highest activity.
+// pickBranchVar selects the unassigned variable with the highest activity
+// (the lowest index among equals), or 0 when every variable is assigned.
+// Assigned variables met at the top of the heap are dropped on the way.
 func (s *Solver) pickBranchVar() int {
-	best, bestAct := 0, -1.0
-	for v := 1; v <= s.nVars; v++ {
-		if s.assign[v] == 0 && s.activity[v] > bestAct {
-			best, bestAct = v, s.activity[v]
+	for len(s.heap) > 0 {
+		if v := s.heapPop(); s.assign[v] == 0 {
+			return v
 		}
 	}
-	return best
+	return 0
 }
 
 // luby computes the Luby restart sequence value for index i (1-based).
@@ -404,9 +576,10 @@ func (s *Solver) Solve(assumptions ...int) Status {
 }
 
 // SolveBudget is Solve with a conflict budget; it returns Unknown when the
-// budget is exhausted.
+// budget is exhausted. The budget counts this call's conflicts only.
 func (s *Solver) SolveBudget(maxConflicts int64, assumptions ...int) Status {
 	s.cancelUntil(0)
+	s.attachNew()
 	// Attach unit clauses at level 0.
 	for _, c := range s.clauses {
 		switch len(c.lits) {
@@ -423,7 +596,7 @@ func (s *Solver) SolveBudget(maxConflicts int64, assumptions ...int) Status {
 	}
 	restart := 1
 	budget := int64(100) * int64(luby(restart))
-	var spent int64
+	var spent, conflicts int64
 	var steps uint
 	for {
 		steps++
@@ -433,14 +606,14 @@ func (s *Solver) SolveBudget(maxConflicts int64, assumptions ...int) Status {
 		confl := s.propagate()
 		if confl != nil {
 			s.conflicts++
+			conflicts++
 			spent++
 			if s.decisionLevel() == 0 {
 				return Unsat
 			}
 			learnt, bl := s.analyze(confl)
 			s.cancelUntil(bl)
-			c := &clause{lits: learnt, learnt: true}
-			s.learnts = append(s.learnts, c)
+			c := s.newClause(learnt)
 			if len(learnt) >= 2 {
 				s.watch(c)
 			}
@@ -448,7 +621,7 @@ func (s *Solver) SolveBudget(maxConflicts int64, assumptions ...int) Status {
 				return Unsat
 			}
 			s.varInc /= 0.95
-			if maxConflicts >= 0 && int64(s.conflicts) > maxConflicts {
+			if maxConflicts >= 0 && conflicts > maxConflicts {
 				return Unknown
 			}
 			if spent > budget {

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -369,5 +370,57 @@ func BenchmarkRandom3SAT(b *testing.B) {
 			s.AddClause(cl...)
 		}
 		s.Solve()
+	}
+}
+
+// TestSolveBudgetPerCall gives two budgeted calls on one solver the same
+// budget: the second must get all of it, not what the first left over.
+func TestSolveBudgetPerCall(t *testing.T) {
+	s := pigeonhole(7)
+	const budget = 300
+	if got := s.SolveBudget(budget); got != Unknown {
+		t.Fatalf("first SolveBudget = %v, want Unknown", got)
+	}
+	_, first, _ := s.Stats()
+	if got := s.SolveBudget(budget); got != Unknown {
+		t.Fatalf("second SolveBudget = %v, want Unknown", got)
+	}
+	_, total, _ := s.Stats()
+	if second := total - first; second != budget+1 {
+		t.Errorf("second call ran %d conflicts, want the full budget of %d plus the one that exceeds it (first ran %d)", second, budget, first)
+	}
+}
+
+// BenchmarkSolveDecisions measures a search made almost entirely of
+// decisions — an under-constrained random 3-CNF, few conflicts — at three
+// sizes, where choosing the branching variable is the per-decision cost.
+func BenchmarkSolveDecisions(b *testing.B) {
+	for _, n := range []int{1000, 4000, 16000} {
+		b.Run(fmt.Sprintf("vars=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			var decisions uint64
+			for i := 0; i < b.N; i++ {
+				r := rand.New(rand.NewSource(int64(n)))
+				s := New()
+				for v := 0; v < n; v++ {
+					s.NewVar()
+				}
+				for c := 0; c < 2*n; c++ {
+					cl := make([]int, 3)
+					for k := range cl {
+						cl[k] = 1 + r.Intn(n)
+						if r.Intn(2) == 0 {
+							cl[k] = -cl[k]
+						}
+					}
+					s.AddClause(cl...)
+				}
+				if s.Solve() != Sat {
+					b.Fatal("under-constrained instance unsat")
+				}
+				_, _, decisions = s.Stats()
+			}
+			b.ReportMetric(float64(decisions), "decisions/op")
+		})
 	}
 }

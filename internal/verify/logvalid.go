@@ -69,15 +69,27 @@ func (o *Options) begin() (context.Context, context.CancelFunc) {
 // ErrBudget is returned when MaxConflicts is exhausted before a decision.
 var ErrBudget = fmt.Errorf("verify: SAT conflict budget exhausted")
 
-// Stats reports the size of a grounded decision problem.
+// Stats reports the size of a grounded decision problem and, for the
+// solve behind a single verdict, where its time went: grounding, SAT search
+// (with the search's decisions and conflicts) and the operational replay
+// and shrinking of the witness. The times are zero when the subproblem was
+// answered from Options.Cache, and for verdicts that fold several
+// subproblems together.
 type Stats struct {
 	DomainSize int
 	Vars       int
 	Clauses    int
+
+	GroundTime, SolveTime, ReplayTime time.Duration
+	Decisions, Conflicts              uint64
 }
 
 func statsOf(res *fol.Result) Stats {
-	return Stats{DomainSize: len(res.Domain), Vars: res.Vars, Clauses: res.Clauses}
+	return Stats{
+		DomainSize: len(res.Domain), Vars: res.Vars, Clauses: res.Clauses,
+		GroundTime: res.GroundTime, SolveTime: res.SolveTime,
+		Decisions: res.Decisions, Conflicts: res.Conflicts,
+	}
 }
 
 // LogValidityResult is the outcome of a Theorem 3.1 check.
@@ -204,12 +216,14 @@ func logValidity(ctx context.Context, m *core.Machine, db relation.Instance, log
 		replayDB = out.WitnessDB
 	}
 	if !opts.SkipReplay {
+		start := time.Now()
 		if err := replayLogCheck(m, replayDB, out.Witness, log); err != nil {
 			return nil, fmt.Errorf("verify: internal error: witness failed replay: %w", err)
 		}
 		out.Witness = shrinkInputs(out.Witness, func(cand relation.Sequence) bool {
 			return len(cand) == len(log) && replayLogCheck(m, replayDB, cand, log) == nil
 		})
+		out.Stats.ReplayTime = time.Since(start)
 	}
 	return out, nil
 }

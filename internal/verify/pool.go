@@ -195,7 +195,10 @@ func solveSub(ctx context.Context, opts *Options, p *fol.Problem) (*fol.Result, 
 	if opts.Cache != nil {
 		key = problemKey(p)
 		if res, ok := opts.Cache.lookup(key); ok {
-			return res, nil
+			// A hit grounds and searches nothing: report no solver time.
+			hit := *res
+			hit.GroundTime, hit.SolveTime, hit.Decisions, hit.Conflicts = 0, 0, 0, 0
+			return &hit, nil
 		}
 	}
 	res, err := fol.Solve(p)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dlog"
@@ -180,6 +181,7 @@ func reachGoal(m *core.Machine, db relation.Instance, prefix relation.Sequence, 
 		replayDB = out.WitnessDB
 	}
 	if !opts.SkipReplay {
+		start := time.Now()
 		achieves := func(cand relation.Sequence) bool {
 			if len(cand) == 0 {
 				return false
@@ -191,6 +193,7 @@ func reachGoal(m *core.Machine, db relation.Instance, prefix relation.Sequence, 
 			return nil, fmt.Errorf("verify: internal error: goal %s not satisfied by witness run", g)
 		}
 		out.Witness = shrinkInputs(out.Witness, achieves)
+		out.Stats.ReplayTime = time.Since(start)
 	}
 	return out, nil
 }
@@ -490,6 +493,7 @@ func checkOneCondition(ctx context.Context, m *core.Machine, db relation.Instanc
 	if !opts.SkipReplay {
 		// The counterexample is the continuation only; replay prepends the
 		// prefix so the violation is checked on the actual resumed run.
+		start := time.Now()
 		violates := func(cand relation.Sequence) bool {
 			full := append(prefix.Clone(), cand...)
 			return replayTemporalViolation(m, replayDB, full, c) == nil
@@ -500,6 +504,7 @@ func checkOneCondition(ctx context.Context, m *core.Machine, db relation.Instanc
 		total.Counterexample = shrinkInputs(total.Counterexample, func(cand relation.Sequence) bool {
 			return len(cand) > 0 && violates(cand)
 		})
+		total.Stats.ReplayTime = time.Since(start)
 	}
 	return total, true, nil
 }
