@@ -159,6 +159,10 @@ func (r *Run) ErrorFree() bool {
 // Node returns the named participant, or nil if unknown.
 func (n *Network) Node(name string) *Node { return n.nodes[name] }
 
+// Past returns the named started node's cumulated consumed input, external
+// and wired alike (see core.Stepper.Past; nil for a non-Spocus node).
+func (n *Network) Past(node string) relation.Instance { return n.nodes[node].run.Past() }
+
 // Steps returns how many joint steps have run since Start.
 func (n *Network) Steps() int { return n.steps }
 

@@ -44,6 +44,17 @@ const PastPrefix = "past-"
 // Past returns the state relation name for input relation name.
 func Past(input string) string { return PastPrefix + input }
 
+// PastBase maps a state relation past-R back to its input relation R, the
+// inverse of Past: ok is false unless name is past-R for an input relation
+// R of s.
+func (s *Schema) PastBase(name string) (base string, ok bool) {
+	base, ok = strings.CutPrefix(name, PastPrefix)
+	if !ok || !s.In.Has(base) {
+		return "", false
+	}
+	return base, true
+}
+
 // Schema is a transducer schema (in, state, out, db, log): five relation
 // schemas where the first four are pairwise disjoint and the log is a subset
 // of in ∪ out.

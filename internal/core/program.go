@@ -310,11 +310,11 @@ func (p *progParser) classify(schema *Schema) (*Machine, error) {
 // past-R for some input relation R with matching arity.
 func subsetOfImplicitPasts(s *Schema) bool {
 	for _, d := range s.State {
-		base := strings.TrimPrefix(d.Name, PastPrefix)
-		if base == d.Name {
+		base, ok := s.PastBase(d.Name)
+		if !ok {
 			return false
 		}
-		if a, ok := s.In.Arity(base); !ok || a != d.Arity {
+		if a, _ := s.In.Arity(base); a != d.Arity {
 			return false
 		}
 	}

@@ -79,6 +79,25 @@ func (st *Stepper) Step(input relation.Instance) relation.Instance {
 
 // State materializes the current state as constants: a fresh instance that
 // shares nothing with the stepper, equal to what Machine.Step would have
-// returned after the same inputs. This is the only O(state) operation of a
-// run; snapshots, ship images and exports call it, steps never do.
+// returned after the same inputs. It and Past are a run's O(state)
+// operations; snapshots, ship images, exports and verification reads call
+// them, steps never do.
 func (st *Stepper) State() relation.Instance { return st.state.Instance() }
+
+// Past materializes the run's cumulated input — every input relation R with
+// the tuples its state relation past-R holds, empty relations omitted — as
+// a fresh instance. For a Spocus machine that is the whole of the state the
+// decision procedures read; any other kind of machine has no such past and
+// gets nil.
+func (st *Stepper) Past() relation.Instance {
+	if st.m.kind != KindSpocus {
+		return nil
+	}
+	past := relation.NewInstance()
+	for name, rel := range st.State() {
+		if base, ok := st.m.schema.PastBase(name); ok && rel.Len() > 0 {
+			past[base] = rel
+		}
+	}
+	return past
+}

@@ -178,10 +178,10 @@ func decodeWALPayload(dec *codec.Decoder, payload []byte) (*walRecord, error) {
 	return decodeWALBody(r)
 }
 
-// Image presence bits. The legacy bits mark the input history that images
-// carried before it was retired: never written, still decoded — a machine
-// image's inputs cumulate into Past, a network image's (which always had its
-// pasts alongside) are skipped.
+// Image presence bits. The legacy bits mark what older images carried
+// beside their state: the input history, then the cumulated past. Both are
+// copies of the state's past-R relations, so they are never written and,
+// when met, decoded and dropped.
 const (
 	imgHasDB = 1 << iota
 	imgHasState
@@ -189,16 +189,16 @@ const (
 	imgLegacyInputs
 	imgHasKeys
 	imgHasNet
-	imgHasPast
+	imgLegacyPast
 )
 
-// NetImage presence bits.
+// NetImage presence bits, with legacy bits as for images.
 const (
 	netHasSpec = 1 << iota
 	netHasState
 	netHasJoint
 	netLegacyInputs
-	netHasPast
+	netLegacyPast
 )
 
 func encodeImageBody(e *codec.Encoder, img *Image) error {
@@ -220,9 +220,6 @@ func encodeImageBody(e *codec.Encoder, img *Image) error {
 	if img.Logs != nil {
 		flags |= imgHasLogs
 	}
-	if img.Past != nil {
-		flags |= imgHasPast
-	}
 	if img.Keys != nil {
 		flags |= imgHasKeys
 	}
@@ -238,9 +235,6 @@ func encodeImageBody(e *codec.Encoder, img *Image) error {
 	}
 	if img.Logs != nil {
 		e.Sequence(img.Logs)
-	}
-	if img.Past != nil {
-		e.Instance(img.Past)
 	}
 	if img.Keys != nil {
 		encodeKeyTable(e, img.Keys)
@@ -272,10 +266,10 @@ func decodeImageBody(r *codec.Reader) (*Image, error) {
 		img.Logs = r.Sequence()
 	}
 	if flags&imgLegacyInputs != 0 {
-		img.Past = cumulate(r.Sequence())
+		r.Sequence()
 	}
-	if flags&imgHasPast != 0 {
-		img.Past = r.Instance()
+	if flags&imgLegacyPast != 0 {
+		r.Instance()
 	}
 	if flags&imgHasKeys != 0 {
 		img.Keys = decodeKeyTable(r)
@@ -327,9 +321,6 @@ func encodeNetImage(e *codec.Encoder, net *NetImage) error {
 	if net.Joint != nil {
 		flags |= netHasJoint
 	}
-	if net.Past != nil {
-		flags |= netHasPast
-	}
 	e.Uvarint(flags)
 	if net.Spec != nil {
 		// Specs are small, rare (once per network session), and carry no
@@ -360,9 +351,6 @@ func encodeNetImage(e *codec.Encoder, net *NetImage) error {
 	}
 	if net.Joint != nil {
 		encodeJoint(e, net.Joint)
-	}
-	if net.Past != nil {
-		e.InstanceMap(net.Past)
 	}
 	return nil
 }
@@ -398,8 +386,8 @@ func decodeNetImage(r *codec.Reader) (*NetImage, error) {
 			r.StepInputs()
 		}
 	}
-	if flags&netHasPast != 0 {
-		net.Past = r.InstanceMap()
+	if flags&netLegacyPast != 0 {
+		r.InstanceMap()
 	}
 	return net, r.Err()
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/models"
 	"repro/internal/relation"
 )
 
@@ -266,6 +267,101 @@ func TestShipSurvivesSnapshotRecovery(t *testing.T) {
 	}
 	if !view.Past.Has("order", relation.Tuple{"newsweek"}) || !view.Past.Has("pay", relation.Tuple{"newsweek", "20"}) || view.Past.Len() != 2 {
 		t.Fatalf("recovered and shipped past: %s", view.Past)
+	}
+}
+
+// shipFlags reads the presence bits of a ship image: the image's, and its
+// network part's (0 for a machine image).
+func shipFlags(t *testing.T, image []byte) (img, net uint64) {
+	t.Helper()
+	r, err := codec.NewDecoder().Record(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Uvarint() // kind
+	r.Bytes()   // digest
+	r.Str()     // id
+	r.Str()     // model
+	r.Str()     // src
+	r.Str()     // mode
+	r.Int()     // steps
+	r.Bool()    // errorFree
+	r.Bool()    // okEvery
+	r.Bool()    // lastAccept
+	img = r.Uvarint()
+	for _, skip := range []struct {
+		bit  uint64
+		read func()
+	}{
+		{imgHasDB, func() { r.Instance() }},
+		{imgHasState, func() { r.Instance() }},
+		{imgHasLogs, func() { r.Sequence() }},
+		{imgLegacyInputs, func() { r.Sequence() }},
+		{imgLegacyPast, func() { r.Instance() }},
+		{imgHasKeys, func() { decodeKeyTable(r) }},
+		{imgHasNet, func() { net = r.Uvarint() }},
+	} {
+		if img&skip.bit != 0 {
+			skip.read()
+		}
+	}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return img, net
+}
+
+// TestImagesCarryNoPast: the past verification reads is derived from the
+// state, so no image of a machine or a network session, at any depth,
+// writes one — and an image installed elsewhere hands verification the same
+// past as the session it was taken from.
+func TestImagesCarryNoPast(t *testing.T) {
+	src := memEngine(t, 1)
+	if _, err := src.Open(&OpenRequest{ID: "m", Model: "short"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Open(&OpenRequest{ID: "n", Network: models.Network("marketplace")}); err != nil {
+		t.Fatal(err)
+	}
+	inputs, script := models.Fig1Inputs(), models.NetworkScript("marketplace", "widget")
+	for depth := 0; depth <= len(script); depth++ {
+		if depth > 0 && depth <= len(inputs) {
+			if _, err := src.Input("m", inputs[depth-1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if depth > 0 {
+			if _, err := src.NetInput("n", script[depth-1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dst := memEngine(t, 1)
+		for _, id := range []string{"m", "n"} {
+			image, err := src.ExportState(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := src.Unfreeze(id); err != nil {
+				t.Fatal(err)
+			}
+			if img, net := shipFlags(t, image); img&imgLegacyPast != 0 || net&netLegacyPast != 0 {
+				t.Fatalf("%s at depth %d: image flags %b, net flags %b carry a past", id, depth, img, net)
+			}
+			if _, err := dst.Install(image); err != nil {
+				t.Fatal(err)
+			}
+			want, err := src.Peek(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := dst.Peek(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if viewPast(got) != viewPast(want) {
+				t.Fatalf("%s at depth %d: installed past %s, want %s", id, depth, viewPast(got), viewPast(want))
+			}
+		}
 	}
 }
 

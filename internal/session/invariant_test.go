@@ -39,16 +39,53 @@ func (r *ackedRun) steps() int { return len(r.in) + len(r.netIn) }
 
 // sessionFacts is what must agree between nodes for one session. It extends
 // what the benchmark's gate compares (step count and log) with the
-// idempotency-key table and the validity verdict.
+// idempotency-key table, the validity verdict, and the verifiable past
+// Peek hands the verification plane.
 type sessionFacts struct {
 	Steps  int
 	Valid  bool
 	Digest string
 	Keys   map[string]int
+	Past   string
+}
+
+// renderPast renders a past canonically; "none" is a machine that has no
+// verifiable past (nil).
+func renderPast(past relation.Instance) string {
+	if past == nil {
+		return "none"
+	}
+	return past.String()
+}
+
+// viewPast renders the past a View carries: the session's, or every network
+// member's in name order.
+func viewPast(v *View) string {
+	if v.Nodes == nil {
+		return renderPast(v.Past)
+	}
+	var parts []string
+	for _, name := range sortedKeys(v.Nodes) {
+		parts = append(parts, name+"="+renderPast(v.Nodes[name].Past))
+	}
+	return strings.Join(parts, " ")
+}
+
+// refPast is the reference past of a machine fed seq: the union of the
+// inputs for a Spocus machine, none (nil) for any other kind.
+func refPast(m *core.Machine, seq relation.Sequence) relation.Instance {
+	if m.Kind() != core.KindSpocus {
+		return nil
+	}
+	union := relation.NewInstance()
+	for _, in := range seq {
+		union.UnionWith(in)
+	}
+	return union
 }
 
 // tableOf reads an engine's whole session table, shard by shard, inside the
-// shard goroutines.
+// shard goroutines, then each session's past through Peek.
 func tableOf(t testing.TB, e *Engine) map[string]sessionFacts {
 	t.Helper()
 	table := make(map[string]sessionFacts)
@@ -67,16 +104,27 @@ func tableOf(t testing.TB, e *Engine) map[string]sessionFacts {
 			t.Fatal(err)
 		}
 	}
+	for id, f := range table {
+		v, err := e.Peek(id)
+		if err != nil {
+			t.Fatalf("peek %s: %v", id, err)
+		}
+		f.Past = viewPast(v)
+		table[id] = f
+	}
 	return table
 }
 
 // checkInvariant asserts that every node holds exactly the ledger's
 // sessions, that the nodes agree on each one's facts, and that each served
 // log is the reference semantics (Machine.Execute, or raw compose stepping
-// for a network) over the acked inputs.
+// for a network) over the acked inputs — and the past each node hands the
+// verification plane the union of those inputs (for a network member, of
+// what the member consumed in the reference stepping).
 func checkInvariant(t testing.TB, ledger map[string]*ackedRun, nodes map[string]*Engine) {
 	t.Helper()
-	want := make(map[string]string, len(ledger)) // id → reference log digest
+	want := make(map[string]string, len(ledger))     // id → reference log digest
+	wantPast := make(map[string]string, len(ledger)) // id → reference past
 	for id, run := range ledger {
 		if run.mach != nil {
 			ref, err := run.mach.Execute(run.db, run.in)
@@ -84,6 +132,7 @@ func checkInvariant(t testing.TB, ledger map[string]*ackedRun, nodes map[string]
 				t.Fatalf("oracle %s: %v", id, err)
 			}
 			want[id] = LogDigest(ref.Logs)
+			wantPast[id] = viewPast(&View{Past: refPast(run.mach, run.in)})
 			continue
 		}
 		nw, err := run.spec.Build(models.Resolve)
@@ -92,11 +141,20 @@ func checkInvariant(t testing.TB, ledger map[string]*ackedRun, nodes map[string]
 		}
 		nw.Start()
 		var joint []JointLogEntry
+		consumed := make(map[string]relation.Sequence)
 		for _, ext := range run.netIn {
 			js := nw.StepOnce(ext)
 			joint = append(joint, JointLogEntry{Logs: js.Logs, Wire: js.Wire})
+			for name, in := range js.Consumed {
+				consumed[name] = append(consumed[name], in)
+			}
 		}
 		want[id] = JointLogDigest(joint)
+		ref := make(map[string]*NodeView)
+		for _, name := range nw.Nodes() {
+			ref[name] = &NodeView{Past: refPast(nw.Node(name).M, consumed[name])}
+		}
+		wantPast[id] = viewPast(&View{Nodes: ref})
 	}
 	var first string
 	var firstTable map[string]sessionFacts
@@ -109,6 +167,9 @@ func checkInvariant(t testing.TB, ledger map[string]*ackedRun, nodes map[string]
 			if f.Steps != ledger[id].steps() || f.Digest != want[id] {
 				t.Errorf("%s/%s: %d steps digest %.12s, want %d acked steps digest %.12s",
 					name, id, f.Steps, f.Digest, ledger[id].steps(), want[id])
+			}
+			if f.Past != wantPast[id] {
+				t.Errorf("%s/%s: verifiable past %s, want %s", name, id, f.Past, wantPast[id])
 			}
 			// The digest is the node's own; the served log must carry it.
 			lr, err := nodes[name].Log(id)

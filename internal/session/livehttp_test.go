@@ -44,7 +44,7 @@ func mustStep(t *testing.T, e *Engine, id string, facts ...relation.Fact) {
 }
 
 // TestPeekSnapshot checks the verification plane's read primitive: the View
-// is a point-in-time clone — later steps do not leak into it — and Peek
+// is a point-in-time snapshot — later steps do not leak into it — and Peek
 // works on frozen sessions.
 func TestPeekSnapshot(t *testing.T) {
 	e, err := NewEngine(Config{Shards: 2})

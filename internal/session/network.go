@@ -9,7 +9,6 @@ import (
 	"repro/internal/compose"
 	"repro/internal/core"
 	"repro/internal/models"
-	"repro/internal/relation"
 )
 
 // Network sessions: one session owning a whole compose.Network. Every
@@ -35,9 +34,6 @@ type netRun struct {
 	// joint is the per-step joint log: each entry holds every node's log
 	// delta plus the wire traffic the step consumed. The durable object.
 	joint []JointLogEntry
-	// past cumulates each node's consumed inputs (external ∪ wired), the
-	// per-node verification-relevant state (see Peek).
-	past map[string]relation.Instance
 }
 
 // JointLogEntry is one step of a network session's durable log: the
@@ -69,11 +65,7 @@ func newNetSession(id string, req *OpenRequest, mode core.AcceptMode) (*Session,
 		mode:      mode,
 		errorFree: true,
 		okEvery:   true,
-		net: &netRun{
-			spec: spec,
-			nw:   nw,
-			past: make(map[string]relation.Instance),
-		},
+		net:       &netRun{spec: spec, nw: nw},
 	}, nil
 }
 
@@ -109,14 +101,6 @@ func (s *Session) applyNet(ext compose.StepInputs) (*StepResult, error) {
 	}
 	js := s.net.nw.StepOnce(ext)
 	s.net.joint = append(s.net.joint, JointLogEntry{Logs: js.Logs, Wire: js.Wire})
-	for name, in := range js.Consumed {
-		p := s.net.past[name]
-		if p == nil {
-			p = relation.NewInstance()
-			s.net.past[name] = p
-		}
-		p.UnionWith(in)
-	}
 	s.steps++
 	allOK, allAccept := true, true
 	for _, name := range s.net.nw.Nodes() {
@@ -201,11 +185,9 @@ func cloneJoint(joint []JointLogEntry) []JointLogEntry {
 }
 
 // NetImage is the network part of a snapshot Image: the spec (identity),
-// the run state (per-node states + unit-delay buffer), the joint log, and
-// the per-node cumulated pasts.
+// the run state (per-node states + unit-delay buffer), and the joint log.
 type NetImage struct {
-	Spec  *compose.Spec                `json:"spec"`
-	State *compose.NetState            `json:"state"`
-	Joint []JointLogEntry              `json:"joint,omitempty"`
-	Past  map[string]relation.Instance `json:"past,omitempty"`
+	Spec  *compose.Spec     `json:"spec"`
+	State *compose.NetState `json:"state"`
+	Joint []JointLogEntry   `json:"joint,omitempty"`
 }

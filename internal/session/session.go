@@ -34,20 +34,20 @@ type Session struct {
 	src   string // inline program source, "" when built from the registry
 	mode  core.AcceptMode
 	mach  *core.Machine
-	db    relation.Instance
+	// db is the session's database, fixed at open: nothing writes it for the
+	// session's whole life, so the stepper reads it in place and Peek shares
+	// it with verification.
+	db relation.Instance
 	// run holds the cumulated state resident in the step executor's form and
 	// steps on it in place (see core.Stepper); only the shard goroutine that
 	// owns the session touches it. A relation.Instance of the state exists
-	// only while something reads one: snapOf materializes it.
-	run  *core.Stepper
-	logs relation.Sequence // per-step log deltas, the durable object
-	// past is the cumulated union of all absorbed inputs — for a Spocus
-	// machine, the whole of the session's verification-relevant state. The
-	// live verification plane reads a clone of it (see Peek). It is all the
-	// session keeps of its inputs: state image + log is the session, so the
-	// input sequence itself lives only in the WAL until compaction folds it
-	// into a snapshot, and memory and images stay O(state + log).
-	past  relation.Instance
+	// only while something reads one: snapOf and Peek materialize it. It is
+	// the one copy of what the session keeps of its inputs — for a Spocus
+	// machine the state is the cumulated input itself (past-R) — so the
+	// input sequence lives only in the WAL until compaction folds it into a
+	// snapshot, and memory and images stay O(state + log).
+	run   *core.Stepper
+	logs  relation.Sequence // per-step log deltas, the durable object
 	steps int
 	// frozen marks a session mid-handoff: reads proceed, mutations fail
 	// with FrozenError. Not persisted (see export.go).
@@ -71,7 +71,7 @@ type Session struct {
 	lastAccept bool // the most recent output contained accept
 
 	// net is set iff this is a network session (see network.go); then mach,
-	// db, state, logs, and past above are unused (nil).
+	// db, run, and logs above are unused (nil).
 	net *netRun
 }
 
@@ -142,7 +142,6 @@ func newSession(id string, req *OpenRequest) (*Session, error) {
 		mach:      mach,
 		db:        db,
 		run:       run,
-		past:      relation.NewInstance(),
 		errorFree: true,
 		okEvery:   true,
 	}, nil
@@ -225,7 +224,6 @@ func (s *Session) apply(in relation.Instance) *StepResult {
 	out := s.run.Step(in)
 	delta := s.mach.Schema().LogDelta(in, out)
 	s.logs = append(s.logs, delta)
-	s.past.UnionWith(in)
 	s.steps++
 	if out.Rel(core.ErrorRel).Len() > 0 {
 		s.errorFree = false

@@ -1,7 +1,6 @@
 package session
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/codec"
@@ -69,23 +68,21 @@ func (r *snapReader) next(payload []byte) (*Image, *Session, error) {
 
 // Image is one session's full durable state: what snapshots persist and
 // what handoff ships between nodes. Network sessions fill Net instead of
-// the machine-shaped fields (DB, State, Logs, Past).
+// the machine-shaped fields (DB, State, Logs).
 //
-// Images written before the input history was retired carry the session's
-// input sequence and no past; both decoders (binary in codec.go, JSON
-// below) cumulate those inputs into Past and drop them, so such an image
-// restores to exactly the session it described.
+// Older images also carry the session's input history, or its cumulated
+// past: both are copies of what State already holds (past-R), so the
+// decoders read past them — the JSON one by not knowing the fields, the
+// binary one by skipping them (codec.go) — and such an image restores to
+// exactly the session it described.
 type Image struct {
-	ID    string            `json:"id"`
-	Model string            `json:"model,omitempty"`
-	Src   string            `json:"src,omitempty"`
-	Mode  string            `json:"mode"`
-	DB    relation.Instance `json:"db,omitempty"`
-	State relation.Instance `json:"state,omitempty"`
-	Logs  relation.Sequence `json:"logs,omitempty"`
-	// Past is the union of every input the session absorbed (see
-	// Session.past).
-	Past       relation.Instance `json:"past,omitempty"`
+	ID         string            `json:"id"`
+	Model      string            `json:"model,omitempty"`
+	Src        string            `json:"src,omitempty"`
+	Mode       string            `json:"mode"`
+	DB         relation.Instance `json:"db,omitempty"`
+	State      relation.Instance `json:"state,omitempty"`
+	Logs       relation.Sequence `json:"logs,omitempty"`
 	Steps      int               `json:"steps"`
 	ErrorFree  bool              `json:"errorFree"`
 	OkEvery    bool              `json:"okEvery"`
@@ -94,32 +91,6 @@ type Image struct {
 	// it is what makes dedupe survive compaction, handoff, and promotion.
 	Keys map[string]int `json:"keys,omitempty"`
 	Net  *NetImage      `json:"net,omitempty"`
-}
-
-// UnmarshalJSON reads an image in the JSON codec, accepting the legacy
-// "inputs" history in place of "past" (see Image).
-func (ss *Image) UnmarshalJSON(data []byte) error {
-	type plain Image // sheds this method
-	legacy := struct {
-		*plain
-		Inputs relation.Sequence `json:"inputs"`
-	}{plain: (*plain)(ss)}
-	if err := json.Unmarshal(data, &legacy); err != nil {
-		return err
-	}
-	if ss.Past == nil && legacy.Inputs != nil {
-		ss.Past = cumulate(legacy.Inputs)
-	}
-	return nil
-}
-
-// cumulate unions an input sequence into the past it amounts to.
-func cumulate(inputs relation.Sequence) relation.Instance {
-	past := relation.NewInstance()
-	for _, in := range inputs {
-		past.UnionWith(in)
-	}
-	return past
 }
 
 func snapOf(s *Session) Image {
@@ -133,12 +104,7 @@ func snapOf(s *Session) Image {
 		Keys:       s.keys,
 	}
 	if s.net != nil {
-		img.Net = &NetImage{
-			Spec:  s.net.spec,
-			State: s.net.nw.ExportState(),
-			Joint: s.net.joint,
-			Past:  s.net.past,
-		}
+		img.Net = &NetImage{Spec: s.net.spec, State: s.net.nw.ExportState(), Joint: s.net.joint}
 		return img
 	}
 	img.Model = s.model
@@ -146,7 +112,6 @@ func snapOf(s *Session) Image {
 	img.DB = s.db
 	img.State = s.run.State()
 	img.Logs = s.logs
-	img.Past = s.past
 	return img
 }
 
@@ -177,10 +142,6 @@ func (ss *Image) restore() (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	past := ss.Past
-	if past == nil {
-		past = relation.NewInstance()
-	}
 	return &Session{
 		id:         ss.ID,
 		model:      ss.Model,
@@ -190,7 +151,6 @@ func (ss *Image) restore() (*Session, error) {
 		db:         db,
 		run:        run,
 		logs:       ss.Logs,
-		past:       past,
 		steps:      ss.Steps,
 		errorFree:  ss.ErrorFree,
 		okEvery:    ss.OkEvery,
@@ -216,10 +176,6 @@ func (ss *Image) restoreNet(mode core.AcceptMode) (*Session, error) {
 			return nil, fmt.Errorf("snapshot: %w", err)
 		}
 	}
-	past := ss.Net.Past
-	if past == nil {
-		past = make(map[string]relation.Instance)
-	}
 	return &Session{
 		id:         ss.ID,
 		mode:       mode,
@@ -228,11 +184,6 @@ func (ss *Image) restoreNet(mode core.AcceptMode) (*Session, error) {
 		okEvery:    ss.OkEvery,
 		lastAccept: ss.LastAccept,
 		keys:       ss.Keys,
-		net: &netRun{
-			spec:  ss.Net.Spec,
-			nw:    nw,
-			joint: ss.Net.Joint,
-			past:  past,
-		},
+		net:        &netRun{spec: ss.Net.Spec, nw: nw, joint: ss.Net.Joint},
 	}, nil
 }

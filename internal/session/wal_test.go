@@ -59,7 +59,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 }
 
 // Install records carry a full image; the image must survive the WAL trip
-// with its log and past intact, because replay restores from it alone.
+// with its log and state intact, because replay restores from it alone.
 func TestWALInstallRecordRoundTrip(t *testing.T) {
 	in := step(t, fact("order", "time"))
 	img := &Image{
@@ -67,9 +67,8 @@ func TestWALInstallRecordRoundTrip(t *testing.T) {
 		Model: "short",
 		Mode:  "all",
 		DB:    relation.NewInstance(),
-		State: relation.NewInstance(),
+		State: step(t, fact("past-order", "time")),
 		Logs:  relation.Sequence{in},
-		Past:  in,
 		Steps: 1,
 	}
 	data, err := json.Marshal(&walRecord{T: recInstall, SID: "shipped", Image: img})
@@ -90,8 +89,8 @@ func TestWALInstallRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.id != "shipped" || s.steps != 1 || !s.past.Has("order", relation.Tuple{"time"}) {
-		t.Errorf("restored session mangled: id=%s steps=%d past=%s", s.id, s.steps, s.past)
+	if past := s.run.Past(); s.id != "shipped" || s.steps != 1 || !past.Equal(in) {
+		t.Errorf("restored session mangled: id=%s steps=%d past=%s", s.id, s.steps, past)
 	}
 }
 

@@ -528,7 +528,7 @@ func temporalLiteral(t *translator, s *core.Schema, l dlog.Literal, j int) (fol.
 			return nil, err
 		}
 	case s.State.Has(a.Pred):
-		base, ok := pastBase(a.Pred, s)
+		base, ok := s.PastBase(a.Pred)
 		if !ok {
 			return nil, fmt.Errorf("verify: state relation %s is not past-R", a.Pred)
 		}

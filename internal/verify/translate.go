@@ -110,7 +110,7 @@ func (t *translator) literal(l dlog.Literal, j int) (fol.Formula, error) {
 	case s.In.Has(a.Pred):
 		f = t.inputAtom(a.Pred, a.Args, j)
 	case s.State.Has(a.Pred):
-		base, ok := pastBase(a.Pred, s)
+		base, ok := s.PastBase(a.Pred)
 		if !ok {
 			return nil, fmt.Errorf("verify: state relation %s is not a past-R relation; only Spocus machines are supported", a.Pred)
 		}
@@ -124,18 +124,6 @@ func (t *translator) literal(l dlog.Literal, j int) (fol.Formula, error) {
 		return fol.NotF(f), nil
 	}
 	return f, nil
-}
-
-// pastBase maps a state relation past-R back to its input relation R.
-func pastBase(state string, s *core.Schema) (string, bool) {
-	if len(state) <= len(core.PastPrefix) || state[:len(core.PastPrefix)] != core.PastPrefix {
-		return "", false
-	}
-	base := state[len(core.PastPrefix):]
-	if !s.In.Has(base) {
-		return "", false
-	}
-	return base, true
 }
 
 // body translates a whole rule body at step j, conjoining the literals.

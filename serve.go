@@ -80,8 +80,8 @@ type (
 	// RingInfo is the ring snapshot served at GET /debug/shards.
 	RingInfo = cluster.Info
 	// SessionImage is a session's full materialized state (database, state
-	// relations, logs, cumulated inputs) as written to snapshots and shipped
-	// between backends.
+	// relations — for a Spocus machine, its cumulated inputs —, logs) as
+	// written to snapshots and shipped between backends.
 	SessionImage = session.Image
 	// SessionStateExport is a frozen session's image plus a log digest, the
 	// decoded form of what handoff ships; the installing backend refuses
