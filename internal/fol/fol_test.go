@@ -306,45 +306,122 @@ func randomBSFormula(rnd *rand.Rand, depth int, scope []string) Formula {
 	}
 }
 
+// fixedAtom builds a random atom over the fixed predicates g/1 and s/2,
+// its terms drawn from scope and the constants {a,b}.
+func fixedAtom(rnd *rand.Rand, scope []string) Formula {
+	mkTerm := func() dlog.Term {
+		if len(scope) > 0 && rnd.Intn(4) != 0 {
+			return x(scope[rnd.Intn(len(scope))])
+		}
+		return cs([]string{"a", "b"}[rnd.Intn(2)])
+	}
+	if rnd.Intn(2) == 0 {
+		return AtomF("g", mkTerm())
+	}
+	return AtomF("s", mkTerm(), mkTerm())
+}
+
+// randomFixedRels draws seeded extensions of g/1 and s/2 over {a,b}.
+func randomFixedRels(rnd *rand.Rand) map[string]*relation.Rel {
+	g, s := relation.NewRel(1), relation.NewRel(2)
+	for _, c := range []relation.Const{"a", "b"} {
+		if rnd.Intn(2) == 0 {
+			g.Add(relation.Tuple{c})
+		}
+		for _, d := range []relation.Const{"a", "b"} {
+			if rnd.Intn(2) == 0 {
+				s.Add(relation.Tuple{c, d})
+			}
+		}
+	}
+	return map[string]*relation.Rel{"g": g, "s": s}
+}
+
+// randomMixedSentence builds a random closed BS sentence over the free p/1,
+// r/2 and the fixed g/1, s/2. Fixed atoms appear in the matrix with either
+// sign, as conjuncts of an existential block and as negated disjuncts of a
+// universal one, so they act as guards of both quantifiers.
+func randomMixedSentence(rnd *rand.Rand) Formula {
+	k, m := rnd.Intn(3), rnd.Intn(3)
+	evs := []string{"X", "Y"}[:k]
+	uvs := []string{"U", "V"}[:m]
+	all := append(append([]string{}, evs...), uvs...)
+	maybeNot := func(f Formula) Formula {
+		if rnd.Intn(2) == 0 {
+			return NotF(f)
+		}
+		return f
+	}
+	matrix := func(scope []string) Formula {
+		f := randomBSFormula(rnd, 2, scope)
+		if rnd.Intn(2) == 0 {
+			f = AndF(f, maybeNot(fixedAtom(rnd, scope)))
+		} else {
+			f = OrF(f, maybeNot(fixedAtom(rnd, scope)))
+		}
+		return f
+	}
+	var eGuards, uGuards []Formula
+	for i := rnd.Intn(3); i > 0; i-- {
+		eGuards = append(eGuards, fixedAtom(rnd, evs))
+	}
+	for i := rnd.Intn(3); i > 0; i-- {
+		uGuards = append(uGuards, NotF(fixedAtom(rnd, all)))
+	}
+	switch rnd.Intn(3) {
+	case 0:
+		// ∃x̄ (E ∧ ∀ū (¬U ∨ φ))
+		return ExistsF(evs, AndF(append(eGuards, ForallF(uvs, OrF(append(uGuards, matrix(all))...)))...))
+	case 1:
+		// ∃x̄ (E ∧ φ) ∧ ∀ū (¬U ∨ ψ), the universal block over ū alone
+		var ug []Formula
+		for i := rnd.Intn(3); i > 0; i-- {
+			ug = append(ug, NotF(fixedAtom(rnd, uvs)))
+		}
+		return AndF(
+			ExistsF(evs, AndF(append(eGuards, matrix(evs))...)),
+			ForallF(uvs, OrF(append(ug, matrix(uvs))...)))
+	default:
+		// ∃x̄ ∀ū φ
+		return ExistsF(evs, ForallF(uvs, matrix(all)))
+	}
+}
+
 // TestPropSolveMatchesBruteForce cross-checks the grounder against explicit
-// enumeration of all free-predicate extensions over the same finite domain.
+// enumeration of all free-predicate extensions over the same finite domain,
+// on sentences that mix free predicates with fixed ones under both
+// quantifiers. One witness element keeps the domain at three elements at
+// most, whatever the number of existentials.
 func TestPropSolveMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
-		// Random prefix: k existentials then m universals over the matrix.
-		k, m := rnd.Intn(2), rnd.Intn(2)
-		var evs, uvs []string
-		for i := 0; i < k; i++ {
-			evs = append(evs, []string{"X", "Y"}[i])
-		}
-		for i := 0; i < m; i++ {
-			uvs = append(uvs, []string{"U", "V"}[i])
-		}
-		matrix := randomBSFormula(rnd, 2, append(append([]string{}, evs...), uvs...))
-		sentence := ExistsF(evs, ForallF(uvs, matrix))
+		fixed := randomFixedRels(rnd)
+		sentence := randomMixedSentence(rnd)
 		res, err := Solve(&Problem{
-			Formula: sentence,
-			Free:    map[string]int{"p": 1, "r": 2},
+			Formula:   sentence,
+			Fixed:     fixed,
+			Free:      map[string]int{"p": 1, "r": 2},
+			Witnesses: 1,
 		})
 		if err != nil {
 			t.Logf("solve error: %v", err)
 			return false
 		}
 		got := res.Status == sat.Sat
-		want := bruteForceSatisfiable(sentence, res.Domain)
+		want := bruteForceSatisfiable(sentence, fixed, res.Domain)
 		if got != want {
-			t.Logf("mismatch on %s over %v: solver=%v brute=%v", sentence, res.Domain, got, want)
+			t.Logf("mismatch on %s with g=%v s=%v over %v: solver=%v brute=%v", sentence, fixed["g"], fixed["s"], res.Domain, got, want)
 		}
 		return got == want
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
 	}
 }
 
 // bruteForceSatisfiable enumerates all extensions of p/1 and r/2 over the
-// domain and evaluates the sentence directly.
-func bruteForceSatisfiable(f Formula, domain []relation.Const) bool {
+// domain and evaluates the sentence directly, beside the fixed relations.
+func bruteForceSatisfiable(f Formula, fixed map[string]*relation.Rel, domain []relation.Const) bool {
 	n := len(domain)
 	nP := n
 	nR := n * n
@@ -365,6 +442,9 @@ func bruteForceSatisfiable(f Formula, domain []relation.Const) bool {
 			}
 		}
 		rels := map[string]*relation.Rel{"p": p, "r": r}
+		for name, rel := range fixed {
+			rels[name] = rel
+		}
 		if Eval(f, rels, domain, map[string]relation.Const{}) {
 			return true
 		}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/dlog"
 	"repro/internal/models"
 	"repro/internal/relation"
 )
@@ -39,24 +40,7 @@ func tinyMachine() (*core.Machine, relation.Instance, []relation.Const) {
 // bruteReachable enumerates all 2-step runs with at most two facts per step
 // over the pool and tests the goal on the last output.
 func bruteReachable(m *core.Machine, db relation.Instance, g *Goal, pool []relation.Const) bool {
-	var universe []relation.Fact
-	for _, d := range m.Schema().In {
-		for _, t := range enumerateTuples(pool, d.Arity) {
-			universe = append(universe, relation.Fact{Rel: d.Name, Args: t})
-		}
-	}
-	var steps []relation.Instance
-	steps = append(steps, relation.NewInstance())
-	for i, f := range universe {
-		s := relation.NewInstance()
-		s.Add(f.Rel, f.Args)
-		steps = append(steps, s)
-		for _, f2 := range universe[i+1:] {
-			s2 := s.Clone()
-			s2.Add(f2.Rel, f2.Args)
-			steps = append(steps, s2)
-		}
-	}
+	steps := pooledSteps(poolFacts(m, pool))
 	for _, s1 := range steps {
 		for _, s2 := range steps {
 			run, err := m.Execute(db, relation.Sequence{s1, s2})
@@ -69,6 +53,219 @@ func bruteReachable(m *core.Machine, db relation.Instance, g *Goal, pool []relat
 		}
 	}
 	return false
+}
+
+// poolFacts is every input fact of m over the pool.
+func poolFacts(m *core.Machine, pool []relation.Const) []relation.Fact {
+	var out []relation.Fact
+	for _, d := range m.Schema().In {
+		for _, t := range enumerateTuples(pool, d.Arity) {
+			out = append(out, relation.Fact{Rel: d.Name, Args: t})
+		}
+	}
+	return out
+}
+
+// pooledSteps is every input instance holding at most two of the facts,
+// the empty one first.
+func pooledSteps(facts []relation.Fact) []relation.Instance {
+	steps := []relation.Instance{relation.NewInstance()}
+	for i, f := range facts {
+		s := relation.NewInstance()
+		s.Add(f.Rel, f.Args)
+		steps = append(steps, s)
+		for _, f2 := range facts[i+1:] {
+			s2 := s.Clone()
+			s2.Add(f2.Rel, f2.Args)
+			steps = append(steps, s2)
+		}
+	}
+	return steps
+}
+
+// continuation is a two-step continuation of a prefix with the output and
+// the state its last step leaves.
+type continuation struct {
+	seq        relation.Sequence
+	out, state relation.Instance
+}
+
+// pooledContinuations runs the prefix followed by every pair of the steps
+// and keeps one continuation per distinct last output and last state: the
+// outcomes every goal and every condition are then checked against. An
+// empty first step leaves a Spocus state as it was, so the pairs cover the
+// one-step continuations too.
+func pooledContinuations(t *testing.T, m *core.Machine, db relation.Instance, prefix relation.Sequence, steps []relation.Instance) []continuation {
+	t.Helper()
+	run, err := m.Execute(db, prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := relation.NewInstance()
+	for _, d := range m.Schema().State {
+		state.Ensure(d.Name, d.Arity)
+	}
+	if len(run.States) > 0 {
+		state = run.States[len(run.States)-1]
+	}
+	seen := map[string]bool{}
+	var out []continuation
+	for _, s1 := range steps {
+		mid, _, err := m.Step(s1, state, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s2 := range steps {
+			last, o, err := m.Step(s2, mid, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := o.String() + "|" + last.String()
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			out = append(out, continuation{seq: relation.Sequence{s1, s2}, out: o, state: last})
+		}
+	}
+	return out
+}
+
+// crossCheckFrom draws seeded prefixes from the steps and checks, for each,
+// ReachGoalFrom on every goal and CheckTemporalFrom on every condition
+// against the pooled continuations. It returns how many verdicts of each
+// kind came out positive, so a caller can see both answers were exercised.
+func crossCheckFrom(t *testing.T, m *core.Machine, db relation.Instance, steps []relation.Instance, goals, conds []string, prefixes int, seed int64) (reachable, holds, total int) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	for k := 0; k < prefixes; k++ {
+		var prefix relation.Sequence
+		for i := r.Intn(4); i > 0; i-- {
+			prefix = append(prefix, steps[r.Intn(len(steps))])
+		}
+		conts := pooledContinuations(t, m, db, prefix, steps)
+		for _, src := range goals {
+			g, err := ParseGoal(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ReachGoalFrom(m, db, prefix, g, nil)
+			if err != nil {
+				t.Fatalf("ReachGoalFrom(%s) after %s: %v", src, oneLine(prefix), err)
+			}
+			want := false
+			for _, c := range conts {
+				if g.Holds(c.out) {
+					want = true
+					break
+				}
+			}
+			if res.Reachable != want {
+				t.Errorf("%s: goal %s after %s: procedure=%v pooled search=%v (witness %s)", m.Name(), src, oneLine(prefix), res.Reachable, want, oneLine(res.Witness))
+			}
+			if want {
+				reachable++
+			}
+		}
+		for _, src := range conds {
+			c, err := ParseCondition(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := CheckTemporalFrom(m, db, prefix, []*Condition{c}, nil)
+			if err != nil {
+				t.Fatalf("CheckTemporalFrom(%s) after %s: %v", src, oneLine(prefix), err)
+			}
+			want := true
+			for _, cont := range conts {
+				violated, err := violates(dlog.MultiDB{cont.out, cont.state, db}, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if violated {
+					want = false
+					break
+				}
+			}
+			if res.Holds != want {
+				t.Errorf("%s: condition %s after %s: procedure=%v pooled search=%v (counterexample %s)", m.Name(), src, oneLine(prefix), res.Holds, want, oneLine(res.Counterexample))
+			}
+			if want {
+				holds++
+			}
+		}
+		total++
+	}
+	return reachable, holds, total
+}
+
+// TestReachAndTemporalFromMatchPooledSearchTiny2 checks the progress forms of
+// Theorems 3.2 and 3.3 on tiny2 against exhaustive two-step search from
+// seeded prefixes. The pooled search is a sound oracle here: tiny2's rules
+// have no body-only variables, so whether an output or state tuple holds
+// depends only on input facts over that tuple's own constants; every goal
+// and condition below speaks about at most two constants, of which at most
+// one lies outside the database's {a, b}, so each answer found with fresh
+// constants maps onto the pool {a, b, c} by a renaming that fixes a and b.
+// Every goal and violation needs at most two facts at a step, which the
+// pooled steps allow.
+func TestReachAndTemporalFromMatchPooledSearchTiny2(t *testing.T) {
+	m, db, pool := tinyMachine()
+	goals := []string{
+		"hit(X)", "hit(a)", "hit(c)",
+		"pairup(X, Y)", "pairup(X, a)", "pairup(c, Y)", "pairup(a, b)",
+		"hit(X), pairup(X, Y)", "pairup(X, Y), NOT hit(Y)",
+	}
+	conds := []string{
+		"hit(X) => good(X)",
+		"hit(X) => past-tag(X, X)",
+		"pairup(X, Y) => past-put(X)",
+		"pairup(X, Y) => good(Y)",
+		"pairup(X, Y) => past-tag(Y, X)",
+		"pairup(X, Y) => past-put(Y)",
+		"hit(X), pairup(X, Y) => past-put(Y)",
+	}
+	reachable, holds, n := crossCheckFrom(t, m, db, pooledSteps(poolFacts(m, pool)), goals, conds, 10, 1)
+	t.Logf("%d prefixes: %d/%d goals reachable, %d/%d conditions hold", n, reachable, n*len(goals), holds, n*len(conds))
+}
+
+// TestReachAndTemporalFromMatchPooledSearchShort checks the same on SHORT
+// over a two-item catalogue. The pooled search draws only catalogue-typed
+// facts — an order of an item, a payment of an item at either price — and
+// is a sound oracle because every SHORT rule joins each input and state
+// atom with price on all its variables: a fact over any other constant
+// never reaches an output, and every goal and condition below binds its
+// variables through an output or price atom. Every goal and violation needs
+// at most two facts at a step.
+func TestReachAndTemporalFromMatchPooledSearchShort(t *testing.T) {
+	m := models.Short()
+	db := relation.NewInstance()
+	db.Add("price", relation.Tuple{"time", "855"})
+	db.Add("price", relation.Tuple{"newsweek", "845"})
+	db.Add("available", relation.Tuple{"time"})
+	db.Add("available", relation.Tuple{"newsweek"})
+	var facts []relation.Fact
+	for _, item := range []relation.Const{"time", "newsweek"} {
+		facts = append(facts, relation.Fact{Rel: "order", Args: relation.Tuple{item}})
+		for _, price := range []relation.Const{"855", "845"} {
+			facts = append(facts, relation.Fact{Rel: "pay", Args: relation.Tuple{item, price}})
+		}
+	}
+	goals := []string{
+		"deliver(X)", "deliver(time)", "sendbill(X, Y)", "sendbill(newsweek, Y)",
+		"deliver(X), sendbill(X, Y)", "deliver(X), NOT sendbill(X, Y), sendbill(Z, Y)",
+		"deliver(X), deliver(Y), X <> Y",
+	}
+	conds := []string{
+		"deliver(X) => past-order(X)",
+		"deliver(X), price(X, Y) => past-pay(X, Y)",
+		"sendbill(X, Y) => past-order(X)",
+		"sendbill(X, Y) => past-pay(X, Y)",
+		"price(X, Y) => past-pay(X, Y)",
+		"sendbill(X, Y), deliver(X) => past-pay(X, Y)",
+	}
+	reachable, holds, n := crossCheckFrom(t, m, db, pooledSteps(facts), goals, conds, 12, 2)
+	t.Logf("%d prefixes: %d/%d goals reachable, %d/%d conditions hold", n, reachable, n*len(goals), holds, n*len(conds))
 }
 
 // TestPropReachGoalMatchesBruteForce: the Theorem 3.2 procedure agrees with

@@ -557,8 +557,19 @@ func replayTemporalViolation(m *core.Machine, db relation.Instance, seq relation
 	// The condition is evaluated over output ∪ db ∪ state at the last
 	// stage, where state is the post-transition Sₗₐₛₜ (cumulated inputs of
 	// steps ≤ last) — run.States already records post-transition states.
-	view := dlog.MultiDB{run.Outputs[last], run.States[last], db}
-	// Violated means: some binding satisfies If and falsifies every Then.
+	violated, err := violates(dlog.MultiDB{run.Outputs[last], run.States[last], db}, c)
+	if err != nil {
+		return err
+	}
+	if !violated {
+		return fmt.Errorf("counterexample does not violate %s at last step", c)
+	}
+	return nil
+}
+
+// violates reports whether some binding satisfies the condition's If side
+// and falsifies every Then literal over the view.
+func violates(view dlog.MultiDB, c *Condition) (bool, error) {
 	body := append([]dlog.Literal{}, c.If...)
 	for _, l := range c.Then {
 		neg := l
@@ -575,14 +586,9 @@ func replayTemporalViolation(m *core.Machine, db relation.Instance, seq relation
 		body = append(body, neg)
 	}
 	violated := false
-	if err := dlog.EvalRuleBindings(body, view, func(dlog.Binding) bool {
+	err := dlog.EvalRuleBindings(body, view, func(dlog.Binding) bool {
 		violated = true
 		return false
-	}); err != nil {
-		return err
-	}
-	if !violated {
-		return fmt.Errorf("counterexample does not violate %s at last step", c)
-	}
-	return nil
+	})
+	return violated, err
 }
