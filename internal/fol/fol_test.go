@@ -321,14 +321,14 @@ func fixedAtom(rnd *rand.Rand, scope []string) Formula {
 	return AtomF("s", mkTerm(), mkTerm())
 }
 
-// randomFixedRels draws seeded extensions of g/1 and s/2 over {a,b}.
-func randomFixedRels(rnd *rand.Rand) map[string]*relation.Rel {
+// randomFixedRels draws seeded extensions of g/1 and s/2 over consts.
+func randomFixedRels(rnd *rand.Rand, consts ...relation.Const) map[string]*relation.Rel {
 	g, s := relation.NewRel(1), relation.NewRel(2)
-	for _, c := range []relation.Const{"a", "b"} {
+	for _, c := range consts {
 		if rnd.Intn(2) == 0 {
 			g.Add(relation.Tuple{c})
 		}
-		for _, d := range []relation.Const{"a", "b"} {
+		for _, d := range consts {
 			if rnd.Intn(2) == 0 {
 				s.Add(relation.Tuple{c, d})
 			}
@@ -395,7 +395,7 @@ func randomMixedSentence(rnd *rand.Rand) Formula {
 func TestPropSolveMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
-		fixed := randomFixedRels(rnd)
+		fixed := randomFixedRels(rnd, "a", "b")
 		sentence := randomMixedSentence(rnd)
 		res, err := Solve(&Problem{
 			Formula:   sentence,

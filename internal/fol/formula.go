@@ -13,11 +13,18 @@
 // product database) or free (unknown relations, e.g. the input sequence the
 // decision procedure searches for).
 //
-// The checker grounds the sentence to CNF — universal variables by expansion
-// over the domain, existential variables by "selector" booleans with
-// exactly-one constraints — and decides it with the CDCL solver of package
-// sat, reading witness assignments and free-predicate extensions back out of
-// the model.
+// The checker grounds the sentence to CNF and decides it with the CDCL
+// solver of package sat, reading witness assignments and free-predicate
+// extensions back out of the model. Fixed relations drive instantiation: a
+// quantifier block whose body has a guard — an atom over a fixed predicate
+// conjoined under ∃, or negated and disjoined under ∀ — is instantiated
+// only at the bindings the guard's tuples admit (several guards are joined
+// bound-first through index probes), because every other instance grounds
+// to the block's identity. An existential block outside universal scope is
+// then a disjunction over its admitted bindings. Variables no guard covers
+// keep the plain encoding: universal ones (and existential ones under a
+// universal) are expanded over the whole domain, the other existential ones
+// become "selector" booleans with exactly-one constraints.
 package fol
 
 import (
@@ -538,38 +545,30 @@ func CheckBS(f Formula) (int, error) {
 	return count, nil
 }
 
-// countOuterExistentials counts existential variables not in the scope of a
-// universal quantifier (assumes NNF).
-func countOuterExistentials(f Formula) int {
-	var walk func(g Formula, underForall bool) int
-	walk = func(g Formula, underForall bool) int {
+// outerExistentials lists the existential variables not in the scope of a
+// universal quantifier (assumes NNF), in formula order.
+func outerExistentials(f Formula) []string {
+	var out []string
+	var walk func(g Formula)
+	walk = func(g Formula) {
 		switch t := g.(type) {
 		case Not:
-			return walk(t.F, underForall)
+			walk(t.F)
 		case And:
-			n := 0
 			for _, h := range t.Fs {
-				n += walk(h, underForall)
+				walk(h)
 			}
-			return n
 		case Or:
-			n := 0
 			for _, h := range t.Fs {
-				n += walk(h, underForall)
+				walk(h)
 			}
-			return n
 		case Exists:
-			n := 0
-			if !underForall {
-				n = len(t.Vars)
-			}
-			return n + walk(t.F, underForall)
-		case Forall:
-			return walk(t.F, true)
+			out = append(out, t.Vars...)
+			walk(t.F)
 		}
-		return 0
 	}
-	return walk(f, false)
+	walk(f)
+	return out
 }
 
 // Eval evaluates a closed formula (no free variables after env) over finite

@@ -86,6 +86,20 @@ type Result struct {
 // Solve decides finite satisfiability of the problem by grounding to CNF
 // and running the CDCL solver. See the package comment for semantics.
 func Solve(p *Problem) (*Result, error) {
+	if observe != nil {
+		observe(p)
+	}
+	return solve(p, func(g *grounder, f Formula) (int, error) { return g.lit(f, false) })
+}
+
+// observe, when non-nil, sees every problem Solve is given. Only this
+// package's tests set it, to rerun the problems other packages build
+// through the test-only naive grounder.
+var observe func(*Problem)
+
+// solve decides the problem with ground encoding its sentence (in NNF,
+// bound variables renamed apart) into the grounder's solver.
+func solve(p *Problem, ground func(*grounder, Formula) (int, error)) (*Result, error) {
 	start := time.Now()
 	if p.Context != nil {
 		if err := p.Context.Err(); err != nil {
@@ -96,16 +110,12 @@ func Solve(p *Problem) (*Result, error) {
 	if fv := FreeVars(f); len(fv) > 0 {
 		return nil, fmt.Errorf("fol: sentence has free variables %v", fv)
 	}
-	var nExists int
-	if p.FiniteDomain {
-		nExists = countOuterExistentials(f)
-	} else {
-		var err error
-		nExists, err = CheckBS(f)
-		if err != nil {
+	if !p.FiniteDomain {
+		if _, err := CheckBS(f); err != nil {
 			return nil, err
 		}
 	}
+	outer := outerExistentials(f)
 	// Check predicate usage against Fixed/Free declarations.
 	preds := Preds(f)
 	for pred, arity := range preds {
@@ -148,7 +158,7 @@ func Solve(p *Problem) (*Result, error) {
 	sort.Slice(domain, func(i, j int) bool { return domain[i] < domain[j] })
 	w := p.Witnesses
 	if w == 0 {
-		w = nExists
+		w = len(outer)
 		if w == 0 {
 			w = 1
 		}
@@ -158,7 +168,7 @@ func Solve(p *Problem) (*Result, error) {
 	}
 
 	g := newGrounder(p, preds, domain)
-	root, err := g.lit(f, false)
+	root, err := ground(g, f)
 	if err == nil {
 		g.add(root)
 		err = g.err
@@ -196,14 +206,33 @@ func Solve(p *Problem) (*Result, error) {
 			res.Model[g.preds[pid].name].Add(t)
 		}
 	})
-	// Extract existential witnesses.
-	res.Witness = make(map[string]relation.Const)
+	// Extract existential witnesses: a selector's chosen element, else the
+	// binding of an expanded block's first instance that holds, else (the
+	// block was never grounded, or holds nowhere) the first element.
+	res.Witness = make(map[string]relation.Const, len(outer))
 	for id, vars := range g.selVars {
 		for i, v := range vars {
 			if g.solver.Value(v) {
 				res.Witness[g.selNames[id]] = domain[i]
 				break
 			}
+		}
+	}
+	held := make([]bool, len(g.insts))
+	for i, in := range g.insts {
+		held[i] = g.holds(in.lit) && (in.parent < 0 || held[in.parent])
+		if !held[i] {
+			continue
+		}
+		for k, x := range in.names {
+			if _, ok := res.Witness[x]; !ok {
+				res.Witness[x] = domain[g.instVals[in.vals+k]]
+			}
+		}
+	}
+	for _, x := range outer {
+		if _, ok := res.Witness[x]; !ok {
+			res.Witness[x] = domain[0]
 		}
 	}
 	return res, nil
@@ -223,13 +252,20 @@ type binding struct {
 }
 
 // predInfo describes one predicate of the sentence. A fixed predicate's
-// extension is an index set of packed atom keys, built once per Solve.
+// extension is an index set of packed atom keys, built once per Solve, and
+// its tuples as domain indices, which guards enumerate.
 type predInfo struct {
 	name      string
 	arity     int
 	fixed     bool
 	facts     map[uint64]struct{}
 	wideFacts map[string]struct{}
+	// tuples holds the extension's tuples back to back, arity indices each.
+	tuples []int
+	// index maps a set of bound positions (bit i for argument i) to the
+	// rows whose values there spell the key, built when a guard first
+	// probes those positions.
+	index map[uint64]map[string][]int32
 }
 
 type grounder struct {
@@ -256,9 +292,19 @@ type grounder struct {
 	selNames []string
 	selID    map[string]int
 
+	// insts records the instances of top-level existential blocks expanded
+	// over their guards' bindings, in grounding order, for the witness.
+	insts    []instance
+	instVals []int
+	// cur is the instance whose body is being grounded, -1 outside any.
+	cur int
+
 	// env is the variable environment, a stack: quantifiers push their
 	// bindings and pop them when their scope is grounded.
 	env []binding
+	// binds is a stack of admitted bindings: a block being grounded keeps
+	// its rows above those of the blocks it is nested in.
+	binds []int
 	// stack collects the child literals of the connectives and quantifiers
 	// being grounded, each above its parent's.
 	stack []int
@@ -291,6 +337,7 @@ func newGrounder(p *Problem, preds map[string]int, domain []relation.Const) *gro
 		domIdx: make(map[relation.Const]int, len(domain)),
 		predID: make(map[string]int, len(preds)),
 		selID:  make(map[string]int),
+		cur:    -1,
 		ctx:    p.Context,
 	}
 	for i, d := range domain {
@@ -333,6 +380,7 @@ func newGrounder(p *Problem, preds map[string]int, domain []relation.Const) *gro
 						idx = append(idx, g.domIdx[c])
 					}
 					g.idx = idx
+					info.tuples = append(info.tuples, idx...)
 					if g.wide {
 						info.wideFacts[string(g.wideKey(pid, idx))] = struct{}{}
 					} else {
@@ -422,18 +470,28 @@ func (g *grounder) poll() error {
 	return nil
 }
 
+// fact reports whether fixed predicate pid holds at idx.
+func (g *grounder) fact(pid int, idx []int) bool {
+	info := &g.preds[pid]
+	if g.wide {
+		_, ok := info.wideFacts[string(g.wideKey(pid, idx))]
+		return ok
+	}
+	_, ok := info.facts[g.packedKey(pid, idx)]
+	return ok
+}
+
 // groundAtomLit returns the literal for a fully ground atom pid(idx…): a
 // truth constant for fixed predicates, a cached SAT variable for free ones.
 func (g *grounder) groundAtomLit(pid int, idx []int) int {
-	info := &g.preds[pid]
+	if g.preds[pid].fixed {
+		if g.fact(pid, idx) {
+			return g.trueVar
+		}
+		return -g.trueVar
+	}
 	if g.wide {
 		key := g.wideKey(pid, idx)
-		if info.fixed {
-			if _, ok := info.wideFacts[string(key)]; ok {
-				return g.trueVar
-			}
-			return -g.trueVar
-		}
 		if v, ok := g.wideAtoms[string(key)]; ok {
 			return v
 		}
@@ -442,12 +500,6 @@ func (g *grounder) groundAtomLit(pid int, idx []int) int {
 		return v
 	}
 	key := g.packedKey(pid, idx)
-	if info.fixed {
-		if _, ok := info.facts[key]; ok {
-			return g.trueVar
-		}
-		return -g.trueVar
-	}
 	if v, ok := g.atoms[key]; ok {
 		return v
 	}
@@ -525,18 +577,9 @@ func (g *grounder) lit(f Formula, underForall bool) (int, error) {
 	case Or:
 		return g.junction(t.Fs, underForall, false)
 	case Forall:
-		return g.expand(t.Vars, t.F, true)
+		return g.block(t.Vars, t.F, true, true)
 	case Exists:
-		if underForall {
-			return g.expand(t.Vars, t.F, false)
-		}
-		n := len(g.env)
-		for _, x := range t.Vars {
-			g.env = append(g.env, binding{name: x, t: gterm{sel: g.selectors(x)}})
-		}
-		l, err := g.lit(t.F, underForall)
-		g.env = g.env[:n]
-		return l, err
+		return g.block(t.Vars, t.F, false, underForall)
 	}
 	return 0, fmt.Errorf("fol: unknown formula node %T", f)
 }
@@ -569,57 +612,413 @@ func (g *grounder) junction(fs []Formula, underForall, and bool) (int, error) {
 	return g.orLit(g.stack[base:]), nil
 }
 
-// expand grounds ∀x̄ φ (forall) as the conjunction, or ∃x̄ φ as the
-// disjunction, over all domain assignments of x̄ — the latter under
-// universal scope, where selector encoding is unsound. Every instance is
-// grounded before the constants are simplified away.
-func (g *grounder) expand(vars []string, body Formula, forall bool) (int, error) {
-	base, n := len(g.stack), len(g.env)
-	defer func() { g.stack, g.env = g.stack[:base], g.env[:n] }()
-	for _, x := range vars {
-		g.env = append(g.env, binding{name: x, t: gterm{sel: -1}})
+// instance is one instance of a top-level existential block expanded over
+// its guards' bindings: the literal its body grounded to, the instance it
+// was grounded within (-1 for none), and the bound variables with their
+// values at instVals[vals:].
+type instance struct {
+	names       []string
+	parent, lit int
+	vals        int
+}
+
+// holds reads a literal's value in the solver's model.
+func (g *grounder) holds(l int) bool {
+	if l < 0 {
+		return !g.solver.Value(-l)
 	}
-	if err := g.instances(vars, body, n, 0); err != nil {
+	return g.solver.Value(l)
+}
+
+// gather collects a quantifier block: it merges into vars the quantifiers of
+// the same kind nested directly in body or among the items of body's
+// junction (∧ under ∃, ∨ under ∀), which bound-variable renaming makes
+// equivalent (∃x (φ ∧ ∃y ψ) ≡ ∃x,y (φ ∧ ψ)), and returns the junction's
+// items, flattened.
+func gather(vars []string, body Formula, forall bool) ([]string, []Formula) {
+	vars = append([]string(nil), vars...)
+	var items []Formula
+	var walk func(f Formula)
+	walk = func(f Formula) {
+		switch t := f.(type) {
+		case And:
+			if !forall {
+				for _, h := range t.Fs {
+					walk(h)
+				}
+				return
+			}
+		case Or:
+			if forall {
+				for _, h := range t.Fs {
+					walk(h)
+				}
+				return
+			}
+		case Exists:
+			if !forall {
+				vars = append(vars, t.Vars...)
+				walk(t.F)
+				return
+			}
+		case Forall:
+			if forall {
+				vars = append(vars, t.Vars...)
+				walk(t.F)
+				return
+			}
+		}
+		items = append(items, f)
+	}
+	walk(body)
+	return vars, items
+}
+
+// guardArg is one argument of a guard atom: a domain element the tuple
+// must hold (c ≥ 0), or a block variable's slot. bind marks the position
+// that binds the slot; same ≥ 0 marks a later position of a variable bound
+// at position same of the atom, which must agree with it.
+type guardArg struct {
+	c, slot, same int
+	bind          bool
+}
+
+// guard is one step of a block's join: a fixed atom whose tuples admit
+// bindings, probed through the index on the positions bound before it.
+type guard struct {
+	pid   int
+	args  []guardArg
+	bound uint64
+}
+
+// guards plans the join that enumerates a block's bindings. A guard is an
+// item over a fixed predicate outside which the block's body grounds to its
+// identity — an atom of an existential block's conjunction, a negated atom
+// of a universal block's disjunction — so only the instances its tuples
+// admit need grounding. The plan orders guards bound-first: a guard with
+// the most positions already bound goes next, the smaller extension
+// breaking ties. A fixed item of the opposite sign whose variables the
+// guards bind is a filter: the bindings it holds at ground the body to the
+// block's zero, so the join drops them (an anti-join). Items whose
+// arguments use a selector variable cannot be probed and ground as
+// ordinary items. covered marks the slots some guard binds; it is nil when
+// no guard applies.
+func (g *grounder) guards(vars []string, items []Formula, forall bool) (plan, filters []guard, covered []bool, err error) {
+	var cands []guard
+	for _, it := range items {
+		positive := true
+		if n, ok := it.(Not); ok {
+			positive, it = false, n.F
+		}
+		a, ok := it.(Atom)
+		if !ok {
+			continue
+		}
+		pid, ok := g.predID[a.Pred]
+		if !ok || !g.preds[pid].fixed || len(a.Args) != g.preds[pid].arity || len(a.Args) > 64 {
+			continue
+		}
+		gd := guard{pid: pid}
+		usable, mentions := true, false
+		for _, t := range a.Args {
+			slot := -1
+			if t.Var {
+				for i, x := range vars {
+					if x == t.Name {
+						slot = i
+					}
+				}
+			}
+			if slot >= 0 {
+				gd.args = append(gd.args, guardArg{c: -1, slot: slot, same: -1})
+				mentions = true
+				continue
+			}
+			gt, err := g.term(t)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			if gt.sel >= 0 {
+				usable = false
+				break
+			}
+			gd.args = append(gd.args, guardArg{c: gt.c, slot: -1, same: -1})
+		}
+		switch {
+		case !usable || !mentions:
+		case positive != forall:
+			cands = append(cands, gd)
+		default:
+			gd.bound = 1<<len(gd.args) - 1
+			filters = append(filters, gd)
+		}
+	}
+	if len(cands) == 0 {
+		return nil, nil, nil, nil
+	}
+	covered = make([]bool, len(vars))
+	for len(cands) > 0 {
+		best, bestBound := -1, -1
+		for i, gd := range cands {
+			nb := 0
+			for _, a := range gd.args {
+				if a.c >= 0 || covered[a.slot] {
+					nb++
+				}
+			}
+			if nb > bestBound || nb == bestBound && g.preds[gd.pid].rows() < g.preds[cands[best].pid].rows() {
+				best, bestBound = i, nb
+			}
+		}
+		gd := cands[best]
+		cands = append(cands[:best], cands[best+1:]...)
+		for j := range gd.args {
+			a := &gd.args[j]
+			if a.c < 0 {
+				for i := 0; i < j; i++ {
+					if gd.args[i].bind && gd.args[i].slot == a.slot {
+						a.same = i
+					}
+				}
+			}
+			switch {
+			case a.same >= 0:
+			case a.c >= 0 || covered[a.slot]:
+				gd.bound |= 1 << j
+			default:
+				a.bind = true
+				covered[a.slot] = true
+			}
+		}
+		plan = append(plan, gd)
+	}
+	kept := filters[:0]
+	for _, f := range filters {
+		bound := true
+		for _, a := range f.args {
+			bound = bound && (a.c >= 0 || covered[a.slot])
+		}
+		if bound {
+			kept = append(kept, f)
+		}
+	}
+	return plan, kept, covered, nil
+}
+
+// rows is the number of tuples in a fixed predicate's extension.
+func (p *predInfo) rows() int {
+	if p.arity == 0 {
+		return 0
+	}
+	return len(p.tuples) / p.arity
+}
+
+// probe returns the rows of the guard's predicate whose bound positions
+// hold the values in row (slots) or the guard's constants, through the
+// index on those positions.
+func (g *grounder) probe(gd *guard, row []int) []int32 {
+	info := &g.preds[gd.pid]
+	if info.index == nil {
+		info.index = make(map[uint64]map[string][]int32)
+	}
+	ix, ok := info.index[gd.bound]
+	if !ok {
+		ix = make(map[string][]int32)
+		for r := 0; r < info.rows(); r++ {
+			t := info.tuples[r*info.arity : (r+1)*info.arity]
+			b := g.key[:0]
+			for j, v := range t {
+				if gd.bound&(1<<j) != 0 {
+					b = binary.AppendUvarint(b, uint64(v))
+				}
+			}
+			g.key = b
+			ix[string(b)] = append(ix[string(b)], int32(r))
+		}
+		info.index[gd.bound] = ix
+	}
+	b := g.key[:0]
+	for j, a := range gd.args {
+		switch {
+		case gd.bound&(1<<j) == 0:
+		case a.c >= 0:
+			b = binary.AppendUvarint(b, uint64(a.c))
+		default:
+			b = binary.AppendUvarint(b, uint64(row[a.slot]))
+		}
+	}
+	g.key = b
+	return ix[string(b)]
+}
+
+// holdsAt reports whether a guard whose positions are all bound holds at
+// the slots row binds.
+func (g *grounder) holdsAt(gd *guard, row []int) bool {
+	idx := g.idx[:0]
+	for _, a := range gd.args {
+		if a.c >= 0 {
+			idx = append(idx, a.c)
+		} else {
+			idx = append(idx, row[a.slot])
+		}
+	}
+	g.idx = idx
+	return g.fact(gd.pid, idx)
+}
+
+// admit appends to binds one row per binding of the block's covered slots
+// that the guards plan[k:] admit and no filter holds at, given the slots
+// row already binds.
+func (g *grounder) admit(plan, filters []guard, k int, row []int) error {
+	if err := g.poll(); err != nil {
+		return err
+	}
+	if k == len(plan) {
+		for i := range filters {
+			if g.holdsAt(&filters[i], row) {
+				return nil
+			}
+		}
+		g.binds = append(g.binds, row...)
+		return nil
+	}
+	gd := &plan[k]
+	if gd.bound == 1<<len(gd.args)-1 {
+		if !g.holdsAt(gd, row) {
+			return nil
+		}
+		return g.admit(plan, filters, k+1, row)
+	}
+	info := &g.preds[gd.pid]
+	visit := func(r int) error {
+		t := info.tuples[r*info.arity : (r+1)*info.arity]
+		for j, a := range gd.args {
+			switch {
+			case a.bind:
+				row[a.slot] = t[j]
+			case a.same >= 0 && t[a.same] != t[j]:
+				return nil
+			}
+		}
+		return g.admit(plan, filters, k+1, row)
+	}
+	if gd.bound == 0 {
+		for r := 0; r < info.rows(); r++ {
+			if err := visit(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, r := range g.probe(gd, row) {
+		if err := visit(int(r)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// block grounds ∀x̄ φ (forall) as the conjunction of its instances, or ∃x̄ φ
+// as their disjunction — except that an existential outside universal scope
+// encodes its variables that no guard covers as selectors. Guards (see
+// guards) enumerate the covered variables' bindings from the fixed
+// relations; the instances they reject ground to the block's identity and
+// are never built. The remaining variables range over the domain. Every
+// instance of a top-level existential is recorded for the witness.
+func (g *grounder) block(vars []string, body Formula, forall, underForall bool) (int, error) {
+	vars, items := gather(vars, body, forall)
+	plan, filters, covered, err := g.guards(vars, items, forall)
+	if err != nil {
 		return 0, err
+	}
+	selecting := !forall && !underForall
+	base, n, bbase := len(g.stack), len(g.env), len(g.binds)
+	defer func() { g.stack, g.env, g.binds = g.stack[:base], g.env[:n], g.binds[:bbase] }()
+	var spread []int // slots that range over the domain, per instance
+	var names []string
+	for i, x := range vars {
+		b := binding{name: x, t: gterm{sel: -1}}
+		switch {
+		case covered != nil && covered[i]:
+			names = append(names, x)
+		case selecting:
+			b.t.sel = g.selectors(x)
+		default:
+			spread = append(spread, i)
+		}
+		g.env = append(g.env, b)
+	}
+	if selecting && plan == nil {
+		return g.junction(items, false, true)
+	}
+	rows := 1
+	if plan != nil {
+		row := make([]int, len(vars))
+		if err := g.admit(plan, filters, 0, row); err != nil {
+			return 0, err
+		}
+		rows = (len(g.binds) - bbase) / len(vars)
 	}
 	unit := g.trueVar
 	if !forall {
 		unit = -g.trueVar
 	}
-	kept := g.stack[base:base]
-	for _, l := range g.stack[base:] {
-		if l == unit {
-			continue
+	for r := 0; r < rows; r++ {
+		if plan != nil {
+			row := g.binds[bbase+r*len(vars) : bbase+(r+1)*len(vars)]
+			for i, c := range covered {
+				if c {
+					g.env[n+i].t.c = row[i]
+				}
+			}
 		}
-		if l == -unit {
-			return -unit, nil
+		for _, i := range spread {
+			g.env[n+i].t.c = 0
 		}
-		kept = append(kept, l)
+		for {
+			in := -1
+			if selecting {
+				in = len(g.insts)
+				g.insts = append(g.insts, instance{names: names, parent: g.cur, vals: len(g.instVals)})
+				for i, c := range covered {
+					if c {
+						g.instVals = append(g.instVals, g.env[n+i].t.c)
+					}
+				}
+				g.cur = in
+			}
+			l, err := g.junction(items, underForall || forall, !forall)
+			if selecting {
+				g.cur = g.insts[in].parent
+				g.insts[in].lit = l
+			}
+			if err != nil {
+				return 0, err
+			}
+			if l == -unit {
+				return -unit, nil
+			}
+			if l != unit {
+				g.stack = append(g.stack, l)
+			}
+			// Advance the domain odometer, the last slot turning fastest.
+			k := len(spread) - 1
+			for ; k >= 0; k-- {
+				e := &g.env[n+spread[k]].t
+				if e.c++; e.c < len(g.domain) {
+					break
+				}
+				e.c = 0
+			}
+			if k < 0 {
+				break
+			}
+		}
 	}
 	if forall {
-		return g.andLit(kept), nil
+		return g.andLit(g.stack[base:]), nil
 	}
-	return g.orLit(kept), nil
-}
-
-// instances grounds body under every domain assignment of vars[i:], whose
-// bindings sit at env[n+i:], pushing one literal per instance.
-func (g *grounder) instances(vars []string, body Formula, n, i int) error {
-	if i == len(vars) {
-		l, err := g.lit(body, true)
-		if err != nil {
-			return err
-		}
-		g.stack = append(g.stack, l)
-		return nil
-	}
-	for d := range g.domain {
-		g.env[n+i].t.c = d
-		if err := g.instances(vars, body, n, i+1); err != nil {
-			return err
-		}
-	}
-	return nil
+	return g.orLit(g.stack[base:]), nil
 }
 
 // andLit Tseitin-defines a literal equivalent to the conjunction of lits.

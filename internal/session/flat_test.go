@@ -1,12 +1,15 @@
 package session
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/ra"
 	"repro/internal/relation"
+	"repro/internal/verify"
 )
 
 // A step costs its input and output, not the state it lands on. These
@@ -112,6 +115,39 @@ func TestStepCostIsFlatInDepth(t *testing.T) {
 				t.Fatalf("the measured step logged %v: it did not fire the %s rule it is meant to cost", last, tc.fires)
 			}
 		})
+	}
+}
+
+// TestGoalGroundingLinearInDepth asks deliver(X) of a SHORT session at two
+// depths and compares the SAT variables the grounding builds. Only the
+// price join admits bindings of the rule body, and it grows by one tuple per
+// item, so the encoding must grow linearly: 16× the depth may cost at most
+// 20× the variables. An encoding that enumerates the domain for the body's
+// (X, Y) pairs grows with its square (≈ 240× here); each solve runs under a
+// deadline so such an encoding fails on it instead of grounding millions of
+// clauses.
+func TestGoalGroundingLinearInDepth(t *testing.T) {
+	g, err := verify.ParseGoal("deliver(X)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vars := func(depth int) int {
+		s, _ := shopAt(t, depth, 1) // one item ordered and not yet paid
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		defer cancel()
+		res, err := verify.ReachGoalFrom(s.mach, s.db, relation.Sequence{s.run.Past()}, g, &verify.Options{Context: ctx})
+		if err != nil {
+			t.Fatalf("deliver(X) at depth %d: %v", depth, err)
+		}
+		if !res.Reachable {
+			t.Fatalf("deliver(X) at depth %d: unreachable, want the unpaid item deliverable", depth)
+		}
+		return res.Stats.Vars
+	}
+	shallow, deep := vars(64), vars(1024)
+	t.Logf("SAT vars of deliver(X): %d at depth 64, %d at depth 1024 (%.1f×)", shallow, deep, float64(deep)/float64(shallow))
+	if deep > 20*shallow {
+		t.Fatalf("deliver(X) grounds %d vars at depth 1024 and %d at depth 64: more than 20× for 16× the depth", deep, shallow)
 	}
 }
 

@@ -158,10 +158,15 @@ func verdictLines(t *testing.T, name, dbTag string, db relation.Instance) []stri
 // TestGoldenVerdicts pins the decision procedures end to end: for every
 // Spocus model of the registry, over seeded prefixes, ReachGoalFrom,
 // CheckTemporalFrom and LogValidity must reproduce the recorded verdicts,
-// grounding statistics (domain, vars, clauses) and rendered witnesses. The
-// grounder and the solver may be re-implemented only in ways that keep
-// every line. Regenerate (after a deliberate change of encoding or search)
-// with go test ./internal/verify -run TestGoldenVerdicts -update.
+// grounding statistics (domain, vars, clauses) and rendered witnesses.
+// Regenerate (after a deliberate change of encoding or search) with
+// go test ./internal/verify -run TestGoldenVerdicts -update; a re-record
+// must leave the verdict column as it was, and a changed witness must still
+// replay, which the procedures check themselves.
+//
+// Each line also keeps, as naive=vars/clauses, the grounding size of the
+// domain-enumerating grounder the file was first recorded with: a record
+// carried forward by -update, never compared.
 func TestGoldenVerdicts(t *testing.T) {
 	var got []string
 	for _, name := range models.Names() {
@@ -175,32 +180,74 @@ func TestGoldenVerdicts(t *testing.T) {
 	checkGolden(t, goldenVerdicts, got)
 }
 
-// checkGolden compares got line by line with the golden file, or rewrites
-// the file under -update.
+// naiveField introduces the recorded naive grounding size of a line.
+const naiveField = " naive="
+
+// splitNaive removes the naive=… field from a golden line and returns the
+// line without it and the field's value ("" when absent).
+func splitNaive(line string) (string, string) {
+	i := strings.Index(line, naiveField)
+	if i < 0 {
+		return line, ""
+	}
+	rest := line[i+len(naiveField):]
+	j := strings.IndexByte(rest, ' ')
+	if j < 0 {
+		return line[:i], rest
+	}
+	return line[:i] + rest[j:], rest[:j]
+}
+
+// withNaive inserts the naive=… field after a line's clauses=… field.
+func withNaive(line, naive string) string {
+	i := strings.Index(line, " clauses=")
+	if naive == "" || i < 0 {
+		return line
+	}
+	j := i + 1 + strings.IndexByte(line[i+1:]+" ", ' ')
+	return line[:j] + naiveField + naive + line[j:]
+}
+
+// goldenKey is the part of a golden line before its verdict.
+func goldenKey(line string) string {
+	k, _, _ := strings.Cut(line, ": ")
+	return k
+}
+
+// checkGolden compares got line by line with the golden file, naive fields
+// aside, or rewrites the file under -update, carrying each line's naive
+// field forward.
 func checkGolden(t *testing.T, path string, got []string) {
 	t.Helper()
+	var want []string
+	naive := map[string]string{}
+	if f, err := os.Open(path); err == nil {
+		sc := bufio.NewScanner(f)
+		sc.Buffer(make([]byte, 1<<16), 1<<20)
+		for sc.Scan() {
+			line, n := splitNaive(sc.Text())
+			want = append(want, line)
+			naive[goldenKey(line)] = n
+		}
+		f.Close()
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+	} else if !*update {
+		t.Fatal(err)
+	}
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+		lines := make([]string, len(got))
+		for i, line := range got {
+			lines[i] = withNaive(line, naive[goldenKey(line)])
+		}
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var want []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	for sc.Scan() {
-		want = append(want, sc.Text())
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d lines, want %d", path, len(got), len(want))
