@@ -388,6 +388,9 @@ func newGrounder(p *Problem, preds map[string]int, domain []relation.Const) *gro
 					}
 					return true
 				})
+				// Relations range in no fixed order; sorted rows make the
+				// instances, and so the variable numbering, reproducible.
+				sort.Sort(rowOrder{info.tuples, info.arity})
 			}
 		}
 		g.preds = append(g.preds, info)
@@ -395,6 +398,36 @@ func newGrounder(p *Problem, preds map[string]int, domain []relation.Const) *gro
 	g.trueVar = g.solver.NewVar()
 	g.add(g.trueVar)
 	return g
+}
+
+// rowOrder sorts tuples stored back to back, arity indices each, into
+// lexicographic order.
+type rowOrder struct {
+	t     []int
+	arity int
+}
+
+func (o rowOrder) Len() int {
+	if o.arity == 0 {
+		return 0
+	}
+	return len(o.t) / o.arity
+}
+
+func (o rowOrder) Less(i, j int) bool {
+	a, b := o.t[i*o.arity:(i+1)*o.arity], o.t[j*o.arity:(j+1)*o.arity]
+	for k := range a {
+		if a[k] != b[k] {
+			return a[k] < b[k]
+		}
+	}
+	return false
+}
+
+func (o rowOrder) Swap(i, j int) {
+	for k := 0; k < o.arity; k++ {
+		o.t[i*o.arity+k], o.t[j*o.arity+k] = o.t[j*o.arity+k], o.t[i*o.arity+k]
+	}
 }
 
 // packedKey is the word key of atom pid(idx…).
