@@ -1,0 +1,102 @@
+#!/usr/bin/env bash
+# The test job: build, vet, the whole suite with and without the race
+# detector, the decision procedures' checks (golden corpora, the guarded
+# grounder against its naive oracle and against brute force, the
+# progress procedures against exhaustive search, the depth and allocation
+# ceilings of a cold goal), one iteration of each cold-path benchmark and
+# two fuzz smokes. The named suites are run verbosely and grepped for their
+# PASS lines, so a test that silently stops running fails the job instead
+# of passing it.
+#
+# Usage: bash ci/test.sh   (from anywhere; needs go)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+
+# passed FILE TEST... fails unless every named test passed in FILE.
+passed() {
+	local file=$1
+	shift
+	for name in "$@"; do
+		grep -q -- "--- PASS: $name " "$file" || {
+			echo "test.sh: $name did not pass (or did not run)" >&2
+			exit 1
+		}
+	done
+}
+
+# benched FILE BENCH... fails unless every named benchmark ran in FILE.
+benched() {
+	local file=$1
+	shift
+	for name in "$@"; do
+		grep -q "^$name" "$file" || {
+			echo "test.sh: benchmark $name did not run" >&2
+			exit 1
+		}
+	done
+}
+
+section() { echo "::group::$*"; }
+end() { echo "::endgroup::"; }
+
+section "Build, vet, test"
+go build ./...
+go vet ./...
+go test ./...
+end
+
+section "Race"
+go test -race ./...
+end
+
+# The live-plane race test is the proof there are no torn reads between the
+# data plane and the verification plane; a silent skip would hollow the
+# race tier out.
+section "Race tier includes the live-plane race test"
+go test -race -v -run TestLiveVerifyInputRace ./internal/session 2>&1 | tee "$out/liverace.out"
+passed "$out/liverace.out" TestLiveVerifyInputRace
+end
+
+# The solver is held to its search: trajectories.golden must reproduce
+# status, propagations, conflicts, decisions and model line for line. The
+# grounder is held to its answers: every verdict of verdicts.golden must
+# reproduce, with the grounding sizes and witnesses recorded beside them
+# (a deliberate re-record keeps the verdict column and keeps each line's
+# naive=vars/clauses). Verdicts are checked three more ways: the guarded
+# grounder against the domain-enumerating one on random problems and on
+# every golden-suite problem, the grounder against brute-force model search
+# with fixed relations, and the progress procedures against exhaustive
+# two-step search.
+section "Golden corpora and verdict checks"
+go test -v -count=1 -run 'TestGoldenTrajectories|TestSolveBudgetPerCall' ./internal/sat 2>&1 | tee "$out/sat.out"
+passed "$out/sat.out" TestGoldenTrajectories TestSolveBudgetPerCall
+go test -v -count=1 -run 'TestGuarded|TestPropSolveMatchesBruteForce' ./internal/fol 2>&1 | tee "$out/fol.out"
+passed "$out/fol.out" TestGuardedMatchesNaive TestGuardedSentenceShapes \
+	TestGuardedMatchesNaiveOnGoldenProblems TestPropSolveMatchesBruteForce
+go test -v -count=1 -run 'TestGoldenVerdicts|TestColdReachAllocs|PooledSearch|TestPropReachGoalMatchesBruteForce' ./internal/verify 2>&1 | tee "$out/verify.out"
+passed "$out/verify.out" TestGoldenVerdicts TestColdReachAllocs TestPropReachGoalMatchesBruteForce \
+	TestReachAndTemporalFromMatchPooledSearchTiny2 TestReachAndTemporalFromMatchPooledSearchShort
+end
+
+# A cold goal grounds what the guards admit, so its size follows the
+# session's depth linearly at most.
+section "Goal grounding is linear in session depth"
+go test -v -count=1 -run TestGoalGroundingLinearInDepth ./internal/session 2>&1 | tee "$out/depth.out"
+passed "$out/depth.out" TestGoalGroundingLinearInDepth
+end
+
+section "Cold-path benchmarks (one iteration each)"
+go test -run '^$' -bench 'BenchmarkSolveDecisions' -benchtime=1x ./internal/sat 2>&1 | tee "$out/bench_sat.out"
+benched "$out/bench_sat.out" BenchmarkSolveDecisions/vars=16000
+go test -run '^$' -bench 'BenchmarkReachGoalFrom' -benchtime=1x ./internal/verify 2>&1 | tee "$out/bench_verify.out"
+benched "$out/bench_verify.out" BenchmarkReachGoalFrom/short BenchmarkReachGoalFrom/guarded
+end
+
+section "Fuzz smokes (dlog parser, DIMACS reader)"
+go test ./internal/dlog -run=Fuzz -fuzz=FuzzParseProgram -fuzztime=10s
+go test ./internal/sat -run=Fuzz -fuzz=FuzzDIMACS -fuzztime=10s
+end
+
+echo "test.sh: all gates passed"

@@ -414,7 +414,7 @@ func TestPropSolveMatchesBruteForce(t *testing.T) {
 		}
 		return got == want
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -777,11 +777,12 @@ func (g *grounder) guards(vars []string, items []Formula, forall bool) (plan, fi
 			}
 			gd.args = append(gd.args, guardArg{c: gt.c, slot: -1, same: -1})
 		}
-		switch {
-		case !usable || !mentions:
-		case positive != forall:
+		if !usable || !mentions {
+			continue
+		}
+		if positive != forall {
 			cands = append(cands, gd)
-		default:
+		} else {
 			gd.bound = 1<<len(gd.args) - 1
 			filters = append(filters, gd)
 		}
