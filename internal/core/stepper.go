@@ -29,15 +29,19 @@ type Stepper struct {
 	state  *ra.Store
 	input  *ra.Store
 	stores []*ra.Store // the executor's lookup order: state, input, database
-	// out and next receive the two plans' derived relations, step after step.
+	// out and next receive the two plans' derived relations, step after
+	// step. Merge takes next's relations into the state; out's are copied
+	// to constants by Instance, so the next step rebuilds them in the same
+	// maps and row storage.
 	out, next *ra.Store
 }
 
 // NewStepper starts a run of m on db from the given state (nil: the empty
 // initial state), which it interns once and does not retain; db is read
 // lazily and must not change while the stepper lives. A state relation
-// whose arity contradicts the schema is refused — state arrives from
-// outside the process in snapshot and ship images.
+// the schema does not declare, or whose arity contradicts it, is refused —
+// state arrives from outside the process in snapshot and ship images, and
+// seeding a relation gives its name a slot in the model-shared table.
 func (m *Machine) NewStepper(db, state relation.Instance) (*Stepper, error) {
 	in := m.plans.state.Interner()
 	st := &Stepper{
@@ -49,7 +53,11 @@ func (m *Machine) NewStepper(db, state relation.Instance) (*Stepper, error) {
 	}
 	st.stores = []*ra.Store{st.state, st.input, ra.NewStore(in, db)}
 	for name, rel := range state {
-		if a, ok := m.schema.State.Arity(name); ok && rel.Len() > 0 && rel.Arity() != a {
+		a, ok := m.schema.State.Arity(name)
+		if !ok {
+			return nil, fmt.Errorf("state relation %s is not in the schema", name)
+		}
+		if rel.Len() > 0 && rel.Arity() != a {
 			return nil, fmt.Errorf("state relation %s has arity %d, schema says %d", name, rel.Arity(), a)
 		}
 		st.state.Put(name, rel)
@@ -69,7 +77,7 @@ func (st *Stepper) Step(input relation.Instance) relation.Instance {
 	st.m.plans.output.EvalStores(st.out, st.stores)
 	st.m.plans.state.EvalStores(st.next, st.stores)
 	st.input.Reset(nil)
-	st.state.Merge(st.next, st.m.cumulative)
+	st.state.Merge(st.next, st.m.plans.state.CumulativeHeads())
 	output := st.out.Instance()
 	for _, d := range st.m.schema.Out {
 		output.Ensure(d.Name, d.Arity)

@@ -192,16 +192,25 @@ func TestDifferentialShortPaperSession(t *testing.T) {
 	}
 }
 
+// The generator's predicate universe. Both sides span arities 0–3, so a
+// generated program probes, negates and emits rows under both membership
+// keys of the executor: one packed word (arity ≤ 2) and a byte string
+// (arity ≥ 3).
+var (
+	genDerived = []string{"p0", "p1", "p2", "p3"}
+	genDArity  = []int{1, 3, 0, 2}
+	genEDBPred = []string{"e0", "e1", "e2", "e3"}
+	genEArity  = []int{2, 0, 3, 1}
+)
+
 // genProgram builds a random safe stratified program: derived predicates
-// p0..p2 with fixed arities, EDB predicates e0..e2, negative references
+// p0..p3 with fixed arities, EDB predicates e0..e3, negative references
 // only to strictly lower derived predicates or the EDB, head and negation
 // variables bound by positive literals by construction. Positive
 // self-references are allowed, so recursive strata are generated too.
 func genProgram(rng *rand.Rand) dlog.Program {
-	derived := []string{"p0", "p1", "p2"}
-	dArity := []int{1, 2, 1}
-	edb := []string{"e0", "e1", "e2"}
-	eArity := []int{1, 2, 3}
+	derived, dArity := genDerived, genDArity
+	edb, eArity := genEDBPred, genEArity
 	consts := []string{"a", "b", "c", "d"}
 	vars := []string{"X", "Y", "Z", "W"}
 
@@ -319,21 +328,19 @@ func genEDB(rng *rand.Rand, prog dlog.Program) relation.Instance {
 	consts := []relation.Const{"a", "b", "c", "d", "e"}
 	selfRef := selfRefHeads(prog)
 	in := relation.NewInstance()
-	preds := []struct {
-		name  string
-		arity int
-	}{{"e0", 1}, {"e1", 2}, {"e2", 3}, {"p0", 1}, {"p1", 2}, {"p2", 1}}
-	for _, p := range preds {
-		if selfRef[p.name] {
+	names := append(append([]string{}, genEDBPred...), genDerived...)
+	arities := append(append([]int{}, genEArity...), genDArity...)
+	for k, name := range names {
+		if selfRef[name] {
 			continue
 		}
 		n := rng.Intn(4)
 		for i := 0; i < n; i++ {
-			t := make(relation.Tuple, p.arity)
+			t := make(relation.Tuple, arities[k])
 			for j := range t {
 				t[j] = consts[rng.Intn(len(consts))]
 			}
-			in.Add(p.name, t)
+			in.Add(name, t)
 		}
 	}
 	return in
@@ -342,14 +349,16 @@ func genEDB(rng *rand.Rand, prog dlog.Program) relation.Instance {
 // TestDifferentialQuick is the property: on generated safe stratified
 // programs, Plan.Eval equals EvalStratified exactly — whichever EDB
 // predicates the planner is told are the step's input, since that choice
-// may reorder a join and nothing else.
+// may reorder a join and nothing else. The programs drawn must between
+// them probe, anti-probe and emit under both membership keys.
 func TestDifferentialQuick(t *testing.T) {
+	var reached [3][2]bool // probe, anti, emit × packed word, byte string
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		prog := genProgram(rng)
 		edb := dlog.MultiDB{genEDB(rng, prog)}
 		var inputs []string
-		for _, e := range []string{"e0", "e1", "e2"} {
+		for _, e := range genEDBPred {
 			if rng.Intn(2) == 0 {
 				inputs = append(inputs, e)
 			}
@@ -364,6 +373,12 @@ func TestDifferentialQuick(t *testing.T) {
 			t.Errorf("unexpected rejection: compile=%v tree=%v", cerr, terr)
 			return false
 		}
+		probe, anti, emit := ra.KeyUse(plan)
+		for k := range 2 {
+			reached[0][k] = reached[0][k] || probe[k]
+			reached[1][k] = reached[1][k] || anti[k]
+			reached[2][k] = reached[2][k] || emit[k]
+		}
 		raOut, err := plan.Eval(edb)
 		if err != nil {
 			t.Errorf("ra eval: %v", err)
@@ -377,6 +392,13 @@ func TestDifferentialQuick(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+	for i, use := range []string{"probe", "anti", "emit"} {
+		for k, key := range []string{"packed-word", "byte-string"} {
+			if !reached[i][k] {
+				t.Errorf("no generated program has a %s under the %s key", use, key)
+			}
+		}
 	}
 }
 
@@ -514,10 +536,15 @@ func TestDifferentialSeeds(t *testing.T) {
 }
 
 // FuzzDifferential fuzzes program sources through both engines, seeded
-// with the paper programs and dlog's parser fuzz corpus.
+// with the paper programs, dlog's parser fuzz corpus, and programs
+// genProgram draws over arities 0–3 (so both membership keys are in the
+// corpus from the start).
 func FuzzDifferential(f *testing.F) {
 	for _, s := range paperSeedPrograms {
 		f.Add(s)
+	}
+	for seed := int64(1); seed <= 16; seed++ {
+		f.Add(genProgram(rand.New(rand.NewSource(seed))).String())
 	}
 	for _, s := range loadDlogFuzzCorpus(f) {
 		f.Add(s)

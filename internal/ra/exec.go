@@ -12,37 +12,84 @@ import (
 // once per Eval on first reference; derived relations are built directly
 // in interned form, so the whole fixpoint runs on integer equality.
 //
-// Both maps are lazy: the membership set materializes on the first probe
-// (or the first derived-store insert, which needs it for dedup) and the
-// index on the first indexed scan. A scan-only relation carries just its
-// rows; once built, each structure is maintained incrementally by add.
+// The membership set keys a row of arity ≤ 2 by one packed 64-bit word
+// (words) and a wider row by its symbols' bytes (set); only the map that
+// matches the arity is ever built. Both structures are lazy: the set
+// materializes on the first probe of a non-empty relation (or the first
+// derived-store insert, which needs it for dedup) and the index on the
+// first indexed scan. A scan-only relation carries just its rows; once
+// built — a non-nil map — each structure is kept current by every append.
 type iRel struct {
 	arity   int
 	rows    [][]uint32
-	set     map[string]struct{}
-	byFirst map[uint32][]int32 // first symbol -> row indices
+	words   map[uint64]struct{} // arity ≤ 2
+	set     map[string]struct{} // arity ≥ 3
+	byFirst map[uint32][]int32  // first symbol -> row indices
+	// arena is row storage left by a recycled relation: newRow carves rows
+	// from it while it has room.
+	arena []uint32
 }
 
 func newIRel(arity int) *iRel {
 	return &iRel{arity: arity}
 }
 
+// absent is what the executor's per-evaluation memo holds for a predicate
+// no EDB source holds. Its arity matches no atom, so every scan of it is
+// empty and every probe misses, without a separate nil check; nothing ever
+// writes to it.
+var absent = &iRel{arity: -1}
+
+// packed reports whether rows of r are keyed by one word.
+func (r *iRel) packed() bool { return r.arity <= 2 }
+
+// word packs a row of at most two symbols into its membership key.
+func word(row []uint32) uint64 {
+	switch len(row) {
+	case 0:
+		return 0
+	case 1:
+		return uint64(row[0])
+	}
+	return uint64(row[0])<<32 | uint64(row[1])
+}
+
+// bytesKey writes a row's symbols into buf, 4 bytes each: the key of a row
+// of three or more symbols. buf is reused across calls to keep the hot loop
+// allocation-free (a map lookup by string(buf) does not copy).
+func bytesKey(row []uint32, buf []byte) []byte {
+	buf = buf[:0]
+	for _, s := range row {
+		buf = append(buf, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
+	}
+	return buf
+}
+
 // buildSet materializes the membership set from the current rows.
 func (r *iRel) buildSet() {
+	if r.packed() {
+		r.words = make(map[uint64]struct{}, len(r.rows))
+		for _, row := range r.rows {
+			r.words[word(row)] = struct{}{}
+		}
+		return
+	}
 	r.set = make(map[string]struct{}, len(r.rows))
 	var buf []byte
 	for _, row := range r.rows {
-		var k string
-		buf, k = rowKey(row, buf)
-		r.set[k] = struct{}{}
+		buf = bytesKey(row, buf)
+		r.set[string(buf)] = struct{}{}
 	}
 }
+
+// hasSet reports whether the membership set is built.
+func (r *iRel) hasSet() bool { return r.words != nil || r.set != nil }
 
 // build materializes the access structures named by the need flags. The
 // interned-relation cache calls this before sharing an iRel, so shared
 // copies are immutable thereafter.
 func (r *iRel) build(need uint8) {
-	if need&needSet != 0 && r.set == nil {
+	if need&needSet != 0 && !r.hasSet() {
 		r.buildSet()
 	}
 	if need&needIdx != 0 {
@@ -63,40 +110,113 @@ func (r *iRel) idx() map[uint32][]int32 {
 	return r.byFirst
 }
 
-// key packs a row into a byte-string map key (4 bytes per symbol). buf is
-// reused across calls to keep the hot loop allocation-free.
-func rowKey(row []uint32, buf []byte) ([]byte, string) {
-	buf = buf[:0]
-	for _, s := range row {
-		buf = append(buf, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
+// has reports whether row is in the relation.
+func (r *iRel) has(row []uint32, buf []byte) ([]byte, bool) {
+	if len(r.rows) == 0 {
+		return buf, false
 	}
-	return buf, string(buf)
+	if !r.hasSet() {
+		r.buildSet()
+	}
+	if r.packed() {
+		_, ok := r.words[word(row)]
+		return buf, ok
+	}
+	buf = bytesKey(row, buf)
+	_, ok := r.set[string(buf)]
+	return buf, ok
 }
 
 // add inserts a row, returning true if new. The row slice is retained.
 func (r *iRel) add(row []uint32, buf []byte) ([]byte, bool) {
-	if r.set == nil {
+	buf, added := r.claim(row, buf)
+	if added {
+		r.appendRow(row)
+	}
+	return buf, added
+}
+
+// claim enters row's key in the membership set, building the set first if
+// need be, and reports false if the set held it already. The caller
+// appends a claimed row with appendRow.
+func (r *iRel) claim(row []uint32, buf []byte) ([]byte, bool) {
+	if !r.hasSet() {
 		r.buildSet()
 	}
-	buf, k := rowKey(row, buf)
-	if _, ok := r.set[k]; ok {
+	if r.packed() {
+		k := word(row)
+		if _, ok := r.words[k]; ok {
+			return buf, false
+		}
+		r.words[k] = struct{}{}
+		return buf, true
+	}
+	buf = bytesKey(row, buf)
+	if _, ok := r.set[string(buf)]; ok {
 		return buf, false
 	}
-	r.set[k] = struct{}{}
+	r.set[string(buf)] = struct{}{}
+	return buf, true
+}
+
+// push appends a row the relation is known not to hold (its source is a
+// set), keeping a built membership set current. The row slice is retained.
+func (r *iRel) push(row []uint32) {
+	switch {
+	case r.words != nil:
+		r.words[word(row)] = struct{}{}
+	case r.set != nil:
+		r.set[string(bytesKey(row, nil))] = struct{}{}
+	}
+	r.appendRow(row)
+}
+
+// appendRow appends a row whose key the membership set (if built) holds,
+// keeping the index current. The row slice is retained.
+func (r *iRel) appendRow(row []uint32) {
 	if r.byFirst != nil {
 		r.byFirst[row[0]] = append(r.byFirst[row[0]], int32(len(r.rows)))
 	}
 	r.rows = append(r.rows, row)
-	return buf, true
 }
 
-func (r *iRel) has(row []uint32, buf []byte) ([]byte, bool) {
-	if r.set == nil {
-		r.buildSet()
+// newRow returns empty storage for one row (length 0, capacity arity):
+// carved from the arena while it has room, allocated otherwise.
+func (r *iRel) newRow() []uint32 {
+	n := len(r.arena)
+	if n+r.arity <= cap(r.arena) {
+		r.arena = r.arena[:n+r.arity]
+		return r.arena[n : n : n+r.arity]
 	}
-	buf, k := rowKey(row, buf)
-	_, ok := r.set[k]
-	return buf, ok
+	return make([]uint32, 0, r.arity)
+}
+
+// recycleRows bounds what a recycled relation keeps: a relation that held
+// more rows than this is left to the collector instead.
+const recycleRows = 256
+
+// recycle empties the relation for reuse, keeping its maps, its row slice
+// and, in the arena, room for as many rows as it held — storage sized by
+// the last evaluation, not by the largest one ever. It reports false, and
+// keeps nothing, when the relation was too large to be worth keeping.
+// Nothing may still read the rows the relation held: rows carved after
+// this call reuse their storage.
+func (r *iRel) recycle() bool {
+	n := len(r.rows)
+	if n > recycleRows {
+		return false
+	}
+	if used := n * r.arity; cap(r.arena) < used || cap(r.arena) > 2*used {
+		r.arena = make([]uint32, 0, used)
+	} else {
+		r.arena = r.arena[:0]
+	}
+	clear(r.rows)
+	r.rows = r.rows[:0]
+	clear(r.words)
+	clear(r.set)
+	clear(r.byFirst)
+	return true
 }
 
 // internRel converts an EDB relation to interned form. Misses are interned
@@ -105,16 +225,20 @@ func (r *iRel) has(row []uint32, buf []byte) ([]byte, bool) {
 // without a dedup pass; set and index materialize only if a plan probes or
 // index-scans the predicate.
 func internRel(rel *relation.Rel, in *Interner) *iRel {
-	ir := newIRel(rel.Arity())
-	if n := rel.Len(); n > 0 {
+	return internInto(newIRel(rel.Arity()), rel, in)
+}
+
+// internInto appends rel's rows, interned, to the empty relation ir.
+func internInto(ir *iRel, rel *relation.Rel, in *Interner) *iRel {
+	if n := rel.Len(); n > cap(ir.rows) {
 		ir.rows = make([][]uint32, 0, n)
 	}
 	rel.Range(func(t relation.Tuple) bool {
-		row := make([]uint32, len(t))
-		for i, c := range t {
-			row[i] = in.ID(c)
+		row := ir.newRow()
+		for _, c := range t {
+			row = append(row, in.ID(c))
 		}
-		ir.rows = append(ir.rows, row)
+		ir.push(row)
 		return true
 	})
 	return ir
@@ -123,62 +247,60 @@ func internRel(rel *relation.Rel, in *Interner) *iRel {
 // evalCtx is the per-Eval execution state: the register frame, the derived
 // store, and the EDB — a dlog.DB interned on reference (through the cache,
 // if any), or resident stores read in place. Plans are shared across
-// sessions; the ctx is what makes a concurrent Eval reentrant.
+// sessions; the ctx is what makes a concurrent Eval reentrant. Every
+// relation the ctx holds is indexed by predicate slot.
 type evalCtx struct {
 	plan    *Plan
 	edb     dlog.DB
 	cache   *Cache
-	stores  []*Store // when set, the EDB: the first store holding a name wins
+	stores  []*Store // when set, the EDB: the first store holding a slot wins
 	regs    []uint32
-	derived map[string]*iRel
-	edbRels map[string]*iRel // nil entry = relation absent in the EDB
+	derived []*iRel // EvalCached's own frame, or EvalStores' destination
+	own     []*iRel // the pooled frame EvalCached derives into
+	dst     *Store  // EvalStores' destination, whose spares emit takes first
+	edbRels []*iRel // memo; absent = relation absent in the EDB
 	keyBuf  []byte
-	probe   []uint32 // scratch row for (anti-)semijoin probes
+	probe   []uint32 // scratch row for (anti-)semijoin probes and emits
 	changed bool
 	rows    int64 // iterator rows pulled, flushed to stats at Eval end
 }
 
-// ctxPool recycles evalCtx frames (and their maps/slices) across Evals;
-// the step path runs two Evals per transducer step, so this keeps the
-// fixed per-Eval allocation cost near zero.
-var ctxPool = sync.Pool{New: func() any {
-	return &evalCtx{
-		derived: make(map[string]*iRel),
-		edbRels: make(map[string]*iRel),
-	}
-}}
+// ctxPool recycles evalCtx frames (and their slices) across Evals; the
+// step path runs two Evals per transducer step, so this keeps the fixed
+// per-Eval allocation cost near zero.
+var ctxPool = sync.Pool{New: func() any { return &evalCtx{} }}
 
 // rel resolves a predicate the way the tree evaluator's lookupChain does:
 // the derived store shadows the EDB as soon as the predicate has at least
 // one derived tuple; otherwise the EDB relation (interned and cached).
 // Under a no-shadow plan (state programs) reads always go to the EDB.
-func (c *evalCtx) rel(pred string) *iRel {
+func (c *evalCtx) rel(slot int32) *iRel {
 	if !c.plan.noShadow {
-		if ir, ok := c.derived[pred]; ok {
+		if ir := c.derived[slot]; ir != nil {
 			return ir
 		}
 	}
-	if ir, ok := c.edbRels[pred]; ok {
+	if ir := c.edbRels[slot]; ir != nil {
 		return ir
 	}
-	var ir *iRel
+	ir := absent
 	if c.stores != nil {
 		for _, s := range c.stores {
-			if r, ok := s.lookup(pred); ok {
+			if r := s.lookup(slot); r != nil {
 				ir = r
 				break
 			}
 		}
 	} else if c.edb != nil {
-		if rel := c.edb.Rel(pred); rel != nil {
+		if rel := c.edb.Rel(c.plan.names[slot]); rel != nil {
 			if c.cache != nil {
-				ir = c.cache.intern(rel, c.plan.interner, c.plan.needs[pred])
+				ir = c.cache.intern(rel, c.plan.interner, c.plan.needs[slot])
 			} else {
 				ir = internRel(rel, c.plan.interner)
 			}
 		}
 	}
-	c.edbRels[pred] = ir
+	c.edbRels[slot] = ir
 	return ir
 }
 
@@ -197,27 +319,30 @@ func (p *Plan) Eval(edb dlog.DB) (relation.Instance, error) {
 func (p *Plan) EvalCached(edb dlog.DB, cache *Cache) (relation.Instance, error) {
 	ctx := p.begin()
 	ctx.edb, ctx.cache = edb, cache
+	ctx.own = sized(ctx.own, len(p.names))
+	ctx.derived = ctx.own
 	ctx.run()
-	out := instanceOf(ctx.derived, p.interner)
-	clear(ctx.derived)
+	out := instanceOf(ctx.derived, p.names, p.interner)
+	clear(ctx.own)
 	ctx.end()
 	return out, nil
 }
 
 // EvalStores is Eval over resident stores: a body predicate reads the first
-// store that holds its name (dlog.MultiDB's rule) in place — nothing is
+// store that holds its slot (dlog.MultiDB's rule) in place — nothing is
 // interned, copied or scanned to get at it. The derived relations replace
 // dst's contents and stay interned, so the caller can fold them into a
 // store (Store.Merge) or materialize them (Store.Instance); dst must not be
-// one of the stores.
+// one of the stores. What dst held before is recycled: the new relations
+// are built in its old relations' maps, row slices and row storage, so
+// nothing may still read them — Merge gives up the relations it folds, and
+// Instance copies.
 func (p *Plan) EvalStores(dst *Store, stores []*Store) {
 	ctx := p.begin()
 	ctx.stores = stores
-	clear(dst.rels)
-	pooled := ctx.derived
-	ctx.derived = dst.rels
+	dst.recycle(len(p.names))
+	ctx.derived, ctx.dst = dst.rels, dst
 	ctx.run()
-	ctx.derived = pooled
 	ctx.end()
 }
 
@@ -229,7 +354,18 @@ func (p *Plan) begin() *evalCtx {
 		ctx.regs = make([]uint32, p.maxRegs)
 	}
 	ctx.regs = ctx.regs[:cap(ctx.regs)]
+	ctx.edbRels = sized(ctx.edbRels, len(p.names))
 	return ctx
+}
+
+// sized returns rels with length n, reallocated only if it lacks the
+// capacity; pooled frames are cleared before they are put back, so the
+// result holds only nils.
+func sized(rels []*iRel, n int) []*iRel {
+	if cap(rels) < n {
+		return make([]*iRel, n)
+	}
+	return rels[:n]
 }
 
 // run executes the strata in order, each to its fixpoint, into ctx.derived.
@@ -254,17 +390,22 @@ func (c *evalCtx) end() {
 	rowsPulled.Add(c.rows)
 	evals.Add(1)
 	c.plan, c.edb, c.cache, c.stores = nil, nil, nil, nil
+	c.derived, c.dst = nil, nil
 	clear(c.edbRels)
 	c.rows = 0
 	ctxPool.Put(c)
 }
 
-// instanceOf converts interned relations back to constants.
-func instanceOf(rels map[string]*iRel, in *Interner) relation.Instance {
+// instanceOf converts interned relations, indexed by slot, back to
+// constants; names is the slot -> predicate table.
+func instanceOf(rels []*iRel, names []string, in *Interner) relation.Instance {
 	syms := in.snapshot()
 	out := relation.NewInstance()
-	for pred, ir := range rels {
-		rel := out.Ensure(pred, ir.arity)
+	for slot, ir := range rels {
+		if ir == nil {
+			continue
+		}
+		rel := out.Ensure(names[slot], ir.arity)
 		for _, row := range ir.rows {
 			t := make(relation.Tuple, len(row))
 			for i, s := range row {
@@ -311,15 +452,12 @@ func (c *evalCtx) step(cr *compiledRule, i int) {
 		c.regs[o.left.reg] = c.resolve(o.right)
 		c.step(cr, i+1)
 	case opProbe, opAnti:
-		rel := c.rel(o.pred)
+		rel := c.rel(o.slot)
 		hit := false
-		if rel != nil && rel.arity == len(o.args) {
+		if rel.arity == len(o.args) {
 			// The scratch row is dead once the membership test returns, so
 			// one buffer serves every probe depth.
-			if cap(c.probe) < len(o.args) {
-				c.probe = make([]uint32, len(o.args))
-			}
-			row := c.probe[:len(o.args)]
+			row := c.scratch(len(o.args))
 			for j, a := range o.args {
 				row[j] = c.resolve(a)
 			}
@@ -329,8 +467,8 @@ func (c *evalCtx) step(cr *compiledRule, i int) {
 			c.step(cr, i+1)
 		}
 	case opScan:
-		rel := c.rel(o.pred)
-		if rel == nil || rel.arity != len(o.args) {
+		rel := c.rel(o.slot)
+		if rel.arity != len(o.args) {
 			return
 		}
 		if o.useIndex {
@@ -391,20 +529,44 @@ func (c *evalCtx) matchRow(o *op, row []uint32, from int) bool {
 }
 
 // emit projects the register frame through the head spec into the derived
-// store.
+// store. The head row is assembled in scratch and copied into the
+// relation's own storage only if it is new.
 func (c *evalCtx) emit(cr *compiledRule) {
-	ir, ok := c.derived[cr.head.pred]
-	if !ok {
-		ir = newIRel(cr.head.arity)
-		c.derived[cr.head.pred] = ir
+	h := &cr.head
+	ir := c.derived[h.slot]
+	if ir == nil {
+		ir = c.fresh(h.slot, h.arity)
 	}
-	row := make([]uint32, len(cr.head.args))
-	for i, a := range cr.head.args {
+	row := c.scratch(len(h.args))
+	for i, a := range h.args {
 		row[i] = c.resolve(a)
 	}
 	var added bool
-	c.keyBuf, added = ir.add(row, c.keyBuf)
-	if added {
+	if c.keyBuf, added = ir.claim(row, c.keyBuf); added {
+		ir.appendRow(append(ir.newRow(), row...))
 		c.changed = true
 	}
+}
+
+// fresh starts the derived relation for slot: the destination store's
+// recycled relation if it left one of this arity, a new one otherwise.
+func (c *evalCtx) fresh(slot int32, arity int) *iRel {
+	var ir *iRel
+	if c.dst != nil {
+		ir = c.dst.take(slot, arity)
+	} else {
+		ir = newIRel(arity)
+	}
+	c.derived[slot] = ir
+	return ir
+}
+
+// scratch returns the ctx's scratch row with length n. A probe's row is
+// dead once the membership test returns and an emit's once the insert
+// returns, so one buffer serves every depth of the pipeline.
+func (c *evalCtx) scratch(n int) []uint32 {
+	if cap(c.probe) < n {
+		c.probe = make([]uint32, n)
+	}
+	return c.probe[:n]
 }

@@ -75,7 +75,7 @@ type argSpec struct {
 // op is one operator of a rule pipeline.
 type op struct {
 	kind opKind
-	pred string    // opScan/opProbe/opAnti
+	slot int32     // opScan/opProbe/opAnti: the predicate's slot
 	args []argSpec // opScan/opProbe/opAnti
 	// useIndex marks a scan whose first argument is resolved at this point,
 	// so the executor probes the first-column hash index instead of
@@ -89,7 +89,7 @@ type op struct {
 // emitSpec is the head projection: how to assemble the derived tuple from
 // the register frame once every body operator accepted.
 type emitSpec struct {
-	pred  string
+	slot  int32
 	arity int
 	args  []argSpec // constArg or bound register, never free
 }
@@ -117,30 +117,36 @@ type Plan struct {
 	strata   []stratum
 	interner *Interner
 	maxRegs  int
-	// headArity fixes each derived predicate's arity (compile-rejected if
-	// two heads disagree, which the tree evaluator would panic on).
-	headArity map[string]int
+	// names is the intern table's slot -> predicate table as of the end of
+	// compilation: every slot an operator or head of this plan carries is
+	// below len(names), which sizes the executor's per-slot frames.
+	names []string
 	// noShadow disables the derived-shadows-EDB read rule: body references
 	// always read the EDB. State programs compile this way — a state rule
 	// body reads the previous state by construction (the tree-walking
 	// oracle gets the same effect by tagging heads with a reserved prefix).
 	noShadow bool
-	// needs records, per predicate, which iRel access structures this
-	// plan's operators use (membership set for probes, first-column index
-	// for indexed scans). The interned-relation cache pre-builds exactly
-	// these at intern time, keeping cached iRels immutable afterwards and
-	// so safe for concurrent Evals.
-	needs map[string]uint8
+	// needs records, by slot, which iRel access structures this plan's
+	// operators use (membership set for probes, first-column index for
+	// indexed scans). The interned-relation cache pre-builds exactly these
+	// at intern time, keeping cached iRels immutable afterwards and so
+	// safe for concurrent Evals.
+	needs []uint8
+	// cumulative marks, by slot, the heads some rule derives with
+	// cumulative (+:-) semantics.
+	cumulative []bool
 }
 
-// Access-structure need flags, stored per predicate in Plan.needs.
+// Access-structure need flags, stored per slot in Plan.needs.
 const (
 	needSet uint8 = 1 << iota
 	needIdx
 )
 
-// Needs returns the plan's access-structure flags for pred.
-func (p *Plan) Needs(pred string) uint8 { return p.needs[pred] }
+// CumulativeHeads returns, by slot, the heads some rule of the plan derives
+// with cumulative (+:-) semantics — what Store.Merge keeps. The slice is
+// shared and must not be modified.
+func (p *Plan) CumulativeHeads() []bool { return p.cumulative }
 
 // Interner exposes the plan's constant table (shared per machine/store).
 func (p *Plan) Interner() *Interner { return p.interner }
@@ -193,7 +199,7 @@ func compile(prog dlog.Program, in *Interner, noShadow bool, inputs []string) (*
 		}
 		headArity[r.Head.Pred] = len(r.Head.Args)
 	}
-	p := &Plan{interner: in, headArity: headArity, noShadow: noShadow}
+	p := &Plan{interner: in, noShadow: noShadow}
 	for _, preds := range strataPreds {
 		st := stratum{preds: preds}
 		inStratum := make(map[string]bool, len(preds))
@@ -232,16 +238,21 @@ func compile(prog dlog.Program, in *Interner, noShadow bool, inputs []string) (*
 		}
 		p.strata = append(p.strata, st)
 	}
-	p.needs = make(map[string]uint8)
+	p.names = in.predNames()
+	p.needs = make([]uint8, len(p.names))
+	p.cumulative = make([]bool, len(p.names))
 	for _, st := range p.strata {
 		for _, cr := range st.rules {
+			if cr.src.Cumulative {
+				p.cumulative[cr.head.slot] = true
+			}
 			for _, o := range cr.ops {
 				switch o.kind {
 				case opProbe, opAnti:
-					p.needs[o.pred] |= needSet
+					p.needs[o.slot] |= needSet
 				case opScan:
 					if o.useIndex {
-						p.needs[o.pred] |= needIdx
+						p.needs[o.slot] |= needIdx
 					}
 				}
 			}
@@ -306,17 +317,17 @@ func compileRule(r dlog.Rule, in *Interner, isInput map[string]bool) (*compiledR
 				}
 			}
 			if allBound {
-				ops = append(ops, op{kind: opProbe, pred: l.Atom.Pred, args: args})
+				ops = append(ops, op{kind: opProbe, slot: in.slot(l.Atom.Pred), args: args})
 				return
 			}
 			useIndex := len(args) > 0 && (args[0].constArg || args[0].bound)
-			ops = append(ops, op{kind: opScan, pred: l.Atom.Pred, args: args, useIndex: useIndex})
+			ops = append(ops, op{kind: opScan, slot: in.slot(l.Atom.Pred), args: args, useIndex: useIndex})
 		case dlog.LitNeg:
 			args := make([]argSpec, len(l.Atom.Args))
 			for i, a := range l.Atom.Args {
 				args[i] = rc.termSpec(a)
 			}
-			ops = append(ops, op{kind: opAnti, pred: l.Atom.Pred, args: args})
+			ops = append(ops, op{kind: opAnti, slot: in.slot(l.Atom.Pred), args: args})
 		case dlog.LitNeq:
 			ops = append(ops, op{kind: opFilterNeq, left: rc.termSpec(l.Left), right: rc.termSpec(l.Right)})
 		case dlog.LitEq:
@@ -416,7 +427,7 @@ func compileRule(r dlog.Rule, in *Interner, isInput map[string]bool) (*compiledR
 		pending = append(pending[:best], pending[best+1:]...)
 	}
 
-	head := emitSpec{pred: r.Head.Pred, arity: len(r.Head.Args)}
+	head := emitSpec{slot: in.slot(r.Head.Pred), arity: len(r.Head.Args)}
 	for _, a := range r.Head.Args {
 		if a.Var && !rc.bound[a.Name] {
 			return nil, &CompileError{Msg: fmt.Sprintf("unsafe rule %q: head variable %s unbound", r, a.Name)}
@@ -468,7 +479,7 @@ func (p *Plan) fmtOp(o op) string {
 		if o.useIndex {
 			idx = " [index:first]"
 		}
-		return fmt.Sprintf("%s %s(%s)%s", o.kind, o.pred, strings.Join(parts, ", "), idx)
+		return fmt.Sprintf("%s %s(%s)%s", o.kind, p.names[o.slot], strings.Join(parts, ", "), idx)
 	case opFilterNeq:
 		return fmt.Sprintf("filter %s ≠ %s", p.fmtArg(o.left), p.fmtArg(o.right))
 	case opFilterEq:
@@ -484,5 +495,5 @@ func (p *Plan) fmtEmit(e emitSpec) string {
 	for i, a := range e.args {
 		parts[i] = p.fmtArg(a)
 	}
-	return fmt.Sprintf("%s(%s)", e.pred, strings.Join(parts, ", "))
+	return fmt.Sprintf("%s(%s)", p.names[e.slot], strings.Join(parts, ", "))
 }

@@ -1,7 +1,9 @@
 package ra
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/dlog"
@@ -134,7 +136,7 @@ func TestPlanOpensFromInput(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compile: %v", err)
 		}
-		return plan.strata[0].rules[0].ops[0].pred
+		return plan.names[plan.strata[0].rules[0].ops[0].slot]
 	}
 	if got := opening(); got != "past-order" {
 		t.Fatalf("with no input named the rule opens from %s, want past-order (fewest free variables)", got)
@@ -165,7 +167,8 @@ func TestPlanOpensFromInput(t *testing.T) {
 		t.Fatalf("compile: %v", err)
 	}
 	ops = plan.strata[0].rules[0].ops
-	if ops[0].pred != "in1" || ops[1].pred != "big" || !ops[1].useIndex || ops[2].pred != "in2" || !ops[2].useIndex {
+	pred := func(o op) string { return plan.names[o.slot] }
+	if pred(ops[0]) != "in1" || pred(ops[1]) != "big" || !ops[1].useIndex || pred(ops[2]) != "in2" || !ops[2].useIndex {
 		t.Fatalf("want in1, then big by index (one bound argument beats the unbound input in2), then in2 by index; plan:\n%s", plan.Explain())
 	}
 }
@@ -204,5 +207,89 @@ func TestEqualityChainBinding(t *testing.T) {
 	}
 	if !out.Rel("p").Has(relation.Tuple{"a", "a"}) {
 		t.Fatalf("want p(a, a) via equality chain, got %v", out)
+	}
+}
+
+// TestStepTimeNamesAssignNoSlots: the predicate slot table that every
+// session of a model shares grows when a plan compiles and when a store is
+// seeded, never from the names a step's input or database carries — an
+// input relation no plan reads is skipped, not given a slot.
+func TestStepTimeNamesAssignNoSlots(t *testing.T) {
+	in := NewInterner()
+	plan, err := Compile(dlog.MustParseProgram(`p(X) :- q(X), NOT r(X);`), in, "q")
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	slots := len(in.predNames())
+	db := relation.NewInstance()
+	db.Add("r", relation.Tuple{"b"})
+	db.Add("unread", relation.Tuple{"a"})
+	input, dbStore, out := NewStore(in, nil), NewStore(in, db), NewStore(in, nil)
+	for _, x := range []relation.Const{"a", "b"} {
+		step := relation.NewInstance()
+		step.Add("q", relation.Tuple{x})
+		step.Add("stranger", relation.Tuple{x, x})
+		input.Reset(step)
+		plan.EvalStores(out, []*Store{input, dbStore})
+		want := relation.NewInstance()
+		if x == "a" {
+			want.Add("p", relation.Tuple{"a"})
+		}
+		if got := out.Instance(); !got.Equal(want) {
+			t.Fatalf("step on q(%s): derived %v, want %v", x, got, want)
+		}
+	}
+	if got := len(in.predNames()); got != slots {
+		t.Fatalf("stepping grew the slot table from %d to %d: %v", slots, got, in.predNames())
+	}
+}
+
+// TestSlotTableConcurrent: steppers of one model are set up on several
+// shards at once, each seeding its state store through the slot table the
+// model's plans share while other sessions step and resolve names in it.
+// Every name must end with exactly one slot, and the table must name every
+// slot back.
+func TestSlotTableConcurrent(t *testing.T) {
+	in := NewInterner()
+	if _, err := Compile(dlog.MustParseProgram(`p(X) :- q(X), NOT r(X);`), in, "q"); err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	const workers, names = 8, 32
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := NewStore(in, nil)
+			step := relation.NewInstance()
+			step.Add("q", relation.Tuple{"a"})
+			for i := 0; i < names; i++ {
+				// Half the names every worker seeds, half its own.
+				name := fmt.Sprintf("shared-%d", i)
+				if i%2 == 1 {
+					name = fmt.Sprintf("own-%d-%d", w, i)
+				}
+				s.Ensure(name, 1)
+				s.Reset(step)
+				if slot, ok := in.lookupSlot(name); !ok || in.predNames()[slot] != name {
+					t.Errorf("worker %d: %s resolves to slot %d (%v)", w, name, slot, ok)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	table := in.predNames()
+	seen := map[string]bool{}
+	for slot, name := range table {
+		if seen[name] {
+			t.Fatalf("%s holds two slots: %v", name, table)
+		}
+		seen[name] = true
+		if got, ok := in.lookupSlot(name); !ok || int(got) != slot {
+			t.Fatalf("%s is in slot %d, resolves to %d", name, slot, got)
+		}
+	}
+	if want := 3 + names/2 + workers*names/2; len(table) != want {
+		t.Fatalf("%d slots, want %d", len(table), want)
 	}
 }

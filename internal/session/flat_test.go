@@ -152,10 +152,17 @@ func TestGoalGroundingLinearInDepth(t *testing.T) {
 }
 
 // parentSmallStepAllocs is what one step of TestSmallStateStepAllocates
-// allocated through Session.apply at the parent commit, where apply ran
-// Machine.Step on a relation.Instance state (measured there with this
-// test's steps).
+// allocated through Session.apply when apply ran Machine.Step on a
+// relation.Instance state (measured then with this test's steps). It is
+// kept as history; smallStepAllocs is the ceiling.
 const parentSmallStepAllocs = 28
+
+// smallStepAllocs is the ceiling: what one step allocates on the resident
+// stepper with predicates compiled to slots, packed membership keys and a
+// recycled output store (18 before those). Under the race detector the
+// pooled evaluation frames are dropped now and again, which averages to
+// about two more; the test allows three there.
+const smallStepAllocs = 13
 
 // TestSmallStateStepAllocates is the control: the benchmark's wide_mem
 // shape — a 12-item catalogue shopped round and round, so the state never
@@ -182,8 +189,12 @@ func TestSmallStateStepAllocates(t *testing.T) {
 		shop()
 	}
 	got := testing.AllocsPerRun(20*len(cycle), shop)
-	t.Logf("%.0f allocs per step (parent: %d)", got, parentSmallStepAllocs)
-	if got > parentSmallStepAllocs {
-		t.Fatalf("a small-state step allocates %.0f times, the parent's %d", got, parentSmallStepAllocs)
+	ceiling := smallStepAllocs
+	if raceEnabled {
+		ceiling += 3
+	}
+	t.Logf("%.0f allocs per step (ceiling %d; on Machine.Step: %d)", got, ceiling, parentSmallStepAllocs)
+	if got > float64(ceiling) {
+		t.Fatalf("a small-state step allocates %.0f times, over the ceiling of %d", got, ceiling)
 	}
 }
