@@ -1,20 +1,20 @@
 package spocus
 
 // One benchmark per experiment of DESIGN.md's per-experiment index
-// (E1–E17) plus the substrate benchmarks (S1–S2). The qualitative outcomes
-// are asserted inside the benchmarks so a regression in correctness fails
-// the run rather than silently timing the wrong thing; the companion
-// report generator is cmd/spocus-experiments.
+// (E1–E17) plus the substrate benchmarks (S1–S2). Each times the fixtures
+// internal/experiments defines for the EXPERIMENTS.md report, and asserts
+// the outcome inside the loop, so a regression in correctness fails the
+// run rather than silently timing the wrong thing. ci/test.sh runs them all
+// once (-benchtime=1x).
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/automata"
-	"repro/internal/compose"
 	"repro/internal/core"
 	"repro/internal/deps"
+	"repro/internal/experiments"
 	"repro/internal/models"
 	"repro/internal/relation"
 	"repro/internal/sat"
@@ -31,7 +31,7 @@ func BenchmarkE1ShortRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run, err := m.Execute(db, inputs)
-		if err != nil || !run.Outputs[1].Has("deliver", relation.Tuple{"time"}) {
+		if err != nil || !experiments.Fig1Holds(run) {
 			b.Fatal("wrong run")
 		}
 	}
@@ -45,7 +45,7 @@ func BenchmarkE2FriendlyRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run, err := m.Execute(db, inputs)
-		if err != nil || !run.Outputs[3].Has("rebill", relation.Tuple{"newsweek", "845"}) {
+		if err != nil || !experiments.Fig2Holds(run) {
 			b.Fatal("wrong run")
 		}
 	}
@@ -57,27 +57,13 @@ func BenchmarkE3LogValidity(b *testing.B) {
 	m := models.Short()
 	db := models.MagazineDB()
 	for _, n := range []int{1, 2, 4} {
-		var inputs relation.Sequence
-		mags := []string{"time", "newsweek", "le-monde"}
-		prices := map[string]string{"time": "855", "newsweek": "845", "le-monde": "8350"}
-		for i := 0; i < n; i++ {
-			mag := mags[i%3]
-			step := relation.NewInstance()
-			if i%2 == 0 {
-				step.Add("order", relation.Tuple{relation.Const(mag)})
-			} else {
-				prev := mags[(i-1)%3]
-				step.Add("pay", relation.Tuple{relation.Const(prev), relation.Const(prices[prev])})
-			}
-			inputs = append(inputs, step)
-		}
-		run, err := m.Execute(db, inputs)
+		run, err := m.Execute(db, experiments.OrderPay(0, n))
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("steps=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := verify.LogValidity(m, db, run.Logs, &verify.Options{SkipReplay: true})
+				res, err := verify.LogValidity(m, db, run.Logs, nil)
 				if err != nil || !res.Valid {
 					b.Fatal("genuine log rejected")
 				}
@@ -90,35 +76,10 @@ func BenchmarkE3LogValidity(b *testing.B) {
 // schema arity grows (the NEXPTIME shape).
 func BenchmarkE4ArityShape(b *testing.B) {
 	for _, k := range []int{1, 2, 3, 4} {
-		vars := ""
-		for i := 1; i <= k; i++ {
-			if i > 1 {
-				vars += ","
-			}
-			vars += fmt.Sprintf("X%d", i)
-		}
-		src := fmt.Sprintf(`
-transducer echo%d
-schema
-  input: in/%d;
-  output: out/%d;
-  log: out;
-state rules
-  past-in(%s) +:- in(%s);
-output rules
-  out(%s) :- in(%s);
-`, k, k, k, vars, vars, vars, vars)
-		m := core.MustParseProgram(src)
-		tup := make(relation.Tuple, k)
-		for i := range tup {
-			tup[i] = relation.Const(fmt.Sprintf("c%d", i))
-		}
-		logStep := relation.NewInstance()
-		logStep.Add("out", tup)
-		logSeq := relation.Sequence{logStep}
+		m, logSeq := experiments.Echo(k), experiments.EchoLog(k)
 		b.Run(fmt.Sprintf("arity=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := verify.LogValidity(m, nil, logSeq, &verify.Options{SkipReplay: true})
+				res, err := verify.LogValidity(m, nil, logSeq, nil)
 				if err != nil || !res.Valid {
 					b.Fatal("echo log rejected")
 				}
@@ -134,33 +95,24 @@ output rules
 func BenchmarkE3LogValidityParallel(b *testing.B) {
 	m := models.Short()
 	db := models.MagazineDB()
-	mags := []string{"time", "newsweek", "le-monde"}
-	prices := map[string]string{"time": "855", "newsweek": "845", "le-monde": "8350"}
 	var logs []relation.Sequence
 	for s := 0; s < 12; s++ {
-		var inputs relation.Sequence
-		n := 2 + s%3
-		for i := 0; i < n; i++ {
-			mag := mags[(s+i)%3]
-			step := relation.NewInstance()
-			if i%2 == 0 {
-				step.Add("order", relation.Tuple{relation.Const(mag)})
-			} else {
-				prev := mags[(s+i-1)%3]
-				step.Add("pay", relation.Tuple{relation.Const(prev), relation.Const(prices[prev])})
-			}
-			inputs = append(inputs, step)
-		}
-		run, err := m.Execute(db, inputs)
+		run, err := m.Execute(db, experiments.OrderPay(s, 2+s%3))
 		if err != nil {
 			b.Fatal(err)
 		}
 		logs = append(logs, run.Logs)
 	}
+	benchValidityBatch(b, m, db, logs)
+}
+
+// benchValidityBatch times LogValidityBatch on logs, every one of them
+// genuine, at parallelism 1 and 4.
+func benchValidityBatch(b *testing.B, m *core.Machine, db relation.Instance, logs []relation.Sequence) {
 	for _, par := range []int{1, 4} {
 		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := verify.LogValidityBatch(m, db, logs, &verify.Options{SkipReplay: true, Parallelism: par})
+				res, err := verify.LogValidityBatch(m, db, logs, &verify.Options{Parallelism: par})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -177,19 +129,7 @@ func BenchmarkE3LogValidityParallel(b *testing.B) {
 // BenchmarkE4ArityShapeParallel times a batch of one-step arity-3 validity
 // questions (the NEXPTIME grounding shape) under par=1 vs par=4.
 func BenchmarkE4ArityShapeParallel(b *testing.B) {
-	const k = 3
-	src := fmt.Sprintf(`
-transducer echo%d
-schema
-  input: in/%d;
-  output: out/%d;
-  log: out;
-state rules
-  past-in(X1,X2,X3) +:- in(X1,X2,X3);
-output rules
-  out(X1,X2,X3) :- in(X1,X2,X3);
-`, k, k, k)
-	m := core.MustParseProgram(src)
+	m := experiments.Echo(3)
 	var logs []relation.Sequence
 	for s := 0; s < 12; s++ {
 		tup := relation.Tuple{
@@ -201,36 +141,19 @@ output rules
 		step.Add("out", tup)
 		logs = append(logs, relation.Sequence{step})
 	}
-	for _, par := range []int{1, 4} {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := verify.LogValidityBatch(m, nil, logs, &verify.Options{SkipReplay: true, Parallelism: par})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range res {
-					if !r.Valid {
-						b.Fatal("echo log rejected")
-					}
-				}
-			}
-		})
-	}
+	benchValidityBatch(b, m, nil, logs)
 }
 
 // BenchmarkE5ProjectionReduction runs the Proposition 3.1 transducer on the
 // paper's F ⊭ G witness.
 func BenchmarkE5ProjectionReduction(b *testing.B) {
-	f := deps.Set{Arity: 2, FDs: []deps.FD{{Lhs: []int{1}, Rhs: 2}}}
-	g := deps.Set{Arity: 2, IncDs: []deps.IncD{{Lhs: []int{1}, Rhs: []int{2}}}}
-	m, err := deps.Prop31Transducer(f, g)
+	p := experiments.NotImpliedPair()
+	m, err := deps.Prop31Transducer(p.F, p.G)
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, witness := deps.Implies(f, g, 1000)
-	step1 := relation.NewInstance()
-	step1.Ensure("r", 2).UnionWith(witness)
-	seq := relation.Sequence{step1, relation.NewInstance()}
+	_, witness := p.Implies()
+	seq := p.ViolGInputs(witness)
 	empty := relation.NewInstance()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -246,22 +169,19 @@ func BenchmarkE5ProjectionReduction(b *testing.B) {
 func BenchmarkE6GoalReach(b *testing.B) {
 	m := models.Short()
 	db := models.MagazineDB()
-	for _, tc := range []struct {
-		name string
-		goal string
-		want bool
-	}{
-		{"reachable", "deliver(le-monde)", true},
-		{"unreachable", "deliver(atlantis)", false},
-	} {
-		g, err := verify.ParseGoal(tc.goal)
+	for _, tc := range experiments.ReachGoals {
+		g, err := verify.ParseGoal(tc.Goal)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(tc.name, func(b *testing.B) {
+		name := "unreachable"
+		if tc.Reachable {
+			name = "reachable"
+		}
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := verify.ReachGoal(m, db, g, &verify.Options{SkipReplay: true})
-				if err != nil || res.Reachable != tc.want {
+				res, err := verify.ReachGoal(m, db, g, nil)
+				if err != nil || res.Reachable != tc.Reachable {
 					b.Fatal("wrong verdict")
 				}
 			}
@@ -273,13 +193,13 @@ func BenchmarkE6GoalReach(b *testing.B) {
 func BenchmarkE7Temporal(b *testing.B) {
 	m := models.Short()
 	db := models.MagazineDB()
-	c, err := verify.ParseCondition("deliver(X), price(X,Y) => past-pay(X,Y)")
+	c, err := verify.ParseCondition(experiments.PaymentProperty)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := verify.CheckTemporal(m, db, []*verify.Condition{c}, &verify.Options{SkipReplay: true})
+		res, err := verify.CheckTemporal(m, db, []*verify.Condition{c}, nil)
 		if err != nil || !res.Holds {
 			b.Fatal("property should hold")
 		}
@@ -288,13 +208,12 @@ func BenchmarkE7Temporal(b *testing.B) {
 
 // BenchmarkE8Containment times Theorem 3.5 on the short/friendly pair.
 func BenchmarkE8Containment(b *testing.B) {
-	logSet := []string{"order", "pay", "sendbill", "deliver"}
-	short := models.WithLog(models.Short(), logSet...)
-	friendly := models.WithLog(models.Friendly(), logSet...)
+	short := experiments.FullLog(models.Short())
+	friendly := experiments.FullLog(models.Friendly())
 	db := models.MagazineDB()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := verify.Contains(short, friendly, db, &verify.Options{SkipReplay: true})
+		res, err := verify.Contains(short, friendly, db, nil)
 		if err != nil || !res.Contained {
 			b.Fatal("containment should hold")
 		}
@@ -318,54 +237,34 @@ func BenchmarkE9Propositional(b *testing.B) {
 	}
 }
 
-// BenchmarkE10Tsdi times Theorem 4.1 compilation plus enforcement of a
-// 4-step session.
+// BenchmarkE10Tsdi times E10 end to end: Theorem 4.1 compilation of the
+// three example sentences, then enforcement cross-checked against sentence
+// satisfaction on the report's 500 random sessions.
 func BenchmarkE10Tsdi(b *testing.B) {
-	m := models.Short()
-	db := models.MagazineDB()
-	s := tsdi.MustParse("pay(X,Y) => price(X,Y)", "pay(X,Y) => past-order(X)")
-	session := relation.Sequence{
-		models.Step(models.F("order", "time")),
-		models.Step(models.F("pay", "time", "855")),
-		models.Step(models.F("order", "newsweek")),
-		models.Step(models.F("pay", "newsweek", "845")),
-	}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enf, err := tsdi.Enforce(m, s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run, err := enf.Execute(db, session)
-		if err != nil || !run.Valid(core.ErrorFree) {
-			b.Fatal("legal session rejected")
+		_, agree, _, err := experiments.EnforceCancelPolicy()
+		if err != nil || agree != experiments.CancelSessions {
+			b.Fatal("error-freeness differs from sentence satisfaction")
 		}
 	}
 }
 
-// BenchmarkE11TuringSim times a full three-stage Theorem 4.2 simulation.
+// BenchmarkE11TuringSim times a full three-stage Theorem 4.2 simulation of
+// the deterministic "ab" writer.
 func BenchmarkE11TuringSim(b *testing.B) {
-	m := &turing.Machine{
-		Symbols: []string{"blank", "a", "b"}, Blank: "blank", Start: "q0", Halt: "h",
-		Rules: []turing.Rule{
-			{State: "q0", Read: "blank", Write: "a", Move: turing.Right, Next: "q1"},
-			{State: "q1", Read: "blank", Write: "b", Move: turing.Right, Next: "q2"},
-			{State: "q2", Read: "blank", Write: "blank", Move: turing.Left, Next: "q3"},
-			{State: "q3", Read: "b", Write: "b", Move: turing.Left, Next: "h"},
-		},
-	}
-	tm, err := turing.Compile(m)
+	c := experiments.TuringCases()[1]
+	tm, err := turing.Compile(c.M)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var comp turing.Computation
-	if err := m.Enumerate(4, 10, func(c turing.Computation) bool {
-		comp = c
+	if err := c.M.Enumerate(c.Tape, 10, func(cc turing.Computation) bool {
+		comp = cc
 		return false
 	}); err != nil {
 		b.Fatal(err)
 	}
-	inputs, err := turing.DriveInputs(m, comp, -1)
+	inputs, err := turing.DriveInputs(c.M, comp, -1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -383,10 +282,10 @@ func BenchmarkE11TuringSim(b *testing.B) {
 func BenchmarkE12ErrorFreeVerify(b *testing.B) {
 	m := models.Strict()
 	db := models.MagazineDB()
-	s := tsdi.MustParse("pay(X,Y) => price(X,Y)")
+	s := tsdi.MustParse(experiments.PricedPayment)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := verify.CheckErrorFree(m, db, s, &verify.Options{SkipReplay: true})
+		res, err := verify.CheckErrorFree(m, db, s, nil)
 		if err != nil || !res.Holds {
 			b.Fatal("enforced sentence rejected")
 		}
@@ -400,7 +299,7 @@ func BenchmarkE12ErrorFreeVerifyParallel(b *testing.B) {
 	m := models.Strict()
 	db := models.MagazineDB()
 	s := tsdi.MustParse(
-		"pay(X,Y) => price(X,Y)",
+		experiments.PricedPayment,
 		"pay(X,Y), past-order(X) => price(X,Y)",
 		"order(X), past-order(X) => pay(X,X)",
 		"pay(X,Y), past-pay(X,Y) => price(X,Y)",
@@ -408,7 +307,7 @@ func BenchmarkE12ErrorFreeVerifyParallel(b *testing.B) {
 	for _, par := range []int{1, 4} {
 		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := verify.CheckErrorFree(m, db, s, &verify.Options{SkipReplay: true, Parallelism: par})
+				res, err := verify.CheckErrorFree(m, db, s, &verify.Options{Parallelism: par})
 				if err != nil || !res.Holds {
 					b.Fatal("enforced sentence rejected")
 				}
@@ -423,7 +322,7 @@ func BenchmarkE13ErrorFreeContain(b *testing.B) {
 	db := models.MagazineDB()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := verify.ErrorFreeContained(t1, t2, db, &verify.Options{SkipReplay: true})
+		res, err := verify.ErrorFreeContained(t1, t2, db, nil)
 		if err != nil || !res.Contained {
 			b.Fatal("containment should hold")
 		}
@@ -431,14 +330,11 @@ func BenchmarkE13ErrorFreeContain(b *testing.B) {
 }
 
 // BenchmarkE14Acceptors times validity checking under the three acceptance
-// modes on a guarded session.
+// modes on a guarded order;pay session.
 func BenchmarkE14Acceptors(b *testing.B) {
 	m := models.Guarded()
 	db := models.MagazineDB()
-	session := relation.Sequence{
-		models.Step(models.F("order", "time")),
-		models.Step(models.F("pay", "time", "855")),
-	}
+	session := experiments.OrderPay(0, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run, err := m.Execute(db, session)
@@ -455,7 +351,7 @@ func BenchmarkE15LogMinimize(b *testing.B) {
 	db := models.MagazineDB()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := verify.RemovableFromLog(m, db, "deliver", 2, &verify.Options{SkipReplay: true})
+		res, err := verify.RemovableFromLog(m, db, "deliver", 2, nil)
 		if err != nil || !res.Removable {
 			b.Fatal("deliver should be removable")
 		}
@@ -465,13 +361,12 @@ func BenchmarkE15LogMinimize(b *testing.B) {
 // BenchmarkE16ContainmentReduction times the Theorem 3.4 reduction end to
 // end on the paper's example.
 func BenchmarkE16ContainmentReduction(b *testing.B) {
-	f := deps.Set{Arity: 2, FDs: []deps.FD{{Lhs: []int{1}, Rhs: 2}}}
-	g := deps.Set{Arity: 2, IncDs: []deps.IncD{{Lhs: []int{1}, Rhs: []int{2}}}}
-	_, witness := deps.Implies(f, g, 1000)
+	p := experiments.NotImpliedPair()
+	_, witness := p.Implies()
 	empty := relation.NewInstance()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		red, err := deps.NewThm34Reduction(f, g)
+		red, err := deps.NewThm34Reduction(p.F, p.G)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -487,82 +382,24 @@ func BenchmarkE16ContainmentReduction(b *testing.B) {
 }
 
 // BenchmarkE17Compose times the bounded compatibility search on the
-// customer/supplier market.
+// prompt customer/supplier market.
 func BenchmarkE17Compose(b *testing.B) {
-	goal, err := verify.ParseGoal("deliver(widget)")
-	if err != nil {
-		b.Fatal(err)
-	}
-	supplier := core.MustParseProgram(benchSupplierSrc)
-	customer := core.MustParseProgram(benchCustomerSrc)
+	customer := experiments.PromptCustomer()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := compose.New()
-		db := relation.NewInstance()
-		db.Add("price", relation.Tuple{"widget", "5"})
-		if err := n.AddNode("supplier", supplier, db); err != nil {
-			b.Fatal(err)
-		}
-		if err := n.AddNode("customer", customer, nil); err != nil {
-			b.Fatal(err)
-		}
-		for _, w := range [][4]string{
-			{"customer", "order", "supplier", "order"},
-			{"customer", "pay", "supplier", "pay"},
-			{"supplier", "invoice", "customer", "invoice"},
-			{"supplier", "deliver", "customer", "arrived"},
-		} {
-			if err := n.Connect(w[0], w[1], w[2], w[3]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		res, err := n.Compatible([]compose.Goal{{Node: "supplier", G: goal}}, []relation.Const{"widget"}, 5)
+		res, err := experiments.Trade(customer)
 		if err != nil || !res.Compatible {
 			b.Fatal("market should be compatible")
 		}
 	}
 }
 
-const benchSupplierSrc = `
-transducer supplier
-schema
-  database: price/2;
-  input: order/1, pay/2;
-  state: past-order/1, past-pay/2;
-  output: invoice/2, deliver/1, error/0;
-  log: invoice, deliver;
-state rules
-  past-order(X) +:- order(X);
-  past-pay(X,Y) +:- pay(X,Y);
-output rules
-  invoice(X,Y) :- order(X), price(X,Y), NOT past-pay(X,Y);
-  deliver(X) :- past-order(X), price(X,Y), pay(X,Y), NOT past-pay(X,Y);
-  error :- pay(X,Y), NOT past-order(X);
-`
-
-const benchCustomerSrc = `
-transducer prompt
-schema
-  input: want/1, invoice/2, arrived/1;
-  state: past-want/1, past-invoice/2, past-arrived/1;
-  output: order/1, pay/2, error/0;
-  log: order, pay;
-state rules
-  past-want(X) +:- want(X);
-  past-invoice(X,Y) +:- invoice(X,Y);
-  past-arrived(X) +:- arrived(X);
-output rules
-  order(X) :- want(X), NOT past-want(X);
-  pay(X,Y) :- invoice(X,Y), NOT past-invoice(X,Y);
-`
-
 // BenchmarkS1SAT times the CDCL solver on pigeonhole instances.
 func BenchmarkS1SAT(b *testing.B) {
 	for _, n := range []int{5, 6, 7} {
 		b.Run(fmt.Sprintf("php%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := buildPigeonhole(n)
-				if s.Solve() != sat.Unsat {
+				if experiments.Pigeonhole(n).Solve() != sat.Unsat {
 					b.Fatal("PHP should be unsat")
 				}
 			}
@@ -570,46 +407,11 @@ func BenchmarkS1SAT(b *testing.B) {
 	}
 }
 
-func buildPigeonhole(n int) *sat.Solver {
-	s := sat.New()
-	p := make([][]int, n+1)
-	for i := 0; i <= n; i++ {
-		p[i] = make([]int, n)
-		for j := 0; j < n; j++ {
-			p[i][j] = s.NewVar()
-		}
-	}
-	for i := 0; i <= n; i++ {
-		s.AddClause(p[i]...)
-	}
-	for j := 0; j < n; j++ {
-		for i := 0; i <= n; i++ {
-			for k := i + 1; k <= n; k++ {
-				s.AddClause(-p[i][j], -p[k][j])
-			}
-		}
-	}
-	return s
-}
-
 // BenchmarkS2Datalog times FRIENDLY steps over growing catalogs.
 func BenchmarkS2Datalog(b *testing.B) {
+	m := models.Friendly()
 	for _, n := range []int{10, 50} {
-		m := models.Friendly()
-		db := relation.NewInstance()
-		var seq relation.Sequence
-		rnd := rand.New(rand.NewSource(3))
-		for i := 0; i < n; i++ {
-			p := relation.Const(fmt.Sprintf("p%d", i))
-			price := relation.Const(fmt.Sprintf("%d", 100+rnd.Intn(900)))
-			db.Add("price", relation.Tuple{p, price})
-			db.Add("available", relation.Tuple{p})
-			s1 := relation.NewInstance()
-			s1.Add("order", relation.Tuple{p})
-			s2 := relation.NewInstance()
-			s2.Add("pay", relation.Tuple{p, price})
-			seq = append(seq, s1, s2)
-		}
+		db, seq := experiments.Catalogue(n)
 		b.Run(fmt.Sprintf("products=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := m.Execute(db, seq); err != nil {

@@ -3,8 +3,9 @@
 # detector, the decision procedures' checks (golden corpora, the guarded
 # grounder against its naive oracle and against brute force, the
 # progress procedures against exhaustive search, the depth and allocation
-# ceilings of a cold goal), one iteration of each cold-path benchmark and
-# two fuzz smokes. The named suites are run verbosely and grepped for their
+# ceilings of a cold goal), every paper experiment's verdict and one
+# iteration of its benchmark, one iteration of each cold-path benchmark
+# and two fuzz smokes. The named suites are run verbosely and grepped for their
 # PASS lines, so a test that silently stops running fails the job instead
 # of passing it.
 #
@@ -31,7 +32,7 @@ benched() {
 	local file=$1
 	shift
 	for name in "$@"; do
-		grep -q "^$name" "$file" || {
+		grep -qE "^$name([-/]|[[:space:]])" "$file" || {
 			echo "test.sh: benchmark $name did not run" >&2
 			exit 1
 		}
@@ -85,6 +86,22 @@ end
 section "Goal grounding is linear in session depth"
 go test -v -count=1 -run TestGoalGroundingLinearInDepth ./internal/session 2>&1 | tee "$out/depth.out"
 passed "$out/depth.out" TestGoalGroundingLinearInDepth
+end
+
+# The paper's experiments E1–E17 and S1–S2: every verdict of the
+# EXPERIMENTS.md report must hold, and every benchmark DESIGN.md §4 indexes
+# must run once, so its in-loop assertions run too.
+section "Paper experiments: report verdicts and one iteration of each benchmark"
+go test -v -count=1 -run TestEveryExperimentVerdictHolds ./internal/experiments 2>&1 | tee "$out/experiments.out"
+passed "$out/experiments.out" TestEveryExperimentVerdictHolds
+go test -run '^$' -bench 'BenchmarkE|BenchmarkS[12]' -benchtime=1x . 2>&1 | tee "$out/bench_experiments.out"
+indexed=$(grep -E '^\| [ES][0-9]+ \|' DESIGN.md | grep -o 'Benchmark[A-Za-z0-9]*')
+[ "$(echo "$indexed" | wc -l)" -eq 19 ] || {
+	echo "test.sh: DESIGN.md §4 should index 19 benchmarks, found: $indexed" >&2
+	exit 1
+}
+# shellcheck disable=SC2086 # one name per word
+benched "$out/bench_experiments.out" $indexed
 end
 
 section "Cold-path benchmarks (one iteration each)"

@@ -167,6 +167,37 @@ func (s *Schema) Arity(name string) (int, bool) {
 	return 0, false
 }
 
+// InputError names a relation an input instance may not carry: one that
+// is not an input relation of the schema (Want < 0), or one whose arity is
+// not the schema's. Callers prefix the step, and the node in a network.
+type InputError struct {
+	Name        string
+	Arity, Want int
+}
+
+func (e *InputError) Error() string {
+	if e.Want < 0 {
+		return fmt.Sprintf("%s is not an input relation", e.Name)
+	}
+	return fmt.Sprintf("input %s has arity %d, schema says %d", e.Name, e.Arity, e.Want)
+}
+
+// CheckInput returns the first relation of in that is not an input
+// relation or has the wrong arity, or nil. An empty relation passes at any
+// arity.
+func (s *Schema) CheckInput(in relation.Instance) *InputError {
+	for name, rel := range in {
+		a, ok := s.In.Arity(name)
+		if !ok {
+			return &InputError{Name: name, Want: -1}
+		}
+		if rel.Len() > 0 && rel.Arity() != a {
+			return &InputError{Name: name, Arity: rel.Arity(), Want: a}
+		}
+	}
+	return nil
+}
+
 // Clone returns a deep copy of the schema.
 func (s *Schema) Clone() *Schema {
 	c := &Schema{
@@ -569,14 +600,8 @@ func (r *Run) LastOutput() relation.Instance {
 // relations are rejected.
 func (m *Machine) Execute(db relation.Instance, inputs relation.Sequence) (*Run, error) {
 	for i, in := range inputs {
-		for name, rel := range in {
-			a, ok := m.schema.In.Arity(name)
-			if !ok {
-				return nil, fmt.Errorf("step %d: %s is not an input relation", i+1, name)
-			}
-			if rel.Len() > 0 && rel.Arity() != a {
-				return nil, fmt.Errorf("step %d: input %s has arity %d, schema says %d", i+1, name, rel.Arity(), a)
-			}
+		if e := m.schema.CheckInput(in); e != nil {
+			return nil, fmt.Errorf("step %d: %w", i+1, e)
 		}
 	}
 	run := &Run{DB: db, Inputs: inputs.Clone()}

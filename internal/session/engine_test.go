@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/compose"
 	"repro/internal/models"
 	"repro/internal/relation"
 )
@@ -106,11 +107,25 @@ func TestInputValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Input(info.ID, step(t, fact("nonsense", "x"))); !errors.As(err, new(*BadInputError)) {
+	_, err = e.Input(info.ID, step(t, fact("nonsense", "x")))
+	if !errors.As(err, new(*BadInputError)) || err.Error() != "step 1: nonsense is not an input relation" {
 		t.Errorf("unknown relation: %v, want BadInputError", err)
 	}
-	if _, err := e.Input(info.ID, step(t, fact("order", "a", "b"))); !errors.As(err, new(*BadInputError)) {
+	_, err = e.Input(info.ID, step(t, fact("order", "a", "b")))
+	if !errors.As(err, new(*BadInputError)) || err.Error() != "step 1: input order has arity 2, schema says 1" {
 		t.Errorf("wrong arity: %v, want BadInputError", err)
+	}
+	net, err := e.Open(&OpenRequest{Network: models.Network("marketplace")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = e.NetInput(net.ID, compose.StepInputs{"customer": step(t, fact("nope", "x"))})
+	if !errors.As(err, new(*BadInputError)) || err.Error() != "step 1: nope is not an input relation of node customer" {
+		t.Errorf("unknown node relation: %v, want BadInputError", err)
+	}
+	_, err = e.NetInput(net.ID, compose.StepInputs{"customer": step(t, fact("want", "a", "b"))})
+	if !errors.As(err, new(*BadInputError)) || err.Error() != "step 1: node customer input want has arity 2, schema says 1" {
+		t.Errorf("wrong node arity: %v, want BadInputError", err)
 	}
 	if _, err := e.Input("missing", step(t)); !errors.As(err, new(*NotFoundError)) {
 		t.Errorf("missing session: %v, want NotFoundError", err)

@@ -77,14 +77,11 @@ func (s *Session) validateNetInput(ext compose.StepInputs) error {
 		if node == nil {
 			return fmt.Errorf("step %d: no node %s in network", s.steps+1, name)
 		}
-		for rel, r := range in {
-			a, ok := node.M.Schema().In.Arity(rel)
-			if !ok {
-				return fmt.Errorf("step %d: %s is not an input relation of node %s", s.steps+1, rel, name)
+		if e := node.M.Schema().CheckInput(in); e != nil {
+			if e.Want < 0 {
+				return fmt.Errorf("step %d: %w of node %s", s.steps+1, e, name)
 			}
-			if r.Len() > 0 && r.Arity() != a {
-				return fmt.Errorf("step %d: node %s input %s has arity %d, schema says %d", s.steps+1, name, rel, r.Arity(), a)
-			}
+			return fmt.Errorf("step %d: node %s %w", s.steps+1, name, e)
 		}
 	}
 	return nil

@@ -202,16 +202,10 @@ func (s *Session) dupResult(seq int) *StepResult {
 }
 
 // validateInput rejects unknown or wrongly-typed input relations before
-// anything is logged, mirroring core.Execute's checks.
+// anything is logged.
 func (s *Session) validateInput(in relation.Instance) error {
-	for name, rel := range in {
-		a, ok := s.mach.Schema().In.Arity(name)
-		if !ok {
-			return fmt.Errorf("step %d: %s is not an input relation", s.steps+1, name)
-		}
-		if rel.Len() > 0 && rel.Arity() != a {
-			return fmt.Errorf("step %d: input %s has arity %d, schema says %d", s.steps+1, name, rel.Arity(), a)
-		}
+	if e := s.mach.Schema().CheckInput(in); e != nil {
+		return fmt.Errorf("step %d: %w", s.steps+1, e)
 	}
 	return nil
 }

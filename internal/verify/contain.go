@@ -137,7 +137,7 @@ func Contains(reference, candidate *core.Machine, db relation.Instance, opts *Op
 			}
 			out := &ContainResult{Stats: statsOf(res)}
 			out.Counterexample = t2.extractInputs(res.Model, 2)
-			if !opts.SkipReplay && !opts.UnknownDB {
+			if !opts.UnknownDB {
 				name, err := replayContainmentDiff(reference, candidate, db, out.Counterexample)
 				if err != nil {
 					return nil, false, fmt.Errorf("verify: internal error: %w", err)

@@ -153,7 +153,7 @@ func checkClauseAt(ctx context.Context, m *core.Machine, db relation.Instance, c
 	}
 	out := &ErrorFreeResult{Stats: statsOf(res), Violated: c}
 	out.Counterexample = t.extractInputs(res.Model, n)
-	if !opts.SkipReplay && !opts.UnknownDB {
+	if !opts.UnknownDB {
 		if err := replayErrorFreeViolation(m, db, out.Counterexample, *c); err != nil {
 			return nil, false, fmt.Errorf("verify: internal error: %w", err)
 		}
@@ -318,7 +318,7 @@ func errorFreeContainAt(ctx context.Context, t1, t2 *core.Machine, db relation.I
 	}
 	out := &ErrorFreeContainResult{Stats: statsOf(res)}
 	out.Counterexample = tr1.extractInputs(res.Model, n)
-	if !opts.SkipReplay && !opts.UnknownDB {
+	if !opts.UnknownDB {
 		if err := replayErrorFreeContainment(t1, t2, db, out.Counterexample); err != nil {
 			return nil, false, fmt.Errorf("verify: internal error: %w", err)
 		}

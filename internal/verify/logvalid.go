@@ -21,9 +21,6 @@ type Options struct {
 	// MaxConflicts bounds the SAT search; 0 means unlimited. When the
 	// budget is exhausted the procedures return ErrBudget.
 	MaxConflicts int64
-	// SkipReplay disables the operational replay of witnesses (used only by
-	// benchmarks measuring pure decision time).
-	SkipReplay bool
 	// Parallelism is the number of SAT subproblems solved concurrently by
 	// procedures that decompose into independent questions (per-condition,
 	// per-clause, per-run-length, per-candidate). 0 and 1 mean strictly
@@ -215,16 +212,14 @@ func logValidity(ctx context.Context, m *core.Machine, db relation.Instance, log
 		}
 		replayDB = out.WitnessDB
 	}
-	if !opts.SkipReplay {
-		start := time.Now()
-		if err := replayLogCheck(m, replayDB, out.Witness, log); err != nil {
-			return nil, fmt.Errorf("verify: internal error: witness failed replay: %w", err)
-		}
-		out.Witness = shrinkInputs(out.Witness, func(cand relation.Sequence) bool {
-			return len(cand) == len(log) && replayLogCheck(m, replayDB, cand, log) == nil
-		})
-		out.Stats.ReplayTime = time.Since(start)
+	start := time.Now()
+	if err := replayLogCheck(m, replayDB, out.Witness, log); err != nil {
+		return nil, fmt.Errorf("verify: internal error: witness failed replay: %w", err)
 	}
+	out.Witness = shrinkInputs(out.Witness, func(cand relation.Sequence) bool {
+		return len(cand) == len(log) && replayLogCheck(m, replayDB, cand, log) == nil
+	})
+	out.Stats.ReplayTime = time.Since(start)
 	return out, nil
 }
 

@@ -108,14 +108,12 @@ func RemovableFromLog(m *core.Machine, db relation.Instance, name string, maxLen
 			out := &MinimizeResult{Stats: statsOf(res)}
 			out.WitnessA = ta.extractInputs(res.Model, n)
 			out.WitnessB = tb.extractInputs(res.Model, n)
-			if !opts.SkipReplay {
-				if err := replayDeterminacy(m, db, out.WitnessA, out.WitnessB, name); err != nil {
-					return nil, false, fmt.Errorf("verify: internal error: %w", err)
-				}
-				out.WitnessA, out.WitnessB = shrinkPair(out.WitnessA, out.WitnessB, func(a, b relation.Sequence) bool {
-					return replayDeterminacy(m, db, a, b, name) == nil
-				})
+			if err := replayDeterminacy(m, db, out.WitnessA, out.WitnessB, name); err != nil {
+				return nil, false, fmt.Errorf("verify: internal error: %w", err)
 			}
+			out.WitnessA, out.WitnessB = shrinkPair(out.WitnessA, out.WitnessB, func(a, b relation.Sequence) bool {
+				return replayDeterminacy(m, db, a, b, name) == nil
+			})
 			return out, true, nil
 		}})
 	}

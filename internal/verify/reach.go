@@ -180,21 +180,19 @@ func reachGoal(m *core.Machine, db relation.Instance, prefix relation.Sequence, 
 		}
 		replayDB = out.WitnessDB
 	}
-	if !opts.SkipReplay {
-		start := time.Now()
-		achieves := func(cand relation.Sequence) bool {
-			if len(cand) == 0 {
-				return false
-			}
-			run, err := m.Execute(replayDB, append(prefix.Clone(), cand...))
-			return err == nil && g.Holds(run.LastOutput())
+	start := time.Now()
+	achieves := func(cand relation.Sequence) bool {
+		if len(cand) == 0 {
+			return false
 		}
-		if !achieves(out.Witness) {
-			return nil, fmt.Errorf("verify: internal error: goal %s not satisfied by witness run", g)
-		}
-		out.Witness = shrinkInputs(out.Witness, achieves)
-		out.Stats.ReplayTime = time.Since(start)
+		run, err := m.Execute(replayDB, append(prefix.Clone(), cand...))
+		return err == nil && g.Holds(run.LastOutput())
 	}
+	if !achieves(out.Witness) {
+		return nil, fmt.Errorf("verify: internal error: goal %s not satisfied by witness run", g)
+	}
+	out.Witness = shrinkInputs(out.Witness, achieves)
+	out.Stats.ReplayTime = time.Since(start)
 	return out, nil
 }
 
@@ -490,22 +488,20 @@ func checkOneCondition(ctx context.Context, m *core.Machine, db relation.Instanc
 		}
 		replayDB = total.CounterexampleDB
 	}
-	if !opts.SkipReplay {
-		// The counterexample is the continuation only; replay prepends the
-		// prefix so the violation is checked on the actual resumed run.
-		start := time.Now()
-		violates := func(cand relation.Sequence) bool {
-			full := append(prefix.Clone(), cand...)
-			return replayTemporalViolation(m, replayDB, full, c) == nil
-		}
-		if !violates(total.Counterexample) {
-			return nil, false, fmt.Errorf("verify: internal error: counterexample does not violate %s on replay", c)
-		}
-		total.Counterexample = shrinkInputs(total.Counterexample, func(cand relation.Sequence) bool {
-			return len(cand) > 0 && violates(cand)
-		})
-		total.Stats.ReplayTime = time.Since(start)
+	// The counterexample is the continuation only; replay prepends the
+	// prefix so the violation is checked on the actual resumed run.
+	start := time.Now()
+	violates := func(cand relation.Sequence) bool {
+		full := append(prefix.Clone(), cand...)
+		return replayTemporalViolation(m, replayDB, full, c) == nil
 	}
+	if !violates(total.Counterexample) {
+		return nil, false, fmt.Errorf("verify: internal error: counterexample does not violate %s on replay", c)
+	}
+	total.Counterexample = shrinkInputs(total.Counterexample, func(cand relation.Sequence) bool {
+		return len(cand) > 0 && violates(cand)
+	})
+	total.Stats.ReplayTime = time.Since(start)
 	return total, true, nil
 }
 
