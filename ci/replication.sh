@@ -1,0 +1,118 @@
+#!/usr/bin/env bash
+# The replication job: the WAL-streaming plane end to end. The storage
+# stream suites (resume cursor, replication slot, rotation, compaction);
+# the one-writer invariant — a seeded script through a durable primary with
+# a standby attached, then primary = standby = recovery of either = the
+# paper's oracle — and the fail-stop path of a broken WAL, both under
+# -race; the follower suites (bootstrap, resume, promotion, semi-sync); the
+# router's promotion, follower-read, keyed-retry and handoff-rollback
+# suites; the promotion crash suite, which SIGKILLs a real primary mid-load
+# and proves its warm follower serves every acked step; a scaled-down
+# replication bench; and a smoke that reads /log and /verify through a
+# router serving them from a follower. Every suite is run verbosely and
+# grepped for its PASS lines, so a test that silently stops running fails
+# the job instead of passing it.
+#
+# Usage: bash ci/replication.sh   (from anywhere; needs go and curl, and
+# the loopback ports 9760, 9761 and 9765). The bench's JSON is left in
+# BENCH_replication_ci.json at the repository root.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+out=$(mktemp -d)
+pids=()
+cleanup() {
+	for pid in "${pids[@]}"; do kill "$pid" 2>/dev/null || true; done
+	wait 2>/dev/null || true
+	rm -rf "$out"
+}
+trap cleanup EXIT
+
+# passed FILE TEST... fails unless every named test passed in FILE.
+passed() {
+	local file=$1
+	shift
+	for name in "$@"; do
+		grep -q -- "--- PASS: $name " "$file" || {
+			echo "replication.sh: $name did not pass (or did not run)" >&2
+			exit 1
+		}
+	done
+}
+
+section() { echo "::group::$*"; }
+end() { echo "::endgroup::"; }
+
+section "Storage stream suites (cursor, slot, rotation, compaction)"
+go test ./internal/storage -run 'TestRepl|TestFailedCommitPublishesNothing' -v 2>&1 | tee "$out/storrepl.out"
+passed "$out/storrepl.out" TestReplTailAcrossRotation TestReplCursorSequentialReads \
+	TestReplSlotRetainsWAL TestFailedCommitPublishesNothing
+end
+
+section "One-writer invariant and fail-stop (under -race: the checker reads every shard)"
+go test -race ./internal/session -run 'TestOneWriterProperty|TestFailStopOnBrokenWAL' -v 2>&1 | tee "$out/writer.out"
+passed "$out/writer.out" TestOneWriterProperty TestFailStopOnBrokenWAL
+end
+
+section "Follower suites (bootstrap, resume, promote, semi-sync)"
+go test ./internal/replica -v 2>&1 | tee "$out/replica.out"
+passed "$out/replica.out" TestFollowerStreamsAndPromotes TestFollowerBootstrapsFromSnapshot \
+	TestSemiSyncAckImpliesReplicated
+end
+
+section "Router replication suites (promotion, follower reads, keyed retry, handoff rollback)"
+go test ./internal/cluster -run 'TestPromote|TestFollower|TestKeyedRetry|TestHandoff' -v 2>&1 | tee "$out/clurepl.out"
+passed "$out/clurepl.out" TestHandoffShipFailureRollsBack TestHandoffTargetMarkedDownMidFlight \
+	TestPromoteFailsOverSessions TestFollowerReads TestFollowerReadLagBound TestKeyedRetryAcrossPromotion
+end
+
+section "Promotion crash suite (SIGKILL primary, follower takes over)"
+go test ./cmd/spocus-router -run 'TestPromotionFailover' -v 2>&1 | tee "$out/promcrash.out"
+passed "$out/promcrash.out" TestPromotionFailover
+end
+
+section "Replication bench (scaled down; streaming cost + promotion timing)"
+go run ./cmd/spocus-server bench -replication -sessions 100 -steps 10 \
+	-promote-steps 200 -promote-rounds 1 | tee BENCH_replication_ci.json
+grep -q '"streamed_records"' BENCH_replication_ci.json
+grep -q '"mode": "promote"' BENCH_replication_ci.json
+if grep -q '"streamed_records": 0,' BENCH_replication_ci.json; then
+	echo "replication.sh: the bench streamed no records" >&2
+	exit 1
+fi
+end
+
+section "Follower-read smoke (router serves /log and /verify from a follower)"
+go build -o "$out/spocus-server" ./cmd/spocus-server
+go build -o "$out/spocus-router" ./cmd/spocus-router
+# Cross-following pair: each server also hosts a warm standby of the other
+# (the FollowerOf convention the router discovers live).
+"$out/spocus-server" serve -addr 127.0.0.1:9760 -dir "$out/repl-data0" -fsync always \
+	-follow http://127.0.0.1:9761 -follow-dir "$out/repl-standby0" &
+pids+=($!)
+"$out/spocus-server" serve -addr 127.0.0.1:9761 -dir "$out/repl-data1" -fsync always \
+	-follow http://127.0.0.1:9760 -follow-dir "$out/repl-standby1" &
+pids+=($!)
+sleep 1
+"$out/spocus-router" -addr 127.0.0.1:9765 \
+	-backends http://127.0.0.1:9760,http://127.0.0.1:9761 \
+	-follower-reads -follower-max-lag 1000 &
+pids+=($!)
+sleep 1
+router=http://127.0.0.1:9765
+curl -sf -X POST $router/sessions -d '{"id":"ci-repl","model":"short"}' >/dev/null
+curl -sf -X POST $router/sessions/ci-repl/input -d '{"input":{"order":[["time"]]}}' >/dev/null
+curl -sf -X POST $router/sessions/ci-repl/input -d '{"input":{"pay":[["time","855"]]}}' >/dev/null
+# The follower applies asynchronously: poll until the router serves the
+# read from it (the header names the follower backend).
+for _ in $(seq 1 40); do
+	curl -sf -D "$out/log.hdr" -o "$out/repllog.json" $router/sessions/ci-repl/log || true
+	if grep -qi '^X-Spocus-Served-By:' "$out/log.hdr"; then break; fi
+	sleep 0.25
+done
+grep -qi '^X-Spocus-Served-By:' "$out/log.hdr"
+grep -q '"steps": 2' "$out/repllog.json"
+curl -sf -D "$out/verify.hdr" -o "$out/replverify.json" "$router/sessions/ci-repl/verify?goal=deliver(X)"
+grep -qi '^X-Spocus-Served-By:' "$out/verify.hdr"
+grep -q '"reachable": true' "$out/replverify.json"
+end
+echo "replication.sh: all gates passed"

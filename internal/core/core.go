@@ -264,6 +264,8 @@ type Machine struct {
 	// cumulative caches the state-rule heads with cumulative semantics,
 	// computed once at construction so the per-step merge never rebuilds it.
 	cumulative map[string]bool
+	// tape is the layout of the machine's log tapes (see LogTape).
+	tape *tapeLayout
 	// raCache memoizes interned EDB relations across this machine's steps:
 	// the fixed database interns once per machine, and state relations
 	// shared across steps by the copy-on-write merge hit it too.

@@ -42,6 +42,7 @@ func (m *Machine) compiled() (*Machine, error) {
 	if v, ok := planCache.Load(key); ok {
 		ra.NoteCacheHit()
 		m.plans = v.(*machinePlans)
+		m.tape = newTapeLayout(m.schema, m.plans.state.Interner())
 		return m, nil
 	}
 	in := ra.NewInterner()
@@ -59,6 +60,7 @@ func (m *Machine) compiled() (*Machine, error) {
 		p = actual.(*machinePlans)
 	}
 	m.plans = p
+	m.tape = newTapeLayout(m.schema, p.state.Interner())
 	return m, nil
 }
 

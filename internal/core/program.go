@@ -189,21 +189,21 @@ func (p *progParser) parseRules() (dlog.Program, error) {
 func (p *progParser) build() (*Machine, error) {
 	// Resolve arities: first from annotations, then from rule usage.
 	use := map[string]int{}
-	record := func(pred string, arity int, where string) error {
+	record := func(pred string, arity int, where dlog.Rule) error {
 		if prev, ok := use[pred]; ok && prev != arity {
-			return fmt.Errorf("relation %s used with arities %d and %d (%s)", pred, prev, arity, where)
+			return fmt.Errorf("relation %s used with arities %d and %d (%s)", pred, prev, arity, where.String())
 		}
 		use[pred] = arity
 		return nil
 	}
 	for _, prog := range []dlog.Program{p.stateRules, p.outputRules} {
 		for _, r := range prog {
-			if err := record(r.Head.Pred, len(r.Head.Args), r.String()); err != nil {
+			if err := record(r.Head.Pred, len(r.Head.Args), r); err != nil {
 				return nil, err
 			}
 			for _, lit := range r.Body {
 				if lit.Kind == dlog.LitPos || lit.Kind == dlog.LitNeg {
-					if err := record(lit.Atom.Pred, len(lit.Atom.Args), r.String()); err != nil {
+					if err := record(lit.Atom.Pred, len(lit.Atom.Args), r); err != nil {
 						return nil, err
 					}
 				}

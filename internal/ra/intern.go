@@ -82,6 +82,11 @@ func (in *Interner) Sym(id uint32) relation.Const {
 	return in.syms[id]
 }
 
+// Symbols returns the symbol table as of now, indexed by symbol: shared,
+// append-only state to be treated as read-only. A caller resolving many
+// symbols reads them through it instead of locking once per Sym.
+func (in *Interner) Symbols() []relation.Const { return in.snapshot() }
+
 // Len returns the number of interned constants.
 func (in *Interner) Len() int {
 	in.mu.RLock()

@@ -196,6 +196,23 @@ func NewRel(arity int) *Rel {
 	return &Rel{arity: arity}
 }
 
+// NewRelOf creates a relation of the given arity holding tuples, which
+// must be distinct and of that arity: a decoder that knows its tuples form
+// a set builds the relation without checking each against the others. A
+// relation small enough to store them linearly adopts the slice, clipped so
+// that an Add never writes past it.
+func NewRelOf(arity int, tuples []Tuple) *Rel {
+	r := &Rel{arity: arity}
+	if len(tuples) <= smallRelMax {
+		r.small = tuples[:len(tuples):len(tuples)]
+		return r
+	}
+	for _, t := range tuples {
+		r.Add(t)
+	}
+	return r
+}
+
 // Arity returns the relation's arity.
 func (r *Rel) Arity() int { return r.arity }
 

@@ -102,6 +102,34 @@ func TestRelTuplesSorted(t *testing.T) {
 	}
 }
 
+// TestNewRelOf: a small relation adopts its tuples without letting an Add
+// write past them into a neighbour's; a large one spills like Add-built
+// relations do.
+func TestNewRelOf(t *testing.T) {
+	backing := []Tuple{tup("b"), tup("a"), tup("c")}
+	r := NewRelOf(1, backing[:2])
+	r.Add(tup("z"))
+	if !backing[2].Equal(tup("c")) || r.Len() != 3 || !r.Has(tup("a")) || !r.Has(tup("z")) {
+		t.Fatalf("adopting relation %v, backing %v", r, backing)
+	}
+	var many []Tuple
+	for i := 0; i < 3*smallRelMax; i++ {
+		many = append(many, tup(string(rune('a'+i)), "x"))
+	}
+	big := NewRelOf(2, many)
+	if big.Len() != len(many) || big.tuples == nil {
+		t.Fatalf("large relation holds %d tuples, spilled %v", big.Len(), big.tuples != nil)
+	}
+	n := 0
+	big.RangeFirst("c", func(Tuple) bool { n++; return true })
+	if n != 1 || !big.Has(tup("a", "x")) {
+		t.Fatalf("large relation's index: %d tuples under c", n)
+	}
+	if z := NewRelOf(0, []Tuple{{}}); z.Len() != 1 || !z.Has(Tuple{}) {
+		t.Fatal("0-ary relation of the empty tuple")
+	}
+}
+
 func TestRelCloneIndependent(t *testing.T) {
 	r := NewRel(1)
 	r.Add(tup("a"))

@@ -217,7 +217,7 @@ func encodeImageBody(e *codec.Encoder, img *Image) error {
 	if img.State != nil {
 		flags |= imgHasState
 	}
-	if img.Logs != nil {
+	if img.tape != nil || img.Logs != nil {
 		flags |= imgHasLogs
 	}
 	if img.Keys != nil {
@@ -233,7 +233,9 @@ func encodeImageBody(e *codec.Encoder, img *Image) error {
 	if img.State != nil {
 		e.Instance(img.State)
 	}
-	if img.Logs != nil {
+	if img.tape != nil {
+		img.tape.Encode(e)
+	} else if img.Logs != nil {
 		e.Sequence(img.Logs)
 	}
 	if img.Keys != nil {
@@ -263,7 +265,16 @@ func decodeImageBody(r *codec.Reader) (*Image, error) {
 		img.State = r.Instance()
 	}
 	if flags&imgHasLogs != 0 {
-		img.Logs = r.Sequence()
+		// The log is read straight into a tape of the image's machine, so
+		// a restore adopts it without building or re-encoding instances.
+		mach, err := img.machine()
+		if err != nil {
+			return nil, err
+		}
+		img.mach, img.tape = mach, mach.NewLogTape()
+		if err := img.tape.Decode(r); err != nil {
+			return nil, fmt.Errorf("image %s: %w", img.ID, err)
+		}
 	}
 	if flags&imgLegacyInputs != 0 {
 		r.Sequence()

@@ -642,9 +642,11 @@ func (e *Engine) Close(id string) (*CloseResult, error) {
 		if err := sh.commit(&walRecord{T: recClose, SID: id}, fromAPI, nil, nil); err != nil {
 			return nil, err
 		}
-		res := &CloseResult{ID: id, Steps: s.steps, Valid: s.valid(), Log: s.logs}
+		res := &CloseResult{ID: id, Steps: s.steps, Valid: s.valid()}
 		if s.net != nil {
 			res.Joint = s.net.joint
+		} else {
+			res.Log = s.log()
 		}
 		return res, nil
 	})

@@ -39,7 +39,14 @@ type StateExport struct {
 // intern table, sorted names and tuples). Two engines hold identical logs
 // iff their digests match.
 func LogDigest(logs relation.Sequence) string {
-	sum := sha256.Sum256(codec.Canonical(func(enc *codec.Encoder) { enc.Sequence(logs) }))
+	return digest(func(enc *codec.Encoder) { enc.Sequence(logs) })
+}
+
+// digest is sha-256, in hex, over the canonical record fn encodes. A
+// session's own log is digested from its tape, whose encoding is the
+// sequence's byte for byte, so it equals LogDigest of the decoded log.
+func digest(fn func(*codec.Encoder)) string {
+	sum := sha256.Sum256(codec.Canonical(fn))
 	return hex.EncodeToString(sum[:])
 }
 

@@ -54,8 +54,8 @@ func TestShipRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if se.Image.Steps != 2 || len(se.Image.Logs) != 2 || se.Digest != LogDigest(want.Log) {
-		t.Fatalf("export: steps=%d logs=%d digest=%s, want 2/2/%s", se.Image.Steps, len(se.Image.Logs), se.Digest, LogDigest(want.Log))
+	if se.Image.Steps != 2 || se.Image.tape.Len() != 2 || se.Digest != LogDigest(want.Log) {
+		t.Fatalf("export: steps=%d logs=%d digest=%s, want 2/2/%s", se.Image.Steps, se.Image.tape.Len(), se.Digest, LogDigest(want.Log))
 	}
 
 	// Frozen: mutations fail, reads keep working, export is idempotent.

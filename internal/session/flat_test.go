@@ -111,7 +111,7 @@ func TestStepCostIsFlatInDepth(t *testing.T) {
 				t.Fatalf("a step at depth 4096 costs %.0f allocs and %d rows pulled, at depth 16 %.0f and %d: the step path depends on the state's size",
 					deepAllocs, deepRows, shallowAllocs, shallowRows)
 			}
-			if last := s.logs[len(s.logs)-1]; last.Rel(tc.fires).Len() != 1 {
+			if last := s.tape.Delta(s.tape.Len() - 1); last.Rel(tc.fires).Len() != 1 {
 				t.Fatalf("the measured step logged %v: it did not fire the %s rule it is meant to cost", last, tc.fires)
 			}
 		})

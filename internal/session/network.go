@@ -1,8 +1,6 @@
 package session
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 
 	"repro/internal/codec"
@@ -152,8 +150,7 @@ func (e *Engine) NetInputKey(id, key string, ext compose.StepInputs) (*StepResul
 // (fresh intern table, sorted keys, sorted names and tuples). The network
 // counterpart of LogDigest, verified when a shipped network image installs.
 func JointLogDigest(joint []JointLogEntry) string {
-	sum := sha256.Sum256(codec.Canonical(func(enc *codec.Encoder) { encodeJoint(enc, joint) }))
-	return hex.EncodeToString(sum[:])
+	return digest(func(enc *codec.Encoder) { encodeJoint(enc, joint) })
 }
 
 // logDigest is the session's digest under either kind.
@@ -161,7 +158,7 @@ func (s *Session) logDigest() string {
 	if s.net != nil {
 		return JointLogDigest(s.net.joint)
 	}
-	return LogDigest(s.logs)
+	return digest(func(enc *codec.Encoder) { s.tape.Encode(enc) })
 }
 
 func cloneStepInputs(ext compose.StepInputs) compose.StepInputs {

@@ -46,9 +46,17 @@ type Session struct {
 	// machine the state is the cumulated input itself (past-R) — so the
 	// input sequence lives only in the WAL until compaction folds it into a
 	// snapshot, and memory and images stay O(state + log).
-	run   *core.Stepper
-	logs  relation.Sequence // per-step log deltas, the durable object
-	steps int
+	run *core.Stepper
+	// tape is the log, the durable object: every step's delta, appended by
+	// apply and held flat (see core.LogTape), so a session's history costs
+	// the collector nothing to mark. decoded is the log as instances, which
+	// a session keeps only once its log has been read: a Log or Close read
+	// decodes the steps past it, and from then on apply appends each step's
+	// delta to it as well, so the next read decodes nothing. A session
+	// whose log is never read keeps none.
+	tape    *core.LogTape
+	decoded relation.Sequence
+	steps   int
 	// frozen marks a session mid-handoff: reads proceed, mutations fail
 	// with FrozenError. Not persisted (see export.go).
 	frozen bool
@@ -71,7 +79,7 @@ type Session struct {
 	lastAccept bool // the most recent output contained accept
 
 	// net is set iff this is a network session (see network.go); then mach,
-	// db, run, and logs above are unused (nil).
+	// db, run, and tape above are unused (nil).
 	net *netRun
 }
 
@@ -142,6 +150,7 @@ func newSession(id string, req *OpenRequest) (*Session, error) {
 		mach:      mach,
 		db:        db,
 		run:       run,
+		tape:      mach.NewLogTape(),
 		errorFree: true,
 		okEvery:   true,
 	}, nil
@@ -184,7 +193,8 @@ func (s *Session) noteKey(key string, seq int) {
 }
 
 // dupResult answers a deduped step from the durable log: the seq the key
-// first produced, the step's log delta, and current validity. Outputs are
+// first produced, the step's log delta (the kept instance, if the session
+// keeps it, else decoded from the tape), and current validity. Outputs are
 // not retained, so they are absent — callers retrying after an ambiguous
 // failure care that the step landed, not what it printed.
 func (s *Session) dupResult(seq int) *StepResult {
@@ -195,8 +205,10 @@ func (s *Session) dupResult(seq int) *StepResult {
 			res.Logs = cloneStepInputs(je.Logs)
 			res.Wire = append([]compose.WireDelta(nil), je.Wire...)
 		}
-	} else if seq >= 1 && seq <= len(s.logs) {
-		res.Log = s.logs[seq-1] // immutable once appended, as in StepResult.Log
+	} else if seq >= 1 && seq <= len(s.decoded) {
+		res.Log = s.decoded[seq-1]
+	} else if seq >= 1 && seq <= s.tape.Len() {
+		res.Log = s.tape.Delta(seq - 1)
 	}
 	return res
 }
@@ -211,13 +223,25 @@ func (s *Session) validateInput(in relation.Instance) error {
 }
 
 // apply performs one validated transition: Sᵢ = σ(Iᵢ, Sᵢ₋₁, D),
-// Oᵢ = ω(Iᵢ, Sᵢ₋₁, D), appends the log delta, and updates acceptance
-// flags. Stepping is deterministic, which is what lets the WAL store only
-// inputs, and cannot fail: a machine that exists can step.
+// Oᵢ = ω(Iᵢ, Sᵢ₋₁, D), appends the log delta to the tape, and updates
+// acceptance flags. The delta instance goes to the caller in the result,
+// and is kept as well only by a session whose log has been read. Stepping
+// is deterministic, which is what lets the WAL store only inputs, and
+// cannot fail: a machine that exists can step.
 func (s *Session) apply(in relation.Instance) *StepResult {
 	out := s.run.Step(in)
 	delta := s.mach.Schema().LogDelta(in, out)
-	s.logs = append(s.logs, delta)
+	if n := len(s.decoded); n > 0 && n == s.tape.Len() {
+		// Kept like a decoded step: without the empty relations LogDelta
+		// holds for every output the step did not produce.
+		for name, rel := range delta {
+			if rel.Len() == 0 {
+				delete(delta, name)
+			}
+		}
+		s.decoded = append(s.decoded, delta)
+	}
+	s.tape.Append(delta)
 	s.steps++
 	if out.Rel(core.ErrorRel).Len() > 0 {
 		s.errorFree = false
@@ -288,10 +312,10 @@ func (s *Session) info() *Info {
 // log deltas of Definition 2.2 for a single machine, or the joint log
 // (per-node deltas + wire traffic per step) for a network session.
 //
-// Log is read-only. A delta is immutable once its step is applied, so the
-// sequence shares the session's own deltas — the instances already handed
-// out as StepResult.Log — and a read costs the slice, not the history's
-// tuples. A caller that wants to edit one clones it first.
+// Log is read-only. Its instances are the ones the session keeps once its
+// log has been read (see Session.tape), shared with every earlier and later
+// read — the first read decodes the tape, later ones cost the slice. A
+// caller that wants to edit one clones it first.
 type LogResult struct {
 	ID    string            `json:"id"`
 	Model string            `json:"model,omitempty"`
@@ -304,7 +328,15 @@ func (s *Session) logResult() *LogResult {
 	if s.net != nil {
 		return &LogResult{ID: s.id, Steps: s.steps, Joint: cloneJoint(s.net.joint)}
 	}
-	return &LogResult{ID: s.id, Model: s.model, Steps: s.steps, Log: append(relation.Sequence(nil), s.logs...)}
+	return &LogResult{ID: s.id, Model: s.model, Steps: s.steps, Log: append(relation.Sequence(nil), s.log()...)}
+}
+
+// log returns the whole log as instances, decoding the steps the session
+// does not keep as instances yet. The slice is the session's own and is
+// only ever extended, never rewritten.
+func (s *Session) log() relation.Sequence {
+	s.decoded = s.tape.Extend(s.decoded)
+	return s.decoded
 }
 
 // openRecord renders the session's creation as a WAL record.

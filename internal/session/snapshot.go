@@ -68,7 +68,13 @@ func (r *snapReader) next(payload []byte) (*Image, *Session, error) {
 
 // Image is one session's full durable state: what snapshots persist and
 // what handoff ships between nodes. Network sessions fill Net instead of
-// the machine-shaped fields (DB, State, Logs).
+// the machine-shaped fields (DB, State, the log).
+//
+// The log travels in the codec as a sequence, but an image holds it one of
+// two ways: as the session's tape (snapOf, and every binary decode, which
+// reads the sequence straight into a tape of the image's machine), or as
+// Logs, the values a JSON-era image or a caller-built one carries. Both
+// encode to the same bytes.
 //
 // Older images also carry the session's input history, or its cumulated
 // past: both are copies of what State already holds (past-R), so the
@@ -91,6 +97,29 @@ type Image struct {
 	// it is what makes dedupe survive compaction, handoff, and promotion.
 	Keys map[string]int `json:"keys,omitempty"`
 	Net  *NetImage      `json:"net,omitempty"`
+
+	// tape, when set, is the log, and mach the machine it was decoded for.
+	tape *core.LogTape
+	mach *core.Machine
+}
+
+// machine resolves the machine the image runs: its registry model or its
+// inline program.
+func (ss *Image) machine() (*core.Machine, error) {
+	if ss.mach != nil {
+		return ss.mach, nil
+	}
+	if ss.Model != "" {
+		if m := getModel(ss.Model); m != nil {
+			return m, nil
+		}
+		return nil, fmt.Errorf("snapshot: unknown model %q", ss.Model)
+	}
+	m, err := core.ParseProgram(ss.Src)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
+	}
+	return m, nil
 }
 
 func snapOf(s *Session) Image {
@@ -111,7 +140,9 @@ func snapOf(s *Session) Image {
 	img.Src = s.src
 	img.DB = s.db
 	img.State = s.run.State()
-	img.Logs = s.logs
+	if s.tape.Len() > 0 {
+		img.tape = s.tape.View()
+	}
 	return img
 }
 
@@ -124,13 +155,16 @@ func (ss *Image) restore() (*Session, error) {
 	if ss.Net != nil {
 		return ss.restoreNet(mode)
 	}
-	var mach *core.Machine
-	if ss.Model != "" {
-		if mach = getModel(ss.Model); mach == nil {
-			return nil, fmt.Errorf("snapshot: unknown model %q", ss.Model)
-		}
+	mach, err := ss.machine()
+	if err != nil {
+		return nil, err
+	}
+	tape := ss.tape
+	if tape != nil {
+		tape = tape.View()
 	} else {
-		if mach, err = core.ParseProgram(ss.Src); err != nil {
+		tape = mach.NewLogTape()
+		if err := tape.Load(ss.Logs); err != nil {
 			return nil, fmt.Errorf("snapshot: %w", err)
 		}
 	}
@@ -150,7 +184,7 @@ func (ss *Image) restore() (*Session, error) {
 		mach:       mach,
 		db:         db,
 		run:        run,
-		logs:       ss.Logs,
+		tape:       tape,
 		steps:      ss.Steps,
 		errorFree:  ss.ErrorFree,
 		okEvery:    ss.OkEvery,

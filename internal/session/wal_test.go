@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/models"
 	"repro/internal/relation"
 )
 
@@ -60,15 +61,18 @@ func TestWALRecordRoundTrip(t *testing.T) {
 
 // Install records carry a full image; the image must survive the WAL trip
 // with its log and state intact, because replay restores from it alone.
+// The image is SHORT's after order(time) on the magazine database, whose
+// log is the bill that step sent.
 func TestWALInstallRecordRoundTrip(t *testing.T) {
 	in := step(t, fact("order", "time"))
+	bill := step(t, fact("sendbill", "time", "855"))
 	img := &Image{
 		ID:    "shipped",
 		Model: "short",
 		Mode:  "all",
-		DB:    relation.NewInstance(),
+		DB:    models.DefaultDB("short"),
 		State: step(t, fact("past-order", "time")),
-		Logs:  relation.Sequence{in},
+		Logs:  relation.Sequence{bill},
 		Steps: 1,
 	}
 	data, err := json.Marshal(&walRecord{T: recInstall, SID: "shipped", Image: img})
@@ -82,7 +86,7 @@ func TestWALInstallRecordRoundTrip(t *testing.T) {
 	if back.T != recInstall || back.Image == nil {
 		t.Fatalf("install record mangled: %+v", back)
 	}
-	if back.Image.Steps != 1 || len(back.Image.Logs) != 1 || !back.Image.Logs[0].Has("order", relation.Tuple{"time"}) {
+	if back.Image.Steps != 1 || len(back.Image.Logs) != 1 || !back.Image.Logs[0].Has("sendbill", relation.Tuple{"time", "855"}) {
 		t.Errorf("image mangled: %+v", back.Image)
 	}
 	s, err := back.Image.restore()
@@ -91,6 +95,15 @@ func TestWALInstallRecordRoundTrip(t *testing.T) {
 	}
 	if past := s.run.Past(); s.id != "shipped" || s.steps != 1 || !past.Equal(in) {
 		t.Errorf("restored session mangled: id=%s steps=%d past=%s", s.id, s.steps, past)
+	}
+	if got := s.log(); len(got) != 1 || !got[0].Equal(bill) {
+		t.Errorf("restored log %v, want [%v]", got, bill)
+	}
+	// A log the machine could not have written is refused, as state is:
+	// SHORT does not log its orders.
+	img.Logs = relation.Sequence{in}
+	if _, err := img.restore(); err == nil {
+		t.Error("an image logging a relation SHORT does not log restored")
 	}
 }
 
