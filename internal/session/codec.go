@@ -166,6 +166,11 @@ func decodeWALPayload(dec *codec.Decoder, payload []byte) (*walRecord, error) {
 		if err := json.Unmarshal(payload, rec); err != nil {
 			return nil, fmt.Errorf("wal record: %w", err)
 		}
+		if rec.Image != nil {
+			if err := rec.Image.adoptLogs(); err != nil {
+				return nil, fmt.Errorf("wal record: %w", err)
+			}
+		}
 		return rec, nil
 	}
 	r, err := dec.Record(payload)
@@ -217,7 +222,7 @@ func encodeImageBody(e *codec.Encoder, img *Image) error {
 	if img.State != nil {
 		flags |= imgHasState
 	}
-	if img.tape != nil || img.Logs != nil {
+	if img.tape != nil {
 		flags |= imgHasLogs
 	}
 	if img.Keys != nil {
@@ -235,8 +240,6 @@ func encodeImageBody(e *codec.Encoder, img *Image) error {
 	}
 	if img.tape != nil {
 		img.tape.Encode(e)
-	} else if img.Logs != nil {
-		e.Sequence(img.Logs)
 	}
 	if img.Keys != nil {
 		encodeKeyTable(e, img.Keys)
@@ -471,6 +474,9 @@ func decodeSnapPayload(dec *codec.Decoder, payload []byte, first bool) (*snapHea
 		}
 		img := &Image{}
 		if err := json.Unmarshal(payload, img); err != nil {
+			return nil, nil, fmt.Errorf("snapshot session: %w", err)
+		}
+		if err := img.adoptLogs(); err != nil {
 			return nil, nil, fmt.Errorf("snapshot session: %w", err)
 		}
 		return nil, img, nil

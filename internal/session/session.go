@@ -49,11 +49,10 @@ type Session struct {
 	run *core.Stepper
 	// tape is the log, the durable object: every step's delta, appended by
 	// apply and held flat (see core.LogTape), so a session's history costs
-	// the collector nothing to mark. decoded is the log as instances, which
-	// a session keeps only once its log has been read: a Log or Close read
-	// decodes the steps past it, and from then on apply appends each step's
-	// delta to it as well, so the next read decodes nothing. A session
-	// whose log is never read keeps none.
+	// the collector nothing to mark. decoded is the prefix of the log a Log
+	// or Close read has decoded into instances, kept so the next read
+	// decodes only the steps past it. A session whose log is never read
+	// keeps none.
 	tape    *core.LogTape
 	decoded relation.Sequence
 	steps   int
@@ -193,10 +192,11 @@ func (s *Session) noteKey(key string, seq int) {
 }
 
 // dupResult answers a deduped step from the durable log: the seq the key
-// first produced, the step's log delta (the kept instance, if the session
-// keeps it, else decoded from the tape), and current validity. Outputs are
-// not retained, so they are absent — callers retrying after an ambiguous
-// failure care that the step landed, not what it printed.
+// first produced, the step's log delta (from the decoded prefix if a read
+// has decoded the step, else decoded from the tape alone), and current
+// validity. Outputs are not retained, so they are absent — callers
+// retrying after an ambiguous failure care that the step landed, not what
+// it printed.
 func (s *Session) dupResult(seq int) *StepResult {
 	res := &StepResult{ID: s.id, Seq: seq, Valid: s.valid(), Duplicate: true}
 	if s.net != nil {
@@ -224,23 +224,13 @@ func (s *Session) validateInput(in relation.Instance) error {
 
 // apply performs one validated transition: Sᵢ = σ(Iᵢ, Sᵢ₋₁, D),
 // Oᵢ = ω(Iᵢ, Sᵢ₋₁, D), appends the log delta to the tape, and updates
-// acceptance flags. The delta instance goes to the caller in the result,
-// and is kept as well only by a session whose log has been read. Stepping
-// is deterministic, which is what lets the WAL store only inputs, and
-// cannot fail: a machine that exists can step.
+// acceptance flags. The delta instance goes to the caller in the result;
+// the session keeps only the tape's copy of it. Stepping is deterministic,
+// which is what lets the WAL store only inputs, and cannot fail: a machine
+// that exists can step.
 func (s *Session) apply(in relation.Instance) *StepResult {
 	out := s.run.Step(in)
 	delta := s.mach.Schema().LogDelta(in, out)
-	if n := len(s.decoded); n > 0 && n == s.tape.Len() {
-		// Kept like a decoded step: without the empty relations LogDelta
-		// holds for every output the step did not produce.
-		for name, rel := range delta {
-			if rel.Len() == 0 {
-				delete(delta, name)
-			}
-		}
-		s.decoded = append(s.decoded, delta)
-	}
 	s.tape.Append(delta)
 	s.steps++
 	if out.Rel(core.ErrorRel).Len() > 0 {
@@ -312,10 +302,10 @@ func (s *Session) info() *Info {
 // log deltas of Definition 2.2 for a single machine, or the joint log
 // (per-node deltas + wire traffic per step) for a network session.
 //
-// Log is read-only. Its instances are the ones the session keeps once its
-// log has been read (see Session.tape), shared with every earlier and later
-// read — the first read decodes the tape, later ones cost the slice. A
-// caller that wants to edit one clones it first.
+// Log is read-only. Its instances are the session's decoded prefix (see
+// Session.tape), shared with every earlier and later read — each read
+// decodes only the steps taken since the last one. A caller that wants to
+// edit one clones it first.
 type LogResult struct {
 	ID    string            `json:"id"`
 	Model string            `json:"model,omitempty"`

@@ -70,11 +70,10 @@ func (r *snapReader) next(payload []byte) (*Image, *Session, error) {
 // what handoff ships between nodes. Network sessions fill Net instead of
 // the machine-shaped fields (DB, State, the log).
 //
-// The log travels in the codec as a sequence, but an image holds it one of
-// two ways: as the session's tape (snapOf, and every binary decode, which
-// reads the sequence straight into a tape of the image's machine), or as
-// Logs, the values a JSON-era image or a caller-built one carries. Both
-// encode to the same bytes.
+// The log travels in the codec as a sequence, but an image holds it on a
+// tape of its machine: snapOf shares the session's, the binary decoder
+// reads the sequence straight into one, and the JSON decoders load Logs,
+// the field a JSON-era record spells the log in, into one (adoptLogs).
 //
 // Older images also carry the session's input history, or its cumulated
 // past: both are copies of what State already holds (past-R), so the
@@ -101,6 +100,25 @@ type Image struct {
 	// tape, when set, is the log, and mach the machine it was decoded for.
 	tape *core.LogTape
 	mach *core.Machine
+}
+
+// adoptLogs moves a JSON-decoded image's log onto a tape of its machine,
+// refusing one the machine could not have written, as the binary decoder
+// does.
+func (ss *Image) adoptLogs() error {
+	if ss.Logs == nil {
+		return nil
+	}
+	mach, err := ss.machine()
+	if err != nil {
+		return err
+	}
+	tape := mach.NewLogTape()
+	if err := tape.Load(ss.Logs); err != nil {
+		return fmt.Errorf("image %s: %w", ss.ID, err)
+	}
+	ss.mach, ss.tape, ss.Logs = mach, tape, nil
+	return nil
 }
 
 // machine resolves the machine the image runs: its registry model or its
@@ -159,14 +177,9 @@ func (ss *Image) restore() (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	tape := ss.tape
-	if tape != nil {
-		tape = tape.View()
-	} else {
-		tape = mach.NewLogTape()
-		if err := tape.Load(ss.Logs); err != nil {
-			return nil, fmt.Errorf("snapshot: %w", err)
-		}
+	tape := mach.NewLogTape()
+	if ss.tape != nil {
+		tape = ss.tape.View()
 	}
 	db := ss.DB
 	if db == nil {
