@@ -43,9 +43,10 @@ section() { echo "::group::$*"; }
 end() { echo "::endgroup::"; }
 
 section "Storage stream suites (cursor, slot, rotation, compaction)"
-go test ./internal/storage -run 'TestRepl|TestFailedCommitPublishesNothing' -v 2>&1 | tee "$out/storrepl.out"
+go test ./internal/storage -run 'TestRepl|TestFailed|TestAppendWaitsForCommit' -v 2>&1 | tee "$out/storrepl.out"
 passed "$out/storrepl.out" TestReplTailAcrossRotation TestReplCursorSequentialReads \
-	TestReplSlotRetainsWAL TestFailedCommitPublishesNothing
+	TestReplSlotRetainsWAL TestFailedCommitPublishesNothing TestFailedWritePublishesNothing \
+	TestAppendWaitsForCommit
 end
 
 section "One-writer invariant and fail-stop (under -race: the checker reads every shard)"

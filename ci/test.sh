@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# The test job: build, vet, the whole suite with and without the race
-# detector, the decision procedures' checks (golden corpora, the guarded
-# grounder against its naive oracle and against brute force, the
-# progress procedures against exhaustive search, the depth and allocation
-# ceilings of a cold goal), every paper experiment's verdict and one
-# iteration of its benchmark, one iteration of each cold-path benchmark
-# and two fuzz smokes. The named suites are run verbosely and grepped for their
-# PASS lines, so a test that silently stops running fails the job instead
-# of passing it.
+# The test job: build, the gofmt gate, vet, the whole suite with and
+# without the race detector, the decision procedures' checks (golden
+# corpora, the guarded grounder against its naive oracle and against brute
+# force, the progress procedures against exhaustive search, the depth and
+# allocation ceilings of a cold goal), every paper experiment's verdict and
+# one iteration of its benchmark, one iteration of each cold-path benchmark
+# and two fuzz smokes. The named suites are run verbosely and grepped for
+# their PASS lines, so a test that silently stops running fails the job
+# instead of passing it.
 #
 # Usage: bash ci/test.sh   (from anywhere; needs go)
 set -euo pipefail
@@ -42,8 +42,13 @@ benched() {
 section() { echo "::group::$*"; }
 end() { echo "::endgroup::"; }
 
-section "Build, vet, test"
+section "Build, gofmt, vet, test"
 go build ./...
+test -z "$(gofmt -l .)" || {
+	echo "test.sh: gofmt would rewrite:" >&2
+	gofmt -l . >&2
+	exit 1
+}
 go vet ./...
 go test ./...
 end

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -439,14 +440,32 @@ func TestHandoffTargetMarkedDownMidFlight(t *testing.T) {
 	var rt *Router
 	// Source serves normally; the target simulates the racing prober by
 	// marking itself down the moment the install lands — after the move,
-	// before the retire.
+	// before the retire. The install's response is held until the mark is
+	// made: answered first, the router could re-check the ring before the
+	// mark and finish the handoff. From then on the target also fails its
+	// health probe, so the probe the mark kicks cannot flip it back up
+	// before the re-check.
 	servers[0].Config.Handler = session.Handler(engines[0])
 	inner := session.Handler(engines[1])
+	var installed atomic.Bool
 	servers[1].Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		inner.ServeHTTP(w, r)
-		if r.URL.Path == "/admin/install" {
-			rt.checker.markDown(urls[1])
+		switch {
+		case r.URL.Path == "/healthz" && installed.Load():
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		case r.URL.Path != "/admin/install":
+			inner.ServeHTTP(w, r)
+			return
 		}
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		installed.Store(true)
+		rt.checker.markDown(urls[1])
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
 	})
 	for _, s := range servers {
 		s.Start()

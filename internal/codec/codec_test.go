@@ -124,14 +124,14 @@ func TestDecoderRejectsCorruptInput(t *testing.T) {
 	rec := e.Finish()
 
 	cases := map[string][]byte{
-		"empty":        {},
-		"not binary":   []byte(`{"t":"step"}`),
-		"bad version":  {Magic, 99, 0},
-		"truncated":    rec[:len(rec)-3],
-		"def overrun":  {Magic, Version, 0, 1, 200},
-		"huge defs":    {Magic, Version, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
-		"trailing":     append(append([]byte{}, rec...), 0xAA),
-		"bad ref":      append([]byte{Magic, Version, 0, 0}, 0x30), // reference 0x30 with empty table
+		"empty":       {},
+		"not binary":  []byte(`{"t":"step"}`),
+		"bad version": {Magic, 99, 0},
+		"truncated":   rec[:len(rec)-3],
+		"def overrun": {Magic, Version, 0, 1, 200},
+		"huge defs":   {Magic, Version, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
+		"trailing":    append(append([]byte{}, rec...), 0xAA),
+		"bad ref":     append([]byte{Magic, Version, 0, 0}, 0x30), // reference 0x30 with empty table
 	}
 	for name, data := range cases {
 		d := NewDecoder()

@@ -34,6 +34,9 @@ type Stepper struct {
 	// to constants by Instance, so the next step rebuilds them in the same
 	// maps and row storage.
 	out, next *ra.Store
+	// orders keeps the state's sorted rows between StateView calls; nil
+	// until the first, so a run that never writes an image pays nothing.
+	orders *ra.Orders
 }
 
 // NewStepper starts a run of m on db from the given state (nil: the empty
@@ -88,9 +91,21 @@ func (st *Stepper) Step(input relation.Instance) relation.Instance {
 // State materializes the current state as constants: a fresh instance that
 // shares nothing with the stepper, equal to what Machine.Step would have
 // returned after the same inputs. It and Past are a run's O(state)
-// operations; snapshots, ship images, exports and verification reads call
-// them, steps never do.
+// operations; verification reads and network state exports call them;
+// steps and session images never do.
 func (st *Stepper) State() relation.Instance { return st.state.Instance() }
+
+// StateView returns the current state as the resident rows hold it, sorted
+// for encoding: its Encode writes the bytes codec.Encoder.Instance writes
+// for State(), without materializing a constant, and sorts only what the
+// state gained since the last call. Later steps do not change the view.
+// This is how snapshot and ship images write the state.
+func (st *Stepper) StateView() *ra.View {
+	if st.orders == nil {
+		st.orders = &ra.Orders{}
+	}
+	return st.state.View(st.orders)
+}
 
 // Past materializes the run's cumulated input — every input relation R with
 // the tuples its state relation past-R holds, empty relations omitted — as

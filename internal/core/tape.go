@@ -274,18 +274,11 @@ func (t *LogTape) View() *LogTape {
 	}
 }
 
-// SequenceWriter is what Encode writes through: codec.Encoder's varint and
-// interned-string primitives.
-type SequenceWriter interface {
-	Uvarint(uint64)
-	Str(string)
-}
-
 // Encode writes the tape as codec.Encoder.Sequence writes the sequence of
 // its decoded steps — step count; per step the number of non-empty
 // relations; per relation its name, arity, tuple count and constants, names
 // and tuples sorted — byte for byte, without decoding a step.
-func (t *LogTape) Encode(w SequenceWriter) {
+func (t *LogTape) Encode(w ra.Writer) {
 	syms := t.lay.in.Symbols()
 	w.Uvarint(uint64(len(t.ends)))
 	var at uint32

@@ -43,8 +43,8 @@ func (t Term) String() string {
 // bareConstant reports whether a constant symbol re-lexes as itself when
 // printed without quotes: a nonempty lower-case-or-digit-led identifier that
 // is not the NOT keyword. Anything else (quoted constants like 'Time' or
-// 'a b', the empty constant '') must print quoted or it would lex as a
-// variable, a keyword, or not at all.
+// 'a b', and the empty constant, printed as two single quotes) must print
+// quoted or it would lex as a variable, a keyword, or not at all.
 func bareConstant(name string) bool {
 	if name == "" || strings.EqualFold(name, "not") {
 		return false

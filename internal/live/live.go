@@ -415,8 +415,8 @@ func (s *Service) opts(ctx context.Context, me *machineEntry) *verify.Options {
 
 // GoalAnswer is the wire answer of a reachability query.
 type GoalAnswer struct {
-	Goal      string            `json:"goal"`
-	Reachable bool              `json:"reachable"`
+	Goal      string `json:"goal"`
+	Reachable bool   `json:"reachable"`
 	// Witness is a continuation input sequence achieving the goal (shared
 	// with the cache — treat as read-only).
 	Witness relation.Sequence `json:"witness,omitempty"`

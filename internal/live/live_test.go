@@ -168,10 +168,10 @@ func TestProgressGoldenFig2(t *testing.T) {
 	want := [][]string{
 		0: {},
 		1: {"pay(time, 855)"}, // la-stampa has no price: only time is billable
-		2: {},                // time paid, le-monde payment rejected (never ordered)
+		2: {},                 // time paid, le-monde payment rejected (never ordered)
 		3: {"pay(newsweek, 845)"},
 		4: {"pay(newsweek, 845)"}, // pending-bills changes no state
-		5: {},                    // newsweek paid too
+		5: {},                     // newsweek paid too
 	}
 	for k := 0; k <= len(fig2); k++ {
 		got := d1Set(t, s, "friendly", db, cumulate(fig2[:k]), "deliver(X)")

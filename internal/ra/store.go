@@ -1,6 +1,12 @@
 package ra
 
-import "repro/internal/relation"
+import (
+	"slices"
+	"sort"
+	"strings"
+
+	"repro/internal/relation"
+)
 
 // Store is a set of relations resident in the executor's own form: rows of
 // interned symbols, with the membership set and the first-column index
@@ -177,4 +183,127 @@ func (s *Store) Merge(derived *Store, keep []bool) {
 // instance sharing nothing with the store.
 func (s *Store) Instance() relation.Instance {
 	return instanceOf(s.rels, s.in.predNames(), s.in)
+}
+
+// Writer is what a View and a core.LogTape encode through: codec.Encoder's
+// varint and interned-string primitives.
+type Writer interface {
+	Uvarint(uint64)
+	Str(string)
+}
+
+// View is a store's relations as they were when View was called, each in
+// sorted order: what Instance would have returned then, held without
+// materializing a constant. Later appends to the store are not in it, and a
+// relation the store replaces later stays in it as it was.
+type View struct {
+	syms []relation.Const
+	rels []viewRel // the relations holding rows, by name
+}
+
+type viewRel struct {
+	name  string
+	arity int
+	rows  [][]uint32
+	order []int32
+}
+
+// Orders keeps, from one View of a store to the next, each relation's
+// rows in sorted order: by slot, the relation an order was computed for
+// and the permutation of its rows into relation.Tuple.Less order; rows
+// past the permutation's length came later. The zero value is ready to
+// use. It references the relations it ordered, so a relation the store
+// has replaced since the last View stays reachable until the next.
+type Orders struct {
+	slots []slotOrder
+}
+
+type slotOrder struct {
+	rel   *iRel
+	order []int32
+}
+
+// View returns the store's relations as a View. o carries each relation's
+// sorted order from one call to the next, so a call sorts only the rows
+// appended since the last one and merges them in; a relation the store
+// replaced (Merge, Put) since is sorted whole.
+func (s *Store) View(o *Orders) *View {
+	names := s.in.predNames()
+	v := &View{syms: s.in.Symbols()}
+	if len(o.slots) < len(s.rels) {
+		o.slots = append(o.slots, make([]slotOrder, len(s.rels)-len(o.slots))...)
+	}
+	for slot, ir := range s.rels {
+		so := &o.slots[slot]
+		if ir == nil || len(ir.rows) == 0 {
+			*so = slotOrder{}
+			continue
+		}
+		if so.rel != ir {
+			*so = slotOrder{rel: ir}
+		}
+		so.order = sortRows(ir.rows, so.order, v.syms)
+		n := len(ir.rows)
+		v.rels = append(v.rels, viewRel{names[slot], ir.arity, ir.rows[:n:n], so.order})
+	}
+	sort.Slice(v.rels, func(i, j int) bool { return v.rels[i].name < v.rels[j].name })
+	return v
+}
+
+// Encode writes the view as codec.Encoder.Instance writes the instance it
+// stands for — the number of relations holding tuples; per relation, in
+// name order, its name, arity, tuple count and constants, the tuples in
+// relation.Tuple.Less order — byte for byte.
+func (v *View) Encode(w Writer) {
+	w.Uvarint(uint64(len(v.rels)))
+	for _, r := range v.rels {
+		w.Str(r.name)
+		w.Uvarint(uint64(r.arity))
+		w.Uvarint(uint64(len(r.order)))
+		for _, i := range r.order {
+			for _, sym := range r.rows[i] {
+				w.Str(string(v.syms[sym]))
+			}
+		}
+	}
+}
+
+// sortRows returns the permutation of rows into relation.Tuple.Less order,
+// given old, that of rows' first len(old): the rows after those are sorted
+// on their own, then merged with old into a new slice, so an order handed
+// out earlier is never rewritten. syms must resolve every symbol of rows.
+func sortRows(rows [][]uint32, old []int32, syms []relation.Const) []int32 {
+	n := len(rows)
+	if len(old) == n {
+		return old
+	}
+	cmp := func(a, b int32) int {
+		x, y := rows[a], rows[b]
+		for k := range x {
+			if x[k] != y[k] {
+				return strings.Compare(string(syms[x[k]]), string(syms[y[k]]))
+			}
+		}
+		return 0
+	}
+	order := make([]int32, n)
+	fresh := order[:n-len(old)]
+	for i := range fresh {
+		fresh[i] = int32(len(old) + i)
+	}
+	slices.SortFunc(fresh, cmp)
+	// Merge from the back. The fresh rows sort at the front of order, and
+	// the write position stays past the last one not yet merged; once the
+	// old rows are all placed, the fresh rows left are where they belong.
+	i, j := len(old)-1, len(fresh)-1
+	for k := n - 1; i >= 0; k-- {
+		if j >= 0 && cmp(fresh[j], old[i]) > 0 {
+			order[k] = fresh[j]
+			j--
+		} else {
+			order[k] = old[i]
+			i--
+		}
+	}
+	return order
 }

@@ -333,10 +333,10 @@ func Fleet() []*Spec {
 			Mix:      []Element{{Network: "fraud"}},
 		},
 		{
-			Name:    "mixed-open",
-			Info:    "open-loop arrivals over a model+network blend",
-			Arrival: Open,
-			Rate:    120,
+			Name:     "mixed-open",
+			Info:     "open-loop arrivals over a model+network blend",
+			Arrival:  Open,
+			Rate:     120,
 			Sessions: 60,
 			Steps:    12,
 			Mix: []Element{

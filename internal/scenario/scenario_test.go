@@ -32,7 +32,7 @@ func TestFleetValid(t *testing.T) {
 			t.Errorf("%s planned %d sessions, want %d", sp.Name, len(plans), sp.Sessions)
 		}
 	}
-	for _, want := range []string{"registry-mix", "marketplace", "fraud", "mixed-open"}  {
+	for _, want := range []string{"registry-mix", "marketplace", "fraud", "mixed-open"} {
 		if !names[want] {
 			t.Errorf("fleet is missing scenario %q", want)
 		}

@@ -3,7 +3,6 @@ package session
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"repro/internal/codec"
 	"repro/internal/compose"
@@ -219,7 +218,7 @@ func encodeImageBody(e *codec.Encoder, img *Image) error {
 	if img.DB != nil {
 		flags |= imgHasDB
 	}
-	if img.State != nil {
+	if img.State != nil || img.state != nil {
 		flags |= imgHasState
 	}
 	if img.tape != nil {
@@ -235,7 +234,9 @@ func encodeImageBody(e *codec.Encoder, img *Image) error {
 	if img.DB != nil {
 		e.Instance(img.DB)
 	}
-	if img.State != nil {
+	if img.state != nil {
+		img.state.Encode(e)
+	} else if img.State != nil {
 		e.Instance(img.State)
 	}
 	if img.tape != nil {
@@ -301,27 +302,24 @@ func decodeImageBody(r *codec.Reader) (*Image, error) {
 	return img, nil
 }
 
-func encodeKeyTable(e *codec.Encoder, keys map[string]int) {
-	names := make([]string, 0, len(keys))
-	for k := range keys {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	e.Uvarint(uint64(len(names)))
-	for _, k := range names {
-		e.Str(k)
-		e.Uvarint(uint64(keys[k]))
+func encodeKeyTable(e *codec.Encoder, keys keyList) {
+	e.Uvarint(uint64(len(keys)))
+	for _, k := range keys {
+		e.Str(k.key)
+		e.Uvarint(uint64(k.seq))
 	}
 }
 
-func decodeKeyTable(r *codec.Reader) map[string]int {
+// decodeKeyTable reads a key table. The encoder writes it in key order, so
+// it loads as it comes; a table out of order is sorted (see ordered).
+func decodeKeyTable(r *codec.Reader) keyList {
 	n := r.Int()
-	keys := make(map[string]int, n)
+	keys := make(keyList, 0, min(n, 1024))
 	for i := 0; i < n && r.Err() == nil; i++ {
 		k := r.Str()
-		keys[k] = r.Int()
+		keys = append(keys, keyEntry{k, r.Int()})
 	}
-	return keys
+	return keys.ordered()
 }
 
 func encodeNetImage(e *codec.Encoder, net *NetImage) error {

@@ -92,11 +92,7 @@ func tableOf(t testing.TB, e *Engine) map[string]sessionFacts {
 	for _, sh := range e.shards {
 		_, err := e.send(sh, func(sh *shard) (any, error) {
 			for id, s := range sh.sessions {
-				keys := make(map[string]int, len(s.keys))
-				for k, seq := range s.keys {
-					keys[k] = seq
-				}
-				table[id] = sessionFacts{Steps: s.steps, Valid: s.valid(), Digest: s.logDigest(), Keys: keys}
+				table[id] = sessionFacts{Steps: s.steps, Valid: s.valid(), Digest: s.logDigest(), Keys: s.keys.all()}
 			}
 			return nil, nil
 		})

@@ -41,7 +41,8 @@ type Session struct {
 	// run holds the cumulated state resident in the step executor's form and
 	// steps on it in place (see core.Stepper); only the shard goroutine that
 	// owns the session touches it. A relation.Instance of the state exists
-	// only while something reads one: snapOf and Peek materialize it. It is
+	// only while a verification read holds one (Peek materializes it);
+	// images encode the resident rows (snapOf). It is
 	// the one copy of what the session keeps of its inputs — for a Spocus
 	// machine the state is the cumulated input itself (past-R) — so the
 	// input sequence lives only in the WAL until compaction folds it into a
@@ -68,7 +69,7 @@ type Session struct {
 	// promotion: a retried step is answered from the log instead of being
 	// applied twice. Unbounded by design — sessions are short-lived and a
 	// key costs a few dozen bytes.
-	keys map[string]int
+	keys keyTable
 
 	// Acceptance bookkeeping under the three disciplines of Section 4.
 	// For network sessions the flags aggregate across nodes: any node's
@@ -178,17 +179,6 @@ type StepResult struct {
 	// the key first produced. Outputs are not retained, so Output stays
 	// empty on a duplicate.
 	Duplicate bool `json:"duplicate,omitempty"`
-}
-
-// noteKey records that key produced step seq, lazily allocating the table.
-func (s *Session) noteKey(key string, seq int) {
-	if key == "" {
-		return
-	}
-	if s.keys == nil {
-		s.keys = make(map[string]int)
-	}
-	s.keys[key] = seq
 }
 
 // dupResult answers a deduped step from the durable log: the seq the key

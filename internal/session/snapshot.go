@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/ra"
 	"repro/internal/relation"
 )
 
@@ -68,7 +69,12 @@ func (r *snapReader) next(payload []byte) (*Image, *Session, error) {
 
 // Image is one session's full durable state: what snapshots persist and
 // what handoff ships between nodes. Network sessions fill Net instead of
-// the machine-shaped fields (DB, State, the log).
+// the machine-shaped fields (DB, the state, the log).
+//
+// The state is held in one of two forms. snapOf, which builds the image a
+// live session writes, takes a view of the stepper's resident rows
+// (core.Stepper.StateView), which encodes the state without materializing
+// it; the decoders, whose images restore a session, fill State.
 //
 // The log travels in the codec as a sequence, but an image holds it on a
 // tape of its machine: snapOf shares the session's, the binary decoder
@@ -92,11 +98,14 @@ type Image struct {
 	ErrorFree  bool              `json:"errorFree"`
 	OkEvery    bool              `json:"okEvery"`
 	LastAccept bool              `json:"lastAccept"`
-	// Keys is the idempotency-key dedupe table (key → step seq); persisting
-	// it is what makes dedupe survive compaction, handoff, and promotion.
-	Keys map[string]int `json:"keys,omitempty"`
-	Net  *NetImage      `json:"net,omitempty"`
+	// Keys is the idempotency-key dedupe table (key → step seq), in key
+	// order; persisting it is what makes dedupe survive compaction,
+	// handoff, and promotion.
+	Keys keyList   `json:"keys,omitempty"`
+	Net  *NetImage `json:"net,omitempty"`
 
+	// state, when set, is the state as snapOf found it.
+	state *ra.View
 	// tape, when set, is the log, and mach the machine it was decoded for.
 	tape *core.LogTape
 	mach *core.Machine
@@ -148,7 +157,7 @@ func snapOf(s *Session) Image {
 		ErrorFree:  s.errorFree,
 		OkEvery:    s.okEvery,
 		LastAccept: s.lastAccept,
-		Keys:       s.keys,
+		Keys:       s.keys.settle(),
 	}
 	if s.net != nil {
 		img.Net = &NetImage{Spec: s.net.spec, State: s.net.nw.ExportState(), Joint: s.net.joint}
@@ -157,7 +166,7 @@ func snapOf(s *Session) Image {
 	img.Model = s.model
 	img.Src = s.src
 	img.DB = s.db
-	img.State = s.run.State()
+	img.state = s.run.StateView()
 	if s.tape.Len() > 0 {
 		img.tape = s.tape.View()
 	}
@@ -202,7 +211,7 @@ func (ss *Image) restore() (*Session, error) {
 		errorFree:  ss.ErrorFree,
 		okEvery:    ss.OkEvery,
 		lastAccept: ss.LastAccept,
-		keys:       ss.Keys,
+		keys:       keyTable{settled: ss.Keys},
 	}, nil
 }
 
@@ -230,7 +239,7 @@ func (ss *Image) restoreNet(mode core.AcceptMode) (*Session, error) {
 		errorFree:  ss.ErrorFree,
 		okEvery:    ss.OkEvery,
 		lastAccept: ss.LastAccept,
-		keys:       ss.Keys,
+		keys:       keyTable{settled: ss.Keys},
 		net:        &netRun{spec: ss.Net.Spec, nw: nw, joint: ss.Net.Joint},
 	}, nil
 }

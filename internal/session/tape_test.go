@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -100,7 +101,7 @@ func TestImagesEncodeFromTheTape(t *testing.T) {
 		}
 		img := snapOf(s)
 		got := encodeImage(t, &img)
-		if want := sequenceImage(kindImage, "", &img, logs); !bytes.Equal(got, want) {
+		if want := sequenceImage(kindImage, "", &img, s.run.State(), logs, nil); !bytes.Equal(got, want) {
 			t.Fatalf("run %d: the image encoded from the tape differs from the one encoded from its log %v", i, logs)
 		}
 		if digest := s.logDigest(); digest != LogDigest(logs) {
@@ -110,7 +111,7 @@ func TestImagesEncodeFromTheTape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := sequenceImage(kindStateExport, LogDigest(logs), &img, logs); !bytes.Equal(ship, want) {
+		if want := sequenceImage(kindStateExport, LogDigest(logs), &img, s.run.State(), logs, nil); !bytes.Equal(ship, want) {
 			t.Fatalf("run %d: the ship image encoded from the tape differs from the one encoded from its log", i)
 		}
 		for seq := range logs {
@@ -142,9 +143,12 @@ func TestImagesEncodeFromTheTape(t *testing.T) {
 
 // sequenceImage is the reference encoding of a single-machine img as a
 // snapshot image (kindImage) or a ship image (kindStateExport, with
-// digest), its log written from logs by codec.Encoder.Sequence, as the
-// session layer wrote every image before it kept logs on tapes.
-func sequenceImage(kind uint64, digest string, img *Image, logs relation.Sequence) []byte {
+// digest), as the session layer wrote every image before it kept logs on
+// tapes, encoded state from resident rows and kept its key table settled:
+// the state written from the instance state by codec.Encoder.Instance, the
+// log from logs by codec.Encoder.Sequence, and the key table, when keys is
+// not nil, from the map sorted whole.
+func sequenceImage(kind uint64, digest string, img *Image, state relation.Instance, logs relation.Sequence, keys map[string]int) []byte {
 	e := codec.NewEncoder()
 	e.Uvarint(kind)
 	if kind == kindStateExport {
@@ -162,17 +166,26 @@ func sequenceImage(kind uint64, digest string, img *Image, logs relation.Sequenc
 	if len(logs) > 0 {
 		flags |= imgHasLogs
 	}
-	if img.Keys != nil {
+	if keys != nil {
 		flags |= imgHasKeys
 	}
 	e.Uvarint(flags)
 	e.Instance(img.DB)
-	e.Instance(img.State)
+	e.Instance(state)
 	if len(logs) > 0 {
 		e.Sequence(logs)
 	}
-	if img.Keys != nil {
-		encodeKeyTable(e, img.Keys)
+	if keys != nil {
+		names := make([]string, 0, len(keys))
+		for k := range keys {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		e.Uvarint(uint64(len(names)))
+		for _, k := range names {
+			e.Str(k)
+			e.Uvarint(uint64(keys[k]))
+		}
 	}
 	return e.Finish()
 }

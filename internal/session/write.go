@@ -51,7 +51,7 @@ func (sh *shard) admit(id, key string, net bool, in relation.Instance, ext compo
 		return nil, nil, &BadInputError{Err: fmt.Errorf("session %s is a network session; address inputs per node", id)}
 	}
 	if key != "" {
-		if seq, ok := s.keys[key]; ok {
+		if seq, ok := s.keys.lookup(key); ok {
 			sh.m.dedupedSteps.Add(1)
 			return nil, s.dupResult(seq), nil
 		}
@@ -192,7 +192,7 @@ func (sh *shard) commit(rec *walRecord, from origin, built *Session, results []*
 			if err != nil {
 				return &BadInputError{Err: err}
 			}
-			s.noteKey(key, res.Seq)
+			s.keys.note(key, res.Seq)
 			if results != nil {
 				results[i] = res
 			}

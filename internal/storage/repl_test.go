@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -221,6 +222,92 @@ func TestFailedCommitPublishesNothing(t *testing.T) {
 	pw.Close()
 	s.active = seg
 	s.Close()
+}
+
+// TestAppendWaitsForCommit pins the buffered write path: a record Append
+// took is in neither the segment file nor the replication view until the
+// group commit, which writes the whole group in one write, and under every
+// policy Commit is what makes the group readable.
+func TestAppendWaitsForCommit(t *testing.T) {
+	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
+		s := openStore(t, t.TempDir(), Options{Fsync: policy, FsyncInterval: time.Hour})
+		if _, _, err := mustRecoverEmpty(s); err != nil {
+			t.Fatal(err)
+		}
+		appendAll(t, s, "one")
+		seg := filepath.Join(s.dir, segName(s.activeSeq))
+		size := func() int64 {
+			info, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return info.Size()
+		}
+		committed := size()
+		for _, r := range []string{"two", "three"} {
+			if _, err := s.Append([]byte(r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := size(); got != committed {
+			t.Errorf("%v: segment grew from %d to %d bytes before Commit", policy, committed, got)
+		}
+		recs, st, err := s.ReadCommitted(1, 100, 1<<20)
+		if err != nil || st.Committed != 1 || len(recs) != 1 {
+			t.Fatalf("%v: before Commit ReadCommitted = %d records, committed %d, %v; want the 1 committed record", policy, len(recs), st.Committed, err)
+		}
+		if _, err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := size(), committed+2*frameHeader+int64(len("two")+len("three")); got != want {
+			t.Errorf("%v: segment is %d bytes after Commit, want %d", policy, got, want)
+		}
+		got, _ := tailAll(t, s, 1)
+		if want := []string{"one", "two", "three"}; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%v: after Commit the stream reads %q, want %q", policy, got, want)
+		}
+		s.Close()
+	}
+}
+
+// TestFailedWritePublishesNothing is the write half of the ack contract's
+// unhappy path: when the group commit's write fails — here the active
+// segment is closed under the store — Commit fails, the committed LSN does
+// not move, and the store refuses every later append and commit rather
+// than write after a possibly torn group.
+func TestFailedWritePublishesNothing(t *testing.T) {
+	s := openStore(t, t.TempDir(), Options{Fsync: FsyncAlways})
+	if _, _, err := mustRecoverEmpty(s); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, s, "acked")
+	if _, err := s.Append([]byte("lost")); err != nil {
+		t.Fatalf("Append before the failure: %v", err)
+	}
+	if err := s.active.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if synced, err := s.Commit(); err == nil {
+		t.Fatalf("Commit on a closed segment succeeded (synced=%v)", synced)
+	}
+	if st := s.ReplState(); st.Committed != 1 {
+		t.Errorf("Committed = %d after a failed write, want 1", st.Committed)
+	}
+	if _, err := s.Append([]byte("later")); err == nil {
+		t.Error("Append after a failed write succeeded")
+	}
+	if _, err := s.Commit(); err == nil {
+		t.Error("Commit after a failed write succeeded")
+	}
+	if err := s.Sync(); err == nil {
+		t.Error("Sync after a failed write succeeded")
+	}
+	if st := s.ReplState(); st.Committed != 1 {
+		t.Errorf("Committed = %d after retries, want 1", st.Committed)
+	}
+	if got, _ := tailAll(t, s, 1); len(got) != 1 || got[0] != "acked" {
+		t.Errorf("the stream reads %q, want only the acked record", got)
+	}
 }
 
 // TestReplCursorSequentialReads pins the resume-cursor fast path: a

@@ -20,6 +20,7 @@ type SnapshotWriter struct {
 	tmp  string
 	f    *os.File
 	w    *bufio.Writer
+	hdr  [frameHeader]byte
 	done bool
 }
 
@@ -47,7 +48,10 @@ func (sw *SnapshotWriter) Append(payload []byte) error {
 	if sw.done {
 		return fmt.Errorf("storage: snapshot writer already finished")
 	}
-	_, err := sw.w.Write(frame(payload))
+	if _, err := sw.w.Write(appendFrameHeader(sw.hdr[:0], payload)); err != nil {
+		return err
+	}
+	_, err := sw.w.Write(payload)
 	return err
 }
 
@@ -169,13 +173,10 @@ func (sw *SnapshotWriter) discard() {
 	os.Remove(sw.tmp)
 }
 
-// rotateTo seals the active segment and opens a fresh one at exactly seq.
+// rotateTo seals the active segment (see seal) and opens a fresh one at
+// exactly seq.
 func (s *Store) rotateTo(seq int) error {
-	if err := s.active.Sync(); err != nil {
-		return err
-	}
-	s.dirty = false
-	if err := s.active.Close(); err != nil {
+	if err := s.seal(); err != nil {
 		return err
 	}
 	return s.openActive(seq)

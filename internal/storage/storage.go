@@ -5,10 +5,11 @@
 //   - a segmented write-ahead log: append-only segment files rotated at a
 //     size threshold, CRC-framed length-prefixed records, and a manifest
 //     naming the committed snapshot and the first live segment;
-//   - group-commit-friendly sync control: Append never syncs by itself —
-//     the owner appends a batch and calls Commit once, so adjacent records
-//     share a single fsync under FsyncAlways without weakening the ack
-//     contract (the caller releases acks only after Commit returns);
+//   - group commit: Append neither writes nor syncs by itself — the owner
+//     appends a batch and calls Commit once, so adjacent records share a
+//     single write and, under FsyncAlways, a single fsync without
+//     weakening the ack contract (the caller releases acks only after
+//     Commit returns);
 //   - streaming snapshots: records are written one at a time to a temp
 //     file and made live by an atomic rename + manifest flip, after which
 //     pre-snapshot segments are deleted. A crash at any point leaves
@@ -114,13 +115,15 @@ func (o Options) withDefaults() Options {
 // checksum.
 const frameHeader = 8
 
-// frame renders one record ready for appending.
-func frame(payload []byte) []byte {
-	buf := make([]byte, frameHeader+len(payload))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[frameHeader:], payload)
-	return buf
+// appendFrameHeader appends the frame header of payload to dst.
+func appendFrameHeader(dst, payload []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+}
+
+// appendFrame appends payload, framed, to dst.
+func appendFrame(dst, payload []byte) []byte {
+	return append(appendFrameHeader(dst, payload), payload...)
 }
 
 // readFrames iterates the well-framed records of data, calling apply for

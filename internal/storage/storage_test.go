@@ -406,7 +406,7 @@ func fakeSnapshotFile(t *testing.T, dir string, seq int, recs ...string) string 
 	t.Helper()
 	var buf []byte
 	for _, r := range recs {
-		buf = append(buf, frame([]byte(r))...)
+		buf = appendFrame(buf, []byte(r))
 	}
 	path := filepath.Join(dir, snapName(seq))
 	if err := os.WriteFile(path, buf, 0o644); err != nil {

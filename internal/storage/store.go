@@ -64,7 +64,17 @@ type Store struct {
 
 	active     *os.File
 	activeSeq  int
-	activeSize int64
+	activeSize int64 // bytes written to the active segment and buffered for it
+
+	// buf holds the records Append framed and nothing has written yet. It
+	// is written to the active segment in one write at each point that
+	// needs the records in the file — Commit, Sync, rotation, Close — or
+	// when it passes flushBytes, so a group commit is one write. werr is
+	// the error of a failed write: the records that write held may be
+	// torn, so every later write, commit and sync fails with it and
+	// nothing is published again.
+	buf  []byte
+	werr error
 
 	dirty    bool
 	lastSync time.Time
@@ -267,28 +277,62 @@ func (s *Store) openActive(seq int) error {
 	return syncDir(s.dir)
 }
 
-// Append frames payload into the active segment, rotating first if the
-// segment is over the size threshold. It never syncs — durability is the
-// caller's to request via Commit, which is what lets a shard batch many
-// appends into one fsync. Returns the number of bytes written.
+// flushBytes is the size at which Append writes its buffer out before the
+// next Commit asks for it.
+const flushBytes = 256 << 10
+
+// Append frames payload for the active segment, rotating first if the
+// segment is over the size threshold. It neither writes nor syncs by
+// itself — the record waits in the store's buffer for Commit, which writes
+// every record appended since in one write and, per policy, syncs them
+// with one fsync. Returns the number of bytes the record takes in the
+// segment.
 func (s *Store) Append(payload []byte) (int, error) {
 	if s.active == nil {
 		return 0, fmt.Errorf("storage: store is closed")
+	}
+	if s.werr != nil {
+		return 0, s.werr
 	}
 	if s.activeSize >= s.opts.SegmentBytes {
 		if err := s.rotate(); err != nil {
 			return 0, err
 		}
 	}
-	buf := frame(payload)
-	if _, err := s.active.Write(buf); err != nil {
-		return 0, err
-	}
-	s.activeSize += int64(len(buf))
+	n := len(s.buf)
+	s.buf = appendFrame(s.buf, payload)
+	n = len(s.buf) - n
+	s.activeSize += int64(n)
 	s.appends++
 	s.lsn++
 	s.dirty = true
-	return len(buf), nil
+	if len(s.buf) >= flushBytes {
+		if err := s.flush(); err != nil {
+			return 0, err
+		}
+	}
+	return n, nil
+}
+
+// flush writes the buffered records to the active segment. A failed write
+// sticks (see werr).
+func (s *Store) flush() error {
+	if s.werr != nil {
+		return s.werr
+	}
+	if len(s.buf) == 0 {
+		return nil
+	}
+	if _, err := s.active.Write(s.buf); err != nil {
+		s.werr = err
+		return err
+	}
+	if cap(s.buf) > 2*flushBytes {
+		s.buf = nil // an outsized record passed through: let it go
+	} else {
+		s.buf = s.buf[:0]
+	}
+	return nil
 }
 
 // AlignAppend surfaces the segment identity of the next Append: it rotates
@@ -309,28 +353,37 @@ func (s *Store) AlignAppend() (int, error) {
 	return s.activeSeq, nil
 }
 
-// rotate seals the active segment (sync + close, so sealed segments can
-// never tear) and opens the next one.
+// rotate seals the active segment and opens the next one.
 func (s *Store) rotate() error {
-	if err := s.active.Sync(); err != nil {
-		return err
-	}
-	s.dirty = false
-	if err := s.active.Close(); err != nil {
+	if err := s.seal(); err != nil {
 		return err
 	}
 	return s.openActive(s.activeSeq + 1)
 }
 
-// Commit makes the records appended since the last sync durable according
-// to the store's fsync policy, reporting whether an fsync actually ran.
-// Under FsyncAlways this is the group-commit point: however many appends
-// preceded it share the one sync. Commit is also the ack point, so a
+// seal writes out, syncs and closes the active segment, so a sealed
+// segment can never tear.
+func (s *Store) seal() error {
+	if err := s.flush(); err != nil {
+		return err
+	}
+	if err := s.active.Sync(); err != nil {
+		return err
+	}
+	s.dirty = false
+	return s.active.Close()
+}
+
+// Commit writes the records appended since the last commit to the active
+// segment, in one write, and makes them durable according to the store's
+// fsync policy, reporting whether an fsync actually ran. Under FsyncAlways
+// this is the group-commit point: however many appends preceded it share
+// the one write and the one sync. Commit is also the ack point, so a
 // successful Commit publishes the appended records to the replication view
 // whether or not this particular call synced: a record is streamable
 // exactly when it is ackable, which makes a follower never more
-// durable-looking than the primary's own ack contract. A Commit whose sync
-// fails acks nothing and therefore publishes nothing.
+// durable-looking than the primary's own ack contract. A Commit whose write
+// or sync fails acks nothing and therefore publishes nothing.
 func (s *Store) Commit() (bool, error) {
 	if !s.dirty {
 		return false, nil
@@ -343,15 +396,21 @@ func (s *Store) Commit() (bool, error) {
 			return true, s.Sync()
 		}
 	}
+	if err := s.flush(); err != nil {
+		return false, err
+	}
 	s.publish()
 	return false, nil
 }
 
-// Sync unconditionally flushes the active segment if it has unsynced
-// appends, regardless of policy.
+// Sync unconditionally writes out and syncs the active segment if it has
+// unsynced appends, regardless of policy.
 func (s *Store) Sync() error {
 	if !s.dirty || s.active == nil {
 		return nil
+	}
+	if err := s.flush(); err != nil {
+		return err
 	}
 	if err := s.active.Sync(); err != nil {
 		return err
@@ -382,8 +441,8 @@ func (s *Store) Segments() int {
 	return s.activeSeq - s.man.SegStart + 1
 }
 
-// Close syncs and closes the active segment. Best-effort durability on
-// graceful shutdown regardless of policy.
+// Close writes out, syncs and closes the active segment. Best-effort
+// durability on graceful shutdown regardless of policy.
 func (s *Store) Close() error {
 	if s.active == nil {
 		return nil
