@@ -20,7 +20,7 @@ type SnapshotWriter struct {
 	tmp  string
 	f    *os.File
 	w    *bufio.Writer
-	hdr  [frameHeader]byte
+	buf  []byte // the record being framed
 	done bool
 }
 
@@ -48,10 +48,8 @@ func (sw *SnapshotWriter) Append(payload []byte) error {
 	if sw.done {
 		return fmt.Errorf("storage: snapshot writer already finished")
 	}
-	if _, err := sw.w.Write(appendFrameHeader(sw.hdr[:0], payload)); err != nil {
-		return err
-	}
-	_, err := sw.w.Write(payload)
+	sw.buf = appendFrame(sw.buf[:0], payload)
+	_, err := sw.w.Write(sw.buf)
 	return err
 }
 

@@ -115,15 +115,11 @@ func (o Options) withDefaults() Options {
 // checksum.
 const frameHeader = 8
 
-// appendFrameHeader appends the frame header of payload to dst.
-func appendFrameHeader(dst, payload []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-}
-
 // appendFrame appends payload, framed, to dst.
 func appendFrame(dst, payload []byte) []byte {
-	return append(appendFrameHeader(dst, payload), payload...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
 }
 
 // readFrames iterates the well-framed records of data, calling apply for
