@@ -1,0 +1,108 @@
+#!/usr/bin/env bash
+# The dataplane job: the batched data plane end to end. The batch unit and
+# differential suites (batch-of-one is byte-identical to a single step,
+# partial failure, key dedupe, recovery, the HTTP forms), the router's
+# batch fan-out suites, the wire client's suites, the batch-atomicity crash
+# suite (acked batches survive a SIGKILL whole), then a batch smoke and the
+# throughput gate through a real router over three non-durable backends.
+# Every suite is run verbosely and grepped for its PASS lines, so a test
+# that silently stops running fails the job instead of passing it.
+#
+# Usage: bash ci/dataplane.sh   (from anywhere; needs go, curl and
+# python3, and the loopback ports 9726, 9740, 9741 and 9742). The bench's
+# JSON is left in BENCH_dataplane_ci.json at the repository root.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+out=$(mktemp -d)
+pids=()
+cleanup() {
+	for pid in "${pids[@]}"; do kill "$pid" 2>/dev/null || true; done
+	wait 2>/dev/null || true
+	rm -rf "$out"
+}
+trap cleanup EXIT
+
+# passed FILE TEST... fails unless every named test passed in FILE.
+passed() {
+	local file=$1
+	shift
+	for name in "$@"; do
+		grep -q -- "--- PASS: $name " "$file" || {
+			echo "dataplane.sh: $name did not pass (or did not run)" >&2
+			exit 1
+		}
+	done
+}
+
+section() { echo "::group::$*"; }
+end() { echo "::endgroup::"; }
+
+section "Batch unit + differential suites"
+go test ./internal/session -run 'TestBatch|TestHTTPBatch' -v 2>&1 | tee "$out/batch.out"
+passed "$out/batch.out" TestBatchOfOneByteIdentical TestBatchPartialFailure TestBatchKeyDedupe \
+	TestBatchRecovery TestHTTPBatch
+end
+
+section "Router batch fan-out suite"
+go test ./internal/cluster -run 'TestRouterBatch' -v 2>&1 | tee "$out/rbatch.out"
+passed "$out/rbatch.out" TestRouterBatchFanout TestRouterBatchDownOwner
+end
+
+section "Wire client suite"
+go test ./internal/wire -v 2>&1 | tee "$out/wire.out"
+passed "$out/wire.out" TestConnReuse TestRetryOn429 TestTransportRetryNeedsKey
+end
+
+section "Batch atomicity crash test (SIGKILL under batched load)"
+go test ./cmd/spocus-server -run TestCrashBatchAtomic -v 2>&1 | tee "$out/bcrash.out"
+passed "$out/bcrash.out" TestCrashBatchAtomic
+end
+
+section "Router batch smoke + bench gate (3 backends + router)"
+go build -o "$out/spocus-server" ./cmd/spocus-server
+go build -o "$out/spocus-router" ./cmd/spocus-router
+# The wire recipe: non-durable backends mirroring the in-process baseline
+# config (durability interplay is gated by the crash test above and the
+# cluster job), GOGC=400 — the batch path allocates decode-side garbage
+# faster than interactive traffic.
+for i in 0 1 2; do
+	GOGC=400 "$out/spocus-server" serve -addr 127.0.0.1:974$i -fsync never -verify-queue 128 &
+	pids+=($!)
+done
+sleep 1
+GOGC=400 "$out/spocus-router" -addr 127.0.0.1:9726 \
+	-backends http://127.0.0.1:9740,http://127.0.0.1:9741,http://127.0.0.1:9742 &
+pids+=($!)
+sleep 1
+router=http://127.0.0.1:9726
+# Batch smoke through the router. Batch responses are compact (unindented)
+# JSON — grep accordingly.
+curl -sf -X POST $router/sessions -d '{"id":"ci-ba","model":"short"}' >/dev/null
+curl -sf -X POST $router/sessions -d '{"id":"ci-bb","model":"short"}' >/dev/null
+curl -sf -X POST $router/sessions/ci-ba/input \
+	-d '[{"input":{"order":[["time"]]},"key":"k1"},{"input":{"pay":[["time","855"]]}}]' | tee "$out/array.json"
+grep -q '"seq":2' "$out/array.json"
+curl -sf -X POST $router/batch \
+	-d '{"steps":[{"session":"ci-bb","input":{"order":[["newsweek"]]}},{"session":"ci-ghost","input":{}}]}' | tee "$out/batch.json"
+grep -q '"seq":1' "$out/batch.json"
+grep -q '"status":404' "$out/batch.json"
+# Sparse acks: an all-OK errors-mode envelope is just the count.
+curl -sf -X POST $router/batch \
+	-d '{"steps":[{"session":"ci-bb","input":{"pay":[["newsweek","845"]]}}],"results":"errors"}' | tee "$out/sparse.json"
+grep -q '"n":1' "$out/sparse.json"
+if grep -q '"failed"' "$out/sparse.json"; then
+	echo "dataplane.sh: an all-OK errors-mode envelope listed failures" >&2
+	exit 1
+fi
+# Per-item keys dedupe through the router.
+curl -sf -X POST $router/batch \
+	-d '{"steps":[{"session":"ci-ba","key":"k1","input":{"order":[["time"]]}}]}' | tee "$out/dedupe.json"
+grep -q '"duplicate":true' "$out/dedupe.json"
+# The gate: batched wire ≥ 10× the single-step baseline (2.2k steps/s)
+# and amortized per-step p50 under 1ms. 60 steps per session: the longer
+# timed region runs past the connection ramp-up, which dominates
+# run-to-run variance at 30.
+"$out/spocus-server" bench -url $router -sessions 500 -steps 60 -batch 125 | tee BENCH_dataplane_ci.json
+python3 -c "import json; d=json.load(open('BENCH_dataplane_ci.json')); sps=d['steps_per_sec']; p50=d['step_latency']['p50_us']; assert sps>=22000, f'batched router path {sps:.0f} steps/s < 22000 (10x the single-step baseline)'; assert p50<1000, f'amortized step p50 {p50:.0f}us >= 1ms'; print(f'gate ok: {sps:.0f} steps/s, p50 {p50:.0f}us')"
+end
+echo "dataplane.sh: all gates passed"

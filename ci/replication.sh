@@ -42,22 +42,23 @@ passed() {
 section() { echo "::group::$*"; }
 end() { echo "::endgroup::"; }
 
-section "Storage stream suites (cursor, slot, rotation, compaction)"
+section "Storage stream suites (cursor, cold reads, stored bytes, slot, rotation, compaction)"
 go test ./internal/storage -run 'TestRepl|TestFailed|TestAppendWaitsForCommit' -v 2>&1 | tee "$out/storrepl.out"
 passed "$out/storrepl.out" TestReplTailAcrossRotation TestReplCursorSequentialReads \
+	TestReplColdReadReachesFrom TestReplStreamIsSegmentBytes TestReplConcurrentReaders \
 	TestReplSlotRetainsWAL TestFailedCommitPublishesNothing TestFailedWritePublishesNothing \
 	TestAppendWaitsForCommit
 end
 
-section "One-writer invariant and fail-stop (under -race: the checker reads every shard)"
-go test -race ./internal/session -run 'TestOneWriterProperty|TestFailStopOnBrokenWAL' -v 2>&1 | tee "$out/writer.out"
-passed "$out/writer.out" TestOneWriterProperty TestFailStopOnBrokenWAL
+section "One-writer invariant, independent stream readers and fail-stop (under -race: the checker reads every shard)"
+go test -race ./internal/session -run 'TestOneWriterProperty|TestStreamReadersShareNothing|TestFailStopOnBrokenWAL' -v 2>&1 | tee "$out/writer.out"
+passed "$out/writer.out" TestOneWriterProperty TestStreamReadersShareNothing TestFailStopOnBrokenWAL
 end
 
 section "Follower suites (bootstrap, resume, promote, semi-sync)"
 go test ./internal/replica -v 2>&1 | tee "$out/replica.out"
 passed "$out/replica.out" TestFollowerStreamsAndPromotes TestFollowerBootstrapsFromSnapshot \
-	TestSemiSyncAckImpliesReplicated
+	TestFollowerResumesFromPersistedPosition TestSemiSyncAckImpliesReplicated
 end
 
 section "Router replication suites (promotion, follower reads, keyed retry, handoff rollback)"

@@ -88,9 +88,10 @@ func serveEngine(eng *session.Engine) (string, func(), error) {
 }
 
 // drainStream tails every shard's WAL stream the way a follower does —
-// long-poll, advance from=, ack the last received LSN — and discards the
-// records. The returned stop function waits the tailers out and reports
-// how many records were received.
+// long-poll, advance from=, ack the last applied LSN, send back the epoch
+// and the last LSN received as its decoder position — and discards the
+// frames. The returned stop function waits the tailers out and reports how
+// many records were received for applying.
 func drainStream(base string, shards int) (stop func() int64) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -101,9 +102,11 @@ func drainStream(base string, shards int) (stop func() int64) {
 		go func(shard int) {
 			defer wg.Done()
 			from, acked := int64(1), int64(0)
+			var epoch uint64
+			var decoded int64
 			for ctx.Err() == nil {
-				u := fmt.Sprintf("%s/admin/wal/stream?shard=%d&from=%d&acked=%d&wait=1s",
-					base, shard, from, acked)
+				u := fmt.Sprintf("%s/admin/wal/stream?shard=%d&from=%d&acked=%d&epoch=%d&decoded=%d&wait=1s",
+					base, shard, from, acked, epoch, decoded)
 				var b session.WALBatch
 				if err := client.GetJSON(ctx, u, &b); err != nil {
 					sleepCtx(ctx, 50*time.Millisecond)
@@ -111,13 +114,17 @@ func drainStream(base string, shards int) (stop func() int64) {
 				}
 				if b.Reset {
 					from, acked = b.Base+1, b.Base
+					epoch, decoded = 0, 0
 					n.Add(int64(len(b.Snapshot)))
 					continue
 				}
-				if len(b.Records) > 0 {
-					last := b.Records[len(b.Records)-1].LSN
-					n.Add(int64(len(b.Records)))
-					from, acked = last+1, last
+				if len(b.Frames) > 0 {
+					last := b.Frames[len(b.Frames)-1].LSN
+					epoch, decoded = b.Epoch, last
+					if last >= b.From {
+						n.Add(last - max(b.From, b.Frames[0].LSN) + 1)
+						from, acked = last+1, last
+					}
 				}
 			}
 		}(s)

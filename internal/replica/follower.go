@@ -217,9 +217,9 @@ func (f *Follower) discoverShards() (int, error) {
 }
 
 // tail is one primary shard's apply loop: long-poll, apply, ack, persist.
-// dec is the shard stream's intern-table decoder; its table length rides on
-// every poll (the itab handshake), so the primary's stream encoder and this
-// decoder re-align automatically after any divergence.
+// dec decodes the shard's frames; its position rides on every poll, so the
+// primary starts each batch where dec can take it and keeps nothing per
+// follower.
 func (f *Follower) tail(shard int, dec *session.ReplDecoder) {
 	defer f.wg.Done()
 	backoff := 100 * time.Millisecond
@@ -231,7 +231,7 @@ func (f *Follower) tail(shard int, dec *session.ReplDecoder) {
 		from := f.st.Pos[shard].Applied + 1
 		acked := f.st.Pos[shard].Applied
 		f.mu.Unlock()
-		batch, err := f.fetch(shard, from, acked, dec.TableLen())
+		batch, err := f.fetch(shard, from, acked, dec)
 		if err != nil {
 			select {
 			case <-f.ctx.Done():
@@ -269,9 +269,10 @@ func (f *Follower) tail(shard int, dec *session.ReplDecoder) {
 	}
 }
 
-func (f *Follower) fetch(shard int, from, acked int64, itab int) (*session.WALBatch, error) {
-	u := fmt.Sprintf("%s/admin/wal/stream?shard=%d&from=%d&acked=%d&wait=%s&itab=%d",
-		f.cfg.Primary, shard, from, acked, url.QueryEscape(f.cfg.Poll.String()), itab)
+func (f *Follower) fetch(shard int, from, acked int64, dec *session.ReplDecoder) (*session.WALBatch, error) {
+	pos := dec.Pos()
+	u := fmt.Sprintf("%s/admin/wal/stream?shard=%d&from=%d&acked=%d&wait=%s&epoch=%d&decoded=%d",
+		f.cfg.Primary, shard, from, acked, url.QueryEscape(f.cfg.Poll.String()), pos.Epoch, pos.Decoded)
 	var b session.WALBatch
 	if err := f.getJSON(u, &b); err != nil {
 		return nil, err
@@ -282,15 +283,6 @@ func (f *Follower) fetch(shard int, from, acked int64, itab int) (*session.WALBa
 // applyBatch feeds one stream batch through the standby engine and books
 // how far it got.
 func (f *Follower) applyBatch(shard int, b *session.WALBatch, dec *session.ReplDecoder) error {
-	if !b.Reset && b.ITab != dec.TableLen() {
-		// The primary's stream encoder and this decoder disagree (competing
-		// follower, primary restart). Skip the batch unapplied and re-poll:
-		// our reset table length tells the primary to restart its stream,
-		// and the next batch arrives decodable from a clean table.
-		f.logf("replica: shard %d stream table mismatch (batch %d, have %d) — resetting", shard, b.ITab, dec.TableLen())
-		dec.Reset()
-		return nil
-	}
 	applied, err := f.eng.ApplyReplicated(dec, b)
 	f.mu.Lock()
 	if applied > 0 {

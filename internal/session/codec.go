@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/compose"
-	"repro/internal/storage"
 )
 
 // Binary record schemas for everything the session layer makes durable:
@@ -536,18 +535,4 @@ func DecodeStateExport(data []byte) (*StateExport, error) {
 		return nil, err
 	}
 	return &StateExport{Image: img, Digest: digest}, nil
-}
-
-// walStreamDecoder adapts the session decode to storage's replication-scan
-// hook: ReadCommitted feeds it every scanned payload in segment order, so
-// binary records resolve their intern references even when the scan serves
-// only a suffix of the segment.
-type walStreamDecoder struct{ dec *codec.Decoder }
-
-func newWALStreamDecoder() storage.StreamDecoder {
-	return &walStreamDecoder{dec: codec.NewDecoder()}
-}
-
-func (d *walStreamDecoder) Decode(payload []byte) (any, error) {
-	return decodeWALPayload(d.dec, payload)
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/compose"
 	"repro/internal/models"
 	"repro/internal/relation"
+	"repro/internal/storage"
 )
 
 // The fixtures under testdata/parent_* were written by the commit before
@@ -190,7 +191,7 @@ func TestStandbyBootstrapsFromParentSnapshot(t *testing.T) {
 			}
 			defer standby.Shutdown()
 
-			b, err := primary.StreamWAL(context.Background(), 0, 1, 0, 0)
+			b, err := primary.StreamWAL(context.Background(), 0, 1, 0, storage.ReadPos{})
 			if err != nil {
 				t.Fatal(err)
 			}

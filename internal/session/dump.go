@@ -56,10 +56,10 @@ func DumpWAL(w io.Writer, dir string) error {
 			grew := snapDec.TableLen() - before
 			switch {
 			case h != nil:
-				fmt.Fprintf(w, "  [%d] %s %4dB header version=%d shard=%d itab+%d\n",
+				fmt.Fprintf(w, "  [%d] %s %4dB header version=%d shard=%d intern+%d\n",
 					r.Index, format, r.Size, h.Version, h.Shard, grew)
 			case img != nil:
-				fmt.Fprintf(w, "  [%d] %s %4dB image sid=%s steps=%d itab+%d\n",
+				fmt.Fprintf(w, "  [%d] %s %4dB image sid=%s steps=%d intern+%d\n",
 					r.Index, format, r.Size, img.ID, img.Steps, grew)
 			}
 			return nil
@@ -82,7 +82,7 @@ func DumpWAL(w io.Writer, dir string) error {
 		if rec.Model != "" {
 			detail += " model=" + rec.Model
 		}
-		fmt.Fprintf(w, "  lsn=%d %s %4dB %s sid=%s%s itab+%d\n",
+		fmt.Fprintf(w, "  lsn=%d %s %4dB %s sid=%s%s intern+%d\n",
 			lsn, format, r.Size, rec.T, rec.SID, detail, grew)
 		return nil
 	})

@@ -164,13 +164,6 @@ type shard struct {
 	enc    *codec.Encoder
 	encSeg int
 
-	// streamEnc is the replication wire's encoder: StreamWAL transcodes
-	// segment-scoped records into this stream for binary-wire followers.
-	// Guarded by streamMu — stream requests arrive on HTTP goroutines, not
-	// the shard loop.
-	streamMu  sync.Mutex
-	streamEnc *codec.Encoder
-
 	// Byte meters for the durability surfaces, monotonic over the process
 	// (walBytes in metricsSet resets on snapshot; these never do). Written
 	// by the shard goroutine, read by Stats and the spocus_storage expvar.
@@ -245,10 +238,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 // durable" and "segments retired" is harmless.
 func (sh *shard) recover(dir string) error {
 	st, err := storage.Open(dir, storage.Options{
-		Fsync:            sh.cfg.Fsync,
-		FsyncInterval:    sh.cfg.FsyncInterval,
-		SegmentBytes:     sh.cfg.SegmentBytes,
-		NewStreamDecoder: newWALStreamDecoder,
+		Fsync:         sh.cfg.Fsync,
+		FsyncInterval: sh.cfg.FsyncInterval,
+		SegmentBytes:  sh.cfg.SegmentBytes,
 	})
 	if err != nil {
 		return err

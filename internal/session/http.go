@@ -15,6 +15,7 @@ import (
 	"repro/internal/live"
 	"repro/internal/models"
 	"repro/internal/relation"
+	"repro/internal/storage"
 )
 
 // Handler serves the engine over HTTP/JSON:
@@ -266,16 +267,22 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 			}
 			wait = d
 		}
-		// itab is the follower's stream-decoder table length (see
-		// WALBatch.ITab); a fresh follower, or a curl, holds an empty table.
-		itab := 0
-		if v := q.Get("itab"); v != "" {
-			if itab, err = strconv.Atoi(v); err != nil || itab < 0 {
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad itab"})
+		// epoch and decoded are the reader's decoder position (see
+		// storage.ReadPos); a fresh follower, or a curl, has decoded nothing.
+		var pos storage.ReadPos
+		if v := q.Get("epoch"); v != "" {
+			if pos.Epoch, err = strconv.ParseUint(v, 10, 64); err != nil {
+				writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad epoch: " + err.Error()})
 				return
 			}
 		}
-		b, err := e.StreamWAL(r.Context(), shard, from, wait, itab)
+		if v := q.Get("decoded"); v != "" {
+			if pos.Decoded, err = strconv.ParseInt(v, 10, 64); err != nil {
+				writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad decoded: " + err.Error()})
+				return
+			}
+		}
+		b, err := e.StreamWAL(r.Context(), shard, from, wait, pos)
 		if err != nil {
 			writeErr(w, err)
 			return

@@ -202,11 +202,15 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // standbyTail is an in-process follower: it pulls the primary's stream
-// shard by shard and hands every batch to the standby's one entry.
+// shard by shard and hands every batch to the standby's one entry. With
+// restarts set it drops a shard's decoder at random pulls, as a restarted
+// follower process does: it keeps its applied position but has decoded
+// nothing, so its next read starts cold in the middle of a segment.
 type standbyTail struct {
-	eng  *Engine
-	from []int64
-	dec  []*ReplDecoder
+	eng      *Engine
+	from     []int64
+	dec      []*ReplDecoder
+	restarts *rand.Rand
 }
 
 func newStandbyTail(eng *Engine, primaryShards int) *standbyTail {
@@ -221,8 +225,11 @@ func newStandbyTail(eng *Engine, primaryShards int) *standbyTail {
 func (tl *standbyTail) pull(t testing.TB, primary *Engine) (resets int) {
 	t.Helper()
 	for sh := range tl.from {
+		if tl.restarts != nil && tl.restarts.Intn(2) == 0 {
+			tl.dec[sh] = NewReplDecoder()
+		}
 		for {
-			b, err := primary.StreamWAL(context.Background(), sh, tl.from[sh], 0, tl.dec[sh].TableLen())
+			b, err := primary.StreamWAL(context.Background(), sh, tl.from[sh], 0, tl.dec[sh].Pos())
 			if err != nil {
 				t.Fatalf("stream shard %d from %d: %v", sh, tl.from[sh], err)
 			}
@@ -235,7 +242,7 @@ func (tl *standbyTail) pull(t testing.TB, primary *Engine) (resets int) {
 			}
 			if b.Reset {
 				resets++
-			} else if len(b.Records) == 0 {
+			} else if len(b.Frames) == 0 {
 				break
 			}
 		}
@@ -534,10 +541,12 @@ func (r *scriptRunner) op() {
 }
 
 // TestOneWriterProperty drives seeded random scripts through a durable
-// primary with a standby attached and checks the invariant across primary,
-// standby, and an engine recovered from each one's directory. The standby
-// is pulled at random points, so it meets the stream both record by record
-// and, when a snapshot compacted what it had not read yet, as a reset.
+// primary with two standbys attached and checks the invariant across
+// primary, standbys, and an engine recovered from each one's directory. The
+// standbys are pulled at random points, so they meet the stream both record
+// by record and, when a snapshot compacted what they had not read yet, as a
+// reset. The second one's tailer also restarts at random pulls, so it reads
+// from cold decoders mid-segment and across rotations.
 func TestOneWriterProperty(t *testing.T) {
 	var resets int
 	for seed := int64(1); seed <= 6; seed++ {
@@ -553,11 +562,19 @@ func TestOneWriterProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer standby.Shutdown()
+			s2dir := t.TempDir()
+			standby2, err := NewEngine(Config{Dir: s2dir, Shards: 3, Fsync: FsyncNever, SnapshotEvery: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer standby2.Shutdown()
 			r := &scriptRunner{
 				t: t, rng: rand.New(rand.NewSource(seed)), primary: primary, peer: memEngine(t, 1),
 				ledger: map[string]*ackedRun{}, away: map[string]*ackedRun{}, keys: map[string][]string{},
 			}
 			tail := newStandbyTail(standby, 2)
+			tail2 := newStandbyTail(standby2, 2)
+			tail2.restarts = rand.New(rand.NewSource(-seed))
 			for i := 1; i <= 240; i++ {
 				r.op()
 				deepened := i == 40
@@ -566,14 +583,18 @@ func TestOneWriterProperty(t *testing.T) {
 				}
 				if r.rng.Intn(12) == 0 {
 					resets += tail.pull(t, primary)
+					tail2.pull(t, primary)
 				}
 				if i%80 == 0 || deepened {
 					resets += tail.pull(t, primary)
+					tail2.pull(t, primary)
 					checkInvariant(t, r.ledger, map[string]*Engine{
-						"primary":           primary,
-						"standby":           standby,
-						"recovered primary": recovered(t, pdir, 2),
-						"recovered standby": recovered(t, sdir, 3),
+						"primary":                     primary,
+						"standby":                     standby,
+						"restarted standby":           standby2,
+						"recovered primary":           recovered(t, pdir, 2),
+						"recovered standby":           recovered(t, sdir, 3),
+						"recovered restarted standby": recovered(t, s2dir, 3),
 					})
 					if t.Failed() {
 						t.Fatalf("invariant broken after op %d", i)
@@ -585,6 +606,9 @@ func TestOneWriterProperty(t *testing.T) {
 			}
 			if got := standby.Stats(); got.SessionsOpen != int64(len(r.ledger)) {
 				t.Errorf("standby sessions_open = %d, want %d", got.SessionsOpen, len(r.ledger))
+			}
+			if got := standby2.Stats(); got.SessionsOpen != int64(len(r.ledger)) {
+				t.Errorf("restarted standby sessions_open = %d, want %d", got.SessionsOpen, len(r.ledger))
 			}
 		})
 	}

@@ -42,12 +42,6 @@ var ErrNotDurable = errors.New("session: engine has no durable store to stream")
 type WALBatch struct {
 	Shard  int `json:"shard"`
 	Shards int `json:"shards"` // the primary's shard count (stream topology)
-	// ITab is the intern-table length the follower's stream decoder must
-	// hold BEFORE applying this batch's records. The follower sends its
-	// table length with each poll; a mismatch on either side resets that
-	// side's half of the stream, so the table resynchronizes within one
-	// round trip after any divergence (lost response, follower restart).
-	ITab int `json:"itab,omitempty"`
 	// Reset tells the follower its requested LSN was compacted: discard its
 	// notion of this shard, install the Snapshot's sessions, resume at
 	// Base+1.
@@ -62,10 +56,16 @@ type WALBatch struct {
 	// self-describing stream, so the follower reads it with the reader
 	// recovery uses.
 	Snapshot [][]byte `json:"snapshot,omitempty"`
-	// Records are consecutive committed WAL records starting at the
-	// requested LSN, each one's Bin an interned codec record of this
-	// shard's stream (see encodeStream).
-	Records []storage.ReplRecord `json:"records,omitempty"`
+	// Epoch is the epoch of the primary store that served Frames; the
+	// reader sends it back with the LSN it decoded last (storage.ReadPos).
+	Epoch uint64 `json:"epoch,omitempty"`
+	// From is the first LSN to apply: frames below it only bring the
+	// reader's decoder up to it.
+	From int64 `json:"from,omitempty"`
+	// Frames are consecutive committed WAL frames as stored in the primary
+	// shard's segments, starting where the reader's decoder can take them
+	// (see storage.Store.ReadCommitted).
+	Frames []storage.ReplRecord `json:"frames,omitempty"`
 }
 
 // ReplShardState summarizes one shard's stream position.
@@ -135,18 +135,16 @@ func (e *Engine) AckWAL(shard int, lsn int64) {
 	}
 }
 
-// StreamWAL returns the next batch of committed WAL records for one shard,
-// starting at LSN from (1-based). With wait > 0 and nothing new to serve,
-// it long-polls until a commit arrives, the wait elapses, or ctx is done —
-// gating on group-commit completion by construction, because the store
-// publishes an LSN only at its ack points. A from that has been compacted
-// into a snapshot comes back as a Reset batch carrying the snapshot's
-// records.
-//
-// itab states the length of the follower's stream decoder table, which the
-// shard's stream encoder must match — on mismatch the encoder resets and
-// the batch redefines its constants (see WALBatch.ITab).
-func (e *Engine) StreamWAL(ctx context.Context, shard int, from int64, wait time.Duration, itab int) (*WALBatch, error) {
+// StreamWAL returns the next batch of committed WAL frames for one shard
+// for a reader that needs LSN from (1-based) on and whose decoder stands at
+// pos. With wait > 0 and nothing new to serve, it long-polls until a commit
+// arrives, the wait elapses, or ctx is done — gating on group-commit
+// completion by construction, because the store publishes an LSN only at
+// its ack points. A from that has been compacted into a snapshot comes
+// back as a Reset batch carrying the snapshot's records. Frames ship as
+// stored: the primary decodes none of them, and holds no state for any
+// reader.
+func (e *Engine) StreamWAL(ctx context.Context, shard int, from int64, wait time.Duration, pos storage.ReadPos) (*WALBatch, error) {
 	if shard < 0 || shard >= len(e.shards) {
 		return nil, &BadInputError{Err: fmt.Errorf("no shard %d (engine has %d)", shard, len(e.shards))}
 	}
@@ -164,12 +162,11 @@ func (e *Engine) StreamWAL(ctx context.Context, shard int, from int64, wait time
 			cancel()
 		}
 	}
-	recs, st, err := sh.store.ReadCommitted(from, streamMaxRecords, streamMaxBytes)
+	frames, st, err := sh.store.ReadCommitted(from, pos, streamMaxRecords, streamMaxBytes)
 	b := &WALBatch{Shard: shard, Shards: len(e.shards), Base: st.Base, Committed: st.Committed}
 	if err == storage.ErrCompacted {
-		// The snapshot ships as stored: its records need no stream context
-		// (the first one resets the decoder), and a reset is a stream
-		// discontinuity anyway.
+		// The snapshot ships as stored too: its first record resets the
+		// decoder, and a reset is a stream discontinuity anyway.
 		base, serr := sh.store.SnapshotRecords(func(p []byte) error {
 			b.Snapshot = append(b.Snapshot, p)
 			return nil
@@ -187,90 +184,80 @@ func (e *Engine) StreamWAL(ctx context.Context, shard int, from int64, wait time
 	if err != nil {
 		return nil, err
 	}
-	if err := sh.encodeStream(b, recs, itab); err != nil {
-		return nil, err
-	}
+	b.Epoch, b.From, b.Frames = st.Epoch, from, frames
 	e.m.replBatches.Add(1)
 	return b, nil
 }
 
-// encodeStream renders one batch's records for the wire. Segment payloads
-// cannot ship raw: a binary record's intern references are segment-scoped,
-// so the shard transcodes each record (however it was stored) into the
-// follower's stream — a per-shard encoder whose table the itab handshake
-// keeps aligned with the follower's decoder.
-func (sh *shard) encodeStream(b *WALBatch, recs []storage.ReplRecord, itab int) error {
-	sh.streamMu.Lock()
-	defer sh.streamMu.Unlock()
-	if sh.streamEnc == nil {
-		sh.streamEnc = codec.NewEncoder()
-	}
-	if itab != sh.streamEnc.TableLen() {
-		// The follower's decoder does not match this encoder (fresh follower,
-		// lost response, competing follower): restart the stream's table.
-		sh.streamEnc.Reset()
-	}
-	b.ITab = sh.streamEnc.TableLen()
-	for i := range recs {
-		rec, ok := recs[i].Rec.(*walRecord)
-		if !ok {
-			return fmt.Errorf("shard %d: record at lsn %d was not decoded for the stream", sh.idx, recs[i].LSN)
-		}
-		bin, err := encodeWALRecord(sh.streamEnc, rec)
+// ReplDecoder is the follower's half of one primary shard's stream: the
+// intern table the primary's WAL encoder built for the segment being read,
+// and the position (storage.ReadPos) that says which frames the table has
+// seen. One decoder per primary shard; Pos travels with each poll. Not safe
+// for concurrent use — each tail goroutine owns one.
+type ReplDecoder struct {
+	dec *codec.Decoder
+	pos storage.ReadPos
+}
+
+// NewReplDecoder returns a decoder that has decoded nothing.
+func NewReplDecoder() *ReplDecoder { return &ReplDecoder{dec: codec.NewDecoder()} }
+
+// Pos reports the decoder's position.
+func (d *ReplDecoder) Pos() storage.ReadPos { return d.pos }
+
+// reset forgets the table and the position: the next batch starts at the
+// first frame of a segment.
+func (d *ReplDecoder) reset() {
+	d.dec.Reset()
+	d.pos = storage.ReadPos{}
+}
+
+// decode feeds b's frames through d in order and hands apply each record at
+// or above b.From. A batch that does not continue d's position starts at a
+// segment's first frame, whose reset bit clears the table. Any decode or
+// apply error resets d.
+func (d *ReplDecoder) decode(b *WALBatch, apply func(lsn int64, rec *walRecord) error) error {
+	for _, f := range b.Frames {
+		rec, err := decodeWALPayload(d.dec, f.Payload)
 		if err != nil {
-			sh.streamEnc.Reset()
+			d.reset()
+			return &BadInputError{Err: fmt.Errorf("replicated record at lsn %d: %w", f.LSN, err)}
+		}
+		d.pos = storage.ReadPos{Epoch: b.Epoch, Decoded: f.LSN}
+		if f.LSN < b.From {
+			continue
+		}
+		if err := apply(f.LSN, rec); err != nil {
+			d.reset()
 			return err
 		}
-		recs[i].Bin, recs[i].Payload, recs[i].Rec = bin, nil, nil
 	}
-	b.Records = recs
 	return nil
 }
 
-// ReplDecoder is the follower's half of one primary shard's binary stream:
-// it holds the intern table the primary's stream encoder builds record by
-// record. One decoder per primary shard, fed every record of that stream in
-// order; TableLen travels back to the primary with each poll (the itab
-// handshake). Not safe for concurrent use — each tail goroutine owns one.
-type ReplDecoder struct {
-	dec *codec.Decoder
-}
-
-// NewReplDecoder returns an empty-table stream decoder.
-func NewReplDecoder() *ReplDecoder { return &ReplDecoder{dec: codec.NewDecoder()} }
-
-// TableLen reports the intern entries learned so far.
-func (d *ReplDecoder) TableLen() int { return d.dec.TableLen() }
-
-// Reset clears the table (after an itab mismatch).
-func (d *ReplDecoder) Reset() { d.dec.Reset() }
-
 // ApplyReplicated applies one batch of a primary's stream (what its
 // StreamWAL returned for one shard) to this engine as a standby, and returns
-// the highest LSN the standby now holds from it (0 when none). Records are
-// decoded against d — the caller feeds batches in stream order, the decoder
-// learns each record's intern definitions as a side effect. A Reset batch
-// is read by the snapshot reader recovery uses (header and version check,
-// then one restored session per image); the batch first retires standby
-// sessions that hash to the batch's primary shard but are absent from the
-// snapshot (closed while the follower was behind), then installs the
-// snapshot's sessions. It is a stream discontinuity, so d restarts from an
-// empty table.
+// the highest LSN the standby now holds from it (0 when none). Frames are
+// decoded by d, which the caller keeps for this primary shard across
+// batches. A Reset batch is a stream discontinuity, so d forgets its
+// position; the batch is read by the snapshot reader recovery uses (header
+// and version check, then one restored session per image), first retires
+// standby sessions that hash to the batch's primary shard but are absent
+// from the snapshot (closed while the follower was behind), then installs
+// the snapshot's sessions.
 func (e *Engine) ApplyReplicated(d *ReplDecoder, b *WALBatch) (int64, error) {
 	if !b.Reset {
 		var applied int64
-		for _, r := range b.Records {
-			rec, err := decodeWALPayload(d.dec, r.Bin)
-			if err != nil {
-				return applied, &BadInputError{Err: fmt.Errorf("replicated record: %w", err)}
-			}
+		err := d.decode(b, func(lsn int64, rec *walRecord) error {
 			if err := e.replicate(rec, nil); err != nil {
-				return applied, err
+				return err
 			}
-			applied = r.LSN
-		}
-		return applied, nil
+			applied = lsn
+			return nil
+		})
+		return applied, err
 	}
+	d.reset()
 	type install struct {
 		rec   *walRecord
 		built *Session
@@ -304,7 +291,6 @@ func (e *Engine) ApplyReplicated(d *ReplDecoder, b *WALBatch) (int64, error) {
 			return 0, err
 		}
 	}
-	d.Reset()
 	return b.Base, nil
 }
 

@@ -3,9 +3,7 @@ package storage
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -37,20 +35,26 @@ type ReplState struct {
 	Committed int64 `json:"committed"`
 	// Snapshot reports whether a committed snapshot exists.
 	Snapshot bool `json:"snapshot"`
+	// Epoch is the store's epoch (see ReadPos).
+	Epoch uint64 `json:"epoch"`
 }
 
-// ReplRecord is one streamed WAL record: its LSN plus the exact payload
-// bytes that were framed into the segment. Rec carries the decoded form
-// when the store has a StreamDecoder (see Options.NewStreamDecoder); it is
-// process-local and never serialized. Bin is filled by wire layers that
-// transcode the record into a stream-scoped binary encoding for the
-// follower (segment-scoped payload bytes cannot be shipped raw: their
-// intern references are meaningless outside their segment).
+// ReplRecord is one streamed WAL frame: its LSN and the payload bytes
+// framed into the segment, as stored.
 type ReplRecord struct {
-	LSN     int64           `json:"lsn"`
-	Payload json.RawMessage `json:"rec,omitempty"`
-	Bin     []byte          `json:"bin,omitempty"`
-	Rec     any             `json:"-"`
+	LSN     int64  `json:"lsn"`
+	Payload []byte `json:"payload"`
+}
+
+// ReadPos is where a replication reader's decoder stands: the LSN of the
+// last frame it decoded and the epoch of the store that served that frame.
+// Payloads are read as stored, and a payload may use intern definitions of
+// earlier frames of its segment, so a reader can take a frame only right
+// after the one it decoded last or at the first frame of a segment (which
+// restarts the table). The zero ReadPos has decoded nothing.
+type ReadPos struct {
+	Epoch   uint64
+	Decoded int64
 }
 
 type segRange struct {
@@ -59,7 +63,7 @@ type segRange struct {
 }
 
 // replCursor remembers where the previous ReadCommitted left off, so a
-// follower advancing through the feed costs O(batch) per poll instead of
+// reader advancing through the feed costs O(batch) per poll instead of
 // re-parsing its segment from the first frame — the stream long-poll wakes
 // on every group commit, which makes the naive scan O(segment) per commit.
 // The mapping from an LSN to its frame offset never changes once written
@@ -67,14 +71,9 @@ type segRange struct {
 // cursor can only be stale in the harmless sense of not matching the
 // requested position, in which case the read falls back to a full scan.
 type replCursor struct {
-	from   int64 // LSN the next sequential read will ask for
+	next   int64 // LSN the next sequential read will start at
 	seq    int   // segment holding that LSN
 	offset int   // byte offset of that LSN's frame within the segment
-	// dec is the stream decoder positioned exactly at (seq, offset). Reads
-	// steal it under the view lock (leaving nil) and write it back with the
-	// new cursor, so two concurrent reads can never share one decoder — the
-	// loser simply rescans its segment with a fresh one.
-	dec StreamDecoder
 }
 
 type replView struct {
@@ -111,7 +110,7 @@ func (s *Store) ReplState() ReplState {
 	v := &s.repl
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return ReplState{Base: v.base, Committed: v.committed, Snapshot: v.snapshot != ""}
+	return ReplState{Base: v.base, Committed: v.committed, Snapshot: v.snapshot != "", Epoch: s.epoch}
 }
 
 // WaitCommitted blocks until the committed LSN exceeds after or the
@@ -134,18 +133,23 @@ func (s *Store) WaitCommitted(ctx context.Context, after int64) int64 {
 	}
 }
 
-// ReadCommitted returns committed records with LSN >= from, bounded by
-// maxRecords and (softly — at least one record is always returned when
-// available) maxBytes, along with the base and committed LSNs of the view
-// it read. from <= base means the range was compacted: the caller must
-// bootstrap from the snapshot instead. Thread-safe.
-func (s *Store) ReadCommitted(from int64, maxRecords, maxBytes int) ([]ReplRecord, ReplState, error) {
+// ReadCommitted returns consecutive committed frames for a reader that
+// needs every LSN from from on and whose decoder stands at pos, along with
+// the view it read. The frames start where that decoder can take them: at
+// pos.Decoded+1 when this store served pos and that frame lies in from's
+// segment at or before from, and otherwise at the first frame of from's
+// segment. Frames below from are only for the reader's decoder; since pos
+// advances with every batch, a segment prefix longer than one batch still
+// reaches from. The batch is bounded by maxRecords and (softly — at least
+// one frame is always returned when available) maxBytes. A from whose
+// segment is gone was compacted: the caller must bootstrap from the
+// snapshot instead (ErrCompacted). Thread-safe.
+func (s *Store) ReadCommitted(from int64, pos ReadPos, maxRecords, maxBytes int) ([]ReplRecord, ReplState, error) {
 	v := &s.repl
 	v.mu.Lock()
-	st := ReplState{Base: v.base, Committed: v.committed, Snapshot: v.snapshot != ""}
+	st := ReplState{Base: v.base, Committed: v.committed, Snapshot: v.snapshot != "", Epoch: s.epoch}
 	segs := v.segs
 	cur := v.cursor
-	v.cursor.dec = nil // steal the decoder; see replCursor
 	v.mu.Unlock()
 
 	if from > st.Committed {
@@ -160,27 +164,15 @@ func (s *Store) ReadCommitted(from int64, maxRecords, maxBytes int) ([]ReplRecor
 	if i < 0 {
 		return nil, st, ErrCompacted
 	}
-	resume := cur.from == from && cur.seq == segs[i].seq
-	dec := cur.dec
-	if s.opts.NewStreamDecoder != nil {
-		// A decoder is positional: resuming mid-segment is only sound with
-		// the decoder that scanned the prefix. If another read stole it,
-		// rescan the segment so a fresh decoder learns the intern table from
-		// the segment boundary (where the table always restarts).
-		if resume && dec == nil {
-			resume = false
-		}
-		if !resume {
-			dec = s.opts.NewStreamDecoder()
-		}
-	} else {
-		dec = nil
+	start := segs[i].first
+	if pos.Epoch == s.epoch && pos.Decoded >= start && pos.Decoded < from {
+		start = pos.Decoded + 1
 	}
 	lsn, startOff := segs[i].first-1, 0
-	if resume {
+	if cur.next == start && cur.seq == segs[i].seq {
 		// Sequential poll: resume at the cached frame offset instead of
 		// parsing the segment's whole prefix again.
-		lsn, startOff = from-1, cur.offset
+		lsn, startOff = start-1, cur.offset
 	}
 	var out []ReplRecord
 	bytes := 0
@@ -211,22 +203,13 @@ func (s *Store) ReadCommitted(from int64, maxRecords, maxBytes int) ([]ReplRecor
 			if crc32.ChecksumIEEE(p) != binary.BigEndian.Uint32(data[off+4:off+8]) {
 				break
 			}
-			if lsn+1 >= from && bytes > 0 && bytes+len(p) > maxBytes {
+			if lsn+1 >= start && bytes > 0 && bytes+len(p) > maxBytes {
 				full = true
 				break
 			}
 			lsn++
-			var rec any
-			if dec != nil {
-				// Decode every scanned frame, pre-from ones included: their
-				// intern definitions are what make later frames decodable.
-				var derr error
-				if rec, derr = dec.Decode(p); derr != nil {
-					return nil, st, fmt.Errorf("storage: decode record at lsn %d: %w", lsn, derr)
-				}
-			}
-			if lsn >= from {
-				out = append(out, ReplRecord{LSN: lsn, Payload: append([]byte(nil), p...), Rec: rec})
+			if lsn >= start {
+				out = append(out, ReplRecord{LSN: lsn, Payload: p})
 				bytes += len(p)
 			}
 			off += frameHeader + length
@@ -240,9 +223,8 @@ func (s *Store) ReadCommitted(from int64, maxRecords, maxBytes int) ([]ReplRecor
 		}
 	}
 	if len(out) > 0 && endSeq >= 0 {
-		next := out[len(out)-1].LSN + 1
 		v.mu.Lock()
-		v.cursor = replCursor{from: next, seq: endSeq, offset: endOff, dec: dec}
+		v.cursor = replCursor{next: out[len(out)-1].LSN + 1, seq: endSeq, offset: endOff}
 		v.mu.Unlock()
 	}
 	return out, st, nil

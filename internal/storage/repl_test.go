@@ -1,10 +1,13 @@
 package storage
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -15,21 +18,26 @@ import (
 func tailAll(t *testing.T, s *Store, from int64) ([]string, int64) {
 	t.Helper()
 	var out []string
+	var pos ReadPos
 	for {
-		recs, st, err := s.ReadCommitted(from, 1<<20, 1<<30)
+		recs, st, err := s.ReadCommitted(from, pos, 1<<20, 1<<30)
 		if err == ErrCompacted {
 			base, err := s.SnapshotRecords(func(p []byte) error { return nil })
 			if err != nil {
 				t.Fatalf("SnapshotRecords: %v", err)
 			}
 			out = nil
-			from = base + 1
+			from, pos = base+1, ReadPos{}
 			continue
 		}
 		if err != nil {
 			t.Fatalf("ReadCommitted(%d): %v", from, err)
 		}
 		for _, r := range recs {
+			pos = ReadPos{Epoch: st.Epoch, Decoded: r.LSN}
+			if r.LSN < from {
+				continue // the segment prefix a decoder needs
+			}
 			if r.LSN != from {
 				t.Fatalf("LSN gap: got %d want %d", r.LSN, from)
 			}
@@ -99,7 +107,7 @@ func TestReplLSNSurvivesRecovery(t *testing.T) {
 		t.Fatalf("committed after recovery = %d, want 5", st.Committed)
 	}
 	appendAll(t, s2, "f")
-	recs, st, err := s2.ReadCommitted(6, 10, 1<<20)
+	recs, st, err := s2.ReadCommitted(6, ReadPos{}, 10, 1<<20)
 	if err != nil || len(recs) != 1 || string(recs[0].Payload) != "f" || st.Committed != 6 {
 		t.Fatalf("post-recovery append: recs=%v st=%+v err=%v", recs, st, err)
 	}
@@ -129,7 +137,7 @@ func TestReplSnapshotCompaction(t *testing.T) {
 	appendAll(t, s, "w4", "w5")
 
 	// Old LSNs are compacted; the reader must be pointed at the snapshot.
-	if _, st, err := s.ReadCommitted(1, 10, 1<<20); err != ErrCompacted || st.Base != 3 {
+	if _, st, err := s.ReadCommitted(1, ReadPos{}, 10, 1<<20); err != ErrCompacted || st.Base != 3 {
 		t.Fatalf("ReadCommitted(1) = st %+v err %v, want ErrCompacted base 3", st, err)
 	}
 	var snaps []string
@@ -137,7 +145,7 @@ func TestReplSnapshotCompaction(t *testing.T) {
 	if err != nil || base != 3 || len(snaps) != 1 || snaps[0] != "state-after-3" {
 		t.Fatalf("SnapshotRecords: base=%d snaps=%v err=%v", base, snaps, err)
 	}
-	recs, st, err := s.ReadCommitted(base+1, 10, 1<<20)
+	recs, st, err := s.ReadCommitted(base+1, ReadPos{}, 10, 1<<20)
 	if err != nil || len(recs) != 2 || string(recs[0].Payload) != "w4" || st.Committed != 5 {
 		t.Fatalf("post-snapshot tail: recs=%d st=%+v err=%v", len(recs), st, err)
 	}
@@ -252,7 +260,7 @@ func TestAppendWaitsForCommit(t *testing.T) {
 		if got := size(); got != committed {
 			t.Errorf("%v: segment grew from %d to %d bytes before Commit", policy, committed, got)
 		}
-		recs, st, err := s.ReadCommitted(1, 100, 1<<20)
+		recs, st, err := s.ReadCommitted(1, ReadPos{}, 100, 1<<20)
 		if err != nil || st.Committed != 1 || len(recs) != 1 {
 			t.Fatalf("%v: before Commit ReadCommitted = %d records, committed %d, %v; want the 1 committed record", policy, len(recs), st.Committed, err)
 		}
@@ -313,7 +321,9 @@ func TestFailedWritePublishesNothing(t *testing.T) {
 // TestReplCursorSequentialReads pins the resume-cursor fast path: a
 // follower polling in small sequential batches must see exactly the same
 // records as one big read, across segment rotations, with appends landing
-// between polls, and after an out-of-order read invalidates the cursor.
+// between polls, and after an out-of-order read invalidates the cursor; and
+// a sequential poll resumes at the cursor's offset without parsing the
+// segment's prefix again, so a resume costs O(batch).
 func TestReplCursorSequentialReads(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{Fsync: FsyncAlways, SegmentBytes: 48})
@@ -336,19 +346,23 @@ func TestReplCursorSequentialReads(t *testing.T) {
 
 	// Sequential 3-record polls: every poll after the first hits the cursor.
 	next := int64(1)
+	var pos ReadPos
 	read := func(maxRecords int) []ReplRecord {
-		recs, _, err := s.ReadCommitted(next, maxRecords, 1<<30)
+		recs, st, err := s.ReadCommitted(next, pos, maxRecords, 1<<30)
 		if err != nil {
 			t.Fatalf("ReadCommitted(%d): %v", next, err)
 		}
 		for _, r := range recs {
-			if r.LSN != next {
+			if r.LSN > next {
 				t.Fatalf("LSN gap at %d: got %d", next, r.LSN)
 			}
 			if want := rec(int(r.LSN - 1)); string(r.Payload) != want {
 				t.Fatalf("LSN %d: got %s want %s", r.LSN, r.Payload, want)
 			}
-			next++
+			pos = ReadPos{Epoch: st.Epoch, Decoded: r.LSN}
+			if r.LSN == next {
+				next++
+			}
 		}
 		return recs
 	}
@@ -360,16 +374,141 @@ func TestReplCursorSequentialReads(t *testing.T) {
 		read(5)
 	}
 
-	// Rewind: a non-sequential from must ignore the cursor and rescan.
-	mid, _, err := s.ReadCommitted(5, 4, 1<<30)
+	// Rewind: a non-sequential read with no position ignores the cursor and
+	// rescans from the first frame of from's segment.
+	mid, _, err := s.ReadCommitted(6, ReadPos{}, 4, 1<<30)
 	if err != nil || len(mid) != 4 || mid[0].LSN != 5 {
-		t.Fatalf("rewind read: %v %+v", err, mid)
+		t.Fatalf("rewind read: %v %+v, want 4 frames from the segment start at 5", err, mid)
 	}
 	// And sequential polling still resumes correctly after the rewind.
-	next = 9
+	next, pos = 9, ReadPos{}
 	read(1000)
 	if int(next) != total+1 {
 		t.Fatalf("resumed tail ended at %d, want %d", next, total+1)
+	}
+
+	// O(batch): in one large segment, poll 1..5, then damage frame 1 on
+	// disk. A sequential poll resumes at the cursor and never sees the
+	// damage; a cold read of the same segment parses from the start and
+	// stops at it.
+	big := openStore(t, t.TempDir(), Options{Fsync: FsyncAlways})
+	if _, _, err := mustRecoverEmpty(big); err != nil {
+		t.Fatal(err)
+	}
+	defer big.Close()
+	for i := 0; i < 10; i++ {
+		appendAll(t, big, rec(i))
+	}
+	first, st, err := big.ReadCommitted(1, ReadPos{}, 5, 1<<30)
+	if err != nil || len(first) != 5 {
+		t.Fatalf("first poll: %d frames, %v", len(first), err)
+	}
+	seg, err := os.OpenFile(filepath.Join(big.dir, segName(big.activeSeq)), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seg.WriteAt([]byte("X"), frameHeader); err != nil {
+		t.Fatal(err)
+	}
+	seg.Close()
+	rest, _, err := big.ReadCommitted(6, ReadPos{Epoch: st.Epoch, Decoded: 5}, 100, 1<<30)
+	if err != nil || len(rest) != 5 || rest[0].LSN != 6 || string(rest[4].Payload) != rec(9) {
+		t.Fatalf("sequential poll after the damage: %d frames, %v; want 6..10 from the cursor", len(rest), err)
+	}
+	if cold, _, err := big.ReadCommitted(6, ReadPos{}, 100, 1<<30); err != nil || len(cold) != 0 {
+		t.Fatalf("cold read after the damage: %d frames, %v; want none (the scan stops at frame 1)", len(cold), err)
+	}
+}
+
+// TestReplColdReadReachesFrom pins the cold start: a reader with no
+// position gets the frames of from's segment from its first one, and a
+// prefix longer than one batch still reaches from, because each batch
+// advances the reader's position. A position from another epoch (a
+// restarted or rebuilt store) counts as no position.
+func TestReplColdReadReachesFrom(t *testing.T) {
+	s := openStore(t, t.TempDir(), Options{Fsync: FsyncAlways})
+	if _, _, err := mustRecoverEmpty(s); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 1; i <= 50; i++ {
+		appendAll(t, s, fmt.Sprintf("cold-%02d", i))
+	}
+	const batch = 7
+	from := int64(40)
+	var pos ReadPos
+	var got []string
+	calls := 0
+	for from <= 50 {
+		if calls++; calls > 40/batch+3 {
+			t.Fatalf("no progress after %d calls: position %+v", calls, pos)
+		}
+		recs, st, err := s.ReadCommitted(from, pos, batch, 1<<30)
+		if err != nil || len(recs) == 0 {
+			t.Fatalf("call %d at %+v: %d frames, %v", calls, pos, len(recs), err)
+		}
+		if want := pos.Decoded + 1; recs[0].LSN != want {
+			t.Fatalf("call %d: batch starts at %d, want %d", calls, recs[0].LSN, want)
+		}
+		for _, r := range recs {
+			if r.LSN >= from {
+				got = append(got, string(r.Payload))
+				from = r.LSN + 1
+			}
+		}
+		pos = ReadPos{Epoch: st.Epoch, Decoded: recs[len(recs)-1].LSN}
+	}
+	if len(got) != 11 || got[0] != "cold-40" {
+		t.Fatalf("read %v, want cold-40..cold-50", got)
+	}
+	if recs, _, err := s.ReadCommitted(40, ReadPos{Epoch: pos.Epoch + 1, Decoded: 39}, batch, 1<<30); err != nil || recs[0].LSN != 1 {
+		t.Fatalf("foreign epoch: %+v, %v; want a cold start at 1", recs, err)
+	}
+}
+
+// TestReplStreamIsSegmentBytes pins that a reader tailing from LSN 1 gets
+// the segments' payloads exactly as stored: reframed, what it received is
+// the segment files byte for byte.
+func TestReplStreamIsSegmentBytes(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, Options{Fsync: FsyncAlways, SegmentBytes: 64})
+	if _, _, err := mustRecoverEmpty(s); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 40; i++ {
+		appendAll(t, s, fmt.Sprintf("bytes-%d-%s", i, strings.Repeat("x", i%7)))
+	}
+	var got []byte
+	next, pos := int64(1), ReadPos{}
+	for {
+		recs, st, err := s.ReadCommitted(next, pos, 3, 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) == 0 {
+			break
+		}
+		for _, r := range recs {
+			got = appendFrame(got, r.Payload)
+		}
+		next = recs[len(recs)-1].LSN + 1
+		pos = ReadPos{Epoch: st.Epoch, Decoded: next - 1}
+	}
+	segs, err := s.listSegments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for _, seq := range segs {
+		data, err := os.ReadFile(filepath.Join(dir, segName(seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, data...)
+	}
+	if len(segs) < 3 || !bytes.Equal(got, want) {
+		t.Fatalf("stream of %d bytes over %d segments differs from the %d segment bytes", len(got), len(segs), len(want))
 	}
 }
 
@@ -403,7 +542,7 @@ func TestReplSlotRetainsWAL(t *testing.T) {
 
 	// The un-acked tail survives the snapshot: the follower resumes at 9
 	// and reads through to the head with no ErrCompacted reset.
-	recs, st, err := s.ReadCommitted(9, 100, 1<<20)
+	recs, st, err := s.ReadCommitted(9, ReadPos{}, 100, 1<<20)
 	if err != nil || st.Base != 12 {
 		t.Fatalf("ReadCommitted(9): err=%v st=%+v", err, st)
 	}
@@ -422,7 +561,7 @@ func TestReplSlotRetainsWAL(t *testing.T) {
 	}
 
 	// Acked records ahead of the slot are gone: from=1 is a real reset.
-	if _, _, err := s.ReadCommitted(1, 10, 1<<20); err != ErrCompacted {
+	if _, _, err := s.ReadCommitted(1, ReadPos{}, 10, 1<<20); err != ErrCompacted {
 		t.Fatalf("ReadCommitted(1) err=%v, want ErrCompacted", err)
 	}
 
@@ -438,10 +577,58 @@ func TestReplSlotRetainsWAL(t *testing.T) {
 	if err := sw.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.ReadCommitted(9, 10, 1<<20); err != ErrCompacted {
+	if _, _, err := s.ReadCommitted(9, ReadPos{}, 10, 1<<20); err != ErrCompacted {
 		t.Fatalf("after full ack, ReadCommitted(9) err=%v, want ErrCompacted", err)
 	}
-	if recs, _, err := s.ReadCommitted(14, 10, 1<<20); err != nil || len(recs) != 0 {
+	if recs, _, err := s.ReadCommitted(14, ReadPos{}, 10, 1<<20); err != nil || len(recs) != 0 {
 		t.Fatalf("head read: recs=%d err=%v", len(recs), err)
 	}
+}
+
+// TestReplConcurrentReaders: readers tailing one store at once, each with
+// its own position, share only the resume cursor; each still reads every
+// record in order while the owner appends across rotations.
+func TestReplConcurrentReaders(t *testing.T) {
+	s := openStore(t, t.TempDir(), Options{Fsync: FsyncNever, SegmentBytes: 96})
+	if _, _, err := mustRecoverEmpty(s); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const total = 60
+	rec := func(i int64) string { return fmt.Sprintf("concurrent-%03d", i) }
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(batch int) {
+			defer wg.Done()
+			next, pos := int64(1), ReadPos{}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			for next <= total {
+				if s.WaitCommitted(ctx, next-1) < next {
+					t.Errorf("reader %d: stuck at %d", batch, next)
+					return
+				}
+				recs, st, err := s.ReadCommitted(next, pos, batch, 1<<30)
+				if err != nil {
+					t.Errorf("reader %d at %d: %v", batch, next, err)
+					return
+				}
+				for _, r := range recs {
+					if r.LSN > next || string(r.Payload) != rec(r.LSN) {
+						t.Errorf("reader %d at %d: LSN %d holds %q", batch, next, r.LSN, r.Payload)
+						return
+					}
+					if r.LSN == next {
+						next++
+					}
+					pos = ReadPos{Epoch: st.Epoch, Decoded: r.LSN}
+				}
+			}
+		}(1 + r)
+	}
+	for i := int64(1); i <= total; i++ {
+		appendAll(t, s, rec(i))
+	}
+	wg.Wait()
 }

@@ -79,21 +79,6 @@ type Options struct {
 	// size (default 64 MiB). Rotation seals (syncs and closes) the old
 	// segment before the next record lands in a fresh one.
 	SegmentBytes int64
-	// NewStreamDecoder, when set, equips replication reads with a
-	// per-stream decoder for formats whose records are not standalone
-	// (interned binary records reference constants defined by earlier
-	// records of their segment). ReadCommitted feeds every frame it scans
-	// through the decoder in segment order — frames before the requested
-	// LSN included, since their definitions matter — and attaches each
-	// result to the ReplRecord it returns. nil leaves records undecoded.
-	NewStreamDecoder func() StreamDecoder
-}
-
-// StreamDecoder decodes one stream's records in order. Implementations
-// carry state between calls (an intern table); a fresh decoder must be able
-// to start at any segment boundary.
-type StreamDecoder interface {
-	Decode(payload []byte) (any, error)
 }
 
 func (o Options) withDefaults() Options {

@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"sort"
@@ -61,6 +62,11 @@ type Store struct {
 	dir  string
 	opts Options
 	man  manifest
+	// epoch names this opening of the directory to replication readers: a
+	// random nonzero value drawn by Open and never persisted, so a reader's
+	// position from before a restart or a rebuild never matches (see
+	// ReadPos).
+	epoch uint64
 
 	active     *os.File
 	activeSeq  int
@@ -123,6 +129,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{dir: dir, opts: opts.withDefaults(), lastSync: time.Now(), segFirst: make(map[int]int64)}
+	for s.epoch == 0 {
+		s.epoch = rand.Uint64()
+	}
 	s.repl.notify = make(chan struct{})
 
 	entries, err := os.ReadDir(dir)
