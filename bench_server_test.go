@@ -225,7 +225,7 @@ func BenchmarkSessionGroupCommit(b *testing.B) {
 		window int // microseconds
 	}{
 		{"batch1", 1, 0},
-		{"group", 0, 0}, // default batch (256), opportunistic drain only
+		{"group", 0, 0}, // default batch (256), no window
 		{"group-window", 0, 200},
 	}
 	for _, c := range cases {

@@ -2,10 +2,13 @@
 # The durability job: the storage engine suites (segments, rotation,
 # recovery, snapshots), the crash suite under one fsync policy — recovered
 # logs must never diverge from the oracle, and under always every step
-# acked before a SIGKILL mid-group-commit must survive — and, under
-# always, a handoff smoke across two real servers and a router. The crash
-# suite is run verbosely and grepped for its PASS lines, so a test that
-# silently stops running fails the job instead of passing it.
+# acked before a SIGKILL mid-group-commit must survive — the engine's own
+# tests three times under the race detector (concurrent group commit,
+# idempotent shutdown, fail-stop, overload, the one-writer property), and,
+# under always, a handoff smoke across two real servers and a router. The
+# crash and engine suites are run verbosely and grepped for their PASS
+# lines, so a test that silently stops running fails the job instead of
+# passing it.
 #
 # Usage: SPOCUS_TEST_FSYNC=always|interval|never bash ci/durability.sh
 # (from anywhere; default always; needs go and curl, and the loopback
@@ -46,6 +49,12 @@ section "Crash suite under -fsync $fsync"
 go test ./cmd/spocus-server -run 'TestCrashRecovery|TestCrashGroupCommit|TestServeGracefulShutdown' -v 2>&1 |
 	tee "$out/crash.out"
 passed "$out/crash.out" TestCrashRecovery TestCrashGroupCommit
+end
+
+section "Engine under -race: group commit, shutdown, fail-stop, overload, one writer"
+go test -race -count=3 ./internal/session -v 2>&1 | tee "$out/engine.out"
+passed "$out/engine.out" TestGroupCommitConcurrentCallers TestEngineInputAllocates \
+	TestShutdownIsIdempotent TestFailStopOnBrokenWAL TestMailboxOverload TestOneWriterProperty
 end
 
 if [ "$fsync" = always ]; then

@@ -127,9 +127,9 @@ func engineFlags(fs *flag.FlagSet, defaultFsync string) func() (session.Config, 
 		fsyncInterval = fs.Duration("fsync-interval", 100*time.Millisecond, "flush period under -fsync interval")
 		segmentBytes  = fs.Int64("wal-segment-bytes", 64<<20, "rotate a shard's WAL segment past this size")
 		gcBatch       = fs.Int("group-commit-batch", 256, "max steps sharing one fsync under -fsync always (1: one fsync per step)")
-		gcWindow      = fs.Duration("group-commit-window", 0, "extra time a dirty shard waits for steps to join a group commit (0: drain-only)")
+		gcWindow      = fs.Duration("group-commit-window", 0, "extra time a group-commit leader with nobody waiting holds the commit open for steps to join (0: commit at once)")
 		snapEvery     = fs.Int("snapshot-every", 4096, "steps per shard between snapshots (-1: disable)")
-		mailbox       = fs.Int("mailbox", 1024, "per-shard mailbox depth; overflow is rejected with 429")
+		mailbox       = fs.Int("mailbox", 1024, "callers that may wait for one shard's lock; a data-plane request beyond it is rejected with 429")
 		sessionRate   = fs.Float64("session-rate", 0, "per-session step rate limit in steps/sec (0: unlimited); excess steps get 429 + Retry-After")
 		sessionBurst  = fs.Int("session-burst", 0, "per-session burst allowance under -session-rate (0: max(1, ceil(rate)))")
 		replSyncWait  = fs.Duration("repl-sync-wait", 0, "semi-sync replication: hold each group commit's acks until the follower acked it, up to this long (0: async)")

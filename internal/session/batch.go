@@ -9,9 +9,9 @@ import (
 
 // The batched input path. A client hands the engine a group of
 // (session, input, key) steps spanning any number of sessions; the engine
-// splits the group by owning shard and injects each shard's share in ONE
-// mailbox send, so the whole share executes inside one group-commit batch —
-// one shared fsync acknowledges every step in it. Each item passes the same
+// splits the group by owning shard and runs each shard's share under ONE
+// hold of that shard's lock, so the whole share lands in one group-commit
+// batch — one shared fsync acknowledges every step in it. Each item passes the same
 // admit as a single step (plus dedupe against keys earlier in its own
 // group), fails without failing its neighbors, and a session's admitted
 // steps travel in one record, so the WAL is never torn mid-group.
@@ -36,7 +36,7 @@ type BatchResult struct {
 // returns one result per item, positionally. Items of one session apply
 // in the order given; items of different sessions owned by one shard share
 // a single WAL commit; shards proceed concurrently. A shard-level failure
-// (overloaded mailbox, engine shutdown, WAL write error) fails every item
+// (overloaded shard, engine shutdown, WAL write error) fails every item
 // routed to that shard — partial failure is otherwise strictly per-item.
 func (e *Engine) InputBatch(items []BatchItem) []BatchResult {
 	out := make([]BatchResult, len(items))
@@ -55,9 +55,9 @@ func (e *Engine) InputBatch(items []BatchItem) []BatchResult {
 		byShard[sh] = append(byShard[sh], i)
 	}
 	run := func(sh *shard, idxs []int) {
-		// One send per shard: the whole share executes under one exec() and
-		// its appends commit under one shared fsync before this reply.
-		_, err := e.trySend(sh, func(sh *shard) (any, error) {
+		// One call per shard: the whole share runs under one hold of the
+		// shard's lock and its appends commit in one group commit.
+		_, err := sh.run(false, func(sh *shard) (any, error) {
 			sh.inputBatch(idxs, items, out)
 			return nil, nil
 		})
@@ -67,24 +67,23 @@ func (e *Engine) InputBatch(items []BatchItem) []BatchResult {
 			}
 		}
 	}
-	if len(order) == 1 {
-		run(order[0], byShard[order[0]])
-	} else {
-		var wg sync.WaitGroup
-		for _, sh := range order {
-			wg.Add(1)
-			go func(sh *shard, idxs []int) {
-				defer wg.Done()
-				run(sh, idxs)
-			}(sh, byShard[sh])
-		}
-		wg.Wait()
+	// The caller runs the first shard's share itself and starts a goroutine
+	// for each further shard.
+	var wg sync.WaitGroup
+	for _, sh := range order[1:] {
+		wg.Add(1)
+		go func(sh *shard, idxs []int) {
+			defer wg.Done()
+			run(sh, idxs)
+		}(sh, byShard[sh])
 	}
+	run(order[0], byShard[order[0]])
+	wg.Wait()
 	e.m.stepLatency.Observe(int64(time.Since(start)))
 	return out
 }
 
-// inputBatch runs inside the shard goroutine: it partitions the shard's
+// inputBatch runs under the shard's lock: it partitions the shard's
 // share of the batch by session (preserving item order) and proposes each
 // session's group as one record. Per-item outcomes land in out.
 func (sh *shard) inputBatch(idxs []int, items []BatchItem, out []BatchResult) {

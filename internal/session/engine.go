@@ -3,6 +3,7 @@ package session
 import (
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -25,8 +26,8 @@ type Config struct {
 	// Dir is the durability directory holding per-shard WAL and snapshot
 	// files. Empty means in-memory only: nothing survives the process.
 	Dir string
-	// Shards is the number of goroutine-owned shards sessions are hashed
-	// across. Defaults to GOMAXPROCS. Changing the shard count of an
+	// Shards is the number of shards sessions are hashed across, each one
+	// lock over its sessions and store. Defaults to GOMAXPROCS. Changing the shard count of an
 	// existing Dir is safe only through a clean Shutdown (which snapshots):
 	// replay routes each persisted session by its own ID hash.
 	Shards int
@@ -37,25 +38,28 @@ type Config struct {
 	// SegmentBytes rotates a shard's active WAL segment once it exceeds
 	// this size (default 64 MiB). Sealed segments are never written again.
 	SegmentBytes int64
-	// GroupCommitBatch caps how many requests a shard executes before it
-	// commits (one shared fsync under FsyncAlways) and releases their
-	// acknowledgements (default 256). 1 disables batching: every request
-	// pays its own fsync, the pre-group-commit behavior.
+	// GroupCommitBatch caps how many requests with appended records one
+	// group commit covers (one shared fsync under FsyncAlways) before their
+	// acknowledgements are released (default 256): the caller that fills
+	// the batch commits it whoever else is waiting. 1 disables batching:
+	// every request pays its own fsync, the pre-group-commit behavior.
 	GroupCommitBatch int
-	// GroupCommitWindow, when positive under FsyncAlways, lets a shard
-	// with a dirty WAL wait up to this long for follower requests to join
-	// the pending fsync (default 0: commit as soon as the mailbox is
-	// drained). The window only ever delays acknowledgements, never
+	// GroupCommitWindow, when positive under FsyncAlways, lets a caller
+	// about to commit with nobody waiting for its shard release the shard
+	// for up to this long so later requests join the pending fsync
+	// (default 0: commit as soon as nobody is waiting). The window only ever delays acknowledgements, never
 	// weakens them — acks are still released only after the shared fsync
 	// returns.
 	GroupCommitWindow time.Duration
 	// SnapshotEvery compacts a shard's WAL into a snapshot after this many
 	// applied steps (default 4096; negative disables snapshots).
 	SnapshotEvery int
-	// MailboxDepth bounds each shard's request mailbox (default 1024).
-	// Open and Input requests arriving while the mailbox is full are
-	// rejected with OverloadedError instead of queueing without bound —
-	// the engine's backpressure signal, surfaced as HTTP 429.
+	// MailboxDepth bounds how many callers may wait for one shard's lock
+	// (default 1024); the caller holding it does not count. Data-plane
+	// requests (Open, Input, InputBatch, Install) arriving while that many
+	// wait are rejected with OverloadedError instead of queueing without
+	// bound — the engine's backpressure signal, surfaced as HTTP 429.
+	// Control-plane requests always wait.
 	MailboxDepth int
 	// SessionRate caps each session's step rate in steps per second via a
 	// per-session token bucket (0: no limit, the default). Steps beyond the
@@ -113,47 +117,49 @@ func (c Config) withDefaults() Config {
 }
 
 // Engine hosts many concurrent sessions, sharded by session ID. All methods
-// are safe for concurrent use by any number of goroutines; operations on
-// the same session are applied in the order they arrive at its shard (FIFO
-// per session), and operations on different shards never contend.
+// are safe for concurrent use by any number of goroutines. A request runs on
+// its caller's goroutine while the caller holds its shard's lock, so the
+// operations on one session apply one at a time, in the order their callers
+// take that lock, and operations on different shards never contend.
 type Engine struct {
 	cfg    Config
 	shards []*shard
 	m      *metricsSet
-
-	mu     sync.RWMutex // guards closed against in-flight senders
-	closed bool
-	wg     sync.WaitGroup
+	wg     sync.WaitGroup // the FsyncInterval flushers
 }
 
-// request is one unit of work executed inside a shard's goroutine.
-type request struct {
-	do    func(*shard) (any, error)
-	reply chan reply
-}
+// errShutDown answers every request after Shutdown.
+var errShutDown = errors.New("engine is shut down")
 
-type reply struct {
-	v   any
-	err error
-}
-
-// shard owns a disjoint set of sessions and their store. Only its
-// goroutine touches these fields after startup, so no locks appear
-// anywhere below.
+// shard owns a disjoint set of sessions and their store. Every request runs
+// on its caller's goroutine while the caller holds mu (see run), so the
+// fields below mu have one writer at a time and no other lock guards them.
 type shard struct {
-	idx       int
-	cfg       *Config
-	m         *metricsSet
-	ch        chan request
+	idx int
+	cfg *Config
+	m   *metricsSet
+
+	// waiting counts the callers blocked on mu; the holder is not one of
+	// them. It bounds data-plane admission (MailboxDepth) and tells a caller
+	// about to release mu with records pending whether another caller will
+	// take the lock after it (see settle).
+	waiting atomic.Int64
+
+	mu        sync.Mutex
+	closed    bool // set by Shutdown: later requests fail
 	sessions  map[string]*Session
 	store     *storage.Store // nil in memory-only mode
 	sinceSnap int
 	broken    error // set on a WAL write failure; fail-stop for mutations
 
-	// pending holds requests executed but not yet acknowledged: their
-	// replies are released together, after the batch's shared Commit.
-	pending  []pendingReply
-	segGauge int // last value pushed to the walSegments metric
+	// group is the pending group commit (nil when no record awaits one; see
+	// settle). windowing is set while its leader has released mu for
+	// GroupCommitWindow; windowEnd wakes that leader when a full group
+	// commits first.
+	group     *commitGroup
+	windowing bool
+	windowEnd chan struct{}
+	segGauge  int // last value pushed to the walSegments metric
 
 	// enc is the WAL record encoder. Its intern table is
 	// scoped to one segment (encSeg): AlignAppend surfaces rotations before
@@ -164,9 +170,12 @@ type shard struct {
 	enc    *codec.Encoder
 	encSeg int
 
+	// stop ends the FsyncInterval flusher (nil under the other policies).
+	stop chan struct{}
+
 	// Byte meters for the durability surfaces, monotonic over the process
 	// (walBytes in metricsSet resets on snapshot; these never do). Written
-	// by the shard goroutine, read by Stats and the spocus_storage expvar.
+	// under mu, read by Stats and the spocus_storage expvar.
 	walBytesTotal  atomic.Int64
 	snapBytesTotal atomic.Int64
 	shipBytesTotal atomic.Int64
@@ -174,19 +183,12 @@ type shard struct {
 
 	// acked is the highest LSN a replication follower has confirmed
 	// applying for this shard's WAL stream. Written by HTTP goroutines
-	// (AckWAL), read by Stats — atomic, not shard-owned.
+	// (AckWAL), read by Stats — atomic, not under mu.
 	acked atomic.Int64
-	// ackWake carries a token whenever acked advances, waking a shard
+	// ackWake carries a token whenever acked advances, waking a leader
 	// blocked in holdForReplica (semi-sync). Buffered at 1: a stale token
 	// costs one spurious re-check of acked, never a missed wake.
 	ackWake chan struct{}
-}
-
-// pendingReply is one executed request awaiting the group commit.
-type pendingReply struct {
-	ch  chan reply
-	v   any
-	err error
 }
 
 // NewEngine creates an engine, replaying any existing snapshot and WAL
@@ -203,14 +205,14 @@ func NewEngine(cfg Config) (*Engine, error) {
 	start := time.Now()
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{
-			idx:      i,
-			cfg:      &e.cfg,
-			m:        e.m,
-			ch:       make(chan request, cfg.MailboxDepth),
-			sessions: make(map[string]*Session),
-			ackWake:  make(chan struct{}, 1),
-			enc:      codec.NewEncoder(),
-			encSeg:   -1,
+			idx:       i,
+			cfg:       &e.cfg,
+			m:         e.m,
+			sessions:  make(map[string]*Session),
+			windowEnd: make(chan struct{}, 1),
+			ackWake:   make(chan struct{}, 1),
+			enc:       codec.NewEncoder(),
+			encSeg:    -1,
 		}
 		if cfg.Dir != "" {
 			if err := sh.recover(filepath.Join(cfg.Dir, fmt.Sprintf("shard-%03d", i))); err != nil {
@@ -222,11 +224,14 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.m.replayNanos.Store(int64(time.Since(start)))
 	for _, sh := range e.shards {
 		e.m.sessionsOpen.Add(int64(len(sh.sessions)))
-		e.wg.Add(1)
-		go func(sh *shard) {
-			defer e.wg.Done()
-			sh.loop()
-		}(sh)
+		if sh.store != nil && cfg.Fsync == FsyncInterval {
+			sh.stop = make(chan struct{})
+			e.wg.Add(1)
+			go func(sh *shard) {
+				defer e.wg.Done()
+				sh.flushEvery(cfg.FsyncInterval)
+			}(sh)
+		}
 	}
 	registerEngine(e)
 	return e, nil
@@ -273,125 +278,143 @@ func (sh *shard) recover(dir string) error {
 	return nil
 }
 
-// loop is the shard's actor loop: it owns the sessions map and store until
-// the channel closes, then flushes and closes the store. Each received
-// request seeds a batch — see batch for the group-commit protocol.
-func (sh *shard) loop() {
-	var flush <-chan time.Time
-	if sh.store != nil && sh.cfg.Fsync == FsyncInterval {
-		t := time.NewTicker(sh.cfg.FsyncInterval)
-		defer t.Stop()
-		flush = t.C
-	}
-	for {
-		select {
-		case req, ok := <-sh.ch:
-			if !ok || !sh.batch(req) {
-				sh.closeStore()
-				return
-			}
-		case <-flush:
-			if sh.broken == nil {
-				if err := sh.store.Sync(); err != nil {
-					sh.broken = err
-				}
-			}
-		}
-	}
+// commitGroup is one group commit: the callers whose records it covers
+// wait for done and then read err.
+type commitGroup struct {
+	n    int           // callers in the group
+	done chan struct{} // closed once the commit has returned
+	err  error         // the commit's failure, set before done is closed
 }
 
-func (sh *shard) closeStore() {
-	if sh.store != nil {
-		sh.store.Close()
-	}
-}
-
-// batch is the group-commit heart of the shard: it executes first, then
-// keeps executing whatever is already queued in the mailbox (up to
-// GroupCommitBatch requests), and only then commits — so every WAL append
-// in the batch shares one fsync under FsyncAlways. Requests that did not
-// append (reads, rejections) are acknowledged immediately; requests that
-// did are acknowledged only after the shared fsync returns, preserving
-// the crash contract exactly: an acked step is a durable step.
-//
-// With GroupCommitWindow > 0 a dirty shard waits up to the window for
-// followers before syncing, trading bounded latency for fewer fsyncs.
-// Returns false when the mailbox closed mid-drain (engine shutdown).
-func (sh *shard) batch(first request) (open bool) {
-	open = true
-	var timer *time.Timer
-	var deadline <-chan time.Time
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-		sh.commitPending()
-	}()
-	sh.exec(first)
-	for len(sh.pending) < sh.cfg.GroupCommitBatch {
-		select {
-		case req, ok := <-sh.ch:
-			if !ok {
-				return false
-			}
-			sh.exec(req)
-			continue
-		default:
-		}
-		// Mailbox momentarily empty. Arm the window once per batch, and
-		// only when there is something worth waiting to amortize.
-		if deadline == nil && sh.cfg.GroupCommitWindow > 0 && sh.cfg.Fsync == FsyncAlways &&
-			sh.store != nil && sh.store.Dirty() && sh.broken == nil {
-			timer = time.NewTimer(sh.cfg.GroupCommitWindow)
-			deadline = timer.C
-		}
-		if deadline == nil {
-			return true
-		}
-		select {
-		case req, ok := <-sh.ch:
-			if !ok {
-				return false
-			}
-			sh.exec(req)
-		case <-deadline:
-			return true
+// run executes do on the calling goroutine while it holds the shard's lock
+// — the one execution path, for reads and writes, memory and durable shards
+// alike — and returns do's result once it may be acknowledged: a request
+// that appended to the WAL returns only after the group commit covering its
+// record has returned, and fails with that commit. wait selects the control
+// plane (Log, Close, List, Snapshot, ExportState, a standby's apply), which
+// queues behind however many callers are ahead of it; the data plane (Open,
+// Input, InputBatch, Install) is rejected with OverloadedError while
+// MailboxDepth callers already wait, which bounds both memory and latency
+// under overload.
+func (sh *shard) run(wait bool, do func(*shard) (any, error)) (any, error) {
+	v, g, err := sh.runLocked(wait, do)
+	if g != nil {
+		<-g.done
+		if g.err != nil {
+			return nil, g.err
 		}
 	}
-	return true
+	return v, err
 }
 
-// exec runs one request in the shard. If it appended to the WAL its reply
-// is deferred to the batch commit; otherwise it is released immediately.
-func (sh *shard) exec(req request) {
+// runLocked is the part of run that holds the lock. Besides do's result it
+// returns the group commit covering what do appended (nil when it appended
+// nothing), for run to wait on once the lock is released.
+func (sh *shard) runLocked(wait bool, do func(*shard) (any, error)) (any, *commitGroup, error) {
+	if !sh.lock(wait) {
+		sh.m.rejected.Add(1)
+		return nil, nil, &OverloadedError{Shard: sh.idx}
+	}
+	defer sh.mu.Unlock()
+	if sh.closed {
+		return nil, nil, errShutDown
+	}
 	var before int64
 	if sh.store != nil {
 		before = sh.store.Appends()
 	}
-	v, err := req.do(sh)
+	v, err := do(sh)
+	var g *commitGroup
 	if sh.store != nil && sh.store.Appends() > before {
-		sh.pending = append(sh.pending, pendingReply{req.reply, v, err})
-		return
+		if sh.group == nil {
+			sh.group = &commitGroup{done: make(chan struct{})}
+		}
+		g = sh.group
+		g.n++
 	}
-	req.reply <- reply{v, err}
+	sh.settle()
+	return v, g, err
 }
 
-// commitPending syncs the batch's appends per policy and releases the
-// deferred acknowledgements. A failed sync follows the fail-stop
-// discipline: every pending request learns of the failure (its records
-// may not be durable) and the shard refuses further mutations.
-func (sh *shard) commitPending() {
-	if len(sh.pending) == 0 {
+// lock takes mu, counting the caller in waiting while it blocks. A
+// data-plane caller (wait false) is turned away instead when MailboxDepth
+// callers are already waiting. It is never counted then, so waiting only
+// ever counts callers that will take the lock.
+func (sh *shard) lock(wait bool) bool {
+	if sh.mu.TryLock() {
+		return true
+	}
+	for {
+		n := sh.waiting.Load()
+		if !wait && n >= int64(sh.cfg.MailboxDepth) {
+			return false
+		}
+		if sh.waiting.CompareAndSwap(n, n+1) {
+			break
+		}
+	}
+	sh.mu.Lock()
+	sh.waiting.Add(-1)
+	return true
+}
+
+// settle is the group-commit protocol, run by every caller just before it
+// releases mu. While the pending group has room and another caller will
+// take the lock after this one, the caller leaves the commit to a later
+// one; otherwise it leads: it commits the group, which releases every
+// caller waiting for it. So mu is never released with records pending
+// unless a caller is waiting for it or a leader's window is open, and an
+// acknowledgement is released only after the commit covering its record
+// returned — an acked step is a durable step.
+func (sh *shard) settle() {
+	g := sh.group
+	if g == nil || g.n < sh.cfg.GroupCommitBatch && (sh.windowing || sh.waiting.Load() > 0) {
 		return
 	}
-	if sh.store != nil && sh.broken == nil {
+	sh.lead()
+}
+
+// lead commits the pending group. Under FsyncAlways with a
+// GroupCommitWindow, a leader with room in its group first releases mu for
+// up to the window so that arrivals can join the pending fsync; an arrival
+// that fills the group commits it and ends the window early. Whatever is
+// pending when the window closes is committed then. The window only ever
+// delays acknowledgements, never weakens them.
+func (sh *shard) lead() {
+	if w := sh.cfg.GroupCommitWindow; w > 0 && !sh.windowing && sh.cfg.Fsync == FsyncAlways &&
+		sh.group.n < sh.cfg.GroupCommitBatch && sh.store.Dirty() && sh.broken == nil {
+		select {
+		case <-sh.windowEnd: // a stale wake meant for an earlier window
+		default:
+		}
+		sh.windowing = true
+		sh.mu.Unlock()
+		t := time.NewTimer(w)
+		select {
+		case <-t.C:
+		case <-sh.windowEnd:
+		}
+		t.Stop()
+		sh.mu.Lock()
+		sh.windowing = false
+	}
+	if sh.group != nil {
+		sh.groupCommit()
+	}
+}
+
+// groupCommit syncs the pending group's appends per policy and releases its
+// callers. A failed sync follows the fail-stop discipline: every caller in
+// the group is told of the failure (its record may not be durable) and the
+// shard refuses further mutations.
+func (sh *shard) groupCommit() {
+	g := sh.group
+	sh.group = nil
+	if sh.broken == nil {
 		synced, err := sh.store.Commit()
 		if err != nil {
 			sh.broken = err
-			werr := fmt.Errorf("shard %d wal sync failed: %w", sh.idx, err)
-			for i := range sh.pending {
-				sh.pending[i].v, sh.pending[i].err = nil, werr
-			}
+			g.err = fmt.Errorf("shard %d wal sync failed: %w", sh.idx, err)
 		} else if synced {
 			sh.m.walSyncs.Add(1)
 		}
@@ -400,20 +423,46 @@ func (sh *shard) commitPending() {
 			sh.holdForReplica()
 		}
 	}
-	for i := range sh.pending {
-		sh.pending[i].ch <- reply{sh.pending[i].v, sh.pending[i].err}
+	close(g.done)
+	if sh.windowing {
+		select {
+		case sh.windowEnd <- struct{}{}:
+		default:
+		}
 	}
-	sh.pending = sh.pending[:0]
 }
 
-// holdForReplica is the semi-sync gate: it blocks the batch's
-// acknowledgements until the follower has acked every LSN this commit
-// published, or ReplSyncWait elapses (then the batch degrades to async and
-// repl_sync_timeouts ticks). It engages only once a follower has acked at
-// least one LSN, so a primary nobody follows pays nothing. Deadlock-free by
-// construction: the ack path (StreamWAL long-poll → follower apply → next
-// fetch's acked= → AckWAL) touches only the store's replication view and
-// the shard's atomic, never the shard goroutine blocked here.
+// flushEvery is the FsyncInterval flusher: every d it takes the shard's lock
+// like any caller and syncs the WAL, unless a group commit is pending — it
+// is about to write the WAL anyway.
+func (sh *shard) flushEvery(d time.Duration) {
+	t := time.NewTicker(d)
+	defer t.Stop()
+	for {
+		select {
+		case <-sh.stop:
+			return
+		case <-t.C:
+		}
+		sh.run(true, func(sh *shard) (any, error) {
+			if sh.broken == nil && sh.group == nil {
+				if err := sh.store.Sync(); err != nil {
+					sh.broken = err
+				}
+			}
+			return nil, nil
+		})
+	}
+}
+
+// holdForReplica is the semi-sync gate: the leader blocks the batch's
+// acknowledgements, still holding mu, until the follower has acked every LSN
+// this commit published, or ReplSyncWait elapses (then the batch degrades
+// to async and repl_sync_timeouts ticks). It engages only once a follower
+// has acked at least one LSN, so a primary nobody follows pays nothing.
+// Deadlock-free by construction: the ack path (StreamWAL long-poll →
+// follower apply → next fetch's acked= → AckWAL) touches only the store's
+// replication view and the shard's atomics, never mu.
 func (sh *shard) holdForReplica() {
 	if sh.acked.Load() == 0 {
 		return
@@ -461,50 +510,10 @@ func (e *Engine) shardFor(id string) *shard {
 	return e.shards[ShardOf(id, len(e.shards))]
 }
 
-// post runs do inside sh's goroutine and waits for the result. A full
-// mailbox blocks the caller when wait is set and rejects the request with
-// OverloadedError otherwise.
-func (e *Engine) post(sh *shard, wait bool, do func(*shard) (any, error)) (any, error) {
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		return nil, fmt.Errorf("engine is shut down")
-	}
-	req := request{do: do, reply: make(chan reply, 1)}
-	if wait {
-		sh.ch <- req
-	} else {
-		select {
-		case sh.ch <- req:
-		default:
-			e.mu.RUnlock()
-			e.m.rejected.Add(1)
-			return nil, &OverloadedError{Shard: sh.idx}
-		}
-	}
-	e.mu.RUnlock()
-	r := <-req.reply
-	return r.v, r.err
-}
-
-// send is post for control-plane operations (Log, Close, List, Snapshot,
-// ExportState, a standby's apply): they are rare enough that queueing is
-// preferable to spurious rejection.
-func (e *Engine) send(sh *shard, do func(*shard) (any, error)) (any, error) {
-	return e.post(sh, true, do)
-}
-
-// trySend is post for the high-rate data plane (Open, Input, InputBatch,
-// Install): shedding at a full mailbox bounds both memory and latency under
-// overload.
-func (e *Engine) trySend(sh *shard, do func(*shard) (any, error)) (any, error) {
-	return e.post(sh, false, do)
-}
-
-// onSession runs do on session id inside its shard's goroutine, or fails
-// with NotFoundError.
+// onSession runs do on session id under its shard's lock, or fails with
+// NotFoundError.
 func (e *Engine) onSession(id string, do func(*shard, *Session) (any, error)) (any, error) {
-	return e.send(e.shardFor(id), func(sh *shard) (any, error) {
+	return e.shardFor(id).run(true, func(sh *shard) (any, error) {
 		s, ok := sh.sessions[id]
 		if !ok {
 			return nil, &NotFoundError{ID: id}
@@ -539,7 +548,7 @@ func (e *Engine) Open(req *OpenRequest) (*Info, error) {
 // create brings the already-built session s into being under rec, its open
 // or install record, unless the engine already serves the ID.
 func (e *Engine) create(s *Session, rec *walRecord) (*Info, error) {
-	v, err := e.trySend(e.shardFor(s.id), func(sh *shard) (any, error) {
+	v, err := e.shardFor(s.id).run(false, func(sh *shard) (any, error) {
 		if _, ok := sh.sessions[s.id]; ok {
 			return nil, &ConflictError{ID: s.id}
 		}
@@ -576,7 +585,7 @@ func (e *Engine) InputKey(id, key string, in relation.Instance) (*StepResult, er
 // step, propose its record, answer with what applying it returned.
 func (e *Engine) step(id, key string, net bool, in relation.Instance, ext compose.StepInputs) (*StepResult, error) {
 	start := time.Now()
-	v, err := e.trySend(e.shardFor(id), func(sh *shard) (any, error) {
+	v, err := e.shardFor(id).run(false, func(sh *shard) (any, error) {
 		s, dup, err := sh.admit(id, key, net, in, ext)
 		if err != nil || dup != nil {
 			return dup, err
@@ -652,7 +661,7 @@ func (e *Engine) Close(id string) (*CloseResult, error) {
 func (e *Engine) List() ([]*Info, error) {
 	var all []*Info
 	for _, sh := range e.shards {
-		v, err := e.send(sh, func(sh *shard) (any, error) {
+		v, err := sh.run(true, func(sh *shard) (any, error) {
 			infos := make([]*Info, 0, len(sh.sessions))
 			for _, s := range sh.sessions {
 				infos = append(infos, s.info())
@@ -671,7 +680,7 @@ func (e *Engine) List() ([]*Info, error) {
 // Snapshot forces every shard to compact its WAL into a snapshot now.
 func (e *Engine) Snapshot() error {
 	for _, sh := range e.shards {
-		if _, err := e.send(sh, func(sh *shard) (any, error) {
+		if _, err := sh.run(true, func(sh *shard) (any, error) {
 			return nil, sh.maybeSnapshot(true)
 		}); err != nil {
 			return err
@@ -711,28 +720,44 @@ func (e *Engine) Stats() Stats {
 // Shards returns the number of shards (for reporting).
 func (e *Engine) Shards() int { return len(e.shards) }
 
-// Shutdown stops the engine cleanly: in-flight requests drain, each shard
-// takes a final snapshot (when durable), and WAL files are flushed and
-// closed. The engine rejects requests afterwards.
+// Shutdown stops the engine cleanly: each shard commits what is pending,
+// takes a final snapshot (when durable), and flushes and closes its WAL.
+// The engine rejects requests afterwards. Shutdown is idempotent: a second
+// call finds every shard closed and returns nil.
 func (e *Engine) Shutdown() error {
-	if e.cfg.Dir != "" {
-		if err := e.Snapshot(); err != nil {
-			return err
+	var first error
+	for _, sh := range e.shards {
+		if err := sh.shutdown(); err != nil && first == nil {
+			first = err
 		}
 	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil
-	}
-	e.closed = true
-	for _, sh := range e.shards {
-		close(sh.ch)
-	}
-	e.mu.Unlock()
 	e.wg.Wait()
 	unregisterEngine(e)
-	return nil
+	return first
+}
+
+// shutdown closes one shard under its lock. A failed final snapshot is
+// returned, but the store is closed all the same: its WAL still holds every
+// acknowledged record.
+func (sh *shard) shutdown() error {
+	sh.lock(true)
+	defer sh.mu.Unlock()
+	if sh.closed {
+		return nil
+	}
+	sh.closed = true
+	if sh.stop != nil {
+		close(sh.stop)
+	}
+	if sh.store == nil {
+		return nil
+	}
+	if sh.group != nil {
+		sh.groupCommit()
+	}
+	err := sh.maybeSnapshot(true)
+	sh.store.Close()
+	return err
 }
 
 // NotFoundError reports an operation on a session that does not exist.
@@ -753,11 +778,11 @@ type BadInputError struct{ Err error }
 func (err *BadInputError) Error() string { return err.Err.Error() }
 func (err *BadInputError) Unwrap() error { return err.Err }
 
-// OverloadedError reports a request rejected because its shard's mailbox
-// was full. The HTTP layer maps it to 429 Too Many Requests; clients
-// should back off and retry.
+// OverloadedError reports a data-plane request rejected because
+// MailboxDepth callers were already waiting for its shard. The HTTP layer
+// maps it to 429 Too Many Requests; clients should back off and retry.
 type OverloadedError struct{ Shard int }
 
 func (err *OverloadedError) Error() string {
-	return fmt.Sprintf("overloaded: shard %d mailbox full", err.Shard)
+	return fmt.Sprintf("overloaded: shard %d has too many callers waiting", err.Shard)
 }

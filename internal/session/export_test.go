@@ -403,9 +403,9 @@ func TestSnapshotSizeTracksStateNotHistory(t *testing.T) {
 	}
 }
 
-// TestMailboxOverload fills a depth-1 mailbox while the shard goroutine is
-// parked and checks the next Input is rejected with OverloadedError and
-// counted.
+// TestMailboxOverload parks a shard's lock, lets one caller queue behind it
+// so a depth-1 shard is at its bound, and checks the next Input is rejected
+// with OverloadedError, counted, and accepted again once the queue drains.
 func TestMailboxOverload(t *testing.T) {
 	e, err := NewEngine(Config{Shards: 1, MailboxDepth: 1})
 	if err != nil {
@@ -416,13 +416,14 @@ func TestMailboxOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Park the shard goroutine on a request that blocks until released,
-	// then fill the single mailbox slot with a second request.
+	// Park the shard on a request that holds its lock until released, then
+	// queue a second caller behind it.
+	sh := e.shards[0]
 	release := make(chan struct{})
 	parked := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		e.send(e.shards[0], func(*shard) (any, error) {
+		sh.run(true, func(*shard) (any, error) {
 			close(parked)
 			<-release
 			return nil, nil
@@ -432,11 +433,11 @@ func TestMailboxOverload(t *testing.T) {
 	<-parked
 	queued := make(chan struct{})
 	go func() {
-		e.send(e.shards[0], func(*shard) (any, error) { return nil, nil })
+		sh.run(true, func(*shard) (any, error) { return nil, nil })
 		close(queued)
 	}()
-	// Wait for the queued request to occupy the mailbox slot.
-	for len(e.shards[0].ch) == 0 {
+	// Wait for the queued caller to count itself as waiting for the lock.
+	for sh.waiting.Load() == 0 {
 		runtime.Gosched()
 	}
 
@@ -445,7 +446,7 @@ func TestMailboxOverload(t *testing.T) {
 	_, err = e.Input("s", in)
 	var over *OverloadedError
 	if !errors.As(err, &over) {
-		t.Fatalf("input with full mailbox: %v, want OverloadedError", err)
+		t.Fatalf("input with a full queue: %v, want OverloadedError", err)
 	}
 	if got := e.Stats().RejectedTotal; got != 1 {
 		t.Fatalf("RejectedTotal = %d, want 1", got)

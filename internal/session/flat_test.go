@@ -164,10 +164,10 @@ const parentSmallStepAllocs = 28
 // about two more; the test allows three there.
 const smallStepAllocs = 13
 
-// TestSmallStateStepAllocates is the control: the benchmark's wide_mem
-// shape — a 12-item catalogue shopped round and round, so the state never
-// passes 12 tuples a relation — must not pay for the resident form.
-func TestSmallStateStepAllocates(t *testing.T) {
+// smallShop is the benchmark's wide_mem shape: a 12-item catalogue and the
+// cycle that orders and pays for each item in turn, so a session shopping
+// round and round never holds more than 12 tuples a relation.
+func smallShop(t *testing.T) (relation.Instance, []relation.Instance) {
 	db := relation.NewInstance()
 	var cycle []relation.Instance
 	for i := 0; i < 12; i++ {
@@ -176,6 +176,13 @@ func TestSmallStateStepAllocates(t *testing.T) {
 		db.Add("available", relation.Tuple{relation.Const(item)})
 		cycle = append(cycle, step(t, fact("order", item)), step(t, fact("pay", item, price)))
 	}
+	return db, cycle
+}
+
+// TestSmallStateStepAllocates is the control: the smallShop session must
+// not pay for the resident form.
+func TestSmallStateStepAllocates(t *testing.T) {
+	db, cycle := smallShop(t)
 	s, err := newSession("small", &OpenRequest{Model: "short", DB: db})
 	if err != nil {
 		t.Fatal(err)
@@ -196,5 +203,41 @@ func TestSmallStateStepAllocates(t *testing.T) {
 	t.Logf("%.0f allocs per step (ceiling %d; on Machine.Step: %d)", got, ceiling, parentSmallStepAllocs)
 	if got > float64(ceiling) {
 		t.Fatalf("a small-state step allocates %.0f times, over the ceiling of %d", got, ceiling)
+	}
+}
+
+// engineInputAllocs is the ceiling on what one Engine.Input of
+// TestEngineInputAllocates allocates: exactly what the step itself does
+// (smallStepAllocs). A request runs on its caller's goroutine under the
+// shard lock, so its closure stays on the stack and there is no reply
+// channel; handing each request to a shard goroutine cost 16.
+const engineInputAllocs = 13
+
+// TestEngineInputAllocates pins the whole in-memory engine path of a step —
+// shard lock, admission, apply, result — on the smallShop script.
+func TestEngineInputAllocates(t *testing.T) {
+	db, cycle := smallShop(t)
+	e := memEngine(t, 1)
+	if _, err := e.Open(&OpenRequest{ID: "small", Model: "short", DB: db}); err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	shop := func() {
+		if _, err := e.Input("small", cycle[next%len(cycle)]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for range cycle {
+		shop()
+	}
+	got := testing.AllocsPerRun(20*len(cycle), shop)
+	ceiling := engineInputAllocs
+	if raceEnabled {
+		ceiling += 3
+	}
+	t.Logf("%.0f allocs per Engine.Input (ceiling %d)", got, ceiling)
+	if got > float64(ceiling) {
+		t.Fatalf("an Engine.Input allocates %.0f times, over the ceiling of %d", got, ceiling)
 	}
 }

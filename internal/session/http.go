@@ -329,7 +329,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // writeErr maps engine errors onto HTTP statuses: unknown session → 404,
-// client input problems → 400, duplicate open → 409, full mailbox or
+// client input problems → 400, duplicate open → 409, overloaded shard or
 // per-session rate limit → 429 (with Retry-After), frozen for handoff →
 // 503 (retryable: the ring is about to flip), everything else → 500.
 func writeErr(w http.ResponseWriter, err error) {

@@ -84,13 +84,13 @@ func refPast(m *core.Machine, seq relation.Sequence) relation.Instance {
 	return union
 }
 
-// tableOf reads an engine's whole session table, shard by shard, inside the
-// shard goroutines, then each session's past through Peek.
+// tableOf reads an engine's whole session table, shard by shard, under the
+// shard locks, then each session's past through Peek.
 func tableOf(t testing.TB, e *Engine) map[string]sessionFacts {
 	t.Helper()
 	table := make(map[string]sessionFacts)
 	for _, sh := range e.shards {
-		_, err := e.send(sh, func(sh *shard) (any, error) {
+		_, err := sh.run(true, func(sh *shard) (any, error) {
 			for id, s := range sh.sessions {
 				table[id] = sessionFacts{Steps: s.steps, Valid: s.valid(), Digest: s.logDigest(), Keys: s.keys.all()}
 			}
@@ -652,9 +652,9 @@ func TestFailStopOnBrokenWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The disk goes away under shard 0: its store is closed from inside the
-	// shard's own goroutine, which is the only one allowed to touch it.
-	if _, err := e.send(e.shards[0], func(sh *shard) (any, error) { return nil, sh.store.Close() }); err != nil {
+	// The disk goes away under shard 0: its store is closed under the
+	// shard's lock, which every toucher of the store holds.
+	if _, err := e.shards[0].run(true, func(sh *shard) (any, error) { return nil, sh.store.Close() }); err != nil {
 		t.Fatal(err)
 	}
 

@@ -10,7 +10,7 @@ import (
 )
 
 // metricsSet is one engine's counters. All fields are updated with atomics
-// so shard goroutines never contend on a lock for bookkeeping.
+// so callers never contend on a lock for bookkeeping.
 type metricsSet struct {
 	start            time.Time
 	sessionsOpen     atomic.Int64
@@ -52,7 +52,7 @@ type Stats struct {
 	Snapshots        int64   `json:"snapshots_total"`
 	ReplayMillis     float64 `json:"replay_ms"`
 	ReplayRecords    int64   `json:"replay_records"`
-	RejectedTotal    int64   `json:"rejected_total"`           // mailbox-full 429s
+	RejectedTotal    int64   `json:"rejected_total"`           // overloaded-shard 429s
 	RateLimited      int64   `json:"rate_limited_total"`       // per-session rate-limit 429s
 	ExportsTotal     int64   `json:"exports_total"`            // handoff exports served
 	HandoffsTotal    int64   `json:"handoffs_total"`           // sessions handed off (forgotten)

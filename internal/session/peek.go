@@ -3,9 +3,9 @@ package session
 import "repro/internal/relation"
 
 // View is a stable snapshot of a session for the live verification plane:
-// the machine identity, database, and cumulated past inputs, taken inside
-// the owning shard's goroutine. Because it is taken between steps (shard
-// FIFO), a View can never observe a torn mid-step state, and because the
+// the machine identity, database, and cumulated past inputs, taken under
+// the owning shard's lock. Because it is taken between steps (one lock
+// holder at a time), a View can never observe a torn mid-step state, and because the
 // session never writes what the View holds, verification reads it freely
 // while the session keeps stepping.
 //
@@ -46,7 +46,7 @@ type NodeView struct {
 
 // Peek returns a View of the session. Unlike ExportState it does not freeze the
 // session: it is the read primitive of the verification plane and has no
-// effect on the data plane beyond occupying one mailbox slot for as long as
+// effect on the data plane beyond holding the shard's lock for as long as
 // materializing the past takes. Peek works on frozen (mid-handoff) sessions
 // too — verifying a session that is being moved is legitimate.
 func (e *Engine) Peek(id string) (*View, error) {

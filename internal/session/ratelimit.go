@@ -14,8 +14,8 @@ import (
 // so restarts and handoffs start a fresh bucket, which errs on the side of
 // admitting work.
 
-// bucket is a session's token bucket. It is touched only inside the owning
-// shard's goroutine, like every other per-session field.
+// bucket is a session's token bucket. It is touched only under the owning
+// shard's lock, like every other per-session field.
 type bucket struct {
 	tokens float64
 	last   time.Time

@@ -16,11 +16,11 @@ import (
 // compaction, the snapshot's records) for one shard as long-pollable
 // batches, and AckWAL books the follower's applied LSN so Stats can report
 // lag. Both are safe from any goroutine: they touch only the store's
-// mutex-guarded replication view and an atomic, never the shard's owned
-// state.
+// mutex-guarded replication view and atomics, never the shard's lock —
+// which a semi-sync leader holds while it waits for this very ack.
 //
-// Follower side: ApplyReplicated feeds one such batch through the shard
-// goroutines into a standby engine — every record goes through the same
+// Follower side: ApplyReplicated feeds one such batch, under the shard
+// locks, into a standby engine — every record goes through the same
 // commit as a local write, so it is idempotent like WAL replay and appended
 // to the standby's OWN WAL, which makes a record acknowledged to the stream
 // durable on the follower under its fsync policy. A record that cannot
@@ -107,8 +107,8 @@ func (e *Engine) WALState() ([]ReplShardState, error) {
 }
 
 // AckWAL records the follower's applied LSN for one shard (monotonic: a
-// stale ack never regresses the gauge) and wakes the shard if it is holding
-// a semi-sync commit for this LSN. Safe from any goroutine.
+// stale ack never regresses the gauge) and wakes the shard's leader if it is
+// holding a semi-sync commit for this LSN. Safe from any goroutine.
 func (e *Engine) AckWAL(shard int, lsn int64) {
 	if shard < 0 || shard >= len(e.shards) {
 		return
@@ -301,7 +301,7 @@ func (e *Engine) replicate(rec *walRecord, built *Session) error {
 	if rec.SID == "" {
 		return &BadInputError{Err: fmt.Errorf("replicated %s record has no session id", rec.T)}
 	}
-	_, err := e.send(e.shardFor(rec.SID), func(sh *shard) (any, error) {
+	_, err := e.shardFor(rec.SID).run(true, func(sh *shard) (any, error) {
 		return nil, sh.commit(rec, fromPrimary, built, nil)
 	})
 	if err == nil {

@@ -4,9 +4,9 @@
 // mapping a customer's input-relation sequence to outputs and a durable log
 // (Section 2.1, Figures 1–2).
 //
-// Sessions are sharded across goroutine-owned shards by session ID, so
-// steps on different sessions never contend while steps on one session are
-// applied in FIFO order. Every applied event is appended to a per-shard
+// Sessions are sharded by session ID across shards, each a lock its callers
+// run their requests under, so steps on different shards never contend
+// while steps on one session apply one at a time. Every applied event is appended to a per-shard
 // write-ahead log of CRC-framed records (the interned binary codec by
 // default, see codec.go) and periodically compacted into snapshots; on
 // startup the engine replays snapshot + WAL, so the log — the paper's
@@ -39,8 +39,8 @@ type Session struct {
 	// it with verification.
 	db relation.Instance
 	// run holds the cumulated state resident in the step executor's form and
-	// steps on it in place (see core.Stepper); only the shard goroutine that
-	// owns the session touches it. A relation.Instance of the state exists
+	// steps on it in place (see core.Stepper); only the holder of the lock
+	// of the shard that owns the session touches it. A relation.Instance of the state exists
 	// only while a verification read holds one (Peek materializes it);
 	// images encode the resident rows (snapOf). It is
 	// the one copy of what the session keeps of its inputs — for a Spocus

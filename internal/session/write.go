@@ -84,8 +84,8 @@ func (sh *shard) admit(id, key string, net bool, in relation.Instance, ext compo
 //     skipped, a prefix of a batch record likewise; one that does not
 //     continue the table is a ReplGapError;
 //   - the session an open or install record describes is built, unless the
-//     caller built it already (built — entry points construct outside the
-//     shard goroutine);
+//     caller built it already (built — entry points construct before they
+//     take the shard's lock);
 //   - unless the record came from this shard's own log it is appended to it,
 //     before anything mutates: the enclosing group commit makes it durable
 //     and only then releases the caller's acknowledgement;
