@@ -239,3 +239,33 @@ func TestStandbyRefusesForeignSnapshotVersion(t *testing.T) {
 		t.Fatalf("reset batch of a foreign snapshot version: %v, want a version error", err)
 	}
 }
+
+// TestNetworkImageBytesPinned pins the encode side of a network session:
+// testdata/head_n1.ship is the ship image this engine writes for n1 (the
+// marketplace network on its widget script), and exporting n1 afresh must
+// reproduce it byte for byte, its digest the digest of the served joint log.
+func TestNetworkImageBytesPinned(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "head_n1.ship"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := compatOracle(t)
+	lr, err := e.Log("n1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.ExportState("n1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("n1's ship image is %d bytes that differ from the pinned %d", len(got), len(want))
+	}
+	se, err := DecodeStateExport(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := JointLogDigest(lr.Joint); se.Digest != d {
+		t.Fatalf("n1's image carries digest %s, its joint log digests to %s", se.Digest, d)
+	}
+}
