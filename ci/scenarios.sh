@@ -41,7 +41,9 @@ end() { echo "::endgroup::"; }
 section "Network golden, determinism and recovery suites"
 go test ./internal/session -run 'TestNetwork' -v 2>&1 | tee "$out/net.out"
 passed "$out/net.out" TestNetworkGoldenCompose TestNetworkGoldenEngine \
-	TestNetworkDeterminismQuick TestNetworkRecoverySnapshot
+	TestNetworkDeterminismQuick TestNetworkRecoverySnapshot \
+	TestNetworkShipInstall TestNetworkHTTPErrors \
+	TestNetworkImageBytesPinned TestNetworkLogRetentionIsFlat
 end
 
 section "Network cluster suites (router + handoff)"

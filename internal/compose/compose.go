@@ -297,8 +297,8 @@ func (n *Network) ExportState() *NetState {
 // RestoreState resumes a run from an exported state: the next StepOnce
 // continues at st.Steps+1 with st's delay buffer on the wires. Unknown
 // node names are rejected; nodes absent from st.States keep empty state.
+// It starts the run itself, building each node's stepper once.
 func (n *Network) RestoreState(st *NetState) error {
-	n.Start()
 	for name := range st.States {
 		if _, ok := n.nodes[name]; !ok {
 			return fmt.Errorf("compose: restore: unknown node %s", name)
@@ -309,14 +309,15 @@ func (n *Network) RestoreState(st *NetState) error {
 			return fmt.Errorf("compose: restore: unknown node %s", name)
 		}
 	}
-	for name, s := range st.States {
+	for _, name := range n.order {
 		node := n.nodes[name]
-		run, err := node.M.NewStepper(node.DB, s)
+		run, err := node.M.NewStepper(node.DB, st.States[name])
 		if err != nil {
 			return fmt.Errorf("compose: restore: node %s: %w", name, err)
 		}
 		node.run = run
 	}
+	n.started = true
 	n.prevOut = StepInputs{}
 	for name, out := range st.PrevOut {
 		n.prevOut[name] = out.Clone()

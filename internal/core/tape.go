@@ -73,6 +73,13 @@ func (lay *tapeLayout) index(name string) int {
 // NewLogTape returns an empty log tape for a run of m.
 func (m *Machine) NewLogTape() *LogTape { return &LogTape{lay: m.tape} }
 
+// NewLogTape returns an empty tape over the relations rels declares, for a
+// log no one machine writes (a network's wire traffic), interning its
+// constants into in.
+func NewLogTape(rels relation.Schema, in *ra.Interner) *LogTape {
+	return &LogTape{lay: newTapeLayout(&Schema{Out: rels, Log: rels.Names()}, in)}
+}
+
 // Len returns the number of steps on the tape.
 func (t *LogTape) Len() int { return len(t.ends) }
 
@@ -281,24 +288,34 @@ func (t *LogTape) View() *LogTape {
 func (t *LogTape) Encode(w ra.Writer) {
 	syms := t.lay.in.Symbols()
 	w.Uvarint(uint64(len(t.ends)))
-	var at uint32
-	for _, end := range t.ends {
-		recs := 0
-		for p := at; p < end; recs++ {
-			p += 2 + t.words[p+1]*uint32(t.lay.arity[t.words[p]])
+	for i := range t.ends {
+		t.encodeStep(w, syms, i)
+	}
+}
+
+// EncodeStep writes step i (0-based) as codec.Encoder.Instance writes its
+// delta, without decoding it.
+func (t *LogTape) EncodeStep(w ra.Writer, i int) {
+	t.encodeStep(w, t.lay.in.Symbols(), i)
+}
+
+func (t *LogTape) encodeStep(w ra.Writer, syms []relation.Const, i int) {
+	at, end := t.start(i), t.ends[i]
+	recs := 0
+	for p := at; p < end; recs++ {
+		p += 2 + t.words[p+1]*uint32(t.lay.arity[t.words[p]])
+	}
+	w.Uvarint(uint64(recs))
+	for at < end {
+		idx, n := t.words[at], t.words[at+1]
+		a := uint32(t.lay.arity[idx])
+		w.Str(t.lay.names[idx])
+		w.Uvarint(uint64(a))
+		w.Uvarint(uint64(n))
+		for _, s := range t.words[at+2 : at+2+n*a] {
+			w.Str(string(syms[s]))
 		}
-		w.Uvarint(uint64(recs))
-		for at < end {
-			idx, n := t.words[at], t.words[at+1]
-			a := uint32(t.lay.arity[idx])
-			w.Str(t.lay.names[idx])
-			w.Uvarint(uint64(a))
-			w.Uvarint(uint64(n))
-			for _, s := range t.words[at+2 : at+2+n*a] {
-				w.Str(string(syms[s]))
-			}
-			at += 2 + n*a
-		}
+		at += 2 + n*a
 	}
 }
 

@@ -122,7 +122,7 @@ func (sh *shard) stepGroup(id string, idxs []int, items []BatchItem, out []Batch
 			dups = append(dups, pendingDup{idx: i, seq: seq})
 			continue
 		}
-		adm, dup, err := sh.admit(id, it.Key, false, it.Input, nil)
+		adm, dup, err := sh.admit(id, it.Key, it.Input)
 		if err != nil || dup != nil {
 			out[i] = BatchResult{Result: dup, Err: err}
 			continue

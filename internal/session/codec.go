@@ -329,7 +329,7 @@ func encodeNetImage(e *codec.Encoder, net *NetImage) error {
 	if net.State != nil {
 		flags |= netHasState
 	}
-	if net.Joint != nil {
+	if net.Joint != nil || net.log != nil {
 		flags |= netHasJoint
 	}
 	e.Uvarint(flags)
@@ -360,7 +360,9 @@ func encodeNetImage(e *codec.Encoder, net *NetImage) error {
 			e.InstanceMap(net.State.PrevOut)
 		}
 	}
-	if net.Joint != nil {
+	if net.log != nil {
+		net.log.encode(e)
+	} else if net.Joint != nil {
 		encodeJoint(e, net.Joint)
 	}
 	return nil
@@ -404,21 +406,27 @@ func decodeNetImage(r *codec.Reader) (*NetImage, error) {
 }
 
 // encodeJoint appends a network session's joint log — the canonical form
-// JointLogDigest hashes, so its encoding must stay deterministic.
+// JointLogDigest hashes, so its encoding must stay deterministic. A live
+// session writes the same bytes from its tapes (netRun.encode).
 func encodeJoint(e *codec.Encoder, joint []JointLogEntry) {
 	e.Uvarint(uint64(len(joint)))
 	for _, je := range joint {
 		e.StepInputs(je.Logs)
-		e.Uvarint(uint64(len(je.Wire)))
-		for _, wd := range je.Wire {
-			e.Str(wd.From)
-			e.Str(wd.Output)
-			e.Str(wd.To)
-			e.Str(wd.Input)
-			e.Uvarint(uint64(len(wd.Facts)))
-			for _, t := range wd.Facts {
-				e.Tuple(t)
-			}
+		encodeWire(e, je.Wire)
+	}
+}
+
+// encodeWire appends one joint step's wire traffic.
+func encodeWire(e *codec.Encoder, wire []compose.WireDelta) {
+	e.Uvarint(uint64(len(wire)))
+	for _, wd := range wire {
+		e.Str(wd.From)
+		e.Str(wd.Output)
+		e.Str(wd.To)
+		e.Str(wd.Input)
+		e.Uvarint(uint64(len(wd.Facts)))
+		for _, t := range wd.Facts {
+			e.Tuple(t)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -197,11 +196,6 @@ type shard struct {
 func NewEngine(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	e := &Engine{cfg: cfg, m: &metricsSet{start: time.Now()}}
-	if cfg.Dir != "" {
-		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-			return nil, err
-		}
-	}
 	start := time.Now()
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{
@@ -578,20 +572,23 @@ func (e *Engine) Input(id string, in relation.Instance) (*StepResult, error) {
 // promotion; that is what lets the router retry an ambiguous 502 without
 // risking a double step.
 func (e *Engine) InputKey(id, key string, in relation.Instance) (*StepResult, error) {
-	return e.step(id, key, false, in, nil)
+	return e.step(id, key, in)
 }
 
 // step is the single-step entry behind InputKey and NetInputKey: admit the
-// step, propose its record, answer with what applying it returned.
-func (e *Engine) step(id, key string, net bool, in relation.Instance, ext compose.StepInputs) (*StepResult, error) {
+// step, propose its record, answer with what applying it returned. input is
+// a machine's relation.Instance or a network's compose.StepInputs.
+func (e *Engine) step(id, key string, input any) (*StepResult, error) {
 	start := time.Now()
 	v, err := e.shardFor(id).run(false, func(sh *shard) (any, error) {
-		s, dup, err := sh.admit(id, key, net, in, ext)
+		s, dup, err := sh.admit(id, key, input)
 		if err != nil || dup != nil {
 			return dup, err
 		}
 		var res [1]*StepResult
-		rec := &walRecord{T: recStep, SID: id, Seq: s.steps + 1, Input: in, NetIn: ext, Key: key}
+		rec := &walRecord{T: recStep, SID: id, Seq: s.steps + 1, Key: key}
+		rec.Input, _ = input.(relation.Instance)
+		rec.NetIn, _ = input.(compose.StepInputs)
 		if err := sh.commit(rec, fromAPI, nil, res[:]); err != nil {
 			return nil, err
 		}
@@ -643,13 +640,8 @@ func (e *Engine) Close(id string) (*CloseResult, error) {
 		if err := sh.commit(&walRecord{T: recClose, SID: id}, fromAPI, nil, nil); err != nil {
 			return nil, err
 		}
-		res := &CloseResult{ID: id, Steps: s.steps, Valid: s.valid()}
-		if s.net != nil {
-			res.Joint = s.net.joint
-		} else {
-			res.Log = s.log()
-		}
-		return res, nil
+		lr := s.logResult()
+		return &CloseResult{ID: id, Steps: s.steps, Valid: s.valid(), Log: lr.Log, Joint: lr.Joint}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package session
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -233,9 +234,10 @@ func TestConcurrentSessions(t *testing.T) {
 // TestRecovery is the in-process crash test: an engine with a durable dir
 // is abandoned without Shutdown (its WAL is fsynced per policy), and a
 // fresh engine over the same dir must serve identical logs and accept
-// further steps.
+// further steps. The dir is nested under directories that do not exist
+// yet: opening the store creates them.
 func TestRecovery(t *testing.T) {
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "not", "yet")
 	wantOut, wantLogs := fig1Reference(t)
 
 	e1, err := NewEngine(Config{Dir: dir, Shards: 2, Fsync: FsyncAlways})

@@ -63,7 +63,7 @@ func (e *Engine) ExportState(id string) ([]byte, error) {
 		s.frozen = true
 		sh.m.exports.Add(1)
 		img := snapOf(s)
-		data, err := EncodeStateExport(&StateExport{Image: &img, Digest: s.logDigest()})
+		data, err := EncodeStateExport(&StateExport{Image: &img, Digest: s.run.digest()})
 		sh.shipBytesTotal.Add(int64(len(data)))
 		return data, err
 	})
@@ -93,7 +93,7 @@ func (e *Engine) Install(data []byte) (*Info, error) {
 	if err != nil {
 		return nil, &BadInputError{Err: fmt.Errorf("install: %w", err)}
 	}
-	if got := s.logDigest(); got != se.Digest {
+	if got := s.run.digest(); got != se.Digest {
 		return nil, &BadInputError{Err: fmt.Errorf("install: log digest mismatch for %s: source %s, restored %s", id, se.Digest, got)}
 	}
 	info, err := e.create(s, &walRecord{T: recInstall, SID: id, Image: se.Image})

@@ -111,7 +111,7 @@ func TestStepCostIsFlatInDepth(t *testing.T) {
 				t.Fatalf("a step at depth 4096 costs %.0f allocs and %d rows pulled, at depth 16 %.0f and %d: the step path depends on the state's size",
 					deepAllocs, deepRows, shallowAllocs, shallowRows)
 			}
-			if last := s.tape.Delta(s.tape.Len() - 1); last.Rel(tc.fires).Len() != 1 {
+			if last := machineOf(s).tape.Delta(s.steps - 1); last.Rel(tc.fires).Len() != 1 {
 				t.Fatalf("the measured step logged %v: it did not fire the %s rule it is meant to cost", last, tc.fires)
 			}
 		})
@@ -135,7 +135,7 @@ func TestGoalGroundingLinearInDepth(t *testing.T) {
 		s, _ := shopAt(t, depth, 1) // one item ordered and not yet paid
 		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 		defer cancel()
-		res, err := verify.ReachGoalFrom(s.mach, s.db, relation.Sequence{s.run.Past()}, g, &verify.Options{Context: ctx})
+		res, err := verify.ReachGoalFrom(machineOf(s).mach, machineOf(s).db, relation.Sequence{machineOf(s).stepper.Past()}, g, &verify.Options{Context: ctx})
 		if err != nil {
 			t.Fatalf("deliver(X) at depth %d: %v", depth, err)
 		}

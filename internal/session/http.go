@@ -134,6 +134,10 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 		if key == "" {
 			key = req.Key
 		}
+		var input any = req.Input
+		if req.Input == nil {
+			input = relation.NewInstance()
+		}
 		if req.Node != "" || req.Inputs != nil {
 			ext := compose.StepInputs{}
 			for name, in := range req.Inputs {
@@ -153,18 +157,9 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 					ext[req.Node] = facts
 				}
 			}
-			res, err := e.NetInputKey(id, key, ext)
-			if err != nil {
-				writeErr(w, err)
-				return
-			}
-			writeJSON(w, http.StatusOK, res)
-			return
+			input = ext
 		}
-		if req.Input == nil {
-			req.Input = relation.NewInstance()
-		}
-		res, err := e.InputKey(id, key, req.Input)
+		res, err := e.step(id, key, input)
 		if err != nil {
 			writeErr(w, err)
 			return

@@ -84,21 +84,21 @@ func TestImagesEncodeFromResidentState(t *testing.T) {
 			t.Helper()
 			img := snapOf(s)
 			got := encodeImage(t, &img)
-			if want := sequenceImage(kindImage, "", &img, s.run.State(), s.log(), keys); !bytes.Equal(got, want) {
+			if want := sequenceImage(kindImage, "", &img, machineOf(s).stepper.State(), machineOf(s).log(), keys); !bytes.Equal(got, want) {
 				t.Fatalf("seed %d step %d: the image differs from the one encoded from the materialized state", seed, step)
 			}
-			ship, err := EncodeStateExport(&StateExport{Image: &img, Digest: s.logDigest()})
+			ship, err := EncodeStateExport(&StateExport{Image: &img, Digest: s.run.digest()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := sequenceImage(kindStateExport, s.logDigest(), &img, s.run.State(), s.log(), keys); !bytes.Equal(ship, want) {
+			if want := sequenceImage(kindStateExport, s.run.digest(), &img, machineOf(s).stepper.State(), machineOf(s).log(), keys); !bytes.Equal(ship, want) {
 				t.Fatalf("seed %d step %d: the ship image differs from the one encoded from the materialized state", seed, step)
 			}
 			earlier = append(earlier, taken{img, got})
 		}
 		for step := 1; step <= 40; step++ {
 			in := input(r)
-			if err := s.validateInput(in); err != nil {
+			if err := s.run.check(s.id, s.steps+1, in); err != nil {
 				t.Fatal(err)
 			}
 			key := ""

@@ -92,7 +92,7 @@ func tableOf(t testing.TB, e *Engine) map[string]sessionFacts {
 	for _, sh := range e.shards {
 		_, err := sh.run(true, func(sh *shard) (any, error) {
 			for id, s := range sh.sessions {
-				table[id] = sessionFacts{Steps: s.steps, Valid: s.valid(), Digest: s.logDigest(), Keys: s.keys.all()}
+				table[id] = sessionFacts{Steps: s.steps, Valid: s.valid(), Digest: s.run.digest(), Keys: s.keys.all()}
 			}
 			return nil, nil
 		})

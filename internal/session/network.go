@@ -2,14 +2,17 @@ package session
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/codec"
 	"repro/internal/compose"
 	"repro/internal/core"
 	"repro/internal/models"
+	"repro/internal/ra"
+	"repro/internal/relation"
 )
 
-// Network sessions: one session owning a whole compose.Network. Every
+// Network sessions: one session running a whole compose.Network. Every
 // POST /input advances all members one synchronous step under unit-delay
 // wiring and appends ONE WAL record carrying the step's external inputs —
 // the joint step is atomic by construction: either the whole network
@@ -19,19 +22,17 @@ import (
 // guarantees of a single-machine session, with the joint log (per-node log
 // deltas plus wire traffic) as the semantically significant object.
 
-// netResolver resolves registry model names inside network specs.
-var netResolver compose.Resolver = models.Resolve
-
-// netRun is the network counterpart of a Session's machine/state/log
-// fields. The owning Session keeps its id, mode, step counter, acceptance
-// flags, freeze mark, and rate bucket; this struct owns everything that is
-// network-shaped.
+// netRun is a session's run of a network. Its joint log is held flat, as
+// a machine's log is: each node's log deltas on a tape of the node's
+// machine, and the wire traffic on a tape over the wired output relations,
+// qualified by their node (wireRel). JointLogEntry values are decoded from
+// the tapes only when a read asks for them.
 type netRun struct {
-	spec *compose.Spec
-	nw   *compose.Network
-	// joint is the per-step joint log: each entry holds every node's log
-	// delta plus the wire traffic the step consumed. The durable object.
-	joint []JointLogEntry
+	spec  *compose.Spec
+	nw    *compose.Network
+	nodes []string        // in name order, the order the codec writes them in
+	logs  []*core.LogTape // logs[k] is nodes[k]'s
+	wire  *core.LogTape
 }
 
 // JointLogEntry is one step of a network session's durable log: the
@@ -42,91 +43,210 @@ type JointLogEntry struct {
 	Wire []compose.WireDelta `json:"wire,omitempty"`
 }
 
-// newNetSession builds a network session from its spec: the spec is cloned
-// and validated by building the network, so a bad spec is rejected before
-// anything is logged.
-func newNetSession(id string, req *OpenRequest, mode core.AcceptMode) (*Session, error) {
+// newNetRun builds a network run from the spec req carries: the spec is
+// cloned and validated by building the network, so a bad spec is rejected
+// before anything is logged.
+func newNetRun(req *OpenRequest) (*netRun, error) {
 	if req.Model != "" || req.Src != "" {
 		return nil, fmt.Errorf("open: network is mutually exclusive with model and src")
 	}
 	if req.DB != nil {
 		return nil, fmt.Errorf("open: network nodes carry their own databases")
 	}
-	spec := req.Network.Clone()
-	nw, err := spec.Build(netResolver)
+	r, err := buildNetRun(req.Network.Clone(), nil)
 	if err != nil {
 		return nil, fmt.Errorf("open: %w", err)
 	}
-	nw.Start()
-	return &Session{
-		id:        id,
-		mode:      mode,
-		errorFree: true,
-		okEvery:   true,
-		net:       &netRun{spec: spec, nw: nw},
-	}, nil
+	return r, nil
 }
 
-// validateNetInput rejects unknown nodes and unknown or wrongly-typed input
-// relations before anything is logged, mirroring validateInput.
-func (s *Session) validateNetInput(ext compose.StepInputs) error {
+// buildNetRun builds spec's network, started from state (the run state of
+// an image; nil for a fresh run), with an empty joint log.
+func buildNetRun(spec *compose.Spec, state *compose.NetState) (*netRun, error) {
+	nw, err := spec.Build(models.Resolve)
+	if err != nil {
+		return nil, err
+	}
+	if state == nil {
+		nw.Start()
+	} else if err := nw.RestoreState(state); err != nil {
+		return nil, err
+	}
+	r := &netRun{spec: spec, nw: nw, nodes: nw.Nodes()}
+	sort.Strings(r.nodes)
+	for _, name := range r.nodes {
+		r.logs = append(r.logs, nw.Node(name).M.NewLogTape())
+	}
+	wires := make(relation.Schema, len(spec.Wires))
+	for j, w := range spec.Wires {
+		a, _ := nw.Node(w.From).M.Schema().Out.Arity(w.Output)
+		wires[j] = relation.Decl{Name: wireRel(w.From, w.Output), Arity: a}
+	}
+	r.wire = core.NewLogTape(wires, ra.NewInterner())
+	return r, nil
+}
+
+func (r *netRun) check(id string, seq int, input any) error {
+	ext, ok := input.(compose.StepInputs)
+	if !ok {
+		return fmt.Errorf("session %s is a network session; address inputs per node", id)
+	}
 	for name, in := range ext {
-		node := s.net.nw.Node(name)
+		node := r.nw.Node(name)
 		if node == nil {
-			return fmt.Errorf("step %d: no node %s in network", s.steps+1, name)
+			return fmt.Errorf("step %d: no node %s in network", seq, name)
 		}
 		if e := node.M.Schema().CheckInput(in); e != nil {
 			if e.Want < 0 {
-				return fmt.Errorf("step %d: %w of node %s", s.steps+1, e, name)
+				return fmt.Errorf("step %d: %w of node %s", seq, e, name)
 			}
-			return fmt.Errorf("step %d: node %s %w", s.steps+1, name, e)
+			return fmt.Errorf("step %d: node %s %w", seq, name, e)
 		}
 	}
 	return nil
 }
 
-// applyNet performs one validated joint transition: every node steps on its
-// external inputs unioned with last step's wired outputs, the joint log
-// entry is appended, and acceptance flags aggregate across nodes (any error
-// fact breaks error-freeness; ok-every-step and accept-at-end require every
-// node to emit ok / accept).
-func (s *Session) applyNet(ext compose.StepInputs) (*StepResult, error) {
-	if ext == nil {
-		ext = compose.StepInputs{}
+// step is one joint transition: every node steps on its external inputs
+// unioned with last step's wired outputs. An empty joint step's record
+// carries no inputs, so input may be a nil instance then.
+func (r *netRun) step(input any, res *StepResult) (errFact, ok, accept bool) {
+	ext, _ := input.(compose.StepInputs)
+	js := r.nw.StepOnce(ext)
+	_ = r.add(js.Logs, js.Wire) // the network's own exchange always fits it
+	ok, accept = true, true
+	for _, out := range js.Outputs {
+		errFact = errFact || out.Rel(core.ErrorRel).Len() > 0
+		ok = ok && out.Rel(core.OKRel).Len() > 0
+		accept = accept && out.Rel(core.AcceptRel).Len() > 0
 	}
-	js := s.net.nw.StepOnce(ext)
-	s.net.joint = append(s.net.joint, JointLogEntry{Logs: js.Logs, Wire: js.Wire})
-	s.steps++
-	allOK, allAccept := true, true
-	for _, name := range s.net.nw.Nodes() {
-		out := js.Outputs[name]
-		if out.Rel(core.ErrorRel).Len() > 0 {
-			s.errorFree = false
-		}
-		if out.Rel(core.OKRel).Len() == 0 {
-			allOK = false
-		}
-		if out.Rel(core.AcceptRel).Len() == 0 {
-			allAccept = false
-		}
-	}
-	if !allOK {
-		s.okEvery = false
-	}
-	s.lastAccept = allAccept
 	// Clone what escapes the shard: js.Outputs doubles as the network's
-	// unit-delay buffer and js.Logs/js.Wire as the durable joint log, so a
-	// caller mutating the result must not reach them.
-	wire := make([]compose.WireDelta, len(js.Wire))
-	copy(wire, js.Wire)
-	return &StepResult{
-		ID:      s.id,
-		Seq:     s.steps,
-		Outputs: cloneStepInputs(js.Outputs),
-		Logs:    cloneStepInputs(js.Logs),
-		Wire:    wire,
-		Valid:   s.valid(),
-	}, nil
+	// unit-delay buffer, and the log deltas share its relations.
+	res.Outputs, res.Logs, res.Wire = cloneStepInputs(js.Outputs), cloneStepInputs(js.Logs), js.Wire
+	return errFact, ok, accept
+}
+
+// wireRel names the wire tape's relation for node's output relation out:
+// every wire from it carries its facts. Relation names hold no spaces.
+func wireRel(node, out string) string { return node + " " + out }
+
+// add appends one joint step to the log, refusing relations the network
+// does not log or wire.
+func (r *netRun) add(logs compose.StepInputs, wire []compose.WireDelta) error {
+	traffic := relation.NewInstance()
+	for _, wd := range wire {
+		for _, f := range wd.Facts {
+			rel := traffic.Ensure(wireRel(wd.From, wd.Output), len(f))
+			if rel.Arity() != len(f) {
+				return fmt.Errorf("wire from %s.%s carries tuples of two arities", wd.From, wd.Output)
+			}
+			rel.Add(f)
+		}
+	}
+	if err := r.wire.Load(relation.Sequence{traffic}); err != nil {
+		return err
+	}
+	for k, name := range r.nodes {
+		if err := r.logs[k].Load(relation.Sequence{logs[name]}); err != nil {
+			return fmt.Errorf("node %s: %w", name, err)
+		}
+	}
+	return nil
+}
+
+// entry decodes step i (0-based) of the joint log.
+func (r *netRun) entry(i int) JointLogEntry {
+	je := JointLogEntry{Logs: make(compose.StepInputs, len(r.nodes)), Wire: r.wireAt(i)}
+	for k, name := range r.nodes {
+		je.Logs[name] = r.logs[k].Delta(i)
+	}
+	return je
+}
+
+// wireAt decodes the wire traffic of step i, in the spec's wire order.
+func (r *netRun) wireAt(i int) []compose.WireDelta {
+	traffic := r.wire.Delta(i)
+	var wire []compose.WireDelta
+	for _, w := range r.spec.Wires {
+		if rel := traffic[wireRel(w.From, w.Output)]; rel.Len() > 0 {
+			wire = append(wire, compose.WireDelta{From: w.From, Output: w.Output, To: w.To, Input: w.Input, Facts: rel.Tuples()})
+		}
+	}
+	return wire
+}
+
+func (r *netRun) logStep(i int, res *StepResult) {
+	if i < r.wire.Len() {
+		je := r.entry(i)
+		res.Logs, res.Wire = je.Logs, je.Wire
+	}
+}
+
+func (r *netRun) readLog(lr *LogResult) {
+	lr.Joint = make([]JointLogEntry, r.wire.Len())
+	for i := range lr.Joint {
+		lr.Joint[i] = r.entry(i)
+	}
+}
+
+// encode writes the joint log as encodeJoint writes its entries, byte for
+// byte, the node logs straight from their tapes.
+func (r *netRun) encode(e *codec.Encoder) {
+	e.Uvarint(uint64(r.wire.Len()))
+	for i := 0; i < r.wire.Len(); i++ {
+		e.Uvarint(uint64(len(r.nodes)))
+		for k, name := range r.nodes {
+			e.Str(name)
+			r.logs[k].EncodeStep(e, i)
+		}
+		encodeWire(e, r.wireAt(i))
+	}
+}
+
+func (r *netRun) digest() string { return digest(r.encode) }
+
+func (r *netRun) view(v *View) {
+	v.Nodes = make(map[string]*NodeView, len(r.spec.Nodes))
+	for _, ns := range r.spec.Nodes {
+		v.Nodes[ns.Name] = &NodeView{Model: ns.Model, Src: ns.Src, DB: r.nw.Node(ns.Name).DB, Past: r.nw.Past(ns.Name)}
+	}
+}
+
+// image shares the log as it is now: views of the tapes, which the run's
+// later steps do not disturb (see core.LogTape.View).
+func (r *netRun) image(img *Image) {
+	img.Net = &NetImage{Spec: r.spec, State: r.nw.ExportState()}
+	if r.wire.Len() > 0 {
+		img.Net.log = &netRun{spec: r.spec, nodes: r.nodes, wire: r.wire.View()}
+		for _, t := range r.logs {
+			img.Net.log.logs = append(img.Net.log.logs, t.View())
+		}
+	}
+}
+
+func (r *netRun) open(rec *walRecord) { rec.Network = r.spec }
+
+func (r *netRun) describe(inf *Info) {
+	inf.Name, inf.Network, inf.Nodes = "network", true, r.nw.Nodes()
+}
+
+// restore rebuilds a network run from its image: the network is
+// built from its spec and started from the image's run state (per-node
+// states + unit-delay buffer), so the next joint step continues exactly
+// where the image left off, and the joint log goes onto the run's tapes.
+func (ni *NetImage) restore() (*netRun, error) {
+	if ni.Spec == nil {
+		return nil, fmt.Errorf("snapshot: network image has no spec")
+	}
+	r, err := buildNetRun(ni.Spec, ni.State)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
+	}
+	for i, je := range ni.Joint {
+		if err := r.add(je.Logs, je.Wire); err != nil {
+			return nil, fmt.Errorf("snapshot: joint log step %d: %w", i+1, err)
+		}
+	}
+	return r, nil
 }
 
 // NetInput feeds one joint step to a network session: external inputs
@@ -142,7 +262,7 @@ func (e *Engine) NetInput(id string, ext compose.StepInputs) (*StepResult, error
 // joint step under answers that step back (Duplicate set) instead of
 // advancing the network again.
 func (e *Engine) NetInputKey(id, key string, ext compose.StepInputs) (*StepResult, error) {
-	return e.step(id, key, true, nil, ext)
+	return e.step(id, key, ext)
 }
 
 // JointLogDigest is the canonical digest of a network session's joint log:
@@ -153,14 +273,6 @@ func JointLogDigest(joint []JointLogEntry) string {
 	return digest(func(enc *codec.Encoder) { encodeJoint(enc, joint) })
 }
 
-// logDigest is the session's digest under either kind.
-func (s *Session) logDigest() string {
-	if s.net != nil {
-		return JointLogDigest(s.net.joint)
-	}
-	return digest(func(enc *codec.Encoder) { s.tape.Encode(enc) })
-}
-
 func cloneStepInputs(ext compose.StepInputs) compose.StepInputs {
 	c := make(compose.StepInputs, len(ext))
 	for name, in := range ext {
@@ -169,19 +281,14 @@ func cloneStepInputs(ext compose.StepInputs) compose.StepInputs {
 	return c
 }
 
-func cloneJoint(joint []JointLogEntry) []JointLogEntry {
-	c := make([]JointLogEntry, len(joint))
-	for i, je := range joint {
-		c[i] = JointLogEntry{Logs: cloneStepInputs(je.Logs), Wire: make([]compose.WireDelta, len(je.Wire))}
-		copy(c[i].Wire, je.Wire)
-	}
-	return c
-}
-
 // NetImage is the network part of a snapshot Image: the spec (identity),
-// the run state (per-node states + unit-delay buffer), and the joint log.
+// the run state (per-node states + unit-delay buffer), and the joint log —
+// as values in a decoded image, which is what restores; an image snapOf
+// built, which is only encoded, holds views of the run's tapes (log).
 type NetImage struct {
 	Spec  *compose.Spec     `json:"spec"`
 	State *compose.NetState `json:"state"`
 	Joint []JointLogEntry   `json:"joint,omitempty"`
+
+	log *netRun
 }

@@ -5,18 +5,19 @@ import "repro/internal/relation"
 // View is a stable snapshot of a session for the live verification plane:
 // the machine identity, database, and cumulated past inputs, taken under
 // the owning shard's lock. Because it is taken between steps (one lock
-// holder at a time), a View can never observe a torn mid-step state, and because the
-// session never writes what the View holds, verification reads it freely
-// while the session keeps stepping.
+// holder at a time), a View can never observe a torn mid-step state, and
+// because the session never writes what the View holds, verification reads
+// it freely while the session keeps stepping.
 //
 // A View is read-only. DB is the session's own database, which nothing
 // writes for the session's whole life, so the View shares it rather than
 // copying it; Past is materialized afresh from the stepper's resident state
 // for each Peek. A caller that wants to edit either clones it first.
 //
-// For a network session Nodes is set instead of the machine-shaped fields:
-// one NodeView per member, each a verifiable machine in its own right
-// (verification queries address a node with ?node=).
+// The session fills ID and Steps and its runner the rest: a machine run
+// the machine-shaped fields, a network run Nodes, one NodeView per member,
+// each a verifiable machine in its own right (verification queries address
+// a node with ?node=).
 type View struct {
 	ID    string
 	Model string
@@ -51,29 +52,16 @@ type NodeView struct {
 // too — verifying a session that is being moved is legitimate.
 func (e *Engine) Peek(id string) (*View, error) {
 	v, err := e.onSession(id, func(_ *shard, s *Session) (any, error) {
-		if s.net != nil {
-			nodes := make(map[string]*NodeView, len(s.net.spec.Nodes))
-			for _, ns := range s.net.spec.Nodes {
-				nodes[ns.Name] = &NodeView{
-					Model: ns.Model,
-					Src:   ns.Src,
-					DB:    s.net.nw.Node(ns.Name).DB,
-					Past:  s.net.nw.Past(ns.Name),
-				}
-			}
-			return &View{ID: s.id, Steps: s.steps, Nodes: nodes}, nil
-		}
-		return &View{
-			ID:    s.id,
-			Model: s.model,
-			Src:   s.src,
-			Steps: s.steps,
-			DB:    s.db,
-			Past:  s.run.Past(),
-		}, nil
+		v := &View{ID: s.id, Steps: s.steps}
+		s.run.view(v)
+		return v, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return v.(*View), nil
+}
+
+func (r *machineRun) view(v *View) {
+	v.Model, v.Src, v.DB, v.Past = r.model, r.src, r.db, r.stepper.Past()
 }

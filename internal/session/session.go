@@ -18,6 +18,7 @@ package session
 import (
 	"fmt"
 
+	"repro/internal/codec"
 	"repro/internal/compose"
 	"repro/internal/core"
 	"repro/internal/models"
@@ -27,36 +28,18 @@ import (
 // Session is one live run of a transducer: the paper's (database, input
 // sequence) run unrolled over time, holding only the cumulative state and
 // the log — outputs are returned to the client at each step and not
-// retained.
+// retained. What it runs is one runner: a single machine (machineRun) or a
+// network of machines stepped jointly (netRun, see network.go), which the
+// paper's §5 composes into one transducer. The session keeps what either
+// kind has — identity, mode, step count, acceptance flags, freeze mark,
+// rate bucket, dedupe table — and asks its runner for the rest.
 type Session struct {
-	id    string
-	model string // registry name, "" when built from inline source
-	src   string // inline program source, "" when built from the registry
-	mode  core.AcceptMode
-	mach  *core.Machine
-	// db is the session's database, fixed at open: nothing writes it for the
-	// session's whole life, so the stepper reads it in place and Peek shares
-	// it with verification.
-	db relation.Instance
-	// run holds the cumulated state resident in the step executor's form and
-	// steps on it in place (see core.Stepper); only the holder of the lock
-	// of the shard that owns the session touches it. A relation.Instance of the state exists
-	// only while a verification read holds one (Peek materializes it);
-	// images encode the resident rows (snapOf). It is
-	// the one copy of what the session keeps of its inputs — for a Spocus
-	// machine the state is the cumulated input itself (past-R) — so the
-	// input sequence lives only in the WAL until compaction folds it into a
-	// snapshot, and memory and images stay O(state + log).
-	run *core.Stepper
-	// tape is the log, the durable object: every step's delta, appended by
-	// apply and held flat (see core.LogTape), so a session's history costs
-	// the collector nothing to mark. decoded is the prefix of the log a Log
-	// or Close read has decoded into instances, kept so the next read
-	// decodes only the steps past it. A session whose log is never read
-	// keeps none.
-	tape    *core.LogTape
-	decoded relation.Sequence
-	steps   int
+	id   string
+	mode core.AcceptMode
+	// run holds the cumulated state and the log; only the holder of the
+	// lock of the shard that owns the session touches it.
+	run   runner
+	steps int
 	// frozen marks a session mid-handoff: reads proceed, mutations fail
 	// with FrozenError. Not persisted (see export.go).
 	frozen bool
@@ -77,10 +60,59 @@ type Session struct {
 	errorFree  bool // no output so far contained an error fact
 	okEvery    bool // every output so far contained ok
 	lastAccept bool // the most recent output contained accept
+}
 
-	// net is set iff this is a network session (see network.go); then mach,
-	// db, run, and tape above are unused (nil).
-	net *netRun
+// runner is what a session asks of what it runs. The fill methods write
+// the runner's part of a dedupe answer (logStep: step i, 0-based), a Log
+// read, a Peek view, an image (sharing the log as it is now), the open
+// record and the Info.
+type runner interface {
+	// check admits the input of step seq: it must be of the runner's kind
+	// (a relation.Instance for a machine, compose.StepInputs for a network)
+	// and fit its schema.
+	check(id string, seq int, input any) error
+	// step applies one admitted input, appends the step to the log, fills
+	// the result's output and log fields, and reports whether the output
+	// held an error fact, ok and accept (for a network: any node's error,
+	// every node's ok and accept). Stepping is deterministic, which is what
+	// lets the WAL store only inputs, and cannot fail.
+	step(input any, res *StepResult) (errFact, ok, accept bool)
+	// digest is the canonical digest of the log (LogDigest, JointLogDigest).
+	digest() string
+	logStep(i int, res *StepResult)
+	readLog(lr *LogResult)
+	view(v *View)
+	image(img *Image)
+	open(rec *walRecord)
+	describe(inf *Info)
+}
+
+// machineRun is a session's run of one machine.
+type machineRun struct {
+	model string // registry name, "" when built from inline source
+	src   string // inline program source, "" when built from the registry
+	mach  *core.Machine
+	// db is the session's database, fixed at open: nothing writes it for the
+	// session's whole life, so the stepper reads it in place and Peek shares
+	// it with verification.
+	db relation.Instance
+	// stepper holds the cumulated state resident in the step executor's form
+	// and steps on it in place (see core.Stepper). A relation.Instance of the
+	// state exists only while a verification read holds one (Peek
+	// materializes it); images encode the resident rows (snapOf). It is
+	// the one copy of what the session keeps of its inputs — for a Spocus
+	// machine the state is the cumulated input itself (past-R) — so the
+	// input sequence lives only in the WAL until compaction folds it into a
+	// snapshot, and memory and images stay O(state + log).
+	stepper *core.Stepper
+	// tape is the log, the durable object: every step's delta, appended by
+	// step and held flat (see core.LogTape), so a session's history costs
+	// the collector nothing to mark. decoded is the prefix of the log a Log
+	// or Close read has decoded into instances, kept so the next read
+	// decodes only the steps past it. A session whose log is never read
+	// keeps none.
+	tape    *core.LogTape
+	decoded relation.Sequence
 }
 
 // OpenRequest describes a session to open. Exactly one of Model (a name
@@ -109,9 +141,20 @@ func newSession(id string, req *OpenRequest) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("open: %w", err)
 	}
+	var run runner
 	if req.Network != nil {
-		return newNetSession(id, req, mode)
+		run, err = newNetRun(req)
+	} else {
+		run, err = newMachineRun(req)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return &Session{id: id, mode: mode, run: run, errorFree: true, okEvery: true}, nil
+}
+
+// newMachineRun builds the run of the one machine req names.
+func newMachineRun(req *OpenRequest) (*machineRun, error) {
 	if req.Model == "" && req.Src == "" {
 		return nil, fmt.Errorf("open: one of model, src, or network is required")
 	}
@@ -124,6 +167,7 @@ func newSession(id string, req *OpenRequest) (*Session, error) {
 			return nil, fmt.Errorf("open: unknown model %q", req.Model)
 		}
 	} else {
+		var err error
 		if mach, err = core.ParseProgram(req.Src); err != nil {
 			return nil, fmt.Errorf("open: %w", err)
 		}
@@ -138,22 +182,11 @@ func newSession(id string, req *OpenRequest) (*Session, error) {
 	} else {
 		db = db.Clone() // decouple from the caller (and from other sessions)
 	}
-	run, err := mach.NewStepper(db, nil)
+	stepper, err := mach.NewStepper(db, nil)
 	if err != nil {
 		return nil, fmt.Errorf("open: %w", err)
 	}
-	return &Session{
-		id:        id,
-		model:     req.Model,
-		src:       req.Src,
-		mode:      mode,
-		mach:      mach,
-		db:        db,
-		run:       run,
-		tape:      mach.NewLogTape(),
-		errorFree: true,
-		okEvery:   true,
-	}, nil
+	return &machineRun{model: req.Model, src: req.Src, mach: mach, db: db, stepper: stepper, tape: mach.NewLogTape()}, nil
 }
 
 // StepResult is what one transition returns to the client: the step's
@@ -182,60 +215,63 @@ type StepResult struct {
 }
 
 // dupResult answers a deduped step from the durable log: the seq the key
-// first produced, the step's log delta (from the decoded prefix if a read
-// has decoded the step, else decoded from the tape alone), and current
-// validity. Outputs are not retained, so they are absent — callers
-// retrying after an ambiguous failure care that the step landed, not what
-// it printed.
+// first produced, the step's log, and current validity. Outputs are not
+// retained, so they are absent — callers retrying after an ambiguous
+// failure care that the step landed, not what it printed.
 func (s *Session) dupResult(seq int) *StepResult {
 	res := &StepResult{ID: s.id, Seq: seq, Valid: s.valid(), Duplicate: true}
-	if s.net != nil {
-		if seq >= 1 && seq <= len(s.net.joint) {
-			je := s.net.joint[seq-1]
-			res.Logs = cloneStepInputs(je.Logs)
-			res.Wire = append([]compose.WireDelta(nil), je.Wire...)
-		}
-	} else if seq >= 1 && seq <= len(s.decoded) {
-		res.Log = s.decoded[seq-1]
-	} else if seq >= 1 && seq <= s.tape.Len() {
-		res.Log = s.tape.Delta(seq - 1)
+	if seq >= 1 {
+		s.run.logStep(seq-1, res)
 	}
 	return res
 }
 
-// validateInput rejects unknown or wrongly-typed input relations before
-// anything is logged.
-func (s *Session) validateInput(in relation.Instance) error {
-	if e := s.mach.Schema().CheckInput(in); e != nil {
-		return fmt.Errorf("step %d: %w", s.steps+1, e)
+// apply performs one validated transition — for a machine Sᵢ = σ(Iᵢ,
+// Sᵢ₋₁, D), Oᵢ = ω(Iᵢ, Sᵢ₋₁, D) — appends it to the log, and updates the
+// acceptance flags. The log fields of the result go to the caller; the
+// session keeps only the log's own copy of them.
+func (s *Session) apply(input any) *StepResult {
+	res := &StepResult{ID: s.id}
+	errFact, ok, accept := s.run.step(input, res)
+	s.steps++
+	if errFact {
+		s.errorFree = false
+	}
+	if !ok {
+		s.okEvery = false
+	}
+	s.lastAccept = accept
+	res.Seq, res.Valid = s.steps, s.valid()
+	return res
+}
+
+func (r *machineRun) check(id string, seq int, input any) error {
+	in, ok := input.(relation.Instance)
+	if !ok {
+		return fmt.Errorf("session %s is not a network session", id)
+	}
+	if e := r.mach.Schema().CheckInput(in); e != nil {
+		return fmt.Errorf("step %d: %w", seq, e)
 	}
 	return nil
 }
 
-// apply performs one validated transition: Sᵢ = σ(Iᵢ, Sᵢ₋₁, D),
-// Oᵢ = ω(Iᵢ, Sᵢ₋₁, D), appends the log delta to the tape, and updates
-// acceptance flags. The delta instance goes to the caller in the result;
-// the session keeps only the tape's copy of it. Stepping is deterministic,
-// which is what lets the WAL store only inputs, and cannot fail: a machine
-// that exists can step.
-func (s *Session) apply(in relation.Instance) *StepResult {
-	out := s.run.Step(in)
-	delta := s.mach.Schema().LogDelta(in, out)
-	s.tape.Append(delta)
-	s.steps++
-	if out.Rel(core.ErrorRel).Len() > 0 {
-		s.errorFree = false
-	}
-	if out.Rel(core.OKRel).Len() == 0 {
-		s.okEvery = false
-	}
-	s.lastAccept = out.Rel(core.AcceptRel).Len() > 0
-	return &StepResult{
-		ID:     s.id,
-		Seq:    s.steps,
-		Output: out,
-		Log:    delta,
-		Valid:  s.valid(),
+func (r *machineRun) step(input any, res *StepResult) (errFact, ok, accept bool) {
+	in, _ := input.(relation.Instance)
+	out := r.stepper.Step(in)
+	delta := r.mach.Schema().LogDelta(in, out)
+	r.tape.Append(delta)
+	res.Output, res.Log = out, delta
+	return out.Rel(core.ErrorRel).Len() > 0, out.Rel(core.OKRel).Len() > 0, out.Rel(core.AcceptRel).Len() > 0
+}
+
+// logStep answers from the decoded prefix if a read has decoded the step,
+// else decodes it from the tape alone.
+func (r *machineRun) logStep(i int, res *StepResult) {
+	if i < len(r.decoded) {
+		res.Log = r.decoded[i]
+	} else if i < r.tape.Len() {
+		res.Log = r.tape.Delta(i)
 	}
 }
 
@@ -267,35 +303,22 @@ type Info struct {
 }
 
 func (s *Session) info() *Info {
-	if s.net != nil {
-		return &Info{
-			ID:      s.id,
-			Name:    "network",
-			Mode:    s.mode.String(),
-			Steps:   s.steps,
-			Valid:   s.valid(),
-			Network: true,
-			Nodes:   s.net.nw.Nodes(),
-		}
-	}
-	return &Info{
-		ID:    s.id,
-		Model: s.model,
-		Name:  s.mach.Name(),
-		Mode:  s.mode.String(),
-		Steps: s.steps,
-		Valid: s.valid(),
-	}
+	inf := &Info{ID: s.id, Mode: s.mode.String(), Steps: s.steps, Valid: s.valid()}
+	s.run.describe(inf)
+	return inf
 }
+
+func (r *machineRun) describe(inf *Info) { inf.Model, inf.Name = r.model, r.mach.Name() }
 
 // LogResult is the full durable log of a session: the sequence of per-step
 // log deltas of Definition 2.2 for a single machine, or the joint log
 // (per-node deltas + wire traffic per step) for a network session.
 //
 // Log is read-only. Its instances are the session's decoded prefix (see
-// Session.tape), shared with every earlier and later read — each read
+// machineRun.tape), shared with every earlier and later read — each read
 // decodes only the steps taken since the last one. A caller that wants to
-// edit one clones it first.
+// edit one clones it first. Joint is decoded afresh from the flat joint
+// log for each read, and is the caller's own.
 type LogResult struct {
 	ID    string            `json:"id"`
 	Model string            `json:"model,omitempty"`
@@ -305,24 +328,32 @@ type LogResult struct {
 }
 
 func (s *Session) logResult() *LogResult {
-	if s.net != nil {
-		return &LogResult{ID: s.id, Steps: s.steps, Joint: cloneJoint(s.net.joint)}
-	}
-	return &LogResult{ID: s.id, Model: s.model, Steps: s.steps, Log: append(relation.Sequence(nil), s.log()...)}
+	lr := &LogResult{ID: s.id, Steps: s.steps}
+	s.run.readLog(lr)
+	return lr
 }
 
-// log returns the whole log as instances, decoding the steps the session
-// does not keep as instances yet. The slice is the session's own and is
-// only ever extended, never rewritten.
-func (s *Session) log() relation.Sequence {
-	s.decoded = s.tape.Extend(s.decoded)
-	return s.decoded
+func (r *machineRun) readLog(lr *LogResult) {
+	lr.Model, lr.Log = r.model, append(relation.Sequence(nil), r.log()...)
+}
+
+// log returns the whole log as instances, decoding the steps the run does
+// not keep as instances yet. The slice is the run's own and is only ever
+// extended, never rewritten.
+func (r *machineRun) log() relation.Sequence {
+	r.decoded = r.tape.Extend(r.decoded)
+	return r.decoded
+}
+
+func (r *machineRun) digest() string {
+	return digest(func(enc *codec.Encoder) { r.tape.Encode(enc) })
 }
 
 // openRecord renders the session's creation as a WAL record.
 func (s *Session) openRecord() *walRecord {
-	if s.net != nil {
-		return &walRecord{T: recOpen, SID: s.id, Mode: s.mode.String(), Network: s.net.spec}
-	}
-	return &walRecord{T: recOpen, SID: s.id, Model: s.model, Src: s.src, Mode: s.mode.String(), DB: s.db}
+	rec := &walRecord{T: recOpen, SID: s.id, Mode: s.mode.String()}
+	s.run.open(rec)
+	return rec
 }
+
+func (r *machineRun) open(rec *walRecord) { rec.Model, rec.Src, rec.DB = r.model, r.src, r.db }

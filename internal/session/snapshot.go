@@ -68,8 +68,9 @@ func (r *snapReader) next(payload []byte) (*Image, *Session, error) {
 }
 
 // Image is one session's full durable state: what snapshots persist and
-// what handoff ships between nodes. Network sessions fill Net instead of
-// the machine-shaped fields (DB, the state, the log).
+// what handoff ships between nodes. A network session's runner fills Net,
+// a machine session's the machine-shaped fields (DB, the state, the log);
+// the rest is the session's own.
 //
 // The state is held in one of two forms. snapOf, which builds the image a
 // live session writes, takes a view of the stepper's resident rows
@@ -159,18 +160,16 @@ func snapOf(s *Session) Image {
 		LastAccept: s.lastAccept,
 		Keys:       s.keys.settle(),
 	}
-	if s.net != nil {
-		img.Net = &NetImage{Spec: s.net.spec, State: s.net.nw.ExportState(), Joint: s.net.joint}
-		return img
-	}
-	img.Model = s.model
-	img.Src = s.src
-	img.DB = s.db
-	img.state = s.run.StateView()
-	if s.tape.Len() > 0 {
-		img.tape = s.tape.View()
-	}
+	s.run.image(&img)
 	return img
+}
+
+func (r *machineRun) image(img *Image) {
+	img.Model, img.Src, img.DB = r.model, r.src, r.db
+	img.state = r.stepper.StateView()
+	if r.tape.Len() > 0 {
+		img.tape = r.tape.View()
+	}
 }
 
 // restore rebuilds a live session from its image.
@@ -179,9 +178,29 @@ func (ss *Image) restore() (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	var run runner
 	if ss.Net != nil {
-		return ss.restoreNet(mode)
+		run, err = ss.Net.restore()
+	} else {
+		run, err = ss.restoreMachine()
 	}
+	if err != nil {
+		return nil, err
+	}
+	return &Session{
+		id:         ss.ID,
+		mode:       mode,
+		run:        run,
+		steps:      ss.Steps,
+		errorFree:  ss.ErrorFree,
+		okEvery:    ss.OkEvery,
+		lastAccept: ss.LastAccept,
+		keys:       keyTable{settled: ss.Keys},
+	}, nil
+}
+
+// restoreMachine rebuilds the run of a machine session's image.
+func (ss *Image) restoreMachine() (*machineRun, error) {
 	mach, err := ss.machine()
 	if err != nil {
 		return nil, err
@@ -194,52 +213,9 @@ func (ss *Image) restore() (*Session, error) {
 	if db == nil {
 		db = relation.NewInstance()
 	}
-	run, err := mach.NewStepper(db, ss.State)
+	stepper, err := mach.NewStepper(db, ss.State)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	return &Session{
-		id:         ss.ID,
-		model:      ss.Model,
-		src:        ss.Src,
-		mode:       mode,
-		mach:       mach,
-		db:         db,
-		run:        run,
-		tape:       tape,
-		steps:      ss.Steps,
-		errorFree:  ss.ErrorFree,
-		okEvery:    ss.OkEvery,
-		lastAccept: ss.LastAccept,
-		keys:       keyTable{settled: ss.Keys},
-	}, nil
-}
-
-// restoreNet rebuilds a network session: the network is rebuilt from its
-// spec and its run state (per-node states + unit-delay buffer) restored, so
-// the next joint step continues exactly where the image left off.
-func (ss *Image) restoreNet(mode core.AcceptMode) (*Session, error) {
-	if ss.Net.Spec == nil {
-		return nil, fmt.Errorf("snapshot: network session %s has no spec", ss.ID)
-	}
-	nw, err := ss.Net.Spec.Build(netResolver)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	nw.Start()
-	if ss.Net.State != nil {
-		if err := nw.RestoreState(ss.Net.State); err != nil {
-			return nil, fmt.Errorf("snapshot: %w", err)
-		}
-	}
-	return &Session{
-		id:         ss.ID,
-		mode:       mode,
-		steps:      ss.Steps,
-		errorFree:  ss.ErrorFree,
-		okEvery:    ss.OkEvery,
-		lastAccept: ss.LastAccept,
-		keys:       keyTable{settled: ss.Keys},
-		net:        &netRun{spec: ss.Net.Spec, nw: nw, joint: ss.Net.Joint},
-	}, nil
+	return &machineRun{model: ss.Model, src: ss.Src, mach: mach, db: db, stepper: stepper, tape: tape}, nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/compose"
 	"repro/internal/models"
 	"repro/internal/relation"
 )
@@ -88,30 +89,30 @@ func TestImagesEncodeFromTheTape(t *testing.T) {
 		}
 		var logs relation.Sequence
 		for k, in := range rn.inputs {
-			if k == len(rn.inputs)/2 && !s.log().Equal(logs) {
-				t.Fatalf("run %d: log read after %d steps: %v, want %v", i, k, s.decoded, logs)
+			if k == len(rn.inputs)/2 && !machineOf(s).log().Equal(logs) {
+				t.Fatalf("run %d: log read after %d steps: %v, want %v", i, k, machineOf(s).decoded, logs)
 			}
-			if err := s.validateInput(in); err != nil {
+			if err := s.run.check(s.id, s.steps+1, in); err != nil {
 				t.Fatal(err)
 			}
 			logs = append(logs, s.apply(in).Log)
 		}
-		if got := s.log(); !got.Equal(logs) {
+		if got := machineOf(s).log(); !got.Equal(logs) {
 			t.Fatalf("run %d: log read %v, want %v", i, got, logs)
 		}
 		img := snapOf(s)
 		got := encodeImage(t, &img)
-		if want := sequenceImage(kindImage, "", &img, s.run.State(), logs, nil); !bytes.Equal(got, want) {
+		if want := sequenceImage(kindImage, "", &img, machineOf(s).stepper.State(), logs, nil); !bytes.Equal(got, want) {
 			t.Fatalf("run %d: the image encoded from the tape differs from the one encoded from its log %v", i, logs)
 		}
-		if digest := s.logDigest(); digest != LogDigest(logs) {
+		if digest := s.run.digest(); digest != LogDigest(logs) {
 			t.Fatalf("run %d: log digest %s from the tape, %s from the log", i, digest, LogDigest(logs))
 		}
-		ship, err := EncodeStateExport(&StateExport{Image: &img, Digest: s.logDigest()})
+		ship, err := EncodeStateExport(&StateExport{Image: &img, Digest: s.run.digest()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := sequenceImage(kindStateExport, LogDigest(logs), &img, s.run.State(), logs, nil); !bytes.Equal(ship, want) {
+		if want := sequenceImage(kindStateExport, LogDigest(logs), &img, machineOf(s).stepper.State(), logs, nil); !bytes.Equal(ship, want) {
 			t.Fatalf("run %d: the ship image encoded from the tape differs from the one encoded from its log", i)
 		}
 		for seq := range logs {
@@ -131,7 +132,7 @@ func TestImagesEncodeFromTheTape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := back.log(); !got.Equal(logs) || back.logDigest() != se.Digest {
+		if got := machineOf(back).log(); !got.Equal(logs) || back.run.digest() != se.Digest {
 			t.Fatalf("run %d: restored log %v, want %v", i, got, logs)
 		}
 		again := snapOf(back)
@@ -190,6 +191,9 @@ func sequenceImage(kind uint64, digest string, img *Image, state relation.Instan
 	return e.Finish()
 }
 
+// machineOf is the run of a machine session.
+func machineOf(s *Session) *machineRun { return s.run.(*machineRun) }
+
 func encodeImage(t *testing.T, img *Image) []byte {
 	t.Helper()
 	data, err := encodeImageRecord(codec.NewEncoder(), img)
@@ -243,5 +247,51 @@ func TestLogRetentionIsFlat(t *testing.T) {
 	t.Logf("%.4f live heap objects a step over %d steps (ceiling %.2f)", grew, steps, perStep)
 	if grew > perStep {
 		t.Fatalf("the session retains %.3f heap objects a step: its history is not flat", grew)
+	}
+}
+
+// TestNetworkLogRetentionIsFlat holds a network session's joint log to the
+// same bound: the marketplace network, driven with one stimulus step per
+// product followed by the six empty steps its conversation takes, round
+// and round over the catalogue so the node states stop growing after the
+// first round, may leave at most 0.05 live heap objects a joint step
+// behind it. A joint log kept as one JointLogEntry of instances per step
+// left 13 here, on empty steps too.
+func TestNetworkLogRetentionIsFlat(t *testing.T) {
+	const rounds, perStep = 800, 0.05
+	var cycle []compose.StepInputs
+	for _, p := range models.NetProducts() {
+		cycle = append(cycle, models.NetworkScript("marketplace", p)...)
+	}
+	e, err := NewEngine(Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Shutdown()
+	if _, err := e.Open(&OpenRequest{ID: "heap", Network: models.Network("marketplace")}); err != nil {
+		t.Fatal(err)
+	}
+	trade := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := e.NetInput("heap", cycle[i%len(cycle)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	liveObjects := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second empties sync.Pool's victim cache
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapObjects)
+	}
+	trade(len(cycle))
+	before := liveObjects()
+	steps := rounds * len(cycle)
+	trade(steps)
+	grew := float64(liveObjects()-before) / float64(steps)
+	t.Logf("%.4f live heap objects a joint step over %d steps (ceiling %.2f)", grew, steps, perStep)
+	if grew > perStep {
+		t.Fatalf("the network session retains %.3f heap objects a joint step: its joint log is not flat", grew)
 	}
 }

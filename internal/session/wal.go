@@ -45,7 +45,8 @@ const (
 // step is atomic in the log — it is either wholly durable or absent.
 // Whether a step record is single or joint is decided by the session it
 // replays into, not by the record shape (an empty joint step marshals with
-// no netin field at all).
+// no netin field at all): commit hands the session's runner whichever input
+// the record holds.
 //
 // A batch record (recBatch) is the same idea applied to the batched input
 // API: Inputs holds the inputs of steps Seq..Seq+len(Inputs)-1 of one

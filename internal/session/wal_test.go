@@ -94,10 +94,10 @@ func TestWALInstallRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if past := s.run.Past(); s.id != "shipped" || s.steps != 1 || !past.Equal(in) {
+	if past := machineOf(s).stepper.Past(); s.id != "shipped" || s.steps != 1 || !past.Equal(in) {
 		t.Errorf("restored session mangled: id=%s steps=%d past=%s", s.id, s.steps, past)
 	}
-	if got := s.log(); len(got) != 1 || !got[0].Equal(bill) {
+	if got := machineOf(s).log(); len(got) != 1 || !got[0].Equal(bill) {
 		t.Errorf("restored log %v, want [%v]", got, bill)
 	}
 	// A log the machine could not have written is refused, as state is:

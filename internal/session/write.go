@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"repro/internal/codec"
-	"repro/internal/compose"
-	"repro/internal/relation"
 )
 
 // The write path. A shard's session table changes in exactly one place:
@@ -35,20 +33,16 @@ const (
 )
 
 // admit is the admission sequence every proposed step passes — single,
-// joint, or one item of a batch — in this order: the session exists; it is
-// of the kind the caller addressed (net: a network session); the key has
-// not produced a step already, else that step is the answer (dup); the
-// session is not frozen; it is within its rate; the input fits the schema.
-// With dup and err both nil the step is admitted as step s.steps+1.
-func (sh *shard) admit(id, key string, net bool, in relation.Instance, ext compose.StepInputs) (s *Session, dup *StepResult, err error) {
+// joint, or one item of a batch — in this order: the session exists; the
+// key has not produced a step already, else that step is the answer (dup);
+// the session is not frozen; it is within its rate; the input is of the
+// session's kind (a machine's instance, a network's per-node inputs) and
+// fits its schema. With dup and err both nil the step is admitted as step
+// s.steps+1.
+func (sh *shard) admit(id, key string, input any) (s *Session, dup *StepResult, err error) {
 	s, ok := sh.sessions[id]
-	switch {
-	case !ok:
+	if !ok {
 		return nil, nil, &NotFoundError{ID: id}
-	case net && s.net == nil:
-		return nil, nil, &BadInputError{Err: fmt.Errorf("session %s is not a network session", id)}
-	case !net && s.net != nil:
-		return nil, nil, &BadInputError{Err: fmt.Errorf("session %s is a network session; address inputs per node", id)}
 	}
 	if key != "" {
 		if seq, ok := s.keys.lookup(key); ok {
@@ -65,12 +59,7 @@ func (sh *shard) admit(id, key string, net bool, in relation.Instance, ext compo
 			return nil, nil, &RateLimitedError{ID: id, RetryAfter: wait}
 		}
 	}
-	if net {
-		err = s.validateNetInput(ext)
-	} else {
-		err = s.validateInput(in)
-	}
-	if err != nil {
+	if err := s.run.check(id, s.steps+1, input); err != nil {
 		return nil, nil, &BadInputError{Err: err}
 	}
 	return s, nil, nil
@@ -89,14 +78,12 @@ func (sh *shard) admit(id, key string, net bool, in relation.Instance, ext compo
 //   - unless the record came from this shard's own log it is appended to it,
 //     before anything mutates: the enclosing group commit makes it durable
 //     and only then releases the caller's acknowledgement;
-//   - the mutation, with the step's kind (machine or network) decided by the
-//     session it lands in — an empty joint step carries no netin field, so
-//     the record's shape cannot;
+//   - the mutation: each step's input goes to the session's runner, which
+//     reads it as its kind;
 //   - counters and the snapshot cadence, again unless replaying.
 //
 // results, when non-nil, receives the StepResult of step i of the record at
-// index i. An evaluation failure is deterministic — every replay of the
-// record fails identically — and surfaces as BadInputError.
+// index i.
 func (sh *shard) commit(rec *walRecord, from origin, built *Session, results []*StepResult) error {
 	s, had := sh.sessions[rec.SID]
 	n, skip := 1, 0
@@ -176,22 +163,18 @@ func (sh *shard) commit(rec *walRecord, from origin, built *Session, results []*
 		}
 	default:
 		for i := skip; i < n; i++ {
-			in, key := rec.Input, rec.Key
-			if rec.T == recBatch {
-				in, key = rec.Inputs[i], ""
+			var input any = rec.Input
+			key := rec.Key
+			switch {
+			case rec.T == recBatch:
+				input, key = rec.Inputs[i], ""
 				if i < len(rec.Keys) {
 					key = rec.Keys[i]
 				}
+			case rec.NetIn != nil:
+				input = rec.NetIn
 			}
-			var res *StepResult
-			if s.net != nil {
-				res, err = s.applyNet(rec.NetIn)
-			} else {
-				res = s.apply(in)
-			}
-			if err != nil {
-				return &BadInputError{Err: err}
-			}
+			res := s.apply(input)
 			s.keys.note(key, res.Seq)
 			if results != nil {
 				results[i] = res
