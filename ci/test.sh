@@ -60,9 +60,16 @@ end
 # The live-plane race test is the proof there are no torn reads between the
 # data plane and the verification plane; a silent skip would hollow the
 # race tier out.
-section "Race tier includes the live-plane race test"
+section "Race tier includes the live-plane race, shared-past and answer-key tests"
 go test -race -v -run TestLiveVerifyInputRace ./internal/session 2>&1 | tee "$out/liverace.out"
 passed "$out/liverace.out" TestLiveVerifyInputRace
+# One past is shared by every Peek of an unchanged state and by the answers
+# cached from it, and the answer key is a digest of it: the sharing and the
+# key's injectivity are checked under the race detector too.
+go test -race -v -run TestPeekSharesPastUntilGrowth ./internal/session 2>&1 | tee "$out/peekrace.out"
+passed "$out/peekrace.out" TestPeekSharesPastUntilGrowth
+go test -race -v -run TestAnswerKeyInjective ./internal/live 2>&1 | tee "$out/keyrace.out"
+passed "$out/keyrace.out" TestAnswerKeyInjective
 end
 
 # The solver is held to its search: trajectories.golden must reproduce

@@ -160,7 +160,8 @@ func (r *Run) ErrorFree() bool {
 func (n *Network) Node(name string) *Node { return n.nodes[name] }
 
 // Past returns the named started node's cumulated consumed input, external
-// and wired alike (see core.Stepper.Past; nil for a non-Spocus node).
+// and wired alike: read-only, and the same instance until a step grows the
+// node's state (see core.Stepper.Past; nil for a non-Spocus node).
 func (n *Network) Past(node string) relation.Instance { return n.nodes[node].run.Past() }
 
 // Steps returns how many joint steps have run since Start.

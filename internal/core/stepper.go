@@ -37,6 +37,17 @@ type Stepper struct {
 	// orders keeps the state's sorted rows between StateView calls; nil
 	// until the first, so a run that never writes an image pays nothing.
 	orders *ra.Orders
+	// past is Past's last materialization; nil until the first call, and
+	// behind a pointer so that a run never verified keeps the Stepper in
+	// its allocation size class.
+	past *pastAt
+}
+
+// pastAt is a materialized past and the state's row count when it was
+// taken.
+type pastAt struct {
+	inst relation.Instance
+	rows int
 }
 
 // NewStepper starts a run of m on db from the given state (nil: the empty
@@ -90,9 +101,9 @@ func (st *Stepper) Step(input relation.Instance) relation.Instance {
 
 // State materializes the current state as constants: a fresh instance that
 // shares nothing with the stepper, equal to what Machine.Step would have
-// returned after the same inputs. It and Past are a run's O(state)
-// operations; verification reads and network state exports call them;
-// steps and session images never do.
+// returned after the same inputs. It and a Past after the state grew are a
+// run's O(state) operations; verification reads and network state exports
+// call them; steps and session images never do.
 func (st *Stepper) State() relation.Instance { return st.state.Instance() }
 
 // StateView returns the current state as the resident rows hold it, sorted
@@ -109,12 +120,23 @@ func (st *Stepper) StateView() *ra.View {
 
 // Past materializes the run's cumulated input — every input relation R with
 // the tuples its state relation past-R holds, empty relations omitted — as
-// a fresh instance. For a Spocus machine that is the whole of the state the
-// decision procedures read; any other kind of machine has no such past and
-// gets nil.
+// an instance sharing nothing with the resident state. For a Spocus machine
+// that is the whole of the state the decision procedures read; any other
+// kind of machine has no such past and gets nil.
+//
+// Every state relation of a Spocus machine is cumulative, so a state that
+// holds as many rows as at the last call holds the same rows: Past then
+// returns the instance it returned last, in O(state relations), and
+// materializes afresh only after a step that grew the state. What it
+// returns is read-only for every caller, since later calls may hand the
+// same instance out again.
 func (st *Stepper) Past() relation.Instance {
 	if st.m.kind != KindSpocus {
 		return nil
+	}
+	rows := st.state.Rows()
+	if st.past != nil && rows == st.past.rows {
+		return st.past.inst
 	}
 	past := relation.NewInstance()
 	for name, rel := range st.State() {
@@ -122,5 +144,6 @@ func (st *Stepper) Past() relation.Instance {
 			past[base] = rel
 		}
 	}
+	st.past = &pastAt{inst: past, rows: rows}
 	return past
 }

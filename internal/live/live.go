@@ -8,10 +8,12 @@
 // them as an expensive, explicitly-governed resource:
 //
 //   - Answers are memoized in a shared cache keyed by (machine fingerprint,
-//     database, canonicalized prefix, query). Spocus state is exactly the
-//     set of cumulated past inputs, so the prefix is canonicalized to that
-//     set: two sessions of one model that reached the same state — by any
-//     input order, at any step count — share one cache entry.
+//     database digest, past digest, query). Spocus state is exactly the set
+//     of cumulated past inputs, so the prefix is keyed by an
+//     order-independent digest of that set (relation.Digest): two sessions
+//     of one model that reached the same state — by any input order, at any
+//     step count — share one cache entry, and a lookup hashes the past
+//     without sorting or rendering it.
 //   - Cache misses run on a bounded worker pool with a bounded admission
 //     queue; beyond that the query is rejected immediately with
 //     OverloadedError (HTTP 429 + Retry-After), mirroring the session
@@ -102,9 +104,11 @@ func (c Config) withDefaults() Config {
 
 // Source identifies what a query is asked of: a session's machine (by
 // registry model name or inline source), its database, and its cumulated
-// past inputs. The instances must be stable snapshots — the service reads
-// them concurrently and retains references in cached answers (the session
-// engine's Peek provides exactly this).
+// past inputs. The instances must be stable snapshots, read-only for every
+// holder — the service reads them concurrently, digests them for the
+// answer key and retains references in cached answers. The session
+// engine's Peek provides exactly this: it hands out one past per state,
+// shared by every Peek until the session's state grows.
 type Source struct {
 	Model string
 	Src   string
@@ -127,7 +131,7 @@ type Service struct {
 	answers  map[answerKey]*entry
 	// maxDepth is the deepest prefix seen per machine+database group — the
 	// eviction policy's high-water mark. Monotone; never shrinks on evict.
-	maxDepth map[string]int
+	maxDepth map[group]int
 
 	m liveMetrics
 }
@@ -140,12 +144,23 @@ type machineEntry struct {
 	vcache *verify.Cache
 }
 
+// answerKey identifies one answer. Instances enter it as digests, so
+// building a key costs one hashing pass over the database and the past —
+// no sort, no rendering — and two keys are equal exactly when their
+// machine, query and fact sets are, up to the digest's 2⁻¹²⁸ collision
+// chance per pair.
 type answerKey struct {
-	fp     string // machine fingerprint
-	db     string // canonical database rendering
-	prefix string // canonical cumulated-input rendering
-	kind   string // "goal" | "temporal" | "progress"
-	query  string // normalized query text
+	fp    string          // machine fingerprint
+	db    relation.Digest // the database's facts
+	past  relation.Digest // the cumulated input's facts
+	kind  string          // "goal" | "temporal" | "progress"
+	query string          // normalized query text
+}
+
+// group is the eviction coordinate of an answer: its machine and database.
+type group struct {
+	fp string
+	db relation.Digest
 }
 
 // entry is one answer-cache slot with single-flight semantics: the first
@@ -159,7 +174,7 @@ type entry struct {
 	// coordinate — together they let eviction rank this answer's staleness
 	// against the deepest prefix the group has reached.
 	depth int
-	group string
+	group group
 }
 
 // New creates a Service.
@@ -171,7 +186,7 @@ func New(cfg Config) *Service {
 		machines: make(map[string]*machineEntry),
 		vcaches:  make(map[string]*verify.Cache),
 		answers:  make(map[answerKey]*entry),
-		maxDepth: make(map[string]int),
+		maxDepth: make(map[group]int),
 	}
 	registerService(s)
 	return s
@@ -221,38 +236,9 @@ func (s *Service) resolve(src Source) (*machineEntry, error) {
 	return e, nil
 }
 
-// canonicalInstance renders an instance deterministically: relations in
-// name order, tuples in key order. Two sessions with equal cumulated inputs
-// render identically regardless of input order or step count.
-func canonicalInstance(in relation.Instance) string {
-	if in == nil {
-		return ""
-	}
-	names := make([]string, 0, len(in))
-	for name := range in {
-		if in[name].Len() == 0 {
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, name := range names {
-		b.WriteString(name)
-		keys := make([]string, 0, in[name].Len())
-		for _, t := range in[name].Tuples() {
-			keys = append(keys, t.Key())
-		}
-		// Tuples() is already sorted, but do not depend on it here: the
-		// cache key must stay canonical even if that contract shifts.
-		sort.Strings(keys)
-		for _, k := range keys {
-			b.WriteByte('\x01')
-			b.WriteString(k)
-		}
-		b.WriteByte('\x02')
-	}
-	return b.String()
+// keyOf builds the answer key of a query asked of src.
+func keyOf(me *machineEntry, src Source, kind, query string) answerKey {
+	return answerKey{fp: me.fp, db: src.DB.Digest(), past: src.Past.Digest(), kind: kind, query: query}
 }
 
 // prefixSeq turns the cumulated past inputs into the canonical one-step
@@ -307,10 +293,10 @@ func (s *Service) release() {
 // answers served from a completed entry report Cached (and are the
 // demonstrably cheap path).
 func (s *Service) getOrCompute(ctx context.Context, key answerKey, depth int, compute func(context.Context) (any, error)) (any, bool, error) {
-	group := key.fp + "\x00" + key.db
+	grp := group{fp: key.fp, db: key.db}
 	s.mu.Lock()
-	if depth > s.maxDepth[group] {
-		s.maxDepth[group] = depth
+	if depth > s.maxDepth[grp] {
+		s.maxDepth[grp] = depth
 	}
 	if e, ok := s.answers[key]; ok {
 		s.mu.Unlock()
@@ -327,7 +313,7 @@ func (s *Service) getOrCompute(ctx context.Context, key answerKey, depth int, co
 			return nil, false, ctx.Err()
 		}
 	}
-	e := &entry{done: make(chan struct{}), depth: depth, group: group}
+	e := &entry{done: make(chan struct{}), depth: depth, group: grp}
 	s.answers[key] = e
 	s.evictLocked()
 	s.mu.Unlock()
@@ -440,7 +426,7 @@ func (s *Service) Goal(ctx context.Context, src Source, goal string) (*GoalAnswe
 		s.m.errors.Add(1)
 		return nil, err
 	}
-	key := answerKey{fp: me.fp, db: canonicalInstance(src.DB), prefix: canonicalInstance(src.Past), kind: "goal", query: g.String()}
+	key := keyOf(me, src, "goal", g.String())
 	v, cached, err := s.getOrCompute(ctx, key, prefixDepth(src.Past), func(ctx context.Context) (any, error) {
 		res, err := verify.ReachGoalFrom(me.mach, src.DB, prefixSeq(src.Past), g, s.opts(ctx, me))
 		if err != nil {
@@ -497,7 +483,7 @@ func (s *Service) Temporal(ctx context.Context, src Source, conds []string) (*Te
 		s.m.errors.Add(1)
 		return nil, err
 	}
-	key := answerKey{fp: me.fp, db: canonicalInstance(src.DB), prefix: canonicalInstance(src.Past), kind: "temporal", query: strings.Join(norm, "\x01")}
+	key := keyOf(me, src, "temporal", strings.Join(norm, "\x01"))
 	v, cached, err := s.getOrCompute(ctx, key, prefixDepth(src.Past), func(ctx context.Context) (any, error) {
 		res, err := verify.CheckTemporalFrom(me.mach, src.DB, prefixSeq(src.Past), parsed, s.opts(ctx, me))
 		if err != nil {
@@ -556,7 +542,7 @@ func (s *Service) Progress(ctx context.Context, src Source, goal string) (*Progr
 		s.m.errors.Add(1)
 		return nil, err
 	}
-	key := answerKey{fp: me.fp, db: canonicalInstance(src.DB), prefix: canonicalInstance(src.Past), kind: "progress", query: g.String()}
+	key := keyOf(me, src, "progress", g.String())
 	v, cached, err := s.getOrCompute(ctx, key, prefixDepth(src.Past), func(ctx context.Context) (any, error) {
 		res, err := verify.SuggestProgress(ctx, me.mach, src.DB, prefixSeq(src.Past), g, s.pool(me, src), s.cfg.SuggestBudget)
 		if err != nil {

@@ -68,6 +68,37 @@ func TestGoalFromPrefixAndAnswerCache(t *testing.T) {
 	}
 }
 
+// TestAnswerKeyInjective: two different pasts get two computations and two
+// answers. Rendered with unescaped separators, order("x\x01y") and
+// {order("x"), order("y")} were one key, so the second session was served
+// the first one's answer and witness.
+func TestAnswerKeyInjective(t *testing.T) {
+	s := New(Config{Timeout: time.Minute})
+	db := relation.NewInstance()
+	for i, item := range []string{"x\x01y", "x", "y"} {
+		db.Add("price", relation.Tuple{relation.Const(item), relation.Const(fmt.Sprint(i + 1))})
+	}
+	joined := Source{Model: "short", DB: db, Past: cumulate(relation.Sequence{models.Step(models.F("order", "x\x01y"))})}
+	split := Source{Model: "short", DB: db, Past: cumulate(relation.Sequence{models.Step(models.F("order", "x"), models.F("order", "y"))})}
+	var witnesses []string
+	for _, src := range []Source{joined, split} {
+		a, err := s.Goal(context.Background(), src, "deliver(X)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !a.Reachable || a.Cached {
+			t.Fatalf("past %s: reachable=%v cached=%v, want true,false", src.Past, a.Reachable, a.Cached)
+		}
+		witnesses = append(witnesses, a.Witness.String())
+	}
+	if witnesses[0] == witnesses[1] {
+		t.Fatalf("both pasts answered with witness %s", witnesses[0])
+	}
+	if st := s.Stats(); st.CacheHits != 0 || st.Queries != 2 {
+		t.Fatalf("stats: %+v, want 2 computed queries", st)
+	}
+}
+
 func TestTemporalFromPrefix(t *testing.T) {
 	s := New(Config{Timeout: time.Minute})
 	db := models.MagazineDB()
@@ -344,8 +375,8 @@ func TestDepthAwareEvictionBeatsRandom(t *testing.T) {
 	run := func(random bool) (hits, queries int, st Stats) {
 		s := New(Config{Workers: 1, MaxEntries: sessions, Timeout: time.Minute, evictRandom: random})
 		ask := func(sess, depth int) {
-			key := answerKey{fp: "machine", db: "db", kind: "goal", query: "q",
-				prefix: fmt.Sprintf("s%02d-d%02d", sess, depth)}
+			key := answerKey{fp: "machine", db: relation.Digest{1}, kind: "goal", query: "q",
+				past: relation.Digest{uint64(sess), uint64(depth)}}
 			_, cached, err := s.getOrCompute(context.Background(), key, depth,
 				func(context.Context) (any, error) { return depth, nil })
 			if err != nil {
@@ -444,5 +475,36 @@ func TestColdGoalSplit(t *testing.T) {
 	}
 	if again := s.Stats(); again.ColdGround != st.ColdGround || again.ColdSAT != st.ColdSAT || again.ColdReplay != st.ColdReplay {
 		t.Errorf("a cache hit moved the cold split: %+v → %+v", st, again)
+	}
+}
+
+// BenchmarkGoalHit times a goal answered from the cache, the live plane's
+// common case, at pasts of growing size (the database grows with them). A
+// hit hashes the database and the past for its key, and sorts and renders
+// neither.
+func BenchmarkGoalHit(b *testing.B) {
+	for _, n := range []int{16, 256, 4096} {
+		b.Run(fmt.Sprintf("past=%d", n), func(b *testing.B) {
+			db, past := relation.NewInstance(), relation.NewInstance()
+			for i := 0; i < n/2; i++ {
+				item, price := relation.Const(fmt.Sprintf("item-%04d", i)), relation.Const(fmt.Sprint(100+i))
+				db.Add("price", relation.Tuple{item, price})
+				past.Add("order", relation.Tuple{item})
+				past.Add("pay", relation.Tuple{item, price})
+			}
+			s := New(Config{Timeout: time.Minute})
+			src := Source{Model: "short", DB: db, Past: past}
+			if _, err := s.Goal(context.Background(), src, "deliver(X)"); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a, err := s.Goal(context.Background(), src, "deliver(X)")
+				if err != nil || !a.Cached {
+					b.Fatalf("not a hit: %v", err)
+				}
+			}
+		})
 	}
 }

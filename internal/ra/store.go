@@ -179,6 +179,19 @@ func (s *Store) Merge(derived *Store, keep []bool) {
 	clear(derived.rels)
 }
 
+// Rows returns the number of rows the store holds, over all its relations,
+// in O(slots). A store whose relations are only ever appended to holds the
+// same rows while this count stays the same.
+func (s *Store) Rows() int {
+	n := 0
+	for _, ir := range s.rels {
+		if ir != nil {
+			n += len(ir.rows)
+		}
+	}
+	return n
+}
+
 // Instance materializes the resident relations as constants: a fresh
 // instance sharing nothing with the store.
 func (s *Store) Instance() relation.Instance {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // instanceJSON is the wire form of an Instance: relation name to list of
@@ -32,7 +33,10 @@ func (in Instance) MarshalJSON() ([]byte, error) {
 	return json.Marshal(m)
 }
 
-// UnmarshalJSON decodes the wire form produced by MarshalJSON.
+// UnmarshalJSON decodes the wire form produced by MarshalJSON. It refuses
+// a constant containing NUL, the byte Tuple.Key separates constants with:
+// two distinct tuples such a constant let through could share a key, and
+// a relation would then hold one of them and silently drop the other.
 func (in *Instance) UnmarshalJSON(data []byte) error {
 	var m instanceJSON
 	if err := json.Unmarshal(data, &m); err != nil {
@@ -55,6 +59,9 @@ func (in *Instance) UnmarshalJSON(data []byte) error {
 			}
 			t := make(Tuple, len(row))
 			for i, c := range row {
+				if strings.IndexByte(c, 0) >= 0 {
+					return fmt.Errorf("relation %s: constant %q contains NUL", name, c)
+				}
 				t[i] = Const(c)
 			}
 			out.Ensure(name, arity).Add(t)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -424,5 +425,107 @@ func TestPropActiveDomainSorted(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestJSONRejectsNUL pins the refusal of NUL, Tuple.Key's separator, in a
+// decoded constant. Let through, ("a\x00b","c") and ("a","b\x00c") share
+// the key "a\x00b\x00c", and a relation past smallRelMax tuples — keyed by
+// Tuple.Key — would hold one of them and drop the other without a word.
+func TestJSONRejectsNUL(t *testing.T) {
+	rows := [][]string{{"a\x00b", "c"}, {"a", "b\x00c"}}
+	for i := 0; i < smallRelMax+1; i++ {
+		rows = append(rows, []string{"x", string(rune('a' + i))})
+	}
+	data, err := json.Marshal(map[string][][]string{"r": rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in Instance
+	if err := json.Unmarshal(data, &in); err == nil {
+		t.Fatalf("decoded %d rows into %d tuples without an error", len(rows), in.Len())
+	}
+	for _, c := range []string{"\x00", "a\x00", "\x00a"} {
+		if err := json.Unmarshal([]byte(`{"r": [[`+strconv.Quote(c)+`]]}`), &in); err == nil {
+			t.Errorf("constant %q decoded without an error", c)
+		}
+	}
+}
+
+// TestDigestOrderIndependent: the digest is a function of the set of
+// facts — not of the order they were added in, in small or spilled
+// storage, nor of empty relations.
+func TestDigestOrderIndependent(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		a := randomInstance(r)
+		facts := a.Facts()
+		r.Shuffle(len(facts), func(i, j int) { facts[i], facts[j] = facts[j], facts[i] })
+		b := NewInstance()
+		b.Ensure("empty", 3)
+		for _, f := range facts {
+			b.Add(f.Rel, f.Args)
+		}
+		return a.Digest() == b.Digest() && a.Digest() == a.Clone().Digest()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	up, down := NewInstance(), NewInstance()
+	for i := 0; i < 2*smallRelMax; i++ {
+		up.Add("r", tup(strconv.Itoa(i)))
+	}
+	for i := 2*smallRelMax - 1; i >= 0; i-- {
+		down.Add("r", tup(strconv.Itoa(i)))
+	}
+	if up.Digest() != down.Digest() {
+		t.Error("equal spilled relations built in different orders digest differently")
+	}
+	if (Instance{}).Digest() != (Digest{}) || (Instance)(nil).Digest() != (Digest{}) {
+		t.Error("an empty instance does not digest as zero")
+	}
+}
+
+// TestDigestInjectiveOnBytes: facts whose names and constants concatenate
+// to the same bytes, or which differ only in how tuples are grouped, digest
+// apart — every name and constant is length-prefixed.
+func TestDigestInjectiveOnBytes(t *testing.T) {
+	one := func(facts ...Fact) Instance {
+		in := NewInstance()
+		for _, f := range facts {
+			in.Add(f.Rel, f.Args)
+		}
+		return in
+	}
+	pairs := [][2]Instance{
+		{one(Fact{"order", tup("x\x01y")}), one(Fact{"order", tup("x")}, Fact{"order", tup("y")})},
+		{one(Fact{"r", tup("ab", "c")}), one(Fact{"r", tup("a", "bc")})},
+		{one(Fact{"ra", tup("b")}), one(Fact{"r", tup("ab")})},
+		{one(Fact{"p", tup()}), one(Fact{"q", tup()})},
+		{one(Fact{"p", tup()}), NewInstance()},
+		{one(Fact{"r", tup("a", "b")}), one(Fact{"r", tup("b", "a")})},
+		{one(Fact{"r", tup("a")}), one(Fact{"s", tup("a")})},
+	}
+	for _, p := range pairs {
+		if p[0].Digest() == p[1].Digest() {
+			t.Errorf("%s and %s share a digest", p[0], p[1])
+		}
+	}
+}
+
+// TestDigestAllocatesNothing: a digest of facts that fit the stack buffer
+// allocates nothing, whatever the instance's size.
+func TestDigestAllocatesNothing(t *testing.T) {
+	in := NewInstance()
+	for i := 0; i < 1000; i++ {
+		in.Add("pay", tup("item-"+strconv.Itoa(i), strconv.Itoa(100+i)))
+	}
+	in.Add("order", tup("item-1"))
+	var d Digest
+	if n := testing.AllocsPerRun(10, func() { d = in.Digest() }); n != 0 {
+		t.Errorf("Digest allocates %.0f times", n)
+	}
+	if d == (Digest{}) {
+		t.Error("a non-empty instance digests as zero")
 	}
 }

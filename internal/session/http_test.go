@@ -109,6 +109,31 @@ func TestHTTPStatusCodes(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsNULConstants: a constant holding NUL, the byte tuple keys
+// separate constants with, is refused with a 400 wherever an instance is
+// decoded — a step's input, an inline database — and nothing is applied.
+func TestHTTPRejectsNULConstants(t *testing.T) {
+	e, srv := httpServer(t)
+	var info Info
+	if st := call(t, "POST", srv.URL+"/sessions", map[string]string{"model": "short", "id": "nul"}, &info); st != http.StatusCreated {
+		t.Fatalf("open: status %d", st)
+	}
+	rows := [][]string{{"a\x00b", "c"}, {"a", "b\x00c"}}
+	for i := 0; i < 9; i++ {
+		rows = append(rows, []string{fmt.Sprint("item-", i), "1"})
+	}
+	if st := call(t, "POST", srv.URL+"/sessions/nul/input", map[string]any{"input": map[string][][]string{"pay": rows}}, nil); st != http.StatusBadRequest {
+		t.Errorf("input with a NUL constant: status %d, want 400", st)
+	}
+	if lr, err := e.Log("nul"); err != nil || lr.Steps != 0 {
+		t.Errorf("after the refused input: %+v, %v — want no step", lr, err)
+	}
+	db := map[string][][]string{"price": {{"time\x00", "855"}}}
+	if st := call(t, "POST", srv.URL+"/sessions", map[string]any{"model": "short", "id": "nuldb", "db": db}, nil); st != http.StatusBadRequest {
+		t.Errorf("inline database with a NUL constant: status %d, want 400", st)
+	}
+}
+
 // TestHTTPStepBodyCap: a single step is held to the 1 MiB data-plane cap,
 // while the array form, being a batch, may exceed it.
 func TestHTTPStepBodyCap(t *testing.T) {

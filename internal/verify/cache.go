@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -83,14 +84,16 @@ func (c *Cache) Purge() {
 // problemKey canonically serializes a grounding problem. Formula terms are
 // tagged as variable or constant so names that appear in both roles cannot
 // collide; fixed extensions use the relations' sorted tuple order; map
-// iteration order never leaks into the key.
+// iteration order never leaks into the key. Every name and constant is
+// written with its length in front (see writeStr), so no byte a constant
+// may hold can make two problems serialize alike.
 func problemKey(p *fol.Problem) string {
 	var b strings.Builder
 	// The tag scopes the key to the machine(s) whose translation produced
 	// the problem (see fol.Problem.Tag): formulas erase the machine into
 	// structure, and two models sharing rule text must not share entries
 	// when one process-wide cache serves many models.
-	b.WriteString(p.Tag)
+	writeStr(&b, p.Tag)
 	b.WriteByte('\x02')
 	writeFormula(&b, p.Formula)
 
@@ -102,15 +105,18 @@ func problemKey(p *fol.Problem) string {
 	sort.Strings(names)
 	for _, name := range names {
 		r := p.Fixed[name]
-		fmt.Fprintf(&b, "\x01%s/", name)
+		b.WriteByte('\x01')
+		writeStr(&b, name)
 		if r == nil {
 			b.WriteString("nil")
 			continue
 		}
-		fmt.Fprintf(&b, "%d", r.Arity())
+		fmt.Fprintf(&b, "/%d", r.Arity())
 		for _, t := range r.Tuples() {
 			b.WriteByte('\x03')
-			b.WriteString(t.Key())
+			for _, c := range t {
+				writeStr(&b, string(c))
+			}
 		}
 	}
 
@@ -121,7 +127,9 @@ func problemKey(p *fol.Problem) string {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fmt.Fprintf(&b, "\x01%s/%d", name, p.Free[name])
+		b.WriteByte('\x01')
+		writeStr(&b, name)
+		fmt.Fprintf(&b, "/%d", p.Free[name])
 	}
 
 	b.WriteString("\x02consts")
@@ -130,25 +138,31 @@ func problemKey(p *fol.Problem) string {
 		consts = append(consts, string(c))
 	}
 	sort.Strings(consts)
-	prev := "\x00"
-	for _, c := range consts {
-		if c == prev {
+	for i, c := range consts {
+		if i > 0 && c == consts[i-1] {
 			continue
 		}
-		prev = c
 		b.WriteByte('\x01')
-		b.WriteString(c)
+		writeStr(&b, c)
 	}
 
 	fmt.Fprintf(&b, "\x02w%d\x02fd%v", p.Witnesses, p.FiniteDomain)
 	return b.String()
 }
 
+// writeStr writes s preceded by its length, so the reader of a key always
+// knows where s ends, whatever bytes it holds.
+func writeStr(b *strings.Builder, s string) {
+	b.WriteString(strconv.Itoa(len(s)))
+	b.WriteByte(':')
+	b.WriteString(s)
+}
+
 func writeFormula(b *strings.Builder, f fol.Formula) {
 	switch t := f.(type) {
 	case fol.Atom:
 		b.WriteString("A(")
-		b.WriteString(t.Pred)
+		writeStr(b, t.Pred)
 		for _, a := range t.Args {
 			writeTerm(b, a)
 		}
@@ -191,18 +205,15 @@ func writeFormula(b *strings.Builder, f fol.Formula) {
 
 func writeTerm(b *strings.Builder, t dlog.Term) {
 	if t.Var {
-		b.WriteString("\x01v:")
+		b.WriteString("v")
 	} else {
-		b.WriteString("\x01c:")
+		b.WriteString("c")
 	}
-	b.WriteString(t.Name)
+	writeStr(b, t.Name)
 }
 
 func writeVars(b *strings.Builder, vars []string) {
-	for i, v := range vars {
-		if i > 0 {
-			b.WriteByte('\x01')
-		}
-		b.WriteString(v)
+	for _, v := range vars {
+		writeStr(b, v)
 	}
 }

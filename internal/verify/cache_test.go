@@ -31,6 +31,37 @@ func TestCacheKeyScopedByTag(t *testing.T) {
 	}
 }
 
+// TestCacheKeyInjective: problems that differ only in a constant holding
+// the key's own separator bytes get different keys. Unescaped, the fixed
+// extension {("a\x03b")} read as the two tuples {("a"), ("b")}, and the
+// extra constant "a\x01b" as the two constants "a" and "b".
+func TestCacheKeyInjective(t *testing.T) {
+	mk := func(fixed []relation.Tuple, consts ...relation.Const) *fol.Problem {
+		r := relation.NewRel(1)
+		for _, tu := range fixed {
+			r.Add(tu)
+		}
+		return &fol.Problem{
+			Tag:         "machine",
+			Formula:     fol.Atom{Pred: "deliver", Args: []dlog.Term{{Name: "x", Var: true}}},
+			Fixed:       map[string]*relation.Rel{"r": r},
+			Free:        map[string]int{"deliver": 1},
+			ExtraConsts: consts,
+		}
+	}
+	pairs := [][2]*fol.Problem{
+		{mk([]relation.Tuple{{"a\x03b"}}), mk([]relation.Tuple{{"a"}, {"b"}})},
+		{mk(nil, "a\x01b"), mk(nil, "a", "b")},
+		{mk(nil, "\x00"), mk(nil)},
+	}
+	for _, p := range pairs {
+		if problemKey(p[0]) == problemKey(p[1]) {
+			t.Errorf("fixed %s, consts %q and fixed %s, consts %q share the key %q",
+				p[0].Fixed["r"], p[0].ExtraConsts, p[1].Fixed["r"], p[1].ExtraConsts, problemKey(p[0]))
+		}
+	}
+}
+
 // TestCacheSharedAcrossModels runs two different models through one shared
 // cache and checks neither answer contaminates the other — the end-to-end
 // face of the tag scoping.
