@@ -4,7 +4,8 @@
 # the one-writer invariant — a seeded script through a durable primary with
 # a standby attached, then primary = standby = recovery of either = the
 # paper's oracle — and the fail-stop path of a broken WAL, both under
-# -race; the follower suites (bootstrap, resume, promotion, semi-sync); the
+# -race; the follower suites (bootstrap, resume, promotion, semi-sync) and,
+# under -race, concurrent saves of the follower's position file; the
 # router's promotion, follower-read, keyed-retry and handoff-rollback
 # suites; the promotion crash suite, which SIGKILLs a real primary mid-load
 # and proves its warm follower serves every acked step; a scaled-down
@@ -59,6 +60,11 @@ section "Follower suites (bootstrap, resume, promote, semi-sync)"
 go test ./internal/replica -v 2>&1 | tee "$out/replica.out"
 passed "$out/replica.out" TestFollowerStreamsAndPromotes TestFollowerBootstrapsFromSnapshot \
 	TestFollowerResumesFromPersistedPosition TestSemiSyncAckImpliesReplicated
+end
+
+section "Follower position file under concurrent saves (under -race)"
+go test -race ./internal/replica -run 'TestConcurrentSavesKeepStateWhole' -v 2>&1 | tee "$out/replsave.out"
+passed "$out/replsave.out" TestConcurrentSavesKeepStateWhole
 end
 
 section "Router replication suites (promotion, follower reads, keyed retry, handoff rollback)"

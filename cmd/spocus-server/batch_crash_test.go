@@ -42,8 +42,9 @@ func TestCrashBatchAtomic(t *testing.T) {
 
 	// Each goroutine advances one session in whole batches of `batch` steps.
 	// acked[i] counts steps of batches whose every item answered 2xx — the
-	// durable promise. A shard-level 429 (mailbox full) fails the whole
-	// group, so retrying the whole batch preserves step order.
+	// durable promise. A shard-level 429 (too many callers waiting for the
+	// shard's lock) fails the whole group, so retrying the whole batch
+	// preserves step order.
 	var acked [nSessions]atomic.Int64
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

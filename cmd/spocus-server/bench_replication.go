@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/live"
-	"repro/internal/relation"
 	"repro/internal/replica"
 	"repro/internal/session"
 	"repro/internal/wire"
@@ -35,10 +34,11 @@ import (
 //
 //   - Promotion vs replay at a fixed session size: a session is driven to
 //     -promote-steps, the standby catches up, and promotion into a fresh
-//     serving engine is timed against rebuilding the same session by
-//     re-stepping its whole input history (the replay-handoff transport's
-//     work). Promotion is O(state) — export one image, install it — while
-//     replay is O(steps), which is the whole argument for warm followers.
+//     serving engine is timed against replay-rebuild — re-stepping the
+//     same session's whole input history on another fresh engine, timed in
+//     the same round. Promotion is O(state) — export one image, install
+//     it — while replay-rebuild is the O(steps) baseline, which is the
+//     whole argument for warm followers.
 //
 // The committed BENCH_replication.json is this subcommand's output.
 
@@ -69,14 +69,23 @@ type replStreamingReport struct {
 type replPromotionReport struct {
 	Steps   int             `json:"steps"`
 	Timings []handoffTiming `json:"timings"` // modes: promote, replay-rebuild
-	// PromoteVsReplayFrac is promote mean over replay-rebuild mean; the
-	// acceptance bound (against BENCH_router.json's handoff_1k replay mean)
-	// is 0.25.
+	// PromoteVsReplayFrac is promote mean over replay-rebuild mean, both
+	// timed in this run; the acceptance bound is 0.25.
 	PromoteVsReplayFrac float64 `json:"promote_vs_replay_frac"`
 }
 
+// handoffTiming is one operation's timings in the promotion report.
+type handoffTiming struct {
+	Mode      string    `json:"mode"`
+	Rounds    int       `json:"rounds"`
+	MeanMs    float64   `json:"mean_ms"`
+	MinMs     float64   `json:"min_ms"`
+	MaxMs     float64   `json:"max_ms"`
+	SamplesMs []float64 `json:"samples_ms"`
+}
+
 // serveEngine exposes eng over loopback HTTP, returning its base URL and a
-// closer — the stand-in for the primary's listener.
+// closer — the stand-in for a primary's or a scenario backend's listener.
 func serveEngine(eng *session.Engine) (string, func(), error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -171,7 +180,8 @@ func attachStandby(base string, shards int) (*replica.Follower, func(), error) {
 	}, nil
 }
 
-func benchReplication(cfg session.Config, model string, db relation.Instance, script func(int, int) relation.Instance, nSessions, nSteps, promoteSteps, rounds int) {
+func benchReplication(cfg session.Config, nSessions, nSteps, promoteSteps, rounds int) {
+	script, db := shopScript()
 	const (
 		streamOff = iota
 		streamDrain
@@ -212,7 +222,7 @@ func benchReplication(cfg session.Config, model string, db relation.Instance, sc
 				teardown = append(teardown, stopFol)
 			}
 		}
-		res = runLoad(&engineTarget{eng: eng, lv: live.New(live.Config{Queue: nSessions})}, script, db, model, nSessions, nSteps, 0)
+		res = runLoad(&engineTarget{eng: eng, lv: live.New(live.Config{Queue: nSessions})}, script, db, nSessions, nSteps, 0)
 		res.Fsync, res.Durable = "always", true
 		if stop != nil {
 			extra = stop()
@@ -288,7 +298,7 @@ func benchReplication(cfg session.Config, model string, db relation.Instance, sc
 		if err != nil {
 			fatal(err)
 		}
-		if _, err := prim.Open(&session.OpenRequest{ID: id, Model: model, DB: db}); err != nil {
+		if _, err := prim.Open(&session.OpenRequest{ID: id, Model: benchModel, DB: db}); err != nil {
 			fatal(err)
 		}
 		for j := 0; j < promoteSteps; j++ {
@@ -330,7 +340,7 @@ func benchReplication(cfg session.Config, model string, db relation.Instance, sc
 			fatal(err)
 		}
 		t1 := time.Now()
-		if _, err := reng.Open(&session.OpenRequest{ID: id, Model: model, DB: db}); err != nil {
+		if _, err := reng.Open(&session.OpenRequest{ID: id, Model: benchModel, DB: db}); err != nil {
 			fatal(err)
 		}
 		for j := 0; j < promoteSteps; j++ {

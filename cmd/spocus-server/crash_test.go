@@ -271,7 +271,7 @@ func TestCrashGroupCommit(t *testing.T) {
 	}
 
 	// Let real load build up, then kill -9 mid-batch: some steps are acked,
-	// some are in mailboxes or waiting on the shared fsync.
+	// some are waiting for a shard's lock or on the shared fsync.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		var total int64

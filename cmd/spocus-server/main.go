@@ -16,11 +16,11 @@
 //	                    [-follow http://primary:8080 -follow-dir standby]
 //	                    [-repl-sync-wait 250ms]
 //	spocus-server waldump <shard-dir | engine-dir>
-//	spocus-server bench [-sessions 1000] [-steps 30] [-model short]
+//	spocus-server bench [-sessions 1000] [-steps 30] [-verify-mix 0.1]
 //	                    [-shards N] [-dir DIR] [-fsync never]
-//	                    [-url http://router:8090] [-verify-mix 0.1]
-//	                    [-fsync-matrix]
-//	                    [-handoff-steps 1000 -handoff-rounds 5]
+//	                    [-url http://router:8090 [-batch 125]]
+//	spocus-server bench -replication [-promote-steps 1000] [-promote-rounds 3]
+//	spocus-server bench -scenarios builtin|FILE [-scenario-backends 2]
 //
 // serve exposes:
 //
@@ -38,13 +38,15 @@
 // from the standby and POST /admin/replica/promote fails its sessions over
 // into this server's own engine.
 //
-// Sessions are sharded across goroutine-owned shards; every applied step is
+// Sessions are sharded across lock-guarded shards; every applied step is
 // written ahead to a per-shard log and compacted into snapshots, so logs
 // survive kill -9: on restart the server replays snapshot + WAL before
 // accepting traffic.
 //
-// bench is a load generator driving M concurrent sessions through scripted
-// runs in-process, reporting throughput and latency percentiles as JSON.
+// bench is a load generator driving M concurrent sessions through the
+// scripted SHORT shopping loop, in-process or over HTTP, reporting
+// throughput and latency percentiles as JSON; -replication and -scenarios
+// are its replication-plane and scenario-fleet reports.
 package main
 
 import (
@@ -117,8 +119,7 @@ func fatal(err error) {
 }
 
 // engineFlags registers the flags shared by serve and bench and returns a
-// config builder (bench's fsync matrix overrides fields per case before
-// constructing the engine).
+// config builder.
 func engineFlags(fs *flag.FlagSet, defaultFsync string) func() (session.Config, error) {
 	var (
 		dir           = fs.String("dir", "", "durability directory for WAL + snapshots (empty: in-memory only)")

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -24,39 +23,16 @@ import (
 // paths. The committed BENCH_scenarios.json is this subcommand's output
 // for the builtin fleet.
 
-// latQuantiles is the shared latency report shape.
-type latQuantiles struct {
-	P50Micros float64 `json:"p50_us"`
-	P90Micros float64 `json:"p90_us"`
-	P99Micros float64 `json:"p99_us"`
-	MaxMicros float64 `json:"max_us"`
-}
-
 // pathReport is one serving path's numbers for one scenario.
 type pathReport struct {
 	Path        string       `json:"path"` // "inproc" | "router"
 	Backends    int          `json:"backends,omitempty"`
-	Batch       int          `json:"batch,omitempty"` // sessions per pipelined batch (0: single-step)
 	StepsTotal  int          `json:"steps_total"`
 	ElapsedSec  float64      `json:"elapsed_s"`
 	StepsPerSec float64      `json:"steps_per_sec"`
 	OpenSec     float64      `json:"open_s"`
 	Retried429  int64        `json:"retried_429,omitempty"`
 	Latency     latQuantiles `json:"step_latency"`
-	// ReplLag summarizes follower lag sampled while the path ran; present
-	// only under -scenario-replication, and only on the router path.
-	ReplLag *replLagQuantiles `json:"repl_lag_records,omitempty"`
-}
-
-// replLagQuantiles summarizes sampled replication lag, in WAL records:
-// every ~5ms during the run, each backend contributes one sample — its
-// committed LSN minus its follower's last acked LSN, summed over shards.
-type replLagQuantiles struct {
-	Samples int   `json:"samples"`
-	P50     int64 `json:"p50"`
-	P90     int64 `json:"p90"`
-	P99     int64 `json:"p99"`
-	Max     int64 `json:"max"`
 }
 
 // scenarioReport is one scenario's entry in the fleet report.
@@ -75,13 +51,12 @@ type scenarioReport struct {
 type scenarioTarget interface {
 	open(p *scenario.SessionPlan) error
 	step(p *scenario.SessionPlan, j int) error
-	// stepBatch advances many (non-network) sessions in one shot.
-	stepBatch(items []session.BatchItem) error
 	retried() int64
 }
 
-// scenarioEngineTarget drives the in-process engine, retrying mailbox and
-// rate-limit shedding with backoff (the scenario bench measures goodput).
+// scenarioEngineTarget drives the in-process engine, retrying overload (too
+// many callers waiting on a shard's lock) and rate-limit shedding with
+// backoff (the scenario bench measures goodput).
 type scenarioEngineTarget struct {
 	eng *session.Engine
 	mu  sync.Mutex
@@ -127,38 +102,6 @@ func (t *scenarioEngineTarget) step(p *scenario.SessionPlan, j int) error {
 	})
 }
 
-// stepBatch injects the whole group in one engine send (one group-commit
-// acks it); shed items — mailbox overflow or rate limiting — are retried
-// item-wise with backoff, mirroring withRetry.
-func (t *scenarioEngineTarget) stepBatch(items []session.BatchItem) error {
-	pending := items
-	for attempt := 0; attempt < 8; attempt++ {
-		if attempt > 0 {
-			t.mu.Lock()
-			t.n++
-			t.mu.Unlock()
-			time.Sleep(time.Duration(2<<attempt) * time.Millisecond)
-		}
-		var again []session.BatchItem
-		for i, r := range t.eng.InputBatch(pending) {
-			if r.Err == nil {
-				continue
-			}
-			var over *session.OverloadedError
-			var limited *session.RateLimitedError
-			if !errors.As(r.Err, &over) && !errors.As(r.Err, &limited) {
-				return r.Err
-			}
-			again = append(again, pending[i])
-		}
-		if len(again) == 0 {
-			return nil
-		}
-		pending = again
-	}
-	return fmt.Errorf("batch: %d items still shedding after retries", len(pending))
-}
-
 func (t *scenarioEngineTarget) retried() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -200,128 +143,6 @@ func (t *scenarioHTTPTarget) retried() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.retries
-}
-
-// latPercentiles folds sorted-or-not samples into the shared report shape.
-func latPercentiles(all []time.Duration) latQuantiles {
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pct := func(q float64) float64 {
-		if len(all) == 0 {
-			return 0
-		}
-		return float64(all[int(q*float64(len(all)-1))]) / 1e3
-	}
-	return latQuantiles{
-		P50Micros: pct(0.50),
-		P90Micros: pct(0.90),
-		P99Micros: pct(0.99),
-		MaxMicros: pct(1.0),
-	}
-}
-
-// runScenarioPathBatched drives the scenario with multi-session batching
-// where the arrival model allows it: under closed arrival, groups of
-// batch non-network sessions advance in lockstep, one stepBatch call per
-// round (network sessions keep their per-session loop — joint inputs
-// have no batch form). Open arrival schedules each session individually,
-// so it and batch <= 1 fall back to the per-session driver.
-func runScenarioPathBatched(sp *scenario.Spec, plans []*scenario.SessionPlan, target scenarioTarget, path string, batch int) pathReport {
-	if batch <= 1 || (sp.Arrival != "" && sp.Arrival != scenario.Closed) {
-		return runScenarioPath(sp, plans, target, path)
-	}
-	openStart := time.Now()
-	for _, p := range plans {
-		if err := target.open(p); err != nil {
-			fatal(fmt.Errorf("scenario %s: open %s: %w", sp.Name, p.ID, err))
-		}
-	}
-	openElapsed := time.Since(openStart)
-
-	var solo, flat []*scenario.SessionPlan
-	for _, p := range plans {
-		if p.IsNetwork() {
-			solo = append(solo, p)
-		} else {
-			flat = append(flat, p)
-		}
-	}
-	var groups [][]*scenario.SessionPlan
-	for lo := 0; lo < len(flat); lo += batch {
-		groups = append(groups, flat[lo:min(lo+batch, len(flat))])
-	}
-
-	var mu sync.Mutex
-	var all []time.Duration
-	collect := func(lat []time.Duration) {
-		mu.Lock()
-		all = append(all, lat...)
-		mu.Unlock()
-	}
-	errs := make(chan error, len(groups)+len(solo))
-	var wg sync.WaitGroup
-	start := time.Now()
-	for _, grp := range groups {
-		wg.Add(1)
-		go func(grp []*scenario.SessionPlan) {
-			defer wg.Done()
-			var lat []time.Duration
-			items := make([]session.BatchItem, 0, len(grp))
-			for j := 0; ; j++ {
-				items = items[:0]
-				for _, p := range grp {
-					if j < p.Steps {
-						items = append(items, session.BatchItem{Session: p.ID, Input: p.Input(j)})
-					}
-				}
-				if len(items) == 0 {
-					break
-				}
-				t0 := time.Now()
-				if err := target.stepBatch(items); err != nil {
-					errs <- fmt.Errorf("scenario %s: batch step %d: %w", sp.Name, j+1, err)
-					return
-				}
-				d := time.Since(t0)
-				for range items {
-					lat = append(lat, d)
-				}
-			}
-			collect(lat)
-		}(grp)
-	}
-	for _, p := range solo {
-		wg.Add(1)
-		go func(p *scenario.SessionPlan) {
-			defer wg.Done()
-			lat := make([]time.Duration, 0, p.Steps)
-			for j := 0; j < p.Steps; j++ {
-				t0 := time.Now()
-				if err := target.step(p, j); err != nil {
-					errs <- fmt.Errorf("scenario %s: %s step %d: %w", sp.Name, p.ID, j+1, err)
-					return
-				}
-				lat = append(lat, time.Since(t0))
-			}
-			collect(lat)
-		}(p)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errs)
-	for err := range errs {
-		fatal(err)
-	}
-
-	return pathReport{
-		Path:        path,
-		Batch:       batch,
-		StepsTotal:  len(all),
-		ElapsedSec:  elapsed.Seconds(),
-		StepsPerSec: float64(len(all)) / elapsed.Seconds(),
-		OpenSec:     openElapsed.Seconds(),
-		Retried429:  target.retried(),
-		Latency:     latPercentiles(all),
-	}
 }
 
 // runScenarioPath opens every planned session on target, then drives them
@@ -383,9 +204,9 @@ func runScenarioPath(sp *scenario.Spec, plans []*scenario.SessionPlan, target sc
 
 // backendServer is one in-process spocus-server on a loopback listener.
 type backendServer struct {
-	eng *session.Engine
-	srv *http.Server
-	url string
+	eng      *session.Engine
+	url      string
+	closeSrv func()
 }
 
 func startBackend(cfg session.Config) (*backendServer, error) {
@@ -393,70 +214,23 @@ func startBackend(cfg session.Config) (*backendServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	url, closeSrv, err := serveEngine(eng)
 	if err != nil {
 		eng.Shutdown()
 		return nil, err
 	}
-	b := &backendServer{
-		eng: eng,
-		srv: &http.Server{Handler: session.Handler(eng)},
-		url: "http://" + ln.Addr().String(),
-	}
-	go b.srv.Serve(ln)
-	return b, nil
+	return &backendServer{eng: eng, url: url, closeSrv: closeSrv}, nil
 }
 
 func (b *backendServer) stop() {
-	b.srv.Close()
+	b.closeSrv()
 	b.eng.Shutdown()
-}
-
-// sampleReplLag polls each backend's replication-lag gauge (committed LSN
-// minus the follower's last ack, summed over shards) every 5ms until the
-// returned stop function is called, which reports the percentiles of what
-// it saw. Backends whose follower has not acked yet read as zero lag, so
-// the first few samples understate — a wash over a multi-second run.
-func sampleReplLag(backends []*backendServer) func() *replLagQuantiles {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	var samples []int64
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(5 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				for _, bs := range backends {
-					samples = append(samples, bs.eng.Stats().ReplLag)
-				}
-			}
-		}
-	}()
-	return func() *replLagQuantiles {
-		close(done)
-		wg.Wait()
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		q := &replLagQuantiles{Samples: len(samples)}
-		if len(samples) == 0 {
-			return q
-		}
-		at := func(f float64) int64 { return samples[int(f*float64(len(samples)-1))] }
-		q.P50, q.P90, q.P99, q.Max = at(0.50), at(0.90), at(0.99), at(1.0)
-		return q
-	}
 }
 
 // benchScenarios runs the fleet: for each scenario, once in-process and
 // once through a router over real loopback TCP, on fresh engines each
-// time so no scenario warms another's caches or WAL. With replicate set,
-// every router-path backend also feeds a warm follower, and the report
-// carries percentiles of the lag sampled while the scenario ran.
-func benchScenarios(cfg session.Config, src string, nBackends int, replicate bool, batch int) {
+// time so no scenario warms another's caches or WAL.
+func benchScenarios(cfg session.Config, src string, nBackends int) {
 	var fleet []*scenario.Spec
 	if src == "builtin" {
 		fleet = scenario.Fleet()
@@ -472,16 +246,6 @@ func benchScenarios(cfg session.Config, src string, nBackends int, replicate boo
 	if nBackends < 1 {
 		fatal(fmt.Errorf("bench: -scenario-backends must be >= 1"))
 	}
-	if replicate && cfg.Dir == "" {
-		// Streaming needs a WAL: memory-only engines have nothing to ship.
-		tmp, err := os.MkdirTemp("", "spocus-scenarios-*")
-		if err != nil {
-			fatal(err)
-		}
-		defer os.RemoveAll(tmp)
-		cfg.Dir = tmp
-	}
-
 	dirFor := func(parts ...string) string {
 		if cfg.Dir == "" {
 			return ""
@@ -519,7 +283,7 @@ func benchScenarios(cfg session.Config, src string, nBackends int, replicate boo
 		if err != nil {
 			fatal(err)
 		}
-		rep.Paths = append(rep.Paths, runScenarioPathBatched(sp, plans, &scenarioEngineTarget{eng: eng}, "inproc", batch))
+		rep.Paths = append(rep.Paths, runScenarioPath(sp, plans, &scenarioEngineTarget{eng: eng}, "inproc"))
 		eng.Shutdown()
 
 		// Router path: fresh backends, fresh router, fresh plans (the
@@ -547,21 +311,6 @@ func benchScenarios(cfg session.Config, src string, nBackends int, replicate boo
 		rsrv := &http.Server{Handler: rt.Handler()}
 		go rsrv.Serve(rln)
 
-		// With replication on, every backend feeds a warm follower and a
-		// sampler polls each backend's lag gauge while the scenario runs.
-		var stopFollowers []func()
-		var stopSampler func() *replLagQuantiles
-		if replicate {
-			for _, bs := range backends {
-				_, stopFol, err := attachStandby(bs.url, bs.eng.Shards())
-				if err != nil {
-					fatal(err)
-				}
-				stopFollowers = append(stopFollowers, stopFol)
-			}
-			stopSampler = sampleReplLag(backends)
-		}
-
 		ht := &scenarioHTTPTarget{httpTarget: &httpTarget{
 			base: "http://" + rln.Addr().String(),
 			client: wire.New(wire.Config{
@@ -571,19 +320,13 @@ func benchScenarios(cfg session.Config, src string, nBackends int, replicate boo
 				MaxIdleConnsPerHost: len(plans) + 16,
 			}),
 		}}
-		pr := runScenarioPathBatched(sp, plans, ht, "router", batch)
+		pr := runScenarioPath(sp, plans, ht, "router")
 		ht.client.Close()
 		pr.Backends = nBackends
-		if stopSampler != nil {
-			pr.ReplLag = stopSampler()
-		}
 		rep.Paths = append(rep.Paths, pr)
 
 		rsrv.Close()
 		rt.Close()
-		for _, stopFol := range stopFollowers {
-			stopFol()
-		}
 		for _, bs := range backends {
 			bs.stop()
 		}

@@ -166,7 +166,8 @@ func (rt *Router) ship(from, to, id string) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("export-state from %s: %w", from, err)
 	}
-	// Install can hit the same bounded mailbox as any open, so retry 429s.
+	// Install can hit the same bound on callers waiting for a shard's lock
+	// as any open, so retry 429s.
 	var info session.Info
 	if err := rt.client.PostBytesRetry(context.Background(), to+"/admin/install", "application/octet-stream", image, &info, nil); err != nil {
 		return 0, fmt.Errorf("install on %s: %w", to, err)

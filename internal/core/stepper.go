@@ -22,8 +22,8 @@ import (
 // against the tree oracle); Machine.Step stays the definition — a pure
 // function of values — and is what the decision procedures, Execute and
 // the benchmark's oracle run. A Stepper is the serving form of the same
-// function: mutable, with a single owner (a session's shard goroutine, a
-// network's caller), and not safe for concurrent use.
+// function: mutable, with a single owner (the holder of a session's shard
+// lock, a network's caller), and not safe for concurrent use.
 type Stepper struct {
 	m      *Machine
 	state  *ra.Store

@@ -14,7 +14,7 @@ var stepSink relation.Instance
 // BenchmarkStepperStep times one Stepper.Step of SHORT at small state — a
 // 12-item catalogue ordered and paid for round and round, so no relation
 // passes 12 tuples: the step engine's own cost, with nothing of the
-// session around it (no mailbox, admission, log delta or dedupe).
+// session around it (no shard lock, admission, log delta or dedupe).
 func BenchmarkStepperStep(b *testing.B) {
 	m := MustParseProgram(shortSrc)
 	db := relation.NewInstance()

@@ -17,7 +17,7 @@
 //   - Cache misses run on a bounded worker pool with a bounded admission
 //     queue; beyond that the query is rejected immediately with
 //     OverloadedError (HTTP 429 + Retry-After), mirroring the session
-//     engine's shard-mailbox backpressure.
+//     engine's bound on callers waiting for a shard's lock.
 //   - Every computation carries a per-query timeout and inherits the
 //     caller's context, so an abandoned HTTP request cancels its solver.
 //   - Underneath, all queries against one model share a verify.Cache of

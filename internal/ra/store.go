@@ -19,8 +19,8 @@ import (
 // Relations are held by predicate slot (see Interner), the index the
 // executor's operators carry, so reading one is a slice index.
 //
-// A Store has one owner at a time (a session's shard goroutine): nothing
-// in it is locked, and the access structures are built lazily under
+// A Store has one owner at a time (whoever holds the session's shard
+// lock): nothing in it is locked, and the access structures are built lazily under
 // evaluation. Only the Interner behind it is shared.
 type Store struct {
 	in   *Interner

@@ -77,7 +77,8 @@ type Follower struct {
 	wg         sync.WaitGroup
 	started    atomic.Bool
 
-	mu       sync.Mutex // guards st and the REPLSTATE file
+	mu       sync.Mutex // guards st
+	saveMu   sync.Mutex // one saveState at a time: guards the REPLSTATE file
 	st       replState
 	promoted atomic.Bool
 }
@@ -149,8 +150,13 @@ func (f *Follower) loadState() error {
 
 // saveState persists the stream position atomically. Losing a position is
 // harmless (re-applying is idempotent), so fsync of the tiny file is not
-// load-bearing — the rename keeps it from ever being half-written.
+// load-bearing — the rename keeps it from ever being half-written. Every
+// shard's tailer saves after each batch, so saves take turns: two writes
+// to the one tmp path would interleave, and the file that lands last must
+// hold the newest position.
 func (f *Follower) saveState() {
+	f.saveMu.Lock()
+	defer f.saveMu.Unlock()
 	f.mu.Lock()
 	data, _ := json.MarshalIndent(&f.st, "", "  ")
 	f.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -386,5 +387,49 @@ func TestSemiSyncAckImpliesReplicated(t *testing.T) {
 	}
 	if n := prim.Stats().ReplSyncTimeouts; n != 0 {
 		t.Fatalf("semi-sync degraded %d times against a healthy follower", n)
+	}
+}
+
+// TestConcurrentSavesKeepStateWhole saves the position from every shard's
+// tailer at once, the way tail does after each batch, and reloads
+// REPLSTATE.json after every round: the file must always parse, and it must
+// hold the newest position, not an older save that finished last.
+func TestConcurrentSavesKeepStateWhole(t *testing.T) {
+	const shards, rounds = 8, 300
+	f := &Follower{cfg: Config{Primary: "http://primary", Dir: t.TempDir()}}
+	f.st = replState{Primary: f.cfg.Primary, Shards: shards, Pos: make([]shardPos, shards)}
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for g := 0; g < shards; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				// Alternate short and long positions so a torn write leaves
+				// a stale tail behind a shorter one.
+				applied := int64(9)
+				if (r+g)%2 == 1 {
+					applied = 1_000_000_000 + int64(r)
+				}
+				f.mu.Lock()
+				f.st.Pos[g] = shardPos{Applied: applied, Committed: applied}
+				f.mu.Unlock()
+				f.saveState()
+			}(g)
+		}
+		wg.Wait()
+		want, err := json.Marshal(&f.st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.loadState(); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		got, err := json.Marshal(&f.st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("round %d: reloaded %s, want the newest position %s", r, got, want)
+		}
 	}
 }
