@@ -9,7 +9,9 @@
 # back to, every program the repo ships must be one the planner lowers.
 # Beside it: the stepper refuses images the schema does not describe, step
 # time never grows the shared slot table, the counted flatness and
-# allocation ceilings, Machine.Step kept the reference and nothing else,
+# allocation ceilings, the idle-session byte ceiling and the sharing of
+# machines, databases and step scratch between sessions (under -race),
+# Machine.Step kept the reference and nothing else,
 # the join-order suite, one iteration of the stepper benchmark and the
 # differential fuzz smoke. Every named suite is run verbosely and grepped
 # for its PASS lines, so a test that silently stops running fails the job
@@ -56,16 +58,18 @@ passed "$out/diff.out" TestDifferentialRegistryModels TestDifferentialQuick Test
 	TestStepperRefusesMisshapenState TestStepperRefusesUndeclaredState TestStepTimeNamesAssignNoSlots
 end
 
-section "Step cost is flat in state depth; a small-state step stays under its allocation ceiling (-race)"
-go test -race ./internal/session -run 'TestStepCostIsFlatInDepth|TestSmallStateStepAllocates' -v 2>&1 | tee "$out/flat.out"
-passed "$out/flat.out" TestStepCostIsFlatInDepth/short TestStepCostIsFlatInDepth/auction TestSmallStateStepAllocates
+section "Step cost is flat in state depth; a small-state step stays under its allocation ceiling; sessions share what is not theirs (-race)"
+go test -race ./internal/session -run 'TestStepCostIsFlatInDepth|TestSmallStateStepAllocates|TestIdleSessionRetention|TestSessionsShareMachineAndDB|TestDBTableDrains|TestSharedRunsUnderConcurrentReads' -v 2>&1 | tee "$out/flat.out"
+passed "$out/flat.out" TestStepCostIsFlatInDepth/short TestStepCostIsFlatInDepth/auction TestSmallStateStepAllocates \
+	TestIdleSessionRetention TestSessionsShareMachineAndDB TestDBTableDrains TestSharedRunsUnderConcurrentReads
 end
 
 section "Machine.Step is the reference, not a serving path"
 # Sessions and network nodes step on their resident stepper (the field is
-# named run in both packages); any other .Step( call in their non-test code
-# is a *core.Machine stepped on the serving path.
-if grep -rn --include='*.go' --exclude='*_test.go' -E '\.Step\(' internal/session internal/compose | grep -vE '\.run\.Step\('; then
+# named stepper in a session's machine run and run in a network node); any
+# other .Step( call in their non-test code is a *core.Machine stepped on
+# the serving path.
+if grep -rn --include='*.go' --exclude='*_test.go' -E '\.Step\(' internal/session internal/compose | grep -vE '\.(run|stepper)\.Step\('; then
 	echo "engine.sh: non-test code under internal/session or internal/compose steps a machine directly" >&2
 	exit 1
 fi

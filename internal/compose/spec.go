@@ -40,9 +40,12 @@ type WireSpec struct {
 	Input  string `json:"input"`
 }
 
-// Resolver maps a registry model name to a fresh machine and its default
-// database. internal/models supplies the canonical one; compose stays free
-// of the registry dependency so specs can be built against any library.
+// Resolver maps a registry model name to a machine and its default
+// database. Build only reads the machine, which may be shared (the session
+// engine passes one machine per registry model), and clones the database
+// for the node. internal/models supplies the canonical resolver; compose
+// stays free of the registry dependency so specs can be built against any
+// library.
 type Resolver func(name string) (*core.Machine, relation.Instance, error)
 
 // ParseSpec decodes and validates a JSON network spec. It is the parser
@@ -64,8 +67,9 @@ func ParseSpec(data []byte, resolve Resolver) (*Spec, *Network, error) {
 // unique and non-empty, each node must carry exactly one of model/src, the
 // model must resolve (or the program parse), and every wire must connect
 // declared relations of equal arity. The returned network is fresh — nodes
-// get cloned databases, so concurrent sessions built from one spec never
-// share state.
+// get cloned databases and their own steppers, so concurrent sessions built
+// from one spec never share state (a resolved machine, which nothing
+// writes, they may share).
 func (s *Spec) Build(resolve Resolver) (*Network, error) {
 	if len(s.Nodes) == 0 {
 		return nil, fmt.Errorf("compose: spec has no nodes")

@@ -10,25 +10,61 @@ import (
 
 // machinePlans is one machine's compiled form: the output program and the
 // state program (no-shadow: bodies read the previous state) lowered over a
-// shared intern table, the per-store constant table of the plan.
+// shared intern table, the per-store constant table of the plan — and the
+// step scratch its steppers borrow (see scratch).
 type machinePlans struct {
 	output *ra.Plan
 	state  *ra.Plan
+	// spare holds the scratch sets no step holds now: as many as the most
+	// steps on the plan at once have needed, up to maxSpareScratch.
+	mu    sync.Mutex
+	spare []*scratch
+}
+
+// maxSpareScratch bounds a plan's spare scratch sets. A set is taken for a
+// step and given back after it, so a plan holds as many as it ever had
+// steps running at once — one per shard stepping it, for the engine — and
+// a set given back beyond the bound is left to the collector.
+const maxSpareScratch = 64
+
+// borrow lends a step its scratch: a set a finished step gave back, or a
+// new one. A free list rather than a sync.Pool, which empties at every
+// collection and, under the race detector, drops a quarter of what it is
+// given: either would make a step rebuild its stores now and again.
+func (p *machinePlans) borrow() *scratch {
+	p.mu.Lock()
+	if n := len(p.spare); n > 0 {
+		sc := p.spare[n-1]
+		p.spare[n-1] = nil
+		p.spare = p.spare[:n-1]
+		p.mu.Unlock()
+		return sc
+	}
+	p.mu.Unlock()
+	in := p.state.Interner()
+	sc := &scratch{input: ra.NewStore(in, nil), out: ra.NewStore(in, nil), next: ra.NewStore(in, nil)}
+	sc.lookup[1] = sc.input
+	return sc
+}
+
+// giveBack returns a borrowed scratch, letting go of the run it served.
+func (p *machinePlans) giveBack(sc *scratch) {
+	sc.lookup[0], sc.lookup[2] = nil, nil
+	p.mu.Lock()
+	if len(p.spare) < maxSpareScratch {
+		p.spare = append(p.spare, sc)
+	}
+	p.mu.Unlock()
 }
 
 // planCache shares compiled plans across machines with the same rule
-// programs: every session of a registry model parses its own Machine, but
-// they all step on one compiled plan (and one intern table). The key is the
-// rule text plus the input relation names, which steer the join order —
-// name, log declaration and the rest of the schema do not reach the plan.
+// programs: the sessions of a registry model share one Machine, but inline
+// programs, network nodes and the decision procedures parse their own, and
+// all of them step on one compiled plan (and one intern table) per program.
+// The key is the rule text plus the input relation names, which steer the
+// join order — name, log declaration and the rest of the schema do not
+// reach the plan.
 var planCache sync.Map // rule text + input names -> *machinePlans
-
-// PlanCacheLen reports the number of distinct rule programs with cached plans.
-func PlanCacheLen() int {
-	n := 0
-	planCache.Range(func(_, _ any) bool { n++; return true })
-	return n
-}
 
 // compiled finishes construction: it lowers the machine's rule programs to
 // relational-algebra plans, through the plan cache. Every constructor ends

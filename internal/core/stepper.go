@@ -25,15 +25,11 @@ import (
 // function: mutable, with a single owner (the holder of a session's shard
 // lock, a network's caller), and not safe for concurrent use.
 type Stepper struct {
-	m      *Machine
-	state  *ra.Store
-	input  *ra.Store
-	stores []*ra.Store // the executor's lookup order: state, input, database
-	// out and next receive the two plans' derived relations, step after
-	// step. Merge takes next's relations into the state; out's are copied
-	// to constants by Instance, so the next step rebuilds them in the same
-	// maps and row storage.
-	out, next *ra.Store
+	m     *Machine
+	state *ra.Store
+	// db is the fixed database, interned relation by relation on first
+	// reference.
+	db *ra.Store
 	// orders keeps the state's sorted rows between StateView calls; nil
 	// until the first, so a run that never writes an image pays nothing.
 	orders *ra.Orders
@@ -41,6 +37,22 @@ type Stepper struct {
 	// behind a pointer so that a run never verified keeps the Stepper in
 	// its allocation size class.
 	past *pastAt
+}
+
+// scratch is what one step works in and nothing keeps between steps: the
+// step's interned input, the stores the two plans derive into, and the
+// executor's lookup order (state, input, database). A Stepper borrows one
+// from its machine's plans for the length of a Step (machinePlans.borrow),
+// so an idle run holds only its state and database, and the scratch of a
+// model's runs is as many sets as step at once.
+type scratch struct {
+	input *ra.Store
+	// out and next receive the two plans' derived relations. Merge takes
+	// next's relations into the state; out's are copied to constants by
+	// Instance, so the next step to borrow the set rebuilds them in the
+	// same maps and row storage.
+	out, next *ra.Store
+	lookup    [3]*ra.Store
 }
 
 // pastAt is a materialized past and the state's row count when it was
@@ -58,14 +70,7 @@ type pastAt struct {
 // seeding a relation gives its name a slot in the model-shared table.
 func (m *Machine) NewStepper(db, state relation.Instance) (*Stepper, error) {
 	in := m.plans.state.Interner()
-	st := &Stepper{
-		m:     m,
-		state: ra.NewStore(in, nil),
-		input: ra.NewStore(in, nil),
-		out:   ra.NewStore(in, nil),
-		next:  ra.NewStore(in, nil),
-	}
-	st.stores = []*ra.Store{st.state, st.input, ra.NewStore(in, db)}
+	st := &Stepper{m: m, state: ra.NewStore(in, nil), db: ra.NewStore(in, db)}
 	for name, rel := range state {
 		a, ok := m.schema.State.Arity(name)
 		if !ok {
@@ -87,12 +92,16 @@ func (m *Machine) NewStepper(db, state relation.Instance) (*Stepper, error) {
 // programs reading the previous state, as in Machine.Step. The input is
 // neither mutated nor retained.
 func (st *Stepper) Step(input relation.Instance) relation.Instance {
-	st.input.Reset(input)
-	st.m.plans.output.EvalStores(st.out, st.stores)
-	st.m.plans.state.EvalStores(st.next, st.stores)
-	st.input.Reset(nil)
-	st.state.Merge(st.next, st.m.plans.state.CumulativeHeads())
-	output := st.out.Instance()
+	p := st.m.plans
+	sc := p.borrow()
+	sc.lookup[0], sc.lookup[2] = st.state, st.db
+	sc.input.Reset(input)
+	p.output.EvalStores(sc.out, sc.lookup[:])
+	p.state.EvalStores(sc.next, sc.lookup[:])
+	sc.input.Reset(nil)
+	st.state.Merge(sc.next, p.state.CumulativeHeads())
+	output := sc.out.Instance()
+	p.giveBack(sc)
 	for _, d := range st.m.schema.Out {
 		output.Ensure(d.Name, d.Arity)
 	}

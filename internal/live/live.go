@@ -133,8 +133,24 @@ type Service struct {
 	// eviction policy's high-water mark. Monotone; never shrinks on evict.
 	maxDepth map[group]int
 
+	// goals holds the goals queries have named, parsed, by their text (see
+	// parseGoal); at most maxParsedGoals.
+	goalMu sync.Mutex
+	goals  map[string]parsedGoal
+
 	m liveMetrics
 }
+
+// parsedGoal is a goal as Goal and Progress use it: parsed, and its
+// normalized text, which keys its answers.
+type parsedGoal struct {
+	g    *verify.Goal
+	text string
+}
+
+// maxParsedGoals bounds a Service's parsed goals. Clients name a handful
+// of goals; past the bound an arbitrary one is dropped for each new one.
+const maxParsedGoals = 1024
 
 // machineEntry is one resolved machine plus its fingerprint-scoped solver
 // cache, shared by every session and query of that machine.
@@ -187,6 +203,7 @@ func New(cfg Config) *Service {
 		vcaches:  make(map[string]*verify.Cache),
 		answers:  make(map[answerKey]*entry),
 		maxDepth: make(map[group]int),
+		goals:    make(map[string]parsedGoal),
 	}
 	registerService(s)
 	return s
@@ -234,6 +251,35 @@ func (s *Service) resolve(src Source) (*machineEntry, error) {
 	e := &machineEntry{mach: mach, fp: fp, vcache: vc}
 	s.machines[key] = e
 	return e, nil
+}
+
+// parseGoal returns the goal the text names, parsing it only the first time
+// the text is asked: a cache hit then costs no parse and no rendering. The
+// parsed goal is shared by every query naming the same text, which is safe
+// because nothing downstream of Goal and Progress writes a goal — the
+// decision procedures, the answer and its key only read it.
+func (s *Service) parseGoal(text string) (parsedGoal, error) {
+	s.goalMu.Lock()
+	pg, ok := s.goals[text]
+	s.goalMu.Unlock()
+	if ok {
+		return pg, nil
+	}
+	g, err := verify.ParseGoal(text)
+	if err != nil {
+		return parsedGoal{}, err
+	}
+	pg = parsedGoal{g: g, text: g.String()}
+	s.goalMu.Lock()
+	if len(s.goals) >= maxParsedGoals {
+		for k := range s.goals {
+			delete(s.goals, k)
+			break
+		}
+	}
+	s.goals[text] = pg
+	s.goalMu.Unlock()
+	return pg, nil
 }
 
 // keyOf builds the answer key of a query asked of src.
@@ -416,7 +462,7 @@ type GoalAnswer struct {
 func (s *Service) Goal(ctx context.Context, src Source, goal string) (*GoalAnswer, error) {
 	start := time.Now()
 	s.m.queries.Add(1)
-	g, err := verify.ParseGoal(goal)
+	pg, err := s.parseGoal(goal)
 	if err != nil {
 		s.m.errors.Add(1)
 		return nil, &BadQueryError{Err: err}
@@ -426,16 +472,16 @@ func (s *Service) Goal(ctx context.Context, src Source, goal string) (*GoalAnswe
 		s.m.errors.Add(1)
 		return nil, err
 	}
-	key := keyOf(me, src, "goal", g.String())
+	key := keyOf(me, src, "goal", pg.text)
 	v, cached, err := s.getOrCompute(ctx, key, prefixDepth(src.Past), func(ctx context.Context) (any, error) {
-		res, err := verify.ReachGoalFrom(me.mach, src.DB, prefixSeq(src.Past), g, s.opts(ctx, me))
+		res, err := verify.ReachGoalFrom(me.mach, src.DB, prefixSeq(src.Past), pg.g, s.opts(ctx, me))
 		if err != nil {
 			return nil, err
 		}
 		s.m.coldGround.Observe(int64(res.Stats.GroundTime))
 		s.m.coldSAT.Observe(int64(res.Stats.SolveTime))
 		s.m.coldReplay.Observe(int64(res.Stats.ReplayTime))
-		return &GoalAnswer{Goal: g.String(), Reachable: res.Reachable, Witness: res.Witness}, nil
+		return &GoalAnswer{Goal: pg.text, Reachable: res.Reachable, Witness: res.Witness}, nil
 	})
 	return done(s, v, cached, start, err, func(v any) *GoalAnswer {
 		a := *v.(*GoalAnswer)
@@ -532,7 +578,7 @@ type ProgressAnswer struct {
 func (s *Service) Progress(ctx context.Context, src Source, goal string) (*ProgressAnswer, error) {
 	start := time.Now()
 	s.m.queries.Add(1)
-	g, err := verify.ParseGoal(goal)
+	pg, err := s.parseGoal(goal)
 	if err != nil {
 		s.m.errors.Add(1)
 		return nil, &BadQueryError{Err: err}
@@ -542,13 +588,13 @@ func (s *Service) Progress(ctx context.Context, src Source, goal string) (*Progr
 		s.m.errors.Add(1)
 		return nil, err
 	}
-	key := keyOf(me, src, "progress", g.String())
+	key := keyOf(me, src, "progress", pg.text)
 	v, cached, err := s.getOrCompute(ctx, key, prefixDepth(src.Past), func(ctx context.Context) (any, error) {
-		res, err := verify.SuggestProgress(ctx, me.mach, src.DB, prefixSeq(src.Past), g, s.pool(me, src), s.cfg.SuggestBudget)
+		res, err := verify.SuggestProgress(ctx, me.mach, src.DB, prefixSeq(src.Past), pg.g, s.pool(me, src), s.cfg.SuggestBudget)
 		if err != nil {
 			return nil, err
 		}
-		a := &ProgressAnswer{Goal: g.String(), Truncated: res.Truncated}
+		a := &ProgressAnswer{Goal: pg.text, Truncated: res.Truncated}
 		for _, sg := range res.Suggestions {
 			w := ProgressSuggestion{Input: sg.Fact.String(), Distance: sg.Distance}
 			if sg.Follow != nil {

@@ -99,6 +99,43 @@ func TestAnswerKeyInjective(t *testing.T) {
 	}
 }
 
+// TestParsedGoalsAreSharedAndBounded: a goal's text is parsed once and the
+// parse shared by later queries naming it; texts that normalize alike key
+// one answer; and the parsed goals stay within maxParsedGoals however many
+// texts are asked.
+func TestParsedGoalsAreSharedAndBounded(t *testing.T) {
+	s := New(Config{Timeout: time.Minute})
+	src := Source{Model: "short", DB: models.MagazineDB()}
+	a, err := s.parseGoal("deliver(X)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := s.parseGoal("deliver(X)"); b.g != a.g {
+		t.Fatal("a goal named twice was parsed twice")
+	}
+	if _, err := s.Goal(context.Background(), src, "deliver(X)"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Goal(context.Background(), src, "deliver( X )")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Cached || got.Goal != "deliver(X)" {
+		t.Fatalf("goals that normalize alike do not share an answer: %+v", got)
+	}
+	if _, err := s.Goal(context.Background(), src, "deliver(X"); err == nil {
+		t.Fatal("an unparsable goal was answered")
+	}
+	for i := 0; i < maxParsedGoals+10; i++ {
+		if _, err := s.parseGoal(fmt.Sprintf("deliver(X), X != c%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(s.goals); n > maxParsedGoals {
+		t.Fatalf("%d parsed goals kept, over the bound of %d", n, maxParsedGoals)
+	}
+}
+
 func TestTemporalFromPrefix(t *testing.T) {
 	s := New(Config{Timeout: time.Minute})
 	db := models.MagazineDB()

@@ -16,7 +16,9 @@ import (
 // them with the single-machine registry models.
 
 // Resolve is the canonical compose.Resolver over this registry: a node spec
-// naming a registry model gets a fresh machine plus its demo database.
+// naming a registry model gets a fresh machine plus its demo database. The
+// session engine resolves through its own table instead, which shares one
+// machine per model among its sessions.
 func Resolve(name string) (*core.Machine, relation.Instance, error) {
 	m := Get(name)
 	if m == nil {

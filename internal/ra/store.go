@@ -19,9 +19,12 @@ import (
 // Relations are held by predicate slot (see Interner), the index the
 // executor's operators carry, so reading one is a slice index.
 //
-// A Store has one owner at a time (whoever holds the session's shard
-// lock): nothing in it is locked, and the access structures are built lazily under
-// evaluation. Only the Interner behind it is shared.
+// A Store has one owner at a time — a run's state and database stores
+// whoever holds the session's shard lock, a step's scratch stores the step
+// that borrowed them (core.Stepper) — so nothing in it is locked, and the
+// access structures are built lazily under evaluation. Only the Interner
+// behind it is shared, and the instance backing a database store, which
+// the store only reads.
 type Store struct {
 	in   *Interner
 	rels []*iRel // by slot; nil = the store does not hold the predicate

@@ -385,6 +385,15 @@ func (r *Rel) Equal(s *Rel) bool {
 	if r.Len() != s.Len() {
 		return false
 	}
+	if r.tuples != nil && s.tuples != nil && r.arity == s.arity {
+		// Both hashed under one key encoding: compare keys, building none.
+		for k := range r.tuples {
+			if _, ok := s.tuples[k]; !ok {
+				return false
+			}
+		}
+		return true
+	}
 	eq := true
 	r.Range(func(t Tuple) bool {
 		if !s.Has(t) {

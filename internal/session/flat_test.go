@@ -135,7 +135,7 @@ func TestGoalGroundingLinearInDepth(t *testing.T) {
 		s, _ := shopAt(t, depth, 1) // one item ordered and not yet paid
 		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 		defer cancel()
-		res, err := verify.ReachGoalFrom(machineOf(s).mach, machineOf(s).db, relation.Sequence{machineOf(s).stepper.Past()}, g, &verify.Options{Context: ctx})
+		res, err := verify.ReachGoalFrom(machineOf(s).mach, machineOf(s).db.inst, relation.Sequence{machineOf(s).stepper.Past()}, g, &verify.Options{Context: ctx})
 		if err != nil {
 			t.Fatalf("deliver(X) at depth %d: %v", depth, err)
 		}

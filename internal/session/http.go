@@ -289,7 +289,7 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 	})
 	mux.HandleFunc("GET /debug/plan", func(w http.ResponseWriter, r *http.Request) {
 		name := r.URL.Query().Get("model")
-		m := models.Get(name)
+		m := getModel(name)
 		if m == nil {
 			writeJSON(w, http.StatusNotFound, map[string]any{"error": fmt.Sprintf("unknown model %q (have %v)", name, models.Names())})
 			return

@@ -7,7 +7,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/compose"
 	"repro/internal/core"
-	"repro/internal/models"
 	"repro/internal/ra"
 	"repro/internal/relation"
 )
@@ -63,7 +62,7 @@ func newNetRun(req *OpenRequest) (*netRun, error) {
 // buildNetRun builds spec's network, started from state (the run state of
 // an image; nil for a fresh run), with an empty joint log.
 func buildNetRun(spec *compose.Spec, state *compose.NetState) (*netRun, error) {
-	nw, err := spec.Build(models.Resolve)
+	nw, err := spec.Build(resolveModel)
 	if err != nil {
 		return nil, err
 	}

@@ -69,5 +69,5 @@ func (e *Engine) Peek(id string) (*View, error) {
 }
 
 func (r *machineRun) view(v *View) {
-	v.Model, v.Src, v.DB, v.Past = r.model, r.src, r.db, r.stepper.Past()
+	v.Model, v.Src, v.DB, v.Past = r.model, r.src, r.db.inst, r.stepper.Past()
 }

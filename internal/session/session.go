@@ -21,7 +21,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/compose"
 	"repro/internal/core"
-	"repro/internal/models"
 	"repro/internal/relation"
 )
 
@@ -91,11 +90,13 @@ type runner interface {
 type machineRun struct {
 	model string // registry name, "" when built from inline source
 	src   string // inline program source, "" when built from the registry
-	mach  *core.Machine
-	// db is the session's database, fixed at open: nothing writes it for the
-	// session's whole life, so the stepper reads it in place and Peek shares
-	// it with verification.
-	db relation.Instance
+	// mach is the machine, shared with every session of the same registry
+	// model (see getModel); an inline program's session parses its own.
+	mach *core.Machine
+	// db is the session's database, fixed at open and shared with every
+	// session of the same facts (see shareDB): nothing writes it, so the
+	// stepper reads it in place and Peek shares it with verification.
+	db *sharedDB
 	// stepper holds the cumulated state resident in the step executor's form
 	// and steps on it in place (see core.Stepper). A relation.Instance of the
 	// state exists only while a verification read holds one (Peek
@@ -130,10 +131,6 @@ type OpenRequest struct {
 	Network *compose.Spec     `json:"network,omitempty"`
 }
 
-// getModel resolves a registry name to a fresh machine (nil if unknown);
-// shared by open and snapshot restore.
-func getModel(name string) *core.Machine { return models.Get(name) }
-
 // newSession validates req and builds the session in its initial state
 // (empty state instance, empty log). It is pure: no I/O, no registration.
 func newSession(id string, req *OpenRequest) (*Session, error) {
@@ -162,27 +159,26 @@ func newMachineRun(req *OpenRequest) (*machineRun, error) {
 		return nil, fmt.Errorf("open: model and src are mutually exclusive")
 	}
 	var mach *core.Machine
+	var db *sharedDB
 	if req.Model != "" {
-		if mach = getModel(req.Model); mach == nil {
+		r := lookupModel(req.Model)
+		if r == nil {
 			return nil, fmt.Errorf("open: unknown model %q", req.Model)
 		}
+		mach, db = r.mach, r.db
 	} else {
 		var err error
 		if mach, err = core.ParseProgram(req.Src); err != nil {
 			return nil, fmt.Errorf("open: %w", err)
 		}
 	}
-	db := req.DB
-	if db == nil {
-		if req.Model != "" {
-			db = models.DefaultDB(req.Model)
-		} else {
-			db = relation.NewInstance()
-		}
-	} else {
-		db = db.Clone() // decouple from the caller (and from other sessions)
+	switch {
+	case req.DB != nil:
+		db = shareDB(req.DB)
+	case db == nil:
+		db = shareDB(nil)
 	}
-	stepper, err := mach.NewStepper(db, nil)
+	stepper, err := mach.NewStepper(db.inst, nil)
 	if err != nil {
 		return nil, fmt.Errorf("open: %w", err)
 	}
@@ -356,4 +352,4 @@ func (s *Session) openRecord() *walRecord {
 	return rec
 }
 
-func (r *machineRun) open(rec *walRecord) { rec.Model, rec.Src, rec.DB = r.model, r.src, r.db }
+func (r *machineRun) open(rec *walRecord) { rec.Model, rec.Src, rec.DB = r.model, r.src, r.db.inst }

@@ -165,7 +165,7 @@ func snapOf(s *Session) Image {
 }
 
 func (r *machineRun) image(img *Image) {
-	img.Model, img.Src, img.DB = r.model, r.src, r.db
+	img.Model, img.Src, img.DB = r.model, r.src, r.db.inst
 	img.state = r.stepper.StateView()
 	if r.tape.Len() > 0 {
 		img.tape = r.tape.View()
@@ -209,13 +209,10 @@ func (ss *Image) restoreMachine() (*machineRun, error) {
 	if ss.tape != nil {
 		tape = ss.tape.View()
 	}
-	db := ss.DB
-	if db == nil {
-		db = relation.NewInstance()
-	}
-	stepper, err := mach.NewStepper(db, ss.State)
+	shared := shareDB(ss.DB)
+	stepper, err := mach.NewStepper(shared.inst, ss.State)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	return &machineRun{model: ss.Model, src: ss.Src, mach: mach, db: db, stepper: stepper, tape: tape}, nil
+	return &machineRun{model: ss.Model, src: ss.Src, mach: mach, db: shared, stepper: stepper, tape: tape}, nil
 }
