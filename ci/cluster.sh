@@ -5,38 +5,12 @@
 # session handoff (of a recovered and of a live session) end to end; then
 # a live-plane smoke asks /verify and /progress through the router, and the
 # router bench runs once plain and once with a verify mix, each on a fresh
-# cluster. The failover suite is run verbosely and grepped for its PASS
-# line, so a test that silently stops running fails the job instead of
-# passing it.
+# cluster. The failover suite is gated on its PASS line (ci/lib.sh).
 #
 # Usage: bash ci/cluster.sh   (from anywhere; needs go and curl, and the
 # loopback ports 9725, 9730, 9731 and 9732). The benches' JSON is left in
 # BENCH_router_ci.json and BENCH_verify_ci.json at the repository root.
-set -euo pipefail
-cd "$(dirname "$0")/.."
-out=$(mktemp -d)
-pids=()
-cleanup() {
-	for pid in "${pids[@]}"; do kill "$pid" 2>/dev/null || true; done
-	wait 2>/dev/null || true
-	rm -rf "$out"
-}
-trap cleanup EXIT
-
-# passed FILE TEST... fails unless every named test passed in FILE.
-passed() {
-	local file=$1
-	shift
-	for name in "$@"; do
-		grep -q -- "--- PASS: $name " "$file" || {
-			echo "cluster.sh: $name did not pass (or did not run)" >&2
-			exit 1
-		}
-	done
-}
-
-section() { echo "::group::$*"; }
-end() { echo "::endgroup::"; }
+. "$(dirname "$0")/lib.sh"
 
 section "Build binaries"
 go build -o "$out/spocus-server" ./cmd/spocus-server
@@ -44,8 +18,7 @@ go build -o "$out/spocus-router" ./cmd/spocus-router
 end
 
 section "Failover test (3 backends + router, SIGKILL one mid-load)"
-go test ./cmd/spocus-router -run TestClusterFailover -v 2>&1 | tee "$out/failover.out"
-passed "$out/failover.out" TestClusterFailover
+gate ./cmd/spocus-router -run TestClusterFailover -- TestClusterFailover
 end
 
 # start_cluster TAG starts three backends on fresh directories under

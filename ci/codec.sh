@@ -3,40 +3,14 @@
 # suites, parent-format read compatibility and standby bootstrap, images
 # that carry no past, the WAL-density ceiling, the JSON-era crash suite,
 # and a replication + ship + verify smoke over two real servers and a
-# router. Every suite is run verbosely and grepped for its PASS lines, so
-# a test that silently stops running fails the job instead of passing it.
+# router. Every named suite is gated on its PASS lines (ci/lib.sh).
 #
 # Usage: bash ci/codec.sh   (from anywhere; needs go, curl and python3, and
 # the loopback ports 9770, 9771 and 9775)
-set -euo pipefail
-cd "$(dirname "$0")/.."
-out=$(mktemp -d)
-pids=()
-cleanup() {
-	for pid in "${pids[@]}"; do kill "$pid" 2>/dev/null || true; done
-	wait 2>/dev/null || true
-	rm -rf "$out"
-}
-trap cleanup EXIT
-
-# passed FILE TEST... fails unless every named test passed in FILE.
-passed() {
-	local file=$1
-	shift
-	for name in "$@"; do
-		grep -q -- "--- PASS: $name " "$file" || {
-			echo "codec.sh: $name did not pass (or did not run)" >&2
-			exit 1
-		}
-	done
-}
-
-section() { echo "::group::$*"; }
-end() { echo "::endgroup::"; }
+. "$(dirname "$0")/lib.sh"
 
 section "Codec unit suites (round trip, interning, corruption, truncation)"
-go test ./internal/codec -v 2>&1 | tee "$out/codec.out"
-passed "$out/codec.out" TestInstanceRoundTrip TestInterningSharesAcrossRecords \
+gate ./internal/codec -- TestInstanceRoundTrip TestInterningSharesAcrossRecords \
 	TestResetFlagResynchronizesDecoder TestDecoderRejectsCorruptInput TestTruncationAtEveryByte
 end
 
@@ -46,15 +20,13 @@ go test ./internal/session -run=Fuzz -fuzz=FuzzCodecRoundTrip -fuzztime=10s
 end
 
 section "Mixed-format durability suites (session layer + waldump)"
-go test ./internal/session -run 'TestMixedCodecRecovery|TestMixedSegmentTornTailRecovery|TestTornBinaryTailRecovery|TestDumpWAL' -v 2>&1 |
-	tee "$out/mixed.out"
-passed "$out/mixed.out" TestMixedCodecRecovery TestMixedSegmentTornTailRecovery TestTornBinaryTailRecovery TestDumpWAL
+gate ./internal/session -run 'TestMixedCodecRecovery|TestMixedSegmentTornTailRecovery|TestTornBinaryTailRecovery|TestDumpWAL' -- \
+	TestMixedCodecRecovery TestMixedSegmentTornTailRecovery TestTornBinaryTailRecovery TestDumpWAL
 end
 
 section "Parent-format images and engine directories still restore; standbys boot from them; images carry no past"
-go test ./internal/session -run 'TestParent|TestSnapshotSizeTracksStateNotHistory|TestStandby|TestOneWriterProperty|TestImagesCarryNoPast' -v 2>&1 |
-	tee "$out/compat.out"
-passed "$out/compat.out" TestParentFormatShipImagesInstall \
+gate ./internal/session -run 'TestParent|TestSnapshotSizeTracksStateNotHistory|TestStandby|TestOneWriterProperty|TestImagesCarryNoPast' -- \
+	TestParentFormatShipImagesInstall \
 	TestParentEngineDirRecovers/binary TestParentEngineDirRecovers/json \
 	TestSnapshotSizeTracksStateNotHistory \
 	TestStandbyBootstrapsFromParentSnapshot/binary TestStandbyBootstrapsFromParentSnapshot/json \
@@ -62,19 +34,15 @@ passed "$out/compat.out" TestParentFormatShipImagesInstall \
 end
 
 section "WAL density ceiling (bytes per step)"
-go test . -run TestGroupCommitCodecDensity -v 2>&1 | tee "$out/density.out"
-passed "$out/density.out" TestGroupCommitCodecDensity
+gate . -run TestGroupCommitCodecDensity -- TestGroupCommitCodecDensity
 end
 
 section "Crash suite on a JSON-era directory (binary server, SIGKILL, recover)"
-SPOCUS_TEST_FSYNC=always go test ./cmd/spocus-server -run TestCrashMixedCodecUpgrade -v 2>&1 |
-	tee "$out/upgrade.out"
-passed "$out/upgrade.out" TestCrashMixedCodecUpgrade
+SPOCUS_TEST_FSYNC=always gate ./cmd/spocus-server -run TestCrashMixedCodecUpgrade -- TestCrashMixedCodecUpgrade
 end
 
 section "HTTP single-step body cap"
-go test ./internal/session -run TestHTTPStepBodyCap -v 2>&1 | tee "$out/bodycap.out"
-passed "$out/bodycap.out" TestHTTPStepBodyCap
+gate ./internal/session -run TestHTTPStepBodyCap -- TestHTTPStepBodyCap
 end
 
 section "Replication + ship + verify smoke"

@@ -5,57 +5,28 @@
 # batch fan-out suites, the wire client's suites, the batch-atomicity crash
 # suite (acked batches survive a SIGKILL whole), then a batch smoke and the
 # throughput gate through a real router over three non-durable backends.
-# Every suite is run verbosely and grepped for its PASS lines, so a test
-# that silently stops running fails the job instead of passing it.
+# Every named suite is gated on its PASS lines (ci/lib.sh).
 #
 # Usage: bash ci/dataplane.sh   (from anywhere; needs go, curl and
 # python3, and the loopback ports 9726, 9740, 9741 and 9742). The bench's
 # JSON is left in BENCH_dataplane_ci.json at the repository root.
-set -euo pipefail
-cd "$(dirname "$0")/.."
-out=$(mktemp -d)
-pids=()
-cleanup() {
-	for pid in "${pids[@]}"; do kill "$pid" 2>/dev/null || true; done
-	wait 2>/dev/null || true
-	rm -rf "$out"
-}
-trap cleanup EXIT
-
-# passed FILE TEST... fails unless every named test passed in FILE.
-passed() {
-	local file=$1
-	shift
-	for name in "$@"; do
-		grep -q -- "--- PASS: $name " "$file" || {
-			echo "dataplane.sh: $name did not pass (or did not run)" >&2
-			exit 1
-		}
-	done
-}
-
-section() { echo "::group::$*"; }
-end() { echo "::endgroup::"; }
+. "$(dirname "$0")/lib.sh"
 
 section "Batch unit + differential suites"
-go test ./internal/session -run 'TestBatch|TestHTTPBatch' -v 2>&1 | tee "$out/batch.out"
-passed "$out/batch.out" TestBatchOfOneByteIdentical TestBatchPartialFailure TestBatchKeyDedupe \
+gate ./internal/session -run 'TestBatch|TestHTTPBatch' -- TestBatchOfOneByteIdentical TestBatchPartialFailure TestBatchKeyDedupe \
 	TestBatchRecovery TestHTTPBatch
 end
 
 section "Router batch fan-out suite"
-go test ./internal/cluster -run 'TestRouterBatch' -v 2>&1 | tee "$out/rbatch.out"
-passed "$out/rbatch.out" TestRouterBatchFanout TestRouterBatchDownOwner
+gate ./internal/cluster -run 'TestRouterBatch' -- TestRouterBatchFanout TestRouterBatchDownOwner
 end
 
 section "Wire client suite"
-go test ./internal/wire -v 2>&1 | tee "$out/wire.out"
-passed "$out/wire.out" TestConnReuse TestRetryOn429 TestTransportRetryNeedsKey
+gate ./internal/wire -- TestConnReuse TestRetryOn429 TestTransportRetryNeedsKey
 end
 
 section "Batch atomicity crash test (SIGKILL under batched load)"
-go test ./cmd/spocus-server -run TestCrashBatchAtomic -v 2>&1 | tee "$out/bcrash.out"
-passed "$out/bcrash.out" TestCrashBatchAtomic
+gate ./cmd/spocus-server -run TestCrashBatchAtomic -- TestCrashBatchAtomic
 end
 
 section "Router batch smoke + bench gate (3 backends + router)"

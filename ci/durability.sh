@@ -6,54 +6,26 @@
 # tests three times under the race detector (concurrent group commit,
 # idempotent shutdown, fail-stop, overload, the one-writer property), and,
 # under always, a handoff smoke across two real servers and a router. The
-# crash and engine suites are run verbosely and grepped for their PASS
-# lines, so a test that silently stops running fails the job instead of
-# passing it.
+# crash and engine suites are gated on their PASS lines (ci/lib.sh).
 #
 # Usage: SPOCUS_TEST_FSYNC=always|interval|never bash ci/durability.sh
 # (from anywhere; default always; needs go and curl, and the loopback
 # ports 9740, 9741 and 9745)
-set -euo pipefail
-cd "$(dirname "$0")/.."
+. "$(dirname "$0")/lib.sh"
 fsync=${SPOCUS_TEST_FSYNC:-always}
 export SPOCUS_TEST_FSYNC=$fsync
-out=$(mktemp -d)
-pids=()
-cleanup() {
-	for pid in "${pids[@]}"; do kill "$pid" 2>/dev/null || true; done
-	wait 2>/dev/null || true
-	rm -rf "$out"
-}
-trap cleanup EXIT
-
-# passed FILE TEST... fails unless every named test passed in FILE.
-passed() {
-	local file=$1
-	shift
-	for name in "$@"; do
-		grep -q -- "--- PASS: $name " "$file" || {
-			echo "durability.sh: $name did not pass (or did not run)" >&2
-			exit 1
-		}
-	done
-}
-
-section() { echo "::group::$*"; }
-end() { echo "::endgroup::"; }
 
 section "Storage engine tests (segments, rotation, recovery, snapshots)"
 go test ./internal/storage -v
 end
 
 section "Crash suite under -fsync $fsync"
-go test ./cmd/spocus-server -run 'TestCrashRecovery|TestCrashGroupCommit|TestServeGracefulShutdown' -v 2>&1 |
-	tee "$out/crash.out"
-passed "$out/crash.out" TestCrashRecovery TestCrashGroupCommit
+gate ./cmd/spocus-server -run 'TestCrashRecovery|TestCrashGroupCommit|TestServeGracefulShutdown' -- \
+	TestCrashRecovery TestCrashGroupCommit
 end
 
 section "Engine under -race: group commit, shutdown, fail-stop, overload, one writer"
-go test -race -count=3 ./internal/session -v 2>&1 | tee "$out/engine.out"
-passed "$out/engine.out" TestGroupCommitConcurrentCallers TestEngineInputAllocates \
+gate -race -count=3 ./internal/session -- TestGroupCommitConcurrentCallers TestEngineInputAllocates \
 	TestShutdownIsIdempotent TestFailStopOnBrokenWAL TestMailboxOverload TestOneWriterProperty
 end
 

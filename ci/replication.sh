@@ -10,72 +10,42 @@
 # suites; the promotion crash suite, which SIGKILLs a real primary mid-load
 # and proves its warm follower serves every acked step; a scaled-down
 # replication bench; and a smoke that reads /log and /verify through a
-# router serving them from a follower. Every suite is run verbosely and
-# grepped for its PASS lines, so a test that silently stops running fails
-# the job instead of passing it.
+# router serving them from a follower. Every named suite is gated on
+# its PASS lines (ci/lib.sh).
 #
 # Usage: bash ci/replication.sh   (from anywhere; needs go and curl, and
 # the loopback ports 9760, 9761 and 9765). The bench's JSON is left in
 # BENCH_replication_ci.json at the repository root.
-set -euo pipefail
-cd "$(dirname "$0")/.."
-out=$(mktemp -d)
-pids=()
-cleanup() {
-	for pid in "${pids[@]}"; do kill "$pid" 2>/dev/null || true; done
-	wait 2>/dev/null || true
-	rm -rf "$out"
-}
-trap cleanup EXIT
-
-# passed FILE TEST... fails unless every named test passed in FILE.
-passed() {
-	local file=$1
-	shift
-	for name in "$@"; do
-		grep -q -- "--- PASS: $name " "$file" || {
-			echo "replication.sh: $name did not pass (or did not run)" >&2
-			exit 1
-		}
-	done
-}
-
-section() { echo "::group::$*"; }
-end() { echo "::endgroup::"; }
+. "$(dirname "$0")/lib.sh"
 
 section "Storage stream suites (cursor, cold reads, stored bytes, slot, rotation, compaction)"
-go test ./internal/storage -run 'TestRepl|TestFailed|TestAppendWaitsForCommit' -v 2>&1 | tee "$out/storrepl.out"
-passed "$out/storrepl.out" TestReplTailAcrossRotation TestReplCursorSequentialReads \
+gate ./internal/storage -run 'TestRepl|TestFailed|TestAppendWaitsForCommit' -- TestReplTailAcrossRotation TestReplCursorSequentialReads \
 	TestReplColdReadReachesFrom TestReplStreamIsSegmentBytes TestReplConcurrentReaders \
 	TestReplSlotRetainsWAL TestFailedCommitPublishesNothing TestFailedWritePublishesNothing \
 	TestAppendWaitsForCommit
 end
 
 section "One-writer invariant, independent stream readers and fail-stop (under -race: the checker reads every shard)"
-go test -race ./internal/session -run 'TestOneWriterProperty|TestStreamReadersShareNothing|TestFailStopOnBrokenWAL' -v 2>&1 | tee "$out/writer.out"
-passed "$out/writer.out" TestOneWriterProperty TestStreamReadersShareNothing TestFailStopOnBrokenWAL
+gate -race ./internal/session -run 'TestOneWriterProperty|TestStreamReadersShareNothing|TestFailStopOnBrokenWAL' -- \
+	TestOneWriterProperty TestStreamReadersShareNothing TestFailStopOnBrokenWAL
 end
 
 section "Follower suites (bootstrap, resume, promote, semi-sync)"
-go test ./internal/replica -v 2>&1 | tee "$out/replica.out"
-passed "$out/replica.out" TestFollowerStreamsAndPromotes TestFollowerBootstrapsFromSnapshot \
+gate ./internal/replica -- TestFollowerStreamsAndPromotes TestFollowerBootstrapsFromSnapshot \
 	TestFollowerResumesFromPersistedPosition TestSemiSyncAckImpliesReplicated
 end
 
 section "Follower position file under concurrent saves (under -race)"
-go test -race ./internal/replica -run 'TestConcurrentSavesKeepStateWhole' -v 2>&1 | tee "$out/replsave.out"
-passed "$out/replsave.out" TestConcurrentSavesKeepStateWhole
+gate -race ./internal/replica -run 'TestConcurrentSavesKeepStateWhole' -- TestConcurrentSavesKeepStateWhole
 end
 
 section "Router replication suites (promotion, follower reads, keyed retry, handoff rollback)"
-go test ./internal/cluster -run 'TestPromote|TestFollower|TestKeyedRetry|TestHandoff' -v 2>&1 | tee "$out/clurepl.out"
-passed "$out/clurepl.out" TestHandoffShipFailureRollsBack TestHandoffTargetMarkedDownMidFlight \
+gate ./internal/cluster -run 'TestPromote|TestFollower|TestKeyedRetry|TestHandoff' -- TestHandoffShipFailureRollsBack TestHandoffTargetMarkedDownMidFlight \
 	TestPromoteFailsOverSessions TestFollowerReads TestFollowerReadLagBound TestKeyedRetryAcrossPromotion
 end
 
 section "Promotion crash suite (SIGKILL primary, follower takes over)"
-go test ./cmd/spocus-router -run 'TestPromotionFailover' -v 2>&1 | tee "$out/promcrash.out"
-passed "$out/promcrash.out" TestPromotionFailover
+gate ./cmd/spocus-router -run 'TestPromotionFailover' -- TestPromotionFailover
 end
 
 section "Replication bench (scaled down; streaming cost + promotion timing)"

@@ -6,55 +6,26 @@
 # a SIGKILL; the fuzzer chews on the scenario spec parser; the fleet bench
 # runs every built-in scenario in-process and through a router; and a
 # smoke steps one network session end to end through a real router. Every
-# named suite is run verbosely and grepped for its PASS lines, so a test
-# that silently stops running fails the job instead of passing it.
+# named suite is gated on its PASS lines (ci/lib.sh).
 #
 # Usage: bash ci/scenarios.sh   (from anywhere; needs go and curl, and the
 # loopback ports 9750, 9751 and 9755). The bench's JSON is left in
 # BENCH_scenarios_ci.json at the repository root.
-set -euo pipefail
-cd "$(dirname "$0")/.."
-out=$(mktemp -d)
-pids=()
-cleanup() {
-	for pid in "${pids[@]}"; do kill "$pid" 2>/dev/null || true; done
-	wait 2>/dev/null || true
-	rm -rf "$out"
-}
-trap cleanup EXIT
-
-# passed FILE TEST... fails unless every named test passed in FILE.
-passed() {
-	local file=$1
-	shift
-	for name in "$@"; do
-		grep -q -- "--- PASS: $name " "$file" || {
-			echo "scenarios.sh: $name did not pass (or did not run)" >&2
-			exit 1
-		}
-	done
-}
-
-section() { echo "::group::$*"; }
-end() { echo "::endgroup::"; }
+. "$(dirname "$0")/lib.sh"
 
 section "Network golden, determinism and recovery suites"
-go test ./internal/session -run 'TestNetwork' -v 2>&1 | tee "$out/net.out"
-passed "$out/net.out" TestNetworkGoldenCompose TestNetworkGoldenEngine \
+gate ./internal/session -run 'TestNetwork' -- TestNetworkGoldenCompose TestNetworkGoldenEngine \
 	TestNetworkDeterminismQuick TestNetworkRecoverySnapshot \
 	TestNetworkShipInstall TestNetworkHTTPErrors \
 	TestNetworkImageBytesPinned TestNetworkLogRetentionIsFlat
 end
 
 section "Network cluster suites (router + handoff)"
-go test ./internal/cluster -run 'TestRouterNetwork' -v 2>&1 | tee "$out/netcluster.out"
-passed "$out/netcluster.out" TestRouterNetworkSession TestRouterNetworkHandoff
+gate ./internal/cluster -run 'TestRouterNetwork' -- TestRouterNetworkSession TestRouterNetworkHandoff
 end
 
 section "Network crash suite under -fsync always"
-SPOCUS_TEST_FSYNC=always go test ./cmd/spocus-server -run 'TestCrashNetworkSessions' -v 2>&1 |
-	tee "$out/netcrash.out"
-passed "$out/netcrash.out" TestCrashNetworkSessions
+SPOCUS_TEST_FSYNC=always gate ./cmd/spocus-server -run 'TestCrashNetworkSessions' -- TestCrashNetworkSessions
 end
 
 section "Scenario fleet tests and spec-parser fuzz smoke"

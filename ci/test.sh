@@ -5,42 +5,11 @@
 # force, the progress procedures against exhaustive search, the depth and
 # allocation ceilings of a cold goal), every paper experiment's verdict and
 # one iteration of its benchmark, one iteration of each cold-path benchmark
-# and two fuzz smokes. The named suites are run verbosely and grepped for
-# their PASS lines, so a test that silently stops running fails the job
-# instead of passing it.
+# and two fuzz smokes. Every named suite is gated on its PASS lines
+# (ci/lib.sh).
 #
 # Usage: bash ci/test.sh   (from anywhere; needs go)
-set -euo pipefail
-cd "$(dirname "$0")/.."
-out=$(mktemp -d)
-trap 'rm -rf "$out"' EXIT
-
-# passed FILE TEST... fails unless every named test passed in FILE.
-passed() {
-	local file=$1
-	shift
-	for name in "$@"; do
-		grep -q -- "--- PASS: $name " "$file" || {
-			echo "test.sh: $name did not pass (or did not run)" >&2
-			exit 1
-		}
-	done
-}
-
-# benched FILE BENCH... fails unless every named benchmark ran in FILE.
-benched() {
-	local file=$1
-	shift
-	for name in "$@"; do
-		grep -qE "^$name([-/]|[[:space:]])" "$file" || {
-			echo "test.sh: benchmark $name did not run" >&2
-			exit 1
-		}
-	done
-}
-
-section() { echo "::group::$*"; }
-end() { echo "::endgroup::"; }
+. "$(dirname "$0")/lib.sh"
 
 section "Build, gofmt, vet, test"
 go build ./...
@@ -61,15 +30,12 @@ end
 # data plane and the verification plane; a silent skip would hollow the
 # race tier out.
 section "Race tier includes the live-plane race, shared-past and answer-key tests"
-go test -race -v -run TestLiveVerifyInputRace ./internal/session 2>&1 | tee "$out/liverace.out"
-passed "$out/liverace.out" TestLiveVerifyInputRace
+gate -race -run TestLiveVerifyInputRace ./internal/session -- TestLiveVerifyInputRace
 # One past is shared by every Peek of an unchanged state and by the answers
 # cached from it, and the answer key is a digest of it: the sharing and the
 # key's injectivity are checked under the race detector too.
-go test -race -v -run TestPeekSharesPastUntilGrowth ./internal/session 2>&1 | tee "$out/peekrace.out"
-passed "$out/peekrace.out" TestPeekSharesPastUntilGrowth
-go test -race -v -run TestAnswerKeyInjective ./internal/live 2>&1 | tee "$out/keyrace.out"
-passed "$out/keyrace.out" TestAnswerKeyInjective
+gate -race -run TestPeekSharesPastUntilGrowth ./internal/session -- TestPeekSharesPastUntilGrowth
+gate -race -run TestAnswerKeyInjective ./internal/live -- TestAnswerKeyInjective
 end
 
 # The solver is held to its search: trajectories.golden must reproduce
@@ -83,44 +49,37 @@ end
 # with fixed relations, and the progress procedures against exhaustive
 # two-step search.
 section "Golden corpora and verdict checks"
-go test -v -count=1 -run 'TestGoldenTrajectories|TestSolveBudgetPerCall' ./internal/sat 2>&1 | tee "$out/sat.out"
-passed "$out/sat.out" TestGoldenTrajectories TestSolveBudgetPerCall
-go test -v -count=1 -run 'TestGuarded|TestPropSolveMatchesBruteForce' ./internal/fol 2>&1 | tee "$out/fol.out"
-passed "$out/fol.out" TestGuardedMatchesNaive TestGuardedSentenceShapes \
-	TestGuardedMatchesNaiveOnGoldenProblems TestPropSolveMatchesBruteForce
-go test -v -count=1 -run 'TestGoldenVerdicts|TestColdReachAllocs|PooledSearch|TestPropReachGoalMatchesBruteForce' ./internal/verify 2>&1 | tee "$out/verify.out"
-passed "$out/verify.out" TestGoldenVerdicts TestColdReachAllocs TestPropReachGoalMatchesBruteForce \
+gate -count=1 -run 'TestGoldenTrajectories|TestSolveBudgetPerCall' ./internal/sat -- TestGoldenTrajectories TestSolveBudgetPerCall
+gate -count=1 -run 'TestGuarded|TestPropSolveMatchesBruteForce' ./internal/fol -- \
+	TestGuardedMatchesNaive TestGuardedSentenceShapes TestGuardedMatchesNaiveOnGoldenProblems TestPropSolveMatchesBruteForce
+gate -count=1 -run 'TestGoldenVerdicts|TestColdReachAllocs|PooledSearch|TestPropReachGoalMatchesBruteForce' ./internal/verify -- \
+	TestGoldenVerdicts TestColdReachAllocs TestPropReachGoalMatchesBruteForce \
 	TestReachAndTemporalFromMatchPooledSearchTiny2 TestReachAndTemporalFromMatchPooledSearchShort
 end
 
 # A cold goal grounds what the guards admit, so its size follows the
 # session's depth linearly at most.
 section "Goal grounding is linear in session depth"
-go test -v -count=1 -run TestGoalGroundingLinearInDepth ./internal/session 2>&1 | tee "$out/depth.out"
-passed "$out/depth.out" TestGoalGroundingLinearInDepth
+gate -count=1 -run TestGoalGroundingLinearInDepth ./internal/session -- TestGoalGroundingLinearInDepth
 end
 
 # The paper's experiments E1–E17 and S1–S2: every verdict of the
 # EXPERIMENTS.md report must hold, and every benchmark DESIGN.md §4 indexes
 # must run once, so its in-loop assertions run too.
 section "Paper experiments: report verdicts and one iteration of each benchmark"
-go test -v -count=1 -run TestEveryExperimentVerdictHolds ./internal/experiments 2>&1 | tee "$out/experiments.out"
-passed "$out/experiments.out" TestEveryExperimentVerdictHolds
-go test -run '^$' -bench 'BenchmarkE|BenchmarkS[12]' -benchtime=1x . 2>&1 | tee "$out/bench_experiments.out"
+gate -count=1 -run TestEveryExperimentVerdictHolds ./internal/experiments -- TestEveryExperimentVerdictHolds
 indexed=$(grep -E '^\| [ES][0-9]+ \|' DESIGN.md | grep -o 'Benchmark[A-Za-z0-9]*')
 [ "$(echo "$indexed" | wc -l)" -eq 19 ] || {
 	echo "test.sh: DESIGN.md §4 should index 19 benchmarks, found: $indexed" >&2
 	exit 1
 }
 # shellcheck disable=SC2086 # one name per word
-benched "$out/bench_experiments.out" $indexed
+gate -run '^$' -bench 'BenchmarkE|BenchmarkS[12]' -benchtime=1x . -- $indexed
 end
 
 section "Cold-path benchmarks (one iteration each)"
-go test -run '^$' -bench 'BenchmarkSolveDecisions' -benchtime=1x ./internal/sat 2>&1 | tee "$out/bench_sat.out"
-benched "$out/bench_sat.out" BenchmarkSolveDecisions/vars=16000
-go test -run '^$' -bench 'BenchmarkReachGoalFrom' -benchtime=1x ./internal/verify 2>&1 | tee "$out/bench_verify.out"
-benched "$out/bench_verify.out" BenchmarkReachGoalFrom/short BenchmarkReachGoalFrom/guarded
+gate -run '^$' -bench 'BenchmarkSolveDecisions' -benchtime=1x ./internal/sat -- BenchmarkSolveDecisions/vars=16000
+gate -run '^$' -bench 'BenchmarkReachGoalFrom' -benchtime=1x ./internal/verify -- BenchmarkReachGoalFrom/short BenchmarkReachGoalFrom/guarded
 end
 
 section "Fuzz smokes (dlog parser, DIMACS reader)"

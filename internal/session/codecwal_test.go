@@ -230,43 +230,85 @@ func TestTornBinaryTailRecovery(t *testing.T) {
 
 // FuzzCodecRoundTrip fuzzes the WAL payload decoder over real payloads: a
 // throwaway engine writes WAL segments and a snapshot, and every framed
-// payload on disk becomes a seed. The properties: decoding never panics,
-// and any payload that decodes re-encodes canonically to an equivalent
-// record.
+// payload on disk becomes a seed, a network session's among them. The
+// properties: decoding never panics, and any payload that decodes
+// re-encodes canonically to an equivalent record.
 func FuzzCodecRoundTrip(f *testing.F) {
 	dir := f.TempDir()
 	e, err := NewEngine(Config{Dir: dir, Shards: 1, Fsync: FsyncAlways, SnapshotEvery: 2})
 	if err != nil {
 		f.Fatal(err)
 	}
-	inputs := models.Fig1Inputs()
-	if _, err := e.Open(&OpenRequest{ID: "fz", Model: "short"}); err != nil {
-		f.Fatal(err)
-	}
-	for _, in := range inputs {
-		if _, err := e.Input("fz", in); err != nil {
+	// Every framed payload the engine writes becomes a seed. The shard is
+	// scanned after each call, because compaction deletes the segments a
+	// snapshot covers. Each payload is also decoded in its file's order and
+	// re-encoded on a fresh encoder, a seed that decodes on its own (a
+	// payload on disk may use constants its file interned earlier); a
+	// snapshot image is re-encoded as an install record.
+	next := map[string]int{} // file → index of its first unscanned record
+	decs := map[string]*codec.Decoder{}
+	var netOpen, netIn, netImg *walRecord
+	scan := func(_ any, err error) {
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := storage.ScanDir(filepath.Join(dir, "shard-000"), func(r *storage.DumpRecord) error {
+			if r.Index < next[r.File] {
+				return nil
+			}
+			next[r.File] = r.Index + 1
+			f.Add(append([]byte(nil), r.Payload...))
+			if decs[r.File] == nil {
+				decs[r.File] = codec.NewDecoder()
+			}
+			var rec *walRecord
+			if r.Snapshot {
+				_, img, err := decodeSnapPayload(decs[r.File], r.Payload, r.Index == 0)
+				if err != nil || img == nil {
+					return err
+				}
+				rec = &walRecord{T: recInstall, SID: img.ID, Image: img}
+			} else if rec, err = decodeWALPayload(decs[r.File], r.Payload); err != nil {
+				return err
+			}
+			alone, err := encodeWALRecord(codec.NewEncoder(), rec)
+			if err != nil {
+				return err
+			}
+			f.Add(alone)
+			if rec, err = decodeWALPayload(codec.NewDecoder(), alone); err != nil {
+				return err
+			}
+			switch {
+			case rec.T == recOpen && rec.Network != nil:
+				netOpen = rec
+			case rec.T == recStep && rec.NetIn != nil:
+				netIn = rec
+			case rec.T == recInstall && rec.Image.Net != nil:
+				netImg = rec
+			}
+			return nil
+		}); err != nil {
 			f.Fatal(err)
 		}
 	}
-	if _, err := e.Open(&OpenRequest{ID: "fz2", Model: "subscription"}); err != nil {
-		f.Fatal(err)
+	scan(e.Open(&OpenRequest{ID: "fz", Model: "short"}))
+	for _, in := range models.Fig1Inputs() {
+		scan(e.Input("fz", in))
 	}
-	if _, err := e.Close("fz2"); err != nil {
-		f.Fatal(err)
+	scan(e.Open(&OpenRequest{ID: "fz2", Model: "subscription"}))
+	scan(e.Close("fz2"))
+	// A network image arrives over HTTP too (Install), so the network
+	// kinds must each be in the corpus: an open, a joint step and an image.
+	scan(e.Open(&OpenRequest{ID: "fzn", Network: models.Network("marketplace")}))
+	for _, ext := range models.NetworkScript("marketplace", "widget") {
+		scan(e.NetInput("fzn", ext))
 	}
-	// Abandon without Shutdown so both WAL records and the mid-run snapshot
-	// stay on disk, then seed from every framed payload.
-	seeds := 0
-	if _, err := storage.ScanDir(filepath.Join(dir, "shard-000"), func(r *storage.DumpRecord) error {
-		f.Add(append([]byte(nil), r.Payload...))
-		seeds++
-		return nil
-	}); err != nil {
-		f.Fatal(err)
+	if netOpen == nil || netIn == nil || netImg == nil {
+		f.Fatalf("no seed decodes alone to each network kind: open %v, joint step %v, image %v",
+			netOpen != nil, netIn != nil, netImg != nil)
 	}
-	if seeds == 0 {
-		f.Fatal("no seed payloads found on disk")
-	}
+	// The engine is abandoned without Shutdown.
 	f.Add([]byte{0xC5})             // bare magic byte
 	f.Add([]byte{0xC5, 0x01, 0x01}) // empty reset record
 	f.Add([]byte(`{"t":"step","sid":"x","seq":1}`))
@@ -284,6 +326,15 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	// A JSON-era network install: the marketplace image, which must decode.
+	data, err := json.Marshal(&walRecord{T: recInstall, SID: "j", Image: netImg.Image})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if rec, err := decodeWALPayload(codec.NewDecoder(), data); err != nil || rec.Image.Net == nil {
+		f.Fatalf("the JSON-era network install does not decode: %v", err)
+	}
+	f.Add(data)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeWALPayload(codec.NewDecoder(), data)
