@@ -247,7 +247,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	// snapshot image is re-encoded as an install record.
 	next := map[string]int{} // file → index of its first unscanned record
 	decs := map[string]*codec.Decoder{}
-	var netOpen, netIn, netImg *walRecord
+	var netOpen, netIn bool
+	var netImg *Image
 	scan := func(_ any, err error) {
 		if err != nil {
 			f.Fatal(err)
@@ -281,11 +282,11 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 			switch {
 			case rec.T == recOpen && rec.Network != nil:
-				netOpen = rec
+				netOpen = true
 			case rec.T == recStep && rec.NetIn != nil:
-				netIn = rec
+				netIn = true
 			case rec.T == recInstall && rec.Image.Net != nil:
-				netImg = rec
+				netImg = rec.Image
 			}
 			return nil
 		}); err != nil {
@@ -304,11 +305,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	for _, ext := range models.NetworkScript("marketplace", "widget") {
 		scan(e.NetInput("fzn", ext))
 	}
-	if netOpen == nil || netIn == nil || netImg == nil {
+	if !netOpen || !netIn || netImg == nil {
 		f.Fatalf("no seed decodes alone to each network kind: open %v, joint step %v, image %v",
-			netOpen != nil, netIn != nil, netImg != nil)
+			netOpen, netIn, netImg != nil)
 	}
-	// The engine is abandoned without Shutdown.
 	f.Add([]byte{0xC5})             // bare magic byte
 	f.Add([]byte{0xC5, 0x01, 0x01}) // empty reset record
 	f.Add([]byte(`{"t":"step","sid":"x","seq":1}`))
@@ -327,7 +327,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		f.Add(data)
 	}
 	// A JSON-era network install: the marketplace image, which must decode.
-	data, err := json.Marshal(&walRecord{T: recInstall, SID: "j", Image: netImg.Image})
+	data, err := json.Marshal(&walRecord{T: recInstall, SID: "j", Image: netImg})
 	if err != nil {
 		f.Fatal(err)
 	}
