@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # The dataplane job: the batched data plane end to end. The batch unit and
 # differential suites (batch-of-one is byte-identical to a single step,
-# partial failure, key dedupe, recovery, the HTTP forms), the router's
-# batch fan-out suites, the wire client's suites, the batch-atomicity crash
-# suite (acked batches survive a SIGKILL whole), then a batch smoke and the
-# throughput gate through a real router over three non-durable backends.
-# Every named suite is gated on its PASS lines (ci/lib.sh).
+# partial failure, key dedupe, recovery, the HTTP forms, the 413 body
+# caps), the router's batch fan-out suites, the one-pass envelope decode
+# (hostile envelopes through a real router against encoding/json, the
+# allocation pin, fuzz smokes of the instance and envelope readers), the
+# wire client's suites, the batch-atomicity crash suite (acked batches
+# survive a SIGKILL whole), then a batch smoke and the throughput gate
+# through a real router over three non-durable backends. Every named suite
+# is gated on its PASS lines (ci/lib.sh).
 #
 # Usage: bash ci/dataplane.sh   (from anywhere; needs go, curl and
 # python3, and the loopback ports 9726, 9740, 9741 and 9742). The bench's
@@ -14,11 +17,21 @@
 
 section "Batch unit + differential suites"
 gate ./internal/session -run 'TestBatch|TestHTTPBatch' -- TestBatchOfOneByteIdentical TestBatchPartialFailure TestBatchKeyDedupe \
-	TestBatchRecovery TestHTTPBatch
+	TestBatchRecovery TestHTTPBatch TestHTTPBatchBodyCap
 end
 
 section "Router batch fan-out suite"
-gate ./internal/cluster -run 'TestRouterBatch' -- TestRouterBatchFanout TestRouterBatchDownOwner
+gate ./internal/cluster -run 'TestRouterBatch|TestRouterBodyCap' -- TestRouterBatchFanout TestRouterBatchDownOwner TestRouterBodyCap
+end
+
+section "One-pass envelope decode: hostile envelopes, allocation pin, fuzz smokes"
+# The router scans and the backend decodes each envelope in one pass;
+# encoding/json is the oracle of both, and of the instance reader.
+gate ./internal/cluster -run 'TestDataPlaneDecodeMatchesEncodingJSON|TestBatchEnvelopeAllocates' -- \
+	TestDataPlaneDecodeMatchesEncodingJSON TestBatchEnvelopeAllocates
+go test ./internal/relation -run=Fuzz -fuzz=FuzzInstanceJSON -fuzztime=10s
+go test ./internal/cluster -run=Fuzz -fuzz=FuzzBatchEnvelope -fuzztime=10s
+go test ./internal/jsonread -run=Fuzz -fuzz=FuzzReader -fuzztime=10s
 end
 
 section "Wire client suite"

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -176,5 +177,44 @@ func TestRouterBatchDownOwner(t *testing.T) {
 	}
 	if served == 0 || refused == 0 {
 		t.Fatalf("vacuous down-owner test: %d served, %d refused", served, refused)
+	}
+}
+
+// TestRouterBodyCap: a body over the router's cap answers 413, as the
+// backend would answer it: a /batch over 16 MiB, and an open or a keyed
+// step (the bodies the router reads itself) over 1 MiB. Nothing applies.
+func TestRouterBodyCap(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	if st := postJSON(t, tc.front.URL+"/sessions", map[string]string{"id": "cap", "model": "short"}, nil); st != http.StatusCreated {
+		t.Fatalf("open: status %d", st)
+	}
+	pad := strings.Repeat(" ", 16<<20) // whitespace inside the value: valid JSON
+	for _, c := range []struct{ path, key, body string }{
+		{"/batch", "", `{"steps":[{"session":"cap","input":{"order":[["time"]]}}]` + pad + `}`},
+		{"/sessions/cap/input", "k1", `{"input":{"order":[["time"]]}` + pad[:1<<20] + `}`},
+		{"/sessions", "", `{"model":"short","id":"cap2"` + pad[:1<<20] + `}`},
+	} {
+		req, err := http.NewRequest(http.MethodPost, tc.front.URL+c.path, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.key != "" {
+			req.Header.Set("Idempotency-Key", c.key)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s of %d bytes: status %d, want 413", c.path, len(c.body), resp.StatusCode)
+		}
+	}
+	var lr session.LogResult
+	if st := getJSON(t, tc.front.URL+"/sessions/cap/log", &lr); st != http.StatusOK || lr.Steps != 0 {
+		t.Errorf("after the refused bodies: status %d, %d steps — want none", st, lr.Steps)
+	}
+	if st := getJSON(t, tc.front.URL+"/sessions/cap2", nil); st != http.StatusNotFound {
+		t.Errorf("the refused open: GET status %d, want 404", st)
 	}
 }

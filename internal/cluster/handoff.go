@@ -162,7 +162,7 @@ func (rt *Router) rollback(from, to, id string, cause error) error {
 // verifies the log digest before the session goes live. Returns the shipped
 // session's step count.
 func (rt *Router) ship(from, to, id string) (int, error) {
-	image, err := rt.client.PostRaw(context.Background(), from+"/admin/sessions/"+id+"/export-state", nil)
+	image, err := rt.client.PostRaw(context.Background(), from+"/admin/sessions/"+id+"/export-state", "", nil)
 	if err != nil {
 		return 0, fmt.Errorf("export-state from %s: %w", from, err)
 	}

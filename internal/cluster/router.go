@@ -281,7 +281,7 @@ func (rt *Router) handleOpen(w http.ResponseWriter, r *http.Request) {
 		err = json.Unmarshal(body, &req)
 	}
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+		session.WriteBodyErr(w, err)
 		return
 	}
 	var addr string
@@ -457,7 +457,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, addr string, b
 	if retryable && body == nil {
 		var err error
 		if body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20)); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+			session.WriteBodyErr(w, err)
 			return
 		}
 	}

@@ -5,16 +5,16 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/jsonread"
 )
 
-// instanceJSON is the wire form of an Instance: relation name to list of
-// tuples (each a list of constant strings). Propositional relations that
-// hold the empty tuple serialize as a single empty tuple.
-type instanceJSON map[string][][]string
-
-// MarshalJSON encodes the instance deterministically.
+// MarshalJSON encodes the instance deterministically in its wire form:
+// relation name to list of tuples (each a list of constant strings).
+// Propositional relations that hold the empty tuple serialize as a single
+// empty tuple.
 func (in Instance) MarshalJSON() ([]byte, error) {
-	m := make(instanceJSON)
+	m := make(map[string][][]string)
 	for _, name := range in.Names() {
 		r := in[name]
 		if r.Len() == 0 {
@@ -33,45 +33,115 @@ func (in Instance) MarshalJSON() ([]byte, error) {
 	return json.Marshal(m)
 }
 
-// UnmarshalJSON decodes the wire form produced by MarshalJSON. It refuses
-// a constant containing NUL, the byte Tuple.Key separates constants with:
-// two distinct tuples such a constant let through could share a key, and
-// a relation would then hold one of them and silently drop the other.
+// UnmarshalJSON decodes the wire form produced by MarshalJSON (see
+// ReadInstance).
 func (in *Instance) UnmarshalJSON(data []byte) error {
-	var m instanceJSON
-	if err := json.Unmarshal(data, &m); err != nil {
+	var r jsonread.Reader
+	r.Reset(data)
+	out, err := ReadInstance(&r)
+	if err == nil && !r.End() {
+		err = fmt.Errorf("relation: data after the instance at offset %d", r.Off())
+	}
+	if err != nil {
 		return err
-	}
-	out := NewInstance()
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		rows := m[name]
-		arity := -1
-		for _, row := range rows {
-			if arity == -1 {
-				arity = len(row)
-			} else if len(row) != arity {
-				return fmt.Errorf("relation %s: mixed arities %d and %d", name, arity, len(row))
-			}
-			t := make(Tuple, len(row))
-			for i, c := range row {
-				if strings.IndexByte(c, 0) >= 0 {
-					return fmt.Errorf("relation %s: constant %q contains NUL", name, c)
-				}
-				t[i] = Const(c)
-			}
-			out.Ensure(name, arity).Add(t)
-		}
-		if len(rows) == 0 {
-			// Preserve an explicitly-listed empty relation with unknown
-			// arity as arity 0; this only affects printing.
-			out.Ensure(name, 0)
-		}
 	}
 	*in = out
 	return nil
+}
+
+// ReadInstance reads one instance in its wire form, building relations and
+// tuples straight from the bytes. It decodes what encoding/json decodes
+// into a map[string][][]string, with the same values: a repeated relation
+// name keeps its last list, null stands for an empty instance, list or row
+// (a null constant is ""), and an explicitly empty relation gets arity 0.
+//
+// It refuses a relation of mixed arities, and a constant containing NUL,
+// the byte Tuple.Key separates constants with: two distinct tuples such a
+// constant let through could share a key, and a relation would then hold
+// one of them and silently drop the other. When several relations are
+// refused, the error names the one with the smallest name; a refused list
+// that a later one of the same name replaces is no error. A refusal is
+// also the reader's error, so a decoder reading on stops there.
+func ReadInstance(r *jsonread.Reader) (Instance, error) {
+	if r.Null() {
+		return NewInstance(), nil
+	}
+	if !r.Open('{') {
+		return nil, r.Err()
+	}
+	in := NewInstance()
+	var bad map[string]error
+	for n := 0; r.More(n, '}'); n++ {
+		name := string(r.Key())
+		rel, err := readRel(r, name)
+		in[name] = rel
+		if err != nil {
+			if bad == nil {
+				bad = make(map[string]error)
+			}
+			bad[name] = err
+		} else {
+			delete(bad, name)
+		}
+	}
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	if len(bad) > 0 {
+		names := make([]string, 0, len(bad))
+		for name := range bad {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		r.Fail(bad[names[0]])
+		return nil, r.Err()
+	}
+	return in, nil
+}
+
+// readRel reads one relation's list of rows. The error is the list's first
+// refusal in row order; the rows are read to the end regardless.
+func readRel(r *jsonread.Reader, name string) (*Rel, error) {
+	if r.Null() || !r.Open('[') {
+		return NewRel(0), nil
+	}
+	var (
+		rel *Rel
+		err error
+		buf [8]Const
+	)
+	for n := 0; r.More(n, ']'); n++ {
+		row := buf[:0]
+		if !r.Null() && r.Open('[') {
+			for m := 0; r.More(m, ']'); m++ {
+				var c string
+				if !r.Null() {
+					c = r.Str()
+				}
+				row = append(row, Const(c))
+			}
+		}
+		if err != nil || r.Err() != nil {
+			continue
+		}
+		if rel == nil {
+			rel = NewRel(len(row))
+		} else if len(row) != rel.arity {
+			err = fmt.Errorf("relation %s: mixed arities %d and %d", name, rel.arity, len(row))
+			continue
+		}
+		for _, c := range row {
+			if strings.IndexByte(string(c), 0) >= 0 {
+				err = fmt.Errorf("relation %s: constant %q contains NUL", name, c)
+				break
+			}
+		}
+		if err == nil {
+			rel.Add(append(make(Tuple, 0, len(row)), row...))
+		}
+	}
+	if rel == nil {
+		rel = NewRel(0)
+	}
+	return rel, err
 }

@@ -95,11 +95,12 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 	})
 	mux.HandleFunc("POST /sessions/{id}/input", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, batchBodyCap))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+		buf := ReadBody(w, r, batchBodyCap)
+		if buf == nil {
 			return
 		}
+		defer ReleaseBody(buf)
+		body := buf.Bytes()
 		// An array body is the batched form: many steps of this session,
 		// answered with per-item statuses (see http_batch.go). Any other
 		// body is one step, under the single-step cap.
@@ -127,7 +128,7 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 			Key string `json:"key"`
 		}
 		if err := json.Unmarshal(body, &req); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+			WriteBodyErr(w, err)
 			return
 		}
 		key := r.Header.Get("Idempotency-Key")
@@ -200,7 +201,7 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 		// the 1 MiB data-plane cap (this is a cluster-internal endpoint).
 		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 256<<20))
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+			WriteBodyErr(w, err)
 			return
 		}
 		info, err := e.Install(data)
@@ -309,7 +310,7 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, bodyCap))
 	if err := dec.Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+		WriteBodyErr(w, err)
 		return false
 	}
 	return true

@@ -1,9 +1,14 @@
 package session
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
+	"sync"
 
+	"repro/internal/jsonread"
 	"repro/internal/relation"
 )
 
@@ -142,10 +147,14 @@ func serveBatch(e *Engine, w http.ResponseWriter, items []BatchItem, mode string
 // groups in one request.
 func handleBatch(e *Engine) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var req BatchRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, batchBodyCap))
-		if err := dec.Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+		body := ReadBody(w, r, batchBodyCap)
+		if body == nil {
+			return
+		}
+		req, err := DecodeBatch(body.Bytes())
+		ReleaseBody(body)
+		if err != nil {
+			WriteBodyErr(w, err)
 			return
 		}
 		serveBatch(e, w, req.Steps, req.Results)
@@ -161,19 +170,127 @@ func handleInputArray(e *Engine, w http.ResponseWriter, r *http.Request, id stri
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "Idempotency-Key header names one step; batched arrays carry per-item keys"})
 		return
 	}
-	var steps []struct {
-		Input relation.Instance `json:"input"`
-		Key   string            `json:"key"`
-	}
-	if err := json.Unmarshal(body, &steps); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+	items, err := decodeInputArray(body, id)
+	if err != nil {
+		WriteBodyErr(w, err)
 		return
 	}
-	items := make([]BatchItem, len(steps))
-	for i, st := range steps {
-		items[i] = BatchItem{Session: id, Key: st.Key, Input: st.Input}
-	}
 	serveBatch(e, w, items, "")
+}
+
+// DecodeBatch reads POST /batch's envelope in one pass, straight into
+// items. It decodes what encoding/json's Decoder decodes into a
+// BatchRequest, to the same values: keys match fields case-insensitively,
+// unknown fields are skipped, a null string keeps the field's value, a
+// repeated key decodes over what came before it (a second "steps" array
+// decodes into the first one's items, element by element), and bytes after
+// the envelope are never read.
+func DecodeBatch(b []byte) (BatchRequest, error) {
+	var req BatchRequest
+	var r jsonread.Reader
+	r.Reset(b)
+	if r.Null() || !r.Open('{') {
+		return req, r.Err()
+	}
+	for n := 0; r.More(n, '}'); n++ {
+		switch k := r.Key(); {
+		case jsonread.Match(k, "steps"):
+			req.Steps = jsonread.Slice(&r, req.Steps, func(r *jsonread.Reader, it *BatchItem) { readItem(r, it, "") })
+		case jsonread.Match(k, "results"):
+			if !r.Null() {
+				req.Results = r.Str()
+			}
+		default:
+			r.Skip()
+		}
+	}
+	return req, r.Err()
+}
+
+// decodeInputArray reads the array form of POST /sessions/{id}/input as
+// encoding/json unmarshals it: the whole body is one array, each element
+// an object of "input" and "key", and every item is a step of session id.
+func decodeInputArray(b []byte, id string) ([]BatchItem, error) {
+	var r jsonread.Reader
+	r.Reset(b)
+	items := jsonread.Slice(&r, nil, func(r *jsonread.Reader, it *BatchItem) { readItem(r, it, id) })
+	if r.Err() == nil && !r.End() {
+		return nil, fmt.Errorf("invalid character %q after top-level value", b[r.Off()])
+	}
+	return items, r.Err()
+}
+
+// readItem decodes one item object over it. With a session id the item is
+// a step of that session, and a "session" field is not its to read.
+func readItem(r *jsonread.Reader, it *BatchItem, id string) {
+	if id != "" {
+		it.Session = id
+	}
+	if r.Null() || !r.Open('{') {
+		return
+	}
+	for n := 0; r.More(n, '}'); n++ {
+		switch k := r.Key(); {
+		case id == "" && jsonread.Match(k, "session"):
+			if !r.Null() {
+				it.Session = r.Str()
+			}
+		case jsonread.Match(k, "key"):
+			if !r.Null() {
+				it.Key = r.Str()
+			}
+		case jsonread.Match(k, "input"):
+			it.Input, _ = relation.ReadInstance(r)
+		default:
+			r.Skip()
+		}
+	}
+}
+
+// bodyBufs pools request-body buffers. A buffer that grew past
+// maxPooledBody is dropped instead, so one large batch does not keep its
+// size alive in the pool.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 64 << 10
+
+// ReadBody reads the request body, up to limit bytes, into a pooled
+// buffer, which the caller hands back with ReleaseBody once nothing it
+// decoded aliases the bytes. On failure it answers the request — 413 for a
+// body over the limit, 400 for any other read error — and returns nil.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) *bytes.Buffer {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	// Size the buffer from the declared length only as far as a pooled
+	// buffer goes: a client that declares 16 MiB and sends nothing must
+	// not cost 16 MiB.
+	if n := r.ContentLength; n > 0 && n <= maxPooledBody {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		ReleaseBody(buf)
+		WriteBodyErr(w, err)
+		return nil
+	}
+	return buf
+}
+
+// ReleaseBody returns a buffer from ReadBody to the pool.
+func ReleaseBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodyBufs.Put(buf)
+	}
+}
+
+// WriteBodyErr answers a request whose body could not be read or decoded:
+// 413 for a body over its cap, 400 for anything else.
+func WriteBodyErr(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, map[string]string{"error": "bad request body: " + err.Error()})
 }
 
 // isJSONArray reports whether the body's first significant byte opens an

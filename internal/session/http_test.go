@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/models"
@@ -161,6 +162,37 @@ func TestHTTPStepBodyCap(t *testing.T) {
 	}
 	if lr, err := e.Log("cap"); err != nil || lr.Steps != 1 {
 		t.Fatalf("after both posts: %+v, %v — want the array's one step only", lr, err)
+	}
+}
+
+// TestHTTPBatchBodyCap: a body over its cap answers 413 on every route, as
+// a single step over 1 MiB does: a /batch or array body over 16 MiB, an
+// open over 1 MiB. Nothing of a refused body applies.
+func TestHTTPBatchBodyCap(t *testing.T) {
+	e, srv := httpServer(t)
+	if _, err := e.Open(&OpenRequest{ID: "cap", Model: "short"}); err != nil {
+		t.Fatal(err)
+	}
+	pad := string(bytes.Repeat([]byte{' '}, batchBodyCap)) // whitespace inside the value: valid JSON
+	for _, c := range []struct{ path, body string }{
+		{"/batch", `{"steps":[{"session":"cap","input":{"order":[["time"]]}}]` + pad + `}`},
+		{"/sessions/cap/input", `[{"input":{"order":[["time"]]}}` + pad + `]`},
+		{"/sessions", `{"model":"short","id":"cap2"` + pad[:bodyCap] + `}`},
+	} {
+		resp, err := http.Post(srv.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s of %d bytes: status %d, want 413", c.path, len(c.body), resp.StatusCode)
+		}
+	}
+	if lr, err := e.Log("cap"); err != nil || lr.Steps != 0 {
+		t.Errorf("after the refused bodies: %+v, %v — want no step", lr, err)
+	}
+	if _, err := e.Info("cap2"); err == nil {
+		t.Error("the refused open opened its session")
 	}
 }
 

@@ -310,11 +310,12 @@ func (c *Client) ObserveBatch(n int) {
 	c.m.batchSize.Observe(int64(n))
 }
 
-// PostRaw posts body to url and returns the 2xx response bytes undecoded —
-// the transport for opaque payloads the caller only relays (ship images).
+// PostRaw posts body (under contentType, when not empty) to url and
+// returns the 2xx response bytes undecoded — the transport for payloads the
+// caller relays (ship images) or reads itself (batch answers).
 // Non-2xx → *StatusError.
-func (c *Client) PostRaw(ctx context.Context, url string, body []byte) ([]byte, error) {
-	resp, err := c.Post(ctx, url, "", body)
+func (c *Client) PostRaw(ctx context.Context, url, contentType string, body []byte) ([]byte, error) {
+	resp, err := c.Post(ctx, url, contentType, body)
 	if err != nil {
 		return nil, err
 	}
