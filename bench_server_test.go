@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/relation"
 	"repro/internal/session"
@@ -214,62 +213,47 @@ func BenchmarkSessionRecovery(b *testing.B) {
 }
 
 // BenchmarkSessionGroupCommit measures concurrent stepping under
-// `-fsync always` with and without group commit on one shard: batch=1
-// gives every step its own fsync (the pre-group-commit engine), while the
-// default batch lets queued steps share one. The syncs/op metric shows
-// the mechanism directly.
+// `-fsync always` on one shard, where queued steps share one fsync. The
+// syncs/op metric shows the mechanism directly.
 func BenchmarkSessionGroupCommit(b *testing.B) {
-	cases := []struct {
-		name   string
-		batch  int
-		window int // microseconds
-	}{
-		{"batch1", 1, 0},
-		{"group", 0, 0}, // default batch (256), no window
-		{"group-window", 0, 200},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			const nSessions = 64
-			e, err := session.NewEngine(session.Config{
-				Dir:               b.TempDir(),
-				Shards:            1,
-				Fsync:             session.FsyncAlways,
-				GroupCommitBatch:  c.batch,
-				GroupCommitWindow: time.Duration(c.window) * time.Microsecond,
-			})
-			if err != nil {
+	b.Run("group", func(b *testing.B) {
+		const nSessions = 64
+		e, err := session.NewEngine(session.Config{
+			Dir:    b.TempDir(),
+			Shards: 1,
+			Fsync:  session.FsyncAlways,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer e.Shutdown()
+		ids := make([]string, nSessions)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("g-%03d", i)
+			if _, err := e.Open(&session.OpenRequest{ID: ids[i], Model: "short"}); err != nil {
 				b.Fatal(err)
 			}
-			defer e.Shutdown()
-			ids := make([]string, nSessions)
-			for i := range ids {
-				ids[i] = fmt.Sprintf("g-%03d", i)
-				if _, err := e.Open(&session.OpenRequest{ID: ids[i], Model: "short"}); err != nil {
+		}
+		var next atomic.Int64
+		b.SetParallelism(32) // force steps to queue on the one shard
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				n := next.Add(1)
+				i := int(n) % nSessions
+				if _, err := e.Input(ids[i], shopStep(i, int(n)/nSessions)); err != nil {
 					b.Fatal(err)
 				}
 			}
-			var next atomic.Int64
-			b.SetParallelism(32) // force steps to queue on the one shard
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					n := next.Add(1)
-					i := int(n) % nSessions
-					if _, err := e.Input(ids[i], shopStep(i, int(n)/nSessions)); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.StopTimer()
-			st := e.Stats()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "steps/s")
-			if b.N > 0 {
-				b.ReportMetric(float64(st.WALSyncs)/float64(b.N), "syncs/op")
-				b.ReportMetric(float64(st.WALBytesTotal)/float64(b.N), "walB/op")
-			}
 		})
-	}
+		b.StopTimer()
+		st := e.Stats()
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "steps/s")
+		if b.N > 0 {
+			b.ReportMetric(float64(st.WALSyncs)/float64(b.N), "syncs/op")
+			b.ReportMetric(float64(st.WALBytesTotal)/float64(b.N), "walB/op")
+		}
+	})
 }
 
 // TestGroupCommitCodecDensity drives the group-commit workload and holds

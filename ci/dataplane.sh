@@ -63,9 +63,9 @@ router=http://127.0.0.1:9726
 # JSON — grep accordingly.
 curl -sf -X POST $router/sessions -d '{"id":"ci-ba","model":"short"}' >/dev/null
 curl -sf -X POST $router/sessions -d '{"id":"ci-bb","model":"short"}' >/dev/null
-curl -sf -X POST $router/sessions/ci-ba/input \
-	-d '[{"input":{"order":[["time"]]},"key":"k1"},{"input":{"pay":[["time","855"]]}}]' | tee "$out/array.json"
-grep -q '"seq":2' "$out/array.json"
+curl -sf -X POST $router/batch \
+	-d '{"steps":[{"session":"ci-ba","input":{"order":[["time"]]},"key":"k1"},{"session":"ci-ba","input":{"pay":[["time","855"]]}}]}' | tee "$out/one.json"
+grep -q '"seq":2' "$out/one.json"
 curl -sf -X POST $router/batch \
 	-d '{"steps":[{"session":"ci-bb","input":{"order":[["newsweek"]]}},{"session":"ci-ghost","input":{}}]}' | tee "$out/batch.json"
 grep -q '"seq":1' "$out/batch.json"

@@ -17,21 +17,32 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// ciGates returns, per ci/*.sh job, the test and benchmark names it passes
-// to gate (after `--`). $indexed stands for DESIGN §4's benchmark index,
-// which TestCIGatesNameTests checks on its own.
-func ciGates(t *testing.T) map[string][]string {
+// gateCall is one `gate ARG... -- NAME...` line of a ci/*.sh job: the
+// package directories its go test call names, its -run and -bench patterns
+// (hasRun and hasBench report whether each flag was given) and the names it
+// gates on.
+type gateCall struct {
+	pkgs             []string
+	run, bench       string
+	hasRun, hasBench bool
+	names            []string
+}
+
+// ciGates returns, per ci/*.sh job, its gate calls. $indexed stands for
+// DESIGN §4's benchmark index, which TestCIGatesNameTests checks on its own.
+func ciGates(t *testing.T) map[string][]gateCall {
 	t.Helper()
 	scripts, err := filepath.Glob("ci/*.sh")
 	if err != nil || len(scripts) == 0 {
 		t.Fatalf("no ci/*.sh scripts: %v", err)
 	}
 	envAssign := regexp.MustCompile(`^[A-Z_]+=`)
-	gates := map[string][]string{}
+	gates := map[string][]gateCall{}
 	for _, path := range scripts {
 		script := filepath.Base(path)
 		if script == "lib.sh" || script == "all.sh" {
@@ -49,9 +60,23 @@ func ciGates(t *testing.T) map[string][]string {
 			if len(words) == 0 || words[0] != "gate" {
 				continue
 			}
-			i := 0
-			for i < len(words) && words[i] != "--" {
-				i++
+			var g gateCall
+			i := 1
+			for ; i < len(words) && words[i] != "--"; i++ {
+				arg := strings.Trim(words[i], `'"`)
+				flag, val, hasVal := strings.Cut(arg, "=")
+				if (flag == "-run" || flag == "-bench") && !hasVal && i+1 < len(words) {
+					i++
+					val = strings.Trim(words[i], `'"`)
+				}
+				switch {
+				case flag == "-run":
+					g.run, g.hasRun = val, true
+				case flag == "-bench":
+					g.bench, g.hasBench = val, true
+				case arg == "." || strings.HasPrefix(arg, "./"):
+					g.pkgs = append(g.pkgs, filepath.Clean(arg))
+				}
 			}
 			if i == len(words) {
 				t.Errorf("%s: gate without --: %s", script, line)
@@ -62,8 +87,12 @@ func ciGates(t *testing.T) map[string][]string {
 					t.Errorf("%s: gated name %s is not known until the job runs", script, name)
 					continue
 				}
-				gates[script] = append(gates[script], name)
+				g.names = append(g.names, name)
 			}
+			if len(g.pkgs) == 0 {
+				t.Errorf("%s: gate names no package directory: %s", script, line)
+			}
+			gates[script] = append(gates[script], g)
 		}
 		if len(gates[script]) == 0 {
 			t.Errorf("%s gates on no named test", script)
@@ -72,12 +101,57 @@ func ciGates(t *testing.T) map[string][]string {
 	return gates
 }
 
-// topLevelFuncs returns the names of the top-level functions declared in
-// the module's _test.go files.
-func topLevelFuncs(t *testing.T) map[string]bool {
+// selects reports whether go test, called with the pattern, would run the
+// top-level test or benchmark named top. As go test does, it splits the
+// pattern into |-separated alternatives and each into /-separated elements
+// (neither inside brackets or parentheses, nor escaped), and matches the
+// first element of any alternative anywhere in the name.
+func selects(t *testing.T, pattern, top string) bool {
+	var firsts []string
+	brackets, parens, start, inFirst := 0, 0, 0, true
+	for i := 0; i <= len(pattern); i++ {
+		c := byte('|')
+		if i < len(pattern) {
+			c = pattern[i]
+		}
+		switch {
+		case c == '\\':
+			i++
+		case c == '[':
+			brackets++
+		case c == ']' && brackets > 0:
+			brackets--
+		case c == '(' && brackets == 0:
+			parens++
+		case c == ')' && brackets == 0:
+			parens--
+		case (c == '/' || c == '|') && brackets == 0 && parens == 0:
+			if inFirst {
+				firsts = append(firsts, pattern[start:i])
+			}
+			inFirst = c == '|'
+			start = i + 1
+		}
+	}
+	for _, f := range firsts {
+		re, err := regexp.Compile(f)
+		if err != nil {
+			t.Errorf("pattern %q: %v", pattern, err)
+			return false
+		}
+		if re.MatchString(top) {
+			return true
+		}
+	}
+	return false
+}
+
+// topLevelFuncs returns, for each top-level function declared in the
+// module's _test.go files, the package directories that declare it.
+func topLevelFuncs(t *testing.T) map[string][]string {
 	t.Helper()
 	fset := token.NewFileSet()
-	funcs := map[string]bool{}
+	funcs := map[string][]string{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -98,7 +172,7 @@ func topLevelFuncs(t *testing.T) map[string]bool {
 		}
 		for _, decl := range f.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
-				funcs[fn.Name.Name] = true
+				funcs[fn.Name.Name] = append(funcs[fn.Name.Name], filepath.Dir(path))
 			}
 		}
 		return nil
@@ -109,26 +183,47 @@ func topLevelFuncs(t *testing.T) map[string]bool {
 	return funcs
 }
 
-// TestCIGatesNameTests fails, naming the job and the test, when a test or
-// benchmark a CI job gates on (or one DESIGN §4 indexes) is declared in no
-// _test.go file: the job would fail on it, and renaming or deleting a gated
-// test must fail here first. A subtest TestX/sub is checked as TestX.
+// isTestName reports whether name (a subtest TestX/sub counts as TestX)
+// is a go test entry point by its prefix, and returns its top-level name.
+func isTestName(name string) (string, bool) {
+	top, _, _ := strings.Cut(name, "/")
+	return top, strings.HasPrefix(top, "Test") || strings.HasPrefix(top, "Benchmark") || strings.HasPrefix(top, "Fuzz")
+}
+
+// TestCIGatesNameTests fails, naming the job and the test, when a gate
+// could not pass: a test or benchmark a CI job gates on is declared in no
+// _test.go file of the package directories the gate's go test call names,
+// or the call's -run pattern (-bench for a benchmark) does not select it;
+// or a benchmark DESIGN §4 indexes is declared nowhere. Renaming, moving or
+// deselecting a gated test must fail here first. A subtest TestX/sub is
+// checked as TestX.
 func TestCIGatesNameTests(t *testing.T) {
 	funcs := topLevelFuncs(t)
-	exists := func(name string) bool {
-		top, _, _ := strings.Cut(name, "/")
-		isTest := strings.HasPrefix(top, "Test") || strings.HasPrefix(top, "Benchmark") || strings.HasPrefix(top, "Fuzz")
-		return isTest && funcs[top]
-	}
 	named := 0
-	for script, names := range ciGates(t) {
-		for _, name := range names {
-			if name == "$indexed" {
-				continue
-			}
-			named++
-			if !exists(name) {
-				t.Errorf("ci/%s gates on %s, which no _test.go file declares", script, name)
+	for script, calls := range ciGates(t) {
+		for _, g := range calls {
+			for _, name := range g.names {
+				if name == "$indexed" {
+					continue
+				}
+				named++
+				top, ok := isTestName(name)
+				declared := false
+				for _, dir := range funcs[top] {
+					declared = declared || slices.Contains(g.pkgs, dir)
+				}
+				if !ok || !declared {
+					t.Errorf("ci/%s gates on %s, which no _test.go file in %v declares", script, name, g.pkgs)
+					continue
+				}
+				switch {
+				case strings.HasPrefix(top, "Benchmark"):
+					if !g.hasBench || !selects(t, g.bench, top) {
+						t.Errorf("ci/%s gates on %s, which its -bench %q does not select", script, name, g.bench)
+					}
+				case g.hasRun && !selects(t, g.run, top):
+					t.Errorf("ci/%s gates on %s, which its -run %q does not select", script, name, g.run)
+				}
 			}
 		}
 	}
@@ -142,7 +237,7 @@ func TestCIGatesNameTests(t *testing.T) {
 	for _, row := range indexRow.FindAllString(string(design), -1) {
 		for _, name := range bench.FindAllString(row, -1) {
 			indexed++
-			if !exists(name) {
+			if top, _ := isTestName(name); len(funcs[top]) == 0 {
 				t.Errorf("DESIGN.md §4 indexes %s, which ci/test.sh runs and no _test.go file declares", name)
 			}
 		}

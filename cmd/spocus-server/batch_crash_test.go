@@ -1,7 +1,7 @@
 package main
 
 // The acceptance test of batch atomicity: sessions are driven with
-// fixed-size batched inputs (the array form of POST /sessions/{id}/input),
+// fixed-size batched inputs (one-session POST /batch envelopes),
 // the server is SIGKILLed mid-load, and after restart every session's
 // recovered step count must be a whole number of batches — a batch is one
 // CRC-framed WAL record, so a crash can drop an unacked batch entirely but
@@ -35,7 +35,7 @@ func TestCrashBatchAtomic(t *testing.T) {
 		batch     = 3
 	)
 	cmd, base := startServer(t, bin, dir,
-		"-group-commit-window", "2ms", "-wal-segment-bytes", "4096", "-snapshot-every", "1024")
+		"-wal-segment-bytes", "4096", "-snapshot-every", "1024")
 	for i := 0; i < nSessions; i++ {
 		post(t, base+"/sessions", map[string]string{"model": "short", "id": fmt.Sprintf("ba-%d", i)}, nil)
 	}
@@ -52,7 +52,7 @@ func TestCrashBatchAtomic(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			url := fmt.Sprintf("%s/sessions/ba-%d/input", base, i)
+			id := fmt.Sprintf("ba-%d", i)
 			for j := 0; ; {
 				select {
 				case <-stop:
@@ -61,10 +61,10 @@ func TestCrashBatchAtomic(t *testing.T) {
 				}
 				items := make([]map[string]any, batch)
 				for k := range items {
-					items[k] = map[string]any{"input": shopStep(i, j+k)}
+					items[k] = map[string]any{"session": id, "input": shopStep(i, j+k)}
 				}
-				data, _ := json.Marshal(items)
-				resp, err := http.Post(url, "application/json", bytes.NewReader(data))
+				data, _ := json.Marshal(map[string]any{"steps": items})
+				resp, err := http.Post(base+"/batch", "application/json", bytes.NewReader(data))
 				if err != nil {
 					return // the kill severed the connection
 				}

@@ -213,7 +213,7 @@ func TestCrashRecovery(t *testing.T) {
 
 // TestCrashGroupCommit is the acceptance test of group commit: many
 // sessions step concurrently against a server batching their fsyncs
-// (-group-commit-window forces real batches, small segments force rotation
+// (concurrent callers form real batches, small segments force rotation
 // under load), the process is SIGKILLed mid-batch, and after restart every
 // step that was acknowledged before the kill must be present — and every
 // recovered log must be an exact prefix of the deterministic oracle run.
@@ -228,7 +228,7 @@ func TestCrashGroupCommit(t *testing.T) {
 
 	const nSessions = 8
 	cmd, base := startServer(t, bin, dir,
-		"-group-commit-window", "2ms", "-wal-segment-bytes", "4096", "-snapshot-every", "64")
+		"-wal-segment-bytes", "4096", "-snapshot-every", "64")
 	for i := 0; i < nSessions; i++ {
 		var info session.Info
 		post(t, base+"/sessions", map[string]string{"model": "short", "id": fmt.Sprintf("gc-%d", i)}, &info)

@@ -7,8 +7,7 @@
 //
 //	spocus-server serve [-addr :8080] [-dir data] [-shards N]
 //	                    [-fsync always|interval|never] [-fsync-interval 100ms]
-//	                    [-wal-segment-bytes 67108864] [-group-commit-batch 256]
-//	                    [-group-commit-window 0]
+//	                    [-wal-segment-bytes 67108864]
 //	                    [-snapshot-every 4096] [-mailbox 1024]
 //	                    [-session-rate 0] [-session-burst 0]
 //	                    [-verify-workers N] [-verify-queue N]
@@ -127,8 +126,6 @@ func engineFlags(fs *flag.FlagSet, defaultFsync string) func() (session.Config, 
 		fsync         = fs.String("fsync", defaultFsync, "WAL fsync policy: always | interval | never")
 		fsyncInterval = fs.Duration("fsync-interval", 100*time.Millisecond, "flush period under -fsync interval")
 		segmentBytes  = fs.Int64("wal-segment-bytes", 64<<20, "rotate a shard's WAL segment past this size")
-		gcBatch       = fs.Int("group-commit-batch", 256, "max steps sharing one fsync under -fsync always (1: one fsync per step)")
-		gcWindow      = fs.Duration("group-commit-window", 0, "extra time a group-commit leader with nobody waiting holds the commit open for steps to join (0: commit at once)")
 		snapEvery     = fs.Int("snapshot-every", 4096, "steps per shard between snapshots (-1: disable)")
 		mailbox       = fs.Int("mailbox", 1024, "callers that may wait for one shard's lock; a data-plane request beyond it is rejected with 429")
 		sessionRate   = fs.Float64("session-rate", 0, "per-session step rate limit in steps/sec (0: unlimited); excess steps get 429 + Retry-After")
@@ -141,18 +138,16 @@ func engineFlags(fs *flag.FlagSet, defaultFsync string) func() (session.Config, 
 			return session.Config{}, err
 		}
 		return session.Config{
-			Dir:               *dir,
-			Shards:            *shards,
-			Fsync:             policy,
-			FsyncInterval:     *fsyncInterval,
-			SegmentBytes:      *segmentBytes,
-			GroupCommitBatch:  *gcBatch,
-			GroupCommitWindow: *gcWindow,
-			SnapshotEvery:     *snapEvery,
-			MailboxDepth:      *mailbox,
-			SessionRate:       *sessionRate,
-			SessionBurst:      *sessionBurst,
-			ReplSyncWait:      *replSyncWait,
+			Dir:           *dir,
+			Shards:        *shards,
+			Fsync:         policy,
+			FsyncInterval: *fsyncInterval,
+			SegmentBytes:  *segmentBytes,
+			SnapshotEvery: *snapEvery,
+			MailboxDepth:  *mailbox,
+			SessionRate:   *sessionRate,
+			SessionBurst:  *sessionBurst,
+			ReplSyncWait:  *replSyncWait,
 		}, nil
 	}
 }

@@ -62,7 +62,7 @@ func TestCrashNetworkSessions(t *testing.T) {
 
 	const nSessions = 6
 	cmd, base := startServer(t, bin, dir,
-		"-group-commit-window", "2ms", "-wal-segment-bytes", "4096", "-snapshot-every", "32")
+		"-wal-segment-bytes", "4096", "-snapshot-every", "32")
 	for i := 0; i < nSessions; i++ {
 		var info session.Info
 		post(t, base+"/sessions", map[string]any{

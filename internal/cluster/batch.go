@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
 	"repro/internal/jsonread"
 	"repro/internal/session"
@@ -412,26 +411,17 @@ func (rt *Router) forwardSubBatch(r *http.Request, g *subBatch, mode string, res
 		} else {
 			lastErr = &BackendDownError{Addr: addr}
 		}
-		if !g.allKeyed || attempt >= keyedRetryAttempts {
+		if !g.allKeyed {
 			break
 		}
-		rt.m.keyedRetries.Add(1)
-		rt.client.NoteRetry("transport")
-		stop := false
-		select {
-		case <-r.Context().Done(): // the client hung up: stop retrying
-			lastErr = r.Context().Err()
-			stop = true
-		case <-time.After(time.Duration(100<<attempt) * time.Millisecond):
+		// A promotion re-homes every session the dead backend owned onto one
+		// follower, so the first session's new owner is the sub-batch's.
+		retry, err := rt.retryKeyed(r.Context(), attempt, g.first, &addr)
+		if err != nil {
+			lastErr = err
 		}
-		if stop {
+		if !retry {
 			break
-		}
-		// Re-resolve: a mark-down plus promotion re-homes every session the
-		// dead backend owned onto one follower, so the first session's new
-		// owner is the sub-batch's new owner.
-		if newAddr, err := rt.ring.Lookup(g.first); err == nil {
-			addr = newAddr
 		}
 	}
 	status := http.StatusBadGateway

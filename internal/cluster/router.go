@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/session"
 	"repro/internal/wire"
 )
@@ -207,9 +208,11 @@ func (rt *Router) recoverPins() {
 // Ring exposes the router's ring (for tests and for serving /debug/shards).
 func (rt *Router) Ring() *Ring { return rt.ring }
 
-// Close stops health checking and releases the router-owned wire client.
-// In-flight proxied requests are unaffected.
+// Close stops health checking, releases the router-owned wire client and
+// takes the router out of the spocus_router expvar. In-flight proxied
+// requests are unaffected.
 func (rt *Router) Close() {
+	routers.Remove(rt)
 	rt.checker.stop()
 	if rt.ownsClient {
 		rt.client.Close()
@@ -268,7 +271,7 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	registerRouterExpvar(rt)
+	routers.Add(rt)
 	return mux
 }
 
@@ -441,6 +444,32 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 // wide enough for a mark-down plus promotion to land in between).
 const keyedRetryAttempts = 5
 
+// retryKeyed runs between the attempts of a keyed (idempotent) send, after
+// attempt failed. Once keyedRetryAttempts retries were made it answers
+// false. Otherwise it counts the retry, waits 100<<attempt ms — answering
+// false with the context's error if the client hangs up first — and
+// re-resolves the owner of session id into *addr, since a mark-down plus
+// promotion flips the session's pin to the follower; an empty id keeps
+// *addr.
+func (rt *Router) retryKeyed(ctx context.Context, attempt int, id string, addr *string) (bool, error) {
+	if attempt >= keyedRetryAttempts {
+		return false, nil
+	}
+	rt.m.keyedRetries.Add(1)
+	rt.client.NoteRetry("transport")
+	select {
+	case <-ctx.Done():
+		return false, ctx.Err()
+	case <-time.After(time.Duration(100<<attempt) * time.Millisecond):
+	}
+	if id != "" {
+		if a, err := rt.ring.Lookup(id); err == nil {
+			*addr = a
+		}
+	}
+	return true, nil
+}
+
 // forward proxies one request to addr, preserving method, path, query,
 // and body. A transport failure marks the backend down immediately — the
 // client sees 502 now, and hashed keys remap on the next lookup.
@@ -508,27 +537,15 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, addr string, b
 			rt.m.backendErrors.Add(1)
 			rt.checker.markDown(addr)
 		}
-		if !retryable || attempt >= keyedRetryAttempts {
+		if !retryable {
 			break
 		}
-		rt.m.keyedRetries.Add(1)
-		rt.client.NoteRetry("transport")
-		stop := false
-		select {
-		case <-r.Context().Done(): // the client hung up: stop retrying
-			lastErr = r.Context().Err()
-			stop = true
-		case <-time.After(time.Duration(100<<attempt) * time.Millisecond):
+		retry, err := rt.retryKeyed(r.Context(), attempt, r.PathValue("id"), &addr)
+		if err != nil {
+			lastErr = err
 		}
-		if stop {
+		if !retry {
 			break
-		}
-		// Re-resolve: the failure may have re-homed the session (mark-down
-		// plus promotion flips the pin to the follower).
-		if id := r.PathValue("id"); id != "" {
-			if newAddr, err := rt.ring.Lookup(id); err == nil {
-				addr = newAddr
-			}
 		}
 	}
 	if lastErr != nil {
@@ -561,25 +578,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // routers tracks live routers so the process-wide expvar export can
 // aggregate across them (a process normally has exactly one).
-var (
-	routersMu        sync.Mutex
-	routers          = make(map[*Router]bool)
-	routerExpvarOnce sync.Once
-)
+var routers obs.Set[Router]
 
-func registerRouterExpvar(rt *Router) {
-	routersMu.Lock()
-	routers[rt] = true
-	routersMu.Unlock()
-	routerExpvarOnce.Do(func() {
-		expvar.Publish("spocus_router", expvar.Func(func() any {
-			routersMu.Lock()
-			defer routersMu.Unlock()
-			agg := make([]map[string]int64, 0, len(routers))
-			for rt := range routers {
-				agg = append(agg, rt.statsSnapshot())
-			}
-			return agg
-		}))
+func init() {
+	routers.Publish("spocus_router", func(rs []*Router) any {
+		agg := make([]map[string]int64, 0, len(rs))
+		for _, rt := range rs {
+			agg = append(agg, rt.statsSnapshot())
+		}
+		return agg
 	})
 }

@@ -3,9 +3,11 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"expvar"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -500,5 +502,28 @@ func TestRouterListPartial(t *testing.T) {
 	}
 	if rt.m.backendErrors.Load() == errsBefore {
 		t.Fatal("failing list backend did not count as a backend error")
+	}
+}
+
+// TestClosedRouterLeavesAggregate: a router joins the spocus_router
+// aggregate when it builds its handler and leaves it on Close.
+func TestClosedRouterLeavesAggregate(t *testing.T) {
+	listed := func() int {
+		var agg []map[string]int64
+		if v := expvar.Get("spocus_router"); v != nil {
+			if err := json.Unmarshal([]byte(v.String()), &agg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return len(agg)
+	}
+	n := listed()
+	tc := newTestCluster(t, 1)
+	if !slices.Contains(routers.Live(), tc.router) || listed() != n+1 {
+		t.Fatalf("a new router is not in the aggregate (%d listed, %d before)", listed(), n)
+	}
+	tc.router.Close()
+	if slices.Contains(routers.Live(), tc.router) || listed() != n {
+		t.Errorf("a closed router is still in the aggregate (%d listed, %d before)", listed(), n)
 	}
 }

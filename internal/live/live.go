@@ -20,8 +20,9 @@
 //     engine's bound on callers waiting for a shard's lock.
 //   - Every computation carries a per-query timeout and inherits the
 //     caller's context, so an abandoned HTTP request cancels its solver.
-//   - Underneath, all queries against one model share a verify.Cache of
-//     solved SAT subproblems, scoped by machine fingerprint.
+//
+// The answer cache is the one table of answers: the decision procedures
+// run without a solver cache of their own under it.
 //
 // Metrics are exported under the expvar key "spocus_live".
 package live
@@ -60,12 +61,6 @@ type Config struct {
 	// MaxConflicts bounds the SAT search per query (0: unlimited; the
 	// timeout is then the only backstop).
 	MaxConflicts int64
-	// Parallelism is the per-query verify parallelism (default 1: the
-	// worker pool, not the individual query, provides concurrency).
-	Parallelism int
-	// SuggestBudget bounds the transducer executions of one progress query
-	// (default verify.DefaultSuggestBudget).
-	SuggestBudget int
 	// MaxEntries caps the answer cache (default 8192). Overflow evicts the
 	// stalest completed entry: the one whose prefix depth lags furthest
 	// behind the deepest prefix seen for its machine+database group.
@@ -89,12 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 2 * time.Second
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = 1
-	}
-	if c.SuggestBudget <= 0 {
-		c.SuggestBudget = verify.DefaultSuggestBudget
 	}
 	if c.MaxEntries <= 0 {
 		c.MaxEntries = 8192
@@ -127,7 +116,6 @@ type Service struct {
 
 	mu       sync.Mutex
 	machines map[string]*machineEntry
-	vcaches  map[string]*verify.Cache
 	answers  map[answerKey]*entry
 	// maxDepth is the deepest prefix seen per machine+database group — the
 	// eviction policy's high-water mark. Monotone; never shrinks on evict.
@@ -152,12 +140,11 @@ type parsedGoal struct {
 // of goals; past the bound an arbitrary one is dropped for each new one.
 const maxParsedGoals = 1024
 
-// machineEntry is one resolved machine plus its fingerprint-scoped solver
-// cache, shared by every session and query of that machine.
+// machineEntry is one resolved machine and its fingerprint, shared by every
+// session and query of that machine.
 type machineEntry struct {
-	mach   *core.Machine
-	fp     string
-	vcache *verify.Cache
+	mach *core.Machine
+	fp   string
 }
 
 // answerKey identifies one answer. Instances enter it as digests, so
@@ -200,12 +187,11 @@ func New(cfg Config) *Service {
 		cfg:      cfg,
 		slots:    make(chan struct{}, cfg.Workers),
 		machines: make(map[string]*machineEntry),
-		vcaches:  make(map[string]*verify.Cache),
 		answers:  make(map[answerKey]*entry),
 		maxDepth: make(map[group]int),
 		goals:    make(map[string]parsedGoal),
 	}
-	registerService(s)
+	services.Add(s)
 	return s
 }
 
@@ -242,13 +228,7 @@ func (s *Service) resolve(src Source) (*machineEntry, error) {
 	if mach.Kind() != core.KindSpocus {
 		return nil, &BadQueryError{Err: fmt.Errorf("live: %s machine %q: online verification requires a Spocus transducer", mach.Kind(), mach.Name())}
 	}
-	fp := mach.Fingerprint()
-	vc, ok := s.vcaches[fp]
-	if !ok {
-		vc = verify.NewCache()
-		s.vcaches[fp] = vc
-	}
-	e := &machineEntry{mach: mach, fp: fp, vcache: vc}
+	e := &machineEntry{mach: mach, fp: mach.Fingerprint()}
 	s.machines[key] = e
 	return e, nil
 }
@@ -436,13 +416,8 @@ func (s *Service) evictLocked() {
 	}
 }
 
-func (s *Service) opts(ctx context.Context, me *machineEntry) *verify.Options {
-	return &verify.Options{
-		Context:      ctx,
-		Cache:        me.vcache,
-		MaxConflicts: s.cfg.MaxConflicts,
-		Parallelism:  s.cfg.Parallelism,
-	}
+func (s *Service) opts(ctx context.Context) *verify.Options {
+	return &verify.Options{Context: ctx, MaxConflicts: s.cfg.MaxConflicts}
 }
 
 // GoalAnswer is the wire answer of a reachability query.
@@ -474,7 +449,8 @@ func (s *Service) Goal(ctx context.Context, src Source, goal string) (*GoalAnswe
 	}
 	key := keyOf(me, src, "goal", pg.text)
 	v, cached, err := s.getOrCompute(ctx, key, prefixDepth(src.Past), func(ctx context.Context) (any, error) {
-		res, err := verify.ReachGoalFrom(me.mach, src.DB, prefixSeq(src.Past), pg.g, s.opts(ctx, me))
+		s.m.solves.Add(1)
+		res, err := verify.ReachGoalFrom(me.mach, src.DB, prefixSeq(src.Past), pg.g, s.opts(ctx))
 		if err != nil {
 			return nil, err
 		}
@@ -531,7 +507,8 @@ func (s *Service) Temporal(ctx context.Context, src Source, conds []string) (*Te
 	}
 	key := keyOf(me, src, "temporal", strings.Join(norm, "\x01"))
 	v, cached, err := s.getOrCompute(ctx, key, prefixDepth(src.Past), func(ctx context.Context) (any, error) {
-		res, err := verify.CheckTemporalFrom(me.mach, src.DB, prefixSeq(src.Past), parsed, s.opts(ctx, me))
+		s.m.solves.Add(1)
+		res, err := verify.CheckTemporalFrom(me.mach, src.DB, prefixSeq(src.Past), parsed, s.opts(ctx))
 		if err != nil {
 			return nil, err
 		}
@@ -590,7 +567,7 @@ func (s *Service) Progress(ctx context.Context, src Source, goal string) (*Progr
 	}
 	key := keyOf(me, src, "progress", pg.text)
 	v, cached, err := s.getOrCompute(ctx, key, prefixDepth(src.Past), func(ctx context.Context) (any, error) {
-		res, err := verify.SuggestProgress(ctx, me.mach, src.DB, prefixSeq(src.Past), pg.g, s.pool(me, src), s.cfg.SuggestBudget)
+		res, err := verify.SuggestProgress(ctx, me.mach, src.DB, prefixSeq(src.Past), pg.g, s.pool(me, src), verify.DefaultSuggestBudget)
 		if err != nil {
 			return nil, err
 		}

@@ -2,11 +2,16 @@ package live
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"expvar"
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/models"
 	"repro/internal/relation"
@@ -181,7 +186,7 @@ func d1Set(t *testing.T, s *Service, model string, db relation.Instance, past re
 		t.Fatal(err)
 	}
 	if a.Truncated {
-		t.Fatalf("progress truncated at budget; raise SuggestBudget for this test")
+		t.Fatalf("progress truncated at budget; raise verify.DefaultSuggestBudget for this test")
 	}
 	var out []string
 	for _, sg := range a.Suggestions {
@@ -543,5 +548,110 @@ func BenchmarkGoalHit(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestLiveTablesBounded runs 4 × MaxEntries cold Goal queries over distinct
+// one-order pasts of one model. The answer cache stays at its cap, the
+// service's other tables hold one entry each (one machine, one eviction
+// group, one parsed goal), and the live heap after the last query is what
+// it was after the first MaxEntries: no table kept an entry per query. A
+// cold Goal counts one solve and a hit counts none.
+func TestLiveTablesBounded(t *testing.T) {
+	const maxEntries = 128
+	s := New(Config{Timeout: time.Minute, MaxEntries: maxEntries})
+	db := models.MagazineDB()
+	ask := func(i int) *GoalAnswer {
+		t.Helper()
+		past := models.Step(models.F("order", fmt.Sprintf("item-%04d", i)))
+		a, err := s.Goal(context.Background(), Source{Model: "short", DB: db, Past: past}, "deliver(X)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	before := s.Stats().SolverMisses
+	if a := ask(0); a.Cached {
+		t.Fatal("first query answered from the cache")
+	}
+	if got := s.Stats().SolverMisses - before; got != 1 {
+		t.Errorf("a cold goal counted %d solves, want 1", got)
+	}
+	if a := ask(0); !a.Cached {
+		t.Fatal("repeated query not answered from the cache")
+	}
+	if got := s.Stats().SolverMisses - before; got != 1 {
+		t.Errorf("a hit counted %d solves, want 0", got-1)
+	}
+
+	for i := 1; i < maxEntries; i++ {
+		ask(i)
+	}
+	warm := heap()
+	for i := maxEntries; i < 4*maxEntries; i++ {
+		ask(i)
+	}
+	grown := int64(heap()) - int64(warm)
+
+	st := s.Stats()
+	if st.AnswerEntries > maxEntries {
+		t.Errorf("answer cache holds %d entries, cap %d", st.AnswerEntries, maxEntries)
+	}
+	if st.SolverMisses-before != 4*maxEntries {
+		t.Errorf("%d solves for %d cold goals", st.SolverMisses-before, 4*maxEntries)
+	}
+	s.mu.Lock()
+	machines, groups := len(s.machines), len(s.maxDepth)
+	s.mu.Unlock()
+	s.goalMu.Lock()
+	goals := len(s.goals)
+	s.goalMu.Unlock()
+	if machines != 1 || groups != 1 || goals != 1 {
+		t.Errorf("tables after %d queries: %d machines, %d groups, %d goals; want 1 each", 4*maxEntries, machines, groups, goals)
+	}
+	// 3 × maxEntries further queries; a table keeping ~2 KB a query grows
+	// the heap by ~800 KB.
+	t.Logf("live heap grew %d B over %d queries past the cap", grown, 3*maxEntries)
+	if grown > 256<<10 {
+		t.Errorf("live heap grew %d B over %d queries past the answer cache's cap", grown, 3*maxEntries)
+	}
+	runtime.KeepAlive(s)
+}
+
+// TestDroppedServiceLeavesAggregate: the spocus_live aggregate holds its
+// services weakly, so a service nothing else holds is collected and leaves
+// it.
+func TestDroppedServiceLeavesAggregate(t *testing.T) {
+	listed := func() int {
+		var agg []Stats
+		if err := json.Unmarshal([]byte(expvar.Get("spocus_live").String()), &agg); err != nil {
+			t.Fatal(err)
+		}
+		return len(agg)
+	}
+	s := New(Config{})
+	n := listed()
+	if _, err := s.Goal(context.Background(), Source{Model: "short", DB: models.MagazineDB()}, "deliver(X)"); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(services.Live(), s) {
+		t.Fatal("a new service is not in the aggregate")
+	}
+	w := weak.Make(s)
+	s = nil
+	runtime.GC()
+	if w.Value() != nil {
+		t.Fatal("the dropped service is still reachable")
+	}
+	if after := listed(); after >= n {
+		t.Errorf("the aggregate lists %d services after the drop, %d before it", after, n)
 	}
 }

@@ -1,8 +1,6 @@
 package live
 
 import (
-	"expvar"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -18,7 +16,8 @@ type liveMetrics struct {
 	timeouts  atomic.Int64
 	errors    atomic.Int64
 	evicted   atomic.Int64
-	latency   obs.Hist // nanoseconds
+	solves    atomic.Uint64 // cold Goal and Temporal computations
+	latency   obs.Hist      // nanoseconds
 	// A cold goal's split (nanoseconds): grounding, SAT search, and witness
 	// replay + shrinking, one observation each per answer-cache miss.
 	coldGround, coldSAT, coldReplay obs.Hist
@@ -61,9 +60,8 @@ type Stats struct {
 	InFlight int64 `json:"in_flight"`
 	// AnswerEntries is the current answer-cache population.
 	AnswerEntries int `json:"answer_entries"`
-	// SolverHits/SolverMisses aggregate the per-machine verify caches of
-	// solved SAT subproblems underneath the answer cache.
-	SolverHits   uint64  `json:"solver_cache_hits_total"`
+	// SolverMisses counts the cold Goal and Temporal computations that ran
+	// the solver, one each.
 	SolverMisses uint64  `json:"solver_cache_misses_total"`
 	P50Micros    float64 `json:"latency_p50_us"`
 	P90Micros    float64 `json:"latency_p90_us"`
@@ -71,8 +69,8 @@ type Stats struct {
 	MaxMicros    float64 `json:"latency_max_us"`
 	// ColdGround, ColdSAT and ColdReplay split the goal queries the solver
 	// answered: grounding to CNF, the CDCL search, and the operational
-	// replay and shrinking of the witness (0 for a subproblem the solver
-	// cache answered, and replay 0 for an unreachable goal).
+	// replay and shrinking of the witness (replay 0 for an unreachable
+	// goal).
 	ColdGround Quantiles `json:"cold_ground_us"`
 	ColdSAT    Quantiles `json:"cold_sat_us"`
 	ColdReplay Quantiles `json:"cold_replay_us"`
@@ -95,6 +93,7 @@ func (s *Service) Stats() Stats {
 		Timeouts:     s.m.timeouts.Load(),
 		Errors:       s.m.errors.Load(),
 		Evicted:      s.m.evicted.Load(),
+		SolverMisses: s.m.solves.Load(),
 		InFlight:     s.inflight.Load(),
 		P50Micros:    float64(s.m.latency.Quantile(0.50)) / 1e3,
 		P90Micros:    float64(s.m.latency.Quantile(0.90)) / 1e3,
@@ -106,36 +105,21 @@ func (s *Service) Stats() Stats {
 	}
 	s.mu.Lock()
 	st.AnswerEntries = len(s.answers)
-	for _, vc := range s.vcaches {
-		h, m := vc.Stats()
-		st.SolverHits += h
-		st.SolverMisses += m
-	}
 	s.mu.Unlock()
 	return st
 }
 
 // services tracks live services so the process-wide expvar export can
-// aggregate across them (a server normally has exactly one).
-var (
-	servicesMu sync.Mutex
-	services   = make(map[*Service]bool)
-	expvarOne  sync.Once
-)
+// aggregate across them (a server normally has exactly one). A Service has
+// no Close: one that is dropped leaves once it is collected.
+var services obs.Set[Service]
 
-func registerService(s *Service) {
-	servicesMu.Lock()
-	services[s] = true
-	servicesMu.Unlock()
-	expvarOne.Do(func() {
-		expvar.Publish("spocus_live", expvar.Func(func() any {
-			servicesMu.Lock()
-			defer servicesMu.Unlock()
-			agg := make([]Stats, 0, len(services))
-			for s := range services {
-				agg = append(agg, s.Stats())
-			}
-			return agg
-		}))
+func init() {
+	services.Publish("spocus_live", func(ss []*Service) any {
+		agg := make([]Stats, 0, len(ss))
+		for _, s := range ss {
+			agg = append(agg, s.Stats())
+		}
+		return agg
 	})
 }

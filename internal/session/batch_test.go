@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/models"
@@ -217,12 +218,12 @@ func TestBatchRecovery(t *testing.T) {
 	}
 }
 
-// TestHTTPBatch drives both wire shapes — the array form of
-// /sessions/{id}/input and the multi-session /batch — and checks the
-// positional per-item statuses, the 200 envelope around item failures, and
-// the Idempotency-Key header rejection on arrays.
+// TestHTTPBatch drives the multi-session /batch and checks the positional
+// per-item statuses and the 200 envelope around item failures. An array
+// body on /sessions/{id}/input is not a batch: it answers 400 and names
+// /batch.
 func TestHTTPBatch(t *testing.T) {
-	_, srv := httpServer(t)
+	e, srv := httpServer(t)
 	wantOut, _ := fig1Reference(t)
 	inputs := models.Fig1Inputs()
 
@@ -234,33 +235,33 @@ func TestHTTPBatch(t *testing.T) {
 		t.Fatalf("open b: %d", st)
 	}
 
-	// Array form: two steps of one session in one request.
-	var br BatchResponse
+	// An array body answers 400, names POST /batch, and applies nothing.
+	var em map[string]string
 	st := call(t, "POST", fmt.Sprintf("%s/sessions/%s/input", srv.URL, a.ID), []map[string]any{
 		{"input": inputs[0], "key": "k1"},
 		{"input": inputs[1]},
-	}, &br)
-	if st != http.StatusOK || len(br.Results) != 2 || !br.OK() {
-		t.Fatalf("array form: status %d results %+v", st, br.Results)
+	}, &em)
+	if st != http.StatusBadRequest || !strings.Contains(em["error"], "POST /batch") {
+		t.Fatalf("array body: status %d %v, want 400 naming POST /batch", st, em)
 	}
-	if br.Results[0].Result.Seq != 1 || !br.Results[0].Result.Output.Equal(wantOut[0]) {
-		t.Errorf("array item 0: %+v", br.Results[0])
-	}
-	if br.Results[1].Result.Seq != 2 {
-		t.Errorf("array item 1: %+v", br.Results[1])
+	if lr, err := e.Log(a.ID); err != nil || lr.Steps != 0 {
+		t.Fatalf("after the array body: %+v, %v — want no step", lr, err)
 	}
 
-	// The Idempotency-Key header names ONE step; arrays must refuse it.
-	req, _ := http.NewRequest("POST", fmt.Sprintf("%s/sessions/%s/input", srv.URL, a.ID),
-		bytes.NewReader([]byte(`[{"input":{}}]`)))
-	req.Header.Set("Idempotency-Key", "whole-batch")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	// One session's two steps in one /batch.
+	var br BatchResponse
+	st = call(t, "POST", srv.URL+"/batch", BatchRequest{Steps: []BatchItem{
+		{Session: a.ID, Key: "k1", Input: inputs[0]},
+		{Session: a.ID, Input: inputs[1]},
+	}}, &br)
+	if st != http.StatusOK || len(br.Results) != 2 || !br.OK() {
+		t.Fatalf("one-session batch: status %d results %+v", st, br.Results)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("array with Idempotency-Key header: %d, want 400", resp.StatusCode)
+	if br.Results[0].Result.Seq != 1 || !br.Results[0].Result.Output.Equal(wantOut[0]) {
+		t.Errorf("batch item 0: %+v", br.Results[0])
+	}
+	if br.Results[1].Result.Seq != 2 {
+		t.Errorf("batch item 1: %+v", br.Results[1])
 	}
 
 	// /batch: two sessions plus one failing item; the envelope stays 200 and
@@ -292,7 +293,7 @@ func TestHTTPBatch(t *testing.T) {
 	}
 
 	// Empty batches are an envelope error, not an empty success.
-	var em map[string]string
+	em = map[string]string{}
 	if st := call(t, "POST", srv.URL+"/batch", BatchRequest{}, &em); st != http.StatusBadRequest {
 		t.Errorf("empty /batch: %d, want 400", st)
 	}

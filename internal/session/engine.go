@@ -37,19 +37,6 @@ type Config struct {
 	// SegmentBytes rotates a shard's active WAL segment once it exceeds
 	// this size (default 64 MiB). Sealed segments are never written again.
 	SegmentBytes int64
-	// GroupCommitBatch caps how many requests with appended records one
-	// group commit covers (one shared fsync under FsyncAlways) before their
-	// acknowledgements are released (default 256): the caller that fills
-	// the batch commits it whoever else is waiting. 1 disables batching:
-	// every request pays its own fsync, the pre-group-commit behavior.
-	GroupCommitBatch int
-	// GroupCommitWindow, when positive under FsyncAlways, lets a caller
-	// about to commit with nobody waiting for its shard release the shard
-	// for up to this long so later requests join the pending fsync
-	// (default 0: commit as soon as nobody is waiting). The window only ever delays acknowledgements, never
-	// weakens them — acks are still released only after the shared fsync
-	// returns.
-	GroupCommitWindow time.Duration
 	// SnapshotEvery compacts a shard's WAL into a snapshot after this many
 	// applied steps (default 4096; negative disables snapshots).
 	SnapshotEvery int
@@ -94,9 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = 64 << 20
-	}
-	if c.GroupCommitBatch <= 0 {
-		c.GroupCommitBatch = 256
 	}
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = 4096
@@ -151,14 +135,8 @@ type shard struct {
 	sinceSnap int
 	broken    error // set on a WAL write failure; fail-stop for mutations
 
-	// group is the pending group commit (nil when no record awaits one; see
-	// settle). windowing is set while its leader has released mu for
-	// GroupCommitWindow; windowEnd wakes that leader when a full group
-	// commits first.
-	group     *commitGroup
-	windowing bool
-	windowEnd chan struct{}
-	segGauge  int // last value pushed to the walSegments metric
+	group    *commitGroup // the pending group commit (nil when no record awaits one; see settle)
+	segGauge int          // last value pushed to the walSegments metric
 
 	// enc is the WAL record encoder. Its intern table is
 	// scoped to one segment (encSeg): AlignAppend surfaces rotations before
@@ -199,14 +177,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 	start := time.Now()
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{
-			idx:       i,
-			cfg:       &e.cfg,
-			m:         e.m,
-			sessions:  make(map[string]*Session),
-			windowEnd: make(chan struct{}, 1),
-			ackWake:   make(chan struct{}, 1),
-			enc:       codec.NewEncoder(),
-			encSeg:    -1,
+			idx:      i,
+			cfg:      &e.cfg,
+			m:        e.m,
+			sessions: make(map[string]*Session),
+			ackWake:  make(chan struct{}, 1),
+			enc:      codec.NewEncoder(),
+			encSeg:   -1,
 		}
 		if cfg.Dir != "" {
 			if err := sh.recover(filepath.Join(cfg.Dir, fmt.Sprintf("shard-%03d", i))); err != nil {
@@ -227,7 +204,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 			}(sh)
 		}
 	}
-	registerEngine(e)
+	engines.Add(e)
 	return e, nil
 }
 
@@ -271,6 +248,11 @@ func (sh *shard) recover(dir string) error {
 	sh.m.walSegments.Add(int64(sh.segGauge))
 	return nil
 }
+
+// groupCap caps how many callers with appended records one group commit
+// covers (one shared fsync under FsyncAlways): the caller that fills a group
+// commits it whoever else is waiting.
+const groupCap = 256
 
 // commitGroup is one group commit: the callers whose records it covers
 // wait for done and then read err.
@@ -353,46 +335,14 @@ func (sh *shard) lock(wait bool) bool {
 }
 
 // settle is the group-commit protocol, run by every caller just before it
-// releases mu. While the pending group has room and another caller will
-// take the lock after this one, the caller leaves the commit to a later
-// one; otherwise it leads: it commits the group, which releases every
-// caller waiting for it. So mu is never released with records pending
-// unless a caller is waiting for it or a leader's window is open, and an
+// releases mu: the last caller out of the lock commits the pending group,
+// unless it is full, when the caller that filled it commits it at once. A
+// commit releases every caller waiting for the group. So mu is never
+// released with records pending unless a caller is waiting for it, and an
 // acknowledgement is released only after the commit covering its record
 // returned — an acked step is a durable step.
 func (sh *shard) settle() {
-	g := sh.group
-	if g == nil || g.n < sh.cfg.GroupCommitBatch && (sh.windowing || sh.waiting.Load() > 0) {
-		return
-	}
-	sh.lead()
-}
-
-// lead commits the pending group. Under FsyncAlways with a
-// GroupCommitWindow, a leader with room in its group first releases mu for
-// up to the window so that arrivals can join the pending fsync; an arrival
-// that fills the group commits it and ends the window early. Whatever is
-// pending when the window closes is committed then. The window only ever
-// delays acknowledgements, never weakens them.
-func (sh *shard) lead() {
-	if w := sh.cfg.GroupCommitWindow; w > 0 && !sh.windowing && sh.cfg.Fsync == FsyncAlways &&
-		sh.group.n < sh.cfg.GroupCommitBatch && sh.store.Dirty() && sh.broken == nil {
-		select {
-		case <-sh.windowEnd: // a stale wake meant for an earlier window
-		default:
-		}
-		sh.windowing = true
-		sh.mu.Unlock()
-		t := time.NewTimer(w)
-		select {
-		case <-t.C:
-		case <-sh.windowEnd:
-		}
-		t.Stop()
-		sh.mu.Lock()
-		sh.windowing = false
-	}
-	if sh.group != nil {
+	if g := sh.group; g != nil && (g.n >= groupCap || sh.waiting.Load() == 0) {
 		sh.groupCommit()
 	}
 }
@@ -418,12 +368,6 @@ func (sh *shard) groupCommit() {
 		}
 	}
 	close(g.done)
-	if sh.windowing {
-		select {
-		case sh.windowEnd <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // flushEvery is the FsyncInterval flusher: every d it takes the shard's lock
@@ -724,7 +668,7 @@ func (e *Engine) Shutdown() error {
 		}
 	}
 	e.wg.Wait()
-	unregisterEngine(e)
+	engines.Remove(e)
 	return first
 }
 

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/compose"
 	"repro/internal/models"
@@ -418,106 +417,91 @@ func TestShutdownIsIdempotent(t *testing.T) {
 // TestGroupCommitConcurrentCallers runs the group commit from many callers
 // at once: 8 goroutines each make 50 keyed steps over 4 sessions on one
 // FsyncAlways shard. Every call is acked, commits are shared (fewer fsyncs
-// than appends) unless GroupCommitBatch is 1 (one each), and an engine
-// recovered from the WAL alone holds exactly the acked steps, each session's
-// log the offline executor's over its inputs in acked order.
+// than appends), and an engine recovered from the WAL alone holds exactly
+// the acked steps, each session's log the offline executor's over its
+// inputs in acked order.
 func TestGroupCommitConcurrentCallers(t *testing.T) {
 	const goroutines, steps, sessions = 8, 50, 4
-	for _, tc := range []struct {
-		name   string
-		batch  int
-		window time.Duration
-	}{
-		{"default", 0, 0},
-		{"batch-1", 1, 0},
-		{"window", 0, 200 * time.Microsecond},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Dir: t.TempDir(), Shards: 1, Fsync: FsyncAlways, SnapshotEvery: -1,
-				GroupCommitBatch: tc.batch, GroupCommitWindow: tc.window}
-			e, err := NewEngine(cfg)
-			if err != nil {
+	t.Run("default", func(t *testing.T) {
+		cfg := Config{Dir: t.TempDir(), Shards: 1, Fsync: FsyncAlways, SnapshotEvery: -1}
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < sessions; j++ {
+			if _, err := e.Open(&OpenRequest{ID: fmt.Sprintf("gc-%d", j), Model: "short"}); err != nil {
 				t.Fatal(err)
 			}
-			for j := 0; j < sessions; j++ {
-				if _, err := e.Open(&OpenRequest{ID: fmt.Sprintf("gc-%d", j), Model: "short"}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			inputs := models.Fig1Inputs()
-			var mu sync.Mutex
-			acked := make(map[string]map[int]relation.Instance) // session → seq → input
-			var wg sync.WaitGroup
-			errs := make(chan error, goroutines)
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < steps; i++ {
-						id, in := fmt.Sprintf("gc-%d", (g+i)%sessions), inputs[(g+i)%len(inputs)]
-						res, err := e.InputKey(id, fmt.Sprintf("g%d-%d", g, i), in)
-						if err != nil {
-							errs <- fmt.Errorf("goroutine %d step %d: %w", g, i, err)
-							return
-						}
-						mu.Lock()
-						if acked[id] == nil {
-							acked[id] = make(map[int]relation.Instance)
-						}
-						acked[id][res.Seq] = in
-						mu.Unlock()
+		}
+		inputs := models.Fig1Inputs()
+		var mu sync.Mutex
+		acked := make(map[string]map[int]relation.Instance) // session → seq → input
+		var wg sync.WaitGroup
+		errs := make(chan error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < steps; i++ {
+					id, in := fmt.Sprintf("gc-%d", (g+i)%sessions), inputs[(g+i)%len(inputs)]
+					res, err := e.InputKey(id, fmt.Sprintf("g%d-%d", g, i), in)
+					if err != nil {
+						errs <- fmt.Errorf("goroutine %d step %d: %w", g, i, err)
+						return
 					}
-				}(g)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
-			}
-			st := e.Stats()
-			t.Logf("%d appends, %d fsyncs", st.WALAppends, st.WALSyncs)
-			if want := int64(sessions + goroutines*steps); st.WALAppends != want {
-				t.Fatalf("%d appends, want %d", st.WALAppends, want)
-			}
-			if tc.batch == 1 {
-				if st.WALSyncs != st.WALAppends {
-					t.Fatalf("GroupCommitBatch 1: %d fsyncs for %d appends, want one each", st.WALSyncs, st.WALAppends)
+					mu.Lock()
+					if acked[id] == nil {
+						acked[id] = make(map[int]relation.Instance)
+					}
+					acked[id][res.Seq] = in
+					mu.Unlock()
 				}
-			} else if st.WALSyncs >= st.WALAppends {
-				t.Fatalf("%d fsyncs for %d appends: no commit was shared", st.WALSyncs, st.WALAppends)
-			}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		st := e.Stats()
+		t.Logf("%d appends, %d fsyncs", st.WALAppends, st.WALSyncs)
+		if want := int64(sessions + goroutines*steps); st.WALAppends != want {
+			t.Fatalf("%d appends, want %d", st.WALAppends, want)
+		}
+		if st.WALSyncs >= st.WALAppends {
+			t.Fatalf("%d fsyncs for %d appends: no commit was shared", st.WALSyncs, st.WALAppends)
+		}
 
-			// Recover from the WAL alone: e is abandoned, not shut down.
-			e2, err := NewEngine(cfg)
+		// Recover from the WAL alone: e is abandoned, not shut down.
+		e2, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e2.Shutdown()
+		total := 0
+		for id, bySeq := range acked {
+			seq := make(relation.Sequence, len(bySeq))
+			for n, in := range bySeq {
+				if n < 1 || n > len(seq) || seq[n-1] != nil {
+					t.Fatalf("%s: acked seqs are not 1..%d", id, len(seq))
+				}
+				seq[n-1] = in
+			}
+			ref, err := models.Short().Execute(models.MagazineDB(), seq)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer e2.Shutdown()
-			total := 0
-			for id, bySeq := range acked {
-				seq := make(relation.Sequence, len(bySeq))
-				for n, in := range bySeq {
-					if n < 1 || n > len(seq) || seq[n-1] != nil {
-						t.Fatalf("%s: acked seqs are not 1..%d", id, len(seq))
-					}
-					seq[n-1] = in
-				}
-				ref, err := models.Short().Execute(models.MagazineDB(), seq)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lr, err := e2.Log(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if lr.Steps != len(seq) || !lr.Log.Equal(ref.Logs) {
-					t.Fatalf("%s recovered %d steps, want the %d acked; logs equal: %v", id, lr.Steps, len(seq), lr.Log.Equal(ref.Logs))
-				}
-				total += len(seq)
+			lr, err := e2.Log(id)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if total != goroutines*steps {
-				t.Fatalf("%d steps acked, want %d", total, goroutines*steps)
+			if lr.Steps != len(seq) || !lr.Log.Equal(ref.Logs) {
+				t.Fatalf("%s recovered %d steps, want the %d acked; logs equal: %v", id, lr.Steps, len(seq), lr.Log.Equal(ref.Logs))
 			}
-		})
-	}
+			total += len(seq)
+		}
+		if total != goroutines*steps {
+			t.Fatalf("%d steps acked, want %d", total, goroutines*steps)
+		}
+	})
 }

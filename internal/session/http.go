@@ -29,7 +29,6 @@ import (
 //	POST   /sessions/{id}/input    apply one step        {"input":{"order":[["time"]]}}
 //	                               network joint step    {"node":"customer","facts":{"want":[["widget"]]}}
 //	                               or multi-node         {"inputs":{"customer":{...},"supplier":{...}}}
-//	                               or a step ARRAY       [{"input":{...},"key":"..."}, ...] → per-item statuses
 //	POST   /batch                  multi-session batch   {"steps":[{"session":"...","input":{...},"key":"..."}]}
 //	GET    /sessions/{id}/log      the session's durable log
 //	GET    /sessions/{id}/verify   live verification     ?goal=deliver(X) | ?temporal=cond (repeatable)
@@ -94,24 +93,11 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 		writeJSON(w, http.StatusOK, info)
 	})
 	mux.HandleFunc("POST /sessions/{id}/input", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		buf := ReadBody(w, r, batchBodyCap)
+		buf := ReadBody(w, r, bodyCap)
 		if buf == nil {
 			return
 		}
 		defer ReleaseBody(buf)
-		body := buf.Bytes()
-		// An array body is the batched form: many steps of this session,
-		// answered with per-item statuses (see http_batch.go). Any other
-		// body is one step, under the single-step cap.
-		if isJSONArray(body) {
-			handleInputArray(e, w, r, id, body)
-			return
-		}
-		if len(body) > bodyCap {
-			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": "a single-step body is limited to 1 MiB; send many steps as an array or POST /batch"})
-			return
-		}
 		var req struct {
 			Input relation.Instance `json:"input"`
 			// Network joint-step forms: either one node's facts
@@ -127,7 +113,12 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 			// applied again.
 			Key string `json:"key"`
 		}
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := json.Unmarshal(buf.Bytes(), &req); err != nil {
+			var te *json.UnmarshalTypeError
+			if errors.As(err, &te) && te.Value == "array" && te.Field == "" {
+				writeJSON(w, http.StatusBadRequest, map[string]string{"error": "a step body is one JSON object; send many steps as POST /batch"})
+				return
+			}
 			WriteBodyErr(w, err)
 			return
 		}
@@ -160,7 +151,7 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 			}
 			input = ext
 		}
-		res, err := e.step(id, key, input)
+		res, err := e.step(r.PathValue("id"), key, input)
 		if err != nil {
 			writeErr(w, err)
 			return

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"sync"
 
@@ -12,16 +11,12 @@ import (
 	"repro/internal/relation"
 )
 
-// The batched HTTP surface. One entry, serveBatch, feeds Engine.InputBatch;
-// two request shapes reach it:
+// The batched HTTP surface. One entry, POST /batch, feeds Engine.InputBatch
+// with steps of many sessions at once:
 //
-//	POST /batch                many sessions at once:
-//	                           {"steps":[{"session":"s1","input":{...},"key":"..."}]}
-//	POST /sessions/{id}/input  with a JSON ARRAY body — sugar for a batch
-//	                           whose items all name {id}:
-//	                           [{"input":{...},"key":"..."}, ...]
+//	{"steps":[{"session":"s1","input":{...},"key":"..."}]}
 //
-// Both answer 200 with positional per-item statuses; an item's failure
+// It answers 200 with positional per-item statuses; an item's failure
 // never fails its neighbors (the response status is 200 even when every
 // item failed — the envelope, not the item, succeeded). Atomicity is the
 // group-commit boundary: all 200 items of one response were durable
@@ -161,23 +156,6 @@ func handleBatch(e *Engine) http.HandlerFunc {
 	}
 }
 
-// handleInputArray serves the array form of POST /sessions/{id}/input:
-// many steps of ONE session, as a batch. The Idempotency-Key header is
-// rejected here — it names one step, and an array is many; keys travel per
-// item.
-func handleInputArray(e *Engine, w http.ResponseWriter, r *http.Request, id string, body []byte) {
-	if r.Header.Get("Idempotency-Key") != "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "Idempotency-Key header names one step; batched arrays carry per-item keys"})
-		return
-	}
-	items, err := decodeInputArray(body, id)
-	if err != nil {
-		WriteBodyErr(w, err)
-		return
-	}
-	serveBatch(e, w, items, "")
-}
-
 // DecodeBatch reads POST /batch's envelope in one pass, straight into
 // items. It decodes what encoding/json's Decoder decodes into a
 // BatchRequest, to the same values: keys match fields case-insensitively,
@@ -195,7 +173,7 @@ func DecodeBatch(b []byte) (BatchRequest, error) {
 	for n := 0; r.More(n, '}'); n++ {
 		switch k := r.Key(); {
 		case jsonread.Match(k, "steps"):
-			req.Steps = jsonread.Slice(&r, req.Steps, func(r *jsonread.Reader, it *BatchItem) { readItem(r, it, "") })
+			req.Steps = jsonread.Slice(&r, req.Steps, readItem)
 		case jsonread.Match(k, "results"):
 			if !r.Null() {
 				req.Results = r.Str()
@@ -207,31 +185,14 @@ func DecodeBatch(b []byte) (BatchRequest, error) {
 	return req, r.Err()
 }
 
-// decodeInputArray reads the array form of POST /sessions/{id}/input as
-// encoding/json unmarshals it: the whole body is one array, each element
-// an object of "input" and "key", and every item is a step of session id.
-func decodeInputArray(b []byte, id string) ([]BatchItem, error) {
-	var r jsonread.Reader
-	r.Reset(b)
-	items := jsonread.Slice(&r, nil, func(r *jsonread.Reader, it *BatchItem) { readItem(r, it, id) })
-	if r.Err() == nil && !r.End() {
-		return nil, fmt.Errorf("invalid character %q after top-level value", b[r.Off()])
-	}
-	return items, r.Err()
-}
-
-// readItem decodes one item object over it. With a session id the item is
-// a step of that session, and a "session" field is not its to read.
-func readItem(r *jsonread.Reader, it *BatchItem, id string) {
-	if id != "" {
-		it.Session = id
-	}
+// readItem decodes one item object over it.
+func readItem(r *jsonread.Reader, it *BatchItem) {
 	if r.Null() || !r.Open('{') {
 		return
 	}
 	for n := 0; r.More(n, '}'); n++ {
 		switch k := r.Key(); {
-		case id == "" && jsonread.Match(k, "session"):
+		case jsonread.Match(k, "session"):
 			if !r.Null() {
 				it.Session = r.Str()
 			}
@@ -291,20 +252,4 @@ func WriteBodyErr(w http.ResponseWriter, err error) {
 		status = http.StatusRequestEntityTooLarge
 	}
 	writeJSON(w, status, map[string]string{"error": "bad request body: " + err.Error()})
-}
-
-// isJSONArray reports whether the body's first significant byte opens an
-// array — the shape switch of POST /sessions/{id}/input.
-func isJSONArray(body []byte) bool {
-	for _, b := range body {
-		switch b {
-		case ' ', '\t', '\n', '\r':
-			continue
-		case '[':
-			return true
-		default:
-			return false
-		}
-	}
-	return false
 }

@@ -136,16 +136,16 @@ func TestHTTPRejectsNULConstants(t *testing.T) {
 }
 
 // TestHTTPStepBodyCap: a single step is held to the 1 MiB data-plane cap,
-// while the array form, being a batch, may exceed it.
+// while a /batch body, being many steps, may exceed it.
 func TestHTTPStepBodyCap(t *testing.T) {
 	e, srv := httpServer(t)
 	if _, err := e.Open(&OpenRequest{ID: "cap", Model: "short"}); err != nil {
 		t.Fatal(err)
 	}
 	pad := bytes.Repeat([]byte{' '}, 2<<20) // whitespace: still valid JSON
-	post := func(body []byte) int {
+	post := func(path string, body []byte) int {
 		t.Helper()
-		resp, err := http.Post(srv.URL+"/sessions/cap/input", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,21 +153,21 @@ func TestHTTPStepBodyCap(t *testing.T) {
 		return resp.StatusCode
 	}
 	single := append(append([]byte(`{"input":{"order":[["time"]]}`), pad...), '}')
-	if st := post(single); st != http.StatusRequestEntityTooLarge {
+	if st := post("/sessions/cap/input", single); st != http.StatusRequestEntityTooLarge {
 		t.Errorf("2 MiB single-step body: status %d, want 413", st)
 	}
-	array := append(append([]byte(`[{"input":{"order":[["time"]]}}`), pad...), ']')
-	if st := post(array); st != http.StatusOK {
-		t.Errorf("2 MiB array body: status %d, want 200", st)
+	batch := append(append([]byte(`{"steps":[{"session":"cap","input":{"order":[["time"]]}}]`), pad...), '}')
+	if st := post("/batch", batch); st != http.StatusOK {
+		t.Errorf("2 MiB /batch body: status %d, want 200", st)
 	}
 	if lr, err := e.Log("cap"); err != nil || lr.Steps != 1 {
-		t.Fatalf("after both posts: %+v, %v — want the array's one step only", lr, err)
+		t.Fatalf("after both posts: %+v, %v — want the batch's one step only", lr, err)
 	}
 }
 
 // TestHTTPBatchBodyCap: a body over its cap answers 413 on every route, as
-// a single step over 1 MiB does: a /batch or array body over 16 MiB, an
-// open over 1 MiB. Nothing of a refused body applies.
+// a single step over 1 MiB does: a /batch body over 16 MiB, an open over
+// 1 MiB. Nothing of a refused body applies.
 func TestHTTPBatchBodyCap(t *testing.T) {
 	e, srv := httpServer(t)
 	if _, err := e.Open(&OpenRequest{ID: "cap", Model: "short"}); err != nil {
@@ -176,7 +176,6 @@ func TestHTTPBatchBodyCap(t *testing.T) {
 	pad := string(bytes.Repeat([]byte{' '}, batchBodyCap)) // whitespace inside the value: valid JSON
 	for _, c := range []struct{ path, body string }{
 		{"/batch", `{"steps":[{"session":"cap","input":{"order":[["time"]]}}]` + pad + `}`},
-		{"/sessions/cap/input", `[{"input":{"order":[["time"]]}}` + pad + `]`},
 		{"/sessions", `{"model":"short","id":"cap2"` + pad[:bodyCap] + `}`},
 	} {
 		resp, err := http.Post(srv.URL+c.path, "application/json", strings.NewReader(c.body))

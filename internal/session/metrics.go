@@ -1,8 +1,6 @@
 package session
 
 import (
-	"expvar"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -117,55 +115,36 @@ func (m *metricsSet) stats() Stats {
 
 // engines tracks live engines so the process-wide expvar export can
 // aggregate across them (a server normally has exactly one).
-var (
-	enginesMu sync.Mutex
-	engines   = make(map[*Engine]bool)
-	expvarOne sync.Once
-)
+var engines obs.Set[Engine]
 
-func registerEngine(e *Engine) {
-	enginesMu.Lock()
-	engines[e] = true
-	enginesMu.Unlock()
-	expvarOne.Do(func() {
-		expvar.Publish("spocus", expvar.Func(func() any {
-			enginesMu.Lock()
-			defer enginesMu.Unlock()
-			agg := make([]Stats, 0, len(engines))
-			for e := range engines {
-				agg = append(agg, e.Stats())
-			}
-			return agg
-		}))
-		expvar.Publish("spocus_storage", expvar.Func(func() any {
-			enginesMu.Lock()
-			defer enginesMu.Unlock()
-			type shardStorage struct {
-				Shard              int   `json:"shard"`
-				WALBytesTotal      int64 `json:"wal_bytes_total"`
-				SnapshotBytesTotal int64 `json:"snapshot_bytes_total"`
-				ShipBytesTotal     int64 `json:"ship_bytes_total"`
-				CodecInternEntries int64 `json:"codec_intern_entries"`
-			}
-			var agg []shardStorage
-			for e := range engines {
-				for _, sh := range e.shards {
-					agg = append(agg, shardStorage{
-						Shard:              sh.idx,
-						WALBytesTotal:      sh.walBytesTotal.Load(),
-						SnapshotBytesTotal: sh.snapBytesTotal.Load(),
-						ShipBytesTotal:     sh.shipBytesTotal.Load(),
-						CodecInternEntries: sh.internEntries.Load(),
-					})
-				}
-			}
-			return agg
-		}))
+func init() {
+	engines.Publish("spocus", func(es []*Engine) any {
+		agg := make([]Stats, 0, len(es))
+		for _, e := range es {
+			agg = append(agg, e.Stats())
+		}
+		return agg
 	})
-}
-
-func unregisterEngine(e *Engine) {
-	enginesMu.Lock()
-	delete(engines, e)
-	enginesMu.Unlock()
+	engines.Publish("spocus_storage", func(es []*Engine) any {
+		type shardStorage struct {
+			Shard              int   `json:"shard"`
+			WALBytesTotal      int64 `json:"wal_bytes_total"`
+			SnapshotBytesTotal int64 `json:"snapshot_bytes_total"`
+			ShipBytesTotal     int64 `json:"ship_bytes_total"`
+			CodecInternEntries int64 `json:"codec_intern_entries"`
+		}
+		var agg []shardStorage
+		for _, e := range es {
+			for _, sh := range e.shards {
+				agg = append(agg, shardStorage{
+					Shard:              sh.idx,
+					WALBytesTotal:      sh.walBytesTotal.Load(),
+					SnapshotBytesTotal: sh.snapBytesTotal.Load(),
+					ShipBytesTotal:     sh.shipBytesTotal.Load(),
+					CodecInternEntries: sh.internEntries.Load(),
+				})
+			}
+		}
+		return agg
+	})
 }

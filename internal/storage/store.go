@@ -431,9 +431,6 @@ func (s *Store) Sync() error {
 	return nil
 }
 
-// Dirty reports whether appends are awaiting a sync.
-func (s *Store) Dirty() bool { return s.dirty }
-
 // Appends returns the number of records appended over the store's
 // lifetime (not persisted; resets on Open).
 func (s *Store) Appends() int64 { return s.appends }

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"expvar"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -75,32 +74,15 @@ func (c *Client) Stats() Stats {
 
 // clients tracks live wire clients so the process-wide expvar aggregates
 // across them (a router has two: data plane + health; a server has none).
-var (
-	clientsMu  sync.Mutex
-	clients    = make(map[*Client]bool)
-	expvarOnce sync.Once
-)
+var clients obs.Set[Client]
 
-func registerClient(c *Client) {
-	clientsMu.Lock()
-	clients[c] = true
-	clientsMu.Unlock()
-	expvarOnce.Do(func() {
-		expvar.Publish("spocus_wire", expvar.Func(func() any {
-			clientsMu.Lock()
-			defer clientsMu.Unlock()
-			agg := make([]Stats, 0, len(clients))
-			for c := range clients {
-				agg = append(agg, c.Stats())
-			}
-			sort.Slice(agg, func(i, j int) bool { return agg[i].Name < agg[j].Name })
-			return agg
-		}))
+func init() {
+	clients.Publish("spocus_wire", func(cs []*Client) any {
+		agg := make([]Stats, 0, len(cs))
+		for _, c := range cs {
+			agg = append(agg, c.Stats())
+		}
+		sort.Slice(agg, func(i, j int) bool { return agg[i].Name < agg[j].Name })
+		return agg
 	})
-}
-
-func unregisterClient(c *Client) {
-	clientsMu.Lock()
-	delete(clients, c)
-	clientsMu.Unlock()
 }

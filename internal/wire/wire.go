@@ -102,7 +102,7 @@ func New(cfg Config) *Client {
 		}
 	}
 	c := &Client{cfg: cfg, hc: &http.Client{Transport: rt, Timeout: cfg.Timeout}}
-	registerClient(c)
+	clients.Add(c)
 	return c
 }
 
@@ -112,7 +112,7 @@ func (c *Client) Close() {
 	if t, ok := c.hc.Transport.(*http.Transport); ok {
 		t.CloseIdleConnections()
 	}
-	unregisterClient(c)
+	clients.Remove(c)
 }
 
 // Do sends one request through the pooled transport, counting connection
