@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # The dataplane job: the batched data plane end to end. The batch unit and
 # differential suites (batch-of-one is byte-identical to a single step,
-# partial failure, key dedupe, recovery, the HTTP forms, the 413 body
-# caps), the router's batch fan-out suites, the one-pass envelope decode
-# (hostile envelopes through a real router against encoding/json, the
+# partial failure, key dedupe, recovery, the HTTP forms, an item refused
+# alone, the 413 body caps), the router's batch fan-out suites and its
+# retry rule, the one-pass envelope decode (hostile envelopes through a
+# real router against encoding/json and against one backend, the
 # allocation pin, fuzz smokes of the instance and envelope readers), the
-# wire client's suites, the batch-atomicity crash suite (acked batches
+# wire client's suite, the batch-atomicity crash suite (acked batches
 # survive a SIGKILL whole), then a batch smoke and the throughput gate
 # through a real router over three non-durable backends. Every named suite
 # is gated on its PASS lines (ci/lib.sh).
@@ -17,25 +18,31 @@
 
 section "Batch unit + differential suites"
 gate ./internal/session -run 'TestBatch|TestHTTPBatch' -- TestBatchOfOneByteIdentical TestBatchPartialFailure TestBatchKeyDedupe \
-	TestBatchRecovery TestHTTPBatch TestHTTPBatchBodyCap
+	TestBatchRecovery TestHTTPBatch TestHTTPBatchItemRefusedAlone TestHTTPBatchBodyCap
 end
 
-section "Router batch fan-out suite"
-gate ./internal/cluster -run 'TestRouterBatch|TestRouterBodyCap' -- TestRouterBatchFanout TestRouterBatchDownOwner TestRouterBodyCap
+section "Router batch fan-out suite + the router's retry rule"
+# The retry rule: a keyed step or an all-keyed sub-batch whose connection
+# drops after it applied is resent and answered as a duplicate, an unkeyed
+# one is sent once, and a handoff install resends a 429.
+gate ./internal/cluster -run 'TestRouterBatch|TestRouterBodyCap|TestRouterRetryRule' -- TestRouterBatchFanout TestRouterBatchDownOwner \
+	TestRouterBodyCap TestRouterRetryRule
 end
 
 section "One-pass envelope decode: hostile envelopes, allocation pin, fuzz smokes"
 # The router scans and the backend decodes each envelope in one pass;
-# encoding/json is the oracle of both, and of the instance reader.
-gate ./internal/cluster -run 'TestDataPlaneDecodeMatchesEncodingJSON|TestBatchEnvelopeAllocates' -- \
-	TestDataPlaneDecodeMatchesEncodingJSON TestBatchEnvelopeAllocates
+# encoding/json is the oracle of both, and of the instance reader. An item
+# refused as an instance fails alone, so a router over two backends and one
+# backend owning every session answer each envelope alike.
+gate ./internal/cluster -run 'TestDataPlaneDecodeMatchesEncodingJSON|TestBatchEnvelopeAllocates|TestBatchRouterMatchesBackend' -- \
+	TestDataPlaneDecodeMatchesEncodingJSON TestBatchEnvelopeAllocates TestBatchRouterMatchesBackend
 go test ./internal/relation -run=Fuzz -fuzz=FuzzInstanceJSON -fuzztime=10s
 go test ./internal/cluster -run=Fuzz -fuzz=FuzzBatchEnvelope -fuzztime=10s
 go test ./internal/jsonread -run=Fuzz -fuzz=FuzzReader -fuzztime=10s
 end
 
 section "Wire client suite"
-gate ./internal/wire -- TestConnReuse TestRetryOn429 TestTransportRetryNeedsKey
+gate ./internal/wire -- TestConnReuse
 end
 
 section "Batch atomicity crash test (SIGKILL under batched load)"

@@ -8,9 +8,9 @@
 // Usage:
 //
 //	spocus-router [-addr :8090] -backends http://h1:8080,http://h2:8080,...
-//	              [-vnodes 128] [-health-interval 1s] [-health-timeout 500ms]
+//	              [-health-interval 1s] [-health-timeout 500ms]
 //	              [-health-fail-after 2] [-health-max-backoff 5s]
-//	              [-follower-reads] [-follower-max-lag 0] [-auto-promote]
+//	              [-follower-reads] [-follower-max-lag 0]
 //
 // Exposes the spocus-server session API (routed per session) plus:
 //
@@ -22,9 +22,9 @@
 // With -follower-reads, GET /sessions/{id}/log, /verify, and /progress are
 // served by the owner's warm follower (spocus-server -follow) whenever its
 // replication lag is within -follower-max-lag, falling back to the primary
-// otherwise; responses served this way carry X-Spocus-Served-By. With
-// -auto-promote, marking a backend down triggers promotion of its follower
-// automatically.
+// otherwise; responses served this way carry X-Spocus-Served-By. Promotion
+// is never automatic: an operator (or script) that knows the backend is
+// dead asks for it with POST /admin/promote.
 package main
 
 import (
@@ -51,14 +51,12 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8090", "listen address")
 		backends      = flag.String("backends", "", "comma-separated spocus-server base URLs (required)")
-		vnodes        = flag.Int("vnodes", 128, "virtual nodes per backend on the hash ring")
 		healthEvery   = flag.Duration("health-interval", time.Second, "probe period per backend")
 		healthTimeout = flag.Duration("health-timeout", 500*time.Millisecond, "single probe timeout")
 		healthFails   = flag.Int("health-fail-after", 2, "consecutive probe failures before marking a backend down")
 		healthBackoff = flag.Duration("health-max-backoff", 5*time.Second, "probe backoff cap while a backend is down")
 		followerReads = flag.Bool("follower-reads", false, "serve GET log/verify/progress from the owner's follower when within -follower-max-lag")
 		followerLag   = flag.Int64("follower-max-lag", 0, "max WAL records a follower may trail the primary and still serve reads")
-		autoPromote   = flag.Bool("auto-promote", false, "promote a backend's follower automatically when health marks it down")
 	)
 	flag.Parse()
 
@@ -75,10 +73,8 @@ func main() {
 
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
 		Backends:       urls,
-		Vnodes:         *vnodes,
 		FollowerReads:  *followerReads,
 		FollowerMaxLag: *followerLag,
-		AutoPromote:    *autoPromote,
 		Health: cluster.HealthConfig{
 			Interval:   *healthEvery,
 			Timeout:    *healthTimeout,

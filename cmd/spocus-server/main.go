@@ -162,7 +162,6 @@ func serve(args []string) {
 		verifyConflicts = fs.Int64("verify-conflicts", 0, "SAT conflict budget per query (0: unlimited, bounded by -verify-timeout)")
 		follow          = fs.String("follow", "", "base URL of a primary to follow as a warm standby (enables /replica/* and /admin/replica/promote)")
 		followDir       = fs.String("follow-dir", "", "durability directory for the standby engine (required with -follow)")
-		followShards    = fs.Int("follow-shards", 0, "standby engine shards (0: GOMAXPROCS)")
 	)
 	build := engineFlags(fs, "always")
 	fs.Parse(args)
@@ -195,7 +194,6 @@ func serve(args []string) {
 		follower, err = replica.New(replica.Config{
 			Primary: strings.TrimRight(*follow, "/"),
 			Dir:     *followDir,
-			Shards:  *followShards,
 			Fsync:   cfg.Fsync,
 			Logf: func(format string, args ...any) {
 				fmt.Printf(format+"\n", args...)

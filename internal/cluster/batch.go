@@ -240,17 +240,17 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body := buf.Bytes()
 	items, mode, err := scanBatch(body)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+		session.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
 		return
 	}
 	if len(items) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "batch needs at least one step"})
+		session.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "batch needs at least one step"})
 		return
 	}
 	switch mode {
 	case "", "full", "status", "errors":
 	default:
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "results must be \"full\", \"status\" or \"errors\""})
+		session.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "results must be \"full\", \"status\" or \"errors\""})
 		return
 	}
 	rt.m.batchRequests.Add(1)
@@ -416,7 +416,7 @@ func (rt *Router) forwardSubBatch(r *http.Request, g *subBatch, mode string, res
 		}
 		// A promotion re-homes every session the dead backend owned onto one
 		// follower, so the first session's new owner is the sub-batch's.
-		retry, err := rt.retryKeyed(r.Context(), attempt, g.first, &addr)
+		retry, err := rt.retry(r.Context(), attempt, lastErr, g.first, &addr)
 		if err != nil {
 			lastErr = err
 		}

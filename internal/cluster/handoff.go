@@ -42,15 +42,15 @@ func (rt *Router) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("session")
 	to := r.URL.Query().Get("to")
 	if id == "" || to == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "handoff needs ?session= and ?to="})
+		session.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "handoff needs ?session= and ?to="})
 		return
 	}
 	res, err := rt.Handoff(id, to)
 	if err != nil {
-		writeJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
+		session.WriteJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	session.WriteJSON(w, http.StatusOK, res)
 }
 
 // lockSession serializes handoffs per session ID. Without it, two
@@ -126,7 +126,7 @@ func (rt *Router) Handoff(id, to string) (*HandoffResult, error) {
 	}
 
 	// Retire the source copy and flip the ring.
-	ferr := rt.postJSON(from+"/admin/sessions/"+id+"/forget", nil, nil)
+	ferr := rt.client.PostJSON(context.Background(), from+"/admin/sessions/"+id+"/forget", nil, nil, nil)
 	if wire.IsStatus(ferr, http.StatusNotFound) {
 		// The session vanished from the source under our freeze — someone
 		// else retired it. Our moved copy would be a second live replica, so
@@ -149,7 +149,7 @@ func (rt *Router) Handoff(id, to string) (*HandoffResult, error) {
 // returns the error to report, which names the cause and what was restored.
 func (rt *Router) rollback(from, to, id string, cause error) error {
 	rt.deleteSession(to, id)
-	if uerr := rt.postJSON(from+"/admin/sessions/"+id+"/unfreeze", nil, nil); uerr != nil && !wire.IsStatus(uerr, http.StatusNotFound) {
+	if uerr := rt.client.PostJSON(context.Background(), from+"/admin/sessions/"+id+"/unfreeze", nil, nil, nil); uerr != nil && !wire.IsStatus(uerr, http.StatusNotFound) {
 		return fmt.Errorf("handoff to %s: %w AND unfreeze on %s failed (%v): session %s needs manual thaw", to, cause, from, uerr, id)
 	}
 	return fmt.Errorf("handoff to %s: %w (source unfrozen)", to, cause)
@@ -167,12 +167,23 @@ func (rt *Router) ship(from, to, id string) (int, error) {
 		return 0, fmt.Errorf("export-state from %s: %w", from, err)
 	}
 	// Install can hit the same bound on callers waiting for a shard's lock
-	// as any open, so retry 429s.
+	// as any open, so a 429 or 503 (nothing installed) is resent to the
+	// same target. A transport error is not: the target may have installed.
 	var info session.Info
-	if err := rt.client.PostBytesRetry(context.Background(), to+"/admin/install", "application/octet-stream", image, &info, nil); err != nil {
-		return 0, fmt.Errorf("install on %s: %w", to, err)
+	for attempt := 0; ; attempt++ {
+		err = rt.client.PostBytes(context.Background(), to+"/admin/install", "application/octet-stream", image, &info, nil)
+		if err == nil {
+			return info.Steps, nil
+		}
+		if !wire.Retryable(err) {
+			break
+		}
+		// retry's error is only the context's, and this one never ends.
+		if retry, _ := rt.retry(context.Background(), attempt, err, "", &to); !retry {
+			break
+		}
 	}
-	return info.Steps, nil
+	return 0, fmt.Errorf("install on %s: %w", to, err)
 }
 
 // deleteSession best-effort removes the target's copy of a session whose
@@ -185,11 +196,4 @@ func (rt *Router) deleteSession(addr, id string) {
 	if resp, err := rt.client.Do(req); err == nil {
 		resp.Body.Close()
 	}
-}
-
-// postJSON posts body (nil for empty) to url and decodes the 2xx response
-// into out (when non-nil). Non-2xx → *wire.StatusError carrying the
-// backend's error message.
-func (rt *Router) postJSON(url string, body any, out any) error {
-	return rt.client.PostJSON(context.Background(), url, body, out, nil)
 }

@@ -50,12 +50,11 @@ type checker struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	mu     sync.Mutex
-	kick   map[string]chan struct{} // wake a backend's probe loop early
-	onFlip func(addr string, up bool)
+	mu   sync.Mutex
+	kick map[string]chan struct{} // wake a backend's probe loop early
 }
 
-func startChecker(ring *Ring, cfg HealthConfig, client *wire.Client, onFlip func(string, bool)) *checker {
+func startChecker(ring *Ring, cfg HealthConfig, client *wire.Client) *checker {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &checker{
@@ -65,7 +64,6 @@ func startChecker(ring *Ring, cfg HealthConfig, client *wire.Client, onFlip func
 		ctx:    ctx,
 		cancel: cancel,
 		kick:   make(map[string]chan struct{}),
-		onFlip: onFlip,
 	}
 	for _, addr := range ring.Members() {
 		kick := make(chan struct{}, 1)
@@ -85,12 +83,7 @@ func (c *checker) stop() {
 // connection failure) and kicks its probe loop so recovery is noticed on
 // the health path, not the data path.
 func (c *checker) markDown(addr string) {
-	if c.ring.Up(addr) {
-		c.ring.SetUp(addr, false)
-		if c.onFlip != nil {
-			c.onFlip(addr, false)
-		}
-	}
+	c.ring.SetUp(addr, false)
 	c.mu.Lock()
 	kick := c.kick[addr]
 	c.mu.Unlock()
@@ -123,9 +116,6 @@ func (c *checker) watch(addr string, kick <-chan struct{}) {
 		switch {
 		case ok && !up:
 			c.ring.SetUp(addr, true)
-			if c.onFlip != nil {
-				c.onFlip(addr, true)
-			}
 			fallthrough
 		case ok:
 			fails = 0
@@ -134,9 +124,6 @@ func (c *checker) watch(addr string, kick <-chan struct{}) {
 			fails++
 			if fails >= c.cfg.FailAfter {
 				c.ring.SetUp(addr, false)
-				if c.onFlip != nil {
-					c.onFlip(addr, false)
-				}
 			}
 		default: // still down: back off
 			if delay *= 2; delay > c.cfg.MaxBackoff {

@@ -4,8 +4,9 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
+
+	"repro/internal/session"
 )
 
 // Failover by promotion. Each backend may run a warm follower of another
@@ -56,14 +57,6 @@ type followerInfo struct {
 	seen time.Time
 }
 
-// followers caches the follower topology (primary → follower) so read
-// routing does not probe /replica/state on every request.
-type followers struct {
-	mu      sync.Mutex
-	byPrim  map[string]followerInfo
-	scanned time.Time
-}
-
 // followerTTL bounds staleness of a cached follower entry; entries older
 // than this are re-probed before use (and the reported lag re-read).
 const followerTTL = 2 * time.Second
@@ -96,7 +89,7 @@ func (rt *Router) followerFor(primary string) (addr string, lag int64, ok bool) 
 			continue
 		}
 		var st replicaState
-		if err := rt.getJSON(c+"/replica/state", &st); err != nil {
+		if err := rt.client.GetJSON(context.Background(), c+"/replica/state", &st); err != nil {
 			continue
 		}
 		if st.Following == primary && !st.Promoted {
@@ -154,7 +147,7 @@ func (rt *Router) Promote(backend string, force bool) (*PromoteResult, error) {
 		Sessions []string `json:"sessions"`
 		Skipped  []string `json:"skipped"`
 	}
-	if err := rt.postJSON(fol+"/admin/replica/promote", nil, &pr); err != nil {
+	if err := rt.client.PostJSON(context.Background(), fol+"/admin/replica/promote", nil, &pr, nil); err != nil {
 		return nil, fmt.Errorf("promote on %s: %w", fol, err)
 	}
 	res := &PromoteResult{Backend: backend, Follower: fol, Sessions: []string{}}
@@ -193,18 +186,13 @@ func (rt *Router) pinPromoted(id, deadPrimary, fol string) bool {
 func (rt *Router) handlePromote(w http.ResponseWriter, r *http.Request) {
 	backend := r.URL.Query().Get("backend")
 	if backend == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "promote needs ?backend="})
+		session.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "promote needs ?backend="})
 		return
 	}
 	res, err := rt.Promote(backend, r.URL.Query().Get("force") != "")
 	if err != nil {
-		writeJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
+		session.WriteJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-// getJSON GETs url and decodes the 2xx response into out.
-func (rt *Router) getJSON(url string, out any) error {
-	return rt.client.GetJSON(context.Background(), url, out)
+	session.WriteJSON(w, http.StatusOK, res)
 }

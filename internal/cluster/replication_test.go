@@ -74,7 +74,6 @@ func newReplCluster(t *testing.T, n int, cfg func(*RouterConfig)) *replCluster {
 	}
 	rc := RouterConfig{
 		Backends: tc.urls,
-		Vnodes:   128,
 		Health:   HealthConfig{Interval: 20 * time.Millisecond, Timeout: 200 * time.Millisecond, FailAfter: 2, MaxBackoff: 100 * time.Millisecond},
 	}
 	if cfg != nil {
@@ -296,7 +295,6 @@ func TestFollowerReadLagBound(t *testing.T) {
 
 	rt, err := NewRouter(RouterConfig{
 		Backends:       []string{primary.URL, follower.URL},
-		Vnodes:         128,
 		Health:         HealthConfig{Interval: 20 * time.Millisecond, FailAfter: 2},
 		FollowerReads:  true,
 		FollowerMaxLag: 2,
@@ -474,7 +472,6 @@ func TestHandoffTargetMarkedDownMidFlight(t *testing.T) {
 	var err error
 	rt, err = NewRouter(RouterConfig{
 		Backends: urls,
-		Vnodes:   128,
 		// Slow prober: only the injected markDown flips state mid-test.
 		Health: HealthConfig{Interval: time.Hour, Timeout: time.Second, FailAfter: 2},
 	})
@@ -578,7 +575,6 @@ func TestHandoffShipFailureRollsBack(t *testing.T) {
 			}
 			rt, err := NewRouter(RouterConfig{
 				Backends: urls,
-				Vnodes:   128,
 				Health:   HealthConfig{Interval: time.Hour, Timeout: time.Second, FailAfter: 2},
 			})
 			if err != nil {

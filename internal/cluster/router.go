@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,8 +25,6 @@ import (
 type RouterConfig struct {
 	// Backends are the spocus-server base URLs fronted by this router.
 	Backends []string
-	// Vnodes per backend on the consistent-hash ring (default 128).
-	Vnodes int
 	// Health tunes backend probing.
 	Health HealthConfig
 	// Client is the wire client used for proxying, probing, and handoff
@@ -41,11 +40,10 @@ type RouterConfig struct {
 	// records behind the primary (default 0: only a fully caught-up
 	// follower serves reads).
 	FollowerMaxLag int64
-	// AutoPromote promotes a backend's follower automatically when the
-	// health checker marks it down. Off by default: a flapping backend
-	// would fail its sessions over on a transient blip.
-	AutoPromote bool
 }
+
+// routerVnodes is the router ring's virtual nodes per backend.
+const routerVnodes = 128
 
 // Router fronts N spocus-server backends: it owns the consistent-hash ring
 // mapping sessionID → backend, proxies the session API, health-checks
@@ -148,12 +146,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		// transport keeps only 2 idle connections per host — a router
 		// funnelling hundreds of concurrent sessions into a few backends
 		// would open and tear down connections constantly), counted dials
-		// vs. reuse, and the data-plane retry policy for handoff.
+		// vs. reuse.
 		client = wire.New(wire.Config{Name: "router"})
 		ownsClient = true
 	}
 	rt := &Router{
-		ring:           NewRing(cfg.Vnodes),
+		ring:           NewRing(routerVnodes),
 		client:         client,
 		ownsClient:     ownsClient,
 		followerReads:  cfg.FollowerReads,
@@ -166,15 +164,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		rt.ring.Add(b)
 	}
 	rt.recoverPins()
-	var onFlip func(string, bool)
-	if cfg.AutoPromote {
-		onFlip = func(addr string, up bool) {
-			if !up {
-				go rt.Promote(addr, false)
-			}
-		}
-	}
-	rt.checker = startChecker(rt.ring, cfg.Health, client, onFlip)
+	rt.checker = startChecker(rt.ring, cfg.Health, client)
 	return rt, nil
 }
 
@@ -260,12 +250,12 @@ func (rt *Router) Handler() http.Handler {
 		})
 	}
 	mux.HandleFunc("GET /debug/shards", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, rt.ring.Snapshot())
+		session.WriteJSON(w, http.StatusOK, rt.ring.Snapshot())
 	})
 	mux.HandleFunc("POST /admin/handoff", rt.handleHandoff)
 	mux.HandleFunc("POST /admin/promote", rt.handlePromote)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "backends_up": len(rt.ring.UpMembers())})
+		session.WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "backends_up": len(rt.ring.UpMembers())})
 	})
 	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -305,7 +295,7 @@ func (rt *Router) handleOpen(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if body, err = json.Marshal(&req); err != nil {
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+			session.WriteJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 			return
 		}
 	} else if addr, err = rt.ring.Lookup(req.ID); err != nil {
@@ -382,18 +372,8 @@ func (rt *Router) tryFollowerRead(w http.ResponseWriter, r *http.Request, owner 
 	}
 	w.Header().Set("X-Spocus-Served-By", fol)
 	w.WriteHeader(resp.StatusCode)
-	copyPooled(w, resp.Body)
+	io.Copy(w, resp.Body)
 	return true
-}
-
-// copyBufs pools proxy copy buffers so the hot forwarding path does not
-// allocate 32KiB per response.
-var copyBufs = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
-
-func copyPooled(dst io.Writer, src io.Reader) {
-	bp := copyBufs.Get().(*[]byte)
-	io.CopyBuffer(dst, src, *bp)
-	copyBufs.Put(bp)
 }
 
 func isStatusError(err error) bool {
@@ -436,27 +416,37 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	if partial {
 		out["partial"] = true
 	}
-	writeJSON(w, http.StatusOK, out)
+	session.WriteJSON(w, http.StatusOK, out)
 }
 
-// keyedRetryAttempts bounds the transparent re-sends of an idempotent POST
-// after a transport failure (backoff 100ms, 200ms, ... between attempts —
-// wide enough for a mark-down plus promotion to land in between).
-const keyedRetryAttempts = 5
+// retryAttempts bounds the resends of one request (backoff 100ms, 200ms,
+// ... between attempts — wide enough for a mark-down plus promotion to
+// land in between).
+const retryAttempts = 5
 
-// retryKeyed runs between the attempts of a keyed (idempotent) send, after
-// attempt failed. Once keyedRetryAttempts retries were made it answers
-// false. Otherwise it counts the retry, waits 100<<attempt ms — answering
-// false with the context's error if the client hangs up first — and
-// re-resolves the owner of session id into *addr, since a mark-down plus
-// promotion flips the session's pin to the follower; an empty id keeps
-// *addr.
-func (rt *Router) retryKeyed(ctx context.Context, attempt int, id string, addr *string) (bool, error) {
-	if attempt >= keyedRetryAttempts {
+// retry is the cluster plane's one backoff step. It runs between the
+// attempts of a send that is safe to resend, after attempt failed with
+// cause: a *wire.StatusError whose 429 or 503 the peer answered without
+// applying anything, or else a transport failure (or a down owner) of a
+// keyed send, which the backend answers as a duplicate if it did apply.
+// Once retryAttempts retries were made it answers false. Otherwise it
+// counts the retry — under the wire client's retries by cause, and a
+// transport retry under keyed_retries_total too — waits 100<<attempt ms,
+// answering false with the context's error if the client hangs up first,
+// and re-resolves the owner of session id into *addr, since a mark-down
+// plus promotion flips the session's pin to the follower; an empty id
+// keeps *addr.
+func (rt *Router) retry(ctx context.Context, attempt int, cause error, id string, addr *string) (bool, error) {
+	if attempt >= retryAttempts {
 		return false, nil
 	}
-	rt.m.keyedRetries.Add(1)
-	rt.client.NoteRetry("transport")
+	var se *wire.StatusError
+	if errors.As(cause, &se) {
+		rt.client.NoteRetry(strconv.Itoa(se.Status))
+	} else {
+		rt.m.keyedRetries.Add(1)
+		rt.client.NoteRetry("transport")
+	}
 	select {
 	case <-ctx.Done():
 		return false, ctx.Err()
@@ -494,8 +484,8 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, addr string, b
 	for attempt := 0; ; attempt++ {
 		if rt.ring.Up(addr) {
 			// Zero-copy proxy: the body streams through untouched (routing
-			// needed only the path), and the response streams back through a
-			// pooled buffer — the router never decodes the data plane.
+			// needed only the path), and the response streams back — the
+			// router never decodes the data plane.
 			var rd io.Reader = r.Body
 			if body != nil {
 				rd = bytes.NewReader(body)
@@ -506,7 +496,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, addr string, b
 			}
 			req, err := http.NewRequestWithContext(r.Context(), r.Method, url, rd)
 			if err != nil {
-				writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+				session.WriteJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 				return
 			}
 			for _, k := range []string{"Content-Type", "Idempotency-Key"} {
@@ -529,7 +519,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, addr string, b
 					}
 				}
 				w.WriteHeader(resp.StatusCode)
-				copyPooled(w, resp.Body)
+				io.Copy(w, resp.Body)
 				return
 			}
 			done()
@@ -540,7 +530,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, addr string, b
 		if !retryable {
 			break
 		}
-		retry, err := rt.retryKeyed(r.Context(), attempt, r.PathValue("id"), &addr)
+		retry, err := rt.retry(r.Context(), attempt, lastErr, r.PathValue("id"), &addr)
 		if err != nil {
 			lastErr = err
 		}
@@ -549,7 +539,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, addr string, b
 		}
 	}
 	if lastErr != nil {
-		writeJSON(w, http.StatusBadGateway, map[string]string{"error": fmt.Sprintf("backend %s: %v", addr, lastErr)})
+		session.WriteJSON(w, http.StatusBadGateway, map[string]string{"error": fmt.Sprintf("backend %s: %v", addr, lastErr)})
 		return
 	}
 	rt.refuse(w, &BackendDownError{Addr: addr})
@@ -562,18 +552,10 @@ func (rt *Router) refuse(w http.ResponseWriter, err error) {
 	var down *BackendDownError
 	if errors.Is(err, ErrNoBackends) || errors.As(err, &down) {
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
+		session.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	session.WriteJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 }
 
 // routers tracks live routers so the process-wide expvar export can

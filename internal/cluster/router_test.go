@@ -40,7 +40,6 @@ func newTestCluster(t *testing.T, n int) *testCluster {
 	}
 	rt, err := NewRouter(RouterConfig{
 		Backends: addrs,
-		Vnodes:   128,
 		Health:   HealthConfig{Interval: 20 * time.Millisecond, Timeout: 200 * time.Millisecond, FailAfter: 2, MaxBackoff: 100 * time.Millisecond},
 	})
 	if err != nil {
@@ -384,7 +383,7 @@ func TestRouterPinRecovery(t *testing.T) {
 	for i, b := range tc.backends {
 		addrs[i] = b.URL
 	}
-	rt2, err := NewRouter(RouterConfig{Backends: addrs, Vnodes: 128,
+	rt2, err := NewRouter(RouterConfig{Backends: addrs,
 		Health: HealthConfig{Interval: 20 * time.Millisecond, Timeout: 200 * time.Millisecond, FailAfter: 2, MaxBackoff: 100 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
@@ -467,14 +466,14 @@ func TestRouterListPartial(t *testing.T) {
 	// Healthy to the prober, broken on the list path.
 	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/healthz" {
-			writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+			session.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 			return
 		}
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": "boom"})
+		session.WriteJSON(w, http.StatusInternalServerError, map[string]string{"error": "boom"})
 	}))
 	defer bad.Close()
 
-	rt, err := NewRouter(RouterConfig{Backends: []string{good.URL, bad.URL}, Vnodes: 128,
+	rt, err := NewRouter(RouterConfig{Backends: []string{good.URL, bad.URL},
 		Health: HealthConfig{Interval: 20 * time.Millisecond, Timeout: 200 * time.Millisecond, FailAfter: 2, MaxBackoff: 100 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)

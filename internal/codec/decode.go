@@ -48,7 +48,7 @@ func (d *Decoder) Record(payload []byte) (*Reader, error) {
 	if payload[2]&flagReset != 0 {
 		d.Reset()
 	}
-	r := &Reader{d: d, buf: payload, off: 3, defs: -1, reset: payload[2]&flagReset != 0}
+	r := &Reader{d: d, buf: payload, off: 3, reset: payload[2]&flagReset != 0}
 	ndefs := r.Uvarint()
 	if ndefs > uint64(len(payload)) {
 		return nil, fmt.Errorf("codec: %d intern definitions in a %d-byte record", ndefs, len(payload))
@@ -67,7 +67,6 @@ func (d *Decoder) Record(payload []byte) (*Reader, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	r.defs = int(ndefs)
 	return r, nil
 }
 
@@ -80,12 +79,8 @@ type Reader struct {
 	buf   []byte
 	off   int
 	err   error
-	defs  int
 	reset bool
 }
-
-// Defs returns the number of intern definitions the record introduced.
-func (r *Reader) Defs() int { return r.defs }
 
 // DidReset reports whether the record carried the table-reset flag.
 func (r *Reader) DidReset() bool { return r.reset }

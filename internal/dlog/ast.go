@@ -245,24 +245,6 @@ func (p Program) HeadPreds() []string {
 	return out
 }
 
-// BodyPreds returns the set of predicates used in rule bodies, sorted.
-func (p Program) BodyPreds() []string {
-	seen := make(map[string]bool)
-	for _, r := range p {
-		for _, l := range r.Body {
-			if l.Kind == LitPos || l.Kind == LitNeg {
-				seen[l.Atom.Pred] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // RulesFor returns the rules whose head predicate is pred, in program order.
 func (p Program) RulesFor(pred string) Program {
 	var out Program

@@ -142,12 +142,6 @@ func OrF(fs ...Formula) Formula {
 // Implies builds f → g.
 func Implies(f, g Formula) Formula { return OrF(NotF(f), g) }
 
-// True is the empty conjunction.
-func True() Formula { return And{} }
-
-// False is the empty disjunction.
-func False() Formula { return Or{} }
-
 // ExistsF quantifies vars existentially (no-op for empty vars).
 func ExistsF(vars []string, f Formula) Formula {
 	if len(vars) == 0 {
@@ -455,51 +449,6 @@ func freshen(env map[string]string, vars []string, counter *int) (map[string]str
 		nvars[i] = nv
 	}
 	return nenv, nvars
-}
-
-// Substitute replaces free variables according to env (variable → constant).
-func Substitute(f Formula, env map[string]relation.Const) Formula {
-	sub := func(t dlog.Term) dlog.Term {
-		if t.Var {
-			if c, ok := env[t.Name]; ok {
-				return dlog.C(string(c))
-			}
-		}
-		return t
-	}
-	var walk func(g Formula) Formula
-	walk = func(g Formula) Formula {
-		switch t := g.(type) {
-		case Atom:
-			args := make([]dlog.Term, len(t.Args))
-			for i, a := range t.Args {
-				args[i] = sub(a)
-			}
-			return Atom{Pred: t.Pred, Args: args}
-		case Equal:
-			return Equal{L: sub(t.L), R: sub(t.R)}
-		case Not:
-			return Not{F: walk(t.F)}
-		case And:
-			out := make([]Formula, len(t.Fs))
-			for i, h := range t.Fs {
-				out[i] = walk(h)
-			}
-			return And{Fs: out}
-		case Or:
-			out := make([]Formula, len(t.Fs))
-			for i, h := range t.Fs {
-				out[i] = walk(h)
-			}
-			return Or{Fs: out}
-		case Exists:
-			return Exists{Vars: t.Vars, F: walk(t.F)}
-		case Forall:
-			return Forall{Vars: t.Vars, F: walk(t.F)}
-		}
-		panic(fmt.Sprintf("fol: unknown formula node %T", g))
-	}
-	return walk(f)
 }
 
 // CheckBS verifies the formula (assumed NNF, bound-renamed) lies in the

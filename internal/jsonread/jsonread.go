@@ -53,6 +53,31 @@ func (r *Reader) Fail(err error) {
 	r.i = len(r.b)
 }
 
+// Try reads one value with read, which may refuse it: by reading it as a
+// type it is not, or through Fail. When read refuses a value that is valid
+// JSON, r reads on past the value, and Try returns the refusal as read
+// meets it in the value's bytes alone, so an offset in it counts from the
+// value's first byte. A value that is not valid JSON fails r as any read
+// does, and Try returns nil.
+func (r *Reader) Try(read func(*Reader)) error {
+	if r.err != nil {
+		return nil
+	}
+	r.Peek()
+	saved := *r
+	if read(r); r.err == nil {
+		return nil
+	}
+	*r = saved
+	if r.Skip(); r.err != nil {
+		return nil
+	}
+	var v Reader
+	v.Reset(r.b[saved.i:r.i])
+	read(&v)
+	return v.err
+}
+
 // unexpected fails on the byte at the read position (or on the end).
 func (r *Reader) unexpected() {
 	if r.i >= len(r.b) {

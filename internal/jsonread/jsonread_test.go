@@ -80,3 +80,34 @@ func TestMatch(t *testing.T) {
 		}
 	}
 }
+
+// TestTry: a value read refuses while it is valid JSON leaves the reader
+// reading on past it, with the refusal as read meets it in the value
+// alone; a value that is not valid JSON fails the reader.
+func TestTry(t *testing.T) {
+	for _, c := range []struct {
+		data, refusal string
+		readsOn       bool
+	}{
+		{`["x", 1]`, "", true},
+		{`[7, 1]`, `invalid character '7' at offset 0`, true},
+		{`[ {"a":[1]}, 1]`, `invalid character '{' at offset 0`, true},
+		{`[{"a":}, 1]`, "", false},
+	} {
+		var r Reader
+		r.Reset([]byte(c.data))
+		r.Open('[')
+		r.More(0, ']')
+		refusal := ""
+		if err := r.Try(func(r *Reader) { r.Str() }); err != nil {
+			refusal = err.Error()
+		}
+		r.More(1, ']')
+		n := r.Int()
+		r.More(2, ']')
+		if refusal != c.refusal || (r.End() && n == 1) != c.readsOn {
+			t.Errorf("%s: Try refused %q and the reader read on to %d (%v); want %q, reading on %v",
+				c.data, refusal, n, r.Err(), c.refusal, c.readsOn)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"encoding/json"
 	"net/http"
 	"strings"
 
@@ -41,7 +40,7 @@ func Handler(f *Follower, dst *session.Engine, lv *live.Service, next http.Handl
 		if infos, err := f.Engine().List(); err == nil {
 			n = len(infos)
 		}
-		writeJSON(w, http.StatusOK, &StateResponse{
+		session.WriteJSON(w, http.StatusOK, &StateResponse{
 			Following: f.Primary(),
 			Promoted:  f.Promoted(),
 			Lag:       lag,
@@ -52,7 +51,7 @@ func Handler(f *Follower, dst *session.Engine, lv *live.Service, next http.Handl
 	mux.HandleFunc("/replica/", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			w.Header().Set("Allow", http.MethodGet)
-			writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "replica is read-only"})
+			session.WriteJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "replica is read-only"})
 			return
 		}
 		r2 := r.Clone(r.Context())
@@ -65,19 +64,11 @@ func Handler(f *Follower, dst *session.Engine, lv *live.Service, next http.Handl
 	mux.HandleFunc("POST /admin/replica/promote", func(w http.ResponseWriter, r *http.Request) {
 		res, err := f.Promote(dst)
 		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+			session.WriteJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		session.WriteJSON(w, http.StatusOK, res)
 	})
 	mux.Handle("/", next)
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }

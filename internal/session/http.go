@@ -59,10 +59,10 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /models", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"models": models.Names()})
+		WriteJSON(w, http.StatusOK, map[string]any{"models": models.Names()})
 	})
 	mux.HandleFunc("GET /networks", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"networks": models.NetworkNames()})
+		WriteJSON(w, http.StatusOK, map[string]any{"networks": models.NetworkNames()})
 	})
 	mux.HandleFunc("POST /sessions", func(w http.ResponseWriter, r *http.Request) {
 		var req OpenRequest
@@ -74,7 +74,7 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, info)
+		WriteJSON(w, http.StatusCreated, info)
 	})
 	mux.HandleFunc("GET /sessions", func(w http.ResponseWriter, r *http.Request) {
 		infos, err := e.List()
@@ -82,7 +82,7 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"sessions": infos})
+		WriteJSON(w, http.StatusOK, map[string]any{"sessions": infos})
 	})
 	mux.HandleFunc("GET /sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		info, err := e.Info(r.PathValue("id"))
@@ -90,7 +90,7 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, info)
+		WriteJSON(w, http.StatusOK, info)
 	})
 	mux.HandleFunc("POST /sessions/{id}/input", func(w http.ResponseWriter, r *http.Request) {
 		buf := ReadBody(w, r, bodyCap)
@@ -116,7 +116,7 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 		if err := json.Unmarshal(buf.Bytes(), &req); err != nil {
 			var te *json.UnmarshalTypeError
 			if errors.As(err, &te) && te.Value == "array" && te.Field == "" {
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": "a step body is one JSON object; send many steps as POST /batch"})
+				WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "a step body is one JSON object; send many steps as POST /batch"})
 				return
 			}
 			WriteBodyErr(w, err)
@@ -156,7 +156,7 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		WriteJSON(w, http.StatusOK, res)
 	})
 	mux.HandleFunc("POST /batch", handleBatch(e))
 	mux.HandleFunc("GET /sessions/{id}/verify", handleVerify(e, lv))
@@ -167,7 +167,7 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, lr)
+		WriteJSON(w, http.StatusOK, lr)
 	})
 	mux.HandleFunc("DELETE /sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		res, err := e.Close(r.PathValue("id"))
@@ -175,7 +175,7 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		WriteJSON(w, http.StatusOK, res)
 	})
 	mux.HandleFunc("POST /admin/sessions/{id}/export-state", func(w http.ResponseWriter, r *http.Request) {
 		data, err := e.ExportState(r.PathValue("id"))
@@ -200,21 +200,21 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, info)
+		WriteJSON(w, http.StatusCreated, info)
 	})
 	mux.HandleFunc("POST /admin/sessions/{id}/unfreeze", func(w http.ResponseWriter, r *http.Request) {
 		if err := e.Unfreeze(r.PathValue("id")); err != nil {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+		WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
 	})
 	mux.HandleFunc("POST /admin/sessions/{id}/forget", func(w http.ResponseWriter, r *http.Request) {
 		if err := e.Forget(r.PathValue("id")); err != nil {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+		WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
 	})
 	mux.HandleFunc("GET /admin/wal/state", func(w http.ResponseWriter, r *http.Request) {
 		st, err := e.WALState()
@@ -222,19 +222,19 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"shards": st})
+		WriteJSON(w, http.StatusOK, map[string]any{"shards": st})
 	})
 	mux.HandleFunc("GET /admin/wal/stream", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		shard, err := strconv.Atoi(q.Get("shard"))
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad shard: " + err.Error()})
+			WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad shard: " + err.Error()})
 			return
 		}
 		from := int64(1)
 		if v := q.Get("from"); v != "" {
 			if from, err = strconv.ParseInt(v, 10, 64); err != nil {
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad from: " + err.Error()})
+				WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad from: " + err.Error()})
 				return
 			}
 		}
@@ -249,7 +249,7 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 		if v := q.Get("wait"); v != "" {
 			d, err := time.ParseDuration(v)
 			if err != nil {
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad wait: " + err.Error()})
+				WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad wait: " + err.Error()})
 				return
 			}
 			wait = d
@@ -259,13 +259,13 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 		var pos storage.ReadPos
 		if v := q.Get("epoch"); v != "" {
 			if pos.Epoch, err = strconv.ParseUint(v, 10, 64); err != nil {
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad epoch: " + err.Error()})
+				WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad epoch: " + err.Error()})
 				return
 			}
 		}
 		if v := q.Get("decoded"); v != "" {
 			if pos.Decoded, err = strconv.ParseInt(v, 10, 64); err != nil {
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad decoded: " + err.Error()})
+				WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad decoded: " + err.Error()})
 				return
 			}
 		}
@@ -274,16 +274,16 @@ func HandlerWith(e *Engine, lv *live.Service) http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, b)
+		WriteJSON(w, http.StatusOK, b)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+		WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
 	})
 	mux.HandleFunc("GET /debug/plan", func(w http.ResponseWriter, r *http.Request) {
 		name := r.URL.Query().Get("model")
 		m := getModel(name)
 		if m == nil {
-			writeJSON(w, http.StatusNotFound, map[string]any{"error": fmt.Sprintf("unknown model %q (have %v)", name, models.Names())})
+			WriteJSON(w, http.StatusNotFound, map[string]any{"error": fmt.Sprintf("unknown model %q (have %v)", name, models.Names())})
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -307,7 +307,9 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers status with v as indented JSON. The session API, the
+// replica endpoints and the router all answer through it.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -324,7 +326,7 @@ func writeErr(w http.ResponseWriter, err error) {
 	if retryAfter != "" {
 		w.Header().Set("Retry-After", retryAfter)
 	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // errStatus maps an engine error onto its HTTP status plus an optional

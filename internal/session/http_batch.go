@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"sync"
 
@@ -95,15 +96,17 @@ func batchStatusOf(res BatchResult) BatchItemStatus {
 
 // serveBatch validates a decoded batch — at least one item, a known results
 // mode, absent inputs read as empty — runs it, and writes the response.
-func serveBatch(e *Engine, w http.ResponseWriter, items []BatchItem, mode string) {
+// An item whose input DecodeBatch refused answers 400 with the refusal,
+// and only the others run.
+func serveBatch(e *Engine, w http.ResponseWriter, items []BatchItem, refused []error, mode string) {
 	if len(items) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "batch needs at least one step"})
+		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "batch needs at least one step"})
 		return
 	}
 	switch mode {
 	case "", "full", "status", "errors":
 	default:
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "results must be \"full\", \"status\" or \"errors\""})
+		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "results must be \"full\", \"status\" or \"errors\""})
 		return
 	}
 	for i := range items {
@@ -111,7 +114,7 @@ func serveBatch(e *Engine, w http.ResponseWriter, items []BatchItem, mode string
 			items[i].Input = relation.NewInstance()
 		}
 	}
-	results := e.InputBatch(items)
+	results := inputAdmissible(e, items, refused)
 	// Compact encoding: batch responses are the data plane's hot path, and
 	// indentation costs real encode/decode CPU at thousands of items/s.
 	w.Header().Set("Content-Type", "application/json")
@@ -138,6 +141,29 @@ func serveBatch(e *Engine, w http.ResponseWriter, items []BatchItem, mode string
 	json.NewEncoder(w).Encode(BatchResponse{Results: out})
 }
 
+// inputAdmissible runs the items that refused holds no error for, and
+// answers each refused item 400 at its position.
+func inputAdmissible(e *Engine, items []BatchItem, refused []error) []BatchResult {
+	if refused == nil {
+		return e.InputBatch(items)
+	}
+	out := make([]BatchResult, len(items))
+	var admitted []BatchItem
+	var at []int
+	for i := range items {
+		if i < len(refused) && refused[i] != nil {
+			out[i].Err = &BadInputError{Err: refused[i]}
+			continue
+		}
+		admitted = append(admitted, items[i])
+		at = append(at, i)
+	}
+	for j, res := range e.InputBatch(admitted) {
+		out[at[j]] = res
+	}
+	return out
+}
+
 // handleBatch serves POST /batch: multi-session (session, input, key)
 // groups in one request.
 func handleBatch(e *Engine) http.HandlerFunc {
@@ -146,13 +172,13 @@ func handleBatch(e *Engine) http.HandlerFunc {
 		if body == nil {
 			return
 		}
-		req, err := DecodeBatch(body.Bytes())
+		req, refused, err := DecodeBatch(body.Bytes())
 		ReleaseBody(body)
 		if err != nil {
 			WriteBodyErr(w, err)
 			return
 		}
-		serveBatch(e, w, req.Steps, req.Results)
+		serveBatch(e, w, req.Steps, refused, req.Results)
 	}
 }
 
@@ -162,18 +188,38 @@ func handleBatch(e *Engine) http.HandlerFunc {
 // unknown fields are skipped, a null string keeps the field's value, a
 // repeated key decodes over what came before it (a second "steps" array
 // decodes into the first one's items, element by element), and bytes after
-// the envelope are never read.
-func DecodeBatch(b []byte) (BatchRequest, error) {
-	var req BatchRequest
+// the envelope are never read. One difference: an input that is valid JSON
+// but refused as an instance refuses its item, not the envelope. refused[i]
+// is then item i's refusal, with the single-step path's error text for
+// that input; refused is nil when no item was refused.
+func DecodeBatch(b []byte) (req BatchRequest, refused []error, err error) {
 	var r jsonread.Reader
 	r.Reset(b)
 	if r.Null() || !r.Open('{') {
-		return req, r.Err()
+		return req, nil, r.Err()
 	}
 	for n := 0; r.More(n, '}'); n++ {
 		switch k := r.Key(); {
 		case jsonread.Match(k, "steps"):
-			req.Steps = jsonread.Slice(&r, req.Steps, readItem)
+			// A refusal belongs to its slot, as a value decoded into the
+			// item would: a later "steps" array decoding over slot i keeps
+			// it, and a null or empty one, which starts a fresh slice,
+			// drops every slot.
+			i := 0
+			req.Steps = jsonread.Slice(&r, req.Steps, func(r *jsonread.Reader, it *BatchItem) {
+				if err := readItem(r, it); err != nil {
+					for len(refused) <= i {
+						refused = append(refused, nil)
+					}
+					if refused[i] == nil {
+						refused[i] = err
+					}
+				}
+				i++
+			})
+			if len(req.Steps) == 0 {
+				refused = nil
+			}
 		case jsonread.Match(k, "results"):
 			if !r.Null() {
 				req.Results = r.Str()
@@ -182,13 +228,20 @@ func DecodeBatch(b []byte) (BatchRequest, error) {
 			r.Skip()
 		}
 	}
-	return req, r.Err()
+	if r.Err() != nil {
+		return req, nil, r.Err()
+	}
+	if len(refused) > len(req.Steps) {
+		refused = refused[:len(req.Steps)]
+	}
+	return req, refused, nil
 }
 
-// readItem decodes one item object over it.
-func readItem(r *jsonread.Reader, it *BatchItem) {
+// readItem decodes one item object over it, and returns the first refusal
+// of its input, if any.
+func readItem(r *jsonread.Reader, it *BatchItem) (refused error) {
 	if r.Null() || !r.Open('{') {
-		return
+		return nil
 	}
 	for n := 0; r.More(n, '}'); n++ {
 		switch k := r.Key(); {
@@ -201,11 +254,17 @@ func readItem(r *jsonread.Reader, it *BatchItem) {
 				it.Key = r.Str()
 			}
 		case jsonread.Match(k, "input"):
-			it.Input, _ = relation.ReadInstance(r)
+			// A refusal sticks: encoding/json, which the single-step path
+			// decodes with, keeps a body's first error too.
+			err := r.Try(func(r *jsonread.Reader) { it.Input, _ = relation.ReadInstance(r) })
+			if err != nil && refused == nil {
+				refused = fmt.Errorf("bad request body: %w", err)
+			}
 		default:
 			r.Skip()
 		}
 	}
+	return refused
 }
 
 // bodyBufs pools request-body buffers. A buffer that grew past
@@ -251,5 +310,5 @@ func WriteBodyErr(w http.ResponseWriter, err error) {
 	if errors.As(err, &tooLarge) {
 		status = http.StatusRequestEntityTooLarge
 	}
-	writeJSON(w, status, map[string]string{"error": "bad request body: " + err.Error()})
+	WriteJSON(w, status, map[string]string{"error": "bad request body: " + err.Error()})
 }

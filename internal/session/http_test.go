@@ -135,6 +135,67 @@ func TestHTTPRejectsNULConstants(t *testing.T) {
 	}
 }
 
+// TestHTTPBatchItemRefusedAlone: a /batch item whose input is valid JSON
+// but not an instance answers 400 at its position, with the text the
+// single-step path answers for that input, and the rest of its envelope
+// applies. Bytes that are not a valid envelope still get one envelope-wide
+// 400, and nothing of them applies.
+func TestHTTPBatchItemRefusedAlone(t *testing.T) {
+	e, srv := httpServer(t)
+	for _, id := range []string{"ra", "rb"} {
+		if st := call(t, "POST", srv.URL+"/sessions", map[string]string{"model": "short", "id": id}, nil); st != http.StatusCreated {
+			t.Fatalf("open %s: status %d", id, st)
+		}
+	}
+	post := func(url, body string, out any) int {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatalf("POST %s: decode: %v", url, err)
+		}
+		return resp.StatusCode
+	}
+	refused := []string{
+		`{"order":[["a\u0000b"]]}`,
+		`{"order":[[1]]}`,
+		`{"order":[["a"],["a","b"]]}`,
+		`{"order":[["time"]],"pay":[[true,"1"]]}`,
+		`"order"`,
+		`[]`,
+	}
+	for n, in := range refused {
+		var single struct{ Error string }
+		if st := post(srv.URL+"/sessions/ra/input", `{"input":`+in+`}`, &single); st != http.StatusBadRequest {
+			t.Fatalf("single step with input %s: status %d, want 400", in, st)
+		}
+		var br BatchResponse
+		body := `{"steps":[{"session":"ra","input":{"order":[["time"]]}},{"session":"rb","input":` + in +
+			fmt.Sprintf(`},{"session":"rb","key":"k-%d","input":{"order":[["newsweek"]]}}]}`, n)
+		if st := post(srv.URL+"/batch", body, &br); st != http.StatusOK || len(br.Results) != 3 {
+			t.Fatalf("batch with input %s: status %d, %d results; want 200 and 3", in, st, len(br.Results))
+		}
+		if got := br.Results[1]; got.Status != http.StatusBadRequest || got.Error != single.Error {
+			t.Errorf("refused item %s: status %d %q; the single step answers 400 %q", in, got.Status, got.Error, single.Error)
+		}
+		if br.Results[0].Status != http.StatusOK || br.Results[2].Status != http.StatusOK {
+			t.Errorf("neighbours of refused item %s: %+v, %+v; want both applied", in, br.Results[0], br.Results[2])
+		}
+	}
+	var whole struct{ Error string }
+	if st := post(srv.URL+"/batch", `{"steps":[{"session":"ra","input":{"order":[["time"]]}},{"session":"rb","input":{"order":[[1}}]}`, &whole); st != http.StatusBadRequest {
+		t.Errorf("envelope that is not JSON: status %d, want 400", st)
+	}
+	for _, id := range []string{"ra", "rb"} {
+		if lr, err := e.Log(id); err != nil || lr.Steps != len(refused) {
+			t.Errorf("%s: %d steps, %v; want %d", id, lr.Steps, err, len(refused))
+		}
+	}
+}
+
 // TestHTTPStepBodyCap: a single step is held to the 1 MiB data-plane cap,
 // while a /batch body, being many steps, may exceed it.
 func TestHTTPStepBodyCap(t *testing.T) {

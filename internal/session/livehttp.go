@@ -50,7 +50,7 @@ func handleVerify(e *Engine, lv *live.Service) http.HandlerFunc {
 		}
 		src, err := liveSourceFor(view, r.URL.Query().Get("node"))
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+			WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 			return
 		}
 		goal := r.URL.Query().Get("goal")
@@ -62,16 +62,16 @@ func handleVerify(e *Engine, lv *live.Service) http.HandlerFunc {
 				writeVerifyErr(w, err)
 				return
 			}
-			writeJSON(w, http.StatusOK, a)
+			WriteJSON(w, http.StatusOK, a)
 		case goal == "" && len(conds) > 0:
 			a, err := lv.Temporal(r.Context(), src, conds)
 			if err != nil {
 				writeVerifyErr(w, err)
 				return
 			}
-			writeJSON(w, http.StatusOK, a)
+			WriteJSON(w, http.StatusOK, a)
 		default:
-			writeJSON(w, http.StatusBadRequest, map[string]string{
+			WriteJSON(w, http.StatusBadRequest, map[string]string{
 				"error": "exactly one of ?goal= or ?temporal= (repeatable) is required",
 			})
 		}
@@ -87,12 +87,12 @@ func handleProgress(e *Engine, lv *live.Service) http.HandlerFunc {
 		}
 		goal := r.URL.Query().Get("goal")
 		if goal == "" {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "?goal= is required"})
+			WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "?goal= is required"})
 			return
 		}
 		src, err := liveSourceFor(view, r.URL.Query().Get("node"))
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+			WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 			return
 		}
 		a, err := lv.Progress(r.Context(), src, goal)
@@ -103,7 +103,7 @@ func handleProgress(e *Engine, lv *live.Service) http.HandlerFunc {
 		if limit := r.URL.Query().Get("limit"); limit != "" {
 			n, err := strconv.Atoi(limit)
 			if err != nil || n < 0 {
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": "?limit= must be a non-negative integer"})
+				WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "?limit= must be a non-negative integer"})
 				return
 			}
 			if n < len(a.Suggestions) {
@@ -114,7 +114,7 @@ func handleProgress(e *Engine, lv *live.Service) http.HandlerFunc {
 				a = &trimmed
 			}
 		}
-		writeJSON(w, http.StatusOK, a)
+		WriteJSON(w, http.StatusOK, a)
 	}
 }
 
@@ -126,12 +126,12 @@ func writeVerifyErr(w http.ResponseWriter, err error) {
 	var over *live.OverloadedError
 	switch {
 	case errors.As(err, &bad):
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 	case errors.As(err, &over):
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": err.Error()})
+		WriteJSON(w, http.StatusTooManyRequests, map[string]string{"error": err.Error()})
 	case errors.Is(err, context.DeadlineExceeded):
-		writeJSON(w, http.StatusGatewayTimeout, map[string]string{"error": "verification query deadline exceeded"})
+		WriteJSON(w, http.StatusGatewayTimeout, map[string]string{"error": "verification query deadline exceeded"})
 	default:
 		writeErr(w, err)
 	}

@@ -241,19 +241,6 @@ func (t *translator) noErrorAt(j int) (fol.Formula, error) {
 	return fol.AndF(fs...), nil
 }
 
-// errorAt builds the formula asserting that some error rule fires at step j.
-func (t *translator) errorAt(j int) (fol.Formula, error) {
-	var fs []fol.Formula
-	for _, r := range t.m.ErrorRules() {
-		bf, err := t.body(r.Body, j)
-		if err != nil {
-			return nil, err
-		}
-		fs = append(fs, fol.ExistsF(r.Vars(), bf))
-	}
-	return fol.OrF(fs...), nil
-}
-
 // freePreds declares the replicated input predicates of steps 1..n as free
 // predicates of the satisfiability problem.
 func (t *translator) freePreds(n int, free map[string]int) {

@@ -1,21 +1,16 @@
-// Package wire is the shared HTTP data plane: one client construction
-// (pooled keep-alive transport, per-host limits, deadlines) and one
-// retry/backoff policy for every component that speaks HTTP — the router's
-// upstream fan-out, the health checker, the replication follower, and the
-// bench/scenario load generators. Before this package each of them carried
-// its own hand-rolled http.Client; now they share the pool discipline and
-// the idempotency-key replay rules, and every client feeds the same
-// "spocus_wire" expvar (connection reuse vs. dials, retries by cause,
-// batch sizes).
+// Package wire is the shared HTTP client of the cluster plane: one pooled
+// client construction (keep-alive transport, per-host limits, deadlines)
+// used by the router's upstream fan-out, the health checker, the
+// replication follower and the bench/scenario load generators; StatusError,
+// which turns a peer's non-2xx answer into an error carrying its message;
+// and each client's row in the "spocus_wire" expvar (connection reuse vs.
+// dials, retries by cause, batch sizes).
 //
-// Replay rules: a non-2xx *status* (429 backpressure, 503 mid-handoff)
-// means the request was NOT applied, so it is always safe to retry after
-// backoff. A *transport* error (connection reset, timeout) is ambiguous —
-// the peer may have applied the request before the connection died — so
-// transport retries are attempted only for requests that are idempotent by
-// construction: GETs, and POSTs carrying an Idempotency-Key header (the
-// engine's dedupe table answers the replay from the log instead of
-// applying it twice).
+// It sends each request once. Whether a failed request may be resent is
+// the caller's rule: the router's is that a 429 or 503 status was not
+// applied and may always be resent, while a transport error is ambiguous
+// and is resent only for a request the backend can recognise as a
+// duplicate (an Idempotency-Key).
 package wire
 
 import (
@@ -27,7 +22,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptrace"
-	"strconv"
 	"time"
 )
 
@@ -46,10 +40,6 @@ type Config struct {
 	MaxConnsPerHost     int
 	// IdleConnTimeout evicts pooled connections (default 90s).
 	IdleConnTimeout time.Duration
-	// RetryAttempts bounds total tries for retryable requests (default 5);
-	// RetryBackoff is the first sleep, doubling per attempt (default 50ms).
-	RetryAttempts int
-	RetryBackoff  time.Duration
 	// Transport overrides the pooled transport (tests). Pool knobs are
 	// ignored when set.
 	Transport http.RoundTripper
@@ -70,12 +60,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IdleConnTimeout <= 0 {
 		c.IdleConnTimeout = 90 * time.Second
-	}
-	if c.RetryAttempts <= 0 {
-		c.RetryAttempts = 5
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 50 * time.Millisecond
 	}
 	return c
 }
@@ -116,7 +100,7 @@ func (c *Client) Close() {
 }
 
 // Do sends one request through the pooled transport, counting connection
-// reuse vs. fresh dials. No retries — use the *Retry helpers for policy.
+// reuse vs. fresh dials. It sends once: retrying is the caller's rule.
 func (c *Client) Do(req *http.Request) (*http.Response, error) {
 	trace := &httptrace.ClientTrace{
 		GotConn: func(info httptrace.GotConnInfo) {
@@ -154,12 +138,11 @@ func (c *Client) Post(ctx context.Context, url, contentType string, body []byte)
 }
 
 // StatusError is a non-2xx response surfaced as an error, carrying the
-// peer's decoded error message and any Retry-After hint.
+// peer's decoded error message.
 type StatusError struct {
-	URL        string
-	Status     int
-	Msg        string
-	RetryAfter time.Duration
+	URL    string
+	Status int
+	Msg    string
 }
 
 func (e *StatusError) Error() string {
@@ -193,11 +176,6 @@ func statusError(url string, resp *http.Response, body []byte) *StatusError {
 	if json.Unmarshal(body, &e) == nil {
 		se.Msg = e.Error
 	}
-	if v := resp.Header.Get("Retry-After"); v != "" {
-		if secs, err := strconv.Atoi(v); err == nil && secs >= 0 {
-			se.RetryAfter = time.Duration(secs) * time.Second
-		}
-	}
 	return se
 }
 
@@ -212,8 +190,7 @@ func (c *Client) GetJSON(ctx context.Context, url string, out any) error {
 }
 
 // PostJSON posts in (nil for an empty body) to url and decodes the 2xx
-// JSON response into out (when non-nil). Non-2xx → *StatusError. One
-// attempt — see PostBytesRetry for the backoff policy.
+// JSON response into out (when non-nil). Non-2xx → *StatusError.
 func (c *Client) PostJSON(ctx context.Context, url string, in, out any, hdr http.Header) error {
 	body, err := marshalBody(in)
 	if err != nil {
@@ -243,63 +220,8 @@ func (c *Client) PostBytes(ctx context.Context, url, contentType string, body []
 	return drainJSON(url, resp, out)
 }
 
-// PostBytesRetry is PostBytes under the client's retry policy: retryable
-// statuses (429/503) back off and retry up to RetryAttempts total tries,
-// honoring a Retry-After hint when the peer sent one. Transport errors
-// are retried only when the request carries an Idempotency-Key header —
-// the replay rule that makes an ambiguous resend safe.
-func (c *Client) PostBytesRetry(ctx context.Context, url, contentType string, body []byte, out any, hdr http.Header) error {
-	keyed := hdr.Get("Idempotency-Key") != ""
-	var err error
-	for attempt := 0; attempt < c.cfg.RetryAttempts; attempt++ {
-		if attempt > 0 {
-			if serr := c.sleepBackoff(ctx, attempt-1, err); serr != nil {
-				return err
-			}
-		}
-		err = c.PostBytes(ctx, url, contentType, body, out, hdr)
-		if err == nil {
-			return nil
-		}
-		switch {
-		case Retryable(err):
-			var se *StatusError
-			errors.As(err, &se)
-			c.m.noteRetry(strconv.Itoa(se.Status))
-		case keyed && !isStatusErr(err) && ctx.Err() == nil:
-			c.m.noteRetry("transport")
-		default:
-			return err
-		}
-	}
-	return err
-}
-
-func isStatusErr(err error) bool {
-	var se *StatusError
-	return errors.As(err, &se)
-}
-
-// sleepBackoff waits out the attempt's backoff (or the peer's Retry-After
-// hint, when longer but still bounded), aborting early on ctx cancel.
-func (c *Client) sleepBackoff(ctx context.Context, attempt int, lastErr error) error {
-	d := c.cfg.RetryBackoff << uint(attempt)
-	var se *StatusError
-	if errors.As(lastErr, &se) && se.RetryAfter > d && se.RetryAfter <= 5*time.Second {
-		d = se.RetryAfter
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// NoteRetry ticks the retries-by-cause counter for callers that run their
-// own retry loop (the router's keyed replay across backend failover).
+// NoteRetry ticks the retries-by-cause counter for a caller's retry (the
+// router's resends after a transport error or a 429/503).
 func (c *Client) NoteRetry(cause string) { c.m.noteRetry(cause) }
 
 // ObserveBatch records one sent batch of n steps in the wire batch-size

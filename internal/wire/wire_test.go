@@ -5,16 +5,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func testClient(t *testing.T, cfg Config) *Client {
 	t.Helper()
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = time.Millisecond
-	}
 	c := New(cfg)
 	t.Cleanup(c.Close)
 	return c
@@ -43,81 +38,6 @@ func TestConnReuse(t *testing.T) {
 	}
 	if st.Requests != 10 {
 		t.Fatalf("requests = %d, want 10", st.Requests)
-	}
-}
-
-// TestRetryOn429 checks the status replay rule: 429/503 mean "not
-// applied", so the retry loop runs regardless of idempotency keys, honors
-// Retry-After, and counts the cause.
-func TestRetryOn429(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "0")
-			w.WriteHeader(http.StatusTooManyRequests)
-			json.NewEncoder(w).Encode(map[string]string{"error": "busy"})
-			return
-		}
-		json.NewEncoder(w).Encode(map[string]string{"ok": "yes"})
-	}))
-	defer srv.Close()
-	c := testClient(t, Config{Name: "retry-test"})
-	var out map[string]string
-	if err := c.PostBytesRetry(context.Background(), srv.URL, "application/json", []byte(`{"x":1}`), &out, nil); err != nil {
-		t.Fatalf("post: %v", err)
-	}
-	if out["ok"] != "yes" {
-		t.Fatalf("out = %v", out)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("calls = %d, want 3", got)
-	}
-	if st := c.Stats(); st.Retries["429"] != 2 {
-		t.Fatalf("retries = %v, want 429:2", st.Retries)
-	}
-}
-
-// TestTransportRetryNeedsKey checks the ambiguous-failure rule: a dead
-// connection is retried only when the request carries an Idempotency-Key.
-func TestTransportRetryNeedsKey(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			// Kill the connection mid-response: a transport error client-side.
-			hj, ok := w.(http.Hijacker)
-			if !ok {
-				t.Fatal("no hijacker")
-			}
-			conn, _, _ := hj.Hijack()
-			conn.Close()
-			return
-		}
-		json.NewEncoder(w).Encode(map[string]string{"ok": "yes"})
-	}))
-	defer srv.Close()
-
-	unkeyed := testClient(t, Config{Name: "transport-unkeyed"})
-	err := unkeyed.PostBytesRetry(context.Background(), srv.URL, "application/json", nil, nil, nil)
-	if err == nil {
-		t.Fatal("unkeyed transport failure should not be retried")
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("calls after unkeyed = %d, want 1", got)
-	}
-
-	calls.Store(0)
-	keyed := testClient(t, Config{Name: "transport-keyed"})
-	hdr := http.Header{}
-	hdr.Set("Idempotency-Key", "k1")
-	var out map[string]string
-	if err := keyed.PostBytesRetry(context.Background(), srv.URL, "application/json", nil, &out, hdr); err != nil {
-		t.Fatalf("keyed retry: %v", err)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("calls after keyed = %d, want 2", got)
-	}
-	if st := keyed.Stats(); st.Retries["transport"] != 1 {
-		t.Fatalf("retries = %v, want transport:1", st.Retries)
 	}
 }
 

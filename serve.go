@@ -70,7 +70,7 @@ type (
 	// Router fronts N engine servers with a consistent-hash ring, health
 	// checking, and session handoff (state image + log digest).
 	Router = cluster.Router
-	// RouterConfig tunes a Router (backends, vnodes, health probing).
+	// RouterConfig tunes a Router (backends, health probing, follower reads).
 	RouterConfig = cluster.RouterConfig
 	// HealthConfig tunes backend health probing (interval, timeout,
 	// failure threshold, backoff cap).
