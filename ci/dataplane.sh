@@ -2,7 +2,9 @@
 # The dataplane job: the batched data plane end to end. The batch unit and
 # differential suites (batch-of-one is byte-identical to a single step,
 # partial failure, key dedupe, recovery, the HTTP forms, an item refused
-# alone, the 413 body caps), the router's batch fan-out suites and its
+# alone, the 413 body caps, single-step and results=full responses
+# byte-identical to ones built from the reference step), the router's
+# batch fan-out suites and its
 # retry rule, the one-pass envelope decode (hostile envelopes through a
 # real router against encoding/json and against one backend, the
 # allocation pin, fuzz smokes of the instance and envelope readers), the
@@ -17,14 +19,15 @@
 . "$(dirname "$0")/lib.sh"
 
 section "Batch unit + differential suites"
-gate ./internal/session -run 'TestBatch|TestHTTPBatch' -- TestBatchOfOneByteIdentical TestBatchPartialFailure TestBatchKeyDedupe \
-	TestBatchRecovery TestHTTPBatch TestHTTPBatchItemRefusedAlone TestHTTPBatchBodyCap
+gate ./internal/session -run 'TestBatch|TestHTTPBatch|TestStepResponseBytes' -- TestBatchOfOneByteIdentical TestBatchPartialFailure TestBatchKeyDedupe \
+	TestBatchRecovery TestHTTPBatch TestHTTPBatchItemRefusedAlone TestHTTPBatchBodyCap TestStepResponseBytes
 end
 
 section "Router batch fan-out suite + the router's retry rule"
-# The retry rule: a keyed step or an all-keyed sub-batch whose connection
-# drops after it applied is resent and answered as a duplicate, an unkeyed
-# one is sent once, and a handoff install resends a 429.
+# The retry rule: a keyed step or an all-keyed sub-batch whose kept-alive
+# connection drops after it applied is resent by the router (counted under
+# keyed_retries_total) and answered as a duplicate, an unkeyed one is sent
+# once, and a handoff install resends a 429.
 gate ./internal/cluster -run 'TestRouterBatch|TestRouterBodyCap|TestRouterRetryRule' -- TestRouterBatchFanout TestRouterBatchDownOwner \
 	TestRouterBodyCap TestRouterRetryRule
 end

@@ -7,11 +7,13 @@
 # tuple-for-tuple agreement with the tree evaluator is the engine's whole
 # correctness argument, and since there is no second evaluator to fall
 # back to, every program the repo ships must be one the planner lowers.
-# Beside it: the stepper refuses images the schema does not describe, step
-# time never grows the shared slot table, the counted flatness and
-# allocation ceilings, the idle-session byte ceiling and the sharing of
-# machines, databases and step scratch between sessions (under -race),
-# Machine.Step kept the reference and nothing else,
+# Beside it: the tape the stepper writes from its stores is Append(LogDelta)
+# step for step, the stepper refuses images the schema does not describe,
+# step time never grows the shared slot table, the counted flatness and
+# allocation ceilings (an answered step, a replayed one), the idle-session
+# byte ceiling and the sharing of machines, databases and step scratch
+# between sessions (under -race), Machine.Step kept the reference and
+# nothing else, no LogDelta or LogTape.Append on the session's step path,
 # the join-order suite, one iteration of the stepper benchmark and the
 # differential fuzz smoke. Every named suite is gated on its PASS lines
 # (ci/lib.sh).
@@ -20,16 +22,17 @@
 . "$(dirname "$0")/lib.sh"
 
 section "Differential suite under -race (ra vs tree oracle; stepper vs Machine.Step and the oracle)"
-gate -race ./internal/ra -run 'TestDifferential|TestStepperRefuses|TestStepTimeNamesAssignNoSlots' -- \
+gate -race ./internal/ra -run 'TestDifferential|TestStepperTapeIsTheLog|TestStepperRefuses|TestStepTimeNamesAssignNoSlots' -- \
 	TestDifferentialRegistryModels TestDifferentialQuick TestDifferentialSeeds \
 	TestDifferentialShortPaperSession TestDifferentialStepper \
 	TestDifferentialStepper/short-input-comes-and-goes TestDifferentialStepper/short-two-databases \
+	TestStepperTapeIsTheLog \
 	TestStepperRefusesMisshapenState TestStepperRefusesUndeclaredState TestStepTimeNamesAssignNoSlots
 end
 
 section "Step cost is flat in state depth; a small-state step stays under its allocation ceiling; sessions share what is not theirs (-race)"
-gate -race ./internal/session -run 'TestStepCostIsFlatInDepth|TestSmallStateStepAllocates|TestIdleSessionRetention|TestSessionsShareMachineAndDB|TestDBTableDrains|TestSharedRunsUnderConcurrentReads' -- \
-	TestStepCostIsFlatInDepth/short TestStepCostIsFlatInDepth/auction TestSmallStateStepAllocates \
+gate -race ./internal/session -run 'TestStepCostIsFlatInDepth|TestSmallStateStepAllocates|TestReplayStepAllocates|TestIdleSessionRetention|TestSessionsShareMachineAndDB|TestDBTableDrains|TestSharedRunsUnderConcurrentReads' -- \
+	TestStepCostIsFlatInDepth/short TestStepCostIsFlatInDepth/auction TestSmallStateStepAllocates TestReplayStepAllocates \
 	TestIdleSessionRetention TestSessionsShareMachineAndDB TestDBTableDrains TestSharedRunsUnderConcurrentReads
 end
 
@@ -39,6 +42,13 @@ end
 # depend on what any field is called.
 section "Machine.Step is the reference, not a serving path"
 gate . -run TestMachineStepIsTheReference -- TestMachineStepIsTheReference
+end
+
+# A session's step writes its log tape from the step's stores; building the
+# delta as values (LogDelta) or re-interning it (LogTape.Append) in
+# internal/session's non-test code would put the round trip back.
+section "A served step stays interned"
+gate . -run TestServedStepStaysInterned -- TestServedStepStaysInterned
 end
 
 section "Oracle agreement + plan cache suites under -race"

@@ -248,6 +248,24 @@ func TestCIGatesNameTests(t *testing.T) {
 	t.Logf("%d gated names in ci/*.sh, %d indexed benchmarks", named, indexed)
 }
 
+// TestServedStepStaysInterned: a session's step writes its log tape from
+// the step's own rows (core.Stepper.Step), so no non-test code of
+// internal/session may build a log delta as values (Schema.LogDelta) or
+// re-intern one onto a tape (LogTape.Append); an answer that carries the
+// delta decodes it from the tape.
+func TestServedStepStaysInterned(t *testing.T) {
+	fset := token.NewFileSet()
+	_, info := typeCheck(t, fset, importer.ForCompiler(fset, "source", nil), "internal/session")
+	for _, fn := range []string{"(*repro/internal/core.Schema).LogDelta", "(*repro/internal/core.LogTape).Append"} {
+		for _, pos := range uses(info, fn) {
+			t.Errorf("%s: %s on the serving path", fset.Position(pos), fn)
+		}
+	}
+	if len(uses(info, "(*repro/internal/core.LogTape).Delta")) == 0 {
+		t.Error("internal/session decodes no step from a tape: the check has nothing to hold")
+	}
+}
+
 // typeCheck type-checks the non-test Go files of the package in dir, with
 // its imports type-checked from source.
 func typeCheck(t *testing.T, fset *token.FileSet, imp types.Importer, dir string) ([]*ast.File, *types.Info) {

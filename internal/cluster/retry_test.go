@@ -62,9 +62,11 @@ func (b *faultyBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // TestRouterRetryRule checks the router's one retry loop where it runs,
-// against backends that apply a request and then drop its connection:
-//   - a keyed single step, and an all-keyed /batch sub-batch, are resent,
-//     and the resend is answered as a duplicate: one step in the log;
+// against backends that keep connections alive, apply a request and then
+// drop its connection:
+//   - a keyed single step, and an all-keyed /batch sub-batch, are resent by
+//     the router, counted under keyed_retries_total, and the resend is
+//     answered as a duplicate: one step in the log;
 //   - an unkeyed step answers 502, is sent exactly once and logged once;
 //   - a handoff whose install meets a 429 resends it to the same target
 //     and completes.
@@ -77,12 +79,7 @@ func TestRouterRetryRule(t *testing.T) {
 			t.Fatal(err)
 		}
 		backends[i] = &faultyBackend{next: session.Handler(e), faults: map[string][]int{}, seen: map[string]int{}}
-		srv := httptest.NewUnstartedServer(backends[i])
-		// One connection per request: net/http's transport itself resends
-		// a keyed request that fails on a reused connection, and the
-		// resend under test is the router's.
-		srv.Config.SetKeepAlivesEnabled(false)
-		srv.Start()
+		srv := httptest.NewServer(backends[i])
 		urls[i] = srv.URL
 		t.Cleanup(func() {
 			srv.Close()
@@ -158,6 +155,11 @@ func TestRouterRetryRule(t *testing.T) {
 	}
 	if n := steps(ids[0]); n != 1 {
 		t.Fatalf("keyed step logged %d times, want once", n)
+	}
+	// The resend was the router's, over a connection it kept alive: net/http
+	// resending it unseen would leave the counter at 0.
+	if n := rt.m.keyedRetries.Load(); n < 1 {
+		t.Fatalf("keyed_retries_total = %d after the keyed step's resend, want at least 1", n)
 	}
 
 	// An all-keyed sub-batch: the same, item by item.

@@ -499,6 +499,12 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, addr string, b
 				session.WriteJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 				return
 			}
+			// No GetBody: a request that has one and carries an
+			// Idempotency-Key is one net/http's Transport resends by itself
+			// when a reused connection dies under it. This loop is the one
+			// that resends: it marks the backend down, backs off, counts
+			// keyed_retries_total and re-resolves the owner first.
+			req.GetBody = nil
 			for _, k := range []string{"Content-Type", "Idempotency-Key"} {
 				if v := r.Header.Get(k); v != "" {
 					req.Header.Set(k, v)

@@ -240,7 +240,7 @@ func (n *Network) StepOnce(ext StepInputs) *JointStep {
 				in.Ensure(w.Input, rel.Arity()).UnionWith(rel)
 			}
 		}
-		out := node.run.Step(in)
+		out, _ := node.run.Step(in, nil, true)
 		js.Consumed[name] = in
 		js.Outputs[name] = out
 		js.Logs[name] = node.M.Schema().LogDelta(in, out)

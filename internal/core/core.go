@@ -266,6 +266,9 @@ type Machine struct {
 	cumulative map[string]bool
 	// tape is the layout of the machine's log tapes (see LogTape).
 	tape *tapeLayout
+	// flagSlots holds the slots of error, ok and accept, or -1 for one the
+	// output schema does not declare: a step reads its Flags off them.
+	flagSlots [3]int32
 	// raCache memoizes interned EDB relations across this machine's steps:
 	// the fixed database interns once per machine, and state relations
 	// shared across steps by the copy-on-write merge hit it too.

@@ -77,9 +77,7 @@ func (m *Machine) compiled() (*Machine, error) {
 	key := m.stateRules.String() + "\x00" + m.outputRules.String() + "\x00" + strings.Join(inputs, "\x00")
 	if v, ok := planCache.Load(key); ok {
 		ra.NoteCacheHit()
-		m.plans = v.(*machinePlans)
-		m.tape = newTapeLayout(m.schema, m.plans.state.Interner())
-		return m, nil
+		return m.laidOut(v.(*machinePlans)), nil
 	}
 	in := ra.NewInterner()
 	output, err := ra.Compile(m.outputRules, in, inputs...)
@@ -95,9 +93,23 @@ func (m *Machine) compiled() (*Machine, error) {
 		ra.NoteCacheHit()
 		p = actual.(*machinePlans)
 	}
+	return m.laidOut(p), nil
+}
+
+// laidOut sets the machine's plans and what its steps read of their
+// stores: the slots of its logged relations (the tape's layout) and of the
+// acceptance relations.
+func (m *Machine) laidOut(p *machinePlans) *Machine {
+	in := p.state.Interner()
 	m.plans = p
-	m.tape = newTapeLayout(m.schema, p.state.Interner())
-	return m, nil
+	m.tape = machineTapeLayout(m.schema, in)
+	for i, name := range [...]string{ErrorRel, OKRel, AcceptRel} {
+		m.flagSlots[i] = -1
+		if m.schema.Out.Has(name) {
+			m.flagSlots[i] = in.Slot(name)
+		}
+	}
+	return m
 }
 
 // ExplainPlan renders the machine's compiled output and state plans for

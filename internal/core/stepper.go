@@ -48,9 +48,10 @@ type Stepper struct {
 type scratch struct {
 	input *ra.Store
 	// out and next receive the two plans' derived relations. Merge takes
-	// next's relations into the state; out's are copied to constants by
-	// Instance, so the next step to borrow the set rebuilds them in the
-	// same maps and row storage.
+	// next's relations into the state; out's rows are read where they lie
+	// (the tape, the flags) and copied to constants only for a caller that
+	// wants the output, so the next step to borrow the set rebuilds them in
+	// the same maps and row storage.
 	out, next *ra.Store
 	lookup    [3]*ra.Store
 }
@@ -87,25 +88,47 @@ func (m *Machine) NewStepper(db, state relation.Instance) (*Stepper, error) {
 	return st, nil
 }
 
+// Flags is what one step's output says to the acceptance disciplines of
+// Section 4: whether it holds an error fact, the ok fact, the accept fact.
+type Flags struct{ Error, OK, Accept bool }
+
 // Step performs one transition on the resident state — Oᵢ = ω(Iᵢ, Sᵢ₋₁, D)
-// is returned, Sᵢ = σ(Iᵢ, Sᵢ₋₁, D) becomes the resident state — with both
+// is computed, Sᵢ = σ(Iᵢ, Sᵢ₋₁, D) becomes the resident state — with both
 // programs reading the previous state, as in Machine.Step. The input is
-// neither mutated nor retained.
-func (st *Stepper) Step(input relation.Instance) relation.Instance {
+// neither mutated nor retained, and must fit the schema's arities.
+//
+// The step stays interned. A non-nil tape, one of the machine's
+// (Machine.NewLogTape), gets the step's log delta appended from the rows
+// of the step's stores, as Append(LogDelta(input, Oᵢ)) would record it,
+// with no instance built. Oᵢ is materialized as constants only when output
+// is set, and then holds the relations the output program derived — a
+// declared relation it derived nothing for may be absent, where
+// Machine.Step holds it empty; Equal, String and both encodings treat the
+// two alike. The Flags are read off the output's row counts either way.
+func (st *Stepper) Step(input relation.Instance, tape *LogTape, output bool) (relation.Instance, Flags) {
 	p := st.m.plans
 	sc := p.borrow()
 	sc.lookup[0], sc.lookup[2] = st.state, st.db
 	sc.input.Reset(input)
 	p.output.EvalStores(sc.out, sc.lookup[:])
 	p.state.EvalStores(sc.next, sc.lookup[:])
+	if tape != nil {
+		tape.appendStores(sc.input, sc.out)
+	}
 	sc.input.Reset(nil)
 	st.state.Merge(sc.next, p.state.CumulativeHeads())
-	output := sc.out.Instance()
-	p.giveBack(sc)
-	for _, d := range st.m.schema.Out {
-		output.Ensure(d.Name, d.Arity)
+	fs := &st.m.flagSlots
+	flags := Flags{
+		Error:  len(sc.out.RowsAt(fs[0])) > 0,
+		OK:     len(sc.out.RowsAt(fs[1])) > 0,
+		Accept: len(sc.out.RowsAt(fs[2])) > 0,
 	}
-	return output
+	var out relation.Instance
+	if output {
+		out = sc.out.Instance()
+	}
+	p.giveBack(sc)
+	return out, flags
 }
 
 // State materializes the current state as constants: a fresh instance that

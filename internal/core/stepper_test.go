@@ -30,11 +30,11 @@ func BenchmarkStepperStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, in := range cycle {
-		st.Step(in)
+		st.Step(in, nil, true)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stepSink = st.Step(cycle[i%len(cycle)])
+		stepSink, _ = st.Step(cycle[i%len(cycle)], nil, true)
 	}
 }

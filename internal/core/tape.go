@@ -25,6 +25,12 @@ import (
 // decoded steps without sorting anything, and empty relations are not
 // stored at all, as neither encoding keeps them.
 //
+// A machine's run writes its tape from the step itself: Stepper.Step
+// appends the rows the step's input and out stores hold at the logged
+// relations' slots, so a served step builds no delta. Append is the same
+// record written from a delta built as values (LogDelta), the form images
+// carry and the oracle builds.
+//
 // A tape has one owner, which appends to it; View gives a reader a fixed
 // prefix that later appends do not disturb.
 type LogTape struct {
@@ -41,6 +47,10 @@ type tapeLayout struct {
 	in    *ra.Interner
 	names []string
 	arity []int
+	// slots holds, for a machine's layout, each logged relation's predicate
+	// slot in in: where a step's input and out stores hold its rows. A tape
+	// no machine writes (NewLogTape) has none.
+	slots []int32
 }
 
 func newTapeLayout(s *Schema, in *ra.Interner) *tapeLayout {
@@ -58,6 +68,20 @@ func newTapeLayout(s *Schema, in *ra.Interner) *tapeLayout {
 		lay.arity = append(lay.arity, a)
 	}
 	lay.names = lay.names[:len(lay.arity)]
+	return lay
+}
+
+// machineTapeLayout is the layout of a machine's tapes. Each logged
+// relation gets its slot here, when the machine is built, so that a step
+// finds its rows by slot and stepping never assigns one; a logged input
+// relation no rule reads thereby has a slot its step's input is interned
+// into.
+func machineTapeLayout(s *Schema, in *ra.Interner) *tapeLayout {
+	lay := newTapeLayout(s, in)
+	lay.slots = make([]int32, len(lay.names))
+	for i, name := range lay.names {
+		lay.slots[i] = in.Slot(name)
+	}
 	return lay
 }
 
@@ -97,9 +121,7 @@ func (t *LogTape) start(i int) uint32 {
 // path the stepper has already interned, and allocates only to grow the
 // tape (the first append sizes it for a few dozen steps).
 func (t *LogTape) Append(delta relation.Instance) {
-	if t.ends == nil {
-		t.ends, t.words = make([]uint32, 0, 16), make([]uint32, 0, 64)
-	}
+	t.size()
 	in := t.lay.in
 	for i, name := range t.lay.names {
 		rel := delta[name]
@@ -115,6 +137,41 @@ func (t *LogTape) Append(delta relation.Instance) {
 			}
 			return true
 		})
+		t.normalize(at, t.lay.arity[i])
+	}
+	t.ends = append(t.ends, uint32(len(t.words)))
+}
+
+// size gives an empty tape room for a few dozen steps.
+func (t *LogTape) size() {
+	if t.ends == nil {
+		t.ends, t.words = make([]uint32, 0, 16), make([]uint32, 0, 64)
+	}
+}
+
+// appendStores records one step's log delta from the stores the step ran
+// in: each logged relation's rows in input (a logged input relation) and in
+// out (a logged output relation), the restriction of the step to the log
+// (Definition 2.2) that LogDelta computes on values, already interned. A
+// schema's input and output relations are disjoint, so at most one of the
+// two holds a slot's rows. The tape must be one of the machine's layout,
+// and input must fit the schema's arities (Schema.CheckInput).
+func (t *LogTape) appendStores(input, out *ra.Store) {
+	t.size()
+	for i, slot := range t.lay.slots {
+		in, derived := input.RowsAt(slot), out.RowsAt(slot)
+		n := len(in) + len(derived)
+		if n == 0 {
+			continue
+		}
+		at := len(t.words)
+		t.words = append(t.words, uint32(i), uint32(n))
+		for _, row := range in {
+			t.words = append(t.words, row...)
+		}
+		for _, row := range derived {
+			t.words = append(t.words, row...)
+		}
 		t.normalize(at, t.lay.arity[i])
 	}
 	t.ends = append(t.ends, uint32(len(t.words)))

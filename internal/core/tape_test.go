@@ -73,11 +73,12 @@ func TestTapeRoundTripQuick(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tape := m.NewLogTape()
+		tape, stores := m.NewLogTape(), m.NewLogTape()
 		var deltas relation.Sequence
 		for i, n := 0, r.Intn(12); i < n; i++ {
 			in := randTapeInput(r)
-			delta := m.Schema().LogDelta(in, st.Step(in))
+			out, _ := st.Step(in, stores, true)
+			delta := m.Schema().LogDelta(in, out)
 			tape.Append(delta)
 			deltas = append(deltas, delta)
 			switch {
@@ -108,6 +109,9 @@ func TestTapeRoundTripQuick(t *testing.T) {
 		got := codec.Canonical(func(e *codec.Encoder) { tape.Encode(e) })
 		if !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: tape encodes to\n%x\nsequence to\n%x", seed, got, want)
+		}
+		if got := codec.Canonical(func(e *codec.Encoder) { stores.Encode(e) }); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: the tape the stepper wrote encodes to\n%x\nsequence to\n%x", seed, got, want)
 		}
 		back := m.NewLogTape()
 		rd, err := codec.NewDecoder().Record(want)

@@ -31,9 +31,10 @@ import (
 // reads or derives, and every state relation a Store is seeded with, gets a
 // dense slot, so the executor finds a relation by indexing a slice and
 // never hashes a name per operator. Slots are assigned only while a plan
-// compiles and while a store is seeded (Store.Put, Store.Ensure); resolving
-// a name at step time never assigns one, so the table is bounded by the
-// programs and schemas that use it, not by the names their inputs carry.
+// compiles, while a store is seeded (Store.Put, Store.Ensure) and while a
+// machine's log layout is built (Slot); resolving a name at step time never
+// assigns one, so the table is bounded by the programs and schemas that use
+// it, not by the names their inputs carry.
 type Interner struct {
 	mu   sync.RWMutex
 	ids  map[relation.Const]uint32
@@ -104,10 +105,11 @@ func (in *Interner) lookupSlot(name string) (int32, bool) {
 	return slot, ok
 }
 
-// slot returns name's slot, assigning the next one if name has none. The
-// table is copied on every assignment; assignments happen at compile and
-// store-seeding time only, a few dozen per program.
-func (in *Interner) slot(name string) int32 {
+// Slot returns name's slot, assigning the next one if name has none. The
+// table is copied on every assignment; assignments happen at compile,
+// store-seeding and layout time only, a few dozen per program, and never
+// for a name a step's input carries.
+func (in *Interner) Slot(name string) int32 {
 	if slot, ok := in.lookupSlot(name); ok {
 		return slot
 	}

@@ -317,17 +317,17 @@ func compileRule(r dlog.Rule, in *Interner, isInput map[string]bool) (*compiledR
 				}
 			}
 			if allBound {
-				ops = append(ops, op{kind: opProbe, slot: in.slot(l.Atom.Pred), args: args})
+				ops = append(ops, op{kind: opProbe, slot: in.Slot(l.Atom.Pred), args: args})
 				return
 			}
 			useIndex := len(args) > 0 && (args[0].constArg || args[0].bound)
-			ops = append(ops, op{kind: opScan, slot: in.slot(l.Atom.Pred), args: args, useIndex: useIndex})
+			ops = append(ops, op{kind: opScan, slot: in.Slot(l.Atom.Pred), args: args, useIndex: useIndex})
 		case dlog.LitNeg:
 			args := make([]argSpec, len(l.Atom.Args))
 			for i, a := range l.Atom.Args {
 				args[i] = rc.termSpec(a)
 			}
-			ops = append(ops, op{kind: opAnti, slot: in.slot(l.Atom.Pred), args: args})
+			ops = append(ops, op{kind: opAnti, slot: in.Slot(l.Atom.Pred), args: args})
 		case dlog.LitNeq:
 			ops = append(ops, op{kind: opFilterNeq, left: rc.termSpec(l.Left), right: rc.termSpec(l.Right)})
 		case dlog.LitEq:
@@ -427,7 +427,7 @@ func compileRule(r dlog.Rule, in *Interner, isInput map[string]bool) (*compiledR
 		pending = append(pending[:best], pending[best+1:]...)
 	}
 
-	head := emitSpec{slot: in.slot(r.Head.Pred), arity: len(r.Head.Args)}
+	head := emitSpec{slot: in.Slot(r.Head.Pred), arity: len(r.Head.Args)}
 	for _, a := range r.Head.Args {
 		if a.Var && !rc.bound[a.Name] {
 			return nil, &CompileError{Msg: fmt.Sprintf("unsafe rule %q: head variable %s unbound", r, a.Name)}

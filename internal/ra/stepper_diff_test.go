@@ -6,17 +6,183 @@ package ra_test
 // on the output, the log delta and the (materialized) state after every
 // step of scripts that drive one relation past 1k tuples, and a stepper
 // rebuilt mid-run from a materialized state — what snapshot/restore and
-// ship/install do — must continue the run unchanged.
+// ship/install do — must continue the run unchanged. The log tape the
+// stepper writes from its stores must record every step as
+// Append(LogDelta(input, output)) records it, byte for byte.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/dlog"
 	"repro/internal/models"
 	"repro/internal/relation"
 )
+
+// stepBytes is a tape's encoding of step i (core.LogTape.EncodeStep), the
+// exact form of what it recorded: names, arities, counts and constants in
+// order.
+func stepBytes(tape *core.LogTape, i int) []byte {
+	var w byteWriter
+	tape.EncodeStep(&w, i)
+	return w
+}
+
+type byteWriter []byte
+
+func (w *byteWriter) Uvarint(v uint64) { *w = binary.AppendUvarint(*w, v) }
+func (w *byteWriter) Str(s string)     { w.Uvarint(uint64(len(s))); *w = append(*w, s...) }
+
+// tapeCheck holds a run's two tapes: the one the stepper writes from its
+// stores, and the reference, appended LogDelta's instance of each step.
+type tapeCheck struct{ stores, ref *core.LogTape }
+
+func newTapeCheck(m *core.Machine) *tapeCheck {
+	return &tapeCheck{stores: m.NewLogTape(), ref: m.NewLogTape()}
+}
+
+// check appends step i's delta to the reference and requires the stepper's
+// record of it to be the same bytes, and the flags the stepper read off its
+// stores to be the output's.
+func (c *tapeCheck) check(t *testing.T, i int, delta, out relation.Instance, flags core.Flags) {
+	t.Helper()
+	c.ref.Append(delta)
+	if c.stores.Len() != i+1 || c.ref.Len() != i+1 {
+		t.Fatalf("step %d: tapes hold %d and %d steps", i+1, c.stores.Len(), c.ref.Len())
+	}
+	if got, want := stepBytes(c.stores, i), stepBytes(c.ref, i); string(got) != string(want) {
+		t.Fatalf("step %d: the tape written from the stores records %v, Append(LogDelta) records %v", i+1, c.stores.Delta(i), c.ref.Delta(i))
+	}
+	want := core.Flags{
+		Error:  out.Rel(core.ErrorRel).Len() > 0,
+		OK:     out.Rel(core.OKRel).Len() > 0,
+		Accept: out.Rel(core.AcceptRel).Len() > 0,
+	}
+	if flags != want {
+		t.Fatalf("step %d: flags %+v, the output says %+v", i+1, flags, want)
+	}
+}
+
+// checkStepper runs inputs on a stepper of m writing a tape, beside
+// Machine.Execute: every step's output must equal Machine.Step's and its
+// tape record Append(LogDelta)'s.
+func checkStepper(t *testing.T, m *core.Machine, db relation.Instance, inputs relation.Sequence) {
+	t.Helper()
+	ref, err := m.Execute(db, inputs)
+	if err != nil {
+		t.Fatalf("Machine.Execute: %v", err)
+	}
+	st, err := m.NewStepper(db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tapes := newTapeCheck(m)
+	for i, in := range inputs {
+		out, flags := st.Step(in, tapes.stores, true)
+		if !out.Equal(ref.Outputs[i]) {
+			t.Fatalf("step %d: output differs from Machine.Step\nprogram:\n%s\ninput: %v\nstepper: %v\nwant:    %v", i+1, m, in, out, ref.Outputs[i])
+		}
+		tapes.check(t, i, m.Schema().LogDelta(in, out), out, flags)
+		if !tapes.stores.Delta(i).Equal(ref.Logs[i]) {
+			t.Fatalf("step %d: the tape's delta differs from Machine.Execute's log", i+1)
+		}
+	}
+}
+
+// generalMachine makes a general machine of a rule program: the heads are
+// its output relations, every other relation its rules mention an input
+// relation, log the relations keep tells it to (nil: all). A program no
+// machine can run (an arity used two ways, a rule the planner refuses) gives
+// nil.
+func generalMachine(prog dlog.Program, keep func(string) bool) *core.Machine {
+	arity := map[string]int{}
+	heads := map[string]bool{}
+	var names []string
+	note := func(a dlog.Atom) bool {
+		if n, ok := arity[a.Pred]; ok {
+			return n == len(a.Args)
+		}
+		arity[a.Pred] = len(a.Args)
+		names = append(names, a.Pred)
+		return true
+	}
+	rules := make(dlog.Program, len(prog))
+	for i, r := range prog {
+		r.Cumulative = false
+		rules[i] = r
+		heads[r.Head.Pred] = true
+		if !note(r.Head) {
+			return nil
+		}
+		for _, l := range r.Body {
+			if (l.Kind == dlog.LitPos || l.Kind == dlog.LitNeg) && !note(l.Atom) {
+				return nil
+			}
+		}
+	}
+	schema := &core.Schema{}
+	for _, name := range names {
+		d := relation.Decl{Name: name, Arity: arity[name]}
+		if heads[name] {
+			schema.Out = append(schema.Out, d)
+		} else {
+			schema.In = append(schema.In, d)
+		}
+		if keep == nil || keep(name) {
+			schema.Log = append(schema.Log, name)
+		}
+	}
+	m, err := core.NewGeneral(schema, nil, rules)
+	if err != nil {
+		return nil
+	}
+	return m
+}
+
+// TestStepperTapeIsTheLog extends the tape check of TestDifferentialStepper
+// to the differential suite's programs: the generated ones of
+// TestDifferentialQuick, each logging a random part of its relations, and
+// the hand-picked seeds of TestDifferentialSeeds, each logging all of them,
+// as the output programs of general machines stepped on random inputs.
+func TestStepperTapeIsTheLog(t *testing.T) {
+	ran := 0
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		m := generalMachine(genProgram(rng), func(string) bool { return rng.Intn(3) > 0 })
+		if m == nil {
+			return true
+		}
+		ran++
+		checkStepper(t, m, relation.NewInstance(), randInputs(rng, m, constPool(m, nil), 8))
+		return !t.Failed()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if ran < 100 {
+		t.Fatalf("only %d of 200 generated programs made a machine", ran)
+	}
+	seeds := append([]string{}, paperSeedPrograms...)
+	seeds = append(seeds, loadDlogFuzzCorpus(t)...)
+	rng := rand.New(rand.NewSource(1))
+	for i, src := range seeds {
+		prog, err := dlog.ParseProgram(src)
+		if err != nil {
+			continue
+		}
+		m := generalMachine(prog, nil)
+		if m == nil {
+			continue
+		}
+		t.Run(fmt.Sprintf("seed%02d", i), func(t *testing.T) {
+			checkStepper(t, m, relation.NewInstance(), randInputs(rng, m, constPool(m, nil), 8))
+		})
+	}
+}
 
 // flipflopSrc has a non-cumulative state relation that negates itself: the
 // stepper must replace it each step, and read the previous value while
@@ -173,6 +339,7 @@ func TestDifferentialStepper(t *testing.T) {
 		inputs    relation.Sequence
 		tree, ref *core.Run
 		st        *core.Stepper
+		tapes     *tapeCheck
 		cut       int
 	}
 	for i, sub := range subjects {
@@ -196,6 +363,7 @@ func TestDifferentialStepper(t *testing.T) {
 				if r.st, err = sub.m.NewStepper(db, nil); err != nil {
 					t.Fatal(err)
 				}
+				r.tapes = newTapeCheck(sub.m)
 				r.cut = 20 + rng.Intn(steps-40)
 				runs = append(runs, r)
 			}
@@ -203,12 +371,13 @@ func TestDifferentialStepper(t *testing.T) {
 				for ri, r := range runs {
 					in := r.inputs[i]
 					before := in.Clone()
-					out := r.st.Step(in)
+					out, flags := r.st.Step(in, r.tapes.stores, true)
 					if !in.Equal(before) {
 						t.Fatalf("run %d step %d: the stepper mutated its input", ri, i+1)
 					}
 					state := r.st.State()
 					delta := sub.m.Schema().LogDelta(in, out)
+					r.tapes.check(t, i, delta, out, flags)
 					for _, side := range []struct {
 						name string
 						run  *core.Run

@@ -92,7 +92,7 @@ func (s *Store) lookup(slot int32) *iRel {
 // assigns name a slot if it has none: seed a store only with the names of
 // a schema.
 func (s *Store) Put(name string, rel *relation.Rel) {
-	slot := s.in.slot(name)
+	slot := s.in.Slot(name)
 	s.grow(int(slot) + 1)
 	s.rels[slot] = internRel(rel, s.in)
 }
@@ -100,7 +100,7 @@ func (s *Store) Put(name string, rel *relation.Rel) {
 // Ensure makes the store hold name, as an empty relation if it did not.
 // Like Put, it may assign name a slot.
 func (s *Store) Ensure(name string, arity int) {
-	slot := s.in.slot(name)
+	slot := s.in.Slot(name)
 	s.grow(int(slot) + 1)
 	if s.rels[slot] == nil {
 		s.rels[slot] = newIRel(arity)
@@ -149,7 +149,9 @@ func (s *Store) recycle(n int) {
 // slot is replaced by what was derived for it, which is nothing — the
 // relation is emptied — when derived does not hold the slot. derived gives
 // its relations up and is left empty: a replaced (or first-seen) relation
-// is adopted, not copied, and kept rows are retained by the store.
+// is adopted, not copied, and kept rows are retained by the store, while
+// the relation that carried them stays with derived as its slot's spare,
+// so the next evaluation into derived does not allocate it again.
 func (s *Store) Merge(derived *Store, keep []bool) {
 	s.grow(len(derived.rels))
 	for slot, ir := range s.rels {
@@ -169,9 +171,13 @@ func (s *Store) Merge(derived *Store, keep []bool) {
 		case !cumulative || len(ir.rows) == 0:
 			s.rels[slot] = d
 		default:
+			taken := false
 			for _, row := range d.rows {
-				s.keyBuf, _ = ir.add(row, s.keyBuf)
+				var added bool
+				s.keyBuf, added = ir.add(row, s.keyBuf)
+				taken = taken || added
 			}
+			derived.keepSpare(slot, d, taken)
 		}
 	}
 	for slot, d := range derived.rels {
@@ -180,6 +186,35 @@ func (s *Store) Merge(derived *Store, keep []bool) {
 		}
 	}
 	clear(derived.rels)
+}
+
+// RowsAt returns the rows the store holds at slot, as symbols of its
+// Interner, in the order they were added: the relation's own storage, which
+// the caller reads and does not keep past the store's next change. A
+// backing source is not consulted; nil means the store holds no rows there,
+// as it does at a negative slot.
+func (s *Store) RowsAt(slot int32) [][]uint32 {
+	if slot >= 0 && int(slot) < len(s.rels) && s.rels[slot] != nil {
+		return s.rels[slot].rows
+	}
+	return nil
+}
+
+// keepSpare makes ir, whose rows the store has merged into another
+// relation, slot's spare: the next evaluation into the store reuses its
+// maps and row slice, and its row storage too unless taken says the other
+// relation kept some of its rows, which live there.
+func (s *Store) keepSpare(slot int, ir *iRel, taken bool) {
+	if taken {
+		ir.arena = nil
+	}
+	if !ir.recycle() {
+		return
+	}
+	if len(s.spare) <= slot {
+		s.spare = append(s.spare, make([]*iRel, slot+1-len(s.spare))...)
+	}
+	s.spare[slot] = ir
 }
 
 // Rows returns the number of rows the store holds, over all its relations,

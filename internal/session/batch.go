@@ -39,6 +39,12 @@ type BatchResult struct {
 // (overloaded shard, engine shutdown, WAL write error) fails every item
 // routed to that shard — partial failure is otherwise strictly per-item.
 func (e *Engine) InputBatch(items []BatchItem) []BatchResult {
+	return e.inputBatch(items, answerFull)
+}
+
+// inputBatch is InputBatch with each applied item's result built as far as
+// ans asks: a /batch answered "status" or "errors" reads no outputs.
+func (e *Engine) inputBatch(items []BatchItem, ans answer) []BatchResult {
 	out := make([]BatchResult, len(items))
 	if len(items) == 0 {
 		return out
@@ -58,7 +64,7 @@ func (e *Engine) InputBatch(items []BatchItem) []BatchResult {
 		// One call per shard: the whole share runs under one hold of the
 		// shard's lock and its appends commit in one group commit.
 		_, err := sh.run(false, func(sh *shard) (any, error) {
-			sh.inputBatch(idxs, items, out)
+			sh.inputBatch(idxs, items, out, ans)
 			return nil, nil
 		})
 		if err != nil {
@@ -86,7 +92,7 @@ func (e *Engine) InputBatch(items []BatchItem) []BatchResult {
 // inputBatch runs under the shard's lock: it partitions the shard's
 // share of the batch by session (preserving item order) and proposes each
 // session's group as one record. Per-item outcomes land in out.
-func (sh *shard) inputBatch(idxs []int, items []BatchItem, out []BatchResult) {
+func (sh *shard) inputBatch(idxs []int, items []BatchItem, out []BatchResult, ans answer) {
 	groups := make(map[string][]int)
 	var order []string
 	for _, i := range idxs {
@@ -97,7 +103,7 @@ func (sh *shard) inputBatch(idxs []int, items []BatchItem, out []BatchResult) {
 		groups[id] = append(groups[id], i)
 	}
 	for _, id := range order {
-		sh.stepGroup(id, groups[id], items, out)
+		sh.stepGroup(id, groups[id], items, out, ans)
 	}
 }
 
@@ -105,7 +111,7 @@ func (sh *shard) inputBatch(idxs []int, items []BatchItem, out []BatchResult) {
 // one record — recStep for a single step (so a batch of one is
 // byte-identical to the unbatched path), recBatch otherwise. The record
 // commits whole or its group is refused whole.
-func (sh *shard) stepGroup(id string, idxs []int, items []BatchItem, out []BatchResult) {
+func (sh *shard) stepGroup(id string, idxs []int, items []BatchItem, out []BatchResult, ans answer) {
 	// pendingDup marks an item whose key repeats an EARLIER item of this
 	// group: its duplicate answer can only be built after that step applies.
 	type pendingDup struct{ idx, seq int }
@@ -151,7 +157,7 @@ func (sh *shard) stepGroup(id string, idxs []int, items []BatchItem, out []Batch
 			rec.Inputs[n], rec.Keys[n] = items[i].Input, items[i].Key
 		}
 	}
-	if err := sh.commit(rec, fromAPI, nil, results); err != nil {
+	if err := sh.commit(rec, fromAPI, nil, results, ans); err != nil {
 		for _, i := range admitted {
 			out[i] = BatchResult{Err: err}
 		}

@@ -237,7 +237,7 @@ func (sh *shard) recover(dir string) error {
 			if err != nil {
 				return err
 			}
-			return sh.commit(rec, fromWAL, nil, nil)
+			return sh.commit(rec, fromWAL, nil, nil, answerNone)
 		})
 	if err != nil {
 		return err
@@ -490,7 +490,7 @@ func (e *Engine) create(s *Session, rec *walRecord) (*Info, error) {
 		if _, ok := sh.sessions[s.id]; ok {
 			return nil, &ConflictError{ID: s.id}
 		}
-		if err := sh.commit(rec, fromAPI, s, nil); err != nil {
+		if err := sh.commit(rec, fromAPI, s, nil, answerNone); err != nil {
 			return nil, err
 		}
 		return s.info(), nil
@@ -533,7 +533,7 @@ func (e *Engine) step(id, key string, input any) (*StepResult, error) {
 		rec := &walRecord{T: recStep, SID: id, Seq: s.steps + 1, Key: key}
 		rec.Input, _ = input.(relation.Instance)
 		rec.NetIn, _ = input.(compose.StepInputs)
-		if err := sh.commit(rec, fromAPI, nil, res[:]); err != nil {
+		if err := sh.commit(rec, fromAPI, nil, res[:], answerFull); err != nil {
 			return nil, err
 		}
 		return res[0], nil
@@ -581,7 +581,7 @@ func (e *Engine) Close(id string) (*CloseResult, error) {
 		if s.frozen {
 			return nil, &FrozenError{ID: id}
 		}
-		if err := sh.commit(&walRecord{T: recClose, SID: id}, fromAPI, nil, nil); err != nil {
+		if err := sh.commit(&walRecord{T: recClose, SID: id}, fromAPI, nil, nil, answerNone); err != nil {
 			return nil, err
 		}
 		lr := s.logResult()

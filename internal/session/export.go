@@ -123,7 +123,7 @@ func (e *Engine) Forget(id string) error {
 		if !s.frozen {
 			return nil, &BadInputError{Err: fmt.Errorf("session %s: forget requires a prior export", id)}
 		}
-		return nil, sh.commit(&walRecord{T: recClose, SID: id}, fromAPI, nil, nil)
+		return nil, sh.commit(&walRecord{T: recClose, SID: id}, fromAPI, nil, nil, answerNone)
 	})
 	return err
 }

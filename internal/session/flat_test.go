@@ -27,7 +27,7 @@ func stepCost(t *testing.T, s *Session, inputs []relation.Instance) (allocs floa
 	t.Helper()
 	next := 0
 	one := func() {
-		s.apply(inputs[next])
+		s.apply(inputs[next], answerFull)
 		next++
 	}
 	before := ra.Snapshot().RowsPulled
@@ -63,8 +63,8 @@ func shopAt(t *testing.T, depth, steps int) (*Session, []relation.Instance) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.apply(order)
-	s.apply(pay)
+	s.apply(order, answerFull)
+	s.apply(pay, answerFull)
 	return s, inputs
 }
 
@@ -89,9 +89,9 @@ func auctionAt(t *testing.T, depth, steps int) (*Session, []relation.Instance) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.apply(list)
-	s.apply(bid)
-	s.apply(accept)
+	s.apply(list, answerFull)
+	s.apply(bid, answerFull)
+	s.apply(accept, answerFull)
 	return s, inputs
 }
 
@@ -157,12 +157,17 @@ func TestGoalGroundingLinearInDepth(t *testing.T) {
 // kept as history; smallStepAllocs is the ceiling.
 const parentSmallStepAllocs = 28
 
-// smallStepAllocs is the ceiling: what one step allocates on the resident
-// stepper with predicates compiled to slots, packed membership keys and a
-// recycled output store (18 before those). Under the race detector the
-// pooled evaluation frames are dropped now and again, which averages to
-// about two more; the test allows three there.
-const smallStepAllocs = 13
+// smallStepAllocs is the ceiling: what one answered step allocates on the
+// resident stepper with predicates compiled to slots, packed membership
+// keys and a recycled output store (18 before those), the log tape written
+// from the step's stores, the answer's log delta decoded from the tape,
+// and each relation the state plan derived into a cumulative state
+// relation kept as its scratch slot's spare (13 while the step built
+// LogDelta's instance, re-interned it onto the tape and dropped those
+// relations). Under the race detector the pooled evaluation frames are
+// dropped now and again, which averages to about two more; the test allows
+// three there.
+const smallStepAllocs = 6
 
 // smallShop is the benchmark's wide_mem shape: a 12-item catalogue and the
 // cycle that orders and pays for each item in turn, so a session shopping
@@ -189,7 +194,7 @@ func TestSmallStateStepAllocates(t *testing.T) {
 	}
 	next := 0
 	shop := func() {
-		s.apply(cycle[next%len(cycle)])
+		s.apply(cycle[next%len(cycle)], answerFull)
 		next++
 	}
 	for range cycle {
@@ -211,7 +216,7 @@ func TestSmallStateStepAllocates(t *testing.T) {
 // (smallStepAllocs). A request runs on its caller's goroutine under the
 // shard lock, so its closure stays on the stack and there is no reply
 // channel; handing each request to a shard goroutine cost 16.
-const engineInputAllocs = 13
+const engineInputAllocs = 6
 
 // TestEngineInputAllocates pins the whole in-memory engine path of a step —
 // shard lock, admission, apply, result — on the smallShop script.
@@ -239,5 +244,49 @@ func TestEngineInputAllocates(t *testing.T) {
 	t.Logf("%.0f allocs per Engine.Input (ceiling %d)", got, ceiling)
 	if got > float64(ceiling) {
 		t.Fatalf("an Engine.Input allocates %.0f times, over the ceiling of %d", got, ceiling)
+	}
+}
+
+// replayStepAllocs is the ceiling on what replaying one step of
+// TestReplayStepAllocates allocates: a step record applied as recovery
+// applies the shard's own log, which answers no one and so builds no
+// result — no StepResult, no output instance, no log delta — and so
+// allocates nothing a step: the tape's words grow by doubling, and the
+// scratch it steps in is recycled. It sits below engineInputAllocs by what an answer costs.
+const replayStepAllocs = 0
+
+// TestReplayStepAllocates pins the result-less apply on the smallShop
+// script: the record goes through commit from the WAL, as recovery and a
+// standby's apply (answerNone) take it.
+func TestReplayStepAllocates(t *testing.T) {
+	db, cycle := smallShop(t)
+	e := memEngine(t, 1)
+	if _, err := e.Open(&OpenRequest{ID: "small", Model: "short", DB: db}); err != nil {
+		t.Fatal(err)
+	}
+	sh := e.shardFor("small")
+	s := sh.sessions["small"]
+	next := 0
+	replay := func() {
+		rec := &walRecord{T: recStep, SID: "small", Seq: s.steps + 1, Input: cycle[next%len(cycle)]}
+		if err := sh.commit(rec, fromWAL, nil, nil, answerNone); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for range cycle {
+		replay()
+	}
+	got := testing.AllocsPerRun(20*len(cycle), replay)
+	ceiling := replayStepAllocs
+	if raceEnabled {
+		ceiling += 3
+	}
+	t.Logf("%.0f allocs per replayed step (ceiling %d; an answered Engine.Input: %d)", got, ceiling, engineInputAllocs)
+	if got > float64(ceiling) {
+		t.Fatalf("a replayed step allocates %.0f times, over the ceiling of %d", got, ceiling)
+	}
+	if ceiling >= engineInputAllocs && !raceEnabled {
+		t.Fatalf("the replay ceiling %d is not below the answered step's %d", ceiling, engineInputAllocs)
 	}
 }

@@ -114,7 +114,11 @@ func serveBatch(e *Engine, w http.ResponseWriter, items []BatchItem, refused []e
 			items[i].Input = relation.NewInstance()
 		}
 	}
-	results := inputAdmissible(e, items, refused)
+	ans := answerFull
+	if mode == "status" || mode == "errors" {
+		ans = answerAck
+	}
+	results := inputAdmissible(e, items, refused, ans)
 	// Compact encoding: batch responses are the data plane's hot path, and
 	// indentation costs real encode/decode CPU at thousands of items/s.
 	w.Header().Set("Content-Type", "application/json")
@@ -141,11 +145,12 @@ func serveBatch(e *Engine, w http.ResponseWriter, items []BatchItem, refused []e
 	json.NewEncoder(w).Encode(BatchResponse{Results: out})
 }
 
-// inputAdmissible runs the items that refused holds no error for, and
-// answers each refused item 400 at its position.
-func inputAdmissible(e *Engine, items []BatchItem, refused []error) []BatchResult {
+// inputAdmissible runs the items that refused holds no error for, their
+// results built as far as ans asks, and answers each refused item 400 at
+// its position.
+func inputAdmissible(e *Engine, items []BatchItem, refused []error, ans answer) []BatchResult {
 	if refused == nil {
-		return e.InputBatch(items)
+		return e.inputBatch(items, ans)
 	}
 	out := make([]BatchResult, len(items))
 	var admitted []BatchItem
@@ -158,7 +163,7 @@ func inputAdmissible(e *Engine, items []BatchItem, refused []error) []BatchResul
 		admitted = append(admitted, items[i])
 		at = append(at, i)
 	}
-	for j, res := range e.InputBatch(admitted) {
+	for j, res := range e.inputBatch(admitted, ans) {
 		out[at[j]] = res
 	}
 	return out

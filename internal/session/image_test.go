@@ -108,7 +108,7 @@ func TestImagesEncodeFromResidentState(t *testing.T) {
 			if _, dup := keys[key]; dup {
 				key = ""
 			}
-			res := s.apply(in)
+			res := s.apply(in, answerFull)
 			s.keys.note(key, res.Seq)
 			if key != "" {
 				if keys == nil {

@@ -108,20 +108,22 @@ func (r *netRun) check(id string, seq int, input any) error {
 // step is one joint transition: every node steps on its external inputs
 // unioned with last step's wired outputs. An empty joint step's record
 // carries no inputs, so input may be a nil instance then.
-func (r *netRun) step(input any, res *StepResult) (errFact, ok, accept bool) {
+func (r *netRun) step(input any, res *StepResult) core.Flags {
 	ext, _ := input.(compose.StepInputs)
 	js := r.nw.StepOnce(ext)
 	_ = r.add(js.Logs, js.Wire) // the network's own exchange always fits it
-	ok, accept = true, true
+	f := core.Flags{OK: true, Accept: true}
 	for _, out := range js.Outputs {
-		errFact = errFact || out.Rel(core.ErrorRel).Len() > 0
-		ok = ok && out.Rel(core.OKRel).Len() > 0
-		accept = accept && out.Rel(core.AcceptRel).Len() > 0
+		f.Error = f.Error || out.Rel(core.ErrorRel).Len() > 0
+		f.OK = f.OK && out.Rel(core.OKRel).Len() > 0
+		f.Accept = f.Accept && out.Rel(core.AcceptRel).Len() > 0
 	}
-	// Clone what escapes the shard: js.Outputs doubles as the network's
-	// unit-delay buffer, and the log deltas share its relations.
-	res.Outputs, res.Logs, res.Wire = cloneStepInputs(js.Outputs), cloneStepInputs(js.Logs), js.Wire
-	return errFact, ok, accept
+	if res != nil {
+		// Clone what escapes the shard: js.Outputs doubles as the network's
+		// unit-delay buffer, and the log deltas share its relations.
+		res.Outputs, res.Logs, res.Wire = cloneStepInputs(js.Outputs), cloneStepInputs(js.Logs), js.Wire
+	}
+	return f
 }
 
 // wireRel names the wire tape's relation for node's output relation out:

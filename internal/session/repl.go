@@ -302,7 +302,7 @@ func (e *Engine) replicate(rec *walRecord, built *Session) error {
 		return &BadInputError{Err: fmt.Errorf("replicated %s record has no session id", rec.T)}
 	}
 	_, err := e.shardFor(rec.SID).run(true, func(sh *shard) (any, error) {
-		return nil, sh.commit(rec, fromPrimary, built, nil)
+		return nil, sh.commit(rec, fromPrimary, built, nil, answerNone)
 	})
 	if err == nil {
 		e.m.replApplied.Add(1)

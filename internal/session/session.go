@@ -71,11 +71,12 @@ type runner interface {
 	// and fit its schema.
 	check(id string, seq int, input any) error
 	// step applies one admitted input, appends the step to the log, fills
-	// the result's output and log fields, and reports whether the output
-	// held an error fact, ok and accept (for a network: any node's error,
-	// every node's ok and accept). Stepping is deterministic, which is what
-	// lets the WAL store only inputs, and cannot fail.
-	step(input any, res *StepResult) (errFact, ok, accept bool)
+	// the result's output and log fields when res is non-nil, and reports
+	// whether the output held an error fact, ok and accept (for a network:
+	// any node's error, every node's ok and accept). Stepping is
+	// deterministic, which is what lets the WAL store only inputs, and
+	// cannot fail.
+	step(input any, res *StepResult) core.Flags
 	// digest is the canonical digest of the log (LogDigest, JointLogDigest).
 	digest() string
 	logStep(i int, res *StepResult)
@@ -189,6 +190,15 @@ func newMachineRun(req *OpenRequest) (*machineRun, error) {
 // outputs and log delta exactly as in Figure 1, plus acceptance flags.
 // Single-machine steps fill Output and Log; network joint steps fill the
 // per-node Outputs and Logs maps plus the consumed Wire traffic.
+//
+// Those fields are built only for an answer that carries them (answerFull:
+// Engine.Input and InputBatch, a single-step response, a /batch answered
+// "full", a dedupe answer). Output then holds the relations the step
+// derived, Log is decoded from the step the log tape just recorded, so the
+// log answered is the log kept; empty relations are left out of both,
+// which no encoding of an instance shows. A /batch answered "status" or
+// "errors" gets ID, Seq and Valid alone, and recovery and a standby's apply
+// build no result at all.
 type StepResult struct {
 	ID     string            `json:"id"`
 	Seq    int               `json:"seq"` // 1-based step number
@@ -222,22 +232,45 @@ func (s *Session) dupResult(seq int) *StepResult {
 	return res
 }
 
+// answer is how much of a step's result its caller reads.
+type answer uint8
+
+const (
+	// answerNone builds no result: recovery and a standby's apply.
+	answerNone answer = iota
+	// answerAck builds ID, Seq and Valid: a /batch answered "status" or
+	// "errors".
+	answerAck
+	// answerFull builds the outputs and the log delta too.
+	answerFull
+)
+
 // apply performs one validated transition — for a machine Sᵢ = σ(Iᵢ,
 // Sᵢ₋₁, D), Oᵢ = ω(Iᵢ, Sᵢ₋₁, D) — appends it to the log, and updates the
-// acceptance flags. The log fields of the result go to the caller; the
-// session keeps only the log's own copy of them.
-func (s *Session) apply(input any) *StepResult {
-	res := &StepResult{ID: s.id}
-	errFact, ok, accept := s.run.step(input, res)
+// acceptance flags. It returns as much of the step's result as ans asks
+// for (nil for answerNone); the session keeps only the log's own copy of
+// the step.
+func (s *Session) apply(input any, ans answer) *StepResult {
+	var res *StepResult
+	if ans != answerNone {
+		res = &StepResult{ID: s.id}
+	}
+	fill := res
+	if ans != answerFull {
+		fill = nil
+	}
+	f := s.run.step(input, fill)
 	s.steps++
-	if errFact {
+	if f.Error {
 		s.errorFree = false
 	}
-	if !ok {
+	if !f.OK {
 		s.okEvery = false
 	}
-	s.lastAccept = accept
-	res.Seq, res.Valid = s.steps, s.valid()
+	s.lastAccept = f.Accept
+	if res != nil {
+		res.Seq, res.Valid = s.steps, s.valid()
+	}
 	return res
 }
 
@@ -252,13 +285,15 @@ func (r *machineRun) check(id string, seq int, input any) error {
 	return nil
 }
 
-func (r *machineRun) step(input any, res *StepResult) (errFact, ok, accept bool) {
+// step writes the log tape from the step's own rows (core.Stepper.Step),
+// so a step whose result no one reads builds no relation value at all.
+func (r *machineRun) step(input any, res *StepResult) core.Flags {
 	in, _ := input.(relation.Instance)
-	out := r.stepper.Step(in)
-	delta := r.mach.Schema().LogDelta(in, out)
-	r.tape.Append(delta)
-	res.Output, res.Log = out, delta
-	return out.Rel(core.ErrorRel).Len() > 0, out.Rel(core.OKRel).Len() > 0, out.Rel(core.AcceptRel).Len() > 0
+	out, f := r.stepper.Step(in, r.tape, res != nil)
+	if res != nil {
+		res.Output, res.Log = out, r.tape.Delta(r.tape.Len()-1)
+	}
+	return f
 }
 
 // logStep answers from the decoded prefix if a read has decoded the step,

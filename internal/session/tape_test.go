@@ -95,7 +95,7 @@ func TestImagesEncodeFromTheTape(t *testing.T) {
 			if err := s.run.check(s.id, s.steps+1, in); err != nil {
 				t.Fatal(err)
 			}
-			logs = append(logs, s.apply(in).Log)
+			logs = append(logs, s.apply(in, answerFull).Log)
 		}
 		if got := machineOf(s).log(); !got.Equal(logs) {
 			t.Fatalf("run %d: log read %v, want %v", i, got, logs)

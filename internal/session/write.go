@@ -83,8 +83,9 @@ func (sh *shard) admit(id, key string, input any) (s *Session, dup *StepResult, 
 //   - counters and the snapshot cadence, again unless replaying.
 //
 // results, when non-nil, receives the StepResult of step i of the record at
-// index i.
-func (sh *shard) commit(rec *walRecord, from origin, built *Session, results []*StepResult) error {
+// index i, built as far as ans asks; a caller that reads no result passes
+// nil and answerNone.
+func (sh *shard) commit(rec *walRecord, from origin, built *Session, results []*StepResult, ans answer) error {
 	s, had := sh.sessions[rec.SID]
 	n, skip := 1, 0
 	var err error
@@ -174,8 +175,8 @@ func (sh *shard) commit(rec *walRecord, from origin, built *Session, results []*
 			case rec.NetIn != nil:
 				input = rec.NetIn
 			}
-			res := s.apply(input)
-			s.keys.note(key, res.Seq)
+			res := s.apply(input, ans)
+			s.keys.note(key, s.steps)
 			if results != nil {
 				results[i] = res
 			}
